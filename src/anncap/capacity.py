@@ -16,7 +16,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import DomainError, InputError
-from .measure import DEFAULT_TOL, _quad, mu_ball_detailed
+from .measure import DEFAULT_TOL, _quad, _radial_reduction, mu_ball_detailed
 from .spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec, surface_area
 
 __all__ = [
@@ -71,16 +71,6 @@ def cap_rn_unweighted(n: int, p: float, ann: AnnulusSpec) -> CapacityResult:
     return CapacityResult(value=value, method=CapacityMethod.CLOSED_FORM)
 
 
-def _radial_profile(space):
-    """(weight, dim-1 exponent, surface constant) of the 1-D reduction."""
-    geom = space.geometry
-    if isinstance(geom, RadialRn):
-        return space.weight, geom.n - 1, surface_area(geom.n)
-    if isinstance(geom, HalfLine):
-        return space.weight, 0, 1.0
-    raise DomainError(f"radial reduction needs RadialRn or HalfLine, got {type(geom).__name__}")
-
-
 def cap_radial_weighted(space: SpaceSpec, p: float, ann: AnnulusSpec,
                         tol: float = DEFAULT_TOL) -> CapacityResult:
     """cap_p via the radial integral (int_r^R (w rho^{n-1})^{1/(1-p)})^{1-p}.
@@ -89,7 +79,7 @@ def cap_radial_weighted(space: SpaceSpec, p: float, ann: AnnulusSpec,
     """
     if not (p > 1):
         raise DomainError(f"radial integral formula needs p > 1, got {p}")
-    w, m, const = _radial_profile(space)
+    w, m, const = _radial_reduction(space)
     expo = 1.0 / (1.0 - p)
 
     def integrand(rho):
@@ -110,7 +100,7 @@ def cap_radial_weighted(space: SpaceSpec, p: float, ann: AnnulusSpec,
 def cap_radial_p1(space: SpaceSpec, ann: AnnulusSpec, grid: int = 4097) -> CapacityResult:
     """p = 1 capacity as the cheapest weighted sphere cut:
     inf over t in [r, R] of const * t^{n-1} w(t)."""
-    w, m, const = _radial_profile(space)
+    w, m, const = _radial_reduction(space)
 
     def cut_cost(t):
         return const * t**m * float(w.evaluate(t))

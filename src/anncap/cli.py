@@ -11,16 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .bounds import BoundId, BoundSpec, verify_envelope
 from .capacity import cap_auto
 from .decay import check_one_ad, fit_annulus_decay
-from .errors import AnncapError, ApplicabilityError, ConvergenceError, InputError, QuadratureError
+from .errors import (AnncapError, ApplicabilityError, ConvergenceError, DomainError,
+                     InputError, QuadratureError)
 from .gallery import (
     default_gallery,
     gallery_manifest,
@@ -88,18 +87,10 @@ def _cmd_sweep(ns) -> int:
     space = _space_from_args(ns)
     spec = BoundSpec(_BOUND_IDS[ns.bound], ns.p, eta=ns.eta, q=ns.q)
     annuli = _thin_annuli(ns.R, ns.thin)
-
-    def cap(ann):
-        return cap_auto(space, ns.p, ann).value
-
-    if ns.jobs > 1:
-        with ThreadPoolExecutor(max_workers=ns.jobs) as pool:
-            caps = dict(zip(annuli, pool.map(cap, annuli)))
-        cap_fn = caps.__getitem__
-    else:
-        cap_fn = cap
-    rep = verify_envelope(space, ns.p, cap_fn, spec, annuli,
-                          check_hypotheses=not ns.no_gating)
+    rep = verify_envelope(space, ns.p, lambda ann: cap_auto(space, ns.p, ann).value, spec,
+                          annuli, check_hypotheses=not ns.no_gating)
+    if any(row[2] <= 0 for row in rep.rows):
+        raise DomainError(f"capacity degenerates to 0 at p = {ns.p}; no decay slope to fit")
     if ns.out:
         rep.to_csv(ns.out)
     else:
@@ -170,9 +161,6 @@ def _cmd_verify_all(ns) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="anncap")
     parser.add_argument("--config", help="JSON file of default option values")
-    parser.add_argument("--jobs", type=int,
-                        default=int(os.environ.get("ANNCAP_JOBS", "1")),
-                        help="parallelism for sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_space_args(p):

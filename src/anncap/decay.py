@@ -6,7 +6,8 @@ estimated by log-log regression over annulus families.  The 1-AD property
 is equivalently a local Lipschitz bound rho f'(rho) <~ f(rho) on the
 ball-volume function f, which we probe by central differences under grid
 refinement, with jump detection that separates genuine atoms of the radial
-measure from steep integrable singularities.
+measure from steep integrable singularities.  f is ``volume_profile``:
+cumulative panel masses on radial and half-line spaces (see measure).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import InputError
-from .measure import mu_annulus, mu_ball
+from .measure import mu_annulus, mu_ball, volume_profile
 from .spaces import AnnulusSpec, SpaceSpec
 
 __all__ = [
@@ -176,12 +177,6 @@ def ad_ratio_trend(space: SpaceSpec, annuli, eta: float):
 # ---------------------------------------------------------------------------
 # 1-AD characterization via the ball-volume function
 
-def _volume_profile(space, lo, hi, n):
-    rho = np.geomspace(lo, hi, n + 1)
-    f = np.array([mu_ball(space, x) for x in rho])
-    return rho, f
-
-
 def check_one_ad(space: SpaceSpec, rho_range: tuple[float, float],
                  grid_size: int = 64, levels: int = 4) -> OneAdReport:
     """Probe rho f'(rho) / f(rho) by central differences on geometric grids
@@ -201,8 +196,8 @@ def check_one_ad(space: SpaceSpec, rho_range: tuple[float, float],
     jump_masses = []
     finest = None
     for level in range(levels):
-        n = grid_size * 2**level
-        rho, f = _volume_profile(space, lo, hi, n)
+        rho = np.geomspace(lo, hi, grid_size * 2**level + 1)
+        f = volume_profile(space, rho)
         quot = (f[2:] - f[:-2]) / (rho[2:] - rho[:-2])
         mid_rho, mid_f = rho[1:-1], f[1:-1]
         ratio = mid_rho * quot / mid_f

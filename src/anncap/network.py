@@ -21,7 +21,8 @@ from scipy import sparse
 from scipy.sparse import csgraph, linalg as splinalg
 
 from .errors import ConvergenceError, DomainError, InfeasibleError, InputError
-from .spaces import HalfLine, RadialRn, Snake, SpaceSpec, surface_area
+from .measure import _cell_masses, _radial_reduction
+from .spaces import Snake, SpaceSpec
 
 __all__ = [
     "DiscreteNetwork",
@@ -116,18 +117,6 @@ def condenser_bc(net: DiscreteNetwork, r: float, R: float,
 # ---------------------------------------------------------------------------
 # builders
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-
-def _cell_masses(fn, edges_lo, edges_hi):
-    """Gauss-Legendre mass of fn over each cell [lo_i, hi_i], vectorized."""
-    mid = 0.5 * (edges_lo + edges_hi)
-    half = 0.5 * (edges_hi - edges_lo)
-    pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = fn(pts)
-    return half * (vals * _GL_WEIGHTS[None, :]).sum(axis=1)
-
-
 def build_radial_network(space: SpaceSpec, r_lo: float, r_hi: float, N: int = 2000,
                          grading: str = "uniform") -> DiscreteNetwork:
     """Path network of N cells discretizing the radial energy on [r_lo, r_hi].
@@ -139,13 +128,7 @@ def build_radial_network(space: SpaceSpec, r_lo: float, r_hi: float, N: int = 20
         raise InputError(f"need 0 < r_lo < r_hi, got {r_lo}, {r_hi}")
     if N < 16:
         raise InputError(f"need N >= 16 cells, got {N}")
-    geom = space.geometry
-    if isinstance(geom, RadialRn):
-        n, const = geom.n, surface_area(geom.n)
-    elif isinstance(geom, HalfLine):
-        n, const = 1, 1.0
-    else:
-        raise DomainError("radial networks need RadialRn or HalfLine geometry")
+    w, m, const = _radial_reduction(space)
     if grading == "uniform":
         nodes = np.linspace(r_lo, r_hi, N + 1)
     elif grading == "geometric-toward-outer":
@@ -153,10 +136,9 @@ def build_radial_network(space: SpaceSpec, r_lo: float, r_hi: float, N: int = 20
         nodes = r_lo + (r_hi - r_lo) * (t - t[0]) / (t[-1] - t[0])
     else:
         raise InputError(f"unknown grading {grading!r}")
-    w = space.weight
 
     def density(rho):
-        return w.evaluate(rho) * rho ** (n - 1)
+        return w.evaluate(rho) * rho**m
 
     masses = const * _cell_masses(density, nodes[:-1], nodes[1:])
     lengths = np.diff(nodes)
@@ -259,6 +241,7 @@ def build_bowtie_grid(alpha: float, h: float) -> DiscreteNetwork:
 # solvers
 
 def _check_connected(net, bc):
+    """Component label of each vertex; the plates must share a component."""
     adj = sparse.csr_matrix(
         (np.ones(net.num_edges), (net.edge_i, net.edge_j)),
         shape=(net.num_vertices, net.num_vertices),
@@ -266,6 +249,7 @@ def _check_connected(net, bc):
     ncomp, labels = csgraph.connected_components(adj, directed=False)
     if len(set(labels[bc.inner]) & set(labels[bc.outer])) == 0:
         raise InfeasibleError("boundary sets lie in different components")
+    return ncomp, labels
 
 
 def _energy(net, u, p):
@@ -375,24 +359,36 @@ def solve_p_energy(net: DiscreteNetwork, bc: BoundaryCondition, p: float,
 
     p = 2 is an exact linear solve; p = 1 an exact min-cut (coarea /
     max-flow duality); other p > 1 use damped Newton with line search.
+    Vertices in a component touching neither plate are pinned to u = 0.
+    A non-finite energy raises ConvergenceError.
     """
     if p < 1:
         raise DomainError(f"need p >= 1, got {p}")
     if tol <= 0:
         raise InputError("tol must be positive")
-    _check_connected(net, bc)
+    ncomp, labels = _check_connected(net, bc)
+    # such a component makes the free system singular, and has energy 0 at
+    # any constant
+    on_plate = np.zeros(ncomp, dtype=bool)
+    on_plate[labels[bc.inner]] = on_plate[labels[bc.outer]] = True
+    floating = np.flatnonzero(~on_plate[labels])
+    if len(floating):
+        bc = BoundaryCondition(inner=bc.inner, outer=np.concatenate([bc.outer, floating]))
     u = np.zeros(net.num_vertices)
     u[bc.inner] = 1.0
     if p == 1:
-        u, value = _min_cut(net, bc)
+        u, energy = _min_cut(net, bc)
         u[bc.inner] = 1.0
-        return SolveReport(energy=value, potential=u, iterations=0, kkt_residual=0.0)
-    u2, resid2 = _solve_p2(net, bc, u)
-    if p == 2:
-        return SolveReport(energy=_energy(net, u2, 2.0), potential=u2,
-                           iterations=1, kkt_residual=resid2)
-    u, energy, iters, gnorm = _newton(net, bc, p, tol, u2)
-    return SolveReport(energy=energy, potential=u, iterations=iters, kkt_residual=gnorm)
+        iters, resid = 0, 0.0
+    else:
+        u, resid = _solve_p2(net, bc, u)
+        if p == 2:
+            energy, iters = _energy(net, u, 2.0), 1
+        else:
+            u, energy, iters, resid = _newton(net, bc, p, tol, u)
+    if not math.isfinite(energy):
+        raise ConvergenceError(f"p = {p} solve ended at non-finite energy {energy}")
+    return SolveReport(energy=energy, potential=u, iterations=iters, kkt_residual=resid)
 
 
 # ---------------------------------------------------------------------------

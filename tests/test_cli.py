@@ -127,10 +127,11 @@ def test_config_supplies_defaults(capsys, tmp_path):
     assert len(out_csv.read_text().splitlines()) == 9  # header + 8 rows
 
 
-def test_jobs_parallel_sweep_matches_serial(capsys, tmp_path):
-    a, b = tmp_path / "serial.csv", tmp_path / "par.csv"
-    base = ["sweep", "--space", "rn", "--n", "3", "--p", "2.5", "--R", "2", "--thin", "9"]
-    run(base + ["--out", str(a)])
-    run(["--jobs", "4"] + base + ["--out", str(b)])
-    capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes()
+def test_sweep_degenerate_capacity_is_numeric_error(capsys, tmp_path):
+    # at p <= n + alpha every bow-tie capacity is 0, so there is no decay slope
+    out_csv = tmp_path / "s.csv"
+    code = run(["sweep", "--space", "bowtie", "--alpha", "0.5", "--p", "2", "--R", "1",
+                "--no-gating", "--out", str(out_csv)])
+    assert code == 3
+    assert "capacity degenerates to 0" in capsys.readouterr().err
+    assert not out_csv.exists()

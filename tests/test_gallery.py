@@ -84,7 +84,6 @@ def test_snake_entry_all_pass():
     assert not bad, bad
 
 
-@pytest.mark.slow
 def test_full_gallery_no_failures():
     for entry in default_gallery():
         verdicts = verify_expectations(entry)

@@ -1,10 +1,27 @@
 import math
 
+import numpy as np
 import pytest
 
 from anncap.errors import InputError
-from anncap.measure import mu_annulus, mu_annulus_detailed, mu_ball, mu_ball_detailed
-from anncap.spaces import AnnulusSpec, BowTie, CenterTag, HalfLine, RadialRn, Snake, SpaceSpec
+from anncap.measure import (
+    _quad,
+    mu_annulus,
+    mu_annulus_detailed,
+    mu_ball,
+    mu_ball_detailed,
+    volume_profile,
+)
+from anncap.spaces import (
+    AnnulusSpec,
+    BowTie,
+    CenterTag,
+    HalfLine,
+    RadialRn,
+    Snake,
+    SpaceSpec,
+    surface_area,
+)
 from anncap.weights import BuckleyEta, Constant, HalfLineCatalog, HalfLineKind, PowerAlpha
 
 RN2 = SpaceSpec(RadialRn(2), Constant())
@@ -97,3 +114,41 @@ def test_monotonicity_in_radius():
     radii = [0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0]
     vols = [mu_ball(space, R) for R in radii]
     assert all(b > a for a, b in zip(vols, vols[1:]))
+
+
+def _replaced_radial_routine(space, r, R):
+    """The separate radial and half-line routines that one (r, R) routine
+    replaced, as they were."""
+    w = space.weight
+    if isinstance(space.geometry, HalfLine):
+        return _quad(lambda x: float(w.evaluate(x)), r, R, points=w.singularities())
+    n = space.geometry.n
+    const = surface_area(n)
+    val, err = _quad(lambda rho: float(w.evaluate(rho)) * rho ** (n - 1), r, R,
+                     points=w.singularities())
+    return const * val, const * err
+
+
+def test_radial_measure_is_bit_identical_to_replaced_routines():
+    spaces = [RN2, RN3, SpaceSpec(RadialRn(1), BuckleyEta(0.5)),
+              SpaceSpec(RadialRn(2), PowerAlpha(-0.5))]
+    spaces += [SpaceSpec(HalfLine(), HalfLineCatalog(k)) for k in HalfLineKind]
+    for space in spaces:
+        for r, R in ((0.3, 0.9), (0.5, 2.5), (1.0, 4.0)):
+            assert mu_ball_detailed(space, R) == _replaced_radial_routine(space, 0.0, R)
+            assert mu_annulus_detailed(space, AnnulusSpec(r, R)) == \
+                _replaced_radial_routine(space, r, R)
+
+
+def test_volume_profile_with_grid_points_on_singularities():
+    # Buckley's blow-up at 1 and kink at 2 both sit on grid points
+    space = SpaceSpec(RadialRn(1), BuckleyEta(0.5))
+    rho = np.union1d(np.geomspace(0.25, 4.0, 33), [1.0, 2.0])
+    ref = np.array([mu_ball(space, x) for x in rho])
+    assert np.max(np.abs(volume_profile(space, rho) - ref) / ref) <= 1e-10
+
+
+def test_volume_profile_without_radial_reduction_is_per_point():
+    space = SpaceSpec(Snake())
+    rho = np.geomspace(1.5, 64.0, 17)
+    assert np.array_equal(volume_profile(space, rho), [mu_ball(space, x) for x in rho])

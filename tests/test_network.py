@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from anncap.capacity import cap_radial_p1, cap_rn_unweighted, cap_snake
-from anncap.errors import DomainError, InfeasibleError, InputError
+from anncap.errors import ConvergenceError, DomainError, InfeasibleError, InputError
+from anncap.measure import _cell_masses
 from anncap.network import (
     BoundaryCondition,
     DiscreteNetwork,
@@ -17,8 +18,8 @@ from anncap.network import (
     potential_to_csv,
     solve_p_energy,
 )
-from anncap.spaces import AnnulusSpec, RadialRn, SpaceSpec
-from anncap.weights import BuckleyEta, Constant
+from anncap.spaces import AnnulusSpec, HalfLine, RadialRn, SpaceSpec, surface_area
+from anncap.weights import BuckleyEta, Constant, HalfLineCatalog, HalfLineKind
 
 RN2 = SpaceSpec(RadialRn(2), Constant())
 
@@ -169,6 +170,35 @@ def test_disconnected_boundary_infeasible():
         BoundaryCondition(inner=[0], outer=[0])
     with pytest.raises(InfeasibleError):
         BoundaryCondition(inner=[], outer=[1])
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_floating_component_is_pinned(p):
+    # vertices 3-4 touch neither plate; the path 0-1-2 carries all the energy
+    net = DiscreteNetwork(num_vertices=5, edge_i=[0, 1, 3], edge_j=[1, 2, 4],
+                          lengths=[1.0, 1.0, 1.0], masses=[1.0, 1.0, 1.0])
+    rep = solve_p_energy(net, BoundaryCondition(inner=[0], outer=[2]), p)
+    assert rep.converged
+    assert rep.energy == pytest.approx(2.0 * 0.5**p, rel=1e-8)
+    assert np.all(rep.potential[3:] == 0.0)
+
+
+@pytest.mark.filterwarnings("ignore")  # overflow and singular-matrix warnings
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_non_finite_energy_raises(p):
+    net = _series_net([1e-200, 1e-200], [1.0, 1.0])  # |du|/l overflows
+    with pytest.raises(ConvergenceError):
+        solve_p_energy(net, BoundaryCondition(inner=[0], outer=[2]), p)
+
+
+def test_radial_network_masses_are_the_shared_panel_rule():
+    cases = ((SpaceSpec(RadialRn(2), BuckleyEta(0.5)), 1, surface_area(2)),
+             (SpaceSpec(HalfLine(), HalfLineCatalog(HalfLineKind.MIN_ONE_OVER_X)), 0, 1.0))
+    for space, m, const in cases:
+        net = build_radial_network(space, 0.5, 1.5, 64)
+        masses = const * _cell_masses(lambda x: space.weight.evaluate(x) * x**m,
+                                      net.radii[:-1], net.radii[1:])
+        assert np.array_equal(net.masses, masses)
 
 
 def test_condenser_bc_needs_radii():

@@ -8,10 +8,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from anncap.capacity import cap_radial_weighted, cap_rn_unweighted
-from anncap.measure import mu_annulus, mu_ball
+from anncap.gallery import DEFAULT_SUMMED_TERMS
+from anncap.measure import mu_annulus, mu_ball, volume_profile
 from anncap.network import BoundaryCondition, DiscreteNetwork, solve_p_energy
-from anncap.spaces import AnnulusSpec, RadialRn, SpaceSpec
-from anncap.weights import BuckleyEta, Constant, PowerAlpha
+from anncap.spaces import AnnulusSpec, HalfLine, RadialRn, SpaceSpec
+from anncap.weights import (
+    BuckleyEta,
+    Constant,
+    HalfLineCatalog,
+    HalfLineKind,
+    PowerAlpha,
+    SummedBuckley,
+    Tabulated,
+)
 
 COMMON = dict(deadline=None, max_examples=25)
 
@@ -30,6 +39,35 @@ def test_measure_monotone_and_additive(r, s):
     outer = mu_ball(space, hi)
     assert outer > inner > 0
     assert inner + mu_annulus(space, AnnulusSpec(lo, hi)) == pytest.approx(outer, rel=1e-8)
+
+
+# Buckley at the gallery's eta = 0.5: at eta = 0.3 adaptive quadrature on a
+# panel ending at the singularity is itself only good to about 1e-10.  lo >=
+# 0.02: below it mu_ball's absolute tolerance dominates e^(-1/R) on the
+# exp-inv-over-x-sq half-line, for the reference as much as the profile.
+PROFILE_SPACES = [
+    SpaceSpec(RadialRn(2), Constant(1.5)),
+    SpaceSpec(RadialRn(3), PowerAlpha(0.7)),
+    SpaceSpec(RadialRn(1), PowerAlpha(-0.5)),
+    SpaceSpec(RadialRn(2), PowerAlpha(-1.5)),
+    SpaceSpec(RadialRn(1), BuckleyEta(0.5)),
+    SpaceSpec(RadialRn(1), SummedBuckley(0.5, DEFAULT_SUMMED_TERMS)),
+    SpaceSpec(RadialRn(2), Tabulated((0.5, 1.0, 2.0), (1.0, 3.0, 2.0))),
+] + [SpaceSpec(HalfLine(), HalfLineCatalog(k)) for k in HalfLineKind]
+
+
+@settings(**COMMON)
+@given(space=st.sampled_from(PROFILE_SPACES),
+       lo=st.floats(min_value=0.02, max_value=10.0),
+       ratio=st.floats(min_value=1.05, max_value=100.0),
+       on_singularities=st.booleans())
+def test_volume_profile_matches_per_point_mu_ball(space, lo, ratio, on_singularities):
+    hi = lo * ratio
+    rho = np.geomspace(lo, hi, 9)
+    if on_singularities:
+        rho = np.union1d(rho, [s for s in space.weight.singularities() if lo < s < hi])
+    ref = np.array([mu_ball(space, x) for x in rho])
+    assert np.max(np.abs(volume_profile(space, rho) - ref) / ref) <= 1e-10
 
 
 @settings(**COMMON)
