@@ -178,11 +178,11 @@ def criterion_6():
 
 
 def criterion_7():
-    """Decay-exponent guard: eta_hat <= 1.05 on every gallery space without
-    a point mass at the center."""
+    """Decay-exponent guard: eta_hat <= 1.05 on every gallery space with
+    AD probe families."""
     worst_name, worst = "", -math.inf
     for entry in default_gallery():
-        if entry.space.traits.point_mass_at_center or not entry.ad_families:
+        if not entry.ad_families:
             continue
         rep = estimate_ad_exponent(entry.space, entry.ad_families)
         if rep.eta_hat > worst:

@@ -31,6 +31,8 @@ __all__ = [
     "cap_auto",
 ]
 
+INF_CUT_GRID = 4097  # uniform grid points of the p = 1 inf-cut search
+
 
 class CapacityMethod(enum.Enum):
     CLOSED_FORM = "closed-form"
@@ -97,7 +99,7 @@ def cap_radial_weighted(space: SpaceSpec, p: float, ann: AnnulusSpec,
                           quadrature_error=qerr)
 
 
-def cap_radial_p1(space: SpaceSpec, ann: AnnulusSpec, grid: int = 4097) -> CapacityResult:
+def cap_radial_p1(space: SpaceSpec, ann: AnnulusSpec) -> CapacityResult:
     """p = 1 capacity as the cheapest weighted sphere cut:
     inf over t in [r, R] of const * t^{n-1} w(t)."""
     w, m, const = _radial_reduction(space)
@@ -105,14 +107,14 @@ def cap_radial_p1(space: SpaceSpec, ann: AnnulusSpec, grid: int = 4097) -> Capac
     def cut_cost(t):
         return const * t**m * float(w.evaluate(t))
 
-    ts = np.linspace(ann.r, ann.R, grid)
+    ts = np.linspace(ann.r, ann.R, INF_CUT_GRID)
     # refine near catalog singularities, where the integrand varies fastest
     for s in w.singularities():
         if ann.r < s < ann.R:
-            h = (ann.R - ann.r) / grid
+            h = (ann.R - ann.r) / INF_CUT_GRID
             ts = np.concatenate([ts, np.linspace(max(ann.r, s - 8 * h), min(ann.R, s + 8 * h), 257)])
     ts = np.unique(ts)
-    costs = np.array([cut_cost(t) for t in ts])
+    costs = const * ts**m * w.evaluate(ts)
     i = int(np.argmin(costs))
     lo = ts[max(0, i - 1)]
     hi = ts[min(len(ts) - 1, i + 1)]

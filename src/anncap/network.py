@@ -6,17 +6,20 @@ gradient, and the discrete p-energy sum m_e (|du|/l_e)^p is minimized over
 potentials pinned to 1 on the inner plate and 0 on the outer plate.
 
 p = 2 is an exact sparse linear solve, p in (1, inf) \\ {2} a damped Newton
-descent on the strictly convex energy, and p = 1 an exact min-cut.
+descent on the strictly convex energy, and p = 1 an exact min-cut: each
+plate is contracted to one node, parallel conductances are summed, and
+Edmonds-Karp shortest augmenting paths cut the result.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
+from networkx.algorithms.flow import edmonds_karp
 from scipy import sparse
 from scipy.sparse import csgraph, linalg as splinalg
 
@@ -98,6 +101,7 @@ class SolveReport:
     potential: np.ndarray
     iterations: int
     kkt_residual: float
+    stop_reason: str  # line-search-stalled is the one with converged False
     converged: bool = True
 
 
@@ -280,13 +284,12 @@ def _newton(net, bc, p, tol, u0):
     Af = A[:, free]
     u = u0.copy()
     energy = _energy(net, u, p)
-    iterations = 0
-    gnorm = math.inf
     for iterations in range(1, MAX_ITER + 1):
         d = A @ u
         grad = Af.T @ (p * k * np.abs(d) ** (p - 1) * np.sign(d))
         gnorm = float(np.abs(grad).max()) if len(grad) else 0.0
         if gnorm <= tol * max(1.0, energy):
+            reason = "gradient"
             break
         hw = p * (p - 1) * k * (np.abs(d) + HESSIAN_EPS) ** (p - 2)
         H = (Af.T @ sparse.diags(hw) @ Af).tocsc()
@@ -303,53 +306,50 @@ def _newton(net, bc, p, tol, u0):
         # Newton decrement: the quadratic model predicts a -slope/2 decrease,
         # which is affine-invariant and well scaled even for p near 1
         if -slope <= 2.0 * tol * max(energy, tol):
+            reason = "newton-decrement"
             break
-        accepted = False
         for _ in range(60):
             u_try = u.copy()
             u_try[free] += t * step
             e_try = _energy(net, u_try, p)
             if e_try <= energy + 1e-4 * t * slope:
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
-            break  # at numerical stationarity
+        else:
+            reason = "line-search-stalled"
+            break
         rel_drop = (energy - e_try) / max(energy, 1e-300)
         u, energy = u_try, e_try
         if rel_drop < tol and gnorm <= math.sqrt(tol) * max(1.0, energy):
+            reason = "relative-drop"
             break
     else:
         raise ConvergenceError(
             f"Newton did not converge in {MAX_ITER} iterations", best_energy=energy
         )
-    return u, energy, iterations, gnorm
+    return u, energy, iterations, gnorm, reason
 
 
 def _min_cut(net, bc):
+    n = net.num_vertices
+    S, T = n, n + 1  # the contracted plates
+    node = np.arange(n)
+    node[bc.inner], node[bc.outer] = S, T
+    a, b = node[net.edge_i], node[net.edge_j]
+    keep = a != b
+    # one undirected key per vertex pair; bincount sums parallel edges in order
+    pairs, which = np.unique(np.minimum(a, b)[keep] * (n + 2) + np.maximum(a, b)[keep],
+                             return_inverse=True)
+    conduct = np.bincount(which, weights=(net.masses / net.lengths)[keep]).tolist()
+    lo, hi = (x.tolist() for x in np.divmod(pairs, n + 2))
     g = nx.DiGraph()
-    label = {}
-    for v in bc.inner:
-        label[int(v)] = "S"
-    for v in bc.outer:
-        label[int(v)] = "T"
-    conduct = net.masses / net.lengths
-    for a, b, c in zip(net.edge_i, net.edge_j, conduct):
-        na, nb = label.get(int(a), int(a)), label.get(int(b), int(b))
-        if na == nb:
-            continue
-        c_old = g.edges[na, nb]["capacity"] if g.has_edge(na, nb) else 0.0
-        g.add_edge(na, nb, capacity=c_old + c)
-        c_old = g.edges[nb, na]["capacity"] if g.has_edge(nb, na) else 0.0
-        g.add_edge(nb, na, capacity=c_old + c)
-    cut_value, (source_side, _) = nx.minimum_cut(g, "S", "T")
-    u = np.zeros(net.num_vertices)
-    for node in source_side:
-        if node == "S":
-            u[bc.inner] = 1.0
-        elif node != "T":
-            u[node] = 1.0
-    u[bc.outer] = 0.0
+    g.add_edges_from((x, y, {"capacity": c}) for x, y, c in
+                     zip(lo + hi, hi + lo, conduct + conduct))
+    cut_value, (source_side, _) = nx.minimum_cut(g, S, T, flow_func=edmonds_karp)
+    side = np.fromiter(source_side, dtype=np.int64, count=len(source_side))
+    u = np.zeros(n)
+    u[side[side < n]] = 1.0
+    u[bc.inner] = 1.0
     return u, float(cut_value)
 
 
@@ -378,17 +378,17 @@ def solve_p_energy(net: DiscreteNetwork, bc: BoundaryCondition, p: float,
     u[bc.inner] = 1.0
     if p == 1:
         u, energy = _min_cut(net, bc)
-        u[bc.inner] = 1.0
-        iters, resid = 0, 0.0
+        iters, resid, reason = 0, 0.0, "min-cut"
     else:
         u, resid = _solve_p2(net, bc, u)
         if p == 2:
-            energy, iters = _energy(net, u, 2.0), 1
+            energy, iters, reason = _energy(net, u, 2.0), 1, "linear-solve"
         else:
-            u, energy, iters, resid = _newton(net, bc, p, tol, u)
+            u, energy, iters, resid, reason = _newton(net, bc, p, tol, u)
     if not math.isfinite(energy):
         raise ConvergenceError(f"p = {p} solve ended at non-finite energy {energy}")
-    return SolveReport(energy=energy, potential=u, iterations=iters, kkt_residual=resid)
+    return SolveReport(energy=energy, potential=u, iterations=iters, kkt_residual=resid,
+                       stop_reason=reason, converged=reason != "line-search-stalled")
 
 
 # ---------------------------------------------------------------------------

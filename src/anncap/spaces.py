@@ -108,13 +108,11 @@ class TraitSet:
 
     pi_exponents: frozenset = frozenset()
     pi_open_infimum: float | None = None
-    pi_dilation: float = 1.0
     pi_global: bool = False
     doubling: bool = False
     globally_doubling: bool = False
     reverse_doubling: tuple[float, float] | None = None
     corkscrew_a: float | None = None
-    point_mass_at_center: bool = False
     ad_eta: float | None = None
 
     def __post_init__(self):
@@ -122,8 +120,6 @@ class TraitSet:
         for q in self.pi_exponents:
             if q < 1:
                 raise InputError(f"Poincare exponents must satisfy q >= 1, got {q}")
-        if self.pi_dilation < 1:
-            raise InputError("Poincare dilation must be >= 1")
         if self.reverse_doubling is not None:
             tau, gamma = self.reverse_doubling
             if not (tau > 1 and gamma > 1):

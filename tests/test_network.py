@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from anncap import network
 from anncap.capacity import cap_radial_p1, cap_rn_unweighted, cap_snake
 from anncap.errors import ConvergenceError, DomainError, InfeasibleError, InputError
 from anncap.measure import _cell_masses
@@ -98,6 +100,87 @@ def test_p1_cut_below_feasible_p1_energy():
         u[0], u[-1] = 1.0, 0.0
         d = np.abs(u[net.edge_i] - u[net.edge_j])
         assert rep.energy <= float(np.sum(net.masses * d / net.lengths)) + 1e-9
+
+
+def _p1_energy(net, u):
+    """p = 1 energy of each row of u."""
+    d = np.abs(u[..., net.edge_i] - u[..., net.edge_j])
+    return np.sum(net.masses * d / net.lengths, axis=-1)
+
+
+def _grid_patch(rows, cols):
+    """rows x cols 4-neighbor grid; plates are the first and last column."""
+    idx = np.arange(rows * cols).reshape(rows, cols)
+    ei = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
+    ej = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
+    return rows * cols, ei, ej, idx[:, 0], idx[:, -1]
+
+
+def _random_sparse(rng, n):
+    """Random spanning tree plus extra chords; plates are disjoint vertex
+    sets of 1 to 3 vertices."""
+    order = rng.permutation(n)
+    ei = [order[k] for k in range(1, n)]
+    ej = [order[rng.integers(k)] for k in range(1, n)]
+    for _ in range(n // 2):
+        a, b = rng.choice(n, 2, replace=False)
+        ei.append(a)
+        ej.append(b)
+    plates = rng.permutation(n)[: rng.integers(2, 7)]
+    split = rng.integers(1, len(plates))
+    return n, np.array(ei), np.array(ej), plates[:split], plates[split:]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_p1_min_cut_matches_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    if seed % 2:
+        n, ei, ej, inner, outer = _random_sparse(rng, int(rng.integers(8, 17)))
+    else:
+        n, ei, ej, inner, outer = _grid_patch(int(rng.integers(2, 5)), int(rng.integers(3, 6)))
+    # parallel copies of some edges, and one direct inner-outer edge
+    dup = rng.choice(len(ei), 3)
+    ei = np.concatenate([ei, ei[dup], inner[:1]])
+    ej = np.concatenate([ej, ej[dup], outer[:1]])
+    net = DiscreteNetwork(num_vertices=n, edge_i=ei, edge_j=ej,
+                          lengths=rng.uniform(0.1, 2.0, len(ei)),
+                          masses=rng.uniform(0.1, 2.0, len(ei)))
+    bc = BoundaryCondition(inner=inner, outer=outer)
+    free = np.setdiff1d(np.arange(n), np.concatenate([inner, outer]))
+    assert len(free) <= 14
+    u = np.zeros((2 ** len(free), n))
+    u[:, inner] = 1.0
+    u[:, free] = list(itertools.product((0.0, 1.0), repeat=len(free)))
+    brute = float(_p1_energy(net, u).min())
+    rep = solve_p_energy(net, bc, 1.0)
+    assert rep.energy == pytest.approx(brute, rel=1e-12)
+    assert set(np.unique(rep.potential)) <= {0.0, 1.0}
+    assert np.all(rep.potential[inner] == 1.0) and np.all(rep.potential[outer] == 0.0)
+    assert float(_p1_energy(net, rep.potential)) == pytest.approx(rep.energy, rel=1e-12)
+
+
+def test_stop_reasons():
+    net = _series_net([0.5, 1.0, 0.25], [0.5, 1.0, 0.25])
+    bc = BoundaryCondition(inner=[0], outer=[3])
+    for p, reason in ((1.0, "min-cut"), (2.0, "linear-solve"), (3.0, "gradient")):
+        rep = solve_p_energy(net, bc, p)
+        assert (rep.stop_reason, rep.converged) == (reason, True), p
+    rng = np.random.default_rng(7)
+    net = _series_net(rng.uniform(0.1, 2.0, 40), rng.uniform(0.1, 2.0, 40))
+    rep = solve_p_energy(net, BoundaryCondition(inner=[0], outer=[40]), 1.5)
+    assert (rep.stop_reason, rep.converged) == ("newton-decrement", True)
+
+
+def test_line_search_stall_is_not_converged(monkeypatch):
+    # a flat zero energy fails every Armijo test: Newton stops at once and
+    # says why
+    monkeypatch.setattr(network, "_energy", lambda net, u, p: 0.0)
+    rng = np.random.default_rng(7)
+    net = _series_net(rng.uniform(0.1, 2.0, 40), rng.uniform(0.1, 2.0, 40))
+    rep = solve_p_energy(net, BoundaryCondition(inner=[0], outer=[40]), 1.5)
+    assert rep.stop_reason == "line-search-stalled"
+    assert not rep.converged
+    assert rep.iterations == 1
 
 
 def test_radial_network_oracle():

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anncap.capacity import cap_radial_weighted, cap_rn_unweighted
+from anncap.capacity import cap_radial_p1, cap_radial_weighted, cap_rn_unweighted
 from anncap.gallery import DEFAULT_SUMMED_TERMS
-from anncap.measure import mu_annulus, mu_ball, volume_profile
+from anncap.measure import _radial_reduction, mu_annulus, mu_ball, volume_profile
 from anncap.network import BoundaryCondition, DiscreteNetwork, solve_p_energy
 from anncap.spaces import AnnulusSpec, HalfLine, RadialRn, SpaceSpec
 from anncap.weights import (
@@ -68,6 +68,30 @@ def test_volume_profile_matches_per_point_mu_ball(space, lo, ratio, on_singulari
         rho = np.union1d(rho, [s for s in space.weight.singularities() if lo < s < hi])
     ref = np.array([mu_ball(space, x) for x in rho])
     assert np.max(np.abs(volume_profile(space, rho) - ref) / ref) <= 1e-10
+
+
+@settings(deadline=None, max_examples=60)
+@given(space=st.sampled_from(PROFILE_SPACES),
+       lo=st.floats(min_value=0.05, max_value=4.0),
+       ratio=st.floats(min_value=1.01, max_value=10.0),
+       pin=st.sampled_from([None, "r", "R", "inside"]),
+       which=st.integers(min_value=0, max_value=7),
+       fracs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8))
+def test_inf_cut_below_every_sphere_cut(space, lo, ratio, pin, which, fracs):
+    # pin puts a singularity (an infinite cut cost for Buckley) at an
+    # endpoint or inside the annulus
+    w, m, const = _radial_reduction(space)
+    sing = [s for s in w.singularities() if s > 0]
+    r, R = lo, lo * ratio
+    if pin and sing:
+        s = sing[which % len(sing)]
+        r, R = {"r": (s, s * ratio), "R": (s / ratio, s),
+                "inside": (s / math.sqrt(ratio), s * math.sqrt(ratio))}[pin]
+    value = cap_radial_p1(space, AnnulusSpec(r, R)).value
+    assert math.isfinite(value) and value >= 0
+    for f in fracs:
+        t = min(R, r + f * (R - r))
+        assert value <= const * t**m * float(w.evaluate(t)) * (1 + 1e-15)
 
 
 @settings(**COMMON)
