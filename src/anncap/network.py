@@ -5,10 +5,16 @@ space, the edge gradient |u_i - u_j| / length stands in for the upper
 gradient, and the discrete p-energy sum m_e (|du|/l_e)^p is minimized over
 potentials pinned to 1 on the inner plate and 0 on the outer plate.
 
-p = 2 is an exact sparse linear solve, p in (1, inf) \\ {2} a damped Newton
+p = 2 is an exact linear solve, p in (1, inf) \\ {2} a damped Newton
 descent on the strictly convex energy, and p = 1 an exact min-cut: each
 plate is contracted to one node, parallel conductances are summed, and
 Edmonds-Karp shortest augmenting paths cut the result.
+
+Every p > 1 linear solve goes through one kernel, `_FreeLaplacian`: the m
+free vertices are ordered once per solve by reverse Cuthill-McKee, each
+edge's w_e (e_i - e_j)(e_i - e_j)^T is scattered into LAPACK symmetric band
+storage by a precomputed index, and the system is solved by banded
+Cholesky. At bandwidth b that costs O(m b^2) time and m (b + 1) floats.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 from networkx.algorithms.flow import edmonds_karp
-from scipy import sparse
-from scipy.sparse import csgraph, linalg as splinalg
+from scipy import linalg, sparse
+from scipy.sparse import csgraph
 
 from .errors import ConvergenceError, DomainError, InfeasibleError, InputError
 from .measure import _cell_masses, _radial_reduction
@@ -72,13 +78,6 @@ class DiscreteNetwork:
     @property
     def num_edges(self) -> int:
         return len(self.edge_i)
-
-    def incidence(self) -> sparse.csr_matrix:
-        m, n = self.num_edges, self.num_vertices
-        rows = np.repeat(np.arange(m), 2)
-        cols = np.column_stack([self.edge_i, self.edge_j]).ravel()
-        vals = np.tile([1.0, -1.0], m)
-        return sparse.csr_matrix((vals, (rows, cols)), shape=(m, n))
 
 
 @dataclass(frozen=True)
@@ -213,32 +212,27 @@ def build_bowtie_grid(alpha: float, h: float) -> DiscreteNetwork:
     inv = round(1.0 / h)
     if abs(inv * h - 1.0) > 1e-12:
         raise InputError("mesh size h must divide 1 exactly (use h = 2^-m)")
-    index = {}
-    coords = []
-
-    def in_cone(i1, i2):
-        return -inv <= i1 <= 2 * inv and 2 * abs(i2) <= abs(i1)
-
-    for i1 in range(-inv, 2 * inv + 1):
-        half = abs(i1) // 2
-        for i2 in range(-half, half + 1):
-            index[(i1, i2)] = len(coords)
-            coords.append((i1 * h, i2 * h))
-    ei, ej, mass = [], [], []
-    for (i1, i2), a in index.items():
-        for d1, d2 in ((1, 0), (0, 1)):
-            nb = (i1 + d1, i2 + d2)
-            if nb in index:
-                b = index[nb]
-                mx = (i1 + 0.5 * d1) * h
-                my = (i2 + 0.5 * d2) * h
-                mass.append((mx * mx + my * my) ** (alpha / 2.0) * h * h)
-                ei.append(a)
-                ej.append(b)
-    coords = np.array(coords)
-    radii = np.hypot(coords[:, 0] + 1.0, coords[:, 1])
-    return DiscreteNetwork(num_vertices=len(coords), edge_i=np.array(ei), edge_j=np.array(ej),
-                           lengths=np.full(len(ei), h), masses=np.array(mass), radii=radii)
+    # column c (at i1 = c - inv) holds i2 in [-half[c], half[c]]; vertices
+    # are numbered column by column, so (i1, i2) is start[c] + i2 + half[c]
+    cols = np.arange(-inv, 2 * inv + 1)
+    half = np.abs(cols) // 2
+    start = np.concatenate([[0], np.cumsum(2 * half + 1)])
+    nv = int(start[-1])
+    col = np.repeat(np.arange(len(cols)), 2 * half + 1)
+    i1, i2 = cols[col], np.arange(nv) - start[col] - half[col]
+    # per vertex the (1, 0) neighbour, then the (0, 1) neighbour, when in the
+    # cone; the half -1 past the last column admits no neighbour there
+    half_next = np.append(half, -1)[col + 1]
+    has = np.column_stack([np.abs(i2) <= half_next, i2 < half[col]])
+    ei = np.repeat(np.arange(nv), 2)[has.ravel()]
+    ej = np.column_stack([start[col + 1] + i2 + half_next, np.arange(1, nv + 1)])[has]
+    d1 = np.broadcast_to([1.0, 0.0], has.shape)[has]
+    mx = (i1[ei] + 0.5 * d1) * h
+    my = (i2[ei] + 0.5 * (1.0 - d1)) * h
+    return DiscreteNetwork(num_vertices=nv, edge_i=ei, edge_j=ej,
+                           lengths=np.full(len(ei), h),
+                           masses=(mx * mx + my * my) ** (alpha / 2.0) * h * h,
+                           radii=np.hypot(i1 * h + 1.0, i2 * h))
 
 
 # ---------------------------------------------------------------------------
@@ -261,41 +255,82 @@ def _energy(net, u, p):
     return float(np.sum(net.masses * (np.abs(d) / net.lengths) ** p))
 
 
-def _solve_p2(net, bc, u):
+class _FreeLaplacian:
+    """The w-weighted Laplacian on the free vertices, in band storage.
+
+    ``order`` lists the free vertices in reverse Cuthill-McKee order, the
+    order of every free-vertex vector below. For positive w the matrix is
+    positive definite, since every free component touches a plate.
+    """
+
+    def __init__(self, net, bc):
+        self.net = net
+        pos = np.zeros(net.num_vertices, dtype=np.int64)
+        pos[bc.inner] = pos[bc.outer] = -1
+        free = np.flatnonzero(pos == 0)
+        m = len(free)
+        pos[free] = np.arange(m)
+        a, b = pos[net.edge_i], pos[net.edge_j]
+        both = (a >= 0) & (b >= 0)
+        graph = sparse.csr_matrix(
+            (np.ones(2 * both.sum()), (np.r_[a[both], b[both]], np.r_[b[both], a[both]])),
+            shape=(m, m))
+        # reverse_cuthill_mckee cannot order an empty graph (all on plates)
+        self.order = free[csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)] if m else free
+        pos[self.order] = np.arange(m)
+        a, b = pos[net.edge_i], pos[net.edge_j]
+        lo, hi = np.minimum(a, b)[both], np.maximum(a, b)[both]
+        band = int((hi - lo).max(initial=0))
+        # LAPACK lower band storage holds L[i, j], i >= j, at [i - j, j]: each
+        # free end adds w_e on row 0, each free-free edge -w_e at [hi - lo, lo]
+        self._edges = np.concatenate([np.flatnonzero(a >= 0), np.flatnonzero(b >= 0),
+                                      np.flatnonzero(both)])
+        self._slots = np.concatenate([a[a >= 0], b[b >= 0], (hi - lo) * m + lo])
+        self._signs = np.repeat([1.0, -1.0], [len(self._edges) - len(lo), len(lo)])
+        self._shape = (band + 1, m)
+
+    def divergence(self, flux):
+        """Edge fluxes summed into each free vertex, + at edge_i, - at edge_j."""
+        n = self.net.num_vertices
+        return (np.bincount(self.net.edge_i, flux, n)
+                - np.bincount(self.net.edge_j, flux, n))[self.order]
+
+    def solve(self, w, rhs):
+        """Solve L_w x = rhs; raises LinAlgError if L_w is not positive
+        definite. Non-finite weights are not checked here: they come back
+        as a LinAlgError or a non-finite x, and so as a non-finite energy."""
+        ab = np.bincount(self._slots, weights=w[self._edges] * self._signs,
+                         minlength=self._shape[0] * self._shape[1]).reshape(self._shape)
+        return linalg.solveh_banded(ab, rhs, overwrite_ab=True, lower=True,
+                                    check_finite=False)
+
+
+def _solve_p2(net, lap, u):
     cond = net.masses / net.lengths**2
-    A = net.incidence()
-    L = (A.T @ sparse.diags(cond) @ A).tocsr()
-    fixed = np.zeros(net.num_vertices, dtype=bool)
-    fixed[bc.inner] = fixed[bc.outer] = True
-    free = ~fixed
-    rhs = -L[free][:, fixed] @ u[fixed]
     u = u.copy()
-    u[free] = splinalg.spsolve(L[free][:, free].tocsc(), rhs)
-    resid = float(np.abs(L[free] @ u - 0.0).max()) if free.any() else 0.0
-    return u, resid
+    try:
+        u[lap.order] = lap.solve(cond, -lap.divergence(cond * (u[net.edge_i] - u[net.edge_j])))
+    except linalg.LinAlgError as exc:
+        raise ConvergenceError(f"p = 2 linear solve failed: {exc}") from exc
+    resid = lap.divergence(cond * (u[net.edge_i] - u[net.edge_j]))
+    return u, float(np.abs(resid).max(initial=0.0))
 
 
-def _newton(net, bc, p, tol, u0):
-    A = net.incidence()
+def _newton(net, lap, p, tol, u0):
     k = net.masses / net.lengths**p
-    fixed = np.zeros(net.num_vertices, dtype=bool)
-    fixed[bc.inner] = fixed[bc.outer] = True
-    free = np.flatnonzero(~fixed)
-    Af = A[:, free]
     u = u0.copy()
     energy = _energy(net, u, p)
     for iterations in range(1, MAX_ITER + 1):
-        d = A @ u
-        grad = Af.T @ (p * k * np.abs(d) ** (p - 1) * np.sign(d))
-        gnorm = float(np.abs(grad).max()) if len(grad) else 0.0
+        d = u[net.edge_i] - u[net.edge_j]
+        grad = lap.divergence(p * k * np.abs(d) ** (p - 1) * np.sign(d))
+        gnorm = float(np.abs(grad).max(initial=0.0))
         if gnorm <= tol * max(1.0, energy):
             reason = "gradient"
             break
         hw = p * (p - 1) * k * (np.abs(d) + HESSIAN_EPS) ** (p - 2)
-        H = (Af.T @ sparse.diags(hw) @ Af).tocsc()
         try:
-            step = splinalg.spsolve(H, -grad)
-        except RuntimeError:
+            step = lap.solve(hw, -grad)
+        except linalg.LinAlgError:
             step = -grad / hw.max()  # gradient fallback on degenerate Hessian
         # backtracking line search; the energy is convex, full steps usually work
         t = 1.0
@@ -310,9 +345,11 @@ def _newton(net, bc, p, tol, u0):
             break
         for _ in range(60):
             u_try = u.copy()
-            u_try[free] += t * step
+            u_try[lap.order] += t * step
             e_try = _energy(net, u_try, p)
-            if e_try <= energy + 1e-4 * t * slope:
+            # a step must lower the energy: once 1e-4 * t * slope is below
+            # its rounding, the Armijo test alone passes steps that do not
+            if e_try < energy and e_try <= energy + 1e-4 * t * slope:
                 break
             t *= 0.5
         else:
@@ -380,11 +417,12 @@ def solve_p_energy(net: DiscreteNetwork, bc: BoundaryCondition, p: float,
         u, energy = _min_cut(net, bc)
         iters, resid, reason = 0, 0.0, "min-cut"
     else:
-        u, resid = _solve_p2(net, bc, u)
+        lap = _FreeLaplacian(net, bc)
+        u, resid = _solve_p2(net, lap, u)
         if p == 2:
             energy, iters, reason = _energy(net, u, 2.0), 1, "linear-solve"
         else:
-            u, energy, iters, resid, reason = _newton(net, bc, p, tol, u)
+            u, energy, iters, resid, reason = _newton(net, lap, p, tol, u)
     if not math.isfinite(energy):
         raise ConvergenceError(f"p = {p} solve ended at non-finite energy {energy}")
     return SolveReport(energy=energy, potential=u, iterations=iters, kkt_residual=resid,

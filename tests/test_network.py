@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from anncap import network
 from anncap.capacity import cap_radial_p1, cap_rn_unweighted, cap_snake
 from anncap.errors import ConvergenceError, DomainError, InfeasibleError, InputError
 from anncap.measure import _cell_masses
+from scipy import linalg
 from anncap.network import (
     BoundaryCondition,
     DiscreteNetwork,
@@ -183,6 +185,134 @@ def test_line_search_stall_is_not_converged(monkeypatch):
     assert rep.iterations == 1
 
 
+def test_flat_energy_stalls_at_once(monkeypatch):
+    # a flat nonzero energy passes the bare Armijo test once 1e-4 * t * slope
+    # is below its rounding; only a step that lowers the energy is taken
+    monkeypatch.setattr(network, "_energy", lambda net, u, p: 1.0)
+    rng = np.random.default_rng(7)
+    net = _series_net(rng.uniform(0.1, 2.0, 40), rng.uniform(0.1, 2.0, 40))
+    t0 = time.perf_counter()
+    rep = solve_p_energy(net, BoundaryCondition(inner=[0], outer=[40]), 1.5)
+    assert time.perf_counter() - t0 < 1.0
+    assert (rep.stop_reason, rep.converged, rep.iterations) == ("line-search-stalled", False, 1)
+
+
+@pytest.mark.parametrize("p, reason", [(1.0, "min-cut"), (1.5, "gradient"),
+                                       (2.0, "linear-solve"), (3.0, "gradient")])
+def test_no_free_vertex(p, reason):
+    # every vertex on a plate: the energy is that of the plate-to-plate edges
+    net = DiscreteNetwork(num_vertices=4, edge_i=[0, 0, 1, 2], edge_j=[2, 3, 3, 1],
+                          lengths=[1.0, 0.5, 2.0, 1.0], masses=[1.0, 2.0, 0.5, 3.0])
+    rep = solve_p_energy(net, BoundaryCondition(inner=[0, 1], outer=[2, 3]), p)
+    assert rep.energy == pytest.approx(1.0 + 2.0 * 2.0**p + 0.5 * 0.5**p + 3.0, rel=1e-14)
+    assert (rep.stop_reason, rep.converged) == (reason, True)
+    assert list(rep.potential) == [1.0, 1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_failed_factorisation_is_a_convergence_error(monkeypatch, p):
+    def singular(*args, **kwargs):
+        raise linalg.LinAlgError("1th leading minor not positive definite")
+
+    monkeypatch.setattr(linalg, "solveh_banded", singular)
+    net = _series_net([1.0, 1.0], [1.0, 1.0])
+    with pytest.raises(ConvergenceError):
+        solve_p_energy(net, BoundaryCondition(inner=[0], outer=[2]), p)
+
+
+def _random_multigraph(rng):
+    """Two free components, one hanging off each plate (the second also
+    touches the other plate), with parallel edges, a plate-to-plate edge
+    and shuffled vertex numbers."""
+    sizes = rng.integers(4, 9, 2)
+    n = int(sizes.sum()) + 4
+    label = rng.permutation(n)  # vertex numbers carry no band structure
+    inner, outer = label[:2], label[2:4]
+    ei, ej = [inner[1]], [outer[0]]
+    first = 4
+    for comp, size in enumerate(sizes):
+        verts = label[first:first + size]
+        first += size
+        for k in range(1, size):  # spanning tree plus chords
+            ei.append(verts[k])
+            ej.append(verts[rng.integers(k)])
+        for _ in range(size // 2):
+            a, b = rng.choice(verts, 2, replace=False)
+            ei.append(a)
+            ej.append(b)
+        ei.append(rng.choice(verts))
+        ej.append((inner, outer)[comp][rng.integers(2)])
+        if comp:
+            ei.append(rng.choice(verts))
+            ej.append(inner[rng.integers(2)])
+    dup = rng.choice(len(ei), 3)
+    ei, ej = np.array(ei), np.array(ej)
+    ei, ej = np.concatenate([ei, ej[dup]]), np.concatenate([ej, ei[dup]])
+    net = DiscreteNetwork(num_vertices=n, edge_i=ei, edge_j=ej,
+                          lengths=rng.uniform(0.1, 2.0, len(ei)),
+                          masses=rng.uniform(0.1, 2.0, len(ei)))
+    return net, BoundaryCondition(inner=inner, outer=outer)
+
+
+def _dense_incidence(net):
+    A = np.zeros((net.num_edges, net.num_vertices))
+    A[np.arange(net.num_edges), net.edge_i] += 1.0
+    A[np.arange(net.num_edges), net.edge_j] -= 1.0
+    return A
+
+
+def _dense_p2(net, bc):
+    """p = 2 potential from a dense solve of the free Laplacian."""
+    A = _dense_incidence(net)
+    L = A.T @ ((net.masses / net.lengths**2)[:, None] * A)
+    free = np.ones(net.num_vertices, dtype=bool)
+    free[bc.inner] = free[bc.outer] = False
+    u = np.zeros(net.num_vertices)
+    u[bc.inner] = 1.0
+    u[free] = np.linalg.solve(L[np.ix_(free, free)], -L[np.ix_(free, ~free)] @ u[~free])
+    return u
+
+
+def _dense_newton(net, bc, p):
+    """p-energy minimum by damped Newton with a dense Hessian, from the
+    p = 2 potential, until no step lowers the energy."""
+    A = _dense_incidence(net)
+    free = np.setdiff1d(np.arange(net.num_vertices), np.concatenate([bc.inner, bc.outer]))
+    k = net.masses / net.lengths**p
+
+    def energy(v):
+        return float(np.sum(k * np.abs(A @ v) ** p))
+
+    u = _dense_p2(net, bc)
+    for _ in range(1000):
+        d = A @ u
+        grad = A[:, free].T @ (p * k * np.abs(d) ** (p - 1) * np.sign(d))
+        hw = p * (p - 1) * k * (np.abs(d) + 1e-12) ** (p - 2)
+        step = np.linalg.solve(A[:, free].T @ (hw[:, None] * A[:, free]), -grad)
+        for t in 0.5 ** np.arange(40):
+            trial = u.copy()
+            trial[free] += t * step
+            if energy(trial) < energy(u):
+                u = trial
+                break
+        else:
+            break
+    return energy(u)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_banded_solves_match_dense_references(seed):
+    net, bc = _random_multigraph(np.random.default_rng(seed))
+    order = network._FreeLaplacian(net, bc).order
+    assert not np.array_equal(order, np.sort(order))  # RCM reordered
+    rep = solve_p_energy(net, bc, 2.0)
+    np.testing.assert_allclose(rep.potential, _dense_p2(net, bc), rtol=0, atol=1e-12)
+    for p in (1.5, 3.0):
+        rep = solve_p_energy(net, bc, p, tol=1e-12)
+        assert rep.converged
+        assert rep.energy == pytest.approx(_dense_newton(net, bc, p), rel=1e-9), p
+
+
 def test_radial_network_oracle():
     ann = AnnulusSpec(1.0, 2.0)
     exact = cap_rn_unweighted(2, 3.0, ann).value
@@ -229,6 +359,43 @@ def test_bowtie_grid_shape():
         build_bowtie_grid(0.5, 0.1)  # does not divide 1
     with pytest.raises(InputError):
         build_bowtie_grid(0.5, 0.25)  # too coarse
+
+
+def _bowtie_grid_loop(alpha, h):
+    """The vertex-by-vertex bow-tie builder that build_bowtie_grid replaced."""
+    inv = round(1.0 / h)
+    index, coords = {}, []
+    for i1 in range(-inv, 2 * inv + 1):
+        half = abs(i1) // 2
+        for i2 in range(-half, half + 1):
+            index[(i1, i2)] = len(coords)
+            coords.append((i1 * h, i2 * h))
+    ei, ej, mass = [], [], []
+    for (i1, i2), a in index.items():
+        for d1, d2 in ((1, 0), (0, 1)):
+            nb = (i1 + d1, i2 + d2)
+            if nb in index:
+                mx = (i1 + 0.5 * d1) * h
+                my = (i2 + 0.5 * d2) * h
+                mass.append((mx * mx + my * my) ** (alpha / 2.0) * h * h)
+                ei.append(a)
+                ej.append(index[nb])
+    coords = np.array(coords)
+    return (len(coords), np.array(ei), np.array(ej), np.full(len(ei), h), np.array(mass),
+            np.hypot(coords[:, 0] + 1.0, coords[:, 1]))
+
+
+@pytest.mark.parametrize("inv_h", [16, 32, 64])
+@pytest.mark.parametrize("alpha", [-0.5, 0.5])
+def test_bowtie_grid_matches_loop_builder(alpha, inv_h):
+    nv, ei, ej, lengths, masses, radii = _bowtie_grid_loop(alpha, 1.0 / inv_h)
+    net = build_bowtie_grid(alpha, 1.0 / inv_h)
+    assert net.num_vertices == nv
+    for got, want in ((net.edge_i, ei), (net.edge_j, ej), (net.lengths, lengths),
+                      (net.radii, radii)):
+        assert np.array_equal(got, want)
+    # numpy's vectorized power may round differently from the scalar one
+    np.testing.assert_array_max_ulp(net.masses, masses, maxulp=1)
 
 
 def test_network_validation():
