@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .errors import InputError
+from .errors import DomainError, InputError
 from .measure import mu_annulus, mu_ball, volume_profile
 from .spaces import AnnulusSpec, SpaceSpec
 
@@ -134,8 +134,12 @@ def fit_annulus_decay(space: SpaceSpec, R: float, r_values) -> AdFitReport:
     muR = mu_ball(space, R)
     xs, ys = [], []
     for r in r_values:
+        mass = mu_annulus(space, AnnulusSpec(r, R))
+        if not mass > 0:
+            raise DomainError(f"annulus (r={r}, R={R}) has measure {mass}; "
+                              "its decay ratio has no logarithm")
         xs.append(math.log(1.0 - r / R))
-        ys.append(math.log(mu_annulus(space, AnnulusSpec(r, R)) / muR))
+        ys.append(math.log(mass / muR))
     slope, intercept, resid = _loglog_fit(xs, ys)
     return AdFitReport(eta_hat=slope, constant_hat=math.exp(intercept), residual=resid,
                        sample_count=len(r_values), range=(min(r_values), R))

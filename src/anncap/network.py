@@ -6,9 +6,17 @@ gradient, and the discrete p-energy sum m_e (|du|/l_e)^p is minimized over
 potentials pinned to 1 on the inner plate and 0 on the outer plate.
 
 p = 2 is an exact linear solve, p in (1, inf) \\ {2} a damped Newton
-descent on the strictly convex energy, and p = 1 an exact min-cut: each
-plate is contracted to one node, parallel conductances are summed, and
-Edmonds-Karp shortest augmenting paths cut the result.
+descent on the strictly convex energy, and p = 1 an exact min-cut. For
+the cut each plate is contracted to one node and parallel conductances are
+summed. Each maximal run of free degree-2 vertices is then one edge of the
+run's least conductance, exact since a min of floats is exact, so a chain
+leaves a single inner-outer edge. Edmonds-Karp shortest augmenting paths
+cut this core. A vertex is 1 iff it cannot reach the outer plate through
+arcs with flow < capacity, the arcs Edmonds-Karp augments along (an arc
+over its capacity by an ulp is saturated). A run inside one side lies on
+it; a split run is cut at its least-conductance edges, each piece taking
+the side of the end it stays joined to, and a piece joined to neither end
+the inner side.
 
 Every p > 1 linear solve goes through one kernel, `_FreeLaplacian`: the m
 free vertices are ordered once per solve by reverse Cuthill-McKee, each
@@ -238,16 +246,17 @@ def build_bowtie_grid(alpha: float, h: float) -> DiscreteNetwork:
 # ---------------------------------------------------------------------------
 # solvers
 
+def _components(nodes, a, b):
+    graph = sparse.csr_matrix((np.ones(len(a)), (a, b)), shape=(nodes, nodes))
+    return csgraph.connected_components(graph, directed=False)[1]
+
+
 def _check_connected(net, bc):
     """Component label of each vertex; the plates must share a component."""
-    adj = sparse.csr_matrix(
-        (np.ones(net.num_edges), (net.edge_i, net.edge_j)),
-        shape=(net.num_vertices, net.num_vertices),
-    )
-    ncomp, labels = csgraph.connected_components(adj, directed=False)
+    labels = _components(net.num_vertices, net.edge_i, net.edge_j)
     if len(set(labels[bc.inner]) & set(labels[bc.outer])) == 0:
         raise InfeasibleError("boundary sets lie in different components")
-    return ncomp, labels
+    return labels
 
 
 def _energy(net, u, p):
@@ -367,27 +376,64 @@ def _newton(net, lap, p, tol, u0):
     return u, energy, iterations, gnorm, reason
 
 
+def _merge_parallel(a, b, c, nodes):
+    """One edge (lo, hi) per vertex pair, its conductance the sum of the
+    pair's c in edge order; self-loops are dropped."""
+    keep = a != b
+    pairs, which = np.unique(np.minimum(a, b)[keep] * nodes + np.maximum(a, b)[keep],
+                             return_inverse=True)
+    lo, hi = np.divmod(pairs, nodes)
+    return lo, hi, np.bincount(which, weights=c[keep])
+
+
 def _min_cut(net, bc):
     n = net.num_vertices
     S, T = n, n + 1  # the contracted plates
     node = np.arange(n)
     node[bc.inner], node[bc.outer] = S, T
-    a, b = node[net.edge_i], node[net.edge_j]
-    keep = a != b
-    # one undirected key per vertex pair; bincount sums parallel edges in order
-    pairs, which = np.unique(np.minimum(a, b)[keep] * (n + 2) + np.maximum(a, b)[keep],
-                             return_inverse=True)
-    conduct = np.bincount(which, weights=(net.masses / net.lengths)[keep]).tolist()
-    lo, hi = (x.tolist() for x in np.divmod(pairs, n + 2))
+    lo, hi, c = _merge_parallel(node[net.edge_i], node[net.edge_j],
+                                net.masses / net.lengths, n + 2)
+    # a run is a maximal path of free degree-2 vertices; it becomes one edge
+    # between its two ends, of its least conductance
+    series = np.bincount(np.r_[lo, hi], minlength=n + 2) == 2
+    series[[S, T]] = False
+    s_lo, s_hi = series[lo], series[hi]
+    run = _components(n + 2, lo[s_lo & s_hi], hi[s_lo & s_hi])[np.where(s_lo, lo, hi)]
+    on_run = s_lo | s_hi
+    cmin = np.full(n + 2, np.inf)
+    np.minimum.at(cmin, run[on_run], c[on_run])
+    bound = np.flatnonzero(s_lo ^ s_hi)  # two per run, sorted to pairs
+    bound = bound[np.argsort(run[bound], kind="stable")]
+    ends = np.where(s_lo, hi, lo)[bound].reshape(-1, 2)
+    runs = run[bound[::2]]
+    a, b, w = _merge_parallel(np.r_[lo[~on_run], ends[:, 0]], np.r_[hi[~on_run], ends[:, 1]],
+                              np.r_[c[~on_run], cmin[runs]], n + 2)
+    al, bl, wl = a.tolist(), b.tolist(), w.tolist()
     g = nx.DiGraph()
-    g.add_edges_from((x, y, {"capacity": c}) for x, y, c in
-                     zip(lo + hi, hi + lo, conduct + conduct))
-    cut_value, (source_side, _) = nx.minimum_cut(g, S, T, flow_func=edmonds_karp)
-    side = np.fromiter(source_side, dtype=np.int64, count=len(source_side))
-    u = np.zeros(n)
-    u[side[side < n]] = 1.0
-    u[bc.inner] = 1.0
-    return u, float(cut_value)
+    g.add_edges_from((x, y, {"capacity": z}) for x, y, z in zip(al + bl, bl + al, wl + wl))
+    residual = edmonds_karp(g, S, T)
+    flow = np.array([residual.succ[x][y]["flow"] for x, y in zip(al, bl)])
+    # u = 0 on the vertices that reach T through arcs with flow < capacity,
+    # the arcs Edmonds-Karp augments along: an arc over its capacity by an
+    # ulp is saturated too. A search from T along the reversed arcs finds them
+    fwd, bwd = flow < w, -flow < w
+    into = sparse.csr_matrix((np.ones(fwd.sum() + bwd.sum()),
+                              (np.r_[b[fwd], a[bwd]], np.r_[a[fwd], b[bwd]])),
+                             shape=(n + 2, n + 2))
+    u = np.ones(n + 2)
+    u[csgraph.breadth_first_order(into, T, return_predecessors=False)] = 0.0
+    # a run whose ends share a side lies on it; a split run is cut at its
+    # least-conductance edges, and a piece joined to neither end is inner
+    split = np.zeros(n + 2, dtype=bool)
+    split[runs] = u[ends[:, 0]] != u[ends[:, 1]]
+    joined = on_run & ~(split[run] & (c == cmin[run]))
+    piece = _components(n + 2, lo[joined], hi[joined])
+    outer = np.zeros(n + 2, dtype=bool)
+    outer[piece[(u == 0.0) & ~series]] = True
+    u[series] = np.where(outer[piece[series]], 0.0, 1.0)
+    u = u[:n]
+    u[bc.outer] = 0.0
+    return u, float(residual.graph["flow_value"])
 
 
 def solve_p_energy(net: DiscreteNetwork, bc: BoundaryCondition, p: float,
@@ -403,10 +449,10 @@ def solve_p_energy(net: DiscreteNetwork, bc: BoundaryCondition, p: float,
         raise DomainError(f"need p >= 1, got {p}")
     if tol <= 0:
         raise InputError("tol must be positive")
-    ncomp, labels = _check_connected(net, bc)
+    labels = _check_connected(net, bc)
     # such a component makes the free system singular, and has energy 0 at
     # any constant
-    on_plate = np.zeros(ncomp, dtype=bool)
+    on_plate = np.zeros(labels.max() + 1, dtype=bool)
     on_plate[labels[bc.inner]] = on_plate[labels[bc.outer]] = True
     floating = np.flatnonzero(~on_plate[labels])
     if len(floating):

@@ -12,8 +12,8 @@ from anncap.decay import (
     estimate_ad_exponent,
     fit_annulus_decay,
 )
-from anncap.errors import InputError
-from anncap.gallery import make_buckley, make_halfline, make_snake
+from anncap.errors import DomainError, InputError
+from anncap.gallery import make_bowtie, make_buckley, make_halfline, make_snake
 from anncap.spaces import AnnulusSpec, RadialRn, SpaceSpec
 from anncap.weights import Constant, HalfLineKind
 
@@ -46,6 +46,12 @@ def test_fit_rejects_bad_families():
         fit_annulus_decay(RN2, 1.0, [0.9] * 3)  # too few
     with pytest.raises(InputError):
         fit_annulus_decay(RN2, 1.0, [0.1] + [1.0 - 2.0**-j for j in range(2, 10)])
+
+
+def test_fit_of_a_zero_measure_annulus_is_a_domain_error():
+    # the n = 3 bow-tie's sampled measure reads 0 on the thinnest annuli
+    with pytest.raises(DomainError, match=r"annulus \(r=0\.99"):
+        fit_annulus_decay(make_bowtie(0.5, n=3).space, 1.0, [1.0 - 2.0**-j for j in range(2, 11)])
 
 
 def test_estimate_ad_exponent_takes_worst_family():

@@ -147,18 +147,111 @@ def test_p1_min_cut_matches_brute_force(seed):
     net = DiscreteNetwork(num_vertices=n, edge_i=ei, edge_j=ej,
                           lengths=rng.uniform(0.1, 2.0, len(ei)),
                           masses=rng.uniform(0.1, 2.0, len(ei)))
-    bc = BoundaryCondition(inner=inner, outer=outer)
+    _assert_exhaustive_min_cut(net, inner, outer)
+
+
+def _assert_exhaustive_min_cut(net, inner, outer):
+    """The p = 1 energy is the least over all 0/1 potentials, and the
+    returned potential is 0/1, pinned on the plates and of that energy."""
+    n = net.num_vertices
     free = np.setdiff1d(np.arange(n), np.concatenate([inner, outer]))
-    assert len(free) <= 14
+    assert len(free) <= 16
     u = np.zeros((2 ** len(free), n))
     u[:, inner] = 1.0
     u[:, free] = list(itertools.product((0.0, 1.0), repeat=len(free)))
     brute = float(_p1_energy(net, u).min())
-    rep = solve_p_energy(net, bc, 1.0)
+    rep = solve_p_energy(net, BoundaryCondition(inner=inner, outer=outer), 1.0)
     assert rep.energy == pytest.approx(brute, rel=1e-12)
     assert set(np.unique(rep.potential)) <= {0.0, 1.0}
     assert np.all(rep.potential[inner] == 1.0) and np.all(rep.potential[outer] == 0.0)
     assert float(_p1_energy(net, rep.potential)) == pytest.approx(rep.energy, rel=1e-12)
+
+
+def _with_runs(rng):
+    """A small random graph plus each kind of run of free degree-2 vertices:
+    subdivided edges (1 to 3 vertices), a run ending in a leaf, a run back
+    to its own start, two parallel runs between the same vertices and a run
+    from plate to plate."""
+    n, ei, ej, inner, outer = _random_sparse(rng, 4)
+    base = n
+    ei, ej = list(ei), list(ej)
+
+    def run(a, b, k):  # k new vertices from a to b; b None ends in a leaf
+        nonlocal n
+        path = [a, *range(n, n + k)] + ([] if b is None else [b])
+        n += k
+        ei.extend(path[:-1])
+        ej.extend(path[1:])
+
+    for e, longest in zip(rng.choice(len(ei), 2, replace=False), (3, 2)):
+        run(ei[e], ej[e], int(rng.integers(1, longest + 1)))
+        ei[e] = ej[e] = -1
+    a, b = rng.choice(base, 2, replace=False)
+    run(a, b, 1)
+    run(a, b, 2)
+    run(rng.integers(base), None, 2)
+    v = int(rng.integers(base))
+    run(v, v, 2)
+    run(inner[0], outer[0], int(rng.integers(1, 3)))
+    keep = np.array(ei) >= 0
+    return n, np.array(ei)[keep], np.array(ej)[keep], inner, outer
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_p1_series_reduction_matches_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    n, ei, ej, inner, outer = _with_runs(rng)
+    if seed % 2:
+        lengths, masses = rng.uniform(0.1, 2.0, (2, len(ei)))
+    else:  # tied conductances
+        lengths, masses = np.ones(len(ei)), rng.choice([0.5, 1.0, 2.0], len(ei))
+    net = DiscreteNetwork(num_vertices=n, edge_i=ei, edge_j=ej, lengths=lengths, masses=masses)
+    _assert_exhaustive_min_cut(net, inner, outer)
+
+
+def test_p1_cut_is_read_from_the_true_saturation():
+    # on these seeds an arc ends over its capacity by an ulp; read as
+    # unsaturated, it put vertices on the wrong side of the cut
+    seeds = [26, 109, 226, 582, 1399, 1481, 1690, 1898, 1931, 1941, 1949, 3252, 3280, 3906]
+    for seed in seeds + list(range(300)):
+        rng = np.random.default_rng(seed)
+        n, ei, ej, inner, outer = _random_sparse(rng, int(rng.integers(8, 40)))
+        net = DiscreteNetwork(num_vertices=n, edge_i=ei, edge_j=ej,
+                              lengths=rng.uniform(0.1, 2.0, len(ei)),
+                              masses=rng.uniform(0.1, 2.0, len(ei)))
+        rep = solve_p_energy(net, BoundaryCondition(inner=inner, outer=outer), 1.0)
+        assert float(_p1_energy(net, rep.potential)) == pytest.approx(rep.energy, rel=1e-12), seed
+
+
+def _chain_cut(net, bc):
+    """On a chain numbered along its edges: the least conductance over the
+    edges not inside one plate, and the potential that is 0 exactly past
+    the last edge of that conductance (the vertices that still reach the
+    outer plate through unsaturated edges)."""
+    plate = np.zeros(net.num_vertices, dtype=np.int64)
+    plate[bc.inner], plate[bc.outer] = 1, 2
+    a, b = plate[net.edge_i], plate[net.edge_j]
+    c = np.where((a == 0) | (a != b), net.masses / net.lengths, np.inf)
+    last = np.flatnonzero(c == c.min())[-1]
+    u = (np.arange(net.num_vertices) <= net.edge_i[last]).astype(float)
+    u[bc.outer] = 0.0
+    return float(c.min()), u
+
+
+def test_p1_chain_cut_is_its_last_least_conductance():
+    cases = []
+    for space, N in itertools.product((RN2, SpaceSpec(RadialRn(3), BuckleyEta(0.5))), (64, 2000)):
+        net = build_radial_network(space, 0.6, 1.4, N)
+        cases.append((net, condenser_bc(net, 0.7, 1.3)))
+    for k, delta in ((2, 0.01), (3, 0.05), (5, 0.5)):  # every conductance is 1
+        r, R = 2.0**k - delta, 2.0**k + delta
+        net = build_snake_network(extra_radii=(r, R))
+        cases.append((net, condenser_bc(net, r, R)))
+    for net, bc in cases:
+        rep = solve_p_energy(net, bc, 1.0)
+        energy, u = _chain_cut(net, bc)
+        assert rep.energy == energy
+        assert np.array_equal(rep.potential, u)
 
 
 def test_stop_reasons():
