@@ -4,6 +4,12 @@ verification over annulus families, and the blowup probe.
 Each bound is evaluated with constant 1; all comparability constants are
 absorbed into the envelope verdicts, which test boundedness of the
 cap/bound ratio and absence of a trend in log-log coordinates.
+
+``BOUND_TABLE`` holds every bound in one row: its hypotheses in the order
+they are checked, the measures its expression reads (mu(B_R), mu(B_r),
+mu(ann)) and the expression itself.  ``verify_envelope`` computes each of
+those measures once per family: mu(B_R) once per distinct R, mu(B_r) once
+per distinct r and mu(ann) once per annulus.
 """
 
 from __future__ import annotations
@@ -12,16 +18,18 @@ import csv
 import enum
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ApplicabilityError, InputError
-from .measure import mu_annulus, mu_ball
+from .errors import ApplicabilityError, DomainError, InputError
+from .measure import FamilyMeasures
 from .spaces import AnnulusSpec, SpaceSpec
 
 __all__ = [
     "BoundId",
+    "BOUND_TABLE",
     "BoundSpec",
     "evaluate_bound",
     "SweepReport",
@@ -56,7 +64,7 @@ class BoundSpec:
     tau: float | None = None
 
     def __post_init__(self):
-        if self.p < 1:
+        if not (self.p >= 1):
             raise InputError(f"need p >= 1, got {self.p}")
         needs_eta = self.bound_id in (BoundId.UPPER_ETA, BoundId.LOWER_PI_AD)
         if needs_eta and (self.eta is None or not 0 < self.eta <= 1):
@@ -64,7 +72,7 @@ class BoundSpec:
         needs_q = self.bound_id in (
             BoundId.LOWER_PI_AD, BoundId.LOWER_CORKSCREW_Q, BoundId.MEASURE_LOWER_Q
         )
-        if needs_q and (self.q is None or self.q < 1):
+        if needs_q and (self.q is None or not self.q >= 1):
             raise InputError(f"{self.bound_id.value} needs q >= 1")
 
 
@@ -76,96 +84,92 @@ def _tau(spec, traits):
     return None
 
 
-def _failed_hypothesis(spec: BoundSpec, space: SpaceSpec, ann: AnnulusSpec) -> str | None:
-    t = space.traits
-    b = spec.bound_id
-    if b is BoundId.UPPER_SIMPLE:
-        return None
+def _radius_cap(s, space, ann):
+    # R <= diam X / 2 tau; vacuous for unbounded spaces
+    if math.isinf(space.diameter):
+        return True
+    tau = _tau(s, space.traits)
+    return tau is not None and not ann.R > space.diameter / (2.0 * tau)
 
-    def radius_cap(tau):
-        # R <= diam X / 2 tau; vacuous for unbounded spaces
-        if math.isinf(space.diameter):
-            return None
-        if tau is None or ann.R > space.diameter / (2.0 * tau):
-            return "R <= diam X / 2 tau"
-        return None
 
-    if b is BoundId.UPPER_ETA:
-        if t.ad_eta is None or spec.eta > t.ad_eta + 1e-12:
-            return "eta-annular-decay declared"
-        return None
-    if b is BoundId.LOWER_PI_AD:
-        if not (1 <= spec.q < spec.p):
-            return "1 <= q < p"
-        if not t.supports_pi(spec.q):
-            return "q-Poincare inequality at x0"
-        if t.ad_eta is None or spec.eta > t.ad_eta + 1e-12:
-            return "eta-annular-decay declared"
-        if t.reverse_doubling is None:
-            return "reverse-doubling at x0"
-        if not ann.is_thin:
-            return "thin annulus (R/2 <= r)"
-        return radius_cap(_tau(spec, t))
-    if b is BoundId.LOWER_P_BASE:
-        if not t.supports_pi(spec.p):
-            return "p-Poincare inequality at x0"
-        if not t.doubling:
-            return "doubling at x0"
-        if t.reverse_doubling is None:
-            return "reverse-doubling at x0"
-        if not ann.is_thin:
-            return "thin annulus (R/2 <= r)"
-        return radius_cap(_tau(spec, t))
-    if b is BoundId.TWO_SIDED_NICE:
-        if not t.supports_pi(1.0):
-            return "1-Poincare inequality at x0"
-        if t.ad_eta is None or t.ad_eta < 1.0 - 1e-12:
-            return "1-annular-decay declared"
-        if t.reverse_doubling is None:
-            return "reverse-doubling at x0"
-        if not ann.is_thin:
-            return "thin annulus (R/2 <= r)"
-        return radius_cap(_tau(spec, t))
-    if b is BoundId.TWO_SIDED_ANNULAR:
-        if not t.globally_doubling:
-            return "globally doubling"
-        if not (t.pi_global and t.supports_pi(spec.p)):
-            return "global p-Poincare inequality"
-        if t.corkscrew_a is None:
-            return "corkscrew condition (constant a)"
-        if not ann.is_thin:
-            return "thin annulus (R/2 <= r)"
-        return None
-    if b is BoundId.LOWER_CORKSCREW_Q:
-        annular = _failed_hypothesis(BoundSpec(BoundId.TWO_SIDED_ANNULAR, spec.p), space, ann)
-        if annular is not None:
-            return annular
-        if not (1 <= spec.q < spec.p):
-            return "1 <= q < p"
-        if not t.supports_pi(spec.q):
-            return "q-Poincare inequality at x0"
-        return None
-    if b is BoundId.LOWER_P1_NO_DOUBLING:
-        if spec.p != 1:
-            return "p = 1"
-        if not t.supports_pi(1.0):
-            return "1-Poincare inequality at x0"
-        if t.reverse_doubling is None:
-            return "reverse-doubling at x0"
-        if not ann.is_thin:
-            return "thin annulus (R/2 <= r)"
-        return radius_cap(_tau(spec, t))
-    if b is BoundId.MEASURE_LOWER_Q:
-        if not t.supports_pi(spec.q):
-            return "q-Poincare inequality at x0"
-        if not t.doubling:
-            return "doubling at x0"
-        if t.reverse_doubling is None:
-            return "reverse-doubling at x0"
-        if not ann.is_thin:
-            return "thin annulus (R/2 <= r)"
-        return radius_cap(_tau(spec, t))
-    raise InputError(f"unknown bound id {b!r}")
+# Hypothesis checks: (the name a failure reports, holds(spec, space, ann)).
+_Q_RANGE = ("1 <= q < p", lambda s, sp, a: 1 <= s.q < s.p)
+_PI_Q = ("q-Poincare inequality at x0", lambda s, sp, a: sp.traits.supports_pi(s.q))
+_PI_P = ("p-Poincare inequality at x0", lambda s, sp, a: sp.traits.supports_pi(s.p))
+_PI_1 = ("1-Poincare inequality at x0", lambda s, sp, a: sp.traits.supports_pi(1.0))
+_AD_ETA = ("eta-annular-decay declared", lambda s, sp, a: sp.traits.ad_eta is not None
+           and not s.eta > sp.traits.ad_eta + 1e-12)
+_AD_1 = ("1-annular-decay declared", lambda s, sp, a: sp.traits.ad_eta is not None
+         and not sp.traits.ad_eta < 1.0 - 1e-12)
+_DOUBLING = ("doubling at x0", lambda s, sp, a: sp.traits.doubling)
+_REVERSE_DOUBLING = ("reverse-doubling at x0",
+                     lambda s, sp, a: sp.traits.reverse_doubling is not None)
+_THIN = ("thin annulus (R/2 <= r)", lambda s, sp, a: a.is_thin)
+_RADIUS_CAP = ("R <= diam X / 2 tau", _radius_cap)
+_ANNULAR = (
+    ("globally doubling", lambda s, sp, a: sp.traits.globally_doubling),
+    ("global p-Poincare inequality",
+     lambda s, sp, a: sp.traits.pi_global and sp.traits.supports_pi(s.p)),
+    ("corkscrew condition (constant a)", lambda s, sp, a: sp.traits.corkscrew_a is not None),
+    _THIN,
+)
+_LOCAL = (_REVERSE_DOUBLING, _THIN, _RADIUS_CAP)
+
+# The measures an expression reads, each looked up on the annulus.
+MU_BALL_R, MU_BALL_r, MU_ANNULUS = "mu(B_R)", "mu(B_r)", "mu(ann)"
+_MEASURES = {
+    MU_BALL_R: lambda m, a: m.ball(a.R),
+    MU_BALL_r: lambda m, a: m.ball(a.r),
+    MU_ANNULUS: lambda m, a: m.annulus(a),
+}
+
+
+@dataclass(frozen=True)
+class _Bound:
+    hypotheses: tuple  # checked in order; the first failure is reported
+    measures: tuple    # names from _MEASURES, passed to expression in order
+    expression: Callable[..., float]  # (spec, ann, t = 1 - r/R, *measures)
+
+
+BOUND_TABLE = {
+    BoundId.UPPER_SIMPLE: _Bound(
+        (), (MU_ANNULUS,), lambda s, a, t, mu: mu / a.delta**s.p),
+    BoundId.UPPER_ETA: _Bound(
+        (_AD_ETA,), (MU_BALL_R,), lambda s, a, t, muR: t ** (s.eta - s.p) * muR / a.R**s.p),
+    BoundId.LOWER_PI_AD: _Bound(
+        (_Q_RANGE, _PI_Q, _AD_ETA) + _LOCAL, (MU_BALL_R,),
+        lambda s, a, t, muR: t ** (s.eta * (s.q - s.p) / s.q) * muR / a.R**s.p),
+    BoundId.LOWER_P_BASE: _Bound(
+        (_PI_P, _DOUBLING) + _LOCAL, (MU_BALL_R,), lambda s, a, t, muR: muR / a.R**s.p),
+    BoundId.TWO_SIDED_NICE: _Bound(
+        (_PI_1, _AD_1) + _LOCAL, (MU_BALL_R,),
+        lambda s, a, t, muR: t ** (1.0 - s.p) * muR / a.R**s.p),
+    BoundId.TWO_SIDED_ANNULAR: _Bound(
+        _ANNULAR, (MU_ANNULUS,), lambda s, a, t, mu: mu / a.delta**s.p),
+    BoundId.LOWER_CORKSCREW_Q: _Bound(
+        _ANNULAR + (_Q_RANGE, _PI_Q), (MU_BALL_R,),
+        lambda s, a, t, muR: t ** (s.q - s.p) * muR / a.R**s.p),
+    BoundId.LOWER_P1_NO_DOUBLING: _Bound(
+        (("p = 1", lambda s, sp, a: s.p == 1), _PI_1) + _LOCAL, (MU_BALL_r,),
+        lambda s, a, t, mur: mur / a.r),
+    BoundId.MEASURE_LOWER_Q: _Bound(
+        (_PI_Q, _DOUBLING) + _LOCAL, (MU_BALL_R,), lambda s, a, t, muR: t**s.q * muR),
+}
+
+
+def _evaluate(spec: BoundSpec, space: SpaceSpec, ann: AnnulusSpec, measures: FamilyMeasures,
+              check_hypotheses: bool) -> float:
+    row = BOUND_TABLE[spec.bound_id]
+    if check_hypotheses:
+        for name, holds in row.hypotheses:
+            if not holds(spec, space, ann):
+                raise ApplicabilityError(name)
+    values = [_MEASURES[m](measures, ann) for m in row.measures]
+    try:
+        return row.expression(spec, ann, 1.0 - ann.r / ann.R, *values)
+    except ArithmeticError:  # R**p or r underflows, or a power overflows
+        raise DomainError(f"{spec.bound_id.value} leaves the float range on annulus "
+                          f"(r={ann.r}, R={ann.R})") from None
 
 
 def evaluate_bound(spec: BoundSpec, space: SpaceSpec, ann: AnnulusSpec,
@@ -176,30 +180,7 @@ def evaluate_bound(spec: BoundSpec, space: SpaceSpec, ann: AnnulusSpec,
     ApplicabilityError naming it; passing False evaluates the bare
     expression, which is how counterexamples are demonstrated.
     """
-    if check_hypotheses:
-        failed = _failed_hypothesis(spec, space, ann)
-        if failed is not None:
-            raise ApplicabilityError(failed)
-    p, r, R = spec.p, ann.r, ann.R
-    t = 1.0 - r / R
-    b = spec.bound_id
-    if b in (BoundId.UPPER_SIMPLE, BoundId.TWO_SIDED_ANNULAR):
-        return mu_annulus(space, ann) / ann.delta**p
-    if b is BoundId.UPPER_ETA:
-        return t ** (spec.eta - p) * mu_ball(space, R) / R**p
-    if b is BoundId.LOWER_PI_AD:
-        return t ** (spec.eta * (spec.q - p) / spec.q) * mu_ball(space, R) / R**p
-    if b is BoundId.LOWER_P_BASE:
-        return mu_ball(space, R) / R**p
-    if b is BoundId.TWO_SIDED_NICE:
-        return t ** (1.0 - p) * mu_ball(space, R) / R**p
-    if b is BoundId.LOWER_CORKSCREW_Q:
-        return t ** (spec.q - p) * mu_ball(space, R) / R**p
-    if b is BoundId.LOWER_P1_NO_DOUBLING:
-        return mu_ball(space, r) / r
-    if b is BoundId.MEASURE_LOWER_Q:
-        return t**spec.q * mu_ball(space, R)
-    raise InputError(f"unknown bound id {b!r}")
+    return _evaluate(spec, space, ann, FamilyMeasures(space), check_hypotheses)
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +225,13 @@ def verify_envelope(space: SpaceSpec, p: float, cap_fn, spec: BoundSpec, annuli,
     if len(annuli) < 8:
         raise InputError(f"need >= 8 applicable annuli, got {len(annuli)}")
     rows, xs = [], []
+    measures = FamilyMeasures(space)
     for ann in annuli:
         cap = cap_fn(ann)
-        bound = evaluate_bound(spec, space, ann, check_hypotheses=check_hypotheses)
+        bound = _evaluate(spec, space, ann, measures, check_hypotheses)
+        if bound == 0.0:
+            raise DomainError(f"{spec.bound_id.value} is 0 on annulus (r={ann.r}, R={ann.R}); "
+                              "no cap/bound ratio")
         rows.append((ann.r, ann.R, cap, bound, cap / bound))
         xs.append(math.log(1.0 - ann.r / ann.R))
     ratios = np.array([row[4] for row in rows])

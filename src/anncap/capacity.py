@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, QuadratureError
 from .measure import DEFAULT_TOL, _quad, _radial_reduction, mu_ball_detailed
 from .spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec, surface_area
 
@@ -54,7 +54,7 @@ class CapacityResult:
 
 def cap_rn_unweighted(n: int, p: float, ann: AnnulusSpec) -> CapacityResult:
     """Classical annulus capacity in unweighted R^n, exact normalization."""
-    if p < 1:
+    if not (p >= 1):
         raise DomainError(f"capacity needs p >= 1, got {p}")
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
@@ -69,7 +69,12 @@ def cap_rn_unweighted(n: int, p: float, ann: AnnulusSpec) -> CapacityResult:
         # as ((R^a - r^a)/a)^(1-p) via expm1 so that p -> n is cancellation-free
         a = (p - n) / (p - 1.0)
         L = math.log(R / r)
-        value = omega * (r**a * L * math.expm1(a * L) / (a * L)) ** (1.0 - p)
+        try:
+            value = omega * (r**a * L * math.expm1(a * L) / (a * L)) ** (1.0 - p)
+        except OverflowError:
+            value = math.nan
+    if not math.isfinite(value):
+        raise DomainError(f"capacity of (r={r}, R={R}) at p = {p} leaves the float range")
     return CapacityResult(value=value, method=CapacityMethod.CLOSED_FORM)
 
 
@@ -85,7 +90,16 @@ def cap_radial_weighted(space: SpaceSpec, p: float, ann: AnnulusSpec,
     expo = 1.0 / (1.0 - p)
 
     def integrand(rho):
-        return (float(w.evaluate(rho)) * rho**m) ** expo
+        density = float(w.evaluate(rho)) * rho**m
+        try:
+            if density > 0.0:
+                return density ** expo
+        except OverflowError:
+            pass
+        # a density that underflowed to 0 has no power; a power past the float
+        # range would make the capacity 0 where it is not
+        raise QuadratureError(f"radial integrand (w rho^{m})^(1/(1-p)) at rho = {rho} "
+                              "leaves the float range")
 
     try:
         val, err = _quad(integrand, ann.r, ann.R, points=w.singularities(), tol=tol)
@@ -93,8 +107,12 @@ def cap_radial_weighted(space: SpaceSpec, p: float, ann: AnnulusSpec,
         return CapacityResult(0.0, CapacityMethod.RADIAL_INTEGRAL)
     if not math.isfinite(val) or val <= 0:
         return CapacityResult(0.0, CapacityMethod.RADIAL_INTEGRAL)
-    value = const * val ** (1.0 - p)
-    qerr = const * abs(1.0 - p) * val ** (-p) * err
+    try:
+        value = const * val ** (1.0 - p)
+        qerr = const * abs(1.0 - p) * val ** (-p) * err
+    except OverflowError:
+        raise DomainError(f"capacity of (r={ann.r}, R={ann.R}) at p = {p} leaves the float "
+                          "range") from None
     return CapacityResult(value=value, method=CapacityMethod.RADIAL_INTEGRAL,
                           quadrature_error=qerr)
 
@@ -133,7 +151,7 @@ def cap_snake(p: float, k: int, delta: float, geom: Snake = Snake()) -> Capacity
     Its trace is a single path of length L = 2 delta + pi 2^k, so the
     capacity is L^{1-p} for p > 1 and 1 for p = 1.
     """
-    if p < 1:
+    if not (p >= 1):
         raise DomainError(f"capacity needs p >= 1, got {p}")
     if k < 0 or k >= geom.k_max:
         raise DomainError(f"snake jump index k must lie in [0, {geom.k_max - 1}], got {k}")
@@ -147,6 +165,11 @@ def cap_snake(p: float, k: int, delta: float, geom: Snake = Snake()) -> Capacity
 def cap_bowtie_pinch(space: SpaceSpec, p: float, delta: float) -> CapacityResult:
     """cap_p(B_{1-delta}, B_1) at the bow-tie tip, by sector reduction
     across the pinch at the origin (comparability constant only).
+
+    The angular factor is the planar aperture 2 atan(1/2) of one cone lobe
+    for every n, not the solid angle of the n-D cone.  For n >= 3 the
+    value is therefore a comparability estimate: its power of delta follows
+    n + alpha, but its constant is the planar one.
 
     Degenerates to 0 exactly when the sector integral diverges, i.e. when
     p <= n + alpha (for p > 1).
@@ -162,7 +185,7 @@ def cap_bowtie_pinch(space: SpaceSpec, p: float, delta: float) -> CapacityResult
     if p == 1:
         value = 0.0 if m > 0 else aperture * (2.0 * delta) ** m
         return CapacityResult(value=value, method=CapacityMethod.INF_CUT)
-    if p < 1:
+    if not (p >= 1):
         raise DomainError(f"capacity needs p >= 1, got {p}")
     e = m / (1.0 - p)
     if e <= -1.0:  # divergent sector integral <=> p <= n + alpha

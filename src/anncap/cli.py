@@ -43,6 +43,17 @@ USAGE_ERROR = 2
 NUMERIC_ERROR = 3
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a finite float, so NaN and inf end as usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"need a finite number, got {text!r}")
+    return value
+
+
 def _space_from_args(ns) -> SpaceSpec:
     kind = ns.space
     if kind == "rn":
@@ -108,7 +119,12 @@ def _cmd_sweep(ns) -> int:
 def _cmd_ad(ns) -> int:
     space = _space_from_args(ns)
     if ns.range:
-        lo, hi = (float(x) for x in ns.range.split(":"))
+        try:
+            lo, hi = (float(x) for x in ns.range.split(":"))
+        except ValueError:
+            lo = hi = math.nan
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise InputError(f"--range needs finite lo:hi, got {ns.range!r}")
         rep = check_one_ad(space, (lo, hi))
         print(rep.to_json())
         return 0
@@ -123,6 +139,8 @@ def _cmd_oracle(ns) -> int:
     space = _space_from_args(ns)
     ann = AnnulusSpec(ns.r, ns.R)
     exact = cap_auto(space, ns.p, ann).value
+    if exact == 0.0:
+        raise DomainError(f"capacity degenerates to 0 at p = {ns.p}; no relative error")
     net = build_radial_network(space, ns.r, ns.R, ns.cells)
     rep = solve_p_energy(net, condenser_bc(net, ns.r, ns.R), ns.p)
     rel = abs(rep.energy - exact) / exact
@@ -167,21 +185,21 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--space", required=True,
                        choices=["rn", "buckley", "summed-buckley", "bowtie", "snake", "halfline"])
         p.add_argument("--n", type=int, default=2)
-        p.add_argument("--eta", type=float)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--q", type=float)
+        p.add_argument("--eta", type=_finite_float)
+        p.add_argument("--alpha", type=_finite_float)
+        p.add_argument("--q", type=_finite_float)
         p.add_argument("--kind", choices=[k.value for k in HalfLineKind])
 
     p_cap = sub.add_parser("cap", help="one capacity value")
     add_space_args(p_cap)
-    p_cap.add_argument("--p", type=float, required=True)
-    p_cap.add_argument("--r", type=float, required=True)
-    p_cap.add_argument("--R", type=float, required=True)
+    p_cap.add_argument("--p", type=_finite_float, required=True)
+    p_cap.add_argument("--r", type=_finite_float, required=True)
+    p_cap.add_argument("--R", type=_finite_float, required=True)
 
     p_sweep = sub.add_parser("sweep", help="envelope verification over a thin family")
     add_space_args(p_sweep)
-    p_sweep.add_argument("--p", type=float, required=True)
-    p_sweep.add_argument("--R", type=float, required=True)
+    p_sweep.add_argument("--p", type=_finite_float, required=True)
+    p_sweep.add_argument("--R", type=_finite_float, required=True)
     p_sweep.add_argument("--thin", type=int, default=11, help="number of thin annuli")
     p_sweep.add_argument("--bound", default="two-sided-nice", choices=sorted(_BOUND_IDS))
     p_sweep.add_argument("--no-gating", action="store_true",
@@ -191,14 +209,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ad = sub.add_parser("ad", help="annular-decay analysis")
     add_space_args(p_ad)
     p_ad.add_argument("--range", help="rho range lo:hi for the 1-AD check")
-    p_ad.add_argument("--R", type=float, help="fixed R for an exponent fit")
+    p_ad.add_argument("--R", type=_finite_float, help="fixed R for an exponent fit")
     p_ad.add_argument("--thin", type=int, default=11)
 
     p_oracle = sub.add_parser("oracle", help="formula vs discrete network")
     add_space_args(p_oracle)
-    p_oracle.add_argument("--p", type=float, required=True)
-    p_oracle.add_argument("--r", type=float, required=True)
-    p_oracle.add_argument("--R", type=float, required=True)
+    p_oracle.add_argument("--p", type=_finite_float, required=True)
+    p_oracle.add_argument("--r", type=_finite_float, required=True)
+    p_oracle.add_argument("--R", type=_finite_float, required=True)
     p_oracle.add_argument("--cells", type=int, default=2000)
     p_oracle.add_argument("--rel-tol", type=float, default=0.01)
 
@@ -221,6 +239,23 @@ _COMMANDS = {
 }
 
 
+def _config_default(action, key, value):
+    """A config value as the option's own parser would give it."""
+    if action.nargs == 0:  # a flag such as --no-gating
+        ok = isinstance(value, bool)
+    else:
+        ok = isinstance(value, (str, int, float)) and not isinstance(value, bool)
+        if ok and action.type is not None:
+            try:
+                value = action.type(str(value))
+            except (ValueError, argparse.ArgumentTypeError):
+                ok = False
+        ok = ok and (action.choices is None or value in action.choices)
+    if not ok:
+        raise InputError(f"config key {key!r} has invalid value {value!r}")
+    return value
+
+
 def _apply_config(parser, argv):
     # peek at --config so file values become defaults, CLI flags still win
     probe = argparse.ArgumentParser(add_help=False)
@@ -228,25 +263,22 @@ def _apply_config(parser, argv):
     known, _ = probe.parse_known_args(argv)
     if not known.config:
         return
-    with open(known.config) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(known.config) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read --config {known.config!r}: {exc}") from None
     if not isinstance(cfg, dict):
         raise InputError("--config must contain a JSON object")
-    valid = set()
-    for action in parser._actions:
-        valid.add(action.dest)
-    for group in parser._subparsers._group_actions:
-        for sp in group.choices.values():
-            for action in sp._actions:
-                valid.add(action.dest)
-    unknown = set(cfg) - valid
+    parsers = [parser] + [sp for group in parser._subparsers._group_actions
+                          for sp in group.choices.values()]
+    actions = {a.dest: a for p in parsers for a in p._actions}
+    unknown = set(cfg) - set(actions)
     if unknown:
         raise InputError(f"unknown config keys: {sorted(unknown)}")
-    parser.set_defaults(**cfg)
-    for group in parser._subparsers._group_actions:
-        for sp in group.choices.values():
-            sp.set_defaults(**{k: v for k, v in cfg.items()
-                               if any(a.dest == k for a in sp._actions)})
+    cfg = {k: _config_default(actions[k], k, v) for k, v in cfg.items()}
+    for p in parsers:
+        p.set_defaults(**{k: v for k, v in cfg.items() if any(a.dest == k for a in p._actions)})
 
 
 def run(argv=None) -> int:
@@ -256,6 +288,8 @@ def run(argv=None) -> int:
         _apply_config(parser, argv)
         ns = parser.parse_args(argv)
         return _COMMANDS[ns.command](ns)
+    except SystemExit as exc:  # argparse has printed the usage error (2) or --help (0)
+        return exc.code
     except (QuadratureError, ConvergenceError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return NUMERIC_ERROR

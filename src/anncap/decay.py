@@ -20,7 +20,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import DomainError, InputError
-from .measure import mu_annulus, mu_ball, volume_profile
+from .measure import FamilyMeasures, mu_annulus, mu_ball, volume_profile
 from .spaces import AnnulusSpec, SpaceSpec
 
 __all__ = [
@@ -105,10 +105,14 @@ class ReverseDoublingReport:
 def ad_ratio(space: SpaceSpec, ann: AnnulusSpec, eta: float) -> float:
     """mu(B_R \\ B_r) / ((1 - r/R)^eta mu(B_R)); the eta-AD property holds
     on a family iff this is uniformly bounded over it."""
+    return _ad_ratio(FamilyMeasures(space), ann, eta)
+
+
+def _ad_ratio(measures: FamilyMeasures, ann: AnnulusSpec, eta: float) -> float:
     if not (eta > 0):
         raise InputError(f"need eta > 0, got {eta}")
-    num = mu_annulus(space, ann)
-    den = (1.0 - ann.r / ann.R) ** eta * mu_ball(space, ann.R)
+    num = measures.annulus(ann)
+    den = (1.0 - ann.r / ann.R) ** eta * measures.ball(ann.R)
     return num / den
 
 
@@ -169,11 +173,13 @@ def ad_ratio_trend(space: SpaceSpec, annuli, eta: float):
     """Fitted slope of log ad_ratio against log(1 - r/R) over a family,
     plus the min/max ratio.  A negative slope means divergence as the
     annuli thin out; |slope| <= 0.05 and a bounded window mean the eta-AD
-    inequality holds along the family."""
+    inequality holds along the family.  mu(B_R) is computed once per
+    distinct R."""
+    measures = FamilyMeasures(space)
     xs, ratios = [], []
     for ann in annuli:
         xs.append(math.log(1.0 - ann.r / ann.R))
-        ratios.append(ad_ratio(space, ann, eta))
+        ratios.append(_ad_ratio(measures, ann, eta))
     slope, _, _ = _loglog_fit(xs, np.log(ratios))
     return slope, min(ratios), max(ratios)
 
@@ -251,14 +257,21 @@ def check_one_ad(space: SpaceSpec, rho_range: tuple[float, float],
     )
 
 
-def check_reverse_doubling(space: SpaceSpec, tau: float, radii) -> ReverseDoublingReport:
+def check_reverse_doubling(space: SpaceSpec, tau: float, radii,
+                           measures: FamilyMeasures | None = None) -> ReverseDoublingReport:
     """min over the family of mu(B_{tau r}) / mu(B_r) and whether it stays
-    uniformly above 1 (operationalized as >= 1.2)."""
+    uniformly above 1 (operationalized as >= 1.2).
+
+    Ball volumes come from measures (one per call by default), so each
+    distinct radius of {r} and {tau r} is computed once; pass the table of
+    a check_doubling call on the same space to reuse its volumes.
+    """
     if not (tau > 1):
         raise InputError(f"need tau > 1, got {tau}")
+    ball = (measures or FamilyMeasures(space)).ball
     ratios = []
     for r in radii:
-        ratios.append((mu_ball(space, tau * r) / mu_ball(space, r), r))
+        ratios.append((ball(tau * r) / ball(r), r))
     worst, worst_r = min(ratios)
     best = max(q for q, _ in ratios)
     return ReverseDoublingReport(min_ratio=float(worst), max_ratio=float(best),
@@ -266,8 +279,11 @@ def check_reverse_doubling(space: SpaceSpec, tau: float, radii) -> ReverseDoubli
                                  uniform=worst >= REVERSE_DOUBLING_GAMMA)
 
 
-def check_doubling(space: SpaceSpec, radii, bound: float = 100.0):
+def check_doubling(space: SpaceSpec, radii, bound: float = 100.0,
+                   measures: FamilyMeasures | None = None):
     """max over the family of mu(B_{2r}) / mu(B_r); bounded means doubling
-    holds along the family."""
-    worst = max(mu_ball(space, 2.0 * r) / mu_ball(space, r) for r in radii)
+    holds along the family.  Ball volumes come from measures, as in
+    check_reverse_doubling."""
+    ball = (measures or FamilyMeasures(space)).ball
+    worst = max(ball(2.0 * r) / ball(r) for r in radii)
     return float(worst), worst <= bound

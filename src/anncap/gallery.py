@@ -26,7 +26,7 @@ from .decay import (
     estimate_ad_exponent,
 )
 from .errors import ApplicabilityError, InputError
-from .measure import mu_ball
+from .measure import FamilyMeasures, mu_ball
 from .spaces import AnnulusSpec, BowTie, CenterTag, HalfLine, RadialRn, Snake, SpaceSpec, TraitSet
 from .weights import BuckleyEta, Constant, HalfLineCatalog, HalfLineKind, SummedBuckley
 
@@ -98,6 +98,7 @@ def _thin_family(R, j_lo=2, j_hi=12):
 
 
 def make_rn_unweighted(n: int = 2) -> GalleryEntry:
+    geometry = RadialRn(n)  # validates n before 2^n is formed
     traits = TraitSet(
         pi_exponents=frozenset({1.0}),
         pi_global=True,
@@ -107,7 +108,7 @@ def make_rn_unweighted(n: int = 2) -> GalleryEntry:
         corkscrew_a=0.5,
         ad_eta=1.0,
     )
-    space = SpaceSpec(RadialRn(n), Constant(), traits=traits, name=f"rn-unweighted-{n}")
+    space = SpaceSpec(geometry, Constant(), traits=traits, name=f"rn-unweighted-{n}")
     expected = ExpectedBehavior(
         ad_eta=1.0, one_ad=True, reverse_doubling=True, doubling=True,
         pi_sharp_q="q-Poincare inequality for every q >= 1",
@@ -329,20 +330,20 @@ def _check_one_ad(entry: GalleryEntry):
                 f"jump {rep.jump_detected}, sup trend {rep.sup_trend_slope:.3f}")
 
 
-def _check_doubling(entry: GalleryEntry):
-    worst, bounded = check_doubling(entry.space, entry.check_radii)
+def _check_doubling(entry: GalleryEntry, measures: FamilyMeasures):
+    worst, bounded = check_doubling(entry.space, entry.check_radii, measures=measures)
     ok = bounded == entry.expected.doubling
     return ok, f"max doubling ratio {worst:.4g}; bounded {bounded} (claimed {entry.expected.doubling})"
 
 
-def _check_reverse_doubling(entry: GalleryEntry):
+def _check_reverse_doubling(entry: GalleryEntry, measures: FamilyMeasures):
     tau = 2.0
     if entry.space.traits.reverse_doubling is not None:
         tau = entry.space.traits.reverse_doubling[0]
     radii = entry.check_radii
     if not math.isinf(entry.space.diameter):
         radii = tuple(r for r in radii if tau * r <= entry.space.diameter)
-    rep = check_reverse_doubling(entry.space, tau, radii)
+    rep = check_reverse_doubling(entry.space, tau, radii, measures=measures)
     ok = rep.uniform == entry.expected.reverse_doubling
     return ok, (f"min ratio {rep.min_ratio:.4g} at r={rep.worst_r:.4g}; uniform {rep.uniform} "
                 f"(claimed {entry.expected.reverse_doubling})")
@@ -502,10 +503,13 @@ def verify_expectations(entry: GalleryEntry, budget: float | None = None) -> lis
     reported SKIPPED, never silently passed.
     """
     start = time.perf_counter()
+    # ball volumes of the doubling probes, filled by the first probe that
+    # runs and read by the other: both use check_radii and their doubles
+    balls = FamilyMeasures(entry.space)
     checks: list[tuple[str, object]] = [
         ("ad-exponent", _check_ad_exponent),
-        ("doubling", _check_doubling),
-        ("reverse-doubling", _check_reverse_doubling),
+        ("doubling", lambda e: _check_doubling(e, balls)),
+        ("reverse-doubling", lambda e: _check_reverse_doubling(e, balls)),
     ]
     if entry.one_ad_range is not None:
         checks.append(("one-ad", _check_one_ad))

@@ -21,7 +21,7 @@ from .errors import DomainError, QuadratureError
 from .spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec, surface_area
 
 __all__ = ["mu_ball", "mu_annulus", "mu_ball_detailed", "mu_annulus_detailed", "volume_profile",
-           "DEFAULT_TOL"]
+           "FamilyMeasures", "DEFAULT_TOL"]
 
 DEFAULT_TOL = 1e-10
 
@@ -212,6 +212,34 @@ def mu_annulus_detailed(space: SpaceSpec, ann: AnnulusSpec, tol: float = DEFAULT
 
 def mu_annulus(space: SpaceSpec, ann: AnnulusSpec, tol: float = DEFAULT_TOL) -> float:
     return mu_annulus_detailed(space, ann, tol)[0]
+
+
+class FamilyMeasures:
+    """mu(B_rho) and mu(ann) of one space for the length of one
+    computation over a family: each distinct radius or annulus is computed
+    once, by mu_ball or mu_annulus, on first use, so every value is the
+    one those functions return.
+
+    A table lives as long as the computation that made it (one
+    verify_envelope call, say) and is not kept beyond it, so repeated
+    queries still do their own work.
+    """
+
+    def __init__(self, space: SpaceSpec):
+        self.space = space
+        self._balls: dict[float, float] = {}
+        self._annuli: dict[tuple[float, float], float] = {}
+
+    def ball(self, rho: float) -> float:
+        if rho not in self._balls:
+            self._balls[rho] = mu_ball(self.space, rho)
+        return self._balls[rho]
+
+    def annulus(self, ann: AnnulusSpec) -> float:
+        key = (ann.r, ann.R)
+        if key not in self._annuli:
+            self._annuli[key] = mu_annulus(self.space, ann)
+        return self._annuli[key]
 
 
 def volume_profile(space: SpaceSpec, rho) -> np.ndarray:

@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 MAX_ITER = 100_000
+MAX_CELLS = 10**7  # radial chain size; its arrays take about 0.1 GB per million cells
 HESSIAN_EPS = 1e-12  # regularizes the Hessian only, never the energy
 
 
@@ -98,7 +99,9 @@ class BoundaryCondition:
         object.__setattr__(self, "outer", np.asarray(self.outer, dtype=np.int64))
         if len(self.inner) == 0 or len(self.outer) == 0:
             raise InfeasibleError("both boundary sets must be nonempty")
-        if len(np.intersect1d(self.inner, self.outer)) > 0:
+        # numpy checks membership by a boolean table over the span of the
+        # indices, or by sorting when that span is far larger than the sets
+        if np.isin(self.outer, self.inner).any():
             raise InfeasibleError("boundary sets must be disjoint")
 
 
@@ -118,18 +121,18 @@ def condenser_bc(net: DiscreteNetwork, r: float, R: float,
     records vertex radii."""
     if net.radii is None:
         raise InputError("network has no vertex radii")
-    inner = np.flatnonzero(net.radii <= r + tol)
-    outer = np.flatnonzero(net.radii >= R - tol)
-    if len(inner) == 0 or len(outer) == 0 or len(np.intersect1d(inner, outer)) > 0:
-        raise InputError(f"resolution too coarse to separate r={r} from R={R}")
-    return BoundaryCondition(inner=inner, outer=outer)
+    try:
+        return BoundaryCondition(inner=np.flatnonzero(net.radii <= r + tol),
+                                 outer=np.flatnonzero(net.radii >= R - tol))
+    except InfeasibleError as exc:
+        raise InputError(f"resolution too coarse to separate r={r} from R={R}") from exc
 
 
 # ---------------------------------------------------------------------------
 # builders
 
-def build_radial_network(space: SpaceSpec, r_lo: float, r_hi: float, N: int = 2000,
-                         grading: str = "uniform") -> DiscreteNetwork:
+def build_radial_network(space: SpaceSpec, r_lo: float, r_hi: float,
+                         N: int = 2000) -> DiscreteNetwork:
     """Path network of N cells discretizing the radial energy on [r_lo, r_hi].
 
     Cell mass is the measure of the radial shell; edge length is the cell
@@ -137,16 +140,10 @@ def build_radial_network(space: SpaceSpec, r_lo: float, r_hi: float, N: int = 20
     """
     if not (0 < r_lo < r_hi):
         raise InputError(f"need 0 < r_lo < r_hi, got {r_lo}, {r_hi}")
-    if N < 16:
-        raise InputError(f"need N >= 16 cells, got {N}")
+    if not 16 <= N <= MAX_CELLS:
+        raise InputError(f"need 16 <= N <= {MAX_CELLS} cells, got {N}")
     w, m, const = _radial_reduction(space)
-    if grading == "uniform":
-        nodes = np.linspace(r_lo, r_hi, N + 1)
-    elif grading == "geometric-toward-outer":
-        t = 1.0 - np.geomspace(1.0, 2.0**-12, N + 1)
-        nodes = r_lo + (r_hi - r_lo) * (t - t[0]) / (t[-1] - t[0])
-    else:
-        raise InputError(f"unknown grading {grading!r}")
+    nodes = np.linspace(r_lo, r_hi, N + 1)
 
     def density(rho):
         return w.evaluate(rho) * rho**m

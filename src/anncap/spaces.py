@@ -43,6 +43,10 @@ class RadialRn:
     def __post_init__(self):
         if self.n < 1:
             raise InputError(f"RadialRn needs n >= 1, got {self.n}")
+        try:
+            surface_area(self.n)
+        except OverflowError:
+            raise InputError(f"the unit sphere area of R^{self.n} overflows a float") from None
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,15 @@
 import json
 import math
+import re
 
 import pytest
 
+from anncap import measure
 from anncap.bounds import (
+    BOUND_TABLE,
+    MU_ANNULUS,
+    MU_BALL_R,
+    MU_BALL_r,
     BlowupReport,
     BoundId,
     BoundSpec,
@@ -12,7 +18,7 @@ from anncap.bounds import (
     verify_envelope,
 )
 from anncap.capacity import cap_auto, cap_radial_weighted, cap_rn_unweighted
-from anncap.errors import ApplicabilityError, InputError
+from anncap.errors import ApplicabilityError, DomainError, InputError
 from anncap.gallery import make_buckley, make_halfline, make_rn_unweighted, make_snake
 from anncap.measure import mu_ball
 from anncap.spaces import AnnulusSpec, HalfLine, RadialRn, SpaceSpec, TraitSet
@@ -183,3 +189,91 @@ def test_blowup_probe_degenerate_zeroes():
     assert rep.verdict == "NO-BLOWUP"
     assert not rep.increasing
     assert rep.divergence_slope is None
+
+
+# ---------------------------------------------------------------------------
+# the bound table and measure-once families
+
+_SPECS = {b: BoundSpec(b, 1.0 if b is BoundId.LOWER_P1_NO_DOUBLING else 2.0, eta=0.5, q=1.5)
+          for b in BoundId}
+_FAMILY = [AnnulusSpec(1.0 - 2.0**-j, 1.0) for j in range(2, 13)]  # 11 thin annuli, R = 1
+
+
+def test_every_bound_has_one_table_row():
+    assert set(BOUND_TABLE) == set(BoundId)
+    assert len(BOUND_TABLE) == len(BoundId)
+    for row in BOUND_TABLE.values():
+        assert set(row.measures) <= {MU_BALL_R, MU_BALL_r, MU_ANNULUS}
+
+
+def _count_measures(monkeypatch):
+    calls = {"mu_ball": 0, "mu_annulus": 0}
+    for name in calls:
+        original = getattr(measure, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(measure, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("bound_id", list(BoundId))
+def test_verify_envelope_computes_each_measure_once(monkeypatch, bound_id):
+    calls = _count_measures(monkeypatch)
+    verify_envelope(RN2, 2.0, lambda a: cap_rn_unweighted(2, 2.0, a).value, _SPECS[bound_id],
+                    _FAMILY, check_hypotheses=False)
+    expected_balls = {BoundId.UPPER_SIMPLE: 0, BoundId.TWO_SIDED_ANNULAR: 0,
+                      BoundId.LOWER_P1_NO_DOUBLING: 11}.get(bound_id, 1)
+    assert calls["mu_ball"] == expected_balls
+    assert calls["mu_annulus"] == (11 if expected_balls == 0 else 0)
+
+
+@pytest.mark.parametrize("space", [RN2, make_buckley(0.5).space,
+                                   make_halfline(HalfLineKind.MIN_ONE_OVER_X).space,
+                                   make_snake().space],
+                         ids=["rn2", "buckley", "halfline", "snake"])
+def test_verify_envelope_rows_equal_evaluate_bound(space):
+    family = [AnnulusSpec(48.0 * (1.0 - 2.0**-j), 48.0) for j in range(2, 13)] \
+        if space.name == "snake" else _FAMILY
+    for bound_id, spec in _SPECS.items():
+        for gated in (True, False):
+            try:
+                expected = [evaluate_bound(spec, space, a, check_hypotheses=gated) for a in family]
+            except ApplicabilityError as exc:
+                with pytest.raises(ApplicabilityError, match=re.escape(str(exc))):
+                    verify_envelope(space, spec.p, lambda a: 1.0, spec, family,
+                                    check_hypotheses=gated)
+                continue
+            rep = verify_envelope(space, spec.p, lambda a: 1.0, spec, family,
+                                  check_hypotheses=gated)
+            assert [row[3] for row in rep.rows] == expected, (bound_id, gated)
+
+
+def test_first_failed_hypothesis_is_reported():
+    # the corkscrew bound checks the two-sided annular hypotheses first
+    snake = make_snake().space
+    with pytest.raises(ApplicabilityError, match="corkscrew"):
+        evaluate_bound(_SPECS[BoundId.LOWER_CORKSCREW_Q], snake, AnnulusSpec(31.0, 33.0))
+    with pytest.raises(ApplicabilityError, match="1 <= q < p"):
+        evaluate_bound(BoundSpec(BoundId.LOWER_CORKSCREW_Q, 2.0, q=2.0), RN2,
+                       AnnulusSpec(0.75, 1.0))
+
+
+def test_bound_spec_refuses_nan():
+    with pytest.raises(InputError):
+        BoundSpec(BoundId.UPPER_SIMPLE, math.nan)
+    with pytest.raises(InputError):
+        BoundSpec(BoundId.MEASURE_LOWER_Q, 2.0, q=math.nan)
+
+
+def test_underflowing_bound_is_a_domain_error():
+    spec = BoundSpec(BoundId.LOWER_P_BASE, 4.0)
+    tiny = [AnnulusSpec(1e-100 * (1.0 - 2.0**-j), 1e-100) for j in range(2, 12)]
+    with pytest.raises(DomainError, match="float range"):  # R**p underflows
+        verify_envelope(RN2, 4.0, lambda a: 1.0, spec, tiny, check_hypotheses=False)
+    inv = make_halfline(HalfLineKind.EXP_INV_OVER_X_SQ).space  # mu(B_R) = e^(-1/R) = 0
+    near = [AnnulusSpec(1e-3 * (1.0 - 2.0**-j), 1e-3) for j in range(2, 12)]
+    with pytest.raises(DomainError, match="is 0"):
+        verify_envelope(inv, 4.0, lambda a: 1.0, spec, near, check_hypotheses=False)

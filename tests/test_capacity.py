@@ -12,7 +12,7 @@ from anncap.capacity import (
     cap_snake,
     nice_case_estimate,
 )
-from anncap.errors import DomainError
+from anncap.errors import DomainError, QuadratureError
 from anncap.spaces import AnnulusSpec, BowTie, CenterTag, HalfLine, RadialRn, Snake, SpaceSpec
 from anncap.weights import BuckleyEta, Constant, HalfLineCatalog, HalfLineKind
 
@@ -141,4 +141,20 @@ def test_p_validation():
     with pytest.raises(DomainError):
         cap_rn_unweighted(2, 0.5, AnnulusSpec(1.0, 2.0))
     with pytest.raises(DomainError):
+        cap_rn_unweighted(2, math.nan, AnnulusSpec(1.0, 2.0))
+    with pytest.raises(DomainError):
+        cap_snake(math.nan, 2, 0.01)
+    with pytest.raises(DomainError):
         cap_radial_weighted(RN2, 1.0, AnnulusSpec(1.0, 2.0))
+
+
+def test_capacity_past_the_float_range_is_an_error_not_a_value():
+    # r^a overflows in the closed form, and a density underflowing to 0 has
+    # no power in the radial integral; neither may become nan or 0
+    with pytest.raises(DomainError, match="float range"):
+        cap_rn_unweighted(2, 1.335, AnnulusSpec(2.5e-303, 1.33))
+    with pytest.raises(DomainError, match="float range"):
+        cap_rn_unweighted(2, 1.5, AnnulusSpec(1e-310, 4.0))
+    inv = SpaceSpec(HalfLine(), HalfLineCatalog(HalfLineKind.EXP_INV_OVER_X_SQ))
+    with pytest.raises(QuadratureError, match="float range"):
+        cap_radial_weighted(inv, 1.2, AnnulusSpec(3e-270, 2.0))

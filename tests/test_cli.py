@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from anncap.bounds import BoundId
 from anncap.cli import run
+from anncap.gallery import default_gallery
+from anncap.weights import HalfLineKind
 
 
 def test_cap_command(capsys):
@@ -83,6 +89,19 @@ def test_ad_needs_range_or_R(capsys):
     assert run(["ad", "--space", "rn"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["ad", "--space", "rn", "--range", "1:2:3"],
+    ["ad", "--space", "rn", "--range", "a:b"],
+    ["ad", "--space", "rn", "--range", "0.5:inf"],
+    ["cap", "--space", "buckley", "--eta", "0.5", "--p", "2", "--r", "0.5", "--R", "inf"],
+    ["cap", "--space", "rn", "--p", "nan", "--r", "0.5", "--R", "1"],
+    ["sweep", "--space", "buckley", "--eta", "nan", "--p", "2", "--R", "1"],
+])
+def test_malformed_or_non_finite_numbers_are_usage_errors(capsys, argv):
+    assert run(argv) == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_oracle_command(capsys):
     code = run(["oracle", "--space", "rn", "--n", "2", "--p", "2",
                 "--r", "1", "--R", "2", "--cells", "500"])
@@ -135,3 +154,108 @@ def test_sweep_degenerate_capacity_is_numeric_error(capsys, tmp_path):
     assert code == 3
     assert "capacity degenerates to 0" in capsys.readouterr().err
     assert not out_csv.exists()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any argv built from the real subcommands and flags ends in an exit
+# code, never in an exception escaping run
+
+_JUNK = st.sampled_from(["", " ", "abc", "nan", "-nan", "inf", "-inf", "1e400", "-1", "0", "-0",
+                         "1:2", "0x10", "1.5", "400", str(10**400)])
+
+
+def _number(lo, hi):
+    return st.one_of(st.floats(lo, hi).map(repr), st.integers(-2, 4).map(str))
+
+
+def _count(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _choice(values):
+    return st.sampled_from(list(values))
+
+
+_SPACE_FLAGS = {
+    "--space": _choice(["rn", "buckley", "summed-buckley", "bowtie", "snake", "halfline"]),
+    "--n": _count(0, 4),
+    "--eta": _number(-0.2, 1.2),
+    "--alpha": _number(-2.5, 1.5),
+    "--q": _number(0.5, 3.0),
+    "--kind": _choice(k.value for k in HalfLineKind),
+}
+_RADII = {"--p": _number(0.5, 4.0), "--r": _number(-0.5, 3.0), "--R": _number(0.0, 4.0)}
+_FLAGS = {  # flag -> strategy for its value, None for a flag that takes none
+    "cap": {**_SPACE_FLAGS, **_RADII},
+    "sweep": {**_SPACE_FLAGS, "--p": _RADII["--p"], "--R": _RADII["--R"],
+              "--thin": _count(-2, 12), "--no-gating": None,
+              "--bound": _choice(b.value for b in BoundId)},
+    "ad": {**_SPACE_FLAGS, "--R": _RADII["--R"], "--thin": _count(-2, 12),
+           "--range": st.one_of(
+               st.tuples(_number(-0.5, 4.0), _number(0.0, 8.0)).map(":".join),
+               _choice(["1:2:3", "a:b", ":", "1", "0.5:inf"]))},
+    "oracle": {**_SPACE_FLAGS, **_RADII, "--cells": _count(-5, 200),
+               "--rel-tol": _number(-1.0, 1.0)},
+    # a verify of the whole gallery takes seconds, so --name is always given
+    "gallery": {"--name": _choice(e.name for e in default_gallery()),
+                "--budget": _number(-1.0, 0.05)},
+}
+_CONFIGS = {
+    "valid.json": {"thin": 8, "cells": 64},
+    "list.json": [1, 2],
+    "unknown.json": {"bogus": 1},
+    "float-count.json": {"thin": 1.5},
+    "string-count.json": {"cells": "x"},
+    "nan.json": {"p": "nan", "eta": "inf"},
+    "list-value.json": {"eta": [1], "R": None},
+    "flag.json": {"no_gating": "yes"},
+    "choice.json": {"space": "torus", "bound": 3},
+}
+
+
+@pytest.fixture(scope="module")
+def config_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("configs")
+    (root / "broken.json").write_text("{not json")
+    for name, doc in _CONFIGS.items():
+        (root / name).write_text(json.dumps(doc))
+    return [str(root / name) for name in ("missing.json", "broken.json", *_CONFIGS)] + [str(root)]
+
+
+@st.composite
+def _argv(draw, config_paths):
+    # half the draws are clean, so they get past argparse into the engines
+    junk_odds = draw(st.sampled_from([0, 0, 10, 4]))
+
+    def value(strategy):
+        return draw(_JUNK if junk_odds and draw(st.integers(1, junk_odds)) == 1 else strategy)
+
+    argv = []
+    if junk_odds and draw(st.integers(0, 3)) == 0:
+        argv += ["--config", draw(_choice(config_paths))]
+    # verify-all is left out: the suite takes seconds
+    command = draw(_choice(sorted(_FLAGS)))
+    argv.append(value(_choice([command])))
+    if command == "gallery":
+        argv.append(value(_choice(["list", "verify"])))
+    flags = _FLAGS[command]
+    required = {"--space"} | ({"--p", "--r", "--R"} if command != "ad" else set())
+    for flag in draw(st.permutations(sorted(flags))):
+        omit = flag != "--name" and (junk_odds or flag not in required)
+        if omit and draw(st.integers(0, 7)) == 0:
+            continue
+        argv.append(flag)
+        if flags[flag] is not None:
+            argv.append(value(flags[flag]))
+    # the bow-tie 1-AD probe takes seconds: 2-D quadrature at every grid point
+    assume(not (command == "ad" and "bowtie" in argv and "--range" in argv))
+    return argv
+
+
+@settings(deadline=None, max_examples=120, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_argv_ends_in_an_exit_code(config_paths, data):
+    argv = data.draw(_argv(config_paths))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    assert code in (0, 1, 2, 3), argv

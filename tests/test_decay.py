@@ -1,8 +1,10 @@
+import collections
 import json
 import math
 
 import pytest
 
+from anncap import measure
 from anncap.decay import (
     ad_ratio,
     ad_ratio_trend,
@@ -14,6 +16,7 @@ from anncap.decay import (
 )
 from anncap.errors import DomainError, InputError
 from anncap.gallery import make_bowtie, make_buckley, make_halfline, make_snake
+from anncap.measure import FamilyMeasures
 from anncap.spaces import AnnulusSpec, RadialRn, SpaceSpec
 from anncap.weights import Constant, HalfLineKind
 
@@ -151,3 +154,37 @@ def test_doubling():
     inv = make_halfline(HalfLineKind.EXP_INV_OVER_X_SQ).space
     worst, bounded = check_doubling(inv, [0.02, 0.05, 0.1])
     assert not bounded
+
+
+def _record_balls(monkeypatch):
+    radii = collections.Counter()
+    original = measure.mu_ball
+
+    def recorded(space, R, *args, **kwargs):
+        radii[R] += 1
+        return original(space, R, *args, **kwargs)
+
+    monkeypatch.setattr(measure, "mu_ball", recorded)
+    return radii
+
+
+def test_doubling_probes_take_each_radius_once(monkeypatch):
+    radii = _record_balls(monkeypatch)
+    family = [0.25, 0.5, 1.0, 2.0]  # each doubled radius but the last is in the family
+    worst, _ = check_doubling(RN2, family)
+    assert sorted(radii) == [0.25, 0.5, 1.0, 2.0, 4.0] and set(radii.values()) == {1}
+    table = FamilyMeasures(RN2)
+    check_doubling(RN2, family, measures=table)
+    radii.clear()
+    rep = check_reverse_doubling(RN2, 2.0, family, measures=table)
+    assert not radii  # every volume came from the doubling probe's table
+    assert rep.min_ratio == worst
+
+
+def test_ad_ratio_trend_takes_each_ball_once(monkeypatch):
+    radii = _record_balls(monkeypatch)
+    annuli = [AnnulusSpec(R * (1.0 - 2.0**-j), R) for R in (1.0, 4.0) for j in range(2, 8)]
+    slope, lo, hi = ad_ratio_trend(RN2, annuli, eta=1.0)
+    assert radii == {1.0: 1, 4.0: 1}
+    ratios = [ad_ratio(RN2, a, 1.0) for a in annuli]
+    assert (lo, hi) == (min(ratios), max(ratios))

@@ -1,7 +1,9 @@
+import collections
 import json
 
 import pytest
 
+from anncap import measure
 from anncap.gallery import (
     UNRESOLVED_CONFIGURATIONS,
     default_gallery,
@@ -89,3 +91,19 @@ def test_full_gallery_no_failures():
         verdicts = verify_expectations(entry)
         bad = [v for v in verdicts if v.status == "FAIL"]
         assert not bad, (entry.name, bad)
+
+
+def test_reverse_doubling_reuses_the_doubling_volumes(monkeypatch):
+    entry = make_rn_unweighted(2)
+    probed = set(entry.check_radii) | {2.0 * r for r in entry.check_radii}
+    calls = collections.Counter()
+    original = measure.mu_ball
+
+    def recorded(space, R, *args, **kwargs):
+        calls[R] += 1
+        return original(space, R, *args, **kwargs)
+
+    monkeypatch.setattr(measure, "mu_ball", recorded)
+    verdicts = verify_expectations(entry)
+    assert {v.claim for v in verdicts} >= {"doubling", "reverse-doubling"}
+    assert {R: n for R, n in calls.items() if R in probed} == dict.fromkeys(probed, 1)

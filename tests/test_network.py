@@ -550,6 +550,18 @@ def test_condenser_bc_needs_radii():
         condenser_bc(net, 0.5, 1.5)
 
 
+def test_plates_must_be_disjoint():
+    with pytest.raises(InfeasibleError, match="disjoint"):
+        BoundaryCondition(inner=[7, 3], outer=[5, 3, 9])
+    with pytest.raises(InfeasibleError, match="disjoint"):
+        BoundaryCondition(inner=[-2], outer=[4, -2])
+    bc = BoundaryCondition(inner=[0], outer=[10**15])  # a span no table can hold
+    assert list(bc.outer) == [10**15]
+    net = build_radial_network(SpaceSpec(RadialRn(2), Constant()), 1.0, 2.0, 16)
+    with pytest.raises(InputError, match="too coarse"):
+        condenser_bc(net, 1.5, 1.5)
+
+
 def test_p_below_one_rejected():
     net = _series_net([1.0], [1.0])
     with pytest.raises(DomainError):
