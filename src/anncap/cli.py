@@ -54,6 +54,22 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    """argparse type: a finite float >= 0."""
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"need a number >= 0, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    value = _finite_float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"need a number > 0, got {text!r}")
+    return value
+
+
 def _space_from_args(ns) -> SpaceSpec:
     kind = ns.space
     if kind == "rn":
@@ -158,7 +174,7 @@ def _cmd_gallery(ns) -> int:
         print(gallery_manifest())
         return 0
     entries = default_gallery()
-    if ns.name:
+    if ns.name is not None:
         entries = [e for e in entries if e.name == ns.name]
         if not entries:
             raise InputError(f"no gallery entry named {ns.name!r}")
@@ -218,12 +234,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--r", type=_finite_float, required=True)
     p_oracle.add_argument("--R", type=_finite_float, required=True)
     p_oracle.add_argument("--cells", type=int, default=2000)
-    p_oracle.add_argument("--rel-tol", type=float, default=0.01)
+    p_oracle.add_argument("--rel-tol", type=_nonnegative_float, default=0.01)
 
     p_gal = sub.add_parser("gallery", help="list or verify the example gallery")
     p_gal.add_argument("gallery_action", choices=["list", "verify"])
     p_gal.add_argument("--name")
-    p_gal.add_argument("--budget", type=float, help="wall-second budget per entry")
+    p_gal.add_argument("--budget", type=_positive_float, help="wall-second budget per entry")
 
     sub.add_parser("verify-all", help="run the acceptance suite")
     return parser

@@ -150,15 +150,15 @@ def fit_annulus_decay(space: SpaceSpec, R: float, r_values) -> AdFitReport:
 
 
 def estimate_ad_exponent(space: SpaceSpec, families) -> AdFitReport:
-    """Estimate the decay exponent of the space over one or more fixed-R
-    families.
+    """Estimate the decay exponent of the space over a sequence of fixed-R
+    families, each a pair (R, rs).
 
     The AD property quantifies over all annuli, so the space exponent is
     the worst (smallest) fitted slope across the declared families.
     """
-    if isinstance(families, tuple) and len(families) == 2 and np.isscalar(families[0]):
-        families = [families]
     reports = [fit_annulus_decay(space, R, rs) for R, rs in families]
+    if not reports:
+        raise InputError("need at least one (R, rs) family")
     worst = min(reports, key=lambda rep: rep.eta_hat)
     return AdFitReport(
         eta_hat=worst.eta_hat,

@@ -204,7 +204,7 @@ def make_bowtie(alpha: float, n: int = 2) -> GalleryEntry:
     return GalleryEntry(
         name=space.name, space=space, expected=expected,
         ad_families=((1.0, _thin_family(1.0, 2, 10)), (2.0, _thin_family(2.0, 2, 10))),
-        one_ad_range=None,  # ball volumes need 2-D quadrature; probed only on demand
+        one_ad_range=None,  # a quadrature per ball volume; probed only on demand
         check_radii=tuple(np.geomspace(0.05, 1.2, 8)),
     )
 

@@ -4,8 +4,9 @@ Radial and half-line geometries reduce to 1-D quadrature with singularity
 hints supplied by the weight catalog; ``volume_profile`` sums vectorized
 Gauss-Legendre panel masses there, the rule the radial network builder
 uses, and falls back to adaptive quadrature panel by panel.  The snake has
-an exact closed form.  The bow-tie is integrated by nested adaptive
-quadrature for n = 2 and by scrambled quasi-Monte Carlo for n >= 3.
+an exact closed form.  The bow-tie, in every dimension n >= 2, is one
+adaptive quadrature over x1 whose slice masses are closed-form
+hypergeometric values.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import warnings
 
 import numpy as np
 from scipy import integrate
-from scipy.stats import qmc
+from scipy.special import hyp2f1
 
 from .errors import DomainError, QuadratureError
 from .spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec, surface_area
@@ -24,10 +25,6 @@ __all__ = ["mu_ball", "mu_annulus", "mu_ball_detailed", "mu_annulus_detailed", "
            "FamilyMeasures", "DEFAULT_TOL"]
 
 DEFAULT_TOL = 1e-10
-
-# quasi-Monte Carlo defaults for the n >= 3 bow-tie
-QMC_SAMPLES = 1 << 20
-QMC_SEED = 20230517
 
 
 def _quad(fn, a, b, points=(), tol=DEFAULT_TOL):
@@ -95,11 +92,7 @@ def _snake_ball(geom: Snake, R):
 
 
 # ---------------------------------------------------------------------------
-# bow-tie (n = 2): nested adaptive quadrature about the tip x0 = (-1, 0)
-
-def _bowtie_half_width(x1):
-    return abs(x1) / 2.0
-
+# bow-tie: one quadrature over x1 about the tip x0 = (-1, 0, ..., 0)
 
 def _ball_limit(x1, R):
     d2 = R * R - (x1 + 1.0) ** 2
@@ -107,7 +100,7 @@ def _ball_limit(x1, R):
 
 
 def _bowtie_x1_breakpoints(rads):
-    """x1 values where the inner integration limits switch branches."""
+    """x1 values where the slice limits switch branches."""
     pts = [0.0]
     for rad in rads:
         pts.append(-1.0 + rad)
@@ -119,78 +112,59 @@ def _bowtie_x1_breakpoints(rads):
     return pts
 
 
-def _bowtie_annulus_2d(alpha, r, R, tol):
-    """Integral of |x|^alpha over the cone cut to r <= |x - x0| < R."""
-
-    inner_tol = max(tol * 1e-2, 1e-14)
-
-    def slice_mass(x1):
-        hi = min(_bowtie_half_width(x1), _ball_limit(x1, R))
-        lo = _ball_limit(x1, r) if abs(x1 + 1.0) < r else 0.0
-        if hi <= lo or hi <= 0.0:
-            return 0.0
-        ax = abs(x1)
-
-        def inner(t):
-            return (x1 * x1 + t * t) ** (alpha / 2.0)
-
-        pts = [ax] if lo < ax < hi else []
-        val, _ = _quad(inner, lo, hi, points=pts, tol=inner_tol)
-        return 2.0 * val  # symmetric in x2
-
-    b = min(2.0, -1.0 + R)
-    pts = _bowtie_x1_breakpoints([r, R] if r > 0 else [R])
-    val, err = _quad(slice_mass, -1.0, b, points=pts, tol=tol)
-    return val, err + inner_tol * (b + 1.0)
-
-
-def _bowtie_qmc(geom: BowTie, r, R, seed=QMC_SEED, samples=QMC_SAMPLES):
-    """Scrambled-Sobol estimate of the annulus measure for n >= 3."""
-    n, alpha = geom.n, geom.alpha
-    x1_hi = min(2.0, -1.0 + R)
-    lo = np.array([-1.0] + [-1.0] * (n - 1))
-    hi = np.array([x1_hi] + [1.0] * (n - 1))
-    volume = float(np.prod(hi - lo))
-    sob = qmc.Sobol(d=n, scramble=True, seed=seed)
-    m = max(4, int(math.ceil(math.log2(samples))))
-    pts = qmc.scale(sob.random_base2(m=m), lo, hi)
-    x1 = pts[:, 0]
-    rest2 = np.sum(pts[:, 1:] ** 2, axis=1)
-    norm2 = x1 * x1 + rest2
-    dist2 = (x1 + 1.0) ** 2 + rest2
-    mask = (rest2 <= 0.25 * x1 * x1) & (dist2 < R * R) & (dist2 >= r * r)
-    with np.errstate(divide="ignore"):
-        vals = np.where(mask, norm2 ** (alpha / 2.0), 0.0)
-    vals = np.nan_to_num(vals, posinf=0.0)  # measure-zero singular point
-    blocks = vals.reshape(16, -1).mean(axis=1) * volume
-    est = float(blocks.mean())
-    stderr = float(blocks.std(ddof=1) / math.sqrt(len(blocks)))
-    return est, stderr
-
-
 def _bowtie_annulus(space, r, R, tol):
-    geom = space.geometry
+    """Integral of |x|^alpha over the cone cut to r <= |x - x0| < R.
+
+    Cone and balls are symmetric about the x1 axis, so the slice at x1 is
+    the shell lo <= s <= hi of s = |(x2, ..., xn)|, and Euler's integral
+    (DLMF 15.6.1) gives its mass omega_{n-2} [F(hi) - F(lo)] with
+    F(s) = s^(n-1)/(n-1) |x1|^alpha 2F1(-alpha/2, (n-1)/2; (n+1)/2; -s^2/x1^2).
+    On the cone s <= |x1|/2, so the series argument lies in [-1/4, 0].
+    """
+    n, alpha = space.geometry.n, space.geometry.alpha
     if R > space.diameter + 1e-12:
         R = space.diameter  # ball saturates; integrate over the whole cone
-    if geom.n == 2:
-        return _bowtie_annulus_2d(geom.alpha, r, R, tol)
-    return _bowtie_qmc(geom, r, R)
+    a, b, c = -alpha / 2.0, (n - 1) / 2.0, (n + 1) / 2.0
+    const = surface_area(n - 1) / (n - 1)
+
+    def antiderivative(x1, s):
+        return s ** (n - 1) * abs(x1) ** alpha * hyp2f1(a, b, c, -(s / x1) ** 2)
+
+    def shell_mass(x1):
+        hi = min(abs(x1) / 2.0, _ball_limit(x1, R))
+        lo = _ball_limit(x1, r)
+        if hi <= lo:
+            return 0.0
+        mass = antiderivative(x1, hi)
+        if lo > 0.0:
+            mass -= antiderivative(x1, lo)
+        return const * mass
+
+    pts = _bowtie_x1_breakpoints([r, R] if r > 0 else [R])
+    return _quad(shell_mass, -1.0, min(2.0, -1.0 + R), points=pts, tol=tol)
 
 
 # ---------------------------------------------------------------------------
+
+def _measure(space: SpaceSpec, r, R, tol):
+    """mu(r <= |x - x0| < R) and its error estimate, by a single quadrature
+    over (r, R) where the geometry allows, avoiding cancellation; r = 0
+    gives the ball."""
+    geom = space.geometry
+    if isinstance(geom, (RadialRn, HalfLine)):
+        return _radial_measure(space, r, R, tol)
+    if isinstance(geom, Snake):
+        return _snake_ball(geom, R) - _snake_ball(geom, r), 0.0
+    if isinstance(geom, BowTie):
+        return _bowtie_annulus(space, r, R, tol)
+    raise DomainError(f"unknown geometry {geom!r}")
+
 
 def mu_ball_detailed(space: SpaceSpec, R: float, tol: float = DEFAULT_TOL):
     """mu(B(x0, R)) together with an error estimate."""
     if not (R > 0):
         raise DomainError(f"ball radius must be positive, got {R}")
-    geom = space.geometry
-    if isinstance(geom, (RadialRn, HalfLine)):
-        return _radial_measure(space, 0.0, R, tol)
-    if isinstance(geom, Snake):
-        return _snake_ball(geom, R), 0.0
-    if isinstance(geom, BowTie):
-        return _bowtie_annulus(space, 0.0, R, tol)
-    raise DomainError(f"unknown geometry {geom!r}")
+    return _measure(space, 0.0, R, tol)
 
 
 def mu_ball(space: SpaceSpec, R: float, tol: float = DEFAULT_TOL) -> float:
@@ -198,16 +172,8 @@ def mu_ball(space: SpaceSpec, R: float, tol: float = DEFAULT_TOL) -> float:
 
 
 def mu_annulus_detailed(space: SpaceSpec, ann: AnnulusSpec, tol: float = DEFAULT_TOL):
-    """mu(B_R \\ B_r) by a single quadrature over (r, R) where the geometry
-    allows, avoiding cancellation."""
-    geom = space.geometry
-    if isinstance(geom, (RadialRn, HalfLine)):
-        return _radial_measure(space, ann.r, ann.R, tol)
-    if isinstance(geom, Snake):
-        return _snake_ball(geom, ann.R) - _snake_ball(geom, ann.r), 0.0
-    if isinstance(geom, BowTie):
-        return _bowtie_annulus(space, ann.r, ann.R, tol)
-    raise DomainError(f"unknown geometry {geom!r}")
+    """mu(B_R \\ B_r) together with an error estimate."""
+    return _measure(space, ann.r, ann.R, tol)
 
 
 def mu_annulus(space: SpaceSpec, ann: AnnulusSpec, tol: float = DEFAULT_TOL) -> float:

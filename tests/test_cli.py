@@ -96,6 +96,13 @@ def test_ad_needs_range_or_R(capsys):
     ["cap", "--space", "buckley", "--eta", "0.5", "--p", "2", "--r", "0.5", "--R", "inf"],
     ["cap", "--space", "rn", "--p", "nan", "--r", "0.5", "--R", "1"],
     ["sweep", "--space", "buckley", "--eta", "nan", "--p", "2", "--R", "1"],
+    ["oracle", "--space", "rn", "--p", "2", "--r", "1", "--R", "2", "--rel-tol", "nan"],
+    ["oracle", "--space", "rn", "--p", "2", "--r", "1", "--R", "2", "--rel-tol", "inf"],
+    ["oracle", "--space", "rn", "--p", "2", "--r", "1", "--R", "2", "--rel-tol", "-0.01"],
+    ["gallery", "verify", "--name", "rn-unweighted-2", "--budget", "nan"],
+    ["gallery", "verify", "--name", "rn-unweighted-2", "--budget", "inf"],
+    ["gallery", "verify", "--name", "rn-unweighted-2", "--budget", "0"],
+    ["gallery", "verify", "--name", "rn-unweighted-2", "--budget", "-1"],
 ])
 def test_malformed_or_non_finite_numbers_are_usage_errors(capsys, argv):
     assert run(argv) == 2
@@ -108,6 +115,11 @@ def test_oracle_command(capsys):
     assert code == 0
     rep = json.loads(capsys.readouterr().out)
     assert float(rep["relative_error"]) <= 0.01
+    # a zero tolerance is valid and passes only an exact match
+    code = run(["oracle", "--space", "rn", "--n", "2", "--p", "2",
+                "--r", "1", "--R", "2", "--cells", "500", "--rel-tol", "0"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == (0 if float(rep["relative_error"]) == 0.0 else 1)
 
 
 def test_gallery_list(capsys):
@@ -125,6 +137,8 @@ def test_gallery_verify_one_entry(capsys):
 
 def test_gallery_unknown_name(capsys):
     assert run(["gallery", "verify", "--name", "nope"]) == 2
+    assert run(["gallery", "verify", "--name", ""]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_config_rejects_unknown_keys(capsys, tmp_path):
@@ -247,7 +261,7 @@ def _argv(draw, config_paths):
         argv.append(flag)
         if flags[flag] is not None:
             argv.append(value(flags[flag]))
-    # the bow-tie 1-AD probe takes seconds: 2-D quadrature at every grid point
+    # the bow-tie 1-AD probe takes about a second: a quadrature at every grid point
     assume(not (command == "ad" and "bowtie" in argv and "--range" in argv))
     return argv
 

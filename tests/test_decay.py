@@ -15,7 +15,7 @@ from anncap.decay import (
     fit_annulus_decay,
 )
 from anncap.errors import DomainError, InputError
-from anncap.gallery import make_bowtie, make_buckley, make_halfline, make_snake
+from anncap.gallery import AD_FIT_TOL, make_bowtie, make_buckley, make_halfline, make_snake
 from anncap.measure import FamilyMeasures
 from anncap.spaces import AnnulusSpec, RadialRn, SpaceSpec
 from anncap.weights import Constant, HalfLineKind
@@ -52,9 +52,19 @@ def test_fit_rejects_bad_families():
 
 
 def test_fit_of_a_zero_measure_annulus_is_a_domain_error():
-    # the n = 3 bow-tie's sampled measure reads 0 on the thinnest annuli
-    with pytest.raises(DomainError, match=r"annulus \(r=0\.99"):
-        fit_annulus_decay(make_bowtie(0.5, n=3).space, 1.0, [1.0 - 2.0**-j for j in range(2, 11)])
+    # mu(B_R) = e^(-1/R) underflows to 0 on the thin annuli at R = 1e-3
+    space = make_halfline(HalfLineKind.EXP_INV_OVER_X_SQ).space
+    with pytest.raises(DomainError, match=r"annulus \(r=0\.00075, R=0\.001\) has measure 0\.0"):
+        fit_annulus_decay(space, 1e-3, [1e-3 * (1.0 - 2.0**-j) for j in range(2, 11)])
+
+
+def test_bowtie_3d_thin_annulus_fit():
+    # mu(B_1 \ B_{1-t}) ~ t^(n + alpha) on the n = 3 bow-tie, down to t = 2^-10
+    space = make_bowtie(0.5, n=3).space
+    rs = [1.0 - 2.0**-j for j in range(2, 11)]
+    assert all(measure.mu_annulus(space, AnnulusSpec(r, 1.0)) > 0.0 for r in rs)
+    rep = fit_annulus_decay(space, 1.0, rs)
+    assert abs(rep.eta_hat - 3.5) <= AD_FIT_TOL
 
 
 def test_estimate_ad_exponent_takes_worst_family():
@@ -63,9 +73,10 @@ def test_estimate_ad_exponent_takes_worst_family():
     rep = estimate_ad_exponent(RN2, families)
     assert rep.eta_hat == pytest.approx(1.0, abs=0.02)
     assert rep.sample_count == 18
-    # single-family shorthand
-    rep1 = estimate_ad_exponent(RN2, families[0])
+    rep1 = estimate_ad_exponent(RN2, [families[0]])
     assert rep1.sample_count == 9
+    with pytest.raises(InputError):
+        estimate_ad_exponent(RN2, [])
 
 
 def test_ad_ratio_trend_flat_for_true_eta():

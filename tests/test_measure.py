@@ -5,6 +5,8 @@ import pytest
 
 from anncap.errors import InputError
 from anncap.measure import (
+    _ball_limit,
+    _bowtie_x1_breakpoints,
     _quad,
     mu_annulus,
     mu_annulus_detailed,
@@ -99,6 +101,48 @@ def test_bowtie_thin_annulus_exponent():
     m2 = mu_annulus(space, AnnulusSpec(1.0 - t2, 1.0))
     exponent = math.log(m1 / m2) / math.log(t1 / t2)
     assert exponent == pytest.approx(2.5, abs=0.1)
+
+
+def _bowtie_annulus_nested(alpha, r, R, tol=1e-10):
+    """The nested adaptive quadrature that computed n = 2 bow-tie measures
+    before the closed-form slice replaced it, as it was."""
+    R = min(R, math.sqrt(10.0))  # the space's diameter
+    inner_tol = max(tol * 1e-2, 1e-14)
+
+    def slice_mass(x1):
+        hi = min(abs(x1) / 2.0, _ball_limit(x1, R))
+        lo = _ball_limit(x1, r) if abs(x1 + 1.0) < r else 0.0
+        if hi <= lo or hi <= 0.0:
+            return 0.0
+        val, _ = _quad(lambda t: (x1 * x1 + t * t) ** (alpha / 2.0), lo, hi, tol=inner_tol)
+        return 2.0 * val  # symmetric in x2
+
+    pts = _bowtie_x1_breakpoints([r, R] if r > 0 else [R])
+    return _quad(slice_mass, -1.0, min(2.0, -1.0 + R), points=pts, tol=tol)[0]
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.5])
+def test_bowtie_2d_matches_nested_quadrature(alpha):
+    space = SpaceSpec(BowTie(2, alpha), center=CenterTag.BOWTIE_TIP)
+    for R in (0.3, 0.5, 1.0, 1.5, 2.0, math.sqrt(10.0), 5.0):
+        ref = _bowtie_annulus_nested(alpha, 0.0, R)
+        assert mu_ball(space, R) == pytest.approx(ref, rel=1e-14, abs=0.0)
+    for R in (1.0, 2.0):
+        for j in range(1, 11):
+            r = R * (1.0 - 2.0**-j)
+            ref = _bowtie_annulus_nested(alpha, r, R)
+            assert mu_annulus(space, AnnulusSpec(r, R)) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", [-2.5, -1.5, 0.5, 1.5])
+def test_bowtie_3d_whole_cone_closed_form(alpha):
+    # the slice at x1 is a disc of radius |x1|/2 with mass
+    # 2 pi/(alpha + 2) |x1|^(alpha + 2) ((5/4)^(alpha/2 + 1) - 1), and
+    # |x1|^(alpha + 2) integrates over [-1, 2] to (1 + 2^(alpha + 3))/(alpha + 3)
+    space = SpaceSpec(BowTie(3, alpha), center=CenterTag.BOWTIE_TIP)
+    exact = (2.0 * math.pi / (alpha + 2.0) * (1.25 ** (alpha / 2.0 + 1.0) - 1.0)
+             * (1.0 + 2.0 ** (alpha + 3.0)) / (alpha + 3.0))
+    assert mu_ball(space, 4.0) == pytest.approx(exact, rel=1e-10)
 
 
 def test_detailed_error_estimates():
