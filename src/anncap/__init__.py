@@ -56,12 +56,9 @@ from .network import (
     build_radial_network,
     build_snake_network,
     condenser_bc,
-    network_from_csv,
-    network_to_csv,
-    potential_to_csv,
     solve_p_energy,
 )
-from .spaces import AnnulusSpec, BowTie, CenterTag, HalfLine, RadialRn, Snake, SpaceSpec, TraitSet, surface_area
+from .spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec, TraitSet, surface_area
 from .weights import (
     BuckleyEta,
     Constant,

@@ -26,7 +26,8 @@ from .capacity import (
 from .decay import ad_ratio, ad_ratio_trend, check_one_ad, estimate_ad_exponent, fit_annulus_decay
 from .gallery import default_gallery, make_bowtie, make_buckley, make_halfline, make_snake
 from .measure import mu_annulus, mu_ball
-from .network import build_bowtie_grid, build_radial_network, condenser_bc, solve_p_energy
+from .network import (build_bowtie_grid, build_radial_network, build_snake_network, condenser_bc,
+                      solve_p_energy)
 from .spaces import AnnulusSpec, HalfLine, RadialRn, SpaceSpec, TraitSet
 from .weights import Constant, HalfLineKind
 
@@ -99,7 +100,7 @@ def criterion_3():
             ys.append(math.log(cap_radial_weighted(space, p, ann).value))
         slope = _fit(xs, ys)
         spec = BoundSpec(BoundId.TWO_SIDED_NICE, p)
-        rep = verify_envelope(space, p, lambda a, s=space: cap_radial_weighted(s, p, a).value,
+        rep = verify_envelope(space, lambda a, s=space: cap_radial_weighted(s, p, a).value,
                               spec, annuli, check_hypotheses=False)
         ok = ok and abs(slope - (eta - p)) <= 0.05
         ok = ok and rep.verdict == "FAIL" and abs(rep.slope - (eta - 1.0)) <= 0.05
@@ -136,8 +137,6 @@ def criterion_5():
     scaled = [cap_snake(2.0, k, 1e-3 * 2.0**k).value * 2.0**k for k in range(1, 7)]
     factor = max(scaled) / min(scaled)
     # (iii) path formula vs discrete snake oracle
-    from .network import build_snake_network
-
     worst_rel = 0.0
     for k, delta in ((2, 0.01), (3, 0.05), (5, 0.5)):
         r, R = 2.0**k - delta, 2.0**k + delta

@@ -61,7 +61,6 @@ class BoundSpec:
     p: float
     eta: float | None = None
     q: float | None = None
-    tau: float | None = None
 
     def __post_init__(self):
         if not (self.p >= 1):
@@ -76,20 +75,13 @@ class BoundSpec:
             raise InputError(f"{self.bound_id.value} needs q >= 1")
 
 
-def _tau(spec, traits):
-    if spec.tau is not None:
-        return spec.tau
-    if traits.reverse_doubling is not None:
-        return traits.reverse_doubling[0]
-    return None
-
-
 def _radius_cap(s, space, ann):
-    # R <= diam X / 2 tau; vacuous for unbounded spaces
+    # R <= diam X / 2 tau, tau from the declared reverse doubling; vacuous
+    # for unbounded spaces
     if math.isinf(space.diameter):
         return True
-    tau = _tau(s, space.traits)
-    return tau is not None and not ann.R > space.diameter / (2.0 * tau)
+    rd = space.traits.reverse_doubling
+    return rd is not None and not ann.R > space.diameter / (2.0 * rd[0])
 
 
 # Hypothesis checks: (the name a failure reports, holds(spec, space, ann)).
@@ -213,7 +205,7 @@ class SweepReport:
         }, sort_keys=True)
 
 
-def verify_envelope(space: SpaceSpec, p: float, cap_fn, spec: BoundSpec, annuli,
+def verify_envelope(space: SpaceSpec, cap_fn, spec: BoundSpec, annuli,
                     check_hypotheses: bool = True) -> SweepReport:
     """Ratio cap/bound per annulus; PASS means the ratios sit inside
     [1e-3, 1e3] with no log-log trend (|slope| <= 0.05).

@@ -16,8 +16,9 @@ import numpy as np
 from scipy import optimize
 
 from .errors import DomainError, InputError, QuadratureError
-from .measure import DEFAULT_TOL, _quad, _radial_reduction, mu_ball_detailed
+from .measure import _quad, _radial_reduction, mu_ball_detailed
 from .spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec, surface_area
+from .weights import Constant
 
 __all__ = [
     "CapacityMethod",
@@ -78,8 +79,7 @@ def cap_rn_unweighted(n: int, p: float, ann: AnnulusSpec) -> CapacityResult:
     return CapacityResult(value=value, method=CapacityMethod.CLOSED_FORM)
 
 
-def cap_radial_weighted(space: SpaceSpec, p: float, ann: AnnulusSpec,
-                        tol: float = DEFAULT_TOL) -> CapacityResult:
+def cap_radial_weighted(space: SpaceSpec, p: float, ann: AnnulusSpec) -> CapacityResult:
     """cap_p via the radial integral (int_r^R (w rho^{n-1})^{1/(1-p)})^{1-p}.
 
     A divergent integral means the capacity degenerates to 0.
@@ -102,7 +102,7 @@ def cap_radial_weighted(space: SpaceSpec, p: float, ann: AnnulusSpec,
                               "leaves the float range")
 
     try:
-        val, err = _quad(integrand, ann.r, ann.R, points=w.singularities(), tol=tol)
+        val, err = _quad(integrand, ann.r, ann.R, points=w.singularities())
     except DomainError:
         return CapacityResult(0.0, CapacityMethod.RADIAL_INTEGRAL)
     if not math.isfinite(val) or val <= 0:
@@ -190,33 +190,33 @@ def cap_bowtie_pinch(space: SpaceSpec, p: float, delta: float) -> CapacityResult
     e = m / (1.0 - p)
     if e <= -1.0:  # divergent sector integral <=> p <= n + alpha
         return CapacityResult(0.0, CapacityMethod.RADIAL_INTEGRAL)
-    integral = (2.0 * delta) ** (1.0 + e) / (1.0 + e)
-    return CapacityResult(value=aperture * integral ** (1.0 - p),
-                          method=CapacityMethod.RADIAL_INTEGRAL)
+    try:
+        integral = (2.0 * delta) ** (1.0 + e) / (1.0 + e)
+        value = aperture * integral ** (1.0 - p)
+    except ArithmeticError:  # the sector integral under- or the capacity overflows
+        raise DomainError(f"bow-tie capacity at delta = {delta}, p = {p} leaves the float "
+                          "range") from None
+    return CapacityResult(value=value, method=CapacityMethod.RADIAL_INTEGRAL)
 
 
-def nice_case_estimate(space: SpaceSpec, p: float, ann: AnnulusSpec,
-                       tol: float = DEFAULT_TOL) -> float:
+def nice_case_estimate(space: SpaceSpec, p: float, ann: AnnulusSpec) -> float:
     """(1 - r/R)^{1-p} mu(B_R) / R^p, with constant 1; thin annuli only."""
     if not ann.is_thin:
         raise DomainError(f"thin annulus (R/2 <= r) required, got r={ann.r}, R={ann.R}")
-    mu, _ = mu_ball_detailed(space, ann.R, tol)
+    mu, _ = mu_ball_detailed(space, ann.R)
     return (1.0 - ann.r / ann.R) ** (1.0 - p) * mu / ann.R**p
 
 
-def cap_auto(space: SpaceSpec, p: float, ann: AnnulusSpec,
-             tol: float = DEFAULT_TOL) -> CapacityResult:
+def cap_auto(space: SpaceSpec, p: float, ann: AnnulusSpec) -> CapacityResult:
     """Dispatch to the best available engine for the space."""
     geom = space.geometry
     if isinstance(geom, (RadialRn, HalfLine)):
         if p == 1:
             return cap_radial_p1(space, ann)
-        from .weights import Constant
-
         if isinstance(geom, RadialRn) and isinstance(space.weight, Constant) \
                 and space.weight.c == 1.0:
             return cap_rn_unweighted(geom.n, p, ann)
-        return cap_radial_weighted(space, p, ann, tol)
+        return cap_radial_weighted(space, p, ann)
     if isinstance(geom, Snake):
         mid = 0.5 * (ann.r + ann.R)
         k = round(math.log2(mid))

@@ -70,14 +70,19 @@ def _positive_float(text: str) -> float:
     return value
 
 
+# --n when omitted; the other spaces fix their dimension and ignore --n
+_DEFAULT_N = {"rn": 2, "buckley": 1, "bowtie": 2}
+
+
 def _space_from_args(ns) -> SpaceSpec:
     kind = ns.space
+    n = _DEFAULT_N.get(kind) if ns.n is None else ns.n
     if kind == "rn":
-        return make_rn_unweighted(ns.n).space
+        return make_rn_unweighted(n).space
     if kind == "buckley":
         if ns.eta is None:
             raise InputError("--space buckley needs --eta")
-        return make_buckley(ns.eta, ns.n if ns.n != 2 else 1).space
+        return make_buckley(ns.eta, n).space
     if kind == "summed-buckley":
         if ns.eta is None:
             raise InputError("--space summed-buckley needs --eta")
@@ -85,7 +90,7 @@ def _space_from_args(ns) -> SpaceSpec:
     if kind == "bowtie":
         if ns.alpha is None:
             raise InputError("--space bowtie needs --alpha")
-        return make_bowtie(ns.alpha).space
+        return make_bowtie(ns.alpha, n).space
     if kind == "snake":
         return make_snake().space
     if kind == "halfline":
@@ -114,7 +119,7 @@ def _cmd_sweep(ns) -> int:
     space = _space_from_args(ns)
     spec = BoundSpec(_BOUND_IDS[ns.bound], ns.p, eta=ns.eta, q=ns.q)
     annuli = _thin_annuli(ns.R, ns.thin)
-    rep = verify_envelope(space, ns.p, lambda ann: cap_auto(space, ns.p, ann).value, spec,
+    rep = verify_envelope(space, lambda ann: cap_auto(space, ns.p, ann).value, spec,
                           annuli, check_hypotheses=not ns.no_gating)
     if any(row[2] <= 0 for row in rep.rows):
         raise DomainError(f"capacity degenerates to 0 at p = {ns.p}; no decay slope to fit")
@@ -200,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_space_args(p):
         p.add_argument("--space", required=True,
                        choices=["rn", "buckley", "summed-buckley", "bowtie", "snake", "halfline"])
-        p.add_argument("--n", type=int, default=2)
+        p.add_argument("--n", type=int, help="dimension (default: rn 2, buckley 1, bowtie 2)")
         p.add_argument("--eta", type=_finite_float)
         p.add_argument("--alpha", type=_finite_float)
         p.add_argument("--q", type=_finite_float)
@@ -319,3 +324,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -45,6 +45,9 @@ TAIL_DECAY_SLOPE = -0.04     # log ratio per log rho at the far end
 HEAD_BLOWUP_SLOPE = -0.5     # log ratio per log rho at the near end
 HEAD_BLOWUP_LEVEL = 8.0      # ratio magnitude that counts as blowing up
 REVERSE_DOUBLING_GAMMA = 1.2
+DOUBLING_BOUND = 100.0       # largest mu(B_2r) / mu(B_r) that counts as bounded
+ONE_AD_GRID = 64             # intervals of the coarsest 1-AD grid
+ONE_AD_LEVELS = 4            # grids, each halving the step of the one before
 
 
 @dataclass(frozen=True)
@@ -187,8 +190,7 @@ def ad_ratio_trend(space: SpaceSpec, annuli, eta: float):
 # ---------------------------------------------------------------------------
 # 1-AD characterization via the ball-volume function
 
-def check_one_ad(space: SpaceSpec, rho_range: tuple[float, float],
-                 grid_size: int = 64, levels: int = 4) -> OneAdReport:
+def check_one_ad(space: SpaceSpec, rho_range: tuple[float, float]) -> OneAdReport:
     """Probe rho f'(rho) / f(rho) by central differences on geometric grids
     at several refinements.
 
@@ -200,13 +202,11 @@ def check_one_ad(space: SpaceSpec, rho_range: tuple[float, float],
     lo, hi = rho_range
     if not (0 < lo < hi):
         raise InputError(f"need 0 < lo < hi, got {rho_range}")
-    if grid_size < 64:
-        raise InputError(f"need grid_size >= 64, got {grid_size}")
     sups, infs, lips = [], [], []
     jump_masses = []
     finest = None
-    for level in range(levels):
-        rho = np.geomspace(lo, hi, grid_size * 2**level + 1)
+    for level in range(ONE_AD_LEVELS):
+        rho = np.geomspace(lo, hi, ONE_AD_GRID * 2**level + 1)
         f = volume_profile(space, rho)
         quot = (f[2:] - f[:-2]) / (rho[2:] - rho[:-2])
         mid_rho, mid_f = rho[1:-1], f[1:-1]
@@ -220,7 +220,7 @@ def check_one_ad(space: SpaceSpec, rho_range: tuple[float, float],
         else:
             jump_masses.append(None)
         finest = (mid_rho, ratio)
-    levels_idx = np.arange(levels)
+    levels_idx = np.arange(ONE_AD_LEVELS)
     sup_slope, _, _ = _loglog_fit(levels_idx, np.log2(sups))
     jump = False
     if all(m is not None and m > 0 for m in jump_masses):
@@ -279,11 +279,10 @@ def check_reverse_doubling(space: SpaceSpec, tau: float, radii,
                                  uniform=worst >= REVERSE_DOUBLING_GAMMA)
 
 
-def check_doubling(space: SpaceSpec, radii, bound: float = 100.0,
-                   measures: FamilyMeasures | None = None):
-    """max over the family of mu(B_{2r}) / mu(B_r); bounded means doubling
-    holds along the family.  Ball volumes come from measures, as in
-    check_reverse_doubling."""
+def check_doubling(space: SpaceSpec, radii, measures: FamilyMeasures | None = None):
+    """max over the family of mu(B_{2r}) / mu(B_r); bounded (at most
+    DOUBLING_BOUND) means doubling holds along the family.  Ball volumes
+    come from measures, as in check_reverse_doubling."""
     ball = (measures or FamilyMeasures(space)).ball
     worst = max(ball(2.0 * r) / ball(r) for r in radii)
-    return float(worst), worst <= bound
+    return float(worst), worst <= DOUBLING_BOUND

@@ -17,17 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundId, BoundSpec, blowup_probe, evaluate_bound, verify_envelope
-from .capacity import cap_auto, cap_radial_weighted, cap_snake
+from .capacity import cap_auto, cap_radial_weighted
 from .decay import (
     ad_ratio_trend,
     check_doubling,
     check_one_ad,
     check_reverse_doubling,
     estimate_ad_exponent,
+    fit_annulus_decay,
 )
 from .errors import ApplicabilityError, InputError
-from .measure import FamilyMeasures, mu_ball
-from .spaces import AnnulusSpec, BowTie, CenterTag, HalfLine, RadialRn, Snake, SpaceSpec, TraitSet
+from .measure import FamilyMeasures, mu_annulus, mu_ball
+from .spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec, TraitSet
 from .weights import BuckleyEta, Constant, HalfLineCatalog, HalfLineKind, SummedBuckley
 
 __all__ = [
@@ -122,7 +123,13 @@ def make_rn_unweighted(n: int = 2) -> GalleryEntry:
     )
 
 
-def make_buckley(eta: float, n: int = 1) -> GalleryEntry:
+def _a1_entry(eta: float, make_space, claims, one_ad_range) -> GalleryEntry:
+    """The entry of a Buckley-type A_1 weight of decay exponent eta.
+
+    Every such weight declares the same traits, expects the same behavior
+    apart from its sharpness claims, and is probed on the same families;
+    make_space(traits) builds the SpaceSpec once the traits have checked eta.
+    """
     traits = TraitSet(
         pi_exponents=frozenset({1.0}),
         pi_global=True,
@@ -132,20 +139,30 @@ def make_buckley(eta: float, n: int = 1) -> GalleryEntry:
         corkscrew_a=0.5,
         ad_eta=eta,
     )
-    space = SpaceSpec(RadialRn(n), BuckleyEta(eta), traits=traits, name=f"buckley-{eta}")
+    space = make_space(traits)
     expected = ExpectedBehavior(
         ad_eta=eta, one_ad=False, reverse_doubling=True, doubling=True,
         pi_sharp_q="q-Poincare inequality for every q >= 1 (A_1 weight)",
-        sharpness_claims=(
-            ("upper-eta-sharp", "cap(B_r, B_1) ~ (1-r)^(eta-p): the eta-decay upper bound is attained"),
-            ("nice-case-fails", "nice-case envelope FAILs with trend slope eta-1"),
-        ),
+        sharpness_claims=claims,
     )
     return GalleryEntry(
         name=space.name, space=space, expected=expected,
         ad_families=((1.0, _thin_family(1.0)), (4.0, _thin_family(4.0))),
-        one_ad_range=(0.25, 4.0),
+        one_ad_range=one_ad_range,
         check_radii=tuple(np.geomspace(0.05, 8.0, 12)),
+    )
+
+
+def make_buckley(eta: float, n: int = 1) -> GalleryEntry:
+    return _a1_entry(
+        eta,
+        lambda traits: SpaceSpec(RadialRn(n), BuckleyEta(eta), traits=traits,
+                                 name=f"buckley-{eta}"),
+        claims=(
+            ("upper-eta-sharp", "cap(B_r, B_1) ~ (1-r)^(eta-p): the eta-decay upper bound is attained"),
+            ("nice-case-fails", "nice-case envelope FAILs with trend slope eta-1"),
+        ),
+        one_ad_range=(0.25, 4.0),
     )
 
 
@@ -153,29 +170,14 @@ DEFAULT_SUMMED_TERMS = ((1.0, 1.0), (2.0, 0.5), (4.0, 0.25))
 
 
 def make_summed_buckley(eta: float, terms=DEFAULT_SUMMED_TERMS) -> GalleryEntry:
-    traits = TraitSet(
-        pi_exponents=frozenset({1.0}),
-        pi_global=True,
-        doubling=True,
-        globally_doubling=True,
-        reverse_doubling=(2.0, 1.3),
-        corkscrew_a=0.5,
-        ad_eta=eta,
-    )
-    weight = SummedBuckley(eta, tuple(terms))
-    space = SpaceSpec(RadialRn(1), weight, traits=traits, name=f"summed-buckley-{eta}")
-    expected = ExpectedBehavior(
-        ad_eta=eta, one_ad=False, reverse_doubling=True, doubling=True,
-        pi_sharp_q="q-Poincare inequality for every q >= 1 (A_1 weight)",
-        sharpness_claims=(
+    return _a1_entry(
+        eta,
+        lambda traits: SpaceSpec(RadialRn(1), SummedBuckley(eta, tuple(terms)), traits=traits,
+                                 name=f"summed-buckley-{eta}"),
+        claims=(
             ("eta-ad-at-singularities", "eta-AD ratio bounded along each singular radius 1/q_j"),
         ),
-    )
-    return GalleryEntry(
-        name=space.name, space=space, expected=expected,
-        ad_families=((1.0, _thin_family(1.0)), (4.0, _thin_family(4.0))),
         one_ad_range=(0.1, 4.0),
-        check_radii=tuple(np.geomspace(0.05, 8.0, 12)),
     )
 
 
@@ -187,12 +189,11 @@ def make_bowtie(alpha: float, n: int = 2) -> GalleryEntry:
         pi_global=True,
         doubling=True,
         globally_doubling=True,
-        reverse_doubling=(2.0, min(2.0**m, 2.0)),
+        reverse_doubling=(2.0, 2.0 ** min(m, 1.0)),  # min(2^m, 2) without overflow
         corkscrew_a=0.25,
         ad_eta=min(1.0, m),
     )
-    space = SpaceSpec(BowTie(n, alpha), center=CenterTag.BOWTIE_TIP, traits=traits,
-                      name=f"bowtie-{n}d-alpha-{alpha}")
+    space = SpaceSpec(BowTie(n, alpha), traits=traits, name=f"bowtie-{n}d-alpha-{alpha}")
     claims = [("measure-exponent", f"mu(B_1 \\ B_r) ~ (1-r)^{m} at the tip")]
     if m > 1.0:
         claims.append(("cap-degenerates", f"capacity of (1-delta, 1) vanishes at p = n+alpha = {m}"))
@@ -372,7 +373,7 @@ def _claim_nice_case_fails(entry):
     p = 2.0
     spec = BoundSpec(BoundId.TWO_SIDED_NICE, p)
     annuli = [AnnulusSpec(1.0 - 2.0**-j, 1.0) for j in range(2, 11)]
-    rep = verify_envelope(entry.space, p, lambda a: cap_radial_weighted(entry.space, p, a).value,
+    rep = verify_envelope(entry.space, lambda a: cap_radial_weighted(entry.space, p, a).value,
                           spec, annuli, check_hypotheses=False)
     ok = rep.verdict == "FAIL" and abs(rep.slope - (eta - 1.0)) <= TREND_TOL
     return ok, f"envelope {rep.verdict}, slope {rep.slope:.4f} vs claimed eta - 1 = {eta - 1.0}"
@@ -382,7 +383,7 @@ def _claim_nice_case_holds(entry):
     p = 2.0
     spec = BoundSpec(BoundId.TWO_SIDED_NICE, p)
     annuli = [AnnulusSpec(1.0 - 2.0**-j, 1.0) for j in range(2, 11)]
-    rep = verify_envelope(entry.space, p, lambda a: cap_auto(entry.space, p, a).value, spec, annuli)
+    rep = verify_envelope(entry.space, lambda a: cap_auto(entry.space, p, a).value, spec, annuli)
     return rep.verdict == "PASS", f"envelope {rep.verdict}, slope {rep.slope:.4f}"
 
 
@@ -403,8 +404,6 @@ def _claim_summed_eta_ad(entry):
 
 def _claim_bowtie_measure_exponent(entry):
     m = entry.space.geometry.n + entry.space.geometry.alpha
-    from .decay import fit_annulus_decay
-
     rep = fit_annulus_decay(entry.space, 1.0, _thin_family(1.0, 2, 10))
     ok = abs(rep.eta_hat - m) <= AD_FIT_TOL
     return ok, f"raw exponent fit {rep.eta_hat:.4f} vs n + alpha = {m}"
@@ -432,7 +431,7 @@ def _claim_snake_lower_base(entry):
     k = 6
     spec = BoundSpec(BoundId.LOWER_P_BASE, p)
     annuli = [AnnulusSpec(2.0**k - 2.0**-j, 2.0**k + 2.0**-j) for j in range(0, 9)]
-    rep = verify_envelope(entry.space, p, lambda a: cap_auto(entry.space, p, a).value, spec, annuli)
+    rep = verify_envelope(entry.space, lambda a: cap_auto(entry.space, p, a).value, spec, annuli)
     return rep.verdict == "PASS", f"envelope {rep.verdict}, ratios [{rep.min_ratio:.3g}, {rep.max_ratio:.3g}]"
 
 
@@ -459,8 +458,6 @@ def _claim_measure_lower_q_fails(entry):
             if "reverse-doubling" not in str(exc):
                 return False, f"gated on the wrong hypothesis: {exc}"
         bound = evaluate_bound(spec, entry.space, ann, check_hypotheses=False)
-        from .measure import mu_annulus
-
         ratios.append(mu_annulus(entry.space, ann) / bound)
     # decay is logarithmic in R, so test the total drop
     ok = all(b < a for a, b in zip(ratios, ratios[1:])) and ratios[-1] <= ratios[0] / 2.0

@@ -56,11 +56,11 @@ def _radial_reduction(space):
     raise DomainError(f"radial reduction needs RadialRn or HalfLine, got {type(geom).__name__}")
 
 
-def _radial_measure(space, r, R, tol):
+def _radial_measure(space, r, R):
     """mu(r <= rho < R) and its error estimate by adaptive quadrature."""
     w, m, const = _radial_reduction(space)
     val, err = _quad(lambda rho: float(w.evaluate(rho)) * rho**m, r, R,
-                     points=w.singularities(), tol=tol)
+                     points=w.singularities())
     return const * val, const * err
 
 
@@ -112,7 +112,7 @@ def _bowtie_x1_breakpoints(rads):
     return pts
 
 
-def _bowtie_annulus(space, r, R, tol):
+def _bowtie_annulus(space, r, R):
     """Integral of |x|^alpha over the cone cut to r <= |x - x0| < R.
 
     Cone and balls are symmetric about the x1 axis, so the slice at x1 is
@@ -141,43 +141,47 @@ def _bowtie_annulus(space, r, R, tol):
         return const * mass
 
     pts = _bowtie_x1_breakpoints([r, R] if r > 0 else [R])
-    return _quad(shell_mass, -1.0, min(2.0, -1.0 + R), points=pts, tol=tol)
+    try:
+        return _quad(shell_mass, -1.0, min(2.0, -1.0 + R), points=pts)
+    except OverflowError:  # a power of |x1| or s past the float range
+        raise DomainError(f"bow-tie measure of (r={r}, R={R}) at n = {n}, alpha = {alpha} "
+                          "leaves the float range") from None
 
 
 # ---------------------------------------------------------------------------
 
-def _measure(space: SpaceSpec, r, R, tol):
+def _measure(space: SpaceSpec, r, R):
     """mu(r <= |x - x0| < R) and its error estimate, by a single quadrature
     over (r, R) where the geometry allows, avoiding cancellation; r = 0
     gives the ball."""
     geom = space.geometry
     if isinstance(geom, (RadialRn, HalfLine)):
-        return _radial_measure(space, r, R, tol)
+        return _radial_measure(space, r, R)
     if isinstance(geom, Snake):
         return _snake_ball(geom, R) - _snake_ball(geom, r), 0.0
     if isinstance(geom, BowTie):
-        return _bowtie_annulus(space, r, R, tol)
+        return _bowtie_annulus(space, r, R)
     raise DomainError(f"unknown geometry {geom!r}")
 
 
-def mu_ball_detailed(space: SpaceSpec, R: float, tol: float = DEFAULT_TOL):
+def mu_ball_detailed(space: SpaceSpec, R: float):
     """mu(B(x0, R)) together with an error estimate."""
     if not (R > 0):
         raise DomainError(f"ball radius must be positive, got {R}")
-    return _measure(space, 0.0, R, tol)
+    return _measure(space, 0.0, R)
 
 
-def mu_ball(space: SpaceSpec, R: float, tol: float = DEFAULT_TOL) -> float:
-    return mu_ball_detailed(space, R, tol)[0]
+def mu_ball(space: SpaceSpec, R: float) -> float:
+    return mu_ball_detailed(space, R)[0]
 
 
-def mu_annulus_detailed(space: SpaceSpec, ann: AnnulusSpec, tol: float = DEFAULT_TOL):
+def mu_annulus_detailed(space: SpaceSpec, ann: AnnulusSpec):
     """mu(B_R \\ B_r) together with an error estimate."""
-    return _measure(space, ann.r, ann.R, tol)
+    return _measure(space, ann.r, ann.R)
 
 
-def mu_annulus(space: SpaceSpec, ann: AnnulusSpec, tol: float = DEFAULT_TOL) -> float:
-    return mu_annulus_detailed(space, ann, tol)[0]
+def mu_annulus(space: SpaceSpec, ann: AnnulusSpec) -> float:
+    return mu_annulus_detailed(space, ann)[0]
 
 
 class FamilyMeasures:
@@ -237,6 +241,6 @@ def volume_profile(space: SpaceSpec, rho) -> np.ndarray:
         redo |= np.abs(whole - panel) > 1e-2 * DEFAULT_TOL * np.maximum(1.0, np.abs(panel))
     inc = const * panel
     for i in np.flatnonzero(redo):
-        inc[i] = _radial_measure(space, lo[i], hi[i], DEFAULT_TOL)[0]
+        inc[i] = _radial_measure(space, lo[i], hi[i])[0]
     f0 = mu_ball(space, rho[0])
     return np.concatenate(([f0], f0 + np.cumsum(inc)))

@@ -27,7 +27,6 @@ Cholesky. At bandwidth b that costs O(m b^2) time and m (b + 1) floats.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -50,14 +49,12 @@ __all__ = [
     "build_bowtie_grid",
     "solve_p_energy",
     "condenser_bc",
-    "network_to_csv",
-    "network_from_csv",
-    "potential_to_csv",
 ]
 
 MAX_ITER = 100_000
 MAX_CELLS = 10**7  # radial chain size; its arrays take about 0.1 GB per million cells
 HESSIAN_EPS = 1e-12  # regularizes the Hessian only, never the energy
+PLATE_TOL = 1e-12  # slack on the plate radii of condenser_bc
 
 
 @dataclass(frozen=True)
@@ -111,19 +108,22 @@ class SolveReport:
     potential: np.ndarray
     iterations: int
     kkt_residual: float
-    stop_reason: str  # line-search-stalled is the one with converged False
-    converged: bool = True
+    stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        """False only when the line search stalled."""
+        return self.stop_reason != "line-search-stalled"
 
 
-def condenser_bc(net: DiscreteNetwork, r: float, R: float,
-                 tol: float = 1e-12) -> BoundaryCondition:
+def condenser_bc(net: DiscreteNetwork, r: float, R: float) -> BoundaryCondition:
     """Boundary sets {radius <= r} and {radius >= R} on a network that
     records vertex radii."""
     if net.radii is None:
         raise InputError("network has no vertex radii")
     try:
-        return BoundaryCondition(inner=np.flatnonzero(net.radii <= r + tol),
-                                 outer=np.flatnonzero(net.radii >= R - tol))
+        return BoundaryCondition(inner=np.flatnonzero(net.radii <= r + PLATE_TOL),
+                                 outer=np.flatnonzero(net.radii >= R - PLATE_TOL))
     except InfeasibleError as exc:
         raise InputError(f"resolution too coarse to separate r={r} from R={R}") from exc
 
@@ -469,42 +469,5 @@ def solve_p_energy(net: DiscreteNetwork, bc: BoundaryCondition, p: float,
     if not math.isfinite(energy):
         raise ConvergenceError(f"p = {p} solve ended at non-finite energy {energy}")
     return SolveReport(energy=energy, potential=u, iterations=iters, kkt_residual=resid,
-                       stop_reason=reason, converged=reason != "line-search-stalled")
+                       stop_reason=reason)
 
-
-# ---------------------------------------------------------------------------
-# CSV interchange
-
-def network_to_csv(net: DiscreteNetwork, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "length", "mass"])
-        for a, b, l, m in zip(net.edge_i, net.edge_j, net.lengths, net.masses):
-            writer.writerow([int(a), int(b), f"{l:.17g}", f"{m:.17g}"])
-
-
-def network_from_csv(path) -> DiscreteNetwork:
-    ei, ej, lengths, masses = [], [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:4]] != ["i", "j", "length", "mass"]:
-            raise InputError(f"{path}: expected CSV header 'i,j,length,mass'")
-        for row in reader:
-            if not row:
-                continue
-            ei.append(int(row[0]))
-            ej.append(int(row[1]))
-            lengths.append(float(row[2]))
-            masses.append(float(row[3]))
-    num = max(max(ei), max(ej)) + 1 if ei else 0
-    return DiscreteNetwork(num_vertices=num, edge_i=np.array(ei), edge_j=np.array(ej),
-                           lengths=np.array(lengths), masses=np.array(masses))
-
-
-def potential_to_csv(report: SolveReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "u"])
-        for i, val in enumerate(report.potential):
-            writer.writerow([i, f"{val:.17g}"])

@@ -1,15 +1,16 @@
 """Geometries, declared analytic traits, and annuli.
 
 A SpaceSpec bundles a geometry (radial R^n, half-line, snake, bow-tie), a
-weight, a center, and a TraitSet of *declared* analytic properties
-(Poincare exponents, doubling, reverse-doubling, corkscrew constant).
+weight and a TraitSet of *declared* analytic properties (Poincare
+exponents, doubling, reverse-doubling, corkscrew constant) at the center.
+The geometry fixes the center: the bow-tie's tip (-1, 0, ..., 0), and the
+origin for every other geometry.
 Traits are metadata transcribed from known statements about each space;
 they are never computed here.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +22,6 @@ __all__ = [
     "HalfLine",
     "Snake",
     "BowTie",
-    "CenterTag",
     "TraitSet",
     "SpaceSpec",
     "AnnulusSpec",
@@ -86,14 +86,13 @@ class BowTie:
             raise InputError(f"BowTie needs n >= 2, got {self.n}")
         if not (self.alpha > -self.n):
             raise InputError(f"BowTie needs alpha > -n = {-self.n}, got {self.alpha}")
+        try:
+            surface_area(self.n - 1)  # the slice masses' sphere factor
+        except OverflowError:
+            raise InputError(f"the unit sphere area of R^{self.n - 1} overflows a float") from None
 
 
 Geometry = RadialRn | HalfLine | Snake | BowTie
-
-
-class CenterTag(enum.Enum):
-    ORIGIN = "origin"
-    BOWTIE_TIP = "bowtie-tip"  # the point (-1, 0, ..., 0)
 
 
 @dataclass(frozen=True)
@@ -146,20 +145,14 @@ class TraitSet:
 class SpaceSpec:
     geometry: Geometry
     weight: Weight = field(default_factory=Constant)
-    center: CenterTag = CenterTag.ORIGIN
     traits: TraitSet = field(default_factory=TraitSet)
     name: str = ""
 
     def __post_init__(self):
         geom = self.geometry
         if isinstance(geom, BowTie):
-            if self.center is not CenterTag.BOWTIE_TIP:
-                raise InputError("BowTie spaces are centred at the tip (-1, 0, ..., 0)")
             if not isinstance(self.weight, PowerAlpha) or self.weight.alpha != geom.alpha:
                 object.__setattr__(self, "weight", PowerAlpha(geom.alpha))
-        else:
-            if self.center is not CenterTag.ORIGIN:
-                raise InputError(f"{type(geom).__name__} spaces are centred at the origin")
         if isinstance(geom, RadialRn) and isinstance(self.weight, PowerAlpha):
             if not (self.weight.alpha > -geom.n):
                 raise InputError(

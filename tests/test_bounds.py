@@ -10,7 +10,6 @@ from anncap.bounds import (
     MU_ANNULUS,
     MU_BALL_R,
     MU_BALL_r,
-    BlowupReport,
     BoundId,
     BoundSpec,
     blowup_probe,
@@ -122,7 +121,7 @@ def test_upper_simple_never_gated():
 def test_verify_envelope_pass_and_csv(tmp_path):
     p = 2.0
     annuli = [AnnulusSpec(1.0 - 2.0**-j, 1.0) for j in range(2, 11)]
-    rep = verify_envelope(RN2, p, lambda a: cap_auto(RN2, p, a).value,
+    rep = verify_envelope(RN2, lambda a: cap_auto(RN2, p, a).value,
                           BoundSpec(BoundId.TWO_SIDED_NICE, p), annuli)
     assert rep.verdict == "PASS"
     assert abs(rep.slope) <= 0.05
@@ -139,7 +138,7 @@ def test_verify_envelope_detects_counterexample():
     space = make_buckley(0.5).space
     p = 2.0
     annuli = [AnnulusSpec(1.0 - 2.0**-j, 1.0) for j in range(2, 11)]
-    rep = verify_envelope(space, p, lambda a: cap_radial_weighted(space, p, a).value,
+    rep = verify_envelope(space, lambda a: cap_radial_weighted(space, p, a).value,
                           BoundSpec(BoundId.TWO_SIDED_NICE, p), annuli,
                           check_hypotheses=False)
     assert rep.verdict == "FAIL"
@@ -149,13 +148,13 @@ def test_verify_envelope_detects_counterexample():
 def test_verify_envelope_needs_eight_annuli():
     annuli = [AnnulusSpec(1.0 - 2.0**-j, 1.0) for j in range(2, 6)]
     with pytest.raises(InputError):
-        verify_envelope(RN2, 2.0, lambda a: 1.0,
+        verify_envelope(RN2, lambda a: 1.0,
                         BoundSpec(BoundId.UPPER_SIMPLE, 2.0), annuli)
 
 
 def test_upper_simple_envelope_requires_domination():
     annuli = [AnnulusSpec(1.0 - 2.0**-j, 1.0) for j in range(2, 11)]
-    rep = verify_envelope(RN2, 2.0, lambda a: 2.0 * cap_auto(RN2, 2.0, a).value,
+    rep = verify_envelope(RN2, lambda a: 2.0 * cap_auto(RN2, 2.0, a).value,
                           BoundSpec(BoundId.UPPER_SIMPLE, 2.0), annuli)
     assert rep.verdict == "FAIL"  # inflated capacity exceeds the bare bound
 
@@ -222,7 +221,7 @@ def _count_measures(monkeypatch):
 @pytest.mark.parametrize("bound_id", list(BoundId))
 def test_verify_envelope_computes_each_measure_once(monkeypatch, bound_id):
     calls = _count_measures(monkeypatch)
-    verify_envelope(RN2, 2.0, lambda a: cap_rn_unweighted(2, 2.0, a).value, _SPECS[bound_id],
+    verify_envelope(RN2, lambda a: cap_rn_unweighted(2, 2.0, a).value, _SPECS[bound_id],
                     _FAMILY, check_hypotheses=False)
     expected_balls = {BoundId.UPPER_SIMPLE: 0, BoundId.TWO_SIDED_ANNULAR: 0,
                       BoundId.LOWER_P1_NO_DOUBLING: 11}.get(bound_id, 1)
@@ -243,10 +242,10 @@ def test_verify_envelope_rows_equal_evaluate_bound(space):
                 expected = [evaluate_bound(spec, space, a, check_hypotheses=gated) for a in family]
             except ApplicabilityError as exc:
                 with pytest.raises(ApplicabilityError, match=re.escape(str(exc))):
-                    verify_envelope(space, spec.p, lambda a: 1.0, spec, family,
+                    verify_envelope(space, lambda a: 1.0, spec, family,
                                     check_hypotheses=gated)
                 continue
-            rep = verify_envelope(space, spec.p, lambda a: 1.0, spec, family,
+            rep = verify_envelope(space, lambda a: 1.0, spec, family,
                                   check_hypotheses=gated)
             assert [row[3] for row in rep.rows] == expected, (bound_id, gated)
 
@@ -272,8 +271,8 @@ def test_underflowing_bound_is_a_domain_error():
     spec = BoundSpec(BoundId.LOWER_P_BASE, 4.0)
     tiny = [AnnulusSpec(1e-100 * (1.0 - 2.0**-j), 1e-100) for j in range(2, 12)]
     with pytest.raises(DomainError, match="float range"):  # R**p underflows
-        verify_envelope(RN2, 4.0, lambda a: 1.0, spec, tiny, check_hypotheses=False)
+        verify_envelope(RN2, lambda a: 1.0, spec, tiny, check_hypotheses=False)
     inv = make_halfline(HalfLineKind.EXP_INV_OVER_X_SQ).space  # mu(B_R) = e^(-1/R) = 0
     near = [AnnulusSpec(1e-3 * (1.0 - 2.0**-j), 1e-3) for j in range(2, 12)]
     with pytest.raises(DomainError, match="is 0"):
-        verify_envelope(inv, 4.0, lambda a: 1.0, spec, near, check_hypotheses=False)
+        verify_envelope(inv, lambda a: 1.0, spec, near, check_hypotheses=False)

@@ -13,7 +13,7 @@ from anncap.capacity import (
     nice_case_estimate,
 )
 from anncap.errors import DomainError, QuadratureError
-from anncap.spaces import AnnulusSpec, BowTie, CenterTag, HalfLine, RadialRn, Snake, SpaceSpec
+from anncap.spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec
 from anncap.weights import BuckleyEta, Constant, HalfLineCatalog, HalfLineKind
 
 RN2 = SpaceSpec(RadialRn(2), Constant())
@@ -105,7 +105,7 @@ def test_snake_path_formula():
 
 
 def test_bowtie_pinch_degenerates_exactly_at_n_plus_alpha():
-    space = SpaceSpec(BowTie(2, 0.5), center=CenterTag.BOWTIE_TIP)
+    space = SpaceSpec(BowTie(2, 0.5))
     assert cap_bowtie_pinch(space, 2.5, 0.25).value == 0.0  # p = n + alpha
     assert cap_bowtie_pinch(space, 2.0, 0.25).value == 0.0  # p < n + alpha
     assert cap_bowtie_pinch(space, 3.0, 0.25).value > 0.0   # p > n + alpha
@@ -131,7 +131,7 @@ def test_cap_auto_dispatch():
     assert res.value == pytest.approx(cap_snake(2.0, 3, 0.5).value)
     with pytest.raises(DomainError):
         cap_auto(snake, 2.0, AnnulusSpec(7.5, 9.0))  # not symmetric about 8
-    bow = SpaceSpec(BowTie(2, 0.5), center=CenterTag.BOWTIE_TIP)
+    bow = SpaceSpec(BowTie(2, 0.5))
     assert cap_auto(bow, 2.5, AnnulusSpec(0.75, 1.0)).value == 0.0
     with pytest.raises(DomainError):
         cap_auto(bow, 2.5, AnnulusSpec(0.75, 1.5))

@@ -2,13 +2,20 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+import anncap
 from anncap.bounds import BoundId
+from anncap.capacity import cap_auto
 from anncap.cli import run
-from anncap.gallery import default_gallery
+from anncap.gallery import default_gallery, make_bowtie, make_buckley, make_rn_unweighted
+from anncap.spaces import AnnulusSpec
 from anncap.weights import HalfLineKind
 
 
@@ -120,6 +127,69 @@ def test_oracle_command(capsys):
                 "--r", "1", "--R", "2", "--cells", "500", "--rel-tol", "0"])
     rep = json.loads(capsys.readouterr().out)
     assert code == (0 if float(rep["relative_error"]) == 0.0 else 1)
+
+
+def _cap_value(capsys, argv):
+    assert run(["cap", *argv]) == 0
+    return float(json.loads(capsys.readouterr().out)["value"])
+
+
+@pytest.mark.parametrize("argv, space", [
+    (["--space", "rn"], make_rn_unweighted(2).space),
+    (["--space", "buckley", "--eta", "0.5"], make_buckley(0.5, 1).space),
+    (["--space", "buckley", "--eta", "0.5", "--n", "2"], make_buckley(0.5, 2).space),
+    (["--space", "bowtie", "--alpha", "0.5"], make_bowtie(0.5, 2).space),
+    (["--space", "bowtie", "--alpha", "0.5", "--n", "3"], make_bowtie(0.5, 3).space),
+])
+def test_n_reaches_the_space_it_names(capsys, argv, space):
+    # an omitted --n gives rn 2, buckley 1 and bow-tie 2; a given one is passed as is
+    p, r, R = ("4", 0.875, 1.0) if "bowtie" in argv else ("2", 0.5, 1.0)
+    value = _cap_value(capsys, argv + ["--p", p, "--r", repr(r), "--R", repr(R)])
+    assert value == cap_auto(space, float(p), AnnulusSpec(r, R)).value
+
+
+def test_n_zero_is_a_usage_error(capsys):
+    for space in (["rn"], ["buckley", "--eta", "0.5"], ["bowtie", "--alpha", "0.5"]):
+        argv = ["cap", "--space", *space, "--n", "0", "--p", "2", "--r", "0.5", "--R", "1"]
+        assert run(argv) == 2, space
+    assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["ad", "--space", "bowtie", "--alpha", "0.5", "--n", "400", "--R", "1"], 2),
+    (["ad", "--space", "bowtie", "--alpha", "-290", "--n", "300", "--R", "1"], 3),
+    (["ad", "--space", "bowtie", "--alpha", "1500", "--R", "1"], 3),
+    (["cap", "--space", "bowtie", "--alpha", "0.5", "--p", "1e300", "--r", "0.75", "--R", "1"], 3),
+    (["cap", "--space", "bowtie", "--alpha", "-1.9", "--p", "1.0000001", "--r", "0.75",
+      "--R", "1"], 3),
+])
+def test_bowtie_past_the_float_range_is_a_typed_error(capsys, argv, code):
+    assert run(argv) == code
+    assert "error" in capsys.readouterr().err
+
+
+def test_ad_fit_of_the_3d_bowtie(capsys):
+    code = run(["ad", "--space", "bowtie", "--alpha", "0.5", "--n", "3", "--R", "1",
+                "--thin", "9"])
+    assert code == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert float(rep["eta_hat"]) == pytest.approx(3.5, abs=0.1)
+
+
+def test_module_entry_point():
+    env = {**os.environ, "PYTHONPATH": str(Path(anncap.__file__).parents[1])}
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "anncap.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = cli("oracle", "--space", "rn", "--n", "2", "--p", "2", "--r", "1", "--R", "2",
+               "--cells", "500")
+    assert done.returncode == 0, done.stderr
+    assert float(json.loads(done.stdout)["relative_error"]) <= 0.01
+    done = cli("cap", "--space", "rn", "--p", "2", "--r", "1", "--R", "2", "--bogus")
+    assert done.returncode == 2
+    assert done.stdout == "" and "--bogus" in done.stderr
 
 
 def test_gallery_list(capsys):

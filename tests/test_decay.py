@@ -138,8 +138,6 @@ def test_check_one_ad_head_blowup():
 def test_check_one_ad_validation():
     with pytest.raises(InputError):
         check_one_ad(RN2, (2.0, 1.0))
-    with pytest.raises(InputError):
-        check_one_ad(RN2, (0.5, 2.0), grid_size=8)
 
 
 def test_reverse_doubling_exact():

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from anncap.errors import InputError
 from anncap.measure import (
     _ball_limit,
     _bowtie_x1_breakpoints,
@@ -17,7 +16,6 @@ from anncap.measure import (
 from anncap.spaces import (
     AnnulusSpec,
     BowTie,
-    CenterTag,
     HalfLine,
     RadialRn,
     Snake,
@@ -89,13 +87,13 @@ def test_snake_ball_jumps():
 
 def test_bowtie_total_area():
     # unweighted planar cone area = int_{-1}^{2} |x1| dx1 = 5/2
-    space = SpaceSpec(BowTie(2, 1e-12), center=CenterTag.BOWTIE_TIP)
+    space = SpaceSpec(BowTie(2, 1e-12))
     assert mu_ball(space, 4.0) == pytest.approx(2.5, rel=1e-6)
 
 
 def test_bowtie_thin_annulus_exponent():
     # mu(B_1 \ B_{1-t}) ~ t^(n + alpha) through the pinch at the origin
-    space = SpaceSpec(BowTie(2, 0.5), center=CenterTag.BOWTIE_TIP)
+    space = SpaceSpec(BowTie(2, 0.5))
     t1, t2 = 2.0**-4, 2.0**-6
     m1 = mu_annulus(space, AnnulusSpec(1.0 - t1, 1.0))
     m2 = mu_annulus(space, AnnulusSpec(1.0 - t2, 1.0))
@@ -123,7 +121,7 @@ def _bowtie_annulus_nested(alpha, r, R, tol=1e-10):
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.5])
 def test_bowtie_2d_matches_nested_quadrature(alpha):
-    space = SpaceSpec(BowTie(2, alpha), center=CenterTag.BOWTIE_TIP)
+    space = SpaceSpec(BowTie(2, alpha))
     for R in (0.3, 0.5, 1.0, 1.5, 2.0, math.sqrt(10.0), 5.0):
         ref = _bowtie_annulus_nested(alpha, 0.0, R)
         assert mu_ball(space, R) == pytest.approx(ref, rel=1e-14, abs=0.0)
@@ -139,7 +137,7 @@ def test_bowtie_3d_whole_cone_closed_form(alpha):
     # the slice at x1 is a disc of radius |x1|/2 with mass
     # 2 pi/(alpha + 2) |x1|^(alpha + 2) ((5/4)^(alpha/2 + 1) - 1), and
     # |x1|^(alpha + 2) integrates over [-1, 2] to (1 + 2^(alpha + 3))/(alpha + 3)
-    space = SpaceSpec(BowTie(3, alpha), center=CenterTag.BOWTIE_TIP)
+    space = SpaceSpec(BowTie(3, alpha))
     exact = (2.0 * math.pi / (alpha + 2.0) * (1.25 ** (alpha / 2.0 + 1.0) - 1.0)
              * (1.0 + 2.0 ** (alpha + 3.0)) / (alpha + 3.0))
     assert mu_ball(space, 4.0) == pytest.approx(exact, rel=1e-10)

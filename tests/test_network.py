@@ -17,9 +17,6 @@ from anncap.network import (
     build_radial_network,
     build_snake_network,
     condenser_bc,
-    network_from_csv,
-    network_to_csv,
-    potential_to_csv,
     solve_p_energy,
 )
 from anncap.spaces import AnnulusSpec, HalfLine, RadialRn, SpaceSpec, surface_area
@@ -566,30 +563,3 @@ def test_p_below_one_rejected():
     net = _series_net([1.0], [1.0])
     with pytest.raises(DomainError):
         solve_p_energy(net, BoundaryCondition(inner=[0], outer=[1]), 0.5)
-
-
-def test_csv_round_trip(tmp_path):
-    net = build_radial_network(RN2, 1.0, 2.0, 32)
-    path = tmp_path / "net.csv"
-    network_to_csv(net, path)
-    back = network_from_csv(path)
-    assert back.num_vertices == net.num_vertices
-    assert np.array_equal(back.edge_i, net.edge_i)
-    assert np.array_equal(back.edge_j, net.edge_j)
-    assert np.array_equal(back.lengths, net.lengths)
-    assert np.array_equal(back.masses, net.masses)
-    bad = tmp_path / "bad.csv"
-    bad.write_text("a,b,c,d\n0,1,1,1\n")
-    with pytest.raises(InputError):
-        network_from_csv(bad)
-
-
-def test_potential_csv(tmp_path):
-    net = _series_net([1.0, 1.0], [1.0, 1.0])
-    rep = solve_p_energy(net, BoundaryCondition(inner=[0], outer=[2]), 2.0)
-    path = tmp_path / "u.csv"
-    potential_to_csv(rep, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "id,u"
-    assert len(lines) == 4
-    assert float(lines[2].split(",")[1]) == pytest.approx(0.5)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -6,7 +7,6 @@ from anncap.errors import InputError
 from anncap.spaces import (
     AnnulusSpec,
     BowTie,
-    CenterTag,
     HalfLine,
     RadialRn,
     Snake,
@@ -14,7 +14,7 @@ from anncap.spaces import (
     TraitSet,
     surface_area,
 )
-from anncap.weights import Constant, PowerAlpha
+from anncap.weights import PowerAlpha
 
 
 def test_surface_area_values():
@@ -32,20 +32,19 @@ def test_geometry_validation():
         BowTie(1, 0.5)
     with pytest.raises(InputError):
         BowTie(2, -2.0)
+    with pytest.raises(InputError, match="overflows"):
+        BowTie(400, 0.5)  # the sphere area of R^399 is past the float range
 
 
 def test_bowtie_center_and_weight_forced():
-    space = SpaceSpec(BowTie(2, 0.5), center=CenterTag.BOWTIE_TIP)
+    # the tip (-1, 0) is the center; the diameter is measured from it
+    space = SpaceSpec(BowTie(2, 0.5))
     assert isinstance(space.weight, PowerAlpha)
     assert space.weight.alpha == 0.5
     assert space.diameter == pytest.approx(math.sqrt(10.0))
-    with pytest.raises(InputError):
-        SpaceSpec(BowTie(2, 0.5))  # tip center is mandatory
 
 
 def test_origin_center_forced_elsewhere():
-    with pytest.raises(InputError):
-        SpaceSpec(RadialRn(2), center=CenterTag.BOWTIE_TIP)
     assert math.isinf(SpaceSpec(RadialRn(2)).diameter)
 
 
@@ -92,4 +91,5 @@ def test_snake_max_radius():
 
 
 def test_halfline_is_frozen_dataclass():
-    assert SpaceSpec(HalfLine()).center is CenterTag.ORIGIN
+    with pytest.raises(FrozenInstanceError):
+        HalfLine().n = 1
