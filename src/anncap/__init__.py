@@ -11,7 +11,6 @@ from .capacity import (
     cap_radial_weighted,
     cap_rn_unweighted,
     cap_snake,
-    nice_case_estimate,
 )
 from .decay import (
     AdFitReport,

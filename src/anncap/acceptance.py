@@ -12,19 +12,12 @@ import math
 import sys
 import time
 
-import numpy as np
-
-from .bounds import BoundId, BoundSpec, blowup_probe, verify_envelope
-from .capacity import (
-    cap_auto,
-    cap_radial_p1,
-    cap_radial_weighted,
-    cap_rn_unweighted,
-    cap_snake,
-    nice_case_estimate,
-)
+from .bounds import blowup_probe
+from .capacity import cap_radial_p1, cap_radial_weighted, cap_rn_unweighted, cap_snake
 from .decay import ad_ratio, ad_ratio_trend, check_one_ad, estimate_ad_exponent, fit_annulus_decay
-from .gallery import default_gallery, make_bowtie, make_buckley, make_halfline, make_snake
+from .gallery import (_ad_bounded, _cap_slope, _nice_envelope, _pinch_probe, _thin_annuli,
+                      _thin_family, default_gallery, make_bowtie, make_buckley, make_halfline,
+                      make_snake)
 from .measure import mu_annulus, mu_ball
 from .network import (build_bowtie_grid, build_radial_network, build_snake_network, condenser_bc,
                       solve_p_energy)
@@ -34,10 +27,6 @@ from .weights import Constant, HalfLineKind
 __all__ = ["CRITERIA", "run_all"]
 
 SOLVE_TIME_LIMIT = 2.0
-
-
-def _fit(xs, ys):
-    return float(np.polyfit(xs, ys, 1)[0])
 
 
 def criterion_1():
@@ -67,18 +56,10 @@ def criterion_2():
     notes = []
     ok = True
     for p in (1.5, 2.0, 3.0):
-        xs, ys, ratio_ys = [], [], []
-        for j in range(2, 13):
-            r = 1.0 - 2.0**-j
-            ann = AnnulusSpec(r, 1.0)
-            cap = cap_rn_unweighted(2, p, ann).value
-            xs.append(math.log(1.0 - r))
-            ys.append(math.log(cap))
-            ratio_ys.append(math.log(cap / nice_case_estimate(space, p, ann)))
-        slope = _fit(xs, ys)
-        ratio_slope = _fit(xs, ratio_ys)
-        ok = ok and abs(slope - (1.0 - p)) <= 0.03 and abs(ratio_slope) <= 0.05
-        notes.append(f"p={p}: slope {slope:.4f} (target {1.0 - p}), ratio trend {ratio_slope:.4f}")
+        rep = _nice_envelope(space, lambda s, q, a: cap_rn_unweighted(2, q, a), p, 12, False)
+        slope = _cap_slope(rep)
+        ok = ok and abs(slope - (1.0 - p)) <= 0.03 and abs(rep.slope) <= 0.05
+        notes.append(f"p={p}: slope {slope:.4f} (target {1.0 - p}), ratio trend {rep.slope:.4f}")
     return ok, "; ".join(notes)
 
 
@@ -90,18 +71,8 @@ def criterion_3():
     p = 2.0
     for eta in (0.3, 0.5, 0.8):
         space = make_buckley(eta).space
-        xs, ys = [], []
-        annuli = []
-        for j in range(2, 13):
-            r = 1.0 - 2.0**-j
-            ann = AnnulusSpec(r, 1.0)
-            annuli.append(ann)
-            xs.append(math.log(1.0 - r))
-            ys.append(math.log(cap_radial_weighted(space, p, ann).value))
-        slope = _fit(xs, ys)
-        spec = BoundSpec(BoundId.TWO_SIDED_NICE, p)
-        rep = verify_envelope(space, lambda a, s=space: cap_radial_weighted(s, p, a).value,
-                              spec, annuli, check_hypotheses=False)
+        rep = _nice_envelope(space, cap_radial_weighted, p, 12, False)
+        slope = _cap_slope(rep)
         ok = ok and abs(slope - (eta - p)) <= 0.05
         ok = ok and rep.verdict == "FAIL" and abs(rep.slope - (eta - 1.0)) <= 0.05
         notes.append(f"eta={eta}: cap slope {slope:.4f} (target {eta - p}), "
@@ -157,8 +128,7 @@ def criterion_6():
     for alpha in (-0.5, 0.5):
         entry = make_bowtie(alpha)
         target = 2.0 + alpha
-        rep = fit_annulus_decay(entry.space, 1.0,
-                                [1.0 - 2.0**-j for j in range(2, 11)])
+        rep = fit_annulus_decay(entry.space, 1.0, _thin_family(1.0, 2, 10))
         ok = ok and abs(rep.eta_hat - target) <= 0.1
         notes.append(f"alpha={alpha}: exponent {rep.eta_hat:.4f} (target {target})")
     p = 2.5
@@ -190,27 +160,18 @@ def criterion_7():
     return ok, f"largest eta_hat {worst:.4f} on {worst_name} (limit 1.05)"
 
 
-def _eta1_bounded(space, annuli):
-    slope, lo, hi = ad_ratio_trend(space, annuli, eta=1.0)
-    # bounded means no divergence as the annuli thin: no negative trend and
-    # a controlled ratio window
-    return slope >= -0.05 and hi <= 1e3 * lo
-
-
 def criterion_8():
     """1-AD characterization: condition (b) matches the direct eta = 1
     boundedness verdict on five spaces; the condition (d) strengthening
     fails exactly where reverse-doubling fails."""
     snake = make_snake()
     cases = {
-        "rn-2": (SpaceSpec(RadialRn(2), Constant()), (0.25, 4.0),
-                 [AnnulusSpec(1.0 - 2.0**-j, 1.0) for j in range(2, 13)]),
-        "buckley-0.5": (make_buckley(0.5).space, (0.25, 4.0),
-                        [AnnulusSpec(1.0 - 2.0**-j, 1.0) for j in range(2, 13)]),
+        "rn-2": (SpaceSpec(RadialRn(2), Constant()), (0.25, 4.0), _thin_annuli(1.0)),
+        "buckley-0.5": (make_buckley(0.5).space, (0.25, 4.0), _thin_annuli(1.0)),
         "min-one-over-x": (make_halfline(HalfLineKind.MIN_ONE_OVER_X).space, (2.0, 100.0),
-                           [AnnulusSpec(64.0 * (1.0 - 2.0**-j), 64.0) for j in range(2, 13)]),
+                           _thin_annuli(64.0)),
         "exp-decay": (make_halfline(HalfLineKind.EXP_DECAY).space, (0.1, 30.0),
-                      [AnnulusSpec(8.0 * (1.0 - 2.0**-j), 8.0) for j in range(2, 13)]),
+                      _thin_annuli(8.0)),
         "snake": (snake.space, (1.5, 64.0), list(snake.none_probe)),
     }
     ok = True
@@ -218,7 +179,7 @@ def criterion_8():
     d_failures = set()
     for name, (space, rho_range, annuli) in cases.items():
         rep = check_one_ad(space, rho_range)
-        bounded = _eta1_bounded(space, annuli)
+        bounded, _ = _ad_bounded(space, annuli, 1.0)
         ok = ok and rep.condition_b == bounded
         if not rep.condition_d:
             d_failures.add(name)
@@ -252,19 +213,12 @@ def criterion_10():
     capacity 0 on the bow-tie at p = n + alpha."""
     space = SpaceSpec(HalfLine(), Constant(),
                       traits=TraitSet(pi_exponents=frozenset({1.0})))
-    deltas = [2.0**-j for j in range(1, 13)]
-    worst = 0.0
-    for d in deltas:
-        cap = cap_radial_weighted(space, 2.0, AnnulusSpec(1.0 - d, 1.0)).value
-        worst = max(worst, abs(cap - 1.0 / d) * d)  # relative to 1/delta
-    rep = blowup_probe(space, 2.0, 1.0, deltas,
+    rep = blowup_probe(space, 2.0, 1.0, [2.0**-j for j in range(1, 13)],
                        lambda a: cap_radial_weighted(space, 2.0, a).value, q=1.0)
-    bow = make_bowtie(0.5)
-    brep = blowup_probe(bow.space, 2.5, 1.0, [2.0**-j for j in range(2, 10)],
-                        lambda a: cap_auto(bow.space, 2.5, a).value, q=1.0,
-                        check_hypotheses=False)
-    ok = (worst <= 1e-8 and rep.verdict == "BLOWUP"
-          and brep.verdict == "NO-BLOWUP" and all(v == 0.0 for v in brep.values))
+    # relative to 1/delta
+    worst = max(abs(cap - 1.0 / d) * d for d, cap in zip(rep.deltas, rep.values))
+    degenerate, brep = _pinch_probe(make_bowtie(0.5).space, 2.5)
+    ok = worst <= 1e-8 and rep.verdict == "BLOWUP" and degenerate
     return ok, (f"half-line |cap - 1/delta| relative error {worst:.2e} (limit 1e-8), {rep.verdict}; "
                 f"bow-tie at p = n + alpha: {brep.verdict}, max capacity {max(brep.values):.3g}")
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decay import _loglog_fit
 from .errors import ApplicabilityError, DomainError, InputError
 from .measure import FamilyMeasures
 from .spaces import AnnulusSpec, SpaceSpec
@@ -187,12 +188,12 @@ class SweepReport:
     passed: bool
     verdict: str
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "R", "cap", "bound", "ratio"])
-            for row in self.rows:
-                writer.writerow([f"{x:.17g}" for x in row])
+    def to_csv(self, stream) -> None:
+        """The rows as CSV with LF line endings, written to a text stream."""
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(["r", "R", "cap", "bound", "ratio"])
+        for row in self.rows:
+            writer.writerow([f"{x:.17g}" for x in row])
 
     def verdict_json(self) -> str:
         return json.dumps({
@@ -230,7 +231,7 @@ def verify_envelope(space: SpaceSpec, cap_fn, spec: BoundSpec, annuli,
     if np.any(ratios <= 0):
         slope = -math.inf  # degenerate capacity along the family
     else:
-        slope = float(np.polyfit(xs, np.log(ratios), 1)[0])
+        slope = _loglog_fit(xs, np.log(ratios))[0]
     lo, hi = float(ratios.min()), float(ratios.max())
     ok = RATIO_WINDOW[0] <= lo and hi <= RATIO_WINDOW[1] and abs(slope) <= TREND_TOL
     if spec.bound_id is BoundId.UPPER_SIMPLE:
@@ -284,7 +285,7 @@ def blowup_probe(space: SpaceSpec, p: float, R: float, deltas, cap_fn,
     blow = increasing and values[0] > 0 and values[-1] / values[0] >= 1e3
     slope = None
     if np.all(arr > 0):
-        slope = float(np.polyfit(np.log(deltas), np.log(arr), 1)[0])
+        slope = _loglog_fit(np.log(deltas), np.log(arr))[0]
     return BlowupReport(tuple(deltas), tuple(values), increasing=increasing, blowup=blow,
                         divergence_slope=slope,
                         verdict="BLOWUP" if blow else "NO-BLOWUP")

@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, special
 
 from .errors import DomainError, InputError, QuadratureError
-from .measure import _quad, _radial_reduction, mu_ball_detailed
+from .measure import _quad, _radial_reduction
 from .spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec, surface_area
 from .weights import Constant
 
@@ -28,7 +28,6 @@ __all__ = [
     "cap_radial_p1",
     "cap_snake",
     "cap_bowtie_pinch",
-    "nice_case_estimate",
     "cap_auto",
 ]
 
@@ -162,14 +161,27 @@ def cap_snake(p: float, k: int, delta: float, geom: Snake = Snake()) -> Capacity
     return CapacityResult(value=value, method=CapacityMethod.PATH_FORMULA)
 
 
+def _lobe_aperture(n: int) -> float:
+    """Solid angle of one lobe of the bow-tie cone in R^n:
+    surface_area(n-1) int_0^a sin^(n-2) t dt, with half-angle a = atan(1/2)."""
+    if n == 2:
+        return 2.0 * math.atan(0.5)
+    # the integral is 1/2 B((n-1)/2, 1/2) I_{sin^2 a}((n-1)/2, 1/2), sin^2 a = 1/5;
+    # a forward recurrence in n would multiply its rounding error about 5x per step
+    k = 0.5 * (n - 1)
+    aperture = surface_area(n - 1) * 0.5 * special.beta(k, 0.5) * special.betainc(k, 0.5, 0.2)
+    if not aperture > 0:
+        raise DomainError(f"the solid angle of the bow-tie cone in R^{n} underflows a float")
+    return float(aperture)
+
+
 def cap_bowtie_pinch(space: SpaceSpec, p: float, delta: float) -> CapacityResult:
     """cap_p(B_{1-delta}, B_1) at the bow-tie tip, by sector reduction
     across the pinch at the origin (comparability constant only).
 
-    The angular factor is the planar aperture 2 atan(1/2) of one cone lobe
-    for every n, not the solid angle of the n-D cone.  For n >= 3 the
-    value is therefore a comparability estimate: its power of delta follows
-    n + alpha, but its constant is the planar one.
+    The angular factor is the solid angle of one cone lobe: the planar
+    aperture 2 atan(1/2) for n = 2, and for n >= 3 the area of the cap of
+    half-angle atan(1/2) on the unit sphere of R^n.
 
     Degenerates to 0 exactly when the sector integral diverges, i.e. when
     p <= n + alpha (for p > 1).
@@ -180,10 +192,9 @@ def cap_bowtie_pinch(space: SpaceSpec, p: float, delta: float) -> CapacityResult
     if not (0 < delta < 0.5):
         raise DomainError(f"need delta in (0, 1/2), got {delta}")
     n, alpha = geom.n, geom.alpha
-    aperture = 2.0 * math.atan(0.5)  # one lobe of the planar cone
     m = n - 1 + alpha
     if p == 1:
-        value = 0.0 if m > 0 else aperture * (2.0 * delta) ** m
+        value = 0.0 if m > 0 else _lobe_aperture(n) * (2.0 * delta) ** m
         return CapacityResult(value=value, method=CapacityMethod.INF_CUT)
     if not (p >= 1):
         raise DomainError(f"capacity needs p >= 1, got {p}")
@@ -192,19 +203,13 @@ def cap_bowtie_pinch(space: SpaceSpec, p: float, delta: float) -> CapacityResult
         return CapacityResult(0.0, CapacityMethod.RADIAL_INTEGRAL)
     try:
         integral = (2.0 * delta) ** (1.0 + e) / (1.0 + e)
-        value = aperture * integral ** (1.0 - p)
+        value = _lobe_aperture(n) * integral ** (1.0 - p)
     except ArithmeticError:  # the sector integral under- or the capacity overflows
+        value = 0.0
+    if value == 0.0:  # p > n + alpha here, so a 0 is an underflow, not the capacity
         raise DomainError(f"bow-tie capacity at delta = {delta}, p = {p} leaves the float "
-                          "range") from None
+                          "range")
     return CapacityResult(value=value, method=CapacityMethod.RADIAL_INTEGRAL)
-
-
-def nice_case_estimate(space: SpaceSpec, p: float, ann: AnnulusSpec) -> float:
-    """(1 - r/R)^{1-p} mu(B_R) / R^p, with constant 1; thin annuli only."""
-    if not ann.is_thin:
-        raise DomainError(f"thin annulus (R/2 <= r) required, got r={ann.r}, R={ann.R}")
-    mu, _ = mu_ball_detailed(space, ann.R)
-    return (1.0 - ann.r / ann.R) ** (1.0 - p) * mu / ann.R**p
 
 
 def cap_auto(space: SpaceSpec, p: float, ann: AnnulusSpec) -> CapacityResult:

@@ -13,14 +13,14 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .bounds import BoundId, BoundSpec, verify_envelope
 from .capacity import cap_auto
 from .decay import check_one_ad, fit_annulus_decay
 from .errors import (AnncapError, ApplicabilityError, ConvergenceError, DomainError,
                      InputError, QuadratureError)
 from .gallery import (
+    _cap_slope,
+    _thin_annuli,
     default_gallery,
     gallery_manifest,
     make_bowtie,
@@ -70,12 +70,14 @@ def _positive_float(text: str) -> float:
     return value
 
 
-# --n when omitted; the other spaces fix their dimension and ignore --n
+# --n when omitted; the other spaces fix their dimension and reject --n
 _DEFAULT_N = {"rn": 2, "buckley": 1, "bowtie": 2}
 
 
 def _space_from_args(ns) -> SpaceSpec:
     kind = ns.space
+    if ns.n is not None and kind not in _DEFAULT_N:
+        raise InputError(f"--n applies to --space {', '.join(_DEFAULT_N)}, not {kind}")
     n = _DEFAULT_N.get(kind) if ns.n is None else ns.n
     if kind == "rn":
         return make_rn_unweighted(n).space
@@ -100,10 +102,6 @@ def _space_from_args(ns) -> SpaceSpec:
     raise InputError(f"unknown space {kind!r}")
 
 
-def _thin_annuli(R: float, count: int):
-    return [AnnulusSpec(R * (1.0 - 2.0**-j), R) for j in range(2, 2 + count)]
-
-
 def _cmd_cap(ns) -> int:
     space = _space_from_args(ns)
     res = cap_auto(space, ns.p, AnnulusSpec(ns.r, ns.R))
@@ -118,21 +116,17 @@ def _cmd_cap(ns) -> int:
 def _cmd_sweep(ns) -> int:
     space = _space_from_args(ns)
     spec = BoundSpec(_BOUND_IDS[ns.bound], ns.p, eta=ns.eta, q=ns.q)
-    annuli = _thin_annuli(ns.R, ns.thin)
     rep = verify_envelope(space, lambda ann: cap_auto(space, ns.p, ann).value, spec,
-                          annuli, check_hypotheses=not ns.no_gating)
+                          _thin_annuli(ns.R, ns.thin + 1), check_hypotheses=not ns.no_gating)
     if any(row[2] <= 0 for row in rep.rows):
         raise DomainError(f"capacity degenerates to 0 at p = {ns.p}; no decay slope to fit")
     if ns.out:
-        rep.to_csv(ns.out)
+        with open(ns.out, "w", newline="") as fh:
+            rep.to_csv(fh)
     else:
-        print("r,R,cap,bound,ratio")
-        for row in rep.rows:
-            print(",".join(f"{x:.17g}" for x in row))
-    xs = [math.log(1.0 - a.r / a.R) for a in annuli]
-    cap_slope = float(np.polyfit(xs, [math.log(row[2]) for row in rep.rows], 1)[0])
+        rep.to_csv(sys.stdout)
     verdict = json.loads(rep.verdict_json())
-    verdict["cap_slope"] = f"{cap_slope:.17g}"
+    verdict["cap_slope"] = f"{_cap_slope(rep):.17g}"
     print(json.dumps(verdict, sort_keys=True), file=sys.stderr)
     return 0 if rep.passed else 1
 
@@ -151,7 +145,7 @@ def _cmd_ad(ns) -> int:
         return 0
     if ns.R is None:
         raise InputError("ad needs --range lo:hi or --R")
-    rep = fit_annulus_decay(space, ns.R, [a.r for a in _thin_annuli(ns.R, ns.thin)])
+    rep = fit_annulus_decay(space, ns.R, [a.r for a in _thin_annuli(ns.R, ns.thin + 1)])
     print(rep.to_json())
     return 0
 

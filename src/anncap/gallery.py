@@ -19,6 +19,7 @@ import numpy as np
 from .bounds import BoundId, BoundSpec, blowup_probe, evaluate_bound, verify_envelope
 from .capacity import cap_auto, cap_radial_weighted
 from .decay import (
+    _loglog_fit,
     ad_ratio_trend,
     check_doubling,
     check_one_ad,
@@ -96,6 +97,10 @@ class ClaimVerdict:
 
 def _thin_family(R, j_lo=2, j_hi=12):
     return tuple(R * (1.0 - 2.0**-j) for j in range(j_lo, j_hi + 1))
+
+
+def _thin_annuli(R, j_hi=12):
+    return [AnnulusSpec(r, R) for r in _thin_family(R, 2, j_hi)]
 
 
 def make_rn_unweighted(n: int = 2) -> GalleryEntry:
@@ -350,20 +355,39 @@ def _check_reverse_doubling(entry: GalleryEntry, measures: FamilyMeasures):
                 f"(claimed {entry.expected.reverse_doubling})")
 
 
-def _fit_cap_slope(space, p, R, js=range(2, 11)):
-    xs, ys = [], []
-    for j in js:
-        r = R * (1.0 - 2.0**-j)
-        cap = cap_radial_weighted(space, p, AnnulusSpec(r, R)).value
-        xs.append(math.log(1.0 - r / R))
-        ys.append(math.log(cap))
-    return float(np.polyfit(xs, ys, 1)[0])
+def _cap_slope(rep):
+    """Fitted slope of log cap against log(1 - r/R) over a sweep's rows."""
+    xs = [math.log(1.0 - r / R) for r, R, *_ in rep.rows]
+    return _loglog_fit(xs, [math.log(row[2]) for row in rep.rows])[0]
+
+
+def _nice_envelope(space, cap, p, j_hi, check_hypotheses):
+    """The two-sided nice-case envelope of cap(space, p, ann) over the annuli
+    (1 - 2^-j, 1), j = 2..j_hi."""
+    return verify_envelope(space, lambda a: cap(space, p, a).value,
+                           BoundSpec(BoundId.TWO_SIDED_NICE, p), _thin_annuli(1.0, j_hi),
+                           check_hypotheses)
+
+
+def _ad_bounded(space, annuli, eta):
+    # (bounded, trend slope) of ad_ratio as the annuli thin; boundedness is
+    # one-sided: a positive slope means the ratio shrinks, consistent with eta-AD
+    slope, lo, hi = ad_ratio_trend(space, annuli, eta)
+    return slope >= -TREND_TOL and hi <= 1e3 * lo, slope
+
+
+def _pinch_probe(space, p):
+    """blowup_probe of cap_auto at the bow-tie tip over delta = 2^-j, j = 2..9;
+    the capacity degenerates iff the verdict is NO-BLOWUP with every value 0."""
+    rep = blowup_probe(space, p, 1.0, [2.0**-j for j in range(2, 10)],
+                       lambda a: cap_auto(space, p, a).value, q=1.0, check_hypotheses=False)
+    return rep.verdict == "NO-BLOWUP" and all(v == 0.0 for v in rep.values), rep
 
 
 def _claim_upper_eta_sharp(entry):
     eta = entry.space.weight.eta
     p = 2.0
-    slope = _fit_cap_slope(entry.space, p, 1.0)
+    slope = _cap_slope(_nice_envelope(entry.space, cap_radial_weighted, p, 10, False))
     ok = abs(slope - (eta - p)) <= TREND_TOL
     return ok, f"capacity slope {slope:.4f} vs claimed eta - p = {eta - p}"
 
@@ -371,19 +395,14 @@ def _claim_upper_eta_sharp(entry):
 def _claim_nice_case_fails(entry):
     eta = entry.space.weight.eta
     p = 2.0
-    spec = BoundSpec(BoundId.TWO_SIDED_NICE, p)
-    annuli = [AnnulusSpec(1.0 - 2.0**-j, 1.0) for j in range(2, 11)]
-    rep = verify_envelope(entry.space, lambda a: cap_radial_weighted(entry.space, p, a).value,
-                          spec, annuli, check_hypotheses=False)
+    rep = _nice_envelope(entry.space, cap_radial_weighted, p, 10, False)
     ok = rep.verdict == "FAIL" and abs(rep.slope - (eta - 1.0)) <= TREND_TOL
     return ok, f"envelope {rep.verdict}, slope {rep.slope:.4f} vs claimed eta - 1 = {eta - 1.0}"
 
 
 def _claim_nice_case_holds(entry):
     p = 2.0
-    spec = BoundSpec(BoundId.TWO_SIDED_NICE, p)
-    annuli = [AnnulusSpec(1.0 - 2.0**-j, 1.0) for j in range(2, 11)]
-    rep = verify_envelope(entry.space, lambda a: cap_auto(entry.space, p, a).value, spec, annuli)
+    rep = _nice_envelope(entry.space, cap_auto, p, 10, True)
     return rep.verdict == "PASS", f"envelope {rep.verdict}, slope {rep.slope:.4f}"
 
 
@@ -392,11 +411,7 @@ def _claim_summed_eta_ad(entry):
     ok_all, notes = True, []
     for q, _ in entry.space.weight.terms:
         R = 1.0 / q
-        annuli = [AnnulusSpec(R * (1.0 - 2.0**-j), R) for j in range(2, 11)]
-        slope, lo, hi = ad_ratio_trend(entry.space, annuli, eta)
-        # boundedness is one-sided: a positive slope means the ratio shrinks
-        # as the annuli thin, which is consistent with eta-AD
-        ok = slope >= -TREND_TOL and hi <= 1e3 * lo
+        ok, slope = _ad_bounded(entry.space, _thin_annuli(R, 10), eta)
         ok_all = ok_all and ok
         notes.append(f"R={R:g}: slope {slope:.3f}")
     return ok_all, "; ".join(notes)
@@ -410,13 +425,8 @@ def _claim_bowtie_measure_exponent(entry):
 
 
 def _claim_bowtie_cap_degenerates(entry):
-    m = entry.space.geometry.n + entry.space.geometry.alpha
-    p = m
-    deltas = [2.0**-j for j in range(2, 10)]
-    rep = blowup_probe(entry.space, p, 1.0, deltas,
-                       lambda a: cap_auto(entry.space, p, a).value, q=1.0,
-                       check_hypotheses=False)
-    ok = rep.verdict == "NO-BLOWUP" and all(v == 0.0 for v in rep.values)
+    p = entry.space.geometry.n + entry.space.geometry.alpha
+    ok, rep = _pinch_probe(entry.space, p)
     return ok, f"probe {rep.verdict}; max capacity {max(rep.values):.3g} at p = {p}"
 
 

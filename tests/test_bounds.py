@@ -126,12 +126,23 @@ def test_verify_envelope_pass_and_csv(tmp_path):
     assert rep.verdict == "PASS"
     assert abs(rep.slope) <= 0.05
     path = tmp_path / "sweep.csv"
-    rep.to_csv(path)
+    with open(path, "w", newline="") as fh:
+        rep.to_csv(fh)
+    assert b"\r" not in path.read_bytes()
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "r,R,cap,bound,ratio"
     assert len(lines) == 10
     verdict = json.loads(rep.verdict_json())
     assert verdict["verdict"] == "PASS" and verdict["rows"] == 9
+
+
+def test_degenerate_abscissa_is_an_input_error():
+    # every annulus the same 1 - r/R: no slope to fit
+    with pytest.raises(InputError, match="degenerate fit"):
+        verify_envelope(RN2, lambda a: cap_auto(RN2, 2.0, a).value,
+                        BoundSpec(BoundId.TWO_SIDED_NICE, 2.0), [AnnulusSpec(0.75, 1.0)] * 8)
+    with pytest.raises(InputError, match="degenerate fit"):
+        blowup_probe(RN2, 2.0, 1.0, [0.25], lambda a: cap_auto(RN2, 2.0, a).value, q=1.0)
 
 
 def test_verify_envelope_detects_counterexample():

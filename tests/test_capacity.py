@@ -10,7 +10,6 @@ from anncap.capacity import (
     cap_radial_weighted,
     cap_rn_unweighted,
     cap_snake,
-    nice_case_estimate,
 )
 from anncap.errors import DomainError, QuadratureError
 from anncap.spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec
@@ -113,12 +112,23 @@ def test_bowtie_pinch_degenerates_exactly_at_n_plus_alpha():
         cap_bowtie_pinch(RN2, 2.0, 0.25)
 
 
-def test_nice_case_estimate_thin_only():
-    ann = AnnulusSpec(0.75, 1.0)
-    val = nice_case_estimate(RN2, 2.0, ann)
-    assert val == pytest.approx(0.25**-1 * math.pi / 1.0, rel=1e-10)
-    with pytest.raises(DomainError):
-        nice_case_estimate(RN2, 2.0, AnnulusSpec(0.3, 1.0))
+def test_bowtie_pinch_aperture_is_the_cone_solid_angle():
+    # at p = 1 and n - 1 + alpha = 0 the capacity is the aperture of one lobe
+    # of {|x'| <= x1/2}: the angle 2 atan(1/2) in 2-D, the spherical cap
+    # 2 pi (1 - cos atan(1/2)) = 2 pi (1 - 2/sqrt 5) in 3-D
+    assert cap_bowtie_pinch(SpaceSpec(BowTie(2, -1.0)), 1.0, 0.125).value == 2.0 * math.atan(0.5)
+    three_d = cap_bowtie_pinch(SpaceSpec(BowTie(3, -2.0)), 1.0, 0.125).value
+    assert three_d == pytest.approx(2.0 * math.pi * (1.0 - 2.0 / math.sqrt(5.0)), rel=1e-14)
+    # the 2-D value keeps its bits
+    assert cap_bowtie_pinch(SpaceSpec(BowTie(2, 0.5)), 4.0, 0.125).value == 0.92729521800161219
+
+
+def test_bowtie_pinch_underflow_is_a_domain_error():
+    # past p = n + alpha the capacity is positive, so an underflow is never a 0
+    with pytest.raises(DomainError, match="solid angle"):  # the cone's, near n = 340
+        cap_bowtie_pinch(SpaceSpec(BowTie(340, 0.5)), 400.0, 0.125)
+    with pytest.raises(DomainError, match="float range"):  # the sector power's
+        cap_bowtie_pinch(SpaceSpec(BowTie(300, 0.5)), 400.0, 0.125)
 
 
 def test_cap_auto_dispatch():

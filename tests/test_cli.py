@@ -155,6 +155,20 @@ def test_n_zero_is_a_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("space, r, R", [
+    (["summed-buckley", "--eta", "0.5"], "0.5", "1"),
+    (["snake"], "7.5", "8.5"),
+    (["halfline", "--kind", "exp-decay"], "0.5", "1"),
+])
+def test_n_is_a_usage_error_where_the_dimension_is_fixed(capsys, space, r, R):
+    argv = ["cap", "--space", *space, "--p", "2", "--r", r, "--R", R]
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert run(argv + ["--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--n" in captured.err
+
+
 @pytest.mark.parametrize("argv, code", [
     (["ad", "--space", "bowtie", "--alpha", "0.5", "--n", "400", "--R", "1"], 2),
     (["ad", "--space", "bowtie", "--alpha", "-290", "--n", "300", "--R", "1"], 3),
@@ -228,6 +242,17 @@ def test_config_supplies_defaults(capsys, tmp_path):
     assert code == 0
     capsys.readouterr()
     assert len(out_csv.read_text().splitlines()) == 9  # header + 8 rows
+
+
+def test_sweep_out_file_equals_stdout(capsys, tmp_path):
+    argv = ["sweep", "--space", "buckley", "--eta", "0.5", "--p", "2", "--R", "1",
+            "--no-gating"]
+    assert run(argv) == 1
+    stdout = capsys.readouterr().out
+    out_csv = tmp_path / "s.csv"
+    assert run(argv + ["--out", str(out_csv)]) == 1
+    assert capsys.readouterr().out == ""
+    assert out_csv.read_bytes() == stdout.encode()
 
 
 def test_sweep_degenerate_capacity_is_numeric_error(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import collections
 import json
+import pathlib
 
 import pytest
 
@@ -87,10 +88,15 @@ def test_snake_entry_all_pass():
 
 
 def test_full_gallery_no_failures():
+    lines = []
     for entry in default_gallery():
         verdicts = verify_expectations(entry)
         bad = [v for v in verdicts if v.status == "FAIL"]
         assert not bad, (entry.name, bad)
+        lines += [f"{entry.name} / {v.claim}: {v.status} - {v.evidence}" for v in verdicts]
+    # the lines `anncap gallery verify` prints, byte for byte as recorded
+    golden = pathlib.Path(__file__).parent / "golden" / "gallery_verify.txt"
+    assert lines == golden.read_text(encoding="utf-8").splitlines()
 
 
 def test_reverse_doubling_reuses_the_doubling_volumes(monkeypatch):
