@@ -121,7 +121,11 @@ def _cmd_sweep(ns) -> int:
     if any(row[2] <= 0 for row in rep.rows):
         raise DomainError(f"capacity degenerates to 0 at p = {ns.p}; no decay slope to fit")
     if ns.out:
-        with open(ns.out, "w", newline="") as fh:
+        try:
+            fh = open(ns.out, "w", newline="")
+        except OSError as exc:
+            raise InputError(f"cannot open --out {ns.out!r}: {exc.strerror}") from None
+        with fh:
             rep.to_csv(fh)
     else:
         rep.to_csv(sys.stdout)

@@ -9,6 +9,7 @@ with evidence, or SKIPPED when the compute budget runs out.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -319,9 +320,31 @@ def default_gallery() -> tuple[GalleryEntry, ...]:
 # ---------------------------------------------------------------------------
 # claim runners
 
-def _check_ad_exponent(entry: GalleryEntry):
+class _Probes:
+    """The probe results that more than one check of an entry reads, for one
+    verify_expectations call: each is computed by the first check that asks
+    for it, so a check skipped by the budget leaves it to the next."""
+
+    def __init__(self, entry: GalleryEntry):
+        self.entry = entry
+        # ball volumes of the doubling probes, which both use check_radii
+        # and their doubles
+        self.balls = FamilyMeasures(entry.space)
+
+    @functools.cached_property
+    def buckley_envelope(self):
+        """The nice-case envelope of cap_radial_weighted at p = 2."""
+        return _nice_envelope(self.entry.space, cap_radial_weighted, 2.0, 10, False)
+
+    @functools.cached_property
+    def none_trend(self):
+        """ad_ratio_trend at eta = 0.1 over the none_probe annuli."""
+        return ad_ratio_trend(self.entry.space, self.entry.none_probe, eta=0.1)
+
+
+def _check_ad_exponent(entry: GalleryEntry, probes: _Probes):
     if entry.expected.ad_eta is None:
-        slope, lo, hi = ad_ratio_trend(entry.space, entry.none_probe, eta=0.1)
+        slope, lo, hi = probes.none_trend
         ok = slope <= -TREND_TOL
         return ok, f"ad_ratio(eta=0.1) trend slope {slope:.3f}; ratio window [{lo:.3g}, {hi:.3g}]"
     rep = estimate_ad_exponent(entry.space, entry.ad_families)
@@ -329,27 +352,27 @@ def _check_ad_exponent(entry: GalleryEntry):
     return ok, f"eta_hat {rep.eta_hat:.4f} vs claimed {entry.expected.ad_eta} (residual {rep.residual:.3g})"
 
 
-def _check_one_ad(entry: GalleryEntry):
+def _check_one_ad(entry: GalleryEntry, probes: _Probes):
     rep = check_one_ad(entry.space, entry.one_ad_range)
     ok = rep.condition_b == entry.expected.one_ad
     return ok, (f"condition_b {rep.condition_b} (claimed {entry.expected.one_ad}); "
                 f"jump {rep.jump_detected}, sup trend {rep.sup_trend_slope:.3f}")
 
 
-def _check_doubling(entry: GalleryEntry, measures: FamilyMeasures):
-    worst, bounded = check_doubling(entry.space, entry.check_radii, measures=measures)
+def _check_doubling(entry: GalleryEntry, probes: _Probes):
+    worst, bounded = check_doubling(entry.space, entry.check_radii, measures=probes.balls)
     ok = bounded == entry.expected.doubling
     return ok, f"max doubling ratio {worst:.4g}; bounded {bounded} (claimed {entry.expected.doubling})"
 
 
-def _check_reverse_doubling(entry: GalleryEntry, measures: FamilyMeasures):
+def _check_reverse_doubling(entry: GalleryEntry, probes: _Probes):
     tau = 2.0
     if entry.space.traits.reverse_doubling is not None:
         tau = entry.space.traits.reverse_doubling[0]
     radii = entry.check_radii
     if not math.isinf(entry.space.diameter):
         radii = tuple(r for r in radii if tau * r <= entry.space.diameter)
-    rep = check_reverse_doubling(entry.space, tau, radii, measures=measures)
+    rep = check_reverse_doubling(entry.space, tau, radii, measures=probes.balls)
     ok = rep.uniform == entry.expected.reverse_doubling
     return ok, (f"min ratio {rep.min_ratio:.4g} at r={rep.worst_r:.4g}; uniform {rep.uniform} "
                 f"(claimed {entry.expected.reverse_doubling})")
@@ -384,29 +407,28 @@ def _pinch_probe(space, p):
     return rep.verdict == "NO-BLOWUP" and all(v == 0.0 for v in rep.values), rep
 
 
-def _claim_upper_eta_sharp(entry):
+def _claim_upper_eta_sharp(entry, probes):
     eta = entry.space.weight.eta
     p = 2.0
-    slope = _cap_slope(_nice_envelope(entry.space, cap_radial_weighted, p, 10, False))
+    slope = _cap_slope(probes.buckley_envelope)
     ok = abs(slope - (eta - p)) <= TREND_TOL
     return ok, f"capacity slope {slope:.4f} vs claimed eta - p = {eta - p}"
 
 
-def _claim_nice_case_fails(entry):
+def _claim_nice_case_fails(entry, probes):
     eta = entry.space.weight.eta
-    p = 2.0
-    rep = _nice_envelope(entry.space, cap_radial_weighted, p, 10, False)
+    rep = probes.buckley_envelope
     ok = rep.verdict == "FAIL" and abs(rep.slope - (eta - 1.0)) <= TREND_TOL
     return ok, f"envelope {rep.verdict}, slope {rep.slope:.4f} vs claimed eta - 1 = {eta - 1.0}"
 
 
-def _claim_nice_case_holds(entry):
+def _claim_nice_case_holds(entry, probes):
     p = 2.0
     rep = _nice_envelope(entry.space, cap_auto, p, 10, True)
     return rep.verdict == "PASS", f"envelope {rep.verdict}, slope {rep.slope:.4f}"
 
 
-def _claim_summed_eta_ad(entry):
+def _claim_summed_eta_ad(entry, probes):
     eta = entry.space.weight.eta
     ok_all, notes = True, []
     for q, _ in entry.space.weight.terms:
@@ -417,26 +439,26 @@ def _claim_summed_eta_ad(entry):
     return ok_all, "; ".join(notes)
 
 
-def _claim_bowtie_measure_exponent(entry):
+def _claim_bowtie_measure_exponent(entry, probes):
     m = entry.space.geometry.n + entry.space.geometry.alpha
     rep = fit_annulus_decay(entry.space, 1.0, _thin_family(1.0, 2, 10))
     ok = abs(rep.eta_hat - m) <= AD_FIT_TOL
     return ok, f"raw exponent fit {rep.eta_hat:.4f} vs n + alpha = {m}"
 
 
-def _claim_bowtie_cap_degenerates(entry):
+def _claim_bowtie_cap_degenerates(entry, probes):
     p = entry.space.geometry.n + entry.space.geometry.alpha
     ok, rep = _pinch_probe(entry.space, p)
     return ok, f"probe {rep.verdict}; max capacity {max(rep.values):.3g} at p = {p}"
 
 
-def _claim_snake_no_ad(entry):
-    slope, lo, hi = ad_ratio_trend(entry.space, entry.none_probe, eta=0.1)
+def _claim_snake_no_ad(entry, probes):
+    slope, lo, hi = probes.none_trend
     ok = slope <= -TREND_TOL and hi > lo
     return ok, f"ad_ratio(eta=0.1) slope {slope:.3f}; grows {hi / lo:.3g}x over the probe"
 
 
-def _claim_snake_lower_base(entry):
+def _claim_snake_lower_base(entry, probes):
     p = 2.0
     k = 6
     spec = BoundSpec(BoundId.LOWER_P_BASE, p)
@@ -445,7 +467,7 @@ def _claim_snake_lower_base(entry):
     return rep.verdict == "PASS", f"envelope {rep.verdict}, ratios [{rep.min_ratio:.3g}, {rep.max_ratio:.3g}]"
 
 
-def _claim_snake_corkscrew_gate(entry):
+def _claim_snake_corkscrew_gate(entry, probes):
     spec = BoundSpec(BoundId.TWO_SIDED_ANNULAR, 2.0)
     ann = AnnulusSpec(31.0, 33.0)
     try:
@@ -456,7 +478,7 @@ def _claim_snake_corkscrew_gate(entry):
     return False, "bound evaluated despite the failed corkscrew hypothesis"
 
 
-def _claim_measure_lower_q_fails(entry):
+def _claim_measure_lower_q_fails(entry, probes):
     spec = BoundSpec(BoundId.MEASURE_LOWER_Q, p=2.0, q=1.0)
     ratios = []
     for R in (16.0, 256.0, 4096.0):
@@ -474,13 +496,13 @@ def _claim_measure_lower_q_fails(entry):
     return ok, f"mu(ann)/bound along R: {', '.join(f'{x:.4g}' for x in ratios)} (decreasing to 0)"
 
 
-def _claim_condition_d_fails(entry):
+def _claim_condition_d_fails(entry, probes):
     rep = check_one_ad(entry.space, entry.one_ad_range)
     ok = rep.condition_b and not rep.condition_d
     return ok, f"condition_b {rep.condition_b}, condition_d {rep.condition_d}, tail slope {rep.tail_slope:.3f}"
 
 
-def _claim_doubling_fails(entry):
+def _claim_doubling_fails(entry, probes):
     ratios = [mu_ball(entry.space, 0.75 * R) / mu_ball(entry.space, R)
               for R in (0.4, 0.2, 0.1, 0.05)]
     ok = all(b < a for a, b in zip(ratios, ratios[1:])) and ratios[-1] < 1e-2
@@ -510,13 +532,11 @@ def verify_expectations(entry: GalleryEntry, budget: float | None = None) -> lis
     reported SKIPPED, never silently passed.
     """
     start = time.perf_counter()
-    # ball volumes of the doubling probes, filled by the first probe that
-    # runs and read by the other: both use check_radii and their doubles
-    balls = FamilyMeasures(entry.space)
+    probes = _Probes(entry)
     checks: list[tuple[str, object]] = [
         ("ad-exponent", _check_ad_exponent),
-        ("doubling", lambda e: _check_doubling(e, balls)),
-        ("reverse-doubling", lambda e: _check_reverse_doubling(e, balls)),
+        ("doubling", _check_doubling),
+        ("reverse-doubling", _check_reverse_doubling),
     ]
     if entry.one_ad_range is not None:
         checks.append(("one-ad", _check_one_ad))
@@ -529,7 +549,7 @@ def verify_expectations(entry: GalleryEntry, budget: float | None = None) -> lis
         if budget is not None and time.perf_counter() - start > budget:
             verdicts.append(ClaimVerdict(claim, "SKIPPED", "compute budget exhausted"))
             continue
-        ok, evidence = runner(entry)
+        ok, evidence = runner(entry, probes)
         verdicts.append(ClaimVerdict(claim, "PASS" if ok else "FAIL", evidence))
     return verdicts
 

@@ -4,6 +4,12 @@ A weight is one of a closed catalog of analytic families plus tabulated
 data.  Every weight evaluates to a strictly positive value for rho > 0 and
 knows where its integrable power singularities sit, so that quadrature can
 be split there.
+
+``evaluate`` takes a float or an array.  Adaptive quadrature calls it once
+per node with a Python float, so the hot catalog weights answer a float
+with scalar arithmetic and return a float: the bits the array code gives
+on a 0-d array, without its set-up cost.  The path is chosen by exact type:
+numpy scalars and 0-d arrays take the array code.
 """
 
 from __future__ import annotations
@@ -41,6 +47,8 @@ class Constant:
             raise InputError(f"Constant weight needs c > 0, got {self.c}")
 
     def evaluate(self, rho):
+        if type(rho) is float:
+            return float(self.c)
         return np.full_like(np.asarray(rho, dtype=float), self.c)
 
     def singularities(self):
@@ -65,6 +73,16 @@ class PowerAlpha:
         return (0.0,) if self.alpha < 0 else ()
 
 
+def _buckley_term(d: float, expo: float) -> float:
+    """max{1, |d|^expo} for expo < 0 on floats, with the bits of the array
+    code: the float ** is libm pow, as numpy's scalar ** is; |d| = 0 is the
+    pole, where float ** would raise; max(x, 1.0) keeps a NaN x."""
+    d = abs(d)
+    if d == 0.0:
+        return math.inf
+    return max(d**expo, 1.0)
+
+
 @dataclass(frozen=True)
 class BuckleyEta:
     """w(rho) = max{1, |rho - 1|^(eta-1)} with eta in (0, 1).
@@ -79,6 +97,8 @@ class BuckleyEta:
             raise InputError(f"BuckleyEta needs eta in (0,1), got {self.eta}")
 
     def evaluate(self, rho):
+        if type(rho) is float:
+            return _buckley_term(rho - 1.0, self.eta - 1.0)
         rho = np.asarray(rho, dtype=float)
         with np.errstate(divide="ignore"):
             sing = np.abs(rho - 1.0) ** (self.eta - 1.0)
@@ -111,6 +131,11 @@ class SummedBuckley:
         object.__setattr__(self, "terms", tuple((float(q), float(a)) for q, a in self.terms))
 
     def evaluate(self, rho):
+        if type(rho) is float:
+            total = 0.0
+            for q, a in self.terms:
+                total = total + a * _buckley_term(q * rho - 1.0, self.eta - 1.0)
+            return total
         rho = np.asarray(rho, dtype=float)
         total = np.zeros_like(rho)
         with np.errstate(divide="ignore"):
@@ -143,6 +168,8 @@ class HalfLineCatalog:
     kind: HalfLineKind
 
     def evaluate(self, rho):
+        if type(rho) is float:
+            return self._evaluate_float(rho)
         rho = np.asarray(rho, dtype=float)
         if self.kind is HalfLineKind.MIN_ONE_OVER_X:
             with np.errstate(divide="ignore"):
@@ -152,6 +179,21 @@ class HalfLineCatalog:
         with np.errstate(divide="ignore"):
             small = np.exp(-1.0 / np.where(rho > 0, rho, np.inf)) / np.where(rho > 0, rho, np.inf) ** 2
         return np.where(rho <= 0.5, small, 4.0 * math.exp(-2.0))
+
+    def _evaluate_float(self, rho: float) -> float:
+        # the branches of the array code, NaN and rho <= 0 included; np.exp
+        # stays because math.exp rounds differently on some points
+        if self.kind is HalfLineKind.MIN_ONE_OVER_X:
+            return 1.0 / rho if rho > 1.0 else 1.0
+        if self.kind is HalfLineKind.EXP_DECAY:
+            return float(np.exp(-rho))
+        if not rho <= 0.5:
+            return 4.0 * math.exp(-2.0)
+        if rho <= 0.0:
+            return 0.0
+        # rho * rho, as numpy squares an array; a numpy scalar divides, so
+        # 0/0 past underflow is nan as in the array code
+        return float(np.exp(-1.0 / rho) / (rho * rho))
 
     def singularities(self):
         # Kink locations, not blow-ups; still worth splitting quadrature at.
@@ -174,6 +216,8 @@ class Tabulated:
         values = tuple(float(v) for v in self.values)
         if len(grid) < 2 or len(grid) != len(values):
             raise InputError("Tabulated weight needs >= 2 grid points and matching values")
+        if not all(math.isfinite(x) for x in grid + values):
+            raise InputError("Tabulated grid points and values must be finite")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise InputError("Tabulated grid must be strictly increasing")
         if any(v <= 0 for v in values):
@@ -202,6 +246,11 @@ def load_tabulated_csv(path) -> Tabulated:
         for row in reader:
             if not row:
                 continue
-            grid.append(float(row[0]))
-            values.append(float(row[1]))
+            try:
+                rho, w = float(row[0]), float(row[1])
+            except (IndexError, ValueError):
+                raise InputError(f"{path}: row {reader.line_num}: expected 'rho,w' numbers, "
+                                 f"got {row!r}") from None
+            grid.append(rho)
+            values.append(w)
     return Tabulated(grid=tuple(grid), values=tuple(values))

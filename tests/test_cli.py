@@ -110,6 +110,7 @@ def test_ad_needs_range_or_R(capsys):
     ["gallery", "verify", "--name", "rn-unweighted-2", "--budget", "inf"],
     ["gallery", "verify", "--name", "rn-unweighted-2", "--budget", "0"],
     ["gallery", "verify", "--name", "rn-unweighted-2", "--budget", "-1"],
+    ["sweep", "--space", "rn", "--p", "2", "--R", "1", "--out", "no-such-dir/s.csv"],
 ])
 def test_malformed_or_non_finite_numbers_are_usage_errors(capsys, argv):
     assert run(argv) == 2
@@ -263,6 +264,15 @@ def test_sweep_degenerate_capacity_is_numeric_error(capsys, tmp_path):
     assert code == 3
     assert "capacity degenerates to 0" in capsys.readouterr().err
     assert not out_csv.exists()
+    # the sweep's error comes before --out is opened; past it, an --out
+    # that cannot be opened is a usage error naming the path
+    bad_out = str(tmp_path / "no-such-dir" / "s.csv")
+    code = run(["sweep", "--space", "bowtie", "--alpha", "0.5", "--p", "2", "--R", "1",
+                "--no-gating", "--out", bad_out])
+    assert code == 3
+    assert "capacity degenerates to 0" in capsys.readouterr().err
+    assert run(["sweep", "--space", "rn", "--p", "2", "--R", "1", "--out", bad_out]) == 2
+    assert bad_out in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

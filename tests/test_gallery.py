@@ -4,12 +4,13 @@ import pathlib
 
 import pytest
 
-from anncap import measure
+from anncap import gallery, measure
 from anncap.gallery import (
     UNRESOLVED_CONFIGURATIONS,
     default_gallery,
     gallery_manifest,
     make_bowtie,
+    make_buckley,
     make_halfline,
     make_rn_unweighted,
     make_snake,
@@ -113,3 +114,24 @@ def test_reverse_doubling_reuses_the_doubling_volumes(monkeypatch):
     verdicts = verify_expectations(entry)
     assert {v.claim for v in verdicts} >= {"doubling", "reverse-doubling"}
     assert {R: n for R, n in calls.items() if R in probed} == dict.fromkeys(probed, 1)
+
+
+def test_claims_share_the_envelope_and_the_trend_they_both_read(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name):
+        original = getattr(gallery, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(gallery, name, wrapper)
+
+    counted("cap_radial_weighted")
+    counted("ad_ratio_trend")
+    # upper-eta-sharp and nice-case-fails read one envelope over 9 annuli
+    verify_expectations(make_buckley(0.5))
+    assert calls["cap_radial_weighted"] == 9
+    # ad-exponent and no-ad read one ad_ratio trend over the none-probe
+    verify_expectations(make_snake())
+    assert calls["ad_ratio_trend"] == 1

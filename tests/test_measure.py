@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from anncap.capacity import cap_radial_weighted
+from anncap.gallery import DEFAULT_SUMMED_TERMS
 from anncap.measure import (
     _ball_limit,
     _bowtie_x1_breakpoints,
     _quad,
+    _radial_reduction,
     mu_annulus,
     mu_annulus_detailed,
     mu_ball,
@@ -22,7 +25,14 @@ from anncap.spaces import (
     SpaceSpec,
     surface_area,
 )
-from anncap.weights import BuckleyEta, Constant, HalfLineCatalog, HalfLineKind, PowerAlpha
+from anncap.weights import (
+    BuckleyEta,
+    Constant,
+    HalfLineCatalog,
+    HalfLineKind,
+    PowerAlpha,
+    SummedBuckley,
+)
 
 RN2 = SpaceSpec(RadialRn(2), Constant())
 RN3 = SpaceSpec(RadialRn(3), Constant())
@@ -180,6 +190,30 @@ def test_radial_measure_is_bit_identical_to_replaced_routines():
             assert mu_ball_detailed(space, R) == _replaced_radial_routine(space, 0.0, R)
             assert mu_annulus_detailed(space, AnnulusSpec(r, R)) == \
                 _replaced_radial_routine(space, r, R)
+
+
+@pytest.mark.parametrize("space", [
+    SpaceSpec(RadialRn(1), SummedBuckley(0.5, DEFAULT_SUMMED_TERMS)),
+    SpaceSpec(HalfLine(), HalfLineCatalog(HalfLineKind.EXP_INV_OVER_X_SQ)),
+], ids=["summed-buckley", "exp-inv-over-x-sq"])
+def test_float_path_quadrature_is_bit_identical_to_the_array_path(space):
+    # quadrature nodes are Python floats and take the weights' float path; a
+    # 0-d array takes the array code, so every node, every adaptive step and
+    # every result must be the same
+    w, m, const = _radial_reduction(space)
+    p = 2.5
+    expo = 1.0 / (1.0 - p)
+
+    def density(rho):
+        return float(w.evaluate(np.asarray(rho))) * rho**m
+
+    for r, R in ((0.1, 0.45), (0.3, 0.9), (0.25, 2.0), (0.45, 4.0)):
+        val, err = _quad(density, 0.0, R, points=w.singularities())
+        assert mu_ball_detailed(space, R) == (const * val, const * err)
+        val, err = _quad(lambda rho: density(rho) ** expo, r, R, points=w.singularities())
+        res = cap_radial_weighted(space, p, AnnulusSpec(r, R))
+        assert (res.value, res.quadrature_error) == (
+            const * val ** (1.0 - p), const * abs(1.0 - p) * val ** (-p) * err)
 
 
 def test_volume_profile_with_grid_points_on_singularities():

@@ -70,6 +70,54 @@ def test_volume_profile_matches_per_point_mu_ball(space, lo, ratio, on_singulari
     assert np.max(np.abs(volume_profile(space, rho) - ref) / ref) <= 1e-10
 
 
+# Every catalog weight.  PowerAlpha and Tabulated have no float path; they
+# are here so that one added later meets the same rule.
+CATALOG_WEIGHTS = [
+    Constant(1.5), PowerAlpha(0.7), PowerAlpha(-0.5), BuckleyEta(0.3), BuckleyEta(0.5),
+    SummedBuckley(0.5, DEFAULT_SUMMED_TERMS), SummedBuckley(0.2, ((3.0, 0.7), (0.3, 2.0))),
+    Tabulated((0.5, 1.0, 2.0), (1.0, 3.0, 2.0)),
+] + [HalfLineCatalog(k) for k in HalfLineKind]
+# 0.21336057186512053 is a point where numpy's scalar x ** 2 and x * x round
+# differently (about 1 point in 1000 does so)
+SPECIAL_POINTS = (0.0, -0.0, -1.0, -2.5, 1e-300, 5e-324, 1e300, math.inf, -math.inf, math.nan,
+                  0.21336057186512053)
+
+
+def _edge_points(w):
+    """The special values, and the weight's singularities (the poles
+    evaluate to inf) with their float neighbours."""
+    return SPECIAL_POINTS + tuple(
+        x for s in w.singularities()
+        for x in (math.nextafter(s, -math.inf), s, math.nextafter(s, math.inf)))
+
+
+def _assert_float_path_has_the_array_paths_bits(w, x):
+    # The reference is a 0-d array, what quadrature nodes reached the array
+    # code as.  A 1-element array is no reference: numpy raises arrays to a
+    # power with its SIMD pow and numpy scalars with libm's, so Buckley
+    # weights differ between the two in the last bit on some points.
+    with np.errstate(all="ignore"):
+        a, b = float(w.evaluate(x)), float(w.evaluate(np.asarray(x)))
+    assert (math.isnan(a) and math.isnan(b)) or (
+        a == b and math.copysign(1.0, a) == math.copysign(1.0, b)), (w, x, a, b)
+
+
+@settings(deadline=None, max_examples=400)
+@given(wx=st.sampled_from(CATALOG_WEIGHTS).flatmap(lambda w: st.tuples(st.just(w), st.one_of(
+    st.floats(min_value=0.0, max_value=10.0),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.sampled_from(_edge_points(w))))))
+def test_float_path_has_the_array_paths_bits(wx):
+    _assert_float_path_has_the_array_paths_bits(*wx)
+
+
+def test_float_path_has_the_array_paths_bits_at_every_edge_point():
+    # the draws above reach a given edge point only now and then
+    for w in CATALOG_WEIGHTS:
+        for x in _edge_points(w):
+            _assert_float_path_has_the_array_paths_bits(w, x)
+
+
 @settings(deadline=None, max_examples=60)
 @given(space=st.sampled_from(PROFILE_SPACES),
        lo=st.floats(min_value=0.05, max_value=4.0),

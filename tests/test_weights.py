@@ -44,6 +44,19 @@ def test_buckley_exact_form():
     assert w.singularities() == (1.0, 2.0)
 
 
+def test_float_path_is_chosen_by_exact_type():
+    weights = [Constant(2.0), BuckleyEta(0.5), SummedBuckley(0.5, ((1.0, 1.0), (2.0, 0.5)))]
+    weights += [HalfLineCatalog(k) for k in HalfLineKind]
+    for w in weights:
+        assert type(w.evaluate(0.75)) is float
+        # numpy scalars and 0-d arrays take the array code
+        assert type(w.evaluate(np.float64(0.75))) is not float
+        assert type(w.evaluate(np.asarray(0.75))) is not float
+    # a pole is inf on floats as on arrays, where float ** would raise
+    assert BuckleyEta(0.5).evaluate(1.0) == math.inf
+    assert SummedBuckley(0.5, ((1.0, 1.0), (2.0, 0.5))).evaluate(0.5) == math.inf
+
+
 def test_buckley_eta_range():
     for bad in (0.0, 1.0, 1.5, -0.2):
         with pytest.raises(InputError):
@@ -88,6 +101,13 @@ def test_tabulated_interpolation():
         Tabulated(grid=(2.0, 1.0), values=(1.0, 1.0))
     with pytest.raises(InputError):
         Tabulated(grid=(1.0, 2.0), values=(1.0, 0.0))
+    # NaN passes both comparisons above; inf is no grid point or value either
+    for grid, values in [((0.0, math.nan, 2.0), (1.0, 2.0, 3.0)),
+                         ((0.0, 1.0, 2.0), (1.0, math.nan, 3.0)),
+                         ((0.0, 1.0, math.inf), (1.0, 2.0, 3.0)),
+                         ((0.0, 1.0, 2.0), (1.0, 2.0, math.inf))]:
+        with pytest.raises(InputError, match="finite"):
+            Tabulated(grid=grid, values=values)
 
 
 def test_load_tabulated_csv(tmp_path):
@@ -98,4 +118,11 @@ def test_load_tabulated_csv(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("x,y\n1,2\n")
     with pytest.raises(InputError):
+        load_tabulated_csv(bad)
+    for body in ("1.0,2.0\nx,1\n", "1.0,2.0\n3.0\n"):
+        bad.write_text("rho,w\n" + body)
+        with pytest.raises(InputError, match="bad.csv: row 3"):
+            load_tabulated_csv(bad)
+    bad.write_text("rho,w\n1.0,2.0\n2.0,nan\n")
+    with pytest.raises(InputError, match="finite"):
         load_tabulated_csv(bad)
