@@ -132,6 +132,9 @@ def cap_radial_p1(space: SpaceSpec, ann: AnnulusSpec) -> CapacityResult:
             ts = np.concatenate([ts, np.linspace(max(ann.r, s - 8 * h), min(ann.R, s + 8 * h), 257)])
     ts = np.unique(ts)
     costs = const * ts**m * w.evaluate(ts)
+    # an infinite cost at a pole is a legal cut; a NaN one would win argmin
+    if np.isnan(costs).any():
+        raise DomainError(f"p = 1 cut cost is NaN on [{ann.r}, {ann.R}]")
     i = int(np.argmin(costs))
     lo = ts[max(0, i - 1)]
     hi = ts[min(len(ts) - 1, i + 1)]

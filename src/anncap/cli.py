@@ -9,6 +9,7 @@ so identical configurations produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -275,13 +276,18 @@ def _config_default(action, key, value):
     return value
 
 
-def _apply_config(parser, argv):
+_shared_parser = functools.cache(_build_parser)
+
+
+def _parser_for(argv):
+    """The shared parser, or, for a --config call, a parser of its own whose
+    defaults are the file's values, so the shared one is never mutated."""
     # peek at --config so file values become defaults, CLI flags still win
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
     if not known.config:
-        return
+        return _shared_parser()
     try:
         with open(known.config) as fh:
             cfg = json.load(fh)
@@ -289,6 +295,7 @@ def _apply_config(parser, argv):
         raise InputError(f"cannot read --config {known.config!r}: {exc}") from None
     if not isinstance(cfg, dict):
         raise InputError("--config must contain a JSON object")
+    parser = _build_parser()
     parsers = [parser] + [sp for group in parser._subparsers._group_actions
                           for sp in group.choices.values()]
     actions = {a.dest: a for p in parsers for a in p._actions}
@@ -298,14 +305,13 @@ def _apply_config(parser, argv):
     cfg = {k: _config_default(actions[k], k, v) for k, v in cfg.items()}
     for p in parsers:
         p.set_defaults(**{k: v for k, v in cfg.items() if any(a.dest == k for a in p._actions)})
+    return parser
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        _apply_config(parser, argv)
-        ns = parser.parse_args(argv)
+        ns = _parser_for(argv).parse_args(argv)
         return _COMMANDS[ns.command](ns)
     except SystemExit as exc:  # argparse has printed the usage error (2) or --help (0)
         return exc.code

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import DomainError, InputError
 from .measure import FamilyMeasures, mu_annulus, mu_ball, volume_profile
@@ -129,6 +128,20 @@ def _loglog_fit(x, y):
     return float(slope), float(intercept), resid
 
 
+def _theil_sen_slope(x, y) -> float:
+    """Median of the pairwise slopes over pairs with distinct x (Theil 1950,
+    Sen 1968), by the steps of scipy.stats.theilslopes, so with its bits."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    dx = x[:, None] - x
+    rising = dx > 0
+    if not rising.any():
+        raise InputError("degenerate Theil-Sen fit: all abscissae are equal")
+    slopes = (y[:, None] - y)[rising] / dx[rising]
+    slopes.sort()
+    return float(np.median(slopes))
+
+
 def fit_annulus_decay(space: SpaceSpec, R: float, r_values) -> AdFitReport:
     """Least-squares fit of log(mu(ann)/mu(B_R)) against log(1 - r/R)
     for a fixed-R family; the slope estimates the decay exponent."""
@@ -230,15 +243,13 @@ def check_one_ad(space: SpaceSpec, rho_range: tuple[float, float]) -> OneAdRepor
     # Theil-Sen on the top quarter of the range: robust to the isolated
     # spikes a singularity or jump leaves in the difference quotients
     upper = slice(3 * len(mid_rho) // 4, None)
-    tail_slope = float(stats.theilslopes(
-        np.log(np.maximum(ratio[upper], 1e-300)), np.log(mid_rho[upper])
-    ).slope)
+    tail_slope = _theil_sen_slope(np.log(mid_rho[upper]),
+                                  np.log(np.maximum(ratio[upper], 1e-300)))
     # a large ratio rising toward the near end of the range means the a.e.
     # bound M blows up as rho -> 0, which refinement alone cannot detect
     lower = slice(None, len(mid_rho) // 4)
-    head_slope = float(stats.theilslopes(
-        np.log(np.maximum(ratio[lower], 1e-300)), np.log(mid_rho[lower])
-    ).slope)
+    head_slope = _theil_sen_slope(np.log(mid_rho[lower]),
+                                  np.log(np.maximum(ratio[lower], 1e-300)))
     head_blowup = head_slope <= HEAD_BLOWUP_SLOPE and float(ratio[lower].max()) >= HEAD_BLOWUP_LEVEL
     condition_b = (not jump) and sup_slope < SUP_TREND_UNBOUNDED and not head_blowup
     # condition_d reports only the lower comparability rho f' >~ f; the full

@@ -30,9 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
-from networkx.algorithms.flow import edmonds_karp
 from scipy import linalg, sparse
 from scipy.sparse import csgraph
 
@@ -384,6 +382,10 @@ def _merge_parallel(a, b, c, nodes):
 
 
 def _min_cut(net, bc):
+    # imported here, where only the p = 1 route pays for it
+    import networkx as nx
+    from networkx.algorithms.flow import edmonds_karp
+
     n = net.num_vertices
     S, T = n, n + 1  # the contracted plates
     node = np.arange(n)

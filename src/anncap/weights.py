@@ -176,8 +176,11 @@ class HalfLineCatalog:
                 return np.minimum(1.0, np.where(rho > 0, 1.0 / rho, np.inf))
         if self.kind is HalfLineKind.EXP_DECAY:
             return np.exp(-rho)
-        with np.errstate(divide="ignore"):
-            small = np.exp(-1.0 / np.where(rho > 0, rho, np.inf)) / np.where(rho > 0, rho, np.inf) ** 2
+        x = np.where(rho > 0, rho, np.inf)
+        with np.errstate(over="ignore"):  # -1/x is -inf below x ~ 5.6e-309
+            num = np.exp(-1.0 / x)
+        # 0 where exp(-1/x) underflows: never 0/0 where x ** 2 underflows as well
+        small = np.divide(num, x**2, out=np.zeros_like(num), where=num != 0)
         return np.where(rho <= 0.5, small, 4.0 * math.exp(-2.0))
 
     def _evaluate_float(self, rho: float) -> float:
@@ -191,9 +194,10 @@ class HalfLineCatalog:
             return 4.0 * math.exp(-2.0)
         if rho <= 0.0:
             return 0.0
-        # rho * rho, as numpy squares an array; a numpy scalar divides, so
-        # 0/0 past underflow is nan as in the array code
-        return float(np.exp(-1.0 / rho) / (rho * rho))
+        # rho * rho, as numpy squares an array; 0 where exp(-1/rho) underflows,
+        # as in the array code
+        num = np.exp(-1.0 / rho)
+        return float(num / (rho * rho)) if num else 0.0
 
     def singularities(self):
         # Kink locations, not blow-ups; still worth splitting quadrature at.

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from anncap.capacity import (
@@ -70,7 +71,8 @@ def test_halfline_unweighted():
 
 
 def test_p1_inf_cut_buckley():
-    # cheapest cut sits at the inner radius where the weight is smallest
+    # cheapest cut sits at the inner radius where the weight is smallest; the
+    # pole at R = 1 is an infinite cut cost, a legal one
     space = SpaceSpec(RadialRn(1), BuckleyEta(0.5))
     res = cap_radial_p1(space, AnnulusSpec(0.5, 1.0))
     assert res.method is CapacityMethod.INF_CUT
@@ -82,6 +84,21 @@ def test_p1_inf_cut_interior_minimum():
     space = SpaceSpec(HalfLine(), HalfLineCatalog(HalfLineKind.MIN_ONE_OVER_X))
     res = cap_radial_p1(space, AnnulusSpec(0.5, 4.0))
     assert res.value == pytest.approx(0.25, rel=1e-9)
+
+
+class _NanBelowOne:
+    """A weight that is NaN below rho = 1."""
+
+    def evaluate(self, rho):
+        return np.where(np.asarray(rho) < 1.0, np.nan, 1.0)
+
+    def singularities(self):
+        return ()
+
+
+def test_p1_inf_cut_nan_cost_is_a_domain_error():
+    with pytest.raises(DomainError, match="NaN"):
+        cap_radial_p1(SpaceSpec(HalfLine(), _NanBelowOne()), AnnulusSpec(0.5, 2.0))
 
 
 def test_singular_weight_capacity_positive():

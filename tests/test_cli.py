@@ -1,16 +1,22 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
+import warnings
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import anncap
+from anncap import cli, gallery
 from anncap.bounds import BoundId
 from anncap.capacity import cap_auto
 from anncap.cli import run
@@ -207,6 +213,39 @@ def test_module_entry_point():
     assert done.stdout == "" and "--bogus" in done.stderr
 
 
+def test_import_loads_neither_scipy_stats_nor_networkx():
+    # scipy.stats costs about a second of import; networkx is for the p = 1 cut only
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import anncap, anncap.cli
+        assert "scipy.stats" not in sys.modules
+        assert "networkx" not in sys.modules
+        net = anncap.build_radial_network(anncap.make_rn_unweighted(1).space, 1.0, 2.0, 16)
+        rep = anncap.solve_p_energy(net, anncap.condenser_bc(net, 1.0, 2.0), 1.0)
+        assert rep.converged and np.isfinite(rep.energy), rep
+        assert "networkx" in sys.modules
+        assert "scipy.stats" not in sys.modules
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(anncap.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_halfline_cut_past_square_underflow_is_zero(capsys):
+    # rho * rho underflows below 1.5e-154, where exp(-1/rho) is 0 already:
+    # the weight is 0 there, not 0/0
+    argv = ["cap", "--space", "halfline", "--kind", "exp-inv-over-x-sq", "--p", "1",
+            "--r", "1e-170", "--R", "1e-160"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["value"] == "0"
+    assert captured.err == ""
+
+
 def test_gallery_list(capsys):
     assert run(["gallery", "list"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -243,6 +282,37 @@ def test_config_supplies_defaults(capsys, tmp_path):
     assert code == 0
     capsys.readouterr()
     assert len(out_csv.read_text().splitlines()) == 9  # header + 8 rows
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _alone(argv):
+    """argv's outcome on a freshly built parser."""
+    cli._shared_parser.cache_clear()
+    return _outcome(argv)
+
+
+def test_reused_parser_never_leaks_state(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cells": 100}))
+    oracle = ["oracle", "--space", "rn", "--p", "2", "--r", "1", "--R", "2"]
+    valid = ["cap", "--space", "rn", "--p", "2", "--r", "1", "--R", "2"]
+    calls = [["--config", str(cfg), *oracle], oracle,
+             ["--conf", str(cfg), *oracle], oracle,
+             ["cap", "--space", "rn", "--p", "nan", "--r", "1", "--R", "2"], valid,
+             ["--help"], valid,
+             ["cap", "--help"], valid]
+    expected = [_alone(argv) for argv in calls]
+    assert [json.loads(expected[i][1])["cells"] for i in range(4)] == [100, 2000, 100, 2000]
+    assert expected[4][0] == 2 and expected[6][0] == 0 and "usage" in expected[6][1]
+    cli._shared_parser.cache_clear()
+    for argv, want in zip(calls, expected):
+        assert _outcome(argv) == want, argv
 
 
 def test_sweep_out_file_equals_stdout(capsys, tmp_path):
@@ -371,10 +441,24 @@ def _argv(draw, config_paths):
     return argv
 
 
+def _ticked(call, argv):
+    """call(argv) under a gallery clock one second later at every reading, so
+    which claims a --budget lets run depends on the argv, not the machine."""
+    ticks = itertools.count()
+    clock = SimpleNamespace(perf_counter=lambda: float(next(ticks)))
+    with mock.patch.object(gallery, "time", clock):
+        return call(argv)
+
+
 @settings(deadline=None, max_examples=120, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_fuzzed_argv_ends_in_an_exit_code(config_paths, data):
-    argv = data.draw(_argv(config_paths))
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = run(argv)
-    assert code in (0, 1, 2, 3), argv
+    # two argvs back to back: the second, on the parser the first used, ends
+    # as it does alone on a fresh one
+    first, second = data.draw(_argv(config_paths)), data.draw(_argv(config_paths))
+    alone = _ticked(_alone, second)
+    code = _ticked(_alone, first)[0]
+    after = _ticked(_outcome, second)
+    assert code in (0, 1, 2, 3), first
+    assert alone[0] in (0, 1, 2, 3), second
+    assert after == alone, (first, second)

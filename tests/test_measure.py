@@ -83,6 +83,9 @@ def test_halfline_identities():
     assert mu_ball(exp, 3.0) == pytest.approx(1.0 - math.exp(-3.0), abs=1e-12)
     inv = SpaceSpec(HalfLine(), HalfLineCatalog(HalfLineKind.EXP_INV_OVER_X_SQ))
     assert mu_ball(inv, 0.25) == pytest.approx(math.exp(-4.0), rel=1e-10)
+    # the mass below R = 1e-160 is 0 to double precision, not a singularity
+    assert mu_ball(inv, 1e-160) == 0.0
+    assert mu_annulus(inv, AnnulusSpec(1e-170, 1e-160)) == 0.0
 
 
 def test_snake_ball_jumps():

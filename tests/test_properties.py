@@ -5,9 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import stats
 
 from anncap.capacity import cap_radial_p1, cap_radial_weighted, cap_rn_unweighted
+from anncap.decay import _theil_sen_slope
+from anncap.errors import InputError
 from anncap.gallery import DEFAULT_SUMMED_TERMS
 from anncap.measure import _radial_reduction, mu_annulus, mu_ball, volume_profile
 from anncap.network import BoundaryCondition, DiscreteNetwork, solve_p_energy
@@ -215,3 +219,33 @@ def test_upper_simple_dominates_capacity(p, j):
     cap = cap_rn_unweighted(2, p, ann).value
     bound = mu_annulus(SpaceSpec(RadialRn(2), Constant()), ann) / ann.delta**p
     assert cap <= bound * (1.0 + 1e-10)
+
+
+@st.composite
+def _theil_sen_samples(draw):
+    n = draw(st.integers(min_value=2, max_value=200))
+    column = arrays(np.float64, n, elements=st.floats(-1e3, 1e3, allow_subnormal=False),
+                    fill=st.nothing())
+    # rounding ties values in x and y; repeating x values gives pairs with dx = 0
+    digits = draw(st.sampled_from([None, 0, 1]))
+    x, y = (draw(column) if digits is None else np.round(draw(column), digits) for _ in "xy")
+    if draw(st.booleans()):
+        x = x[draw(arrays(np.intp, n, elements=st.integers(0, n - 1), fill=st.nothing()))]
+    assume(np.ptp(x) > 0)
+    return x, y
+
+
+@settings(deadline=None, max_examples=100)
+@given(xy=_theil_sen_samples())
+def test_theil_sen_slope_has_scipys_bits(xy):
+    x, y = xy
+    with np.errstate(all="ignore"):
+        want = np.float64(stats.theilslopes(y, x).slope)
+        got = np.float64(_theil_sen_slope(x, y))
+    assert got.tobytes() == want.tobytes(), (x, y, got, want)
+
+
+def test_theil_sen_slope_of_equal_abscissae_is_an_input_error():
+    # scipy returns a NaN slope here, with a warning
+    with pytest.raises(InputError, match="abscissae"):
+        _theil_sen_slope([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])

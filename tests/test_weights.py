@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,14 @@ def test_halfline_catalog_values():
     assert inv.evaluate(1.0) == pytest.approx(4.0 * math.exp(-2.0))
     # continuous at the branch point
     assert inv.evaluate(0.5) == pytest.approx(4.0 * math.exp(-2.0))
+    # exp(-1/x) is 0 below x ~ 1.3e-3 and x * x is 0 below ~ 1.5e-154: the
+    # weight is 0 there, on both paths, not 0/0
+    xs = [1e-3, 1e-100, 1e-160, 1e-170, 5e-324]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [inv.evaluate(x) for x in xs] == [0.0] * len(xs)
+        assert inv.evaluate(np.array(xs)).tolist() == [0.0] * len(xs)
+        assert float(inv.evaluate(np.float64(1e-170))) == 0.0
 
 
 def test_tabulated_interpolation():
