@@ -34,7 +34,6 @@ from .errors import (
     QuadratureError,
 )
 from .gallery import (
-    ExpectedBehavior,
     GalleryEntry,
     default_gallery,
     gallery_manifest,

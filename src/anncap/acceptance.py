@@ -14,10 +14,10 @@ import time
 
 from .bounds import blowup_probe
 from .capacity import cap_radial_p1, cap_radial_weighted, cap_rn_unweighted, cap_snake
-from .decay import ad_ratio, ad_ratio_trend, check_one_ad, estimate_ad_exponent, fit_annulus_decay
+from .decay import ad_ratio_trend, check_one_ad, estimate_ad_exponent, fit_annulus_decay
 from .gallery import (_ad_bounded, _cap_slope, _nice_envelope, _pinch_probe, _thin_annuli,
                       _thin_family, default_gallery, make_bowtie, make_buckley, make_halfline,
-                      make_snake)
+                      make_rn_unweighted, make_snake)
 from .measure import mu_annulus, mu_ball
 from .network import (build_bowtie_grid, build_radial_network, build_snake_network, condenser_bc,
                       solve_p_energy)
@@ -101,8 +101,7 @@ def criterion_5():
     space = entry.space
     # (i) ad_ratio diverges for eta = 0.1 as delta -> 0: strictly increasing
     # with trend slope -eta against log(1 - r/R)
-    ratios = [ad_ratio(space, ann, 0.1) for ann in entry.none_probe]
-    slope, _, _ = ad_ratio_trend(space, entry.none_probe, 0.1)
+    slope, ratios = ad_ratio_trend(space, entry.none_probe, 0.1)
     diverges = all(b > a for a, b in zip(ratios, ratios[1:])) and slope <= -0.09
     # (ii) cap * 2^k constant across k (p = 2)
     scaled = [cap_snake(2.0, k, 1e-3 * 2.0**k).value * 2.0**k for k in range(1, 7)]
@@ -166,25 +165,24 @@ def criterion_8():
     fails exactly where reverse-doubling fails."""
     snake = make_snake()
     cases = {
-        "rn-2": (SpaceSpec(RadialRn(2), Constant()), (0.25, 4.0), _thin_annuli(1.0)),
-        "buckley-0.5": (make_buckley(0.5).space, (0.25, 4.0), _thin_annuli(1.0)),
-        "min-one-over-x": (make_halfline(HalfLineKind.MIN_ONE_OVER_X).space, (2.0, 100.0),
-                           _thin_annuli(64.0)),
-        "exp-decay": (make_halfline(HalfLineKind.EXP_DECAY).space, (0.1, 30.0),
-                      _thin_annuli(8.0)),
-        "snake": (snake.space, (1.5, 64.0), list(snake.none_probe)),
+        "rn-2": (make_rn_unweighted(2), _thin_annuli(1.0)),
+        "buckley-0.5": (make_buckley(0.5), _thin_annuli(1.0)),
+        "min-one-over-x": (make_halfline(HalfLineKind.MIN_ONE_OVER_X), _thin_annuli(64.0)),
+        "exp-decay": (make_halfline(HalfLineKind.EXP_DECAY), _thin_annuli(8.0)),
+        "snake": (snake, list(snake.none_probe)),
     }
     ok = True
     notes = []
     d_failures = set()
-    for name, (space, rho_range, annuli) in cases.items():
-        rep = check_one_ad(space, rho_range)
-        bounded, _ = _ad_bounded(space, annuli, 1.0)
+    for name, (entry, annuli) in cases.items():
+        rep = check_one_ad(entry.space, entry.one_ad_range)
+        bounded, _ = _ad_bounded(entry.space, annuli, 1.0)
         ok = ok and rep.condition_b == bounded
         if not rep.condition_d:
             d_failures.add(name)
         notes.append(f"{name}: (b) {rep.condition_b} vs envelope {bounded}")
-    ok = ok and d_failures == {"min-one-over-x", "exp-decay"}
+    ok = ok and d_failures == {name for name, (entry, _) in cases.items()
+                               if "condition-d-fails" in entry.claims}
     notes.append(f"(d) fails on {sorted(d_failures)} (expected min-one-over-x, exp-decay)")
     return ok, "; ".join(notes)
 

@@ -279,20 +279,15 @@ def _config_default(action, key, value):
 _shared_parser = functools.cache(_build_parser)
 
 
-def _parser_for(argv):
-    """The shared parser, or, for a --config call, a parser of its own whose
-    defaults are the file's values, so the shared one is never mutated."""
-    # peek at --config so file values become defaults, CLI flags still win
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config")
-    known, _ = probe.parse_known_args(argv)
-    if not known.config:
-        return _shared_parser()
+def _config_parser(path):
+    """A parser of its own whose defaults are the values in the --config
+    file, so file values become defaults, CLI flags still win, and the
+    shared parser is never mutated."""
     try:
-        with open(known.config) as fh:
+        with open(path) as fh:
             cfg = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read --config {known.config!r}: {exc}") from None
+        raise InputError(f"cannot read --config {path!r}: {exc}") from None
     if not isinstance(cfg, dict):
         raise InputError("--config must contain a JSON object")
     parser = _build_parser()
@@ -311,7 +306,11 @@ def _parser_for(argv):
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = _parser_for(argv).parse_args(argv)
+        # defaults never change which argv parses, so the shared parser
+        # decides usage errors and reads --config
+        ns = _shared_parser().parse_args(argv)
+        if ns.config:
+            ns = _config_parser(ns.config).parse_args(argv)
         return _COMMANDS[ns.command](ns)
     except SystemExit as exc:  # argparse has printed the usage error (2) or --help (0)
         return exc.code

@@ -187,17 +187,17 @@ def estimate_ad_exponent(space: SpaceSpec, families) -> AdFitReport:
 
 def ad_ratio_trend(space: SpaceSpec, annuli, eta: float):
     """Fitted slope of log ad_ratio against log(1 - r/R) over a family,
-    plus the min/max ratio.  A negative slope means divergence as the
-    annuli thin out; |slope| <= 0.05 and a bounded window mean the eta-AD
-    inequality holds along the family.  mu(B_R) is computed once per
-    distinct R."""
+    plus the fitted ratios in annulus order.  A negative slope means
+    divergence as the annuli thin out; |slope| <= 0.05 and a bounded window
+    mean the eta-AD inequality holds along the family.  mu(B_R) is computed
+    once per distinct R."""
     measures = FamilyMeasures(space)
     xs, ratios = [], []
     for ann in annuli:
         xs.append(math.log(1.0 - ann.r / ann.R))
         ratios.append(_ad_ratio(measures, ann, eta))
     slope, _, _ = _loglog_fit(xs, np.log(ratios))
-    return slope, min(ratios), max(ratios)
+    return slope, ratios
 
 
 # ---------------------------------------------------------------------------

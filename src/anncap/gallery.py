@@ -2,9 +2,11 @@
 
 Each constructor returns a GalleryEntry bundling the SpaceSpec (with traits
 transcribed from known statements about the space, never derived here), the
-ExpectedBehavior record, and the probe families used to check each claim
-numerically.  verify_expectations turns every claim into a PASS/FAIL row
-with evidence, or SKIPPED when the compute budget runs out.
+names of its sharpness claims, and the probe families used to check them
+numerically.  verify_expectations checks the declared decay exponent,
+1-AD, doubling and reverse-doubling traits and runs every named claim,
+turning each into a PASS/FAIL row with evidence, or SKIPPED when the
+compute budget runs out.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec, T
 from .weights import BuckleyEta, Constant, HalfLineCatalog, HalfLineKind, SummedBuckley
 
 __all__ = [
-    "ExpectedBehavior",
     "GalleryEntry",
     "ClaimVerdict",
     "make_rn_unweighted",
@@ -66,22 +67,11 @@ UNRESOLVED_CONFIGURATIONS = (
 
 
 @dataclass(frozen=True)
-class ExpectedBehavior:
-    """Claimed behaviors of a gallery space, used as assertion targets."""
-
-    ad_eta: float | None
-    one_ad: bool
-    reverse_doubling: bool
-    doubling: bool
-    pi_sharp_q: str
-    sharpness_claims: tuple[tuple[str, str], ...] = ()
-
-
-@dataclass(frozen=True)
 class GalleryEntry:
     name: str
     space: SpaceSpec
-    expected: ExpectedBehavior
+    pi_sharp_q: str                   # the sharp Poincare statement, for the manifest
+    claims: tuple[str, ...] = ()      # sharpness claims, each a key of _CLAIM_RUNNERS
     # probe families for the generic checks
     ad_families: tuple = ()           # ((R, (r, ...)), ...)
     none_probe: tuple = ()            # annuli on which ad_ratio(eta=0.1) must diverge
@@ -116,13 +106,9 @@ def make_rn_unweighted(n: int = 2) -> GalleryEntry:
         ad_eta=1.0,
     )
     space = SpaceSpec(geometry, Constant(), traits=traits, name=f"rn-unweighted-{n}")
-    expected = ExpectedBehavior(
-        ad_eta=1.0, one_ad=True, reverse_doubling=True, doubling=True,
-        pi_sharp_q="q-Poincare inequality for every q >= 1",
-        sharpness_claims=(("nice-case-envelope", "two-sided nice-case estimate holds"),),
-    )
     return GalleryEntry(
-        name=space.name, space=space, expected=expected,
+        name=space.name, space=space, pi_sharp_q="q-Poincare inequality for every q >= 1",
+        claims=("nice-case-envelope",),
         ad_families=((1.0, _thin_family(1.0)), (4.0, _thin_family(4.0))),
         one_ad_range=(0.25, 4.0),
         check_radii=tuple(np.geomspace(0.05, 8.0, 12)),
@@ -132,9 +118,9 @@ def make_rn_unweighted(n: int = 2) -> GalleryEntry:
 def _a1_entry(eta: float, make_space, claims, one_ad_range) -> GalleryEntry:
     """The entry of a Buckley-type A_1 weight of decay exponent eta.
 
-    Every such weight declares the same traits, expects the same behavior
-    apart from its sharpness claims, and is probed on the same families;
-    make_space(traits) builds the SpaceSpec once the traits have checked eta.
+    Every such weight declares the same traits and is probed on the same
+    families; make_space(traits) builds the SpaceSpec once the traits have
+    checked eta.
     """
     traits = TraitSet(
         pi_exponents=frozenset({1.0}),
@@ -146,13 +132,9 @@ def _a1_entry(eta: float, make_space, claims, one_ad_range) -> GalleryEntry:
         ad_eta=eta,
     )
     space = make_space(traits)
-    expected = ExpectedBehavior(
-        ad_eta=eta, one_ad=False, reverse_doubling=True, doubling=True,
-        pi_sharp_q="q-Poincare inequality for every q >= 1 (A_1 weight)",
-        sharpness_claims=claims,
-    )
     return GalleryEntry(
-        name=space.name, space=space, expected=expected,
+        name=space.name, space=space,
+        pi_sharp_q="q-Poincare inequality for every q >= 1 (A_1 weight)", claims=claims,
         ad_families=((1.0, _thin_family(1.0)), (4.0, _thin_family(4.0))),
         one_ad_range=one_ad_range,
         check_radii=tuple(np.geomspace(0.05, 8.0, 12)),
@@ -164,10 +146,7 @@ def make_buckley(eta: float, n: int = 1) -> GalleryEntry:
         eta,
         lambda traits: SpaceSpec(RadialRn(n), BuckleyEta(eta), traits=traits,
                                  name=f"buckley-{eta}"),
-        claims=(
-            ("upper-eta-sharp", "cap(B_r, B_1) ~ (1-r)^(eta-p): the eta-decay upper bound is attained"),
-            ("nice-case-fails", "nice-case envelope FAILs with trend slope eta-1"),
-        ),
+        claims=("upper-eta-sharp", "nice-case-fails"),
         one_ad_range=(0.25, 4.0),
     )
 
@@ -180,9 +159,7 @@ def make_summed_buckley(eta: float, terms=DEFAULT_SUMMED_TERMS) -> GalleryEntry:
         eta,
         lambda traits: SpaceSpec(RadialRn(1), SummedBuckley(eta, tuple(terms)), traits=traits,
                                  name=f"summed-buckley-{eta}"),
-        claims=(
-            ("eta-ad-at-singularities", "eta-AD ratio bounded along each singular radius 1/q_j"),
-        ),
+        claims=("eta-ad-at-singularities",),
         one_ad_range=(0.1, 4.0),
     )
 
@@ -200,16 +177,10 @@ def make_bowtie(alpha: float, n: int = 2) -> GalleryEntry:
         ad_eta=min(1.0, m),
     )
     space = SpaceSpec(BowTie(n, alpha), traits=traits, name=f"bowtie-{n}d-alpha-{alpha}")
-    claims = [("measure-exponent", f"mu(B_1 \\ B_r) ~ (1-r)^{m} at the tip")]
-    if m > 1.0:
-        claims.append(("cap-degenerates", f"capacity of (1-delta, 1) vanishes at p = n+alpha = {m}"))
-    expected = ExpectedBehavior(
-        ad_eta=min(1.0, m), one_ad=m >= 1.0, reverse_doubling=True, doubling=True,
-        pi_sharp_q=f"q-Poincare inequality iff q > {m} or q = 1 >= {m}",
-        sharpness_claims=tuple(claims),
-    )
     return GalleryEntry(
-        name=space.name, space=space, expected=expected,
+        name=space.name, space=space,
+        pi_sharp_q=f"q-Poincare inequality iff q > {m} or q = 1 >= {m}",
+        claims=("measure-exponent", "cap-degenerates") if m > 1.0 else ("measure-exponent",),
         ad_families=((1.0, _thin_family(1.0, 2, 10)), (2.0, _thin_family(2.0, 2, 10))),
         one_ad_range=None,  # a quadrature per ball volume; probed only on demand
         check_radii=tuple(np.geomspace(0.05, 1.2, 8)),
@@ -227,19 +198,12 @@ def make_snake() -> GalleryEntry:
         ad_eta=None,
     )
     space = SpaceSpec(Snake(), traits=traits, name="snake")
-    expected = ExpectedBehavior(
-        ad_eta=None, one_ad=False, reverse_doubling=True, doubling=True,
-        pi_sharp_q="1-Poincare inequality (bi-Lipschitz to a half-line)",
-        sharpness_claims=(
-            ("no-ad", "ad_ratio diverges for every positive eta as delta -> 0"),
-            ("lower-p-base-sharp", "cap ~ mu(B_R)/R^p: the base lower bound is attained"),
-            ("corkscrew-gating", "two-sided annular bound refuses to apply: corkscrew fails"),
-        ),
-    )
     k = 5
     none_probe = tuple(AnnulusSpec(2.0**k - 2.0**-j, 2.0**k + 2.0**-j) for j in range(1, 9))
     return GalleryEntry(
-        name=space.name, space=space, expected=expected,
+        name=space.name, space=space,
+        pi_sharp_q="1-Poincare inequality (bi-Lipschitz to a half-line)",
+        claims=("no-ad", "lower-p-base-sharp", "corkscrew-gating"),
         # a fixed-R family inside the segment (32, 64), away from the jumps
         ad_families=((48.0, _thin_family(48.0)),),
         none_probe=none_probe,
@@ -250,29 +214,15 @@ def make_snake() -> GalleryEntry:
 
 def make_halfline(kind: HalfLineKind) -> GalleryEntry:
     weight = HalfLineCatalog(kind)
+    traits = TraitSet(pi_exponents=frozenset({1.0}), doubling=True, ad_eta=1.0)
     none_probe = ()
     if kind is HalfLineKind.MIN_ONE_OVER_X:
-        traits = TraitSet(pi_exponents=frozenset({1.0}), doubling=True, ad_eta=1.0)
-        expected = ExpectedBehavior(
-            ad_eta=1.0, one_ad=True, reverse_doubling=False, doubling=True,
-            pi_sharp_q="1-Poincare inequality at the origin",
-            sharpness_claims=(
-                ("measure-lower-q-fails", "the q-decay measure lower bound fails: no reverse-doubling"),
-                ("condition-d-fails", "rho f'(rho) is not comparable to f(rho) from below"),
-            ),
-        )
+        claims = ("measure-lower-q-fails", "condition-d-fails")
         families = ((64.0, _thin_family(64.0)), (512.0, _thin_family(512.0)))
         one_ad_range = (2.0, 100.0)
         radii = tuple(np.geomspace(4.0, 512.0, 12))
     elif kind is HalfLineKind.EXP_DECAY:
-        traits = TraitSet(pi_exponents=frozenset({1.0}), doubling=True, ad_eta=1.0)
-        expected = ExpectedBehavior(
-            ad_eta=1.0, one_ad=True, reverse_doubling=False, doubling=True,
-            pi_sharp_q="1-Poincare inequality at the origin",
-            sharpness_claims=(
-                ("condition-d-fails", "rho f'(rho) is not comparable to f(rho) from below"),
-            ),
-        )
+        claims = ("condition-d-fails",)
         # small R keeps e^{Rt} curvature out of the exponent fit
         families = ((0.5, _thin_family(0.5)), (8.0, _thin_family(8.0)))
         one_ad_range = (0.1, 30.0)
@@ -280,13 +230,7 @@ def make_halfline(kind: HalfLineKind) -> GalleryEntry:
     elif kind is HalfLineKind.EXP_INV_OVER_X_SQ:
         traits = TraitSet(pi_exponents=frozenset({1.0}), doubling=False,
                           reverse_doubling=(2.0, 2.0), ad_eta=None)
-        expected = ExpectedBehavior(
-            ad_eta=None, one_ad=False, reverse_doubling=True, doubling=False,
-            pi_sharp_q="1-Poincare inequality at the origin",
-            sharpness_claims=(
-                ("doubling-fails", "mu(B_{3R/4})/mu(B_R) -> 0 as R -> 0"),
-            ),
-        )
+        claims = ("doubling-fails",)
         families = ((0.4, _thin_family(0.4)),)
         one_ad_range = (0.02, 2.0)
         radii = tuple(np.geomspace(0.02, 1.0, 12))
@@ -297,8 +241,8 @@ def make_halfline(kind: HalfLineKind) -> GalleryEntry:
         raise InputError(f"unknown half-line kind {kind!r}")
     space = SpaceSpec(HalfLine(), weight, traits=traits, name=f"halfline-{kind.value}")
     return GalleryEntry(
-        name=space.name, space=space, expected=expected,
-        ad_families=families, none_probe=none_probe, one_ad_range=one_ad_range,
+        name=space.name, space=space, pi_sharp_q="1-Poincare inequality at the origin",
+        claims=claims, ad_families=families, none_probe=none_probe, one_ad_range=one_ad_range,
         check_radii=radii,
     )
 
@@ -341,41 +285,48 @@ class _Probes:
         """ad_ratio_trend at eta = 0.1 over the none_probe annuli."""
         return ad_ratio_trend(self.entry.space, self.entry.none_probe, eta=0.1)
 
+    @functools.cached_property
+    def one_ad(self):
+        """check_one_ad over the entry's one_ad_range."""
+        return check_one_ad(self.entry.space, self.entry.one_ad_range)
+
 
 def _check_ad_exponent(entry: GalleryEntry, probes: _Probes):
-    if entry.expected.ad_eta is None:
-        slope, lo, hi = probes.none_trend
+    eta = entry.space.traits.ad_eta
+    if eta is None:
+        slope, ratios = probes.none_trend
         ok = slope <= -TREND_TOL
-        return ok, f"ad_ratio(eta=0.1) trend slope {slope:.3f}; ratio window [{lo:.3g}, {hi:.3g}]"
+        return ok, (f"ad_ratio(eta=0.1) trend slope {slope:.3f}; "
+                    f"ratio window [{min(ratios):.3g}, {max(ratios):.3g}]")
     rep = estimate_ad_exponent(entry.space, entry.ad_families)
-    ok = abs(rep.eta_hat - entry.expected.ad_eta) <= AD_FIT_TOL
-    return ok, f"eta_hat {rep.eta_hat:.4f} vs claimed {entry.expected.ad_eta} (residual {rep.residual:.3g})"
+    ok = abs(rep.eta_hat - eta) <= AD_FIT_TOL
+    return ok, f"eta_hat {rep.eta_hat:.4f} vs claimed {eta} (residual {rep.residual:.3g})"
 
 
 def _check_one_ad(entry: GalleryEntry, probes: _Probes):
-    rep = check_one_ad(entry.space, entry.one_ad_range)
-    ok = rep.condition_b == entry.expected.one_ad
-    return ok, (f"condition_b {rep.condition_b} (claimed {entry.expected.one_ad}); "
-                f"jump {rep.jump_detected}, sup trend {rep.sup_trend_slope:.3f}")
+    claimed = entry.space.traits.ad_eta == 1.0
+    rep = probes.one_ad
+    return rep.condition_b == claimed, (
+        f"condition_b {rep.condition_b} (claimed {claimed}); "
+        f"jump {rep.jump_detected}, sup trend {rep.sup_trend_slope:.3f}")
 
 
 def _check_doubling(entry: GalleryEntry, probes: _Probes):
+    claimed = entry.space.traits.doubling
     worst, bounded = check_doubling(entry.space, entry.check_radii, measures=probes.balls)
-    ok = bounded == entry.expected.doubling
-    return ok, f"max doubling ratio {worst:.4g}; bounded {bounded} (claimed {entry.expected.doubling})"
+    return bounded == claimed, f"max doubling ratio {worst:.4g}; bounded {bounded} (claimed {claimed})"
 
 
 def _check_reverse_doubling(entry: GalleryEntry, probes: _Probes):
-    tau = 2.0
-    if entry.space.traits.reverse_doubling is not None:
-        tau = entry.space.traits.reverse_doubling[0]
+    declared = entry.space.traits.reverse_doubling
+    tau = 2.0 if declared is None else declared[0]
     radii = entry.check_radii
     if not math.isinf(entry.space.diameter):
         radii = tuple(r for r in radii if tau * r <= entry.space.diameter)
     rep = check_reverse_doubling(entry.space, tau, radii, measures=probes.balls)
-    ok = rep.uniform == entry.expected.reverse_doubling
-    return ok, (f"min ratio {rep.min_ratio:.4g} at r={rep.worst_r:.4g}; uniform {rep.uniform} "
-                f"(claimed {entry.expected.reverse_doubling})")
+    claimed = declared is not None
+    return rep.uniform == claimed, (f"min ratio {rep.min_ratio:.4g} at r={rep.worst_r:.4g}; "
+                                    f"uniform {rep.uniform} (claimed {claimed})")
 
 
 def _cap_slope(rep):
@@ -395,8 +346,8 @@ def _nice_envelope(space, cap, p, j_hi, check_hypotheses):
 def _ad_bounded(space, annuli, eta):
     # (bounded, trend slope) of ad_ratio as the annuli thin; boundedness is
     # one-sided: a positive slope means the ratio shrinks, consistent with eta-AD
-    slope, lo, hi = ad_ratio_trend(space, annuli, eta)
-    return slope >= -TREND_TOL and hi <= 1e3 * lo, slope
+    slope, ratios = ad_ratio_trend(space, annuli, eta)
+    return slope >= -TREND_TOL and max(ratios) <= 1e3 * min(ratios), slope
 
 
 def _pinch_probe(space, p):
@@ -408,6 +359,7 @@ def _pinch_probe(space, p):
 
 
 def _claim_upper_eta_sharp(entry, probes):
+    """cap(B_r, B_1) ~ (1-r)^(eta-p): the eta-decay upper bound is attained."""
     eta = entry.space.weight.eta
     p = 2.0
     slope = _cap_slope(probes.buckley_envelope)
@@ -416,6 +368,7 @@ def _claim_upper_eta_sharp(entry, probes):
 
 
 def _claim_nice_case_fails(entry, probes):
+    """The nice-case envelope FAILs with trend slope eta-1."""
     eta = entry.space.weight.eta
     rep = probes.buckley_envelope
     ok = rep.verdict == "FAIL" and abs(rep.slope - (eta - 1.0)) <= TREND_TOL
@@ -423,12 +376,14 @@ def _claim_nice_case_fails(entry, probes):
 
 
 def _claim_nice_case_holds(entry, probes):
+    """The two-sided nice-case estimate holds."""
     p = 2.0
     rep = _nice_envelope(entry.space, cap_auto, p, 10, True)
     return rep.verdict == "PASS", f"envelope {rep.verdict}, slope {rep.slope:.4f}"
 
 
 def _claim_summed_eta_ad(entry, probes):
+    """The eta-AD ratio is bounded along each singular radius 1/q_j."""
     eta = entry.space.weight.eta
     ok_all, notes = True, []
     for q, _ in entry.space.weight.terms:
@@ -440,6 +395,7 @@ def _claim_summed_eta_ad(entry, probes):
 
 
 def _claim_bowtie_measure_exponent(entry, probes):
+    """mu(B_1 \\ B_r) ~ (1-r)^(n+alpha) at the tip."""
     m = entry.space.geometry.n + entry.space.geometry.alpha
     rep = fit_annulus_decay(entry.space, 1.0, _thin_family(1.0, 2, 10))
     ok = abs(rep.eta_hat - m) <= AD_FIT_TOL
@@ -447,18 +403,22 @@ def _claim_bowtie_measure_exponent(entry, probes):
 
 
 def _claim_bowtie_cap_degenerates(entry, probes):
+    """The capacity of (1-delta, 1) vanishes at p = n+alpha."""
     p = entry.space.geometry.n + entry.space.geometry.alpha
     ok, rep = _pinch_probe(entry.space, p)
     return ok, f"probe {rep.verdict}; max capacity {max(rep.values):.3g} at p = {p}"
 
 
 def _claim_snake_no_ad(entry, probes):
-    slope, lo, hi = probes.none_trend
+    """ad_ratio diverges for every positive eta as delta -> 0."""
+    slope, ratios = probes.none_trend
+    lo, hi = min(ratios), max(ratios)
     ok = slope <= -TREND_TOL and hi > lo
     return ok, f"ad_ratio(eta=0.1) slope {slope:.3f}; grows {hi / lo:.3g}x over the probe"
 
 
 def _claim_snake_lower_base(entry, probes):
+    """cap ~ mu(B_R)/R^p: the base lower bound is attained."""
     p = 2.0
     k = 6
     spec = BoundSpec(BoundId.LOWER_P_BASE, p)
@@ -468,6 +428,7 @@ def _claim_snake_lower_base(entry, probes):
 
 
 def _claim_snake_corkscrew_gate(entry, probes):
+    """The two-sided annular bound refuses to apply: corkscrew fails."""
     spec = BoundSpec(BoundId.TWO_SIDED_ANNULAR, 2.0)
     ann = AnnulusSpec(31.0, 33.0)
     try:
@@ -479,6 +440,7 @@ def _claim_snake_corkscrew_gate(entry, probes):
 
 
 def _claim_measure_lower_q_fails(entry, probes):
+    """The q-decay measure lower bound fails: no reverse-doubling."""
     spec = BoundSpec(BoundId.MEASURE_LOWER_Q, p=2.0, q=1.0)
     ratios = []
     for R in (16.0, 256.0, 4096.0):
@@ -497,12 +459,14 @@ def _claim_measure_lower_q_fails(entry, probes):
 
 
 def _claim_condition_d_fails(entry, probes):
-    rep = check_one_ad(entry.space, entry.one_ad_range)
+    """rho f'(rho) is not comparable to f(rho) from below."""
+    rep = probes.one_ad
     ok = rep.condition_b and not rep.condition_d
     return ok, f"condition_b {rep.condition_b}, condition_d {rep.condition_d}, tail slope {rep.tail_slope:.3f}"
 
 
 def _claim_doubling_fails(entry, probes):
+    """mu(B_{3R/4})/mu(B_R) -> 0 as R -> 0."""
     ratios = [mu_ball(entry.space, 0.75 * R) / mu_ball(entry.space, R)
               for R in (0.4, 0.2, 0.1, 0.05)]
     ok = all(b < a for a, b in zip(ratios, ratios[1:])) and ratios[-1] < 1e-2
@@ -526,7 +490,9 @@ _CLAIM_RUNNERS = {
 
 
 def verify_expectations(entry: GalleryEntry, budget: float | None = None) -> list[ClaimVerdict]:
-    """Run every check implied by the entry's ExpectedBehavior.
+    """Check the entry's declared decay exponent, 1-AD (when it has a
+    one_ad_range), doubling and reverse-doubling traits, then run each of
+    its claims.
 
     budget is wall seconds; checks not started before it runs out are
     reported SKIPPED, never silently passed.
@@ -540,7 +506,7 @@ def verify_expectations(entry: GalleryEntry, budget: float | None = None) -> lis
     ]
     if entry.one_ad_range is not None:
         checks.append(("one-ad", _check_one_ad))
-    for claim, _ in entry.expected.sharpness_claims:
+    for claim in entry.claims:
         if claim not in _CLAIM_RUNNERS:
             raise InputError(f"no runner registered for claim {claim!r}")
         checks.append((claim, _CLAIM_RUNNERS[claim]))
@@ -559,18 +525,19 @@ def gallery_manifest(entries=None) -> str:
     entries = default_gallery() if entries is None else entries
     rows = []
     for e in entries:
+        t = e.space.traits
         rows.append({
             "name": e.name,
             "geometry": type(e.space.geometry).__name__,
             "weight": type(e.space.weight).__name__,
             "expected": {
-                "ad_eta": None if e.expected.ad_eta is None else f"{e.expected.ad_eta:.17g}",
-                "one_ad": e.expected.one_ad,
-                "reverse_doubling": e.expected.reverse_doubling,
-                "doubling": e.expected.doubling,
-                "pi_sharp_q": e.expected.pi_sharp_q,
+                "ad_eta": None if t.ad_eta is None else f"{t.ad_eta:.17g}",
+                "one_ad": t.ad_eta == 1.0,
+                "reverse_doubling": t.reverse_doubling is not None,
+                "doubling": t.doubling,
+                "pi_sharp_q": e.pi_sharp_q,
             },
-            "claims": [claim for claim, _ in e.expected.sharpness_claims],
+            "claims": list(e.claims),
         })
     return json.dumps({"spaces": rows, "unresolved": list(UNRESOLVED_CONFIGURATIONS)},
                       indent=2, sort_keys=True)

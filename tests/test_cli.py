@@ -315,6 +315,14 @@ def test_reused_parser_never_leaks_state(tmp_path):
         assert _outcome(argv) == want, argv
 
 
+@pytest.mark.parametrize("argv", [["--config"], ["--conf"]])
+def test_config_without_a_value_prints_the_anncap_usage(capsys, argv):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: anncap")
+    assert "{cap,sweep,ad,oracle,gallery,verify-all}" in err
+
+
 def test_sweep_out_file_equals_stdout(capsys, tmp_path):
     argv = ["sweep", "--space", "buckley", "--eta", "0.5", "--p", "2", "--R", "1",
             "--no-gating"]
