@@ -249,16 +249,6 @@ class BlowupReport:
     divergence_slope: float | None
     verdict: str
 
-    def verdict_json(self) -> str:
-        return json.dumps({
-            "verdict": self.verdict,
-            "increasing": self.increasing,
-            "divergence_slope": None if self.divergence_slope is None
-            else f"{self.divergence_slope:.17g}",
-            "deltas": [f"{d:.17g}" for d in self.deltas],
-            "values": [f"{v:.17g}" for v in self.values],
-        }, sort_keys=True)
-
 
 def blowup_probe(space: SpaceSpec, p: float, R: float, deltas, cap_fn,
                  q: float | None = None, check_hypotheses: bool = True) -> BlowupReport:

@@ -198,7 +198,6 @@ def _cmd_verify_all(ns) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="anncap")
-    parser.add_argument("--config", help="JSON file of default option values")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_space_args(p):
@@ -259,58 +258,13 @@ _COMMANDS = {
 }
 
 
-def _config_default(action, key, value):
-    """A config value as the option's own parser would give it."""
-    if action.nargs == 0:  # a flag such as --no-gating
-        ok = isinstance(value, bool)
-    else:
-        ok = isinstance(value, (str, int, float)) and not isinstance(value, bool)
-        if ok and action.type is not None:
-            try:
-                value = action.type(str(value))
-            except (ValueError, argparse.ArgumentTypeError):
-                ok = False
-        ok = ok and (action.choices is None or value in action.choices)
-    if not ok:
-        raise InputError(f"config key {key!r} has invalid value {value!r}")
-    return value
-
-
 _shared_parser = functools.cache(_build_parser)
-
-
-def _config_parser(path):
-    """A parser of its own whose defaults are the values in the --config
-    file, so file values become defaults, CLI flags still win, and the
-    shared parser is never mutated."""
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read --config {path!r}: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise InputError("--config must contain a JSON object")
-    parser = _build_parser()
-    parsers = [parser] + [sp for group in parser._subparsers._group_actions
-                          for sp in group.choices.values()]
-    actions = {a.dest: a for p in parsers for a in p._actions}
-    unknown = set(cfg) - set(actions)
-    if unknown:
-        raise InputError(f"unknown config keys: {sorted(unknown)}")
-    cfg = {k: _config_default(actions[k], k, v) for k, v in cfg.items()}
-    for p in parsers:
-        p.set_defaults(**{k: v for k, v in cfg.items() if any(a.dest == k for a in p._actions)})
-    return parser
 
 
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        # defaults never change which argv parses, so the shared parser
-        # decides usage errors and reads --config
         ns = _shared_parser().parse_args(argv)
-        if ns.config:
-            ns = _config_parser(ns.config).parse_args(argv)
         return _COMMANDS[ns.command](ns)
     except SystemExit as exc:  # argparse has printed the usage error (2) or --help (0)
         return exc.code

@@ -213,8 +213,8 @@ def check_one_ad(space: SpaceSpec, rho_range: tuple[float, float]) -> OneAdRepor
     decays like h^eta and is therefore classified as steep, not atomic.
     """
     lo, hi = rho_range
-    if not (0 < lo < hi):
-        raise InputError(f"need 0 < lo < hi, got {rho_range}")
+    if not (0 < lo < hi < math.inf):
+        raise InputError(f"need 0 < lo < hi < inf, got {rho_range}")
     sups, infs, lips = [], [], []
     jump_masses = []
     finest = None

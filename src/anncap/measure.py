@@ -166,8 +166,8 @@ def _measure(space: SpaceSpec, r, R):
 
 def mu_ball_detailed(space: SpaceSpec, R: float):
     """mu(B(x0, R)) together with an error estimate."""
-    if not (R > 0):
-        raise DomainError(f"ball radius must be positive, got {R}")
+    if not (0 < R < math.inf):
+        raise DomainError(f"ball radius must be positive and finite, got {R}")
     return _measure(space, 0.0, R)
 
 

@@ -73,7 +73,7 @@ class DiscreteNetwork:
             object.__setattr__(self, "radii", np.asarray(self.radii, dtype=float))
         if np.any(self.edge_i == self.edge_j):
             raise InputError("self-loops are not allowed")
-        if np.any(self.lengths <= 0) or np.any(self.masses <= 0):
+        if not (np.all(self.lengths > 0) and np.all(self.masses > 0)):  # NaN fails too
             raise InputError("edge lengths and masses must be strictly positive")
         if self.edge_i.min(initial=0) < 0 or self.edge_j.min(initial=0) < 0 \
                 or max(self.edge_i.max(initial=-1), self.edge_j.max(initial=-1)) >= self.num_vertices:
@@ -136,10 +136,10 @@ def build_radial_network(space: SpaceSpec, r_lo: float, r_hi: float,
     Cell mass is the measure of the radial shell; edge length is the cell
     width, so the discrete energy is a Riemann sum of int |u'|^p dmu.
     """
-    if not (0 < r_lo < r_hi):
-        raise InputError(f"need 0 < r_lo < r_hi, got {r_lo}, {r_hi}")
-    if not 16 <= N <= MAX_CELLS:
-        raise InputError(f"need 16 <= N <= {MAX_CELLS} cells, got {N}")
+    if not (0 < r_lo < r_hi < math.inf):
+        raise InputError(f"need 0 < r_lo < r_hi < inf, got {r_lo}, {r_hi}")
+    if not (isinstance(N, (int, np.integer)) and 16 <= N <= MAX_CELLS):
+        raise InputError(f"need an integer 16 <= N <= {MAX_CELLS} cells, got {N}")
     w, m, const = _radial_reduction(space)
     nodes = np.linspace(r_lo, r_hi, N + 1)
 
@@ -170,6 +170,8 @@ def build_snake_network(k_max: int = 8, cells_per_unit: float = 4.0,
     ``extra_radii`` inserts exact vertices at the given radii inside the
     segments, so condenser plates can be placed without discretization slop.
     """
+    if not 0 < cells_per_unit < math.inf:
+        raise InputError(f"need a finite cells_per_unit > 0, got {cells_per_unit}")
     geom = Snake(k_max=k_max)
     radii = [0.0]
     lengths, masses = [], []
@@ -210,8 +212,8 @@ def build_bowtie_grid(alpha: float, h: float) -> DiscreteNetwork:
     Edge mass |midpoint|^alpha h^2, edge length h; vertex radii are the
     distances from the tip (-1, 0).
     """
-    if h > 1.0 / 16.0:
-        raise InputError(f"need mesh size h <= 1/16, got {h}")
+    if not 0 < h <= 1.0 / 16.0:
+        raise InputError(f"need mesh size 0 < h <= 1/16, got {h}")
     inv = round(1.0 / h)
     if abs(inv * h - 1.0) > 1e-12:
         raise InputError("mesh size h must divide 1 exactly (use h = 2^-m)")
@@ -446,8 +448,8 @@ def solve_p_energy(net: DiscreteNetwork, bc: BoundaryCondition, p: float,
     """
     if p < 1:
         raise DomainError(f"need p >= 1, got {p}")
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    if not tol > 0:
+        raise InputError(f"tol must be positive, got {tol}")
     labels = _check_connected(net, bc)
     # such a component makes the free system singular, and has energy 0 at
     # any constant

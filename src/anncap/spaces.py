@@ -174,8 +174,8 @@ class AnnulusSpec:
     R: float
 
     def __post_init__(self):
-        if not (0.0 < self.r < self.R):
-            raise InputError(f"annulus needs 0 < r < R, got r={self.r}, R={self.R}")
+        if not (0.0 < self.r < self.R < math.inf):
+            raise InputError(f"annulus needs 0 < r < R < inf, got r={self.r}, R={self.R}")
 
     @property
     def delta(self) -> float:

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -265,25 +266,6 @@ def test_gallery_unknown_name(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_config_rejects_unknown_keys(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"bogus_key": 1}))
-    code = run(["--config", str(cfg), "gallery", "list"])
-    assert code == 2
-    assert "bogus_key" in capsys.readouterr().err
-
-
-def test_config_supplies_defaults(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"thin": 8}))
-    out_csv = tmp_path / "s.csv"
-    code = run(["--config", str(cfg), "sweep", "--space", "rn", "--n", "2",
-                "--p", "2", "--R", "1", "--out", str(out_csv)])
-    assert code == 0
-    capsys.readouterr()
-    assert len(out_csv.read_text().splitlines()) == 9  # header + 8 rows
-
-
 def _outcome(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -297,30 +279,49 @@ def _alone(argv):
     return _outcome(argv)
 
 
-def test_reused_parser_never_leaks_state(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"cells": 100}))
-    oracle = ["oracle", "--space", "rn", "--p", "2", "--r", "1", "--R", "2"]
+def test_reused_parser_never_leaks_state():
     valid = ["cap", "--space", "rn", "--p", "2", "--r", "1", "--R", "2"]
-    calls = [["--config", str(cfg), *oracle], oracle,
-             ["--conf", str(cfg), *oracle], oracle,
-             ["cap", "--space", "rn", "--p", "nan", "--r", "1", "--R", "2"], valid,
+    calls = [["cap", "--space", "rn", "--p", "nan", "--r", "1", "--R", "2"], valid,
              ["--help"], valid,
              ["cap", "--help"], valid]
     expected = [_alone(argv) for argv in calls]
-    assert [json.loads(expected[i][1])["cells"] for i in range(4)] == [100, 2000, 100, 2000]
-    assert expected[4][0] == 2 and expected[6][0] == 0 and "usage" in expected[6][1]
+    assert expected[0][0] == 2 and expected[2][0] == 0 and "usage" in expected[2][1]
     cli._shared_parser.cache_clear()
     for argv, want in zip(calls, expected):
         assert _outcome(argv) == want, argv
 
 
-@pytest.mark.parametrize("argv", [["--config"], ["--conf"]])
+# anncap has no --config option: bare, abbreviated or given a file, it is
+# a usage error from the anncap parser itself
+@pytest.mark.parametrize("argv", [["--config"], ["--conf"],
+                                  ["--config", "x.json", "gallery", "list"]])
 def test_config_without_a_value_prints_the_anncap_usage(capsys, argv):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: anncap")
     assert "{cap,sweep,ad,oracle,gallery,verify-all}" in err
+
+
+_SPACE_OPTIONS = ["--alpha", "--eta", "--help", "--kind", "--n", "--q", "--space"]
+_OPTION_SURFACE = {  # command -> the long options its --help lists
+    (): ["--help"],
+    ("cap",): sorted([*_SPACE_OPTIONS, "--R", "--p", "--r"]),
+    ("sweep",): sorted([*_SPACE_OPTIONS, "--R", "--bound", "--no-gating", "--out", "--p",
+                        "--thin"]),
+    ("ad",): sorted([*_SPACE_OPTIONS, "--R", "--range", "--thin"]),
+    ("oracle",): sorted([*_SPACE_OPTIONS, "--R", "--cells", "--p", "--r", "--rel-tol"]),
+    ("gallery",): ["--budget", "--help", "--name"],
+    ("verify-all",): ["--help"],
+}
+
+
+@pytest.mark.parametrize("command", _OPTION_SURFACE, ids=lambda c: " ".join(c) or "anncap")
+def test_each_command_lists_exactly_its_options(monkeypatch, command):
+    # an option added or removed shows here as a one-line diff
+    monkeypatch.setenv("COLUMNS", "100")
+    code, out, _ = _alone([*command, "--help"])
+    assert code == 0
+    assert sorted(set(re.findall(r"(?<![\w-])--[\w-]+", out))) == _OPTION_SURFACE[command]
 
 
 def test_sweep_out_file_equals_stdout(capsys, tmp_path):
@@ -397,30 +398,8 @@ _FLAGS = {  # flag -> strategy for its value, None for a flag that takes none
     "gallery": {"--name": _choice(e.name for e in default_gallery()),
                 "--budget": _number(-1.0, 0.05)},
 }
-_CONFIGS = {
-    "valid.json": {"thin": 8, "cells": 64},
-    "list.json": [1, 2],
-    "unknown.json": {"bogus": 1},
-    "float-count.json": {"thin": 1.5},
-    "string-count.json": {"cells": "x"},
-    "nan.json": {"p": "nan", "eta": "inf"},
-    "list-value.json": {"eta": [1], "R": None},
-    "flag.json": {"no_gating": "yes"},
-    "choice.json": {"space": "torus", "bound": 3},
-}
-
-
-@pytest.fixture(scope="module")
-def config_paths(tmp_path_factory):
-    root = tmp_path_factory.mktemp("configs")
-    (root / "broken.json").write_text("{not json")
-    for name, doc in _CONFIGS.items():
-        (root / name).write_text(json.dumps(doc))
-    return [str(root / name) for name in ("missing.json", "broken.json", *_CONFIGS)] + [str(root)]
-
-
 @st.composite
-def _argv(draw, config_paths):
+def _argv(draw):
     # half the draws are clean, so they get past argparse into the engines
     junk_odds = draw(st.sampled_from([0, 0, 10, 4]))
 
@@ -428,8 +407,6 @@ def _argv(draw, config_paths):
         return draw(_JUNK if junk_odds and draw(st.integers(1, junk_odds)) == 1 else strategy)
 
     argv = []
-    if junk_odds and draw(st.integers(0, 3)) == 0:
-        argv += ["--config", draw(_choice(config_paths))]
     # verify-all is left out: the suite takes seconds
     command = draw(_choice(sorted(_FLAGS)))
     argv.append(value(_choice([command])))
@@ -460,10 +437,10 @@ def _ticked(call, argv):
 
 @settings(deadline=None, max_examples=120, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_fuzzed_argv_ends_in_an_exit_code(config_paths, data):
+def test_fuzzed_argv_ends_in_an_exit_code(data):
     # two argvs back to back: the second, on the parser the first used, ends
     # as it does alone on a fresh one
-    first, second = data.draw(_argv(config_paths)), data.draw(_argv(config_paths))
+    first, second = data.draw(_argv()), data.draw(_argv())
     alone = _ticked(_alone, second)
     code = _ticked(_alone, first)[0]
     after = _ticked(_outcome, second)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from anncap import network
-from anncap.capacity import cap_radial_p1, cap_rn_unweighted, cap_snake
+from anncap.capacity import cap_auto, cap_radial_p1, cap_rn_unweighted, cap_snake
+from anncap.decay import check_doubling, check_one_ad
 from anncap.errors import ConvergenceError, DomainError, InfeasibleError, InputError
-from anncap.measure import _cell_masses
+from anncap.gallery import make_buckley
+from anncap.measure import _cell_masses, mu_annulus, mu_ball
 from scipy import linalg
 from anncap.network import (
     BoundaryCondition,
@@ -498,6 +500,41 @@ def test_network_validation():
     with pytest.raises(InputError):
         DiscreteNetwork(num_vertices=2, edge_i=[0], edge_j=[5],
                         lengths=[1.0], masses=[1.0])
+
+
+@pytest.mark.parametrize("field", ["lengths", "masses"])
+def test_nan_lengths_and_masses_are_rejected(field):
+    # two parallel paths 0-1-3 and 0-2-3, one NaN on the second
+    values = {"lengths": [1.0, 1.0, 1.0, 1.0], "masses": [1.0, 1.0, 1.0, 1.0]}
+    values[field][2] = math.nan
+    with pytest.raises(InputError, match="strictly positive"):
+        DiscreteNetwork(num_vertices=4, edge_i=[0, 1, 0, 2], edge_j=[1, 3, 2, 3], **values)
+
+
+_BUCKLEY = make_buckley(0.5).space
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: build_bowtie_grid(0.5, 0.0), InputError),
+    (lambda: build_bowtie_grid(0.5, math.nan), InputError),
+    (lambda: build_bowtie_grid(0.5, -0.25), InputError),
+    (lambda: build_snake_network(8, math.nan), InputError),
+    (lambda: build_snake_network(8, math.inf), InputError),
+    (lambda: build_radial_network(_BUCKLEY, 0.5, 1.5, 64.5), InputError),
+    (lambda: build_radial_network(_BUCKLEY, 0.5, math.inf), InputError),
+    (lambda: solve_p_energy(_series_net([1.0], [1.0]), BoundaryCondition(inner=[0], outer=[1]),
+                            1.5, tol=math.nan), InputError),
+    (lambda: mu_ball(_BUCKLEY, math.inf), DomainError),
+    (lambda: mu_annulus(_BUCKLEY, AnnulusSpec(1.0, math.inf)), InputError),
+    (lambda: cap_auto(_BUCKLEY, 2.0, AnnulusSpec(3.0, math.inf)), InputError),
+    (lambda: check_one_ad(_BUCKLEY, (1.0, math.inf)), InputError),
+    (lambda: check_doubling(_BUCKLEY, [math.inf]), DomainError),
+], ids=["bowtie-h0", "bowtie-h-nan", "bowtie-h-negative", "snake-cells-nan", "snake-cells-inf",
+        "radial-N-float", "radial-r-hi-inf", "solve-tol-nan", "mu-ball-inf", "mu-annulus-inf",
+        "cap-auto-inf", "one-ad-inf", "doubling-inf"])
+def test_invalid_inputs_are_typed_errors(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_disconnected_boundary_infeasible():
