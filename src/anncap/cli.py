@@ -169,6 +169,9 @@ def _cmd_oracle(ns) -> int:
         "network": f"{rep.energy:.17g}",
         "relative_error": f"{rel:.17g}",
         "cells": ns.cells,
+        "stop_reason": rep.stop_reason,
+        "iterations": rep.iterations,
+        "kkt_residual": f"{rep.kkt_residual:.17g}",
     }, sort_keys=True))
     return 0 if rel <= ns.rel_tol else 1
 

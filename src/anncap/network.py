@@ -5,29 +5,42 @@ space, the edge gradient |u_i - u_j| / length stands in for the upper
 gradient, and the discrete p-energy sum m_e (|du|/l_e)^p is minimized over
 potentials pinned to 1 on the inner plate and 0 on the outer plate.
 
-p = 2 is an exact linear solve, p in (1, inf) \\ {2} a damped Newton
-descent on the strictly convex energy, and p = 1 an exact min-cut. For
-the cut each plate is contracted to one node and parallel conductances are
-summed. Each maximal run of free degree-2 vertices is then one edge of the
-run's least conductance, exact since a min of floats is exact, so a chain
-leaves a single inner-outer edge. Edmonds-Karp shortest augmenting paths
-cut this core. A vertex is 1 iff it cannot reach the outer plate through
-arcs with flow < capacity, the arcs Edmonds-Karp augments along (an arc
-over its capacity by an ulp is saturated). A run inside one side lies on
-it; a split run is cut at its least-conductance edges, each piece taking
-the side of the end it stays joined to, and a piece joined to neither end
-the inner side.
+Every solve runs on the network's core, an exact reduction. Each plate is
+contracted to one node, the edges inside a plate and the components that
+touch neither plate are dropped, and parallel edges become one edge of
+their summed conductance k_e = m_e / l_e^p. Each maximal run of free
+degree-2 vertices then becomes one edge of the run's series conductance
+k_min (sum_e (k_min / k_e)^(1/(p-1)))^-(p-1), evaluated in this scaled form
+so that nothing overflows as p nears 1; its p -> 1 limit, used at p = 1,
+is k_min, exact since a min of floats is exact. A chain leaves a single
+inner-outer edge, and the h = 1/256 bow-tie's 164,609 vertices leave 512.
 
-Every p > 1 linear solve goes through one kernel, `_FreeLaplacian`: the m
-free vertices are ordered once per solve by reverse Cuthill-McKee, each
-edge's w_e (e_i - e_j)(e_i - e_j)^T is scattered into LAPACK symmetric band
-storage by a precomputed index, and the system is solved by banded
-Cholesky. At bandwidth b that costs O(m b^2) time and m (b + 1) floats.
+On the core, p = 2 is an exact linear solve, p in (1, inf) \\ {2} a damped
+Newton descent on the strictly convex energy, and p = 1 an exact min-cut
+by Edmonds-Karp shortest augmenting paths. For p > 1 a run's drop is then
+split over its edges in proportion to (k_min / k_e)^(1/(p-1)), the
+minimizer given the run's ends. For p = 1 a vertex is 1 iff it cannot
+reach the outer plate through arcs with flow < capacity, the arcs
+Edmonds-Karp augments along (an arc over its capacity by an ulp is
+saturated). A run inside one side lies on it; a split run is cut at its
+least-conductance edges, each piece taking the side of the end it stays
+joined to, and a piece joined to neither end the inner side. For p > 1 the
+reported energy and KKT residual are those of the returned potential on
+the whole network; for p = 1 the energy is the max-flow value, which the
+cut attains.
+
+Every p > 1 linear solve on a core goes through one kernel,
+`_FreeLaplacian`: the m free vertices are ordered once per solve by reverse
+Cuthill-McKee, each edge's w_e (e_i - e_j)(e_i - e_j)^T is scattered into
+LAPACK symmetric band storage by a precomputed index, and the system is
+solved by banded Cholesky. At bandwidth b that costs O(m b^2) time and
+m (b + 1) floats.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,12 +261,9 @@ def _components(nodes, a, b):
     return csgraph.connected_components(graph, directed=False)[1]
 
 
-def _check_connected(net, bc):
-    """Component label of each vertex; the plates must share a component."""
-    labels = _components(net.num_vertices, net.edge_i, net.edge_j)
-    if len(set(labels[bc.inner]) & set(labels[bc.outer])) == 0:
-        raise InfeasibleError("boundary sets lie in different components")
-    return labels
+# the arrays the solvers read, without DiscreteNetwork's checks: a reduced
+# core may hold conductances that under- or overflow
+_Edges = namedtuple("_Edges", "num_vertices edge_i edge_j lengths masses")
 
 
 def _energy(net, u, p):
@@ -318,8 +328,7 @@ def _solve_p2(net, lap, u):
         u[lap.order] = lap.solve(cond, -lap.divergence(cond * (u[net.edge_i] - u[net.edge_j])))
     except linalg.LinAlgError as exc:
         raise ConvergenceError(f"p = 2 linear solve failed: {exc}") from exc
-    resid = lap.divergence(cond * (u[net.edge_i] - u[net.edge_j]))
-    return u, float(np.abs(resid).max(initial=0.0))
+    return u
 
 
 def _newton(net, lap, p, tol, u0):
@@ -370,7 +379,7 @@ def _newton(net, lap, p, tol, u0):
         raise ConvergenceError(
             f"Newton did not converge in {MAX_ITER} iterations", best_energy=energy
         )
-    return u, energy, iterations, gnorm, reason
+    return u, iterations, reason
 
 
 def _merge_parallel(a, b, c, nodes):
@@ -383,57 +392,145 @@ def _merge_parallel(a, b, c, nodes):
     return lo, hi, np.bincount(which, weights=c[keep])
 
 
-def _min_cut(net, bc):
+def _contract(net, bc):
+    """Contract each plate to one node and drop the edges inside a plate and
+    the components touching neither plate, which have energy 0 at u = 0.
+    Returns the edges left, between nodes numbered with the two plates
+    last, and each vertex's node (the node count for a vertex left out)."""
+    n = net.num_vertices
+    node = np.arange(n + 2)
+    node[bc.inner], node[bc.outer] = n, n + 1
+    a, b = node[net.edge_i], node[net.edge_j]
+    cross = np.flatnonzero(a != b)
+    used = np.zeros(n + 2, dtype=bool)
+    used[a[cross]] = used[b[cross]] = used[n:] = True
+    at = np.cumsum(used) - 1
+    nodes = int(at[-1]) + 1
+    a, b = at[a[cross]], at[b[cross]]
+    labels = _components(nodes, a, b)
+    if labels[-2] != labels[-1]:
+        raise InfeasibleError("boundary sets lie in different components")
+    live = labels[a] == labels[-1]
+    at[~used] = nodes
+    return (_Edges(nodes, a[live], b[live], net.lengths[cross[live]], net.masses[cross[live]]),
+            at[node[:n]])
+
+
+def _reduce(sub, k, p):
+    """The core (module docstring) of a network whose plates are its last
+    two nodes, and the map from a potential on the core to one on every
+    node. A run back to its own start is dropped, and the core keeps the
+    other nodes in their order."""
+    nodes = sub.num_vertices
+    lo, hi, c = _merge_parallel(sub.edge_i, sub.edge_j, k, nodes)
+    deg = np.bincount(np.r_[lo, hi], minlength=nodes)
+    series = deg == 2
+    series[-2:] = False
+    s_lo, s_hi = series[lo], series[hi]
+    link, on_run = s_lo & s_hi, s_lo | s_hi  # edges inside a run, and on one
+    end = np.where(s_lo, lo, hi)  # the series end of an edge on a run
+    bound = np.flatnonzero(s_lo ^ s_hi)  # two per run
+    # a search from a root joined to the series end of each bound edge walks
+    # the runs one after another, each from the end it reaches first
+    la, lb, root = lo[link], hi[link], nodes
+    graph = sparse.csr_matrix((np.ones(2 * len(la) + len(bound)),
+                               (np.r_[la, lb, np.full(len(bound), root)],
+                                np.r_[lb, la, end[bound]])), shape=(nodes + 1, nodes + 1))
+    order, pred = csgraph.depth_first_order(graph, root, return_predecessors=True)
+    order = order[1:]
+    start = pred[order] == root
+    place = np.zeros(nodes, dtype=np.int64)
+    place[order] = np.arange(len(order))
+    # each run's bound edges in walking order, the one it is entered by first
+    bound = bound[np.argsort(place[end[bound]], kind="stable")]
+    ends = np.where(s_lo, hi, lo)[bound].reshape(-1, 2)
+    walk_run = np.cumsum(start) - 1  # the run of each walked vertex
+    run_of = np.zeros(nodes, dtype=np.int64)
+    run_of[order] = walk_run
+    e = np.flatnonzero(on_run)
+    run = run_of[end[e]]  # the run of each edge in e
+    into = np.zeros(nodes, dtype=np.int64)  # the edge the walk enters a vertex by
+    into[end[bound[::2]]] = bound[::2]
+    into[np.where(pred[lb] == la, lb, la)] = np.flatnonzero(link)
+    into = into[order]
+
+    def walk(x):
+        """Sum of x over the edges from each walked vertex's entry end to it."""
+        s = np.cumsum(x[into])
+        return s - (s - x[into])[start][walk_run]
+
+    cmin = np.full(len(ends), np.inf)
+    np.minimum.at(cmin, run, c[e])
+    if p == 1:
+        k_run = cmin
+    else:
+        ratio = np.zeros(len(c))
+        ratio[e] = np.divide(cmin[run], c[e], out=np.ones(len(e)),
+                             where=c[e] != cmin[run]) ** (1.0 / (p - 1.0))
+        total = np.bincount(run, ratio[e], len(ends))
+        k_run = cmin * total ** (1.0 - p)
+    a, b, w = _merge_parallel(np.r_[lo[~on_run], ends[:, 0]], np.r_[hi[~on_run], ends[:, 1]],
+                              np.r_[c[~on_run], k_run], nodes)
+    kept = (deg > 0) & ~series
+    at = np.cumsum(kept) - 1
+    core = _Edges(int(at[-1]) + 1, at[a], at[b], np.ones(len(w)), w)
+
+    def expand(core_u):
+        u = np.zeros(nodes)
+        u[kept] = core_u
+        ua, ub = u[ends[:, 0]], u[ends[:, 1]]
+        if p == 1:
+            # a run whose ends share a side lies on it; a split run is cut at
+            # its least-conductance edges: a vertex before the first cut
+            # takes its entry end's side, past the last cut the other end's,
+            # and between cuts the inner side
+            cut = np.zeros(len(c), dtype=bool)
+            cut[e] = (c[e] == cmin[run]) & (ua != ub)[run]
+            before = walk(cut)
+            cuts = np.bincount(run, cut[e], len(ends))[walk_run]
+            u[order] = np.where(before == 0, ua[walk_run],
+                                np.where(before == cuts, ub[walk_run], 1.0))
+        else:
+            # a run's drop is split over its edges in proportion to their ratios
+            u[order] = ua[walk_run] - (ua - ub)[walk_run] * (walk(ratio) / total[walk_run])
+        return u
+
+    return core, expand
+
+
+def _kkt_residual(sub, k, u, p):
+    """The largest |dE/du| over the free nodes, all but the last two."""
+    d = u[sub.edge_i] - u[sub.edge_j]
+    flux = p * k * np.abs(d) ** (p - 1) * np.sign(d)
+    n = sub.num_vertices
+    grad = np.bincount(sub.edge_i, flux, n) - np.bincount(sub.edge_j, flux, n)
+    return float(np.abs(grad[:-2]).max(initial=0.0))
+
+
+def _min_cut(core):
+    """Edmonds-Karp on the core, whose plates are its last two nodes: the
+    0/1 potential of the cut, and the flow value."""
     # imported here, where only the p = 1 route pays for it
     import networkx as nx
     from networkx.algorithms.flow import edmonds_karp
 
-    n = net.num_vertices
-    S, T = n, n + 1  # the contracted plates
-    node = np.arange(n)
-    node[bc.inner], node[bc.outer] = S, T
-    lo, hi, c = _merge_parallel(node[net.edge_i], node[net.edge_j],
-                                net.masses / net.lengths, n + 2)
-    # a run is a maximal path of free degree-2 vertices; it becomes one edge
-    # between its two ends, of its least conductance
-    series = np.bincount(np.r_[lo, hi], minlength=n + 2) == 2
-    series[[S, T]] = False
-    s_lo, s_hi = series[lo], series[hi]
-    run = _components(n + 2, lo[s_lo & s_hi], hi[s_lo & s_hi])[np.where(s_lo, lo, hi)]
-    on_run = s_lo | s_hi
-    cmin = np.full(n + 2, np.inf)
-    np.minimum.at(cmin, run[on_run], c[on_run])
-    bound = np.flatnonzero(s_lo ^ s_hi)  # two per run, sorted to pairs
-    bound = bound[np.argsort(run[bound], kind="stable")]
-    ends = np.where(s_lo, hi, lo)[bound].reshape(-1, 2)
-    runs = run[bound[::2]]
-    a, b, w = _merge_parallel(np.r_[lo[~on_run], ends[:, 0]], np.r_[hi[~on_run], ends[:, 1]],
-                              np.r_[c[~on_run], cmin[runs]], n + 2)
+    nodes = core.num_vertices
+    a, b, w = core.edge_i, core.edge_j, core.masses
     al, bl, wl = a.tolist(), b.tolist(), w.tolist()
     g = nx.DiGraph()
     g.add_edges_from((x, y, {"capacity": z}) for x, y, z in zip(al + bl, bl + al, wl + wl))
-    residual = edmonds_karp(g, S, T)
+    residual = edmonds_karp(g, nodes - 2, nodes - 1)
     flow = np.array([residual.succ[x][y]["flow"] for x, y in zip(al, bl)])
-    # u = 0 on the vertices that reach T through arcs with flow < capacity,
-    # the arcs Edmonds-Karp augments along: an arc over its capacity by an
-    # ulp is saturated too. A search from T along the reversed arcs finds them
+    # u = 0 on the nodes that reach the outer plate through arcs with flow <
+    # capacity, the arcs Edmonds-Karp augments along: an arc over its capacity
+    # by an ulp is saturated too. A search from it along the reversed arcs
+    # finds them
     fwd, bwd = flow < w, -flow < w
     into = sparse.csr_matrix((np.ones(fwd.sum() + bwd.sum()),
                               (np.r_[b[fwd], a[bwd]], np.r_[a[fwd], b[bwd]])),
-                             shape=(n + 2, n + 2))
-    u = np.ones(n + 2)
-    u[csgraph.breadth_first_order(into, T, return_predecessors=False)] = 0.0
-    # a run whose ends share a side lies on it; a split run is cut at its
-    # least-conductance edges, and a piece joined to neither end is inner
-    split = np.zeros(n + 2, dtype=bool)
-    split[runs] = u[ends[:, 0]] != u[ends[:, 1]]
-    joined = on_run & ~(split[run] & (c == cmin[run]))
-    piece = _components(n + 2, lo[joined], hi[joined])
-    outer = np.zeros(n + 2, dtype=bool)
-    outer[piece[(u == 0.0) & ~series]] = True
-    u[series] = np.where(outer[piece[series]], 0.0, 1.0)
-    u = u[:n]
-    u[bc.outer] = 0.0
+                             shape=(nodes, nodes))
+    u = np.ones(nodes)
+    u[csgraph.breadth_first_order(into, nodes - 1, return_predecessors=False)] = 0.0
     return u, float(residual.graph["flow_value"])
 
 
@@ -441,8 +538,10 @@ def solve_p_energy(net: DiscreteNetwork, bc: BoundaryCondition, p: float,
                    tol: float = 1e-9) -> SolveReport:
     """Minimize the discrete p-energy with u = 1 on inner and u = 0 on outer.
 
-    p = 2 is an exact linear solve; p = 1 an exact min-cut (coarea /
-    max-flow duality); other p > 1 use damped Newton with line search.
+    The network is first reduced to its core (module docstring). On the
+    core, p = 2 is an exact linear solve, p = 1 an exact min-cut (coarea /
+    max-flow duality), and other p > 1 use damped Newton with line search.
+    The iterations and stop reason are the core solve's.
     Vertices in a component touching neither plate are pinned to u = 0.
     A non-finite energy raises ConvergenceError.
     """
@@ -450,28 +549,28 @@ def solve_p_energy(net: DiscreteNetwork, bc: BoundaryCondition, p: float,
         raise DomainError(f"need p >= 1, got {p}")
     if not tol > 0:
         raise InputError(f"tol must be positive, got {tol}")
-    labels = _check_connected(net, bc)
-    # such a component makes the free system singular, and has energy 0 at
-    # any constant
-    on_plate = np.zeros(labels.max() + 1, dtype=bool)
-    on_plate[labels[bc.inner]] = on_plate[labels[bc.outer]] = True
-    floating = np.flatnonzero(~on_plate[labels])
-    if len(floating):
-        bc = BoundaryCondition(inner=bc.inner, outer=np.concatenate([bc.outer, floating]))
-    u = np.zeros(net.num_vertices)
-    u[bc.inner] = 1.0
+    sub, node = _contract(net, bc)
+    k = sub.masses / sub.lengths**p
+    core, expand = _reduce(sub, k, p)
     if p == 1:
-        u, energy = _min_cut(net, bc)
-        iters, resid, reason = 0, 0.0, "min-cut"
+        core_u, energy = _min_cut(core)
+        iters, reason = 0, "min-cut"
     else:
-        lap = _FreeLaplacian(net, bc)
-        u, resid = _solve_p2(net, lap, u)
+        lap = _FreeLaplacian(core, BoundaryCondition(inner=[core.num_vertices - 2],
+                                                     outer=[core.num_vertices - 1]))
+        core_u = np.zeros(core.num_vertices)
+        core_u[-2] = 1.0
+        core_u = _solve_p2(core, lap, core_u)
         if p == 2:
-            energy, iters, reason = _energy(net, u, 2.0), 1, "linear-solve"
+            iters, reason = 1, "linear-solve"
         else:
-            u, energy, iters, resid, reason = _newton(net, lap, p, tol, u)
+            core_u, iters, reason = _newton(core, lap, p, tol, core_u)
+    # clipping to [0, 1] never raises the energy, and undoes rounding
+    u = np.clip(expand(core_u), 0.0, 1.0)
+    if p > 1:
+        energy = _energy(sub, u, p)
     if not math.isfinite(energy):
         raise ConvergenceError(f"p = {p} solve ended at non-finite energy {energy}")
-    return SolveReport(energy=energy, potential=u, iterations=iters, kkt_residual=resid,
+    return SolveReport(energy=energy, potential=np.append(u, 0.0)[node], iterations=iters,
+                       kkt_residual=0.0 if p == 1 else _kkt_residual(sub, k, u, p),
                        stop_reason=reason)
-

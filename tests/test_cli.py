@@ -137,6 +137,22 @@ def test_oracle_command(capsys):
     assert code == (0 if float(rep["relative_error"]) == 0.0 else 1)
 
 
+@pytest.mark.parametrize("p, reason", [("1", "min-cut"), ("2", "linear-solve"),
+                                       ("1.5", "gradient")])
+def test_oracle_reports_the_network_solve(capsys, p, reason):
+    argv = ["oracle", "--space", "buckley", "--eta", "0.5", "--p", p,
+            "--r", "0.6", "--R", "1.4", "--cells", "500"]
+    assert run(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert sorted(out) == ["cells", "formula", "iterations", "kkt_residual", "network",
+                           "relative_error", "stop_reason"]
+    net = anncap.build_radial_network(make_buckley(0.5).space, 0.6, 1.4, 500)
+    rep = anncap.solve_p_energy(net, anncap.condenser_bc(net, 0.6, 1.4), float(p))
+    assert (out["stop_reason"], out["iterations"]) == (reason, rep.iterations)
+    assert float(out["kkt_residual"]) == rep.kkt_residual
+    assert float(out["network"]) == rep.energy
+
+
 def _cap_value(capsys, argv):
     assert run(["cap", *argv]) == 0
     return float(json.loads(capsys.readouterr().out)["value"])

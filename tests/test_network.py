@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from anncap import network
 from anncap.capacity import cap_auto, cap_radial_p1, cap_rn_unweighted, cap_snake
 from anncap.decay import check_doubling, check_one_ad
 from anncap.errors import ConvergenceError, DomainError, InfeasibleError, InputError
-from anncap.gallery import make_buckley
+from anncap.gallery import make_buckley, make_summed_buckley
 from anncap.measure import _cell_masses, mu_annulus, mu_ball
 from scipy import linalg
 from anncap.network import (
@@ -253,25 +254,32 @@ def test_p1_chain_cut_is_its_last_least_conductance():
         assert np.array_equal(rep.potential, u)
 
 
+def _patch_net(rows, cols, rng=None, scale=1.0):
+    """A rows x cols grid patch between its first and last column, with unit
+    edges or edges drawn from rng, lengths times scale. Every free vertex
+    has degree 3 or more, so the whole patch is its own reduced core."""
+    n, ei, ej, inner, outer = _grid_patch(rows, cols)
+    w = np.ones((2, len(ei))) if rng is None else rng.uniform(0.1, 2.0, (2, len(ei)))
+    net = DiscreteNetwork(num_vertices=n, edge_i=ei, edge_j=ej, lengths=w[0] * scale,
+                          masses=w[1])
+    return net, BoundaryCondition(inner=inner, outer=outer)
+
+
 def test_stop_reasons():
-    net = _series_net([0.5, 1.0, 0.25], [0.5, 1.0, 0.25])
-    bc = BoundaryCondition(inner=[0], outer=[3])
+    net, bc = _patch_net(3, 4)  # unit edges: the p = 2 start is every p's minimizer
     for p, reason in ((1.0, "min-cut"), (2.0, "linear-solve"), (3.0, "gradient")):
         rep = solve_p_energy(net, bc, p)
         assert (rep.stop_reason, rep.converged) == (reason, True), p
-    rng = np.random.default_rng(7)
-    net = _series_net(rng.uniform(0.1, 2.0, 40), rng.uniform(0.1, 2.0, 40))
-    rep = solve_p_energy(net, BoundaryCondition(inner=[0], outer=[40]), 1.5)
+    rep = solve_p_energy(*_patch_net(3, 5, np.random.default_rng(0)), 1.5)
     assert (rep.stop_reason, rep.converged) == ("newton-decrement", True)
+    assert rep.iterations > 1
 
 
 def test_line_search_stall_is_not_converged(monkeypatch):
     # a flat zero energy fails every Armijo test: Newton stops at once and
     # says why
     monkeypatch.setattr(network, "_energy", lambda net, u, p: 0.0)
-    rng = np.random.default_rng(7)
-    net = _series_net(rng.uniform(0.1, 2.0, 40), rng.uniform(0.1, 2.0, 40))
-    rep = solve_p_energy(net, BoundaryCondition(inner=[0], outer=[40]), 1.5)
+    rep = solve_p_energy(*_patch_net(3, 5, np.random.default_rng(0)), 1.5)
     assert rep.stop_reason == "line-search-stalled"
     assert not rep.converged
     assert rep.iterations == 1
@@ -281,10 +289,9 @@ def test_flat_energy_stalls_at_once(monkeypatch):
     # a flat nonzero energy passes the bare Armijo test once 1e-4 * t * slope
     # is below its rounding; only a step that lowers the energy is taken
     monkeypatch.setattr(network, "_energy", lambda net, u, p: 1.0)
-    rng = np.random.default_rng(7)
-    net = _series_net(rng.uniform(0.1, 2.0, 40), rng.uniform(0.1, 2.0, 40))
+    net, bc = _patch_net(3, 5, np.random.default_rng(0))
     t0 = time.perf_counter()
-    rep = solve_p_energy(net, BoundaryCondition(inner=[0], outer=[40]), 1.5)
+    rep = solve_p_energy(net, bc, 1.5)
     assert time.perf_counter() - t0 < 1.0
     assert (rep.stop_reason, rep.converged, rep.iterations) == ("line-search-stalled", False, 1)
 
@@ -307,9 +314,8 @@ def test_failed_factorisation_is_a_convergence_error(monkeypatch, p):
         raise linalg.LinAlgError("1th leading minor not positive definite")
 
     monkeypatch.setattr(linalg, "solveh_banded", singular)
-    net = _series_net([1.0, 1.0], [1.0, 1.0])
     with pytest.raises(ConvergenceError):
-        solve_p_energy(net, BoundaryCondition(inner=[0], outer=[2]), p)
+        solve_p_energy(*_patch_net(3, 5, np.random.default_rng(0)), p)
 
 
 def _random_multigraph(rng):
@@ -403,6 +409,55 @@ def test_banded_solves_match_dense_references(seed):
         rep = solve_p_energy(net, bc, p, tol=1e-12)
         assert rep.converged
         assert rep.energy == pytest.approx(_dense_newton(net, bc, p), rel=1e-9), p
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_series_reduction_matches_dense_references(seed):
+    # subdivided edges, a leaf run, a loop, parallel runs and a plate-to-plate
+    # run, each collapsed by the series law and split back by it
+    rng = np.random.default_rng(seed)
+    n, ei, ej, inner, outer = _with_runs(rng)
+    lengths, masses = rng.uniform(0.1, 2.0, (2, len(ei)))
+    net = DiscreteNetwork(num_vertices=n, edge_i=ei, edge_j=ej, lengths=lengths, masses=masses)
+    bc = BoundaryCondition(inner=inner, outer=outer)
+    for p in (1.1, 1.5, 2.0, 3.0):
+        rep = solve_p_energy(net, bc, p, tol=1e-12)
+        ref = network._energy(net, _dense_p2(net, bc), p) if p == 2 else _dense_newton(net, bc, p)
+        assert rep.energy == pytest.approx(ref, rel=1e-9), p
+        assert 0.0 <= rep.potential.min() and rep.potential.max() <= 1.0
+        assert rep.energy == pytest.approx(network._energy(net, rep.potential, p), rel=1e-14)
+
+
+@pytest.mark.parametrize("p", [1.01, 1.001])
+def test_near_one_chain_matches_the_series_law(p):
+    # (sum_e k_e^(-1/(p-1)))^-(p-1) in 50 digits; in floats k_e^(-1/(p-1))
+    # leaves the range for conductances spread over 1e-6..1e6
+    mpmath = pytest.importorskip("mpmath")
+    k = 10.0 ** np.random.default_rng(5).uniform(-6.0, 6.0, 200)
+    net = _series_net(np.ones(len(k)), k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = solve_p_energy(net, BoundaryCondition(inner=[0], outer=[len(k)]), p)
+    with mpmath.workdps(50):
+        q = 1 / (mpmath.mpf(p) - 1)
+        law = mpmath.fsum(mpmath.mpf(float(x)) ** -q for x in k) ** (1 - mpmath.mpf(p))
+        assert abs(rep.energy - law) <= 1e-12 * law
+
+
+def test_chains_reach_no_newton_iteration():
+    # the benchmark's chains reduce to one plate-to-plate edge: a return to
+    # iterating on them fails here
+    cases = []
+    for space, d in itertools.product((RN2, make_buckley(0.5).space,
+                                       make_summed_buckley(0.5).space), (0.375, 0.4, 0.425)):
+        net = build_radial_network(space, 1.0 - d, 1.0 + d, 20000)
+        cases += [(net, condenser_bc(net, 1.0 - d, 1.0 + d), p) for p in (1.1, 1.5, 2.5, 3.0)]
+    for k, delta in ((2, 0.01), (3, 0.05), (5, 0.5)):
+        r, R = 2.0**k - delta, 2.0**k + delta
+        net = build_snake_network(extra_radii=(r, R))
+        cases += [(net, condenser_bc(net, r, R), p) for p in (1.5, 2.0, 3.0)]
+    for net, bc, p in cases:
+        assert solve_p_energy(net, bc, p).iterations <= 1, p
 
 
 def test_radial_network_oracle():
@@ -563,9 +618,21 @@ def test_floating_component_is_pinned(p):
 @pytest.mark.filterwarnings("ignore")  # overflow and singular-matrix warnings
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_non_finite_energy_raises(p):
-    net = _series_net([1e-200, 1e-200], [1.0, 1.0])  # |du|/l overflows
-    with pytest.raises(ConvergenceError):
-        solve_p_energy(net, BoundaryCondition(inner=[0], outer=[2]), p)
+    # (|du| / l)^p overflows, and so does k = m / l^p, on a patch whose core
+    # keeps its free vertices and on a chain whose core is one edge
+    chain = _series_net([1e-250, 1e-250], [1.0, 1.0]), BoundaryCondition(inner=[0], outer=[2])
+    for net, bc in (_patch_net(3, 5, np.random.default_rng(0), scale=1e-250), chain):
+        with pytest.raises(ConvergenceError):
+            solve_p_energy(net, bc, p)
+
+
+def test_large_finite_energy_is_a_value():
+    # at p = 1.5 neither k = 1e300 nor (0.5 / 1e-200)^1.5 overflows: the
+    # energy is the series law's 2^(-1/2) 1e300, though m / l^2 is inf
+    rep = solve_p_energy(_series_net([1e-200, 1e-200], [1.0, 1.0]),
+                         BoundaryCondition(inner=[0], outer=[2]), 1.5)
+    assert rep.energy == pytest.approx(2.0**-0.5 * 1e300, rel=1e-14)
+    assert list(rep.potential) == [1.0, 0.5, 0.0]
 
 
 def test_radial_network_masses_are_the_shared_panel_rule():
