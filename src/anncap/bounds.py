@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -194,16 +193,6 @@ class SweepReport:
         writer.writerow(["r", "R", "cap", "bound", "ratio"])
         for row in self.rows:
             writer.writerow([f"{x:.17g}" for x in row])
-
-    def verdict_json(self) -> str:
-        return json.dumps({
-            "verdict": self.verdict,
-            "passed": self.passed,
-            "slope": f"{self.slope:.17g}",
-            "min_ratio": f"{self.min_ratio:.17g}",
-            "max_ratio": f"{self.max_ratio:.17g}",
-            "rows": len(self.rows),
-        }, sort_keys=True)
 
 
 def verify_envelope(space: SpaceSpec, cap_fn, spec: BoundSpec, annuli,

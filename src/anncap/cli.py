@@ -130,9 +130,15 @@ def _cmd_sweep(ns) -> int:
             rep.to_csv(fh)
     else:
         rep.to_csv(sys.stdout)
-    verdict = json.loads(rep.verdict_json())
-    verdict["cap_slope"] = f"{_cap_slope(rep):.17g}"
-    print(json.dumps(verdict, sort_keys=True), file=sys.stderr)
+    print(json.dumps({
+        "verdict": rep.verdict,
+        "passed": rep.passed,
+        "slope": f"{rep.slope:.17g}",
+        "min_ratio": f"{rep.min_ratio:.17g}",
+        "max_ratio": f"{rep.max_ratio:.17g}",
+        "rows": len(rep.rows),
+        "cap_slope": f"{_cap_slope(rep):.17g}",
+    }, sort_keys=True), file=sys.stderr)
     return 0 if rep.passed else 1
 
 
@@ -209,7 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, help="dimension (default: rn 2, buckley 1, bowtie 2)")
         p.add_argument("--eta", type=_finite_float)
         p.add_argument("--alpha", type=_finite_float)
-        p.add_argument("--q", type=_finite_float)
         p.add_argument("--kind", choices=[k.value for k in HalfLineKind])
 
     p_cap = sub.add_parser("cap", help="one capacity value")
@@ -222,6 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_space_args(p_sweep)
     p_sweep.add_argument("--p", type=_finite_float, required=True)
     p_sweep.add_argument("--R", type=_finite_float, required=True)
+    p_sweep.add_argument("--q", type=_finite_float)
     p_sweep.add_argument("--thin", type=int, default=11, help="number of thin annuli")
     p_sweep.add_argument("--bound", default="two-sided-nice", choices=sorted(_BOUND_IDS))
     p_sweep.add_argument("--no-gating", action="store_true",

@@ -6,14 +6,16 @@ gradient, and the discrete p-energy sum m_e (|du|/l_e)^p is minimized over
 potentials pinned to 1 on the inner plate and 0 on the outer plate.
 
 Every solve runs on the network's core, an exact reduction. Each plate is
-contracted to one node, the edges inside a plate and the components that
-touch neither plate are dropped, and parallel edges become one edge of
-their summed conductance k_e = m_e / l_e^p. Each maximal run of free
-degree-2 vertices then becomes one edge of the run's series conductance
-k_min (sum_e (k_min / k_e)^(1/(p-1)))^-(p-1), evaluated in this scaled form
-so that nothing overflows as p nears 1; its p -> 1 limit, used at p = 1,
-is k_min, exact since a min of floats is exact. A chain leaves a single
-inner-outer edge, and the h = 1/256 bow-tie's 164,609 vertices leave 512.
+contracted to one node, the edges inside a plate are dropped, and parallel
+edges become one edge of their summed conductance k_e = m_e / l_e^p. One
+depth-first search from the inner plate (Tarjan 1972) must reach the outer
+one, never reaches the components touching neither plate (left out, at
+u = 0), and walks each maximal run of free degree-2 vertices in one piece
+from the end it reaches first. Each run becomes one edge of its series
+conductance k_min (sum_e (k_min / k_e)^(1/(p-1)))^-(p-1), evaluated in this
+scaled form so that nothing overflows as p nears 1; its p -> 1 limit, used
+at p = 1, is k_min, exact since a min of floats is exact. A chain leaves a
+single inner-outer edge; the h = 1/256 bow-tie's 164,609 vertices leave 512.
 
 On the core, p = 2 is an exact linear solve, p in (1, inf) \\ {2} a damped
 Newton descent on the strictly convex energy, and p = 1 an exact min-cut
@@ -168,14 +170,6 @@ def build_radial_network(space: SpaceSpec, r_lo: float, r_hi: float,
     )
 
 
-def _snake_pieces(k_max):
-    pieces = [("seg", 0.0, 1.0)]
-    for k in range(1, k_max + 1):
-        pieces.append(("circ", 2.0 ** (k - 1)))
-        pieces.append(("seg", 2.0 ** (k - 1), 2.0**k))
-    return pieces
-
-
 def build_snake_network(k_max: int = 8, cells_per_unit: float = 4.0,
                         extra_radii: tuple[float, ...] = ()) -> DiscreteNetwork:
     """1-D chain following the snake's arclength with vertex radii recorded.
@@ -186,37 +180,25 @@ def build_snake_network(k_max: int = 8, cells_per_unit: float = 4.0,
     if not 0 < cells_per_unit < math.inf:
         raise InputError(f"need a finite cells_per_unit > 0, got {cells_per_unit}")
     geom = Snake(k_max=k_max)
-    radii = [0.0]
-    lengths, masses = [], []
-
-    def extend(seg_radii):
-        # chain along a segment: radius moves monotonically, mass = length
-        for a, b in zip(seg_radii[:-1], seg_radii[1:]):
-            lengths.append(b - a)
-            masses.append(b - a)
-            radii.append(b)
-
-    for piece in _snake_pieces(geom.k_max):
-        if piece[0] == "seg":
-            _, a, b = piece
-            cells = max(2, int(math.ceil((b - a) * cells_per_unit)))
-            seg = np.linspace(a, b, cells + 1)
-            snap = [x for x in extra_radii if a < x < b]
-            seg = np.unique(np.concatenate([seg, snap]))
-            extend(seg)
-        else:
-            _, rad = piece
-            arclen = math.pi * rad
+    radii, lengths = [np.zeros(1)], []
+    for k in range(geom.k_max + 1):
+        a, b = 2.0 ** (k - 1) if k else 0.0, 2.0**k
+        if k:  # the half-circle at radius a, before the segment from a to b
+            arclen = math.pi * a
             cells = max(2, min(64, int(math.ceil(arclen * cells_per_unit))))
-            for _ in range(cells):
-                lengths.append(arclen / cells)
-                masses.append(arclen / cells)
-                radii.append(rad)
-    n = len(radii)
-    idx = np.arange(n - 1)
-    return DiscreteNetwork(num_vertices=n, edge_i=idx, edge_j=idx + 1,
-                           lengths=np.array(lengths), masses=np.array(masses),
-                           radii=np.array(radii))
+            radii.append(np.full(cells, a))
+            lengths.append(np.full(cells, arclen / cells))
+        # along a segment the radius moves monotonically and mass = length
+        cells = max(2, int(math.ceil((b - a) * cells_per_unit)))
+        seg = np.unique(np.concatenate([np.linspace(a, b, cells + 1),
+                                        [x for x in extra_radii if a < x < b]]))
+        radii.append(seg[1:])
+        lengths.append(np.diff(seg))
+    lengths = np.concatenate(lengths)
+    idx = np.arange(len(lengths))
+    return DiscreteNetwork(num_vertices=len(lengths) + 1, edge_i=idx, edge_j=idx + 1,
+                           lengths=lengths, masses=lengths.copy(),
+                           radii=np.concatenate(radii))
 
 
 def build_bowtie_grid(alpha: float, h: float) -> DiscreteNetwork:
@@ -256,11 +238,6 @@ def build_bowtie_grid(alpha: float, h: float) -> DiscreteNetwork:
 # ---------------------------------------------------------------------------
 # solvers
 
-def _components(nodes, a, b):
-    graph = sparse.csr_matrix((np.ones(len(a)), (a, b)), shape=(nodes, nodes))
-    return csgraph.connected_components(graph, directed=False)[1]
-
-
 # the arrays the solvers read, without DiscreteNetwork's checks: a reduced
 # core may hold conductances that under- or overflow
 _Edges = namedtuple("_Edges", "num_vertices edge_i edge_j lengths masses")
@@ -271,30 +248,35 @@ def _energy(net, u, p):
     return float(np.sum(net.masses * (np.abs(d) / net.lengths) ** p))
 
 
-class _FreeLaplacian:
-    """The w-weighted Laplacian on the free vertices, in band storage.
+def _divergence(net, flux):
+    """Edge fluxes summed into each node, + at edge_i and - at edge_j."""
+    n = net.num_vertices
+    return np.bincount(net.edge_i, flux, n) - np.bincount(net.edge_j, flux, n)
 
-    ``order`` lists the free vertices in reverse Cuthill-McKee order, the
-    order of every free-vertex vector below. For positive w the matrix is
-    positive definite, since every free component touches a plate.
+
+class _FreeLaplacian:
+    """The w-weighted Laplacian of a core on its free nodes, all but the last
+    two (the plates), in band storage.
+
+    ``order`` lists the free nodes in reverse Cuthill-McKee order, the order
+    of every free-node vector below. For positive w the matrix is positive
+    definite, since every node of a core is joined to a plate.
     """
 
-    def __init__(self, net, bc):
+    def __init__(self, net):
         self.net = net
-        pos = np.zeros(net.num_vertices, dtype=np.int64)
-        pos[bc.inner] = pos[bc.outer] = -1
-        free = np.flatnonzero(pos == 0)
-        m = len(free)
-        pos[free] = np.arange(m)
-        a, b = pos[net.edge_i], pos[net.edge_j]
-        both = (a >= 0) & (b >= 0)
-        graph = sparse.csr_matrix(
-            (np.ones(2 * both.sum()), (np.r_[a[both], b[both]], np.r_[b[both], a[both]])),
-            shape=(m, m))
-        # reverse_cuthill_mckee cannot order an empty graph (all on plates)
-        self.order = free[csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)] if m else free
+        m = net.num_vertices - 2
+        a, b = net.edge_i, net.edge_j
+        both = (a < m) & (b < m)
+        self.order = np.arange(m)
+        if m:  # reverse_cuthill_mckee cannot order an empty graph
+            graph = sparse.csr_matrix(
+                (np.ones(2 * both.sum()), (np.r_[a[both], b[both]], np.r_[b[both], a[both]])),
+                shape=(m, m))
+            self.order = csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)
+        pos = np.full(m + 2, -1)
         pos[self.order] = np.arange(m)
-        a, b = pos[net.edge_i], pos[net.edge_j]
+        a, b = pos[a], pos[b]
         lo, hi = np.minimum(a, b)[both], np.maximum(a, b)[both]
         band = int((hi - lo).max(initial=0))
         # LAPACK lower band storage holds L[i, j], i >= j, at [i - j, j]: each
@@ -306,10 +288,8 @@ class _FreeLaplacian:
         self._shape = (band + 1, m)
 
     def divergence(self, flux):
-        """Edge fluxes summed into each free vertex, + at edge_i, - at edge_j."""
-        n = self.net.num_vertices
-        return (np.bincount(self.net.edge_i, flux, n)
-                - np.bincount(self.net.edge_j, flux, n))[self.order]
+        """The edge fluxes' divergence at each free node."""
+        return _divergence(self.net, flux)[self.order]
 
     def solve(self, w, rhs):
         """Solve L_w x = rhs; raises LinAlgError if L_w is not positive
@@ -321,9 +301,11 @@ class _FreeLaplacian:
                                     check_finite=False)
 
 
-def _solve_p2(net, lap, u):
+def _solve_p2(net, lap):
+    """The p = 2 potential of a core: 1 on its inner plate, 0 on its outer."""
     cond = net.masses / net.lengths**2
-    u = u.copy()
+    u = np.zeros(net.num_vertices)
+    u[-2] = 1.0
     try:
         u[lap.order] = lap.solve(cond, -lap.divergence(cond * (u[net.edge_i] - u[net.edge_j])))
     except linalg.LinAlgError as exc:
@@ -331,9 +313,8 @@ def _solve_p2(net, lap, u):
     return u
 
 
-def _newton(net, lap, p, tol, u0):
+def _newton(net, lap, p, tol, u):
     k = net.masses / net.lengths**p
-    u = u0.copy()
     energy = _energy(net, u, p)
     for iterations in range(1, MAX_ITER + 1):
         d = u[net.edge_i] - u[net.edge_j]
@@ -392,67 +373,58 @@ def _merge_parallel(a, b, c, nodes):
     return lo, hi, np.bincount(which, weights=c[keep])
 
 
-def _contract(net, bc):
-    """Contract each plate to one node and drop the edges inside a plate and
-    the components touching neither plate, which have energy 0 at u = 0.
-    Returns the edges left, between nodes numbered with the two plates
-    last, and each vertex's node (the node count for a vertex left out)."""
+def _reduce(net, bc, p):
+    """The core (module docstring) of a network: returns the contracted
+    network (the vertices, then the inner and the outer plate), its
+    conductances k, the core (its plates last, its other nodes in their
+    order) and the map from a potential on the core to one on every node of
+    the contracted network. A run back to its own start is dropped."""
     n = net.num_vertices
-    node = np.arange(n + 2)
+    nodes = n + 2
+    node = np.arange(n)
     node[bc.inner], node[bc.outer] = n, n + 1
     a, b = node[net.edge_i], node[net.edge_j]
     cross = np.flatnonzero(a != b)
-    used = np.zeros(n + 2, dtype=bool)
-    used[a[cross]] = used[b[cross]] = used[n:] = True
-    at = np.cumsum(used) - 1
-    nodes = int(at[-1]) + 1
-    a, b = at[a[cross]], at[b[cross]]
-    labels = _components(nodes, a, b)
-    if labels[-2] != labels[-1]:
-        raise InfeasibleError("boundary sets lie in different components")
-    live = labels[a] == labels[-1]
-    at[~used] = nodes
-    return (_Edges(nodes, a[live], b[live], net.lengths[cross[live]], net.masses[cross[live]]),
-            at[node[:n]])
-
-
-def _reduce(sub, k, p):
-    """The core (module docstring) of a network whose plates are its last
-    two nodes, and the map from a potential on the core to one on every
-    node. A run back to its own start is dropped, and the core keeps the
-    other nodes in their order."""
-    nodes = sub.num_vertices
+    sub = _Edges(nodes, a[cross], b[cross], net.lengths[cross], net.masses[cross])
+    k = sub.masses / sub.lengths**p
     lo, hi, c = _merge_parallel(sub.edge_i, sub.edge_j, k, nodes)
-    deg = np.bincount(np.r_[lo, hi], minlength=nodes)
-    series = deg == 2
-    series[-2:] = False
+    # one search from the inner plate finds the nodes joined to a plate and
+    # walks each run of free degree-2 nodes in one piece, from the end it
+    # reaches first: that end is the predecessor of the run's first node.
+    # Its graph is made as CSR arrays, each row's heads ascending as from
+    # COO, whose checks and sort cost twice as much
+    tails = np.concatenate([hi, lo])
+    deg = np.bincount(tails, minlength=nodes)
+    heads = np.concatenate([lo, hi])[np.argsort(tails, kind="stable")]
+    graph = sparse.csr_matrix((np.ones(len(tails)), heads, np.r_[0, np.cumsum(deg)]),
+                              shape=(nodes, nodes))
+    order, pred = csgraph.depth_first_order(graph, n, return_predecessors=True)
+    reached = np.zeros(nodes, dtype=bool)
+    reached[order] = True
+    if not reached[-1]:
+        raise InfeasibleError("boundary sets lie in different components")
+    series = reached & (deg == 2)
+    series[n:] = False
     s_lo, s_hi = series[lo], series[hi]
-    link, on_run = s_lo & s_hi, s_lo | s_hi  # edges inside a run, and on one
+    on_run = s_lo | s_hi
     end = np.where(s_lo, lo, hi)  # the series end of an edge on a run
-    bound = np.flatnonzero(s_lo ^ s_hi)  # two per run
-    # a search from a root joined to the series end of each bound edge walks
-    # the runs one after another, each from the end it reaches first
-    la, lb, root = lo[link], hi[link], nodes
-    graph = sparse.csr_matrix((np.ones(2 * len(la) + len(bound)),
-                               (np.r_[la, lb, np.full(len(bound), root)],
-                                np.r_[lb, la, end[bound]])), shape=(nodes + 1, nodes + 1))
-    order, pred = csgraph.depth_first_order(graph, root, return_predecessors=True)
-    order = order[1:]
-    start = pred[order] == root
-    place = np.zeros(nodes, dtype=np.int64)
-    place[order] = np.arange(len(order))
-    # each run's bound edges in walking order, the one it is entered by first
-    bound = bound[np.argsort(place[end[bound]], kind="stable")]
-    ends = np.where(s_lo, hi, lo)[bound].reshape(-1, 2)
+    walked = order[series[order]]  # run after run
+    start = ~series[pred[walked]]
     walk_run = np.cumsum(start) - 1  # the run of each walked vertex
     run_of = np.zeros(nodes, dtype=np.int64)
-    run_of[order] = walk_run
+    run_of[walked] = walk_run
     e = np.flatnonzero(on_run)
     run = run_of[end[e]]  # the run of each edge in e
-    into = np.zeros(nodes, dtype=np.int64)  # the edge the walk enters a vertex by
-    into[end[bound[::2]]] = bound[::2]
-    into[np.where(pred[lb] == la, lb, la)] = np.flatnonzero(link)
-    into = into[order]
+    # the edge the search enters each node of a run by; the one edge left on
+    # a run is where the search leaves it
+    enters = np.where(s_hi & (pred[hi] == lo), hi, np.where(s_lo & (pred[lo] == hi), lo, -1))
+    into = np.zeros(nodes, dtype=np.int64)
+    into[enters[e]] = e
+    into = into[walked]
+    leave = e[enters[e] < 0]
+    ends = np.empty((int(start.sum()), 2), dtype=np.int64)
+    ends[:, 0] = pred[walked[start]]
+    ends[run_of[end[leave]], 1] = np.where(s_lo, hi, lo)[leave]
 
     def walk(x):
         """Sum of x over the edges from each walked vertex's entry end to it."""
@@ -469,15 +441,17 @@ def _reduce(sub, k, p):
                              where=c[e] != cmin[run]) ** (1.0 / (p - 1.0))
         total = np.bincount(run, ratio[e], len(ends))
         k_run = cmin * total ** (1.0 - p)
-    a, b, w = _merge_parallel(np.r_[lo[~on_run], ends[:, 0]], np.r_[hi[~on_run], ends[:, 1]],
-                              np.r_[c[~on_run], k_run], nodes)
-    kept = (deg > 0) & ~series
+    rest = ~on_run & reached[lo]
+    a, b, w = _merge_parallel(np.r_[lo[rest], ends[:, 0]], np.r_[hi[rest], ends[:, 1]],
+                              np.r_[c[rest], k_run], nodes)
+    kept = reached & ~series
     at = np.cumsum(kept) - 1
     core = _Edges(int(at[-1]) + 1, at[a], at[b], np.ones(len(w)), w)
 
     def expand(core_u):
         u = np.zeros(nodes)
         u[kept] = core_u
+        u[bc.inner] = 1.0  # the plates' own vertices; the outer one's stay 0
         ua, ub = u[ends[:, 0]], u[ends[:, 1]]
         if p == 1:
             # a run whose ends share a side lies on it; a split run is cut at
@@ -488,22 +462,20 @@ def _reduce(sub, k, p):
             cut[e] = (c[e] == cmin[run]) & (ua != ub)[run]
             before = walk(cut)
             cuts = np.bincount(run, cut[e], len(ends))[walk_run]
-            u[order] = np.where(before == 0, ua[walk_run],
-                                np.where(before == cuts, ub[walk_run], 1.0))
+            u[walked] = np.where(before == 0, ua[walk_run],
+                                 np.where(before == cuts, ub[walk_run], 1.0))
         else:
             # a run's drop is split over its edges in proportion to their ratios
-            u[order] = ua[walk_run] - (ua - ub)[walk_run] * (walk(ratio) / total[walk_run])
+            u[walked] = ua[walk_run] - (ua - ub)[walk_run] * (walk(ratio) / total[walk_run])
         return u
 
-    return core, expand
+    return sub, k, core, expand
 
 
 def _kkt_residual(sub, k, u, p):
     """The largest |dE/du| over the free nodes, all but the last two."""
     d = u[sub.edge_i] - u[sub.edge_j]
-    flux = p * k * np.abs(d) ** (p - 1) * np.sign(d)
-    n = sub.num_vertices
-    grad = np.bincount(sub.edge_i, flux, n) - np.bincount(sub.edge_j, flux, n)
+    grad = _divergence(sub, p * k * np.abs(d) ** (p - 1) * np.sign(d))
     return float(np.abs(grad[:-2]).max(initial=0.0))
 
 
@@ -549,18 +521,13 @@ def solve_p_energy(net: DiscreteNetwork, bc: BoundaryCondition, p: float,
         raise DomainError(f"need p >= 1, got {p}")
     if not tol > 0:
         raise InputError(f"tol must be positive, got {tol}")
-    sub, node = _contract(net, bc)
-    k = sub.masses / sub.lengths**p
-    core, expand = _reduce(sub, k, p)
+    sub, k, core, expand = _reduce(net, bc, p)
     if p == 1:
         core_u, energy = _min_cut(core)
         iters, reason = 0, "min-cut"
     else:
-        lap = _FreeLaplacian(core, BoundaryCondition(inner=[core.num_vertices - 2],
-                                                     outer=[core.num_vertices - 1]))
-        core_u = np.zeros(core.num_vertices)
-        core_u[-2] = 1.0
-        core_u = _solve_p2(core, lap, core_u)
+        lap = _FreeLaplacian(core)
+        core_u = _solve_p2(core, lap)
         if p == 2:
             iters, reason = 1, "linear-solve"
         else:
@@ -571,6 +538,6 @@ def solve_p_energy(net: DiscreteNetwork, bc: BoundaryCondition, p: float,
         energy = _energy(sub, u, p)
     if not math.isfinite(energy):
         raise ConvergenceError(f"p = {p} solve ended at non-finite energy {energy}")
-    return SolveReport(energy=energy, potential=np.append(u, 0.0)[node], iterations=iters,
+    return SolveReport(energy=energy, potential=u[:-2], iterations=iters,
                        kkt_residual=0.0 if p == 1 else _kkt_residual(sub, k, u, p),
                        stop_reason=reason)

@@ -1,4 +1,3 @@
-import json
 import math
 import re
 
@@ -132,8 +131,7 @@ def test_verify_envelope_pass_and_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "r,R,cap,bound,ratio"
     assert len(lines) == 10
-    verdict = json.loads(rep.verdict_json())
-    assert verdict["verdict"] == "PASS" and verdict["rows"] == 9
+    assert (rep.verdict, rep.passed, len(rep.rows)) == ("PASS", True, 9)
 
 
 def test_degenerate_abscissa_is_an_input_error():

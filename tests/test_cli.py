@@ -84,6 +84,17 @@ def test_sweep_determinism(capsys, tmp_path):
     assert first_err == second_err
 
 
+def test_sweep_verdict_line_bytes(capsys):
+    # the verdict line a sweep writes to stderr, pinned byte for byte
+    code = run(["sweep", "--space", "buckley", "--eta", "0.5", "--p", "2", "--R", "1",
+                "--no-gating"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        '{"cap_slope": "-1.5000000000000007", "max_ratio": "47.999999999996994", '
+        '"min_ratio": "1.4999999999999025", "passed": false, "rows": 11, '
+        '"slope": "-0.50000000000000022", "verdict": "FAIL"}\n')
+
+
 def test_ad_range_snake_jump(capsys):
     code = run(["ad", "--space", "snake", "--range", "1.5:64"])
     assert code == 0
@@ -118,6 +129,10 @@ def test_ad_needs_range_or_R(capsys):
     ["gallery", "verify", "--name", "rn-unweighted-2", "--budget", "0"],
     ["gallery", "verify", "--name", "rn-unweighted-2", "--budget", "-1"],
     ["sweep", "--space", "rn", "--p", "2", "--R", "1", "--out", "no-such-dir/s.csv"],
+    # only sweep reads --q
+    ["cap", "--space", "rn", "--p", "2", "--r", "0.5", "--R", "1", "--q", "1"],
+    ["ad", "--space", "rn", "--R", "1", "--q", "1"],
+    ["oracle", "--space", "rn", "--p", "2", "--r", "1", "--R", "2", "--q", "1"],
 ])
 def test_malformed_or_non_finite_numbers_are_usage_errors(capsys, argv):
     assert run(argv) == 2
@@ -318,12 +333,12 @@ def test_config_without_a_value_prints_the_anncap_usage(capsys, argv):
     assert "{cap,sweep,ad,oracle,gallery,verify-all}" in err
 
 
-_SPACE_OPTIONS = ["--alpha", "--eta", "--help", "--kind", "--n", "--q", "--space"]
+_SPACE_OPTIONS = ["--alpha", "--eta", "--help", "--kind", "--n", "--space"]
 _OPTION_SURFACE = {  # command -> the long options its --help lists
     (): ["--help"],
     ("cap",): sorted([*_SPACE_OPTIONS, "--R", "--p", "--r"]),
     ("sweep",): sorted([*_SPACE_OPTIONS, "--R", "--bound", "--no-gating", "--out", "--p",
-                        "--thin"]),
+                        "--q", "--thin"]),
     ("ad",): sorted([*_SPACE_OPTIONS, "--R", "--range", "--thin"]),
     ("oracle",): sorted([*_SPACE_OPTIONS, "--R", "--cells", "--p", "--r", "--rel-tol"]),
     ("gallery",): ["--budget", "--help", "--name"],
@@ -395,14 +410,13 @@ _SPACE_FLAGS = {
     "--n": _count(0, 4),
     "--eta": _number(-0.2, 1.2),
     "--alpha": _number(-2.5, 1.5),
-    "--q": _number(0.5, 3.0),
     "--kind": _choice(k.value for k in HalfLineKind),
 }
 _RADII = {"--p": _number(0.5, 4.0), "--r": _number(-0.5, 3.0), "--R": _number(0.0, 4.0)}
 _FLAGS = {  # flag -> strategy for its value, None for a flag that takes none
     "cap": {**_SPACE_FLAGS, **_RADII},
     "sweep": {**_SPACE_FLAGS, "--p": _RADII["--p"], "--R": _RADII["--R"],
-              "--thin": _count(-2, 12), "--no-gating": None,
+              "--q": _number(0.5, 3.0), "--thin": _count(-2, 12), "--no-gating": None,
               "--bound": _choice(b.value for b in BoundId)},
     "ad": {**_SPACE_FLAGS, "--R": _RADII["--R"], "--thin": _count(-2, 12),
            "--range": st.one_of(

@@ -401,7 +401,8 @@ def _dense_newton(net, bc, p):
 @pytest.mark.parametrize("seed", range(6))
 def test_banded_solves_match_dense_references(seed):
     net, bc = _random_multigraph(np.random.default_rng(seed))
-    order = network._FreeLaplacian(net, bc).order
+    core = network._reduce(net, bc, 2.0)[2]
+    order = network._FreeLaplacian(core).order
     assert not np.array_equal(order, np.sort(order))  # RCM reordered
     rep = solve_p_energy(net, bc, 2.0)
     np.testing.assert_allclose(rep.potential, _dense_p2(net, bc), rtol=0, atol=1e-12)
@@ -495,6 +496,51 @@ def test_snake_network_matches_path_formula():
     net = build_snake_network(k_max=6, cells_per_unit=4.0, extra_radii=(r, R))
     rep = solve_p_energy(net, condenser_bc(net, r, R), 2.0)
     assert rep.energy == pytest.approx(cap_snake(2.0, k, delta).value, rel=1e-9)
+
+
+def _snake_network_loop(k_max, cells_per_unit, extra_radii):
+    """The piece-by-piece snake builder that build_snake_network replaced."""
+    pieces = [("seg", 0.0, 1.0)]
+    for k in range(1, k_max + 1):
+        pieces.append(("circ", 2.0 ** (k - 1)))
+        pieces.append(("seg", 2.0 ** (k - 1), 2.0**k))
+    radii, lengths, masses = [0.0], [], []
+    for piece in pieces:
+        if piece[0] == "seg":
+            _, a, b = piece
+            cells = max(2, int(math.ceil((b - a) * cells_per_unit)))
+            seg = np.linspace(a, b, cells + 1)
+            snap = [x for x in extra_radii if a < x < b]
+            seg = np.unique(np.concatenate([seg, snap]))
+            for x, y in zip(seg[:-1], seg[1:]):
+                lengths.append(y - x)
+                masses.append(y - x)
+                radii.append(y)
+        else:
+            _, rad = piece
+            arclen = math.pi * rad
+            cells = max(2, min(64, int(math.ceil(arclen * cells_per_unit))))
+            for _ in range(cells):
+                lengths.append(arclen / cells)
+                masses.append(arclen / cells)
+                radii.append(rad)
+    idx = np.arange(len(radii) - 1)
+    return idx, idx + 1, np.array(lengths), np.array(masses), np.array(radii)
+
+
+@pytest.mark.parametrize("cells_per_unit", [0.3, 4.0, 7.7])
+@pytest.mark.parametrize("k_max", [1, 2, 8, 10])
+def test_snake_network_matches_loop_builder(k_max, cells_per_unit):
+    # extra radii inside segments, on segment ends (where they add no vertex),
+    # next to a vertex of the grid and past the snake's end
+    for extra_radii in ((), (0.5,), (1.0, 2.0, 4.0), (0.25, 2.0, 3.3, 6.0, 100.0),
+                        (1.0 - 1e-12, 1.5, 1.5 + 1e-12, 7.95, 8.05), (0.0, 3, 512.0, 1000.5),
+                        (0.999, 1.001, 63.9, 64.0, 64.1)):
+        want = _snake_network_loop(k_max, cells_per_unit, extra_radii)
+        net = build_snake_network(k_max, cells_per_unit, extra_radii)
+        assert net.num_vertices == len(want[-1])
+        for got, ref in zip((net.edge_i, net.edge_j, net.lengths, net.masses, net.radii), want):
+            assert np.array_equal(got, ref)
 
 
 def test_bowtie_grid_shape():
@@ -598,6 +644,10 @@ def test_disconnected_boundary_infeasible():
     bc = BoundaryCondition(inner=[0], outer=[3])
     with pytest.raises(InfeasibleError):
         solve_p_energy(net, bc, 2.0)
+    # an inner plate with no edge: the search from it reaches nothing
+    lone = DiscreteNetwork(num_vertices=3, edge_i=[1], edge_j=[2], lengths=[1.0], masses=[1.0])
+    with pytest.raises(InfeasibleError):
+        solve_p_energy(lone, BoundaryCondition(inner=[0], outer=[2]), 2.0)
     with pytest.raises(InfeasibleError):
         BoundaryCondition(inner=[0], outer=[0])
     with pytest.raises(InfeasibleError):
@@ -606,9 +656,12 @@ def test_disconnected_boundary_infeasible():
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 def test_floating_component_is_pinned(p):
-    # vertices 3-4 touch neither plate; the path 0-1-2 carries all the energy
-    net = DiscreteNetwork(num_vertices=5, edge_i=[0, 1, 3], edge_j=[1, 2, 4],
-                          lengths=[1.0, 1.0, 1.0], masses=[1.0, 1.0, 1.0])
+    # vertices 3-4, the ring 5-6-7 of degree-2 vertices and the path 8-9-10-11
+    # with its run 9-10 touch neither plate; the path 0-1-2 carries all the
+    # energy, and no degree-2 vertex the search never reaches is taken for a run
+    ei, ej = [0, 1, 3, 5, 6, 7, 8, 9, 10], [1, 2, 4, 6, 7, 5, 9, 10, 11]
+    net = DiscreteNetwork(num_vertices=12, edge_i=ei, edge_j=ej,
+                          lengths=np.ones(len(ei)), masses=np.ones(len(ei)))
     rep = solve_p_energy(net, BoundaryCondition(inner=[0], outer=[2]), p)
     assert rep.converged
     assert rep.energy == pytest.approx(2.0 * 0.5**p, rel=1e-8)
