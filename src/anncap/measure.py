@@ -5,8 +5,9 @@ hints supplied by the weight catalog; ``volume_profile`` sums vectorized
 Gauss-Legendre panel masses there, the rule the radial network builder
 uses, and falls back to adaptive quadrature panel by panel.  The snake has
 an exact closed form.  The bow-tie, in every dimension n >= 2, is one
-adaptive quadrature over x1 whose slice masses are closed-form
-hypergeometric values.
+integral over x1 of closed-form hypergeometric slice masses, by a
+vectorized tanh-sinh rule that evaluates each level's nodes in one array
+call.  The radial route keeps QUADPACK until it moves to the same rule.
 """
 
 from __future__ import annotations
@@ -25,24 +26,23 @@ __all__ = ["mu_ball", "mu_annulus", "mu_ball_detailed", "mu_annulus_detailed", "
            "FamilyMeasures", "DEFAULT_TOL"]
 
 DEFAULT_TOL = 1e-10
+_EPS = np.finfo(float).eps
 
 
-def _quad(fn, a, b, points=(), tol=DEFAULT_TOL):
+def _quad(fn, a, b, points=()):
     """Adaptive quadrature over [a, b] split at interior singularity hints."""
     if b <= a:
         return 0.0, 0.0
     pts = sorted(p for p in points if a < p < b)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(
-            fn, a, b, points=pts or None, limit=400, epsabs=tol, epsrel=tol
-        )
+        val, err = integrate.quad(fn, a, b, points=pts or None, limit=400,
+                                  epsabs=DEFAULT_TOL, epsrel=DEFAULT_TOL)
     if not math.isfinite(val):
         raise DomainError("non-integrable singularity detected in quadrature")
-    if err > 50.0 * max(tol, tol * abs(val)):
-        raise QuadratureError(
-            f"quadrature reached error {err:.3e} > requested {tol:.3e}", achieved_error=err
-        )
+    if err > 50.0 * max(DEFAULT_TOL, DEFAULT_TOL * abs(val)):
+        raise QuadratureError(f"quadrature reached error {err:.3e} > requested "
+                              f"{DEFAULT_TOL:.3e}", achieved_error=err)
     return val, err
 
 
@@ -92,11 +92,91 @@ def _snake_ball(geom: Snake, R):
 
 
 # ---------------------------------------------------------------------------
+# tanh-sinh quadrature (Takahasi & Mori 1974)
+#
+# On a panel [a, b] of length L the node at t is a + frac(t) L for t < 0 and
+# b - frac(t) L for t > 0, with frac(t) = 1/(1 + e^(pi sinh|t|)), and its
+# weight is h L dx/dt.  Level 0 has every t in [-T_MAX, T_MAX] at step
+# h = 1/4, and level k adds the odd multiples of 2^-k h.  At |t| = T_MAX = 6
+# the offset is about 1e-275 of the panel, near the float floor.
+
+_TS_T_MAX = 6.0
+_TS_H0 = 0.25
+_TS_LEVELS = 7  # down to step 1/256
+
+
+def _ts_level(k):
+    """(frac, weight, from_b) of level k's new nodes, per unit panel length:
+    each t > 0 gives a node from each end, t = 0 the midpoint once."""
+    h = _TS_H0 * 2.0**-k
+    t = np.arange(0.0, _TS_T_MAX + 0.5 * h, h) if k == 0 else np.arange(h, _TS_T_MAX, 2.0 * h)
+    e = np.exp(-math.pi * np.sinh(t))
+    frac = e / (1.0 + e)
+    weight = h * math.pi * np.cosh(t) * e / (1.0 + e) ** 2
+    skip = 1 if k == 0 else 0
+    from_b = np.arange(2 * len(t) - skip) >= len(t)
+    return np.r_[frac, frac[skip:]], np.r_[weight, weight[skip:]], from_b
+
+
+_TS_TABLES = tuple(_ts_level(k) for k in range(_TS_LEVELS))
+_TS_OUTERMOST = _TS_TABLES[0][0] == _TS_TABLES[0][0].min()  # the level-0 nodes at |t| = T_MAX
+
+
+def _tanh_sinh(f, breaks):
+    """Integral of f >= 0 over [min(breaks), max(breaks)] and its error
+    estimate, by the tanh-sinh rule on each panel between the sorted
+    breakpoints.
+
+    f maps an array of nodes to an array of values; each level's new nodes
+    of every panel go in one call.  Nodes approach each panel end by their
+    offset from it, so they come as close to an end at 0 as a float can; a
+    node whose offset underflows to 0 is dropped.  The rule stops at the
+    first level after level 0 whose error estimate is at most
+    DEFAULT_TOL |I|: the difference from the previous level, floored at the
+    terms at |t| = T_MAX (the truncated tail) and at N eps times the sum of
+    |terms| over the N nodes (the sum's rounding).  A non-finite sample
+    raises DomainError, a last level that misses the gate QuadratureError.
+    """
+    ends = np.unique(breaks)
+    a, b = ends[:-1, None], ends[1:, None]
+    length = b - a
+    nodes = 0
+    for k, (frac, weight, from_b) in enumerate(_TS_TABLES):
+        off = frac * length
+        keep = off > 0
+        terms = f(np.where(from_b, b - off, a + off)[keep]) * (weight * length)[keep]
+        level_sum, level_abs = terms.sum(), np.abs(terms).sum()
+        if not math.isfinite(level_sum):
+            raise DomainError("non-finite integrand sample in quadrature")
+        nodes += terms.size
+        if k == 0:
+            total, size = level_sum, level_abs
+            tail = np.abs(terms[(_TS_OUTERMOST & keep)[keep]]).sum()
+            continue
+        prev, total, size = total, 0.5 * total + level_sum, 0.5 * size + level_abs
+        err = max(abs(total - prev), tail, nodes * _EPS * size)
+        if err <= DEFAULT_TOL * abs(total):
+            return float(total), float(err)
+    raise QuadratureError(
+        f"tanh-sinh quadrature reached error {err:.3e} > requested {DEFAULT_TOL:.3e} "
+        f"relative to {total:.3e}", achieved_error=err
+    )
+
+
+# ---------------------------------------------------------------------------
 # bow-tie: one quadrature over x1 about the tip x0 = (-1, 0, ..., 0)
 
 def _ball_limit(x1, R):
-    d2 = R * R - (x1 + 1.0) ** 2
-    return math.sqrt(d2) if d2 > 0 else 0.0
+    """The slice radius sqrt(R^2 - (x1 + 1)^2) of the ball B(x0, R), 0 outside it.
+
+    It is sqrt((R - 1 - x1)(R + 1 + x1)) with R - 1 and R + 1 each carried
+    as a float plus its exact rounding error, so that both factors keep
+    their relative accuracy wherever x1 is: near the tip x1 = -1 of a small
+    ball, and near the ball's far end R - 1, which may be the pinch.
+    """
+    m, p = R - 1.0, R + 1.0
+    m_err, p_err = math.fsum((R, -1.0, -m)), math.fsum((R, 1.0, -p))
+    return np.sqrt(np.maximum(((m - x1) + m_err) * ((p + x1) + p_err), 0.0))
 
 
 def _bowtie_x1_breakpoints(rads):
@@ -118,8 +198,11 @@ def _bowtie_annulus(space, r, R):
     Cone and balls are symmetric about the x1 axis, so the slice at x1 is
     the shell lo <= s <= hi of s = |(x2, ..., xn)|, and Euler's integral
     (DLMF 15.6.1) gives its mass omega_{n-2} [F(hi) - F(lo)] with
-    F(s) = s^(n-1)/(n-1) |x1|^alpha 2F1(-alpha/2, (n-1)/2; (n+1)/2; -s^2/x1^2).
-    On the cone s <= |x1|/2, so the series argument lies in [-1/4, 0].
+    F(s) = |x1|^(alpha + n - 1) q^(n-1)/(n-1) 2F1(-alpha/2, (n-1)/2; (n+1)/2; -q^2),
+    q = s/|x1|.  On the cone q <= 1/2, so neither power of q leaves the
+    float range before the slice mass does.  The slice masses integrate
+    over x1 by the tanh-sinh rule, on panels between the x1 where the slice
+    limits switch branches.
     """
     n, alpha = space.geometry.n, space.geometry.alpha
     if R > space.diameter + 1e-12:
@@ -127,23 +210,21 @@ def _bowtie_annulus(space, r, R):
     a, b, c = -alpha / 2.0, (n - 1) / 2.0, (n + 1) / 2.0
     const = surface_area(n - 1) / (n - 1)
 
-    def antiderivative(x1, s):
-        return s ** (n - 1) * abs(x1) ** alpha * hyp2f1(a, b, c, -(s / x1) ** 2)
+    def scaled(q):
+        return q ** (n - 1) * hyp2f1(a, b, c, -q * q)
 
     def shell_mass(x1):
-        hi = min(abs(x1) / 2.0, _ball_limit(x1, R))
-        lo = _ball_limit(x1, r)
-        if hi <= lo:
-            return 0.0
-        mass = antiderivative(x1, hi)
-        if lo > 0.0:
-            mass -= antiderivative(x1, lo)
-        return const * mass
+        ax = np.abs(x1)
+        hi = np.minimum(0.5 * ax, _ball_limit(x1, R))
+        lo = np.minimum(_ball_limit(x1, r), hi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return const * ax ** (alpha + n - 1) * (scaled(hi / ax) - scaled(lo / ax))
 
-    pts = _bowtie_x1_breakpoints([r, R] if r > 0 else [R])
+    top = min(2.0, -1.0 + R)
+    pts = [x for x in _bowtie_x1_breakpoints([r, R] if r > 0 else [R]) if -1.0 < x < top]
     try:
-        return _quad(shell_mass, -1.0, min(2.0, -1.0 + R), points=pts)
-    except OverflowError:  # a power of |x1| or s past the float range
+        return _tanh_sinh(shell_mass, [-1.0, *pts, top])
+    except DomainError:  # a power of |x1| past the float range
         raise DomainError(f"bow-tie measure of (r={r}, R={R}) at n = {n}, alpha = {alpha} "
                           "leaves the float range") from None
 

@@ -32,7 +32,8 @@ the whole network; for p = 1 the energy is the max-flow value, which the
 cut attains.
 
 Every p > 1 linear solve on a core goes through one kernel,
-`_FreeLaplacian`: the m free vertices are ordered once per solve by reverse
+`_FreeLaplacian` (a core with no free vertex, such as a chain's, needs no
+solve): the m free vertices are ordered once per solve by reverse
 Cuthill-McKee, each edge's w_e (e_i - e_j)(e_i - e_j)^T is scattered into
 LAPACK symmetric band storage by a precomputed index, and the system is
 solved by banded Cholesky. At bandwidth b that costs O(m b^2) time and
@@ -88,8 +89,10 @@ class DiscreteNetwork:
             object.__setattr__(self, "radii", np.asarray(self.radii, dtype=float))
         if np.any(self.edge_i == self.edge_j):
             raise InputError("self-loops are not allowed")
-        if not (np.all(self.lengths > 0) and np.all(self.masses > 0)):  # NaN fails too
-            raise InputError("edge lengths and masses must be strictly positive")
+        for name in ("lengths", "masses"):
+            x = getattr(self, name)
+            if not np.all((x > 0) & (x < math.inf)):  # NaN fails too
+                raise InputError(f"edge {name} must be finite and strictly positive")
         if self.edge_i.min(initial=0) < 0 or self.edge_j.min(initial=0) < 0 \
                 or max(self.edge_i.max(initial=-1), self.edge_j.max(initial=-1)) >= self.num_vertices:
             raise InputError("edge endpoints out of range")
@@ -256,7 +259,7 @@ def _divergence(net, flux):
 
 class _FreeLaplacian:
     """The w-weighted Laplacian of a core on its free nodes, all but the last
-    two (the plates), in band storage.
+    two (the plates), in band storage; the core has at least one.
 
     ``order`` lists the free nodes in reverse Cuthill-McKee order, the order
     of every free-node vector below. For positive w the matrix is positive
@@ -268,12 +271,10 @@ class _FreeLaplacian:
         m = net.num_vertices - 2
         a, b = net.edge_i, net.edge_j
         both = (a < m) & (b < m)
-        self.order = np.arange(m)
-        if m:  # reverse_cuthill_mckee cannot order an empty graph
-            graph = sparse.csr_matrix(
-                (np.ones(2 * both.sum()), (np.r_[a[both], b[both]], np.r_[b[both], a[both]])),
-                shape=(m, m))
-            self.order = csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)
+        graph = sparse.csr_matrix(
+            (np.ones(2 * both.sum()), (np.r_[a[both], b[both]], np.r_[b[both], a[both]])),
+            shape=(m, m))
+        self.order = csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)
         pos = np.full(m + 2, -1)
         pos[self.order] = np.arange(m)
         a, b = pos[a], pos[b]
@@ -525,6 +526,11 @@ def solve_p_energy(net: DiscreteNetwork, bc: BoundaryCondition, p: float,
     if p == 1:
         core_u, energy = _min_cut(core)
         iters, reason = 0, "min-cut"
+    elif core.num_vertices == 2:
+        # no free vertex: the potential is the plates', as one linear solve
+        # or one Newton gradient check would find it
+        core_u = np.array([1.0, 0.0])
+        iters, reason = 1, "linear-solve" if p == 2 else "gradient"
     else:
         lap = _FreeLaplacian(core)
         core_u = _solve_p2(core, lap)

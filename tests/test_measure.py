@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import hyp2f1
 
 from anncap.capacity import cap_radial_weighted
+from anncap.errors import QuadratureError
 from anncap.gallery import DEFAULT_SUMMED_TERMS
 from anncap.measure import (
-    _ball_limit,
-    _bowtie_x1_breakpoints,
     _quad,
     _radial_reduction,
     mu_annulus,
@@ -114,35 +114,70 @@ def test_bowtie_thin_annulus_exponent():
     assert exponent == pytest.approx(2.5, abs=0.1)
 
 
-def _bowtie_annulus_nested(alpha, r, R, tol=1e-10):
-    """The nested adaptive quadrature that computed n = 2 bow-tie measures
-    before the closed-form slice replaced it, as it was."""
-    R = min(R, math.sqrt(10.0))  # the space's diameter
-    inner_tol = max(tol * 1e-2, 1e-14)
+# mu(B_R) at R = 0.3, 0.5, 1, 1.5, 2, sqrt(10) and 5, then mu(B_R \ B_r) on the
+# thin families r = R (1 - 2^-j), j = 1..10, at R = 0.02, 1 and 2, of the planar
+# bow-tie.  The references were computed with mpmath at 40 digits: each slice
+# mass 2 |x1|^alpha s 2F1(-alpha/2, 1/2; 3/2; -s^2/x1^2) between its limits,
+# integrated over x1 by mpmath.quad between the same breakpoints.  At 60 digits
+# they agree to 1e-40, and a nested mpmath.quad of (x1^2 + s^2)^(alpha/2) over
+# the slices agrees to 1e-19.
+_BOWTIE_2D_CASES = (
+    [(0.0, R) for R in (0.3, 0.5, 1.0, 1.5, 2.0, math.sqrt(10.0), 5.0)]
+    + [(R * (1.0 - 2.0**-j), R) for R in (0.02, 1.0, 2.0) for j in range(1, 11)]
+)
+_BOWTIE_2D_MPMATH = {
+    -0.5: (
+        0.15078230700079293, 0.40397402149319667, 0.653928979067195, 0.8806130926191748,
+        1.2890961234605118, 2.5035194411184327, 2.5035194411184327, 0.00047357959530433877,
+        0.00027643639347800573, 0.00014814561455499237, 7.655663535835966e-05,
+        3.8899521560259365e-05, 1.9605092617853043e-05, 9.841383127404437e-06,
+        4.9304012507409365e-06, 2.4676281074349975e-06, 1.234420931771884e-06, 0.24995495757399833,
+        0.08352901220061633, 0.02916052263005443, 0.01026005788334166, 0.0036196945959156707,
+        0.0012784564212728184, 0.000451779348262979, 0.00015968919739087946, 5.645182371330634e-05,
+        1.995752981999805e-05, 0.6351671443933169, 0.40848303084133725, 0.22096301331613388,
+        0.11432364875427427, 0.05808849723466615, 0.029272068690975827, 0.014692529345939858,
+        0.007360332152392128, 0.0036836759868438705, 0.0018427146057766325,
+    ),
+    0.5: (
+        0.13285329858846937, 0.3251517221649458, 0.4079077429347112, 0.4776276064636316,
+        0.7960761308419624, 2.715382391955778, 2.715382391955778, 0.00046891303143355845,
+        0.00027335314104918725, 0.00014638524954260692, 7.561786251788886e-05,
+        3.841499936164516e-05, 1.9358986550226582e-05, 9.717361223585886e-06,
+        4.868147127842183e-06, 2.4364401340523917e-06, 1.2188117021990514e-06, 0.0827560207697654,
+        0.013233000415697633, 0.0022885127100174475, 0.0004011957193711124, 7.066038050450214e-05,
+        1.246932057230185e-05, 2.2024146310762187e-06, 3.8917258983481244e-07,
+        6.878234011691478e-08, 1.2157854934165835e-08, 0.3881683879072511, 0.3184485243783307,
+        0.19779392950479643, 0.10929602798893968, 0.05733606588659409, 0.029350754157448273,
+        0.014847377019922284, 0.007466852313040048, 0.0037442375147507785, 0.0018748241435450614,
+    ),
+    1.5: (
+        0.11811497489785702, 0.27038612833081616, 0.30325911018916096, 0.32879902431162905,
+        0.5857381997858458, 3.7342442825308275, 3.7342442825308275, 0.00046430537296170886,
+        0.00027031284053140753, 0.00014465088580620244, 7.469338559552458e-05,
+        3.793797069434759e-05, 1.9116716439009794e-05, 9.595279950286748e-06,
+        4.806869027917376e-06, 2.4057416046839717e-06, 1.203447553466147e-06, 0.03287298185834485,
+        0.0025014241791850686, 0.00021414688521725024, 1.8700900044449683e-05,
+        1.6441365795349181e-06, 1.4495671529432348e-07, 1.2796797024884458e-08,
+        1.130404650195568e-09, 9.988463189973343e-11, 8.827318039482473e-12, 0.28247908959668494,
+        0.25693917547421685, 0.1782777789853533, 0.10467001307124402, 0.05662780453081874,
+        0.02943984023968203, 0.01500808754678111, 0.007576926594358508, 0.003806789470786463,
+        0.001907989484018546,
+    ),
+}
 
-    def slice_mass(x1):
-        hi = min(abs(x1) / 2.0, _ball_limit(x1, R))
-        lo = _ball_limit(x1, r) if abs(x1 + 1.0) < r else 0.0
-        if hi <= lo or hi <= 0.0:
-            return 0.0
-        val, _ = _quad(lambda t: (x1 * x1 + t * t) ** (alpha / 2.0), lo, hi, tol=inner_tol)
-        return 2.0 * val  # symmetric in x2
 
-    pts = _bowtie_x1_breakpoints([r, R] if r > 0 else [R])
-    return _quad(slice_mass, -1.0, min(2.0, -1.0 + R), points=pts, tol=tol)[0]
-
-
-@pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.5])
-def test_bowtie_2d_matches_nested_quadrature(alpha):
+@pytest.mark.parametrize("alpha", sorted(_BOWTIE_2D_MPMATH))
+def test_bowtie_2d_matches_mpmath_references(alpha):
     space = SpaceSpec(BowTie(2, alpha))
-    for R in (0.3, 0.5, 1.0, 1.5, 2.0, math.sqrt(10.0), 5.0):
-        ref = _bowtie_annulus_nested(alpha, 0.0, R)
-        assert mu_ball(space, R) == pytest.approx(ref, rel=1e-14, abs=0.0)
-    for R in (1.0, 2.0):
-        for j in range(1, 11):
-            r = R * (1.0 - 2.0**-j)
-            ref = _bowtie_annulus_nested(alpha, r, R)
-            assert mu_annulus(space, AnnulusSpec(r, R)) == pytest.approx(ref, rel=1e-14, abs=0.0)
+    for (r, R), ref in zip(_BOWTIE_2D_CASES, _BOWTIE_2D_MPMATH[alpha], strict=True):
+        val = mu_ball(space, R) if r == 0.0 else mu_annulus(space, AnnulusSpec(r, R))
+        assert val == pytest.approx(ref, rel=1e-12, abs=0.0), (r, R)
+    # the whole cone: the slice at x1 is |x1|^(alpha + 1) times the one at
+    # |x1| = 1, and |x1|^(alpha + 1) integrates over [-1, 2] to
+    # (1 + 2^(alpha + 2))/(alpha + 2)
+    exact = (2.0 * (1.0 + 2.0 ** (alpha + 2.0)) / (alpha + 2.0)
+             * 0.5 * hyp2f1(-alpha / 2.0, 0.5, 1.5, -0.25))
+    assert mu_ball(space, 5.0) == pytest.approx(exact, rel=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [-2.5, -1.5, 0.5, 1.5])
@@ -154,6 +189,19 @@ def test_bowtie_3d_whole_cone_closed_form(alpha):
     exact = (2.0 * math.pi / (alpha + 2.0) * (1.25 ** (alpha / 2.0 + 1.0) - 1.0)
              * (1.0 + 2.0 ** (alpha + 3.0)) / (alpha + 3.0))
     assert mu_ball(space, 4.0) == pytest.approx(exact, rel=1e-10)
+
+
+def test_bowtie_pinch_mass_past_the_float_offsets_is_an_error_not_a_value():
+    # at n + alpha = 0.01 the slice mass is 0.93 |x1|^-0.99, and about 0.2%
+    # of the cone's measure lies closer to the pinch than the smallest offset
+    # the rule reaches (about 1e-275); the rule reports that tail instead of
+    # a value that leaves it out
+    alpha = -1.99
+    exact = (2.0 * (1.0 + 2.0 ** (alpha + 2.0)) / (alpha + 2.0)
+             * 0.5 * hyp2f1(-alpha / 2.0, 0.5, 1.5, -0.25))
+    with pytest.raises(QuadratureError) as info:
+        mu_ball(SpaceSpec(BowTie(2, alpha)), 5.0)
+    assert info.value.achieved_error > 1e-3 * exact
 
 
 def test_detailed_error_estimates():

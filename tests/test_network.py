@@ -679,6 +679,36 @@ def test_non_finite_energy_raises(p):
             solve_p_energy(net, bc, p)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_infinite_masses_and_lengths_are_input_errors(p):
+    # an infinite mass once ended in a NaN energy at p > 1, and in an untyped
+    # networkx error at p = 1
+    bc = BoundaryCondition(inner=[0], outer=[3])
+    for lengths, masses in (([1.0, 1.0, 1.0], [1.0, math.inf, 1.0]),
+                            ([1.0, 1.0, 1.0], [math.inf] * 3),
+                            ([1.0, math.inf, 1.0], [1.0, 1.0, 1.0])):
+        with pytest.raises(InputError, match="finite"):
+            solve_p_energy(_series_net(lengths, masses), bc, p)
+
+
+@pytest.mark.parametrize("p, energy, potential, iterations, reason", [
+    (1.5, 0.5740872665756959,
+     [1.0, 0.5422552921606194, 0.42821508813143117, 0.42185752274477306, 0.0], 1, "gradient"),
+    (2.0, 0.3235185283078712,
+     [1.0, 0.7304012264101073, 0.5400962097584183, 0.5176296452925939, 0.0], 1, "linear-solve"),
+    (3.0, 0.09001378070536892,
+     [1.0, 0.8063360075786663, 0.5762288960678221, 0.5366973991526143, 0.0], 1, "gradient"),
+])
+def test_chain_reports_without_a_free_vertex(p, energy, potential, iterations, reason):
+    # a chain's core is one plate-to-plate edge, solved without a linear
+    # solve; the reports are those of the banded p = 2 solve and the Newton
+    # gradient check that ran on it before
+    net = _series_net([0.5, 1.0, 0.25, 2.0], [0.3, 1.7, 0.9, 2.5])
+    rep = solve_p_energy(net, BoundaryCondition(inner=[0], outer=[4]), p)
+    assert (rep.energy, list(rep.potential), rep.iterations, rep.stop_reason) == \
+        (energy, potential, iterations, reason)
+
+
 def test_large_finite_energy_is_a_value():
     # at p = 1.5 neither k = 1e300 nor (0.5 / 1e-200)^1.5 overflows: the
     # energy is the series law's 2^(-1/2) 1e300, though m / l^2 is inf
