@@ -7,7 +7,8 @@ uses, and falls back to adaptive quadrature panel by panel.  The snake has
 an exact closed form.  The bow-tie, in every dimension n >= 2, is one
 integral over x1 of closed-form hypergeometric slice masses, by a
 vectorized tanh-sinh rule that evaluates each level's nodes in one array
-call.  The radial route keeps QUADPACK until it moves to the same rule.
+call, and in closed form on the panels at the pinch.  The radial route
+keeps QUADPACK until it moves to the same rule.
 """
 
 from __future__ import annotations
@@ -122,10 +123,9 @@ _TS_TABLES = tuple(_ts_level(k) for k in range(_TS_LEVELS))
 _TS_OUTERMOST = _TS_TABLES[0][0] == _TS_TABLES[0][0].min()  # the level-0 nodes at |t| = T_MAX
 
 
-def _tanh_sinh(f, breaks):
-    """Integral of f >= 0 over [min(breaks), max(breaks)] and its error
-    estimate, by the tanh-sinh rule on each panel between the sorted
-    breakpoints.
+def _tanh_sinh(f, lo, hi):
+    """Integral of f >= 0 over the panels [lo_i, hi_i] and its error
+    estimate, by the tanh-sinh rule on each panel.
 
     f maps an array of nodes to an array of values; each level's new nodes
     of every panel go in one call.  Nodes approach each panel end by their
@@ -137,8 +137,7 @@ def _tanh_sinh(f, breaks):
     |terms| over the N nodes (the sum's rounding).  A non-finite sample
     raises DomainError, a last level that misses the gate QuadratureError.
     """
-    ends = np.unique(breaks)
-    a, b = ends[:-1, None], ends[1:, None]
+    a, b = lo[:, None], hi[:, None]
     length = b - a
     nodes = 0
     for k, (frac, weight, from_b) in enumerate(_TS_TABLES):
@@ -197,36 +196,52 @@ def _bowtie_annulus(space, r, R):
 
     Cone and balls are symmetric about the x1 axis, so the slice at x1 is
     the shell lo <= s <= hi of s = |(x2, ..., xn)|, and Euler's integral
-    (DLMF 15.6.1) gives its mass omega_{n-2} [F(hi) - F(lo)] with
-    F(s) = |x1|^(alpha + n - 1) q^(n-1)/(n-1) 2F1(-alpha/2, (n-1)/2; (n+1)/2; -q^2),
-    q = s/|x1|.  On the cone q <= 1/2, so neither power of q leaves the
-    float range before the slice mass does.  The slice masses integrate
-    over x1 by the tanh-sinh rule, on panels between the x1 where the slice
-    limits switch branches.
+    (DLMF 15.6.1) gives its mass omega_{n-2} |x1|^(alpha + n - 1)
+    [F(hi/|x1|) - F(lo/|x1|)] with F(q) = q^(n-1)/(n-1)
+    2F1(-alpha/2, (n-1)/2; (n+1)/2; -q^2).  On the cone q <= 1/2, so F stays
+    bounded.  The x1 where the slice limits switch branches cut the range
+    into panels.  On a panel that ends at the pinch x1 = 0 both limits are
+    0 or |x1|/2, so the bracket is constant and the panel's mass is closed
+    form, however close alpha + n comes to 0.  The other panels go to the
+    tanh-sinh rule.
     """
     n, alpha = space.geometry.n, space.geometry.alpha
     if R > space.diameter + 1e-12:
         R = space.diameter  # ball saturates; integrate over the whole cone
+    power = alpha + n
     a, b, c = -alpha / 2.0, (n - 1) / 2.0, (n + 1) / 2.0
     const = surface_area(n - 1) / (n - 1)
 
     def scaled(q):
         return q ** (n - 1) * hyp2f1(a, b, c, -q * q)
 
-    def shell_mass(x1):
+    def bracket(x1):
         ax = np.abs(x1)
         hi = np.minimum(0.5 * ax, _ball_limit(x1, R))
         lo = np.minimum(_ball_limit(x1, r), hi)
+        return const * (scaled(hi / ax) - scaled(lo / ax))
+
+    def shell_mass(x1):
         with np.errstate(over="ignore", invalid="ignore"):
-            return const * ax ** (alpha + n - 1) * (scaled(hi / ax) - scaled(lo / ax))
+            return np.abs(x1) ** (power - 1) * bracket(x1)
 
     top = min(2.0, -1.0 + R)
     pts = [x for x in _bowtie_x1_breakpoints([r, R] if r > 0 else [R]) if -1.0 < x < top]
+    ends = np.unique([-1.0, *pts, top])
+    lo, hi = ends[:-1], ends[1:]
+    pinch = (lo == 0.0) | (hi == 0.0)
+    far = lo[pinch] + hi[pinch]  # each pinch panel's other end
     try:
-        return _tanh_sinh(shell_mass, [-1.0, *pts, top])
+        with np.errstate(over="ignore"):
+            pinch_mass = (bracket(0.5 * far) * np.abs(far) ** power).sum() / power
+        if not math.isfinite(pinch_mass):
+            raise DomainError("non-finite pinch mass")
+        val, err = _tanh_sinh(shell_mass, lo[~pinch], hi[~pinch])
     except DomainError:  # a power of |x1| past the float range
         raise DomainError(f"bow-tie measure of (r={r}, R={R}) at n = {n}, alpha = {alpha} "
                           "leaves the float range") from None
+    # the closed form's rounding: a few ulps from each factor
+    return val + pinch_mass, err + 16.0 * _EPS * pinch_mass
 
 
 # ---------------------------------------------------------------------------

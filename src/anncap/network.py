@@ -527,8 +527,10 @@ def solve_p_energy(net: DiscreteNetwork, bc: BoundaryCondition, p: float,
         core_u, energy = _min_cut(core)
         iters, reason = 0, "min-cut"
     elif core.num_vertices == 2:
-        # no free vertex: the potential is the plates', as one linear solve
-        # or one Newton gradient check would find it
+        # no free vertex: the potential is the plates'.  No solve runs; the
+        # iteration count and stop reason are on purpose the ones the full
+        # solve gives such a core (one linear solve, or one Newton gradient
+        # check), so a report does not show whether the solve was skipped
         core_u = np.array([1.0, 0.0])
         iters, reason = 1, "linear-solve" if p == 2 else "gradient"
     else:

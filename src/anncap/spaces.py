@@ -75,8 +75,8 @@ class Snake:
 class BowTie:
     """The cone {x : x_2^2 + ... + x_n^2 <= x_1^2/4, -1 <= x_1 <= 2} in R^n
     with measure |x|^alpha dx.  In every dimension its ball and annulus
-    measures are one adaptive quadrature over x1 of closed-form
-    hypergeometric slice masses."""
+    measures are one integral over x1 of closed-form hypergeometric
+    slice masses, by the tanh-sinh rule."""
 
     n: int
     alpha: float
