@@ -16,7 +16,7 @@ import numpy as np
 from scipy import optimize, special
 
 from .errors import DomainError, InputError, QuadratureError
-from .measure import _quad, _radial_reduction
+from .measure import _radial_integral, _radial_reduction
 from .spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec, surface_area
 from .weights import Constant
 
@@ -79,37 +79,23 @@ def cap_rn_unweighted(n: int, p: float, ann: AnnulusSpec) -> CapacityResult:
 
 
 def cap_radial_weighted(space: SpaceSpec, p: float, ann: AnnulusSpec) -> CapacityResult:
-    """cap_p via the radial integral (int_r^R (w rho^{n-1})^{1/(1-p)})^{1-p}.
+    """cap_p via the radial integral (int_r^R (w rho^m)^{1/(1-p)})^{1-p}.
 
-    A divergent integral means the capacity degenerates to 0.
+    The integrand w^(1/(1-p)) rho^(m/(1-p)) goes to 0 at a pole of w.  A
+    density of 0 or past the float range is a QuadratureError.
     """
     if not (p > 1):
         raise DomainError(f"radial integral formula needs p > 1, got {p}")
     w, m, const = _radial_reduction(space)
-    expo = 1.0 / (1.0 - p)
-
-    def integrand(rho):
-        density = float(w.evaluate(rho)) * rho**m
-        try:
-            if density > 0.0:
-                return density ** expo
-        except OverflowError:
-            pass
-        # a density that underflowed to 0 has no power; a power past the float
-        # range would make the capacity 0 where it is not
-        raise QuadratureError(f"radial integrand (w rho^{m})^(1/(1-p)) at rho = {rho} "
-                              "leaves the float range")
-
     try:
-        val, err = _quad(integrand, ann.r, ann.R, points=w.singularities())
+        val, err = _radial_integral(w, m, ann.r, ann.R, 1.0 / (1.0 - p))
     except DomainError:
-        return CapacityResult(0.0, CapacityMethod.RADIAL_INTEGRAL)
-    if not math.isfinite(val) or val <= 0:
-        return CapacityResult(0.0, CapacityMethod.RADIAL_INTEGRAL)
+        raise QuadratureError(f"radial integrand (w rho^{m})^(1/(1-p)) on [{ann.r}, {ann.R}] "
+                              "leaves the float range") from None
     try:
         value = const * val ** (1.0 - p)
         qerr = const * abs(1.0 - p) * val ** (-p) * err
-    except OverflowError:
+    except ArithmeticError:  # the integral under- or the capacity overflows
         raise DomainError(f"capacity of (r={ann.r}, R={ann.R}) at p = {p} leaves the float "
                           "range") from None
     return CapacityResult(value=value, method=CapacityMethod.RADIAL_INTEGRAL,

@@ -14,10 +14,7 @@ class DomainError(AnncapError):
 
 
 class QuadratureError(AnncapError):
-    """Adaptive quadrature failed to reach the requested tolerance.
-
-    Carries the achieved error bound in ``achieved_error``.
-    """
+    """Quadrature missed its tolerance; ``achieved_error`` is the error it reached."""
 
     def __init__(self, message, achieved_error=None):
         super().__init__(message)

@@ -1,27 +1,24 @@
 """Ball volumes mu(B_r), annulus measures and ball-volume profiles.
 
-Radial and half-line geometries reduce to 1-D quadrature with singularity
-hints supplied by the weight catalog; ``volume_profile`` sums vectorized
-Gauss-Legendre panel masses there, the rule the radial network builder
-uses, and falls back to adaptive quadrature panel by panel.  The snake has
-an exact closed form.  The bow-tie, in every dimension n >= 2, is one
-integral over x1 of closed-form hypergeometric slice masses, by a
-vectorized tanh-sinh rule that evaluates each level's nodes in one array
-call, and in closed form on the panels at the pinch.  The radial route
-keeps QUADPACK until it moves to the same rule.
+Every integral goes to one vectorized tanh-sinh rule.  Radial and
+half-line geometries reduce to 1-D integrals in the radius, integrated in a
+power of the distance to a power pole near it; ``volume_profile`` sums
+Gauss-Legendre panel masses there, as the radial network builder does.  The
+snake has an exact closed form.  The bow-tie, in every dimension n >= 2, is
+one integral over x1 of closed-form hypergeometric slice masses, in closed
+form on the panels at the pinch.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
-from scipy import integrate
 from scipy.special import hyp2f1
 
 from .errors import DomainError, QuadratureError
 from .spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec, surface_area
+from .weights import Constant, PowerAlpha
 
 __all__ = ["mu_ball", "mu_annulus", "mu_ball_detailed", "mu_annulus_detailed", "volume_profile",
            "FamilyMeasures", "DEFAULT_TOL"]
@@ -30,39 +27,74 @@ DEFAULT_TOL = 1e-10
 _EPS = np.finfo(float).eps
 
 
-def _quad(fn, a, b, points=()):
-    """Adaptive quadrature over [a, b] split at interior singularity hints."""
-    if b <= a:
-        return 0.0, 0.0
-    pts = sorted(p for p in points if a < p < b)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(fn, a, b, points=pts or None, limit=400,
-                                  epsabs=DEFAULT_TOL, epsrel=DEFAULT_TOL)
-    if not math.isfinite(val):
-        raise DomainError("non-integrable singularity detected in quadrature")
-    if err > 50.0 * max(DEFAULT_TOL, DEFAULT_TOL * abs(val)):
-        raise QuadratureError(f"quadrature reached error {err:.3e} > requested "
-                              f"{DEFAULT_TOL:.3e}", achieved_error=err)
-    return val, err
-
-
 def _radial_reduction(space):
-    """(w, m, const): mu has density const * w(rho) * rho^m in the radius rho."""
-    geom = space.geometry
-    if isinstance(geom, RadialRn):
-        return space.weight, geom.n - 1, surface_area(geom.n)
-    if isinstance(geom, HalfLine):
-        return space.weight, 0, 1.0
-    raise DomainError(f"radial reduction needs RadialRn or HalfLine, got {type(geom).__name__}")
+    """(w, m, const): mu has density const * w(rho) * rho^m in the radius rho.
+    A PowerAlpha weight is folded into m, with w = 1: one power, rho^(m +
+    alpha), stays in the float range wherever its value does."""
+    geom, w = space.geometry, space.weight
+    if not isinstance(geom, (RadialRn, HalfLine)):
+        raise DomainError(f"radial reduction needs RadialRn or HalfLine, got {type(geom).__name__}")
+    m, const = (geom.n - 1, surface_area(geom.n)) if isinstance(geom, RadialRn) else (0, 1.0)
+    if isinstance(w, PowerAlpha):
+        return Constant(), m + w.alpha, const
+    return w, m, const
 
 
-def _radial_measure(space, r, R):
-    """mu(r <= rho < R) and its error estimate by adaptive quadrature."""
-    w, m, const = _radial_reduction(space)
-    val, err = _quad(lambda rho: float(w.evaluate(rho)) * rho**m, r, R,
-                     points=w.singularities())
-    return const * val, const * err
+PANEL_RATIO = 1e8  # no panel of a radial integral spans a larger ratio of radii
+
+
+def _radial_integral(w, m, r, R, k=1.0):
+    """int_r^R (w rho^m)^k drho and its error estimate, by the tanh-sinh rule.
+
+    Panels end at r, R, the weight's singularities, half and twice each
+    weight pole, and geometric cuts that keep their ratios of radii at most
+    PANEL_RATIO.  The density's poles p, |rho - p|^beta with beta in (-1, 0),
+    are the weight's, or else rho^m's at 0 when m < 0.  A panel within a
+    factor 2 of a weight pole, or any panel about rho^m's, is integrated in
+    u = |rho - p|^e, e = min(1 + beta k, 1), about its nearest pole, in two
+    halves if its ends have different nearest poles.  The offsets from p and
+    the panel's width in u are exact to rounding, however close to p and
+    however thin.  For e < 1 the integrand, the weight's regular part^k
+    rho^(m k) / e, is bounded; for e = 1 it is (w rho^m)^k, which tends to 0
+    at p.  Elsewhere it is w^k rho^(m k), where rho^m cannot underflow.
+    """
+    weight_poles = dict(getattr(w, "poles", ()))
+    poles = weight_poles or ({0.0: m} if m < 0 else {})  # a folded PowerAlpha leaves w = 1
+    cuts = {*w.singularities(), *(c * p for p in weight_poles for c in (0.5, 2.0))}
+    if r > 0:
+        span = math.log(R) - math.log(r)
+        n = math.ceil(span / math.log(PANEL_RATIO))
+        cuts.update(math.exp(math.log(r) + span * i / n) for i in range(1, n))
+    edges = np.array([r, *sorted(s for s in cuts if r < s < R), R])
+    if not poles:
+        return _tanh_sinh(lambda rho: w.evaluate(rho) ** k * rho ** (m * k), edges[:-1], edges[1:])
+    panels = []  # (anchor, direction, beta, u0, width): u = u0 + v, v in [0, width]
+    for a, b in zip(edges, edges[1:]):
+        pa, pb = (min(poles, key=lambda p: abs(x - p)) for x in (a, b))
+        mid = 0.5 * (a + b)
+        for x, y, p in [(a, b, pa)] if pa == pb else [(a, mid, pa), (mid, b, pb)]:
+            if p > 0.0 and not 0.5 * p <= x < y <= 2.0 * p:  # away from the weight's poles
+                panels.append((x, 1.0, 0.0, 0.0, y - x))  # rho = x + v
+                continue
+            e = min(1.0 + poles[p] * k, 1.0)
+            near = min(abs(x - p), abs(y - p))
+            width = near**e * math.expm1(e * math.log1p((y - x) / near)) if near else (y - x) ** e
+            panels.append((p, 1.0 if x >= p else -1.0, poles[p], near**e, width))
+    anchor, sign, beta, u0, width = np.array(panels).T[:, :, None]
+    e = np.minimum(1.0 + beta * k, 1.0)
+    kept = np.where(e < 1.0, 0.0, beta)  # the pole's power that u leaves in the integrand
+    rows = [(p, anchor[:, 0] == p) for p in weight_poles if p in anchor]
+    power = m * k if m >= 0 else 0.0
+
+    def integrand(v):
+        d = sign * (u0 + v) ** (1.0 / e)
+        rho = anchor + d
+        val = w.evaluate(rho)
+        for p, at_p in rows:
+            val[at_p] = w.regular(p, d[at_p])
+        return (val * np.abs(d) ** kept) ** k * rho**power / e
+
+    return _tanh_sinh(integrand, np.zeros(len(panels)), width[:, 0])
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -107,8 +139,8 @@ _TS_LEVELS = 7  # down to step 1/256
 
 
 def _ts_level(k):
-    """(frac, weight, from_b) of level k's new nodes, per unit panel length:
-    each t > 0 gives a node from each end, t = 0 the midpoint once."""
+    """(frac, weight column, from_b) of level k's new nodes, per unit panel
+    length: each t > 0 gives a node from each end, t = 0 the midpoint once."""
     h = _TS_H0 * 2.0**-k
     t = np.arange(0.0, _TS_T_MAX + 0.5 * h, h) if k == 0 else np.arange(h, _TS_T_MAX, 2.0 * h)
     e = np.exp(-math.pi * np.sinh(t))
@@ -116,46 +148,51 @@ def _ts_level(k):
     weight = h * math.pi * np.cosh(t) * e / (1.0 + e) ** 2
     skip = 1 if k == 0 else 0
     from_b = np.arange(2 * len(t) - skip) >= len(t)
-    return np.r_[frac, frac[skip:]], np.r_[weight, weight[skip:]], from_b
+    return np.r_[frac, frac[skip:]], np.r_[weight, weight[skip:]][:, None], from_b
 
 
-_TS_TABLES = tuple(_ts_level(k) for k in range(_TS_LEVELS))
-_TS_OUTERMOST = _TS_TABLES[0][0] == _TS_TABLES[0][0].min()  # the level-0 nodes at |t| = T_MAX
+def _ts_first_table():
+    """Levels 0 and 1, weighted by the columns level 1, level 0, level 0 at |t| = T_MAX."""
+    (f0, w0, b0), (f1, w1, b1) = _ts_level(0), _ts_level(1)
+    tail = np.where(f0[:, None] == f0.min(), w0, 0.0)
+    z0, z1 = np.zeros_like(w0), np.zeros_like(w1)
+    return np.r_[f0, f1], np.block([[z0, w0, tail], [w1, z1, z1]]), np.r_[b0, b1]
+
+
+# the rule never stops before level 1, so levels 0 and 1 share a table
+_TS_TABLES = (_ts_first_table(), *map(_ts_level, range(2, _TS_LEVELS)))
 
 
 def _tanh_sinh(f, lo, hi):
-    """Integral of f >= 0 over the panels [lo_i, hi_i] and its error
+    """Integral I of f >= 0 over the panels [lo_i, hi_i] and its error
     estimate, by the tanh-sinh rule on each panel.
 
-    f maps an array of nodes to an array of values; each level's new nodes
-    of every panel go in one call.  Nodes approach each panel end by their
-    offset from it, so they come as close to an end at 0 as a float can; a
-    node whose offset underflows to 0 is dropped.  The rule stops at the
-    first level after level 0 whose error estimate is at most
-    DEFAULT_TOL |I|: the difference from the previous level, floored at the
-    terms at |t| = T_MAX (the truncated tail) and at N eps times the sum of
-    |terms| over the N nodes (the sum's rounding).  A non-finite sample
-    raises DomainError, a last level that misses the gate QuadratureError.
+    f maps a (panels, nodes) array of nodes to their values, each level's
+    new nodes in one call.  Nodes approach a panel end by their offset from
+    it; one whose offset underflows to 0 counts as 0.  The rule stops at the
+    first level after level 0 whose error estimate, the change from the
+    previous level floored at the terms at |t| = T_MAX (the truncated tail)
+    and at N eps I over the N nodes (the sum's rounding), is at most
+    DEFAULT_TOL I.  A non-finite sample raises DomainError, a last level
+    that misses the gate QuadratureError.
     """
     a, b = lo[:, None], hi[:, None]
-    length = b - a
+    length = hi - lo
     nodes = 0
-    for k, (frac, weight, from_b) in enumerate(_TS_TABLES):
-        off = frac * length
-        keep = off > 0
-        terms = f(np.where(from_b, b - off, a + off)[keep]) * (weight * length)[keep]
-        level_sum, level_abs = terms.sum(), np.abs(terms).sum()
-        if not math.isfinite(level_sum):
-            raise DomainError("non-finite integrand sample in quadrature")
-        nodes += terms.size
-        if k == 0:
-            total, size = level_sum, level_abs
-            tail = np.abs(terms[(_TS_OUTERMOST & keep)[keep]]).sum()
-            continue
-        prev, total, size = total, 0.5 * total + level_sum, 0.5 * size + level_abs
-        err = max(abs(total - prev), tail, nodes * _EPS * size)
-        if err <= DEFAULT_TOL * abs(total):
-            return float(total), float(err)
+    with np.errstate(all="ignore"):  # a non-finite sample fails the check below
+        for k, (frac, weights, from_b) in enumerate(_TS_TABLES):
+            off = frac * length[:, None]
+            vals = np.where(off > 0, f(np.where(from_b, b - off, a + off)), 0.0)
+            nodes += np.count_nonzero(off)
+            sums = length @ (vals @ weights)
+            if k == 0:
+                total, tail = sums[1], abs(sums[2])
+            prev, total = total, 0.5 * total + sums[0]
+            if not math.isfinite(total):
+                raise DomainError("non-finite integrand sample in quadrature")
+            err = max(abs(total - prev), tail, nodes * _EPS * abs(total))
+            if err <= DEFAULT_TOL * abs(total):
+                return float(total), float(err)
     raise QuadratureError(
         f"tanh-sinh quadrature reached error {err:.3e} > requested {DEFAULT_TOL:.3e} "
         f"relative to {total:.3e}", achieved_error=err
@@ -222,8 +259,7 @@ def _bowtie_annulus(space, r, R):
         return const * (scaled(hi / ax) - scaled(lo / ax))
 
     def shell_mass(x1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.abs(x1) ** (power - 1) * bracket(x1)
+        return np.abs(x1) ** (power - 1) * bracket(x1)
 
     top = min(2.0, -1.0 + R)
     pts = [x for x in _bowtie_x1_breakpoints([r, R] if r > 0 else [R]) if -1.0 < x < top]
@@ -252,7 +288,9 @@ def _measure(space: SpaceSpec, r, R):
     gives the ball."""
     geom = space.geometry
     if isinstance(geom, (RadialRn, HalfLine)):
-        return _radial_measure(space, r, R)
+        w, m, const = _radial_reduction(space)
+        val, err = _radial_integral(w, m, r, R)
+        return const * val, const * err
     if isinstance(geom, Snake):
         return _snake_ball(geom, R) - _snake_ball(geom, r), 0.0
     if isinstance(geom, BowTie):
@@ -314,10 +352,10 @@ def volume_profile(space: SpaceSpec, rho) -> np.ndarray:
     On radial and half-line spaces the profile is cumulative: mu_ball at
     rho[0] plus the masses of the panels between consecutive radii.  A
     panel's mass is GL8 on its two halves, its error estimate the
-    difference from GL8 on the whole panel.  A panel goes to adaptive
-    quadrature when it contains or touches a weight singularity, its mass
-    is not finite, or its estimate exceeds 1e-2 * DEFAULT_TOL * max(1,
-    |mass|).  Other geometries take mu_ball at each radius.
+    difference from GL8 on the whole panel.  A panel goes to the tanh-sinh
+    rule when it contains or touches a weight singularity, its mass is not
+    finite, or its estimate exceeds 1e-2 * DEFAULT_TOL times the profile at
+    its upper end.  Other geometries take mu_ball at each radius.
     """
     rho = np.asarray(rho, dtype=float)
     if not isinstance(space.geometry, (RadialRn, HalfLine)):
@@ -329,14 +367,15 @@ def volume_profile(space: SpaceSpec, rho) -> np.ndarray:
 
     lo, hi = rho[:-1], rho[1:]
     mid = 0.5 * (lo + hi)
-    whole = _cell_masses(density, lo, hi)
-    panel = _cell_masses(density, lo, mid) + _cell_masses(density, mid, hi)
+    whole = const * _cell_masses(density, lo, hi)
+    inc = const * (_cell_masses(density, lo, mid) + _cell_masses(density, mid, hi))
     sing = np.asarray(w.singularities(), dtype=float)
-    redo = ((sing >= lo[:, None]) & (sing <= hi[:, None])).any(axis=1) | ~np.isfinite(panel)
-    with np.errstate(invalid="ignore"):
-        redo |= np.abs(whole - panel) > 1e-2 * DEFAULT_TOL * np.maximum(1.0, np.abs(panel))
-    inc = const * panel
-    for i in np.flatnonzero(redo):
-        inc[i] = _radial_measure(space, lo[i], hi[i])[0]
+    redo = ((sing >= lo[:, None]) & (sing <= hi[:, None])).any(axis=1) | ~np.isfinite(inc)
     f0 = mu_ball(space, rho[0])
+    # a panel redone below adds 0 here, so that the gate of the ones past it only tightens
+    below = f0 + np.cumsum(np.where(redo, 0.0, inc))
+    with np.errstate(invalid="ignore"):
+        redo |= np.abs(whole - inc) > 1e-2 * DEFAULT_TOL * below
+    for i in np.flatnonzero(redo):
+        inc[i] = const * _radial_integral(w, m, lo[i], hi[i])[0]
     return np.concatenate(([f0], f0 + np.cumsum(inc)))

@@ -1,15 +1,11 @@
 """Radial / one-dimensional weight functions.
 
 A weight is one of a closed catalog of analytic families plus tabulated
-data.  Every weight evaluates to a strictly positive value for rho > 0 and
-knows where its integrable power singularities sit, so that quadrature can
-be split there.
-
-``evaluate`` takes a float or an array.  Adaptive quadrature calls it once
-per node with a Python float, so the hot catalog weights answer a float
-with scalar arithmetic and return a float: the bits the array code gives
-on a 0-d array, without its set-up cost.  The path is chosen by exact type:
-numpy scalars and 0-d arrays take the array code.
+data.  Every weight evaluates an array of radii rho > 0 to strictly positive
+values and knows where its singularities sit, so that quadrature can be
+split there.  The Buckley weights also list their power poles (p, beta),
+w ~ |rho - p|^beta, with the regular part w(p + d) |d|^(-beta) in closed
+form in the offset d, finite where p + d rounds to p or d underflows.
 """
 
 from __future__ import annotations
@@ -47,8 +43,6 @@ class Constant:
             raise InputError(f"Constant weight needs c > 0, got {self.c}")
 
     def evaluate(self, rho):
-        if type(rho) is float:
-            return float(self.c)
         return np.full_like(np.asarray(rho, dtype=float), self.c)
 
     def singularities(self):
@@ -73,16 +67,6 @@ class PowerAlpha:
         return (0.0,) if self.alpha < 0 else ()
 
 
-def _buckley_term(d: float, expo: float) -> float:
-    """max{1, |d|^expo} for expo < 0 on floats, with the bits of the array
-    code: the float ** is libm pow, as numpy's scalar ** is; |d| = 0 is the
-    pole, where float ** would raise; max(x, 1.0) keeps a NaN x."""
-    d = abs(d)
-    if d == 0.0:
-        return math.inf
-    return max(d**expo, 1.0)
-
-
 @dataclass(frozen=True)
 class BuckleyEta:
     """w(rho) = max{1, |rho - 1|^(eta-1)} with eta in (0, 1).
@@ -97,8 +81,6 @@ class BuckleyEta:
             raise InputError(f"BuckleyEta needs eta in (0,1), got {self.eta}")
 
     def evaluate(self, rho):
-        if type(rho) is float:
-            return _buckley_term(rho - 1.0, self.eta - 1.0)
         rho = np.asarray(rho, dtype=float)
         with np.errstate(divide="ignore"):
             sing = np.abs(rho - 1.0) ** (self.eta - 1.0)
@@ -107,6 +89,14 @@ class BuckleyEta:
     def singularities(self):
         # the blow-up at 1 plus the kink at 2 where the max switches branch
         return (1.0, 2.0)
+
+    @property
+    def poles(self):
+        return ((1.0, self.eta - 1.0),)
+
+    def regular(self, p, d):
+        """w(1 + d) |d|^(1 - eta) = max{|d|^(1 - eta), 1}."""
+        return np.maximum(np.abs(d) ** (1.0 - self.eta), 1.0)
 
 
 @dataclass(frozen=True)
@@ -131,22 +121,27 @@ class SummedBuckley:
         object.__setattr__(self, "terms", tuple((float(q), float(a)) for q, a in self.terms))
 
     def evaluate(self, rho):
-        if type(rho) is float:
-            total = 0.0
-            for q, a in self.terms:
-                total = total + a * _buckley_term(q * rho - 1.0, self.eta - 1.0)
-            return total
         rho = np.asarray(rho, dtype=float)
-        total = np.zeros_like(rho)
         with np.errstate(divide="ignore"):
-            for q, a in self.terms:
-                total = total + a * np.maximum(1.0, np.abs(q * rho - 1.0) ** (self.eta - 1.0))
-        return total
+            return sum(a * np.maximum(1.0, np.abs(q * rho - 1.0) ** (self.eta - 1.0))
+                       for q, a in self.terms)
 
     def singularities(self):
         # each term blows up at 1/q_j and has a branch kink at 2/q_j
         pts = {1.0 / q for q, _ in self.terms} | {2.0 / q for q, _ in self.terms}
         return tuple(sorted(pts))
+
+    @property
+    def poles(self):
+        return tuple((p, self.eta - 1.0) for p in sorted({1.0 / q for q, _ in self.terms}))
+
+    def regular(self, p, d):
+        """w(p + d) |d|^(1 - eta): a term singular at p is a max{|d|^(1 - eta),
+        q^(eta - 1)}, any other its value times |d|^(1 - eta)."""
+        scale = np.abs(d) ** (1.0 - self.eta)
+        return sum(a * np.maximum(scale, q ** (self.eta - 1.0)) if 1.0 / q == p
+                   else a * scale * np.maximum(1.0, np.abs(q * (p + d) - 1.0) ** (self.eta - 1.0))
+                   for q, a in self.terms)
 
 
 class HalfLineKind(enum.Enum):
@@ -168,8 +163,6 @@ class HalfLineCatalog:
     kind: HalfLineKind
 
     def evaluate(self, rho):
-        if type(rho) is float:
-            return self._evaluate_float(rho)
         rho = np.asarray(rho, dtype=float)
         if self.kind is HalfLineKind.MIN_ONE_OVER_X:
             with np.errstate(divide="ignore"):
@@ -182,22 +175,6 @@ class HalfLineCatalog:
         # 0 where exp(-1/x) underflows: never 0/0 where x ** 2 underflows as well
         small = np.divide(num, x**2, out=np.zeros_like(num), where=num != 0)
         return np.where(rho <= 0.5, small, 4.0 * math.exp(-2.0))
-
-    def _evaluate_float(self, rho: float) -> float:
-        # the branches of the array code, NaN and rho <= 0 included; np.exp
-        # stays because math.exp rounds differently on some points
-        if self.kind is HalfLineKind.MIN_ONE_OVER_X:
-            return 1.0 / rho if rho > 1.0 else 1.0
-        if self.kind is HalfLineKind.EXP_DECAY:
-            return float(np.exp(-rho))
-        if not rho <= 0.5:
-            return 4.0 * math.exp(-2.0)
-        if rho <= 0.0:
-            return 0.0
-        # rho * rho, as numpy squares an array; 0 where exp(-1/rho) underflows,
-        # as in the array code
-        num = np.exp(-1.0 / rho)
-        return float(num / (rho * rho)) if num else 0.0
 
     def singularities(self):
         # Kink locations, not blow-ups; still worth splitting quadrature at.

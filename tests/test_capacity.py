@@ -108,6 +108,17 @@ def test_singular_weight_capacity_positive():
     assert cap_radial_weighted(space, 1.2, AnnulusSpec(0.5, 2.0)).value > 0
 
 
+@pytest.mark.parametrize("p", [1.5, 1.1, 1.01, 1.001])
+def test_buckley_capacity_across_the_pole_matches_the_closed_form(p):
+    # on (1/2, 3/2) in R^1, int w^(1/(1-p)) = 2 int_0^(1/2) t^e' dt with
+    # e' = (1 - eta)/(p - 1), which grows to 500 as p nears 1
+    space = SpaceSpec(RadialRn(1), BuckleyEta(0.5))
+    e = 1.0 + 0.5 / (p - 1.0)
+    exact = 2.0 * (2.0 * 0.5**e / e) ** (1.0 - p)
+    value = cap_radial_weighted(space, p, AnnulusSpec(0.5, 1.5)).value
+    assert value == pytest.approx(exact, rel=1e-12)
+
+
 def test_snake_path_formula():
     # annulus around 2^k traces one path of length 2 delta + pi 2^k
     res = cap_snake(2.0, 3, 0.5)

@@ -34,6 +34,17 @@ def test_cap_command(capsys):
     assert out["method"] == "closed-form"
 
 
+def test_cap_across_120_decades(capsys):
+    # Buckley eta = 0.18 in R^4 at p = n: the radial integral of (w rho^3)^(-1/3)
+    # is rho^-1 far below the pole at 1, so the radii may be 120 decades apart.
+    # The closed form is 2 pi^2 (ln(1/r) - psi(1 + a) - gamma)^-3 with a = 0.82/3.
+    code = run(["cap", "--space", "buckley", "--eta", "0.18", "--n", "4", "--p", "4",
+                "--r", "5e-121", "--R", "1"])
+    assert code == 0
+    value = float(json.loads(capsys.readouterr().out)["value"])
+    assert value == pytest.approx(9.325039573625951e-07, rel=1e-9)
+
+
 def test_cap_usage_error(capsys):
     # buckley requires --eta
     code = run(["cap", "--space", "buckley", "--p", "2", "--r", "0.5", "--R", "1"])
@@ -90,9 +101,9 @@ def test_sweep_verdict_line_bytes(capsys):
                 "--no-gating"])
     assert code == 1
     assert capsys.readouterr().err == (
-        '{"cap_slope": "-1.5000000000000007", "max_ratio": "47.999999999996994", '
-        '"min_ratio": "1.4999999999999025", "passed": false, "rows": 11, '
-        '"slope": "-0.50000000000000022", "verdict": "FAIL"}\n')
+        '{"cap_slope": "-1.5000000000000007", "max_ratio": "48.000000000000014", '
+        '"min_ratio": "1.5000000000000004", "passed": false, "rows": 11, '
+        '"slope": "-0.50000000000000011", "verdict": "FAIL"}\n')
 
 
 def test_ad_range_snake_jump(capsys):
@@ -246,13 +257,18 @@ def test_module_entry_point():
 
 
 def test_import_loads_neither_scipy_stats_nor_networkx():
-    # scipy.stats costs about a second of import; networkx is for the p = 1 cut only
+    # scipy.stats costs about a second of import; networkx is for the p = 1 cut
+    # only; no route integrates with scipy.integrate
     code = textwrap.dedent("""
         import sys
         import numpy as np
         import anncap, anncap.cli
         assert "scipy.stats" not in sys.modules
         assert "networkx" not in sys.modules
+        assert "scipy.integrate" not in sys.modules
+        buckley = anncap.make_buckley(0.5).space
+        assert anncap.cap_auto(buckley, 2.0, anncap.AnnulusSpec(0.5, 1.5)).value > 0
+        assert "scipy.integrate" not in sys.modules
         net = anncap.build_radial_network(anncap.make_rn_unweighted(1).space, 1.0, 2.0, 16)
         rep = anncap.solve_p_energy(net, anncap.condenser_bc(net, 1.0, 2.0), 1.0)
         assert rep.converged and np.isfinite(rep.energy), rep

@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import hyp2f1
 
-from anncap.capacity import cap_radial_weighted
 from anncap.gallery import DEFAULT_SUMMED_TERMS
 from anncap.measure import (
-    _quad,
-    _radial_reduction,
     mu_annulus,
     mu_annulus_detailed,
     mu_ball,
@@ -62,6 +59,60 @@ def test_buckley_closed_form():
     # n = 1, eta = 1/2: mu(B_{1/2}) = 2 int_0^{1/2} (1-rho)^(-1/2) = 2 (2 - sqrt 2)
     space = SpaceSpec(RadialRn(1), BuckleyEta(0.5))
     assert mu_ball(space, 0.5) == pytest.approx(2.0 * (2.0 - math.sqrt(2.0)), rel=1e-10)
+
+
+def _buckley_mass(eta, R):
+    """int_0^R max{1, |rho - 1|^(eta - 1)} drho in closed form."""
+    if R <= 1.0:
+        return (1.0 - (1.0 - R) ** eta) / eta
+    if R <= 2.0:
+        return (1.0 + (R - 1.0) ** eta) / eta
+    return 2.0 / eta + R - 2.0
+
+
+@pytest.mark.parametrize("eta", [0.5, 0.3, 0.1, 0.03, 0.01])
+def test_buckley_balls_across_the_pole_match_the_closed_form(eta):
+    # the panels that end at the pole rho = 1 are integrated in
+    # u = |rho - 1|^eta, where the mass below any float offset from 1 is kept
+    space = SpaceSpec(RadialRn(1), BuckleyEta(eta))
+    for R, exact in ((1.0, 2.0 / eta), (1.5, 2.0 * (1.0 + 0.5**eta) / eta),
+                     (3.0, 2.0 * (2.0 / eta + 1.0))):
+        val, err = mu_ball_detailed(space, R)
+        assert val == pytest.approx(exact, rel=1e-12)
+        assert err >= abs(val - exact)
+
+
+def test_summed_buckley_balls_match_the_closed_form():
+    # term j is a_j / q_j times the Buckley mass up to q_j R, with its pole at 1/q_j
+    for eta in (0.5, 0.1):
+        space = SpaceSpec(RadialRn(1), SummedBuckley(eta, DEFAULT_SUMMED_TERMS))
+        for R in (0.25, 0.375, 0.5, 1.0, 2.5):
+            exact = 2.0 * sum(a / q * _buckley_mass(eta, q * R) for q, a in DEFAULT_SUMMED_TERMS)
+            val, err = mu_ball_detailed(space, R)
+            assert val == pytest.approx(exact, rel=1e-12)
+            assert err >= abs(val - exact)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_power_alpha_near_minus_n_matches_the_closed_form(n):
+    # rho^(n - 1 + alpha) with n + alpha = 0.01 is integrated in u = rho^0.01,
+    # where it is constant
+    alpha = -n + 0.01
+    space = SpaceSpec(RadialRn(n), PowerAlpha(alpha))
+    for R in (0.5, 1.0, 3.0):
+        exact = surface_area(n) * R ** (n + alpha) / (n + alpha)
+        val, err = mu_ball_detailed(space, R)
+        assert val == pytest.approx(exact, rel=1e-12)
+        assert err >= abs(val - exact)
+
+
+def test_tiny_exp_inv_balls_are_relatively_accurate():
+    # mu(B_R) = e^(-1/R): 1.4e-87 at R = 0.005
+    inv = SpaceSpec(HalfLine(), HalfLineCatalog(HalfLineKind.EXP_INV_OVER_X_SQ))
+    for R in (0.005, 0.011):
+        val, err = mu_ball_detailed(inv, R)
+        assert val == pytest.approx(math.exp(-1.0 / R), rel=1e-12)
+        assert err >= abs(val - math.exp(-1.0 / R))
 
 
 def test_buckley_comparable_to_lebesgue():
@@ -215,54 +266,6 @@ def test_monotonicity_in_radius():
     radii = [0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0]
     vols = [mu_ball(space, R) for R in radii]
     assert all(b > a for a, b in zip(vols, vols[1:]))
-
-
-def _replaced_radial_routine(space, r, R):
-    """The separate radial and half-line routines that one (r, R) routine
-    replaced, as they were."""
-    w = space.weight
-    if isinstance(space.geometry, HalfLine):
-        return _quad(lambda x: float(w.evaluate(x)), r, R, points=w.singularities())
-    n = space.geometry.n
-    const = surface_area(n)
-    val, err = _quad(lambda rho: float(w.evaluate(rho)) * rho ** (n - 1), r, R,
-                     points=w.singularities())
-    return const * val, const * err
-
-
-def test_radial_measure_is_bit_identical_to_replaced_routines():
-    spaces = [RN2, RN3, SpaceSpec(RadialRn(1), BuckleyEta(0.5)),
-              SpaceSpec(RadialRn(2), PowerAlpha(-0.5))]
-    spaces += [SpaceSpec(HalfLine(), HalfLineCatalog(k)) for k in HalfLineKind]
-    for space in spaces:
-        for r, R in ((0.3, 0.9), (0.5, 2.5), (1.0, 4.0)):
-            assert mu_ball_detailed(space, R) == _replaced_radial_routine(space, 0.0, R)
-            assert mu_annulus_detailed(space, AnnulusSpec(r, R)) == \
-                _replaced_radial_routine(space, r, R)
-
-
-@pytest.mark.parametrize("space", [
-    SpaceSpec(RadialRn(1), SummedBuckley(0.5, DEFAULT_SUMMED_TERMS)),
-    SpaceSpec(HalfLine(), HalfLineCatalog(HalfLineKind.EXP_INV_OVER_X_SQ)),
-], ids=["summed-buckley", "exp-inv-over-x-sq"])
-def test_float_path_quadrature_is_bit_identical_to_the_array_path(space):
-    # quadrature nodes are Python floats and take the weights' float path; a
-    # 0-d array takes the array code, so every node, every adaptive step and
-    # every result must be the same
-    w, m, const = _radial_reduction(space)
-    p = 2.5
-    expo = 1.0 / (1.0 - p)
-
-    def density(rho):
-        return float(w.evaluate(np.asarray(rho))) * rho**m
-
-    for r, R in ((0.1, 0.45), (0.3, 0.9), (0.25, 2.0), (0.45, 4.0)):
-        val, err = _quad(density, 0.0, R, points=w.singularities())
-        assert mu_ball_detailed(space, R) == (const * val, const * err)
-        val, err = _quad(lambda rho: density(rho) ** expo, r, R, points=w.singularities())
-        res = cap_radial_weighted(space, p, AnnulusSpec(r, R))
-        assert (res.value, res.quadrature_error) == (
-            const * val ** (1.0 - p), const * abs(1.0 - p) * val ** (-p) * err)
 
 
 def test_volume_profile_with_grid_points_on_singularities():

@@ -17,6 +17,7 @@ from anncap.gallery import DEFAULT_SUMMED_TERMS
 from anncap.measure import (
     _radial_reduction,
     mu_annulus,
+    mu_annulus_detailed,
     mu_ball,
     mu_ball_detailed,
     volume_profile,
@@ -52,16 +53,16 @@ def test_measure_monotone_and_additive(r, s):
     assert inner + mu_annulus(space, AnnulusSpec(lo, hi)) == pytest.approx(outer, rel=1e-8)
 
 
-# Buckley at the gallery's eta = 0.5: at eta = 0.3 adaptive quadrature on a
-# panel ending at the singularity is itself only good to about 1e-10.  lo >=
-# 0.02: below it mu_ball's absolute tolerance dominates e^(-1/R) on the
-# exp-inv-over-x-sq half-line, for the reference as much as the profile.
+# lo >= 0.005 reaches exp-inv-over-x-sq's tiny balls, mu(B_R) = e^(-1/R) of
+# 1e-87 at R = 0.005: both the reference and the profile gate relative to
+# the mass.  Buckley at eta = 0.3 puts a strong pole on a panel end.
 PROFILE_SPACES = [
     SpaceSpec(RadialRn(2), Constant(1.5)),
     SpaceSpec(RadialRn(3), PowerAlpha(0.7)),
     SpaceSpec(RadialRn(1), PowerAlpha(-0.5)),
     SpaceSpec(RadialRn(2), PowerAlpha(-1.5)),
     SpaceSpec(RadialRn(1), BuckleyEta(0.5)),
+    SpaceSpec(RadialRn(1), BuckleyEta(0.3)),
     SpaceSpec(RadialRn(1), SummedBuckley(0.5, DEFAULT_SUMMED_TERMS)),
     SpaceSpec(RadialRn(2), Tabulated((0.5, 1.0, 2.0), (1.0, 3.0, 2.0))),
 ] + [SpaceSpec(HalfLine(), HalfLineCatalog(k)) for k in HalfLineKind]
@@ -69,7 +70,7 @@ PROFILE_SPACES = [
 
 @settings(**COMMON)
 @given(space=st.sampled_from(PROFILE_SPACES),
-       lo=st.floats(min_value=0.02, max_value=10.0),
+       lo=st.floats(min_value=0.005, max_value=10.0),
        ratio=st.floats(min_value=1.05, max_value=100.0),
        on_singularities=st.booleans())
 def test_volume_profile_matches_per_point_mu_ball(space, lo, ratio, on_singularities):
@@ -79,54 +80,6 @@ def test_volume_profile_matches_per_point_mu_ball(space, lo, ratio, on_singulari
         rho = np.union1d(rho, [s for s in space.weight.singularities() if lo < s < hi])
     ref = np.array([mu_ball(space, x) for x in rho])
     assert np.max(np.abs(volume_profile(space, rho) - ref) / ref) <= 1e-10
-
-
-# Every catalog weight.  PowerAlpha and Tabulated have no float path; they
-# are here so that one added later meets the same rule.
-CATALOG_WEIGHTS = [
-    Constant(1.5), PowerAlpha(0.7), PowerAlpha(-0.5), BuckleyEta(0.3), BuckleyEta(0.5),
-    SummedBuckley(0.5, DEFAULT_SUMMED_TERMS), SummedBuckley(0.2, ((3.0, 0.7), (0.3, 2.0))),
-    Tabulated((0.5, 1.0, 2.0), (1.0, 3.0, 2.0)),
-] + [HalfLineCatalog(k) for k in HalfLineKind]
-# 0.21336057186512053 is a point where numpy's scalar x ** 2 and x * x round
-# differently (about 1 point in 1000 does so)
-SPECIAL_POINTS = (0.0, -0.0, -1.0, -2.5, 1e-300, 5e-324, 1e300, math.inf, -math.inf, math.nan,
-                  0.21336057186512053)
-
-
-def _edge_points(w):
-    """The special values, and the weight's singularities (the poles
-    evaluate to inf) with their float neighbours."""
-    return SPECIAL_POINTS + tuple(
-        x for s in w.singularities()
-        for x in (math.nextafter(s, -math.inf), s, math.nextafter(s, math.inf)))
-
-
-def _assert_float_path_has_the_array_paths_bits(w, x):
-    # The reference is a 0-d array, what quadrature nodes reached the array
-    # code as.  A 1-element array is no reference: numpy raises arrays to a
-    # power with its SIMD pow and numpy scalars with libm's, so Buckley
-    # weights differ between the two in the last bit on some points.
-    with np.errstate(all="ignore"):
-        a, b = float(w.evaluate(x)), float(w.evaluate(np.asarray(x)))
-    assert (math.isnan(a) and math.isnan(b)) or (
-        a == b and math.copysign(1.0, a) == math.copysign(1.0, b)), (w, x, a, b)
-
-
-@settings(deadline=None, max_examples=400)
-@given(wx=st.sampled_from(CATALOG_WEIGHTS).flatmap(lambda w: st.tuples(st.just(w), st.one_of(
-    st.floats(min_value=0.0, max_value=10.0),
-    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-    st.sampled_from(_edge_points(w))))))
-def test_float_path_has_the_array_paths_bits(wx):
-    _assert_float_path_has_the_array_paths_bits(*wx)
-
-
-def test_float_path_has_the_array_paths_bits_at_every_edge_point():
-    # the draws above reach a given edge point only now and then
-    for w in CATALOG_WEIGHTS:
-        for x in _edge_points(w):
-            _assert_float_path_has_the_array_paths_bits(w, x)
 
 
 @settings(deadline=None, max_examples=60)
@@ -151,6 +104,41 @@ def test_inf_cut_below_every_sphere_cut(space, lo, ratio, pin, which, fracs):
     for f in fracs:
         t = min(R, r + f * (R - r))
         assert value <= const * t**m * float(w.evaluate(t)) * (1 + 1e-15)
+
+
+def _buckley_offset_integral(eta, d, length, k):
+    """int_d^(d + length) (t^(eta - 1))^k dt in closed form, for d + length <= 1,
+    without cancellation however thin."""
+    e = 1.0 + (eta - 1.0) * k
+    if d == 0.0:
+        return length**e / e
+    return d**e * math.expm1(e * math.log1p(length / d)) / e
+
+
+@settings(deadline=None, max_examples=60)
+@given(eta=st.sampled_from((0.5, 0.3, 0.1)), p=st.sampled_from((1.1, 1.5, 2.5)),
+       gap=st.one_of(st.just(0.0), st.floats(min_value=1e-15, max_value=0.1)),
+       thin=st.floats(min_value=1e-12, max_value=1.0), above=st.booleans())
+def test_annuli_next_to_a_pole_match_the_closed_form(eta, p, gap, thin, above):
+    # Buckley on R^1 has |rho - 1|^(eta - 1) within 1 of its pole: annuli at
+    # any distance gap from the pole, however thin, against the closed form
+    # in the exact offsets of their float radii from 1
+    space = SpaceSpec(RadialRn(1), BuckleyEta(eta))
+    if above:
+        r = 1.0 + gap
+        R = r + max(thin * max(gap, 1e-3), 4e-16)
+        d, length = r - 1.0, R - r
+    else:
+        R = 1.0 - gap
+        r = R - max(thin * max(gap, 1e-3), 4e-16)
+        d, length = 1.0 - R, R - r
+    assume(d + length <= 1.0)
+    exact = 2.0 * _buckley_offset_integral(eta, d, length, 1.0)
+    val, err = mu_annulus_detailed(space, AnnulusSpec(r, R))
+    assert val == pytest.approx(exact, rel=1e-12)
+    assert err >= abs(val - exact)
+    exact = 2.0 * _buckley_offset_integral(eta, d, length, 1.0 / (1.0 - p)) ** (1.0 - p)
+    assert cap_radial_weighted(space, p, AnnulusSpec(r, R)).value == pytest.approx(exact, rel=1e-9)
 
 
 @settings(**COMMON)

@@ -45,17 +45,23 @@ def test_buckley_exact_form():
     assert w.singularities() == (1.0, 2.0)
 
 
-def test_float_path_is_chosen_by_exact_type():
-    weights = [Constant(2.0), BuckleyEta(0.5), SummedBuckley(0.5, ((1.0, 1.0), (2.0, 0.5)))]
-    weights += [HalfLineCatalog(k) for k in HalfLineKind]
-    for w in weights:
-        assert type(w.evaluate(0.75)) is float
-        # numpy scalars and 0-d arrays take the array code
-        assert type(w.evaluate(np.float64(0.75))) is not float
-        assert type(w.evaluate(np.asarray(0.75))) is not float
-    # a pole is inf on floats as on arrays, where float ** would raise
+def test_pole_is_inf_and_its_regular_part_is_finite():
+    # a float takes the array code, where a pole is inf
     assert BuckleyEta(0.5).evaluate(1.0) == math.inf
-    assert SummedBuckley(0.5, ((1.0, 1.0), (2.0, 0.5))).evaluate(0.5) == math.inf
+    summed = SummedBuckley(0.5, ((1.0, 1.0), (2.0, 0.5)))
+    assert summed.evaluate(0.5) == math.inf
+    # w(p + d) |d|^(1 - eta) in closed form: the product where it is exact,
+    # and finite where p + d rounds to p or d underflows
+    assert BuckleyEta(0.5).poles == ((1.0, -0.5),)
+    assert summed.poles == ((0.5, -0.5), (1.0, -0.5))
+    d = np.array([-0.25, 4.0, 1e-20, -5e-324, 0.0])
+    assert BuckleyEta(0.5).regular(1.0, d).tolist() == [2.0 * 0.5, 1.0 * 2.0, 1.0, 1.0, 1.0]
+    for p in (0.5, 1.0):
+        expect = summed.evaluate(p + d[:2]) * np.abs(d[:2]) ** 0.5
+        assert summed.regular(p, d[:2]) == pytest.approx(expect, rel=1e-15)
+    # at d = 0 only the term singular there is left: a q^(eta - 1)
+    assert summed.regular(0.5, np.zeros(1))[0] == 0.5 * 2.0**-0.5
+    assert summed.regular(1.0, np.zeros(1))[0] == 1.0
 
 
 def test_buckley_eta_range():
@@ -91,7 +97,7 @@ def test_halfline_catalog_values():
     # continuous at the branch point
     assert inv.evaluate(0.5) == pytest.approx(4.0 * math.exp(-2.0))
     # exp(-1/x) is 0 below x ~ 1.3e-3 and x * x is 0 below ~ 1.5e-154: the
-    # weight is 0 there, on both paths, not 0/0
+    # weight is 0 there, for a float as for an array, not 0/0
     xs = [1e-3, 1e-100, 1e-160, 1e-170, 5e-324]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
