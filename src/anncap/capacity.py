@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
 
 from .errors import DomainError, InputError, QuadratureError
 from .measure import _radial_integral, _radial_reduction
@@ -125,8 +124,9 @@ def cap_radial_p1(space: SpaceSpec, ann: AnnulusSpec) -> CapacityResult:
     lo = ts[max(0, i - 1)]
     hi = ts[min(len(ts) - 1, i + 1)]
     if hi > lo:
-        res = optimize.minimize_scalar(cut_cost, bounds=(lo, hi), method="bounded",
-                                       options={"xatol": 1e-12})
+        from scipy.optimize import minimize_scalar
+        res = minimize_scalar(cut_cost, bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-12})
         best = min(costs[i], float(res.fun))
     else:
         best = costs[i]
@@ -157,6 +157,7 @@ def _lobe_aperture(n: int) -> float:
         return 2.0 * math.atan(0.5)
     # the integral is 1/2 B((n-1)/2, 1/2) I_{sin^2 a}((n-1)/2, 1/2), sin^2 a = 1/5;
     # a forward recurrence in n would multiply its rounding error about 5x per step
+    from scipy import special
     k = 0.5 * (n - 1)
     aperture = surface_area(n - 1) * 0.5 * special.beta(k, 0.5) * special.betainc(k, 0.5, 0.2)
     if not aperture > 0:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from .errors import DomainError, QuadratureError
 from .spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec, surface_area
@@ -248,6 +247,7 @@ def _bowtie_annulus(space, r, R):
     power = alpha + n
     a, b, c = -alpha / 2.0, (n - 1) / 2.0, (n + 1) / 2.0
     const = surface_area(n - 1) / (n - 1)
+    from scipy.special import hyp2f1
 
     def scaled(q):
         return q ** (n - 1) * hyp2f1(a, b, c, -q * q)

@@ -47,8 +47,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, sparse
-from scipy.sparse import csgraph
 
 from .errors import ConvergenceError, DomainError, InfeasibleError, InputError
 from .measure import _cell_masses, _radial_reduction
@@ -267,11 +265,13 @@ class _FreeLaplacian:
     """
 
     def __init__(self, net):
+        from scipy.sparse import csgraph, csr_matrix
+
         self.net = net
         m = net.num_vertices - 2
         a, b = net.edge_i, net.edge_j
         both = (a < m) & (b < m)
-        graph = sparse.csr_matrix(
+        graph = csr_matrix(
             (np.ones(2 * both.sum()), (np.r_[a[both], b[both]], np.r_[b[both], a[both]])),
             shape=(m, m))
         self.order = csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)
@@ -298,6 +298,7 @@ class _FreeLaplacian:
         as a LinAlgError or a non-finite x, and so as a non-finite energy."""
         ab = np.bincount(self._slots, weights=w[self._edges] * self._signs,
                          minlength=self._shape[0] * self._shape[1]).reshape(self._shape)
+        from scipy import linalg
         return linalg.solveh_banded(ab, rhs, overwrite_ab=True, lower=True,
                                     check_finite=False)
 
@@ -309,7 +310,7 @@ def _solve_p2(net, lap):
     u[-2] = 1.0
     try:
         u[lap.order] = lap.solve(cond, -lap.divergence(cond * (u[net.edge_i] - u[net.edge_j])))
-    except linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"p = 2 linear solve failed: {exc}") from exc
     return u
 
@@ -327,7 +328,7 @@ def _newton(net, lap, p, tol, u):
         hw = p * (p - 1) * k * (np.abs(d) + HESSIAN_EPS) ** (p - 2)
         try:
             step = lap.solve(hw, -grad)
-        except linalg.LinAlgError:
+        except np.linalg.LinAlgError:
             step = -grad / hw.max()  # gradient fallback on degenerate Hessian
         # backtracking line search; the energy is convex, full steps usually work
         t = 1.0
@@ -380,6 +381,8 @@ def _reduce(net, bc, p):
     conductances k, the core (its plates last, its other nodes in their
     order) and the map from a potential on the core to one on every node of
     the contracted network. A run back to its own start is dropped."""
+    from scipy.sparse import csgraph, csr_matrix
+
     n = net.num_vertices
     nodes = n + 2
     node = np.arange(n)
@@ -397,8 +400,8 @@ def _reduce(net, bc, p):
     tails = np.concatenate([hi, lo])
     deg = np.bincount(tails, minlength=nodes)
     heads = np.concatenate([lo, hi])[np.argsort(tails, kind="stable")]
-    graph = sparse.csr_matrix((np.ones(len(tails)), heads, np.r_[0, np.cumsum(deg)]),
-                              shape=(nodes, nodes))
+    graph = csr_matrix((np.ones(len(tails)), heads, np.r_[0, np.cumsum(deg)]),
+                       shape=(nodes, nodes))
     order, pred = csgraph.depth_first_order(graph, n, return_predecessors=True)
     reached = np.zeros(nodes, dtype=bool)
     reached[order] = True
@@ -483,6 +486,8 @@ def _kkt_residual(sub, k, u, p):
 def _min_cut(core):
     """Edmonds-Karp on the core, whose plates are its last two nodes: the
     0/1 potential of the cut, and the flow value."""
+    from scipy.sparse import csgraph, csr_matrix
+
     # imported here, where only the p = 1 route pays for it
     import networkx as nx
     from networkx.algorithms.flow import edmonds_karp
@@ -499,9 +504,9 @@ def _min_cut(core):
     # by an ulp is saturated too. A search from it along the reversed arcs
     # finds them
     fwd, bwd = flow < w, -flow < w
-    into = sparse.csr_matrix((np.ones(fwd.sum() + bwd.sum()),
-                              (np.r_[b[fwd], a[bwd]], np.r_[a[fwd], b[bwd]])),
-                             shape=(nodes, nodes))
+    into = csr_matrix((np.ones(fwd.sum() + bwd.sum()),
+                       (np.r_[b[fwd], a[bwd]], np.r_[a[fwd], b[bwd]])),
+                      shape=(nodes, nodes))
     u = np.ones(nodes)
     u[csgraph.breadth_first_order(into, nodes - 1, return_predecessors=False)] = 0.0
     return u, float(residual.graph["flow_value"])

@@ -281,6 +281,56 @@ def test_import_loads_neither_scipy_stats_nor_networkx():
     assert done.returncode == 0, done.stderr
 
 
+# each case runs its calls in a fresh process after `import anncap, anncap.cli`,
+# then names the scipy submodules that must be loaded and those that must not
+# ("" is scipy itself)
+SCIPY_LOAD_CASES = {
+    "numpy-routes": ("""
+        buckley = anncap.make_buckley(0.5).space
+        assert anncap.cap_auto(make_rn(3).space, 2.0, AnnulusSpec(0.5, 1.5)).value > 0
+        assert anncap.cap_auto(buckley, 2.0, AnnulusSpec(0.5, 1.5)).value > 0
+        assert anncap.mu_ball(buckley, 1.5) > 0
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert anncap.cli.run(["cap", "--space", "buckley", "--eta", "0.5", "--p", "3",
+                                   "--r", "0.5", "--R", "1.5"]) == 0
+    """, set(), {""}),
+    "bowtie-measure": ("""
+        assert anncap.mu_annulus(anncap.make_bowtie(0.5).space, AnnulusSpec(0.5, 1.0)) > 0
+    """, {"special"}, {"optimize", "linalg", "sparse"}),
+    "p2-network-solve": ("""
+        net = anncap.build_radial_network(make_rn(2).space, 1.0, 2.0, 16)
+        assert anncap.solve_p_energy(net, anncap.condenser_bc(net, 1.0, 2.0), 2.0).converged
+    """, {"sparse", "linalg"}, {"optimize"}),
+    "p1-inf-cut": ("""
+        assert anncap.cap_radial_p1(anncap.make_buckley(0.5).space, AnnulusSpec(0.5, 1.5)).value > 0
+    """, {"optimize"}, set()),
+}
+
+
+@pytest.mark.parametrize("case", SCIPY_LOAD_CASES)
+def test_import_loads_numpy_alone_and_each_call_its_own_scipy_parts(case):
+    # a short CLI call is a fresh process, which pays for the scipy submodules
+    # its route needs and no others
+    calls, loaded, absent = SCIPY_LOAD_CASES[case]
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        import anncap, anncap.cli
+        from anncap import AnnulusSpec, make_rn_unweighted as make_rn
+
+        def scipy_parts():  # "" for scipy itself, "special" for scipy.special, ...
+            return {m[6:] for m in sys.modules if m.partition(".")[0] == "scipy"}
+
+        assert not scipy_parts(), sorted(scipy_parts())
+    """) + textwrap.dedent(calls) + textwrap.dedent(f"""
+        parts = scipy_parts()
+        assert {loaded!r} <= parts and not {absent!r} & parts, sorted(parts)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(anncap.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_halfline_cut_past_square_underflow_is_zero(capsys):
     # rho * rho underflows below 1.5e-154, where exp(-1/rho) is 0 already:
     # the weight is 0 there, not 0/0

@@ -22,7 +22,8 @@ from anncap.measure import (
     mu_ball_detailed,
     volume_profile,
 )
-from anncap.network import BoundaryCondition, DiscreteNetwork, solve_p_energy
+from anncap.network import (BoundaryCondition, DiscreteNetwork, build_radial_network, condenser_bc,
+                            solve_p_energy)
 from anncap.spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, SpaceSpec, surface_area
 from anncap.weights import (
     BuckleyEta,
@@ -213,6 +214,43 @@ def test_radial_integral_agrees_with_closed_form(n, p, r, gap):
     space = SpaceSpec(RadialRn(n), Constant())
     exact = cap_rn_unweighted(n, p, ann).value
     assert cap_radial_weighted(space, p, ann).value == pytest.approx(exact, rel=1e-7)
+
+
+# Metamorphic: on unweighted R^n, x -> lam x maps the condenser (r, R) onto
+# (lam r, lam R) and multiplies the capacity by lam^(n - p).  A power of two
+# keeps the radii exact, so a misplaced plate or a lost constant shows far
+# above rounding.
+scale_n = st.integers(min_value=1, max_value=4)
+scale_lam = st.integers(min_value=-10, max_value=10).map(lambda k: 2.0**k)
+scale_r = st.floats(min_value=0.05, max_value=8.0)
+scale_ratio = st.floats(min_value=1.01, max_value=10.0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=scale_n, p=st.floats(min_value=1.05, max_value=5.0), lam=scale_lam, r=scale_r,
+       ratio=scale_ratio)
+def test_radial_integral_capacity_scales_by_lam_to_the_n_minus_p(n, p, lam, r, ratio):
+    space = SpaceSpec(RadialRn(n), Constant())
+    R = r * ratio
+    base = cap_radial_weighted(space, p, AnnulusSpec(r, R)).value
+    scaled = cap_radial_weighted(space, p, AnnulusSpec(lam * r, lam * R)).value
+    assert scaled == pytest.approx(lam ** (n - p) * base, rel=1e-12)
+
+
+@settings(**COMMON)
+@given(n=scale_n, p=st.sampled_from((1.5, 2.0, 3.0)), lam=scale_lam, r=scale_r,
+       ratio=scale_ratio)
+def test_network_energy_scales_by_lam_to_the_n_minus_p(n, p, lam, r, ratio):
+    space = SpaceSpec(RadialRn(n), Constant())
+    R = r * ratio
+
+    def energy(a, b):
+        net = build_radial_network(space, a, b, 64)
+        rep = solve_p_energy(net, condenser_bc(net, a, b), p)
+        assert rep.converged
+        return rep.energy
+
+    assert energy(lam * r, lam * R) == pytest.approx(lam ** (n - p) * energy(r, R), rel=1e-12)
 
 
 @settings(**COMMON)
