@@ -68,7 +68,6 @@ from .weights import (
     PowerAlpha,
     SummedBuckley,
     Tabulated,
-    load_tabulated_csv,
 )
 
 __version__ = "0.1.0"

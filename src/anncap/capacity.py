@@ -30,7 +30,7 @@ __all__ = [
     "cap_auto",
 ]
 
-INF_CUT_GRID = 4097  # uniform grid points of the p = 1 inf-cut search
+INF_CUT_GRID = 4097  # points of each grid of the p = 1 inf-cut search
 
 
 class CapacityMethod(enum.Enum):
@@ -103,34 +103,31 @@ def cap_radial_weighted(space: SpaceSpec, p: float, ann: AnnulusSpec) -> Capacit
 
 def cap_radial_p1(space: SpaceSpec, ann: AnnulusSpec) -> CapacityResult:
     """p = 1 capacity as the cheapest weighted sphere cut:
-    inf over t in [r, R] of const * t^{n-1} w(t)."""
+    inf over t in [r, R] of const * t^{n-1} w(t).
+
+    The cut cost is evaluated on a uniform grid plus the weight's
+    singularities inside (r, R), and the bracket around the least cost is
+    re-gridded until at most one float lies inside it.  A least cost past
+    the float range is a DomainError."""
     w, m, const = _radial_reduction(space)
-
-    def cut_cost(t):
-        return const * t**m * float(w.evaluate(t))
-
-    ts = np.linspace(ann.r, ann.R, INF_CUT_GRID)
-    # refine near catalog singularities, where the integrand varies fastest
-    for s in w.singularities():
-        if ann.r < s < ann.R:
-            h = (ann.R - ann.r) / INF_CUT_GRID
-            ts = np.concatenate([ts, np.linspace(max(ann.r, s - 8 * h), min(ann.R, s + 8 * h), 257)])
-    ts = np.unique(ts)
-    costs = const * ts**m * w.evaluate(ts)
-    # an infinite cost at a pole is a legal cut; a NaN one would win argmin
-    if np.isnan(costs).any():
-        raise DomainError(f"p = 1 cut cost is NaN on [{ann.r}, {ann.R}]")
-    i = int(np.argmin(costs))
-    lo = ts[max(0, i - 1)]
-    hi = ts[min(len(ts) - 1, i + 1)]
-    if hi > lo:
-        from scipy.optimize import minimize_scalar
-        res = minimize_scalar(cut_cost, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-12})
-        best = min(costs[i], float(res.fun))
-    else:
-        best = costs[i]
-    return CapacityResult(value=float(best), method=CapacityMethod.INF_CUT)
+    inside = [s for s in w.singularities() if ann.r < s < ann.R]
+    ts = np.unique(np.r_[np.linspace(ann.r, ann.R, INF_CUT_GRID), inside])
+    best = math.inf
+    while True:
+        with np.errstate(over="ignore"):
+            costs = const * ts**m * w.evaluate(ts)
+        # an infinite cost at a pole is a legal cut; a NaN one would win argmin
+        if np.isnan(costs).any():
+            raise DomainError(f"p = 1 cut cost is NaN on [{ann.r}, {ann.R}]")
+        i = int(np.argmin(costs))
+        best = min(best, float(costs[i]))
+        lo, hi = ts[max(0, i - 1)], ts[min(len(ts) - 1, i + 1)]
+        if np.nextafter(np.nextafter(lo, hi), hi) >= hi:
+            break
+        ts = np.linspace(lo, hi, INF_CUT_GRID)
+    if not math.isfinite(best):
+        raise DomainError(f"capacity of (r={ann.r}, R={ann.R}) at p = 1 leaves the float range")
+    return CapacityResult(value=best, method=CapacityMethod.INF_CUT)
 
 
 def cap_snake(p: float, k: int, delta: float, geom: Snake = Snake()) -> CapacityResult:
@@ -208,8 +205,7 @@ def cap_auto(space: SpaceSpec, p: float, ann: AnnulusSpec) -> CapacityResult:
     if isinstance(geom, (RadialRn, HalfLine)):
         if p == 1:
             return cap_radial_p1(space, ann)
-        if isinstance(geom, RadialRn) and isinstance(space.weight, Constant) \
-                and space.weight.c == 1.0:
+        if isinstance(geom, RadialRn) and isinstance(space.weight, Constant):
             return cap_rn_unweighted(geom.n, p, ann)
         return cap_radial_weighted(space, p, ann)
     if isinstance(geom, Snake):

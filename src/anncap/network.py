@@ -19,25 +19,25 @@ single inner-outer edge; the h = 1/256 bow-tie's 164,609 vertices leave 512.
 
 On the core, p = 2 is an exact linear solve, p in (1, inf) \\ {2} a damped
 Newton descent on the strictly convex energy, and p = 1 an exact min-cut
-by Edmonds-Karp shortest augmenting paths. For p > 1 a run's drop is then
-split over its edges in proportion to (k_min / k_e)^(1/(p-1)), the
-minimizer given the run's ends. For p = 1 a vertex is 1 iff it cannot
-reach the outer plate through arcs with flow < capacity, the arcs
-Edmonds-Karp augments along (an arc over its capacity by an ulp is
-saturated). A run inside one side lies on it; a split run is cut at its
-least-conductance edges, each piece taking the side of the end it stays
-joined to, and a piece joined to neither end the inner side. For p > 1 the
-reported energy and KKT residual are those of the returned potential on
-the whole network; for p = 1 the energy is the max-flow value, which the
-cut attains.
+by Edmonds-Karp shortest augmenting paths; a core with no free vertex,
+such as a chain's, needs no solve, and at p = 1 its one edge is the cut.
+For p > 1 a run's drop is then split over its edges in proportion to
+(k_min / k_e)^(1/(p-1)), the minimizer given the run's ends. For p = 1 a
+vertex is 1 iff it cannot reach the outer plate through arcs with
+flow < capacity, the arcs Edmonds-Karp augments along (an arc over its
+capacity by an ulp is saturated). A run inside one side lies on it; a
+split run is cut at its least-conductance edges, each piece taking the
+side of the end it stays joined to, and a piece joined to neither end the
+inner side. For p > 1 the reported energy and KKT residual are those of
+the returned potential on the whole network; for p = 1 the energy is the
+max-flow value, which the cut attains.
 
 Every p > 1 linear solve on a core goes through one kernel,
-`_FreeLaplacian` (a core with no free vertex, such as a chain's, needs no
-solve): the m free vertices are ordered once per solve by reverse
-Cuthill-McKee, each edge's w_e (e_i - e_j)(e_i - e_j)^T is scattered into
-LAPACK symmetric band storage by a precomputed index, and the system is
-solved by banded Cholesky. At bandwidth b that costs O(m b^2) time and
-m (b + 1) floats.
+`_FreeLaplacian`: the m free vertices are ordered once per solve by
+reverse Cuthill-McKee, each edge's w_e (e_i - e_j)(e_i - e_j)^T is
+scattered into LAPACK symmetric band storage by a precomputed index, and
+the system is solved by banded Cholesky. At bandwidth b that costs
+O(m b^2) time and m (b + 1) floats.
 """
 
 from __future__ import annotations
@@ -94,10 +94,6 @@ class DiscreteNetwork:
         if self.edge_i.min(initial=0) < 0 or self.edge_j.min(initial=0) < 0 \
                 or max(self.edge_i.max(initial=-1), self.edge_j.max(initial=-1)) >= self.num_vertices:
             raise InputError("edge endpoints out of range")
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edge_i)
 
 
 @dataclass(frozen=True)
@@ -488,7 +484,7 @@ def _min_cut(core):
     0/1 potential of the cut, and the flow value."""
     from scipy.sparse import csgraph, csr_matrix
 
-    # imported here, where only the p = 1 route pays for it
+    # imported here, where only a p = 1 core with a free vertex pays for it
     import networkx as nx
     from networkx.algorithms.flow import edmonds_karp
 
@@ -528,16 +524,20 @@ def solve_p_energy(net: DiscreteNetwork, bc: BoundaryCondition, p: float,
     if not tol > 0:
         raise InputError(f"tol must be positive, got {tol}")
     sub, k, core, expand = _reduce(net, bc, p)
-    if p == 1:
-        core_u, energy = _min_cut(core)
-        iters, reason = 0, "min-cut"
-    elif core.num_vertices == 2:
+    if core.num_vertices == 2:
         # no free vertex: the potential is the plates'.  No solve runs; the
         # iteration count and stop reason are on purpose the ones the full
-        # solve gives such a core (one linear solve, or one Newton gradient
-        # check), so a report does not show whether the solve was skipped
+        # solve gives such a core (the min-cut, whose cut is the core's one
+        # edge; one linear solve; or one Newton gradient check), so a report
+        # does not show whether the solve was skipped
         core_u = np.array([1.0, 0.0])
-        iters, reason = 1, "linear-solve" if p == 2 else "gradient"
+        if p == 1:
+            energy, iters, reason = float(core.masses.sum()), 0, "min-cut"
+        else:
+            iters, reason = 1, "linear-solve" if p == 2 else "gradient"
+    elif p == 1:
+        core_u, energy = _min_cut(core)
+        iters, reason = 0, "min-cut"
     else:
         lap = _FreeLaplacian(core)
         core_u = _solve_p2(core, lap)

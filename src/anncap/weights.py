@@ -10,10 +10,9 @@ form in the offset d, finite where p + d rounds to p or d underflows.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,22 +27,15 @@ __all__ = [
     "HalfLineCatalog",
     "Tabulated",
     "Weight",
-    "load_tabulated_csv",
 ]
 
 
 @dataclass(frozen=True)
 class Constant:
-    """w(rho) = c with c > 0."""
-
-    c: float = 1.0
-
-    def __post_init__(self):
-        if not (self.c > 0 and math.isfinite(self.c)):
-            raise InputError(f"Constant weight needs c > 0, got {self.c}")
+    """w(rho) = 1."""
 
     def evaluate(self, rho):
-        return np.full_like(np.asarray(rho, dtype=float), self.c)
+        return np.ones_like(np.asarray(rho, dtype=float))
 
     def singularities(self):
         return ()
@@ -68,38 +60,6 @@ class PowerAlpha:
 
 
 @dataclass(frozen=True)
-class BuckleyEta:
-    """w(rho) = max{1, |rho - 1|^(eta-1)} with eta in (0, 1).
-
-    Blows up like an integrable power at rho = 1.
-    """
-
-    eta: float
-
-    def __post_init__(self):
-        if not (0.0 < self.eta < 1.0):
-            raise InputError(f"BuckleyEta needs eta in (0,1), got {self.eta}")
-
-    def evaluate(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        with np.errstate(divide="ignore"):
-            sing = np.abs(rho - 1.0) ** (self.eta - 1.0)
-        return np.maximum(1.0, sing)
-
-    def singularities(self):
-        # the blow-up at 1 plus the kink at 2 where the max switches branch
-        return (1.0, 2.0)
-
-    @property
-    def poles(self):
-        return ((1.0, self.eta - 1.0),)
-
-    def regular(self, p, d):
-        """w(1 + d) |d|^(1 - eta) = max{|d|^(1 - eta), 1}."""
-        return np.maximum(np.abs(d) ** (1.0 - self.eta), 1.0)
-
-
-@dataclass(frozen=True)
 class SummedBuckley:
     """w(rho) = sum_j a_j * max{1, |q_j rho - 1|^(eta-1)}.
 
@@ -112,7 +72,7 @@ class SummedBuckley:
 
     def __post_init__(self):
         if not (0.0 < self.eta < 1.0):
-            raise InputError(f"SummedBuckley needs eta in (0,1), got {self.eta}")
+            raise InputError(f"{type(self).__name__} needs eta in (0,1), got {self.eta}")
         if len(self.terms) == 0:
             raise InputError("SummedBuckley needs at least one (q_j, a_j) term")
         for q, a in self.terms:
@@ -142,6 +102,17 @@ class SummedBuckley:
         return sum(a * np.maximum(scale, q ** (self.eta - 1.0)) if 1.0 / q == p
                    else a * scale * np.maximum(1.0, np.abs(q * (p + d) - 1.0) ** (self.eta - 1.0))
                    for q, a in self.terms)
+
+
+@dataclass(frozen=True)
+class BuckleyEta(SummedBuckley):
+    """w(rho) = max{1, |rho - 1|^(eta-1)} with eta in (0, 1): the one term
+    q = a = 1 of SummedBuckley, whose arithmetic is then exact term for term.
+
+    Blows up like an integrable power at rho = 1.
+    """
+
+    terms: tuple[tuple[float, float], ...] = field(default=((1.0, 1.0),), init=False, repr=False)
 
 
 class HalfLineKind(enum.Enum):
@@ -215,23 +186,3 @@ class Tabulated:
 
 Weight = Constant | PowerAlpha | BuckleyEta | SummedBuckley | HalfLineCatalog | Tabulated
 
-
-def load_tabulated_csv(path) -> Tabulated:
-    """Load a Tabulated weight from CSV with header ``rho,w``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["rho", "w"]:
-            raise InputError(f"{path}: expected CSV header 'rho,w'")
-        grid, values = [], []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                rho, w = float(row[0]), float(row[1])
-            except (IndexError, ValueError):
-                raise InputError(f"{path}: row {reader.line_num}: expected 'rho,w' numbers, "
-                                 f"got {row!r}") from None
-            grid.append(rho)
-            values.append(w)
-    return Tabulated(grid=tuple(grid), values=tuple(values))

@@ -13,7 +13,7 @@ from anncap.capacity import (
     cap_snake,
 )
 from anncap.errors import DomainError, QuadratureError
-from anncap.spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec
+from anncap.spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec, surface_area
 from anncap.weights import BuckleyEta, Constant, HalfLineCatalog, HalfLineKind
 
 RN2 = SpaceSpec(RadialRn(2), Constant())
@@ -84,6 +84,19 @@ def test_p1_inf_cut_interior_minimum():
     space = SpaceSpec(HalfLine(), HalfLineCatalog(HalfLineKind.MIN_ONE_OVER_X))
     res = cap_radial_p1(space, AnnulusSpec(0.5, 4.0))
     assert res.value == pytest.approx(0.25, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("eta", [0.6, 0.7, 0.8, 0.9])
+def test_p1_inf_cut_buckley_interior_minimum_is_the_closed_form(n, eta):
+    # on (1, 2) the cut cost t^m (t - 1)^(eta - 1), m = n - 1, is least where
+    # m (t - 1) = (1 - eta) t, at t* = m / (m - 1 + eta) in (1, 2); at t = 2 it
+    # is 2^m, more than that
+    m = n - 1
+    t = m / (m - 1 + eta)
+    expect = surface_area(n) * t**m * (t - 1.0) ** (eta - 1.0)
+    res = cap_radial_p1(SpaceSpec(RadialRn(n), BuckleyEta(eta)), AnnulusSpec(1.0, 2.0))
+    assert res.value == pytest.approx(expect, rel=1e-14)
 
 
 class _NanBelowOne:

@@ -226,6 +226,11 @@ def test_n_is_a_usage_error_where_the_dimension_is_fixed(capsys, space, r, R):
     (["cap", "--space", "bowtie", "--alpha", "0.5", "--p", "1e300", "--r", "0.75", "--R", "1"], 3),
     (["cap", "--space", "bowtie", "--alpha", "-1.9", "--p", "1.0000001", "--r", "0.75",
       "--R", "1"], 3),
+    # the p = 1 inf-cut of a radial space, whose least cut cost overflows
+    (["cap", "--space", "rn", "--n", "3", "--p", "1", "--r", "7.185790757925412e+240",
+      "--R", "5.945303886175348e+241"], 3),
+    (["cap", "--space", "buckley", "--eta", "0.9", "--n", "4", "--p", "1", "--r", "1e246",
+      "--R", "2e246"], 3),
 ])
 def test_bowtie_past_the_float_range_is_a_typed_error(capsys, argv, code):
     assert run(argv) == code
@@ -258,7 +263,8 @@ def test_module_entry_point():
 
 def test_import_loads_neither_scipy_stats_nor_networkx():
     # scipy.stats costs about a second of import; networkx is for the p = 1 cut
-    # only; no route integrates with scipy.integrate
+    # of a core with a free vertex only, which a chain's is not; no route
+    # integrates with scipy.integrate
     code = textwrap.dedent("""
         import sys
         import numpy as np
@@ -272,6 +278,14 @@ def test_import_loads_neither_scipy_stats_nor_networkx():
         net = anncap.build_radial_network(anncap.make_rn_unweighted(1).space, 1.0, 2.0, 16)
         rep = anncap.solve_p_energy(net, anncap.condenser_bc(net, 1.0, 2.0), 1.0)
         assert rep.converged and np.isfinite(rep.energy), rep
+        assert "networkx" not in sys.modules
+        idx = np.arange(12).reshape(3, 4)  # a 3 x 4 grid patch between its end columns
+        net = anncap.network.DiscreteNetwork(
+            12, np.r_[idx[:, :-1].ravel(), idx[:-1, :].ravel()],
+            np.r_[idx[:, 1:].ravel(), idx[1:, :].ravel()], np.ones(17), np.ones(17))
+        bc = anncap.network.BoundaryCondition(idx[:, 0], idx[:, -1])
+        rep = anncap.solve_p_energy(net, bc, 1.0)
+        assert rep.energy == 3.0, rep
         assert "networkx" in sys.modules
         assert "scipy.stats" not in sys.modules
     """)
@@ -303,7 +317,10 @@ SCIPY_LOAD_CASES = {
     """, {"sparse", "linalg"}, {"optimize"}),
     "p1-inf-cut": ("""
         assert anncap.cap_radial_p1(anncap.make_buckley(0.5).space, AnnulusSpec(0.5, 1.5)).value > 0
-    """, {"optimize"}, set()),
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert anncap.cli.run(["cap", "--space", "buckley", "--eta", "0.5", "--p", "1",
+                                   "--r", "0.5", "--R", "1.5"]) == 0
+    """, set(), {""}),
 }
 
 

@@ -353,9 +353,9 @@ def _random_multigraph(rng):
 
 
 def _dense_incidence(net):
-    A = np.zeros((net.num_edges, net.num_vertices))
-    A[np.arange(net.num_edges), net.edge_i] += 1.0
-    A[np.arange(net.num_edges), net.edge_j] -= 1.0
+    A = np.zeros((len(net.edge_i), net.num_vertices))
+    A[np.arange(len(net.edge_i)), net.edge_i] += 1.0
+    A[np.arange(len(net.edge_i)), net.edge_j] -= 1.0
     return A
 
 
@@ -692,6 +692,7 @@ def test_infinite_masses_and_lengths_are_input_errors(p):
 
 
 @pytest.mark.parametrize("p, energy, potential, iterations, reason", [
+    (1.0, 0.6, [1.0, 0.0, 0.0, 0.0, 0.0], 0, "min-cut"),
     (1.5, 0.5740872665756959,
      [1.0, 0.5422552921606194, 0.42821508813143117, 0.42185752274477306, 0.0], 1, "gradient"),
     (2.0, 0.3235185283078712,
@@ -700,9 +701,9 @@ def test_infinite_masses_and_lengths_are_input_errors(p):
      [1.0, 0.8063360075786663, 0.5762288960678221, 0.5366973991526143, 0.0], 1, "gradient"),
 ])
 def test_chain_reports_without_a_free_vertex(p, energy, potential, iterations, reason):
-    # a chain's core is one plate-to-plate edge, solved without a linear
-    # solve; the reports are those of the banded p = 2 solve and the Newton
-    # gradient check that ran on it before
+    # a chain's core is one plate-to-plate edge, solved without a min-cut or
+    # a linear solve; the reports are those of the min-cut, the banded p = 2
+    # solve and the Newton gradient check that ran on it before
     net = _series_net([0.5, 1.0, 0.25, 2.0], [0.3, 1.7, 0.9, 2.5])
     rep = solve_p_energy(net, BoundaryCondition(inner=[0], outer=[4]), p)
     assert (rep.energy, list(rep.potential), rep.iterations, rep.stop_reason) == \

@@ -58,7 +58,7 @@ def test_measure_monotone_and_additive(r, s):
 # 1e-87 at R = 0.005: both the reference and the profile gate relative to
 # the mass.  Buckley at eta = 0.3 puts a strong pole on a panel end.
 PROFILE_SPACES = [
-    SpaceSpec(RadialRn(2), Constant(1.5)),
+    SpaceSpec(RadialRn(2), Constant()),
     SpaceSpec(RadialRn(3), PowerAlpha(0.7)),
     SpaceSpec(RadialRn(1), PowerAlpha(-0.5)),
     SpaceSpec(RadialRn(2), PowerAlpha(-1.5)),

@@ -13,21 +13,13 @@ from anncap.weights import (
     PowerAlpha,
     SummedBuckley,
     Tabulated,
-    load_tabulated_csv,
 )
 
 
 def test_constant_evaluate():
-    w = Constant(3.0)
-    assert np.allclose(w.evaluate([0.1, 2.0]), [3.0, 3.0])
+    w = Constant()
+    assert w.evaluate([0.1, 2.0]).tolist() == [1.0, 1.0]
     assert w.singularities() == ()
-
-
-def test_constant_rejects_nonpositive():
-    with pytest.raises(InputError):
-        Constant(0.0)
-    with pytest.raises(InputError):
-        Constant(-1.0)
 
 
 def test_power_alpha():
@@ -66,8 +58,24 @@ def test_pole_is_inf_and_its_regular_part_is_finite():
 
 def test_buckley_eta_range():
     for bad in (0.0, 1.0, 1.5, -0.2):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^BuckleyEta needs eta in"):
             BuckleyEta(bad)
+
+
+def test_buckley_is_the_one_term_summed_buckley():
+    w = BuckleyEta(0.5)
+    assert repr(w) == "BuckleyEta(eta=0.5)"
+    with pytest.raises(TypeError):
+        BuckleyEta(0.5, ((2.0, 1.0),))
+    # with q = a = 1 every step of the sum is exact: max{1, |rho - 1|^(eta - 1)}
+    for eta in (0.05, 0.5, 0.95):
+        rho = np.array([0.0, 0.25, 1.0 - 1e-17, 1.0, 1.0 + 2e-16, 1.7, 2.0, 3.0, 1e300])
+        with np.errstate(divide="ignore"):
+            expect = np.maximum(1.0, np.abs(rho - 1.0) ** (eta - 1.0))
+        assert BuckleyEta(eta).evaluate(rho).tolist() == expect.tolist()
+        d = np.array([-0.25, 4.0, 1e-20, -5e-324, 0.0])
+        expect = np.maximum(np.abs(d) ** (1.0 - eta), 1.0)
+        assert BuckleyEta(eta).regular(1.0, d).tolist() == expect.tolist()
 
 
 def test_summed_buckley():
@@ -124,20 +132,3 @@ def test_tabulated_interpolation():
         with pytest.raises(InputError, match="finite"):
             Tabulated(grid=grid, values=values)
 
-
-def test_load_tabulated_csv(tmp_path):
-    path = tmp_path / "w.csv"
-    path.write_text("rho,w\n1.0,2.0\n2.0,4.0\n")
-    w = load_tabulated_csv(path)
-    assert w.evaluate(1.5) == pytest.approx(3.0)
-    bad = tmp_path / "bad.csv"
-    bad.write_text("x,y\n1,2\n")
-    with pytest.raises(InputError):
-        load_tabulated_csv(bad)
-    for body in ("1.0,2.0\nx,1\n", "1.0,2.0\n3.0\n"):
-        bad.write_text("rho,w\n" + body)
-        with pytest.raises(InputError, match="bad.csv: row 3"):
-            load_tabulated_csv(bad)
-    bad.write_text("rho,w\n1.0,2.0\n2.0,nan\n")
-    with pytest.raises(InputError, match="finite"):
-        load_tabulated_csv(bad)
