@@ -393,6 +393,31 @@ def _alone(argv):
     return _outcome(argv)
 
 
+# one call for each artifact the CLI writes; tests/golden/cli_artifacts.txt
+# holds the exit code, stdout and stderr of each, byte for byte
+ARTIFACT_CALLS = [
+    ["cap", "--space", "buckley", "--eta", "0.5", "--p", "2", "--r", "0.5", "--R", "1.5"],
+    ["cap", "--space", "buckley", "--eta", "0.5", "--p", "1", "--r", "0.5", "--R", "1.5"],
+    ["sweep", "--space", "buckley", "--eta", "0.5", "--p", "2", "--R", "1", "--no-gating"],
+    ["ad", "--space", "rn", "--n", "2", "--R", "1"],
+    ["ad", "--space", "snake", "--range", "1.5:64"],
+    ["ad", "--space", "halfline", "--kind", "exp-decay", "--range", "0.1:30"],
+    ["oracle", "--space", "buckley", "--eta", "0.5", "--p", "1.5", "--r", "0.6", "--R", "1.4",
+     "--cells", "500"],
+]
+
+
+def _artifact_record(argv):
+    code, out, err = _outcome(argv)
+    return f"$ anncap {' '.join(argv)}\n[exit {code}]\n[stdout]\n{out}[stderr]\n{err}"
+
+
+def test_cli_artifacts_match_the_golden_bytes():
+    golden = Path(__file__).parent / "golden" / "cli_artifacts.txt"
+    text = "".join(_artifact_record(argv) for argv in ARTIFACT_CALLS)
+    assert text.encode() == golden.read_bytes()
+
+
 def test_reused_parser_never_leaks_state():
     valid = ["cap", "--space", "rn", "--p", "2", "--r", "1", "--R", "2"]
     calls = [["cap", "--space", "rn", "--p", "nan", "--r", "1", "--R", "2"], valid,
