@@ -14,7 +14,6 @@ per distinct r and mu(ann) once per annulus.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from collections.abc import Callable
@@ -184,15 +183,7 @@ class SweepReport:
     slope: float
     min_ratio: float
     max_ratio: float
-    passed: bool
-    verdict: str
-
-    def to_csv(self, stream) -> None:
-        """The rows as CSV with LF line endings, written to a text stream."""
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["r", "R", "cap", "bound", "ratio"])
-        for row in self.rows:
-            writer.writerow([f"{x:.17g}" for x in row])
+    verdict: str  # PASS | FAIL
 
 
 def verify_envelope(space: SpaceSpec, cap_fn, spec: BoundSpec, annuli,
@@ -226,7 +217,7 @@ def verify_envelope(space: SpaceSpec, cap_fn, spec: BoundSpec, annuli,
     if spec.bound_id is BoundId.UPPER_SIMPLE:
         ok = ok and hi <= 1.0 + UPPER_SLACK
     return SweepReport(rows=tuple(rows), slope=slope, min_ratio=lo, max_ratio=hi,
-                       passed=ok, verdict="PASS" if ok else "FAIL")
+                       verdict="PASS" if ok else "FAIL")
 
 
 @dataclass(frozen=True)
@@ -234,9 +225,8 @@ class BlowupReport:
     deltas: tuple
     values: tuple
     increasing: bool
-    blowup: bool
     divergence_slope: float | None
-    verdict: str
+    verdict: str  # BLOWUP | NO-BLOWUP
 
 
 def blowup_probe(space: SpaceSpec, p: float, R: float, deltas, cap_fn,
@@ -258,13 +248,13 @@ def blowup_probe(space: SpaceSpec, p: float, R: float, deltas, cap_fn,
     values = [cap_fn(AnnulusSpec(R - d, R)) for d in deltas]
     arr = np.array(values)
     if np.all(arr == 0.0):
-        return BlowupReport(tuple(deltas), tuple(values), increasing=False, blowup=False,
+        return BlowupReport(tuple(deltas), tuple(values), increasing=False,
                             divergence_slope=None, verdict="NO-BLOWUP")
     increasing = bool(np.all(np.diff(arr) > 0))
     blow = increasing and values[0] > 0 and values[-1] / values[0] >= 1e3
     slope = None
     if np.all(arr > 0):
         slope = _loglog_fit(np.log(deltas), np.log(arr))[0]
-    return BlowupReport(tuple(deltas), tuple(values), increasing=increasing, blowup=blow,
+    return BlowupReport(tuple(deltas), tuple(values), increasing=increasing,
                         divergence_slope=slope,
                         verdict="BLOWUP" if blow else "NO-BLOWUP")

@@ -107,8 +107,9 @@ def cap_radial_p1(space: SpaceSpec, ann: AnnulusSpec) -> CapacityResult:
 
     The cut cost is evaluated on a uniform grid plus the weight's
     singularities inside (r, R), and the bracket around the least cost is
-    re-gridded until at most one float lies inside it.  A least cost past
-    the float range is a DomainError."""
+    re-gridded until at most one float lies inside it.  Every cut costs
+    more than 0 in exact arithmetic, so a least cost of 0 (an underflow) or
+    past the float range is a DomainError."""
     w, m, const = _radial_reduction(space)
     inside = [s for s in w.singularities() if ann.r < s < ann.R]
     ts = np.unique(np.r_[np.linspace(ann.r, ann.R, INF_CUT_GRID), inside])
@@ -125,7 +126,7 @@ def cap_radial_p1(space: SpaceSpec, ann: AnnulusSpec) -> CapacityResult:
         if np.nextafter(np.nextafter(lo, hi), hi) >= hi:
             break
         ts = np.linspace(lo, hi, INF_CUT_GRID)
-    if not math.isfinite(best):
+    if not 0.0 < best < math.inf:
         raise DomainError(f"capacity of (r={ann.r}, R={ann.R}) at p = 1 leaves the float range")
     return CapacityResult(value=best, method=CapacityMethod.INF_CUT)
 

@@ -1,14 +1,18 @@
 """Command-line front end.
 
 Exit codes: 0 all PASS, 1 any FAIL, 2 usage error, 3 numeric or
-convergence error.  All emitted CSV uses '.' decimals with 17 significant
-digits; JSON carries numbers as decimal strings where exactness matters,
-so identical configurations produce byte-identical artifacts.
+convergence error.  ``_plain`` and ``_emit`` are the one serializer of
+every artifact: a float is a decimal string of 17 significant digits in
+JSON and in the LF-terminated CSV, JSON keys are sorted, so identical
+configurations produce byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
+import enum
 import functools
 import json
 import math
@@ -63,12 +67,32 @@ def _nonnegative_float(text: str) -> float:
     return value
 
 
-def _positive_float(text: str) -> float:
-    """argparse type: a finite float > 0."""
-    value = _finite_float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"need a number > 0, got {text!r}")
-    return value
+def _plain(x):
+    """x with every float as its %.17g string, an enum as its value and a
+    tuple as a list, recursing into lists and dicts."""
+    if isinstance(x, float):
+        return f"{x:.17g}"
+    if isinstance(x, enum.Enum):
+        return x.value
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    return x
+
+
+def _emit(record, file=None, indent=None) -> None:
+    """Print a report (a dataclass) or a dict as one JSON document."""
+    if dataclasses.is_dataclass(record):
+        record = dataclasses.asdict(record)
+    print(json.dumps(_plain(record), indent=indent, sort_keys=True), file=file)
+
+
+def _write_rows(stream, rows) -> None:
+    """A sweep's rows as CSV with LF line endings."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["r", "R", "cap", "bound", "ratio"])
+    writer.writerows(_plain(rows))
 
 
 # --n when omitted; the other spaces fix their dimension and reject --n
@@ -105,12 +129,7 @@ def _space_from_args(ns) -> SpaceSpec:
 
 def _cmd_cap(ns) -> int:
     space = _space_from_args(ns)
-    res = cap_auto(space, ns.p, AnnulusSpec(ns.r, ns.R))
-    print(json.dumps({
-        "value": f"{res.value:.17g}",
-        "method": res.method.value,
-        "quadrature_error": f"{res.quadrature_error:.17g}",
-    }, sort_keys=True))
+    _emit(cap_auto(space, ns.p, AnnulusSpec(ns.r, ns.R)))
     return 0
 
 
@@ -127,19 +146,14 @@ def _cmd_sweep(ns) -> int:
         except OSError as exc:
             raise InputError(f"cannot open --out {ns.out!r}: {exc.strerror}") from None
         with fh:
-            rep.to_csv(fh)
+            _write_rows(fh, rep.rows)
     else:
-        rep.to_csv(sys.stdout)
-    print(json.dumps({
-        "verdict": rep.verdict,
-        "passed": rep.passed,
-        "slope": f"{rep.slope:.17g}",
-        "min_ratio": f"{rep.min_ratio:.17g}",
-        "max_ratio": f"{rep.max_ratio:.17g}",
-        "rows": len(rep.rows),
-        "cap_slope": f"{_cap_slope(rep):.17g}",
-    }, sort_keys=True), file=sys.stderr)
-    return 0 if rep.passed else 1
+        _write_rows(sys.stdout, rep.rows)
+    passed = rep.verdict == "PASS"
+    _emit({"verdict": rep.verdict, "passed": passed, "slope": rep.slope,
+           "min_ratio": rep.min_ratio, "max_ratio": rep.max_ratio, "rows": len(rep.rows),
+           "cap_slope": _cap_slope(rep)}, file=sys.stderr)
+    return 0 if passed else 1
 
 
 def _cmd_ad(ns) -> int:
@@ -151,13 +165,11 @@ def _cmd_ad(ns) -> int:
             lo = hi = math.nan
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise InputError(f"--range needs finite lo:hi, got {ns.range!r}")
-        rep = check_one_ad(space, (lo, hi))
-        print(rep.to_json())
+        _emit(check_one_ad(space, (lo, hi)))
         return 0
     if ns.R is None:
         raise InputError("ad needs --range lo:hi or --R")
-    rep = fit_annulus_decay(space, ns.R, [a.r for a in _thin_annuli(ns.R, ns.thin + 1)])
-    print(rep.to_json())
+    _emit(fit_annulus_decay(space, ns.R, [a.r for a in _thin_annuli(ns.R, ns.thin + 1)]))
     return 0
 
 
@@ -170,21 +182,15 @@ def _cmd_oracle(ns) -> int:
     net = build_radial_network(space, ns.r, ns.R, ns.cells)
     rep = solve_p_energy(net, condenser_bc(net, ns.r, ns.R), ns.p)
     rel = abs(rep.energy - exact) / exact
-    print(json.dumps({
-        "formula": f"{exact:.17g}",
-        "network": f"{rep.energy:.17g}",
-        "relative_error": f"{rel:.17g}",
-        "cells": ns.cells,
-        "stop_reason": rep.stop_reason,
-        "iterations": rep.iterations,
-        "kkt_residual": f"{rep.kkt_residual:.17g}",
-    }, sort_keys=True))
+    _emit({"formula": exact, "network": rep.energy, "relative_error": rel, "cells": ns.cells,
+           "stop_reason": rep.stop_reason, "iterations": rep.iterations,
+           "kkt_residual": rep.kkt_residual})
     return 0 if rel <= ns.rel_tol else 1
 
 
 def _cmd_gallery(ns) -> int:
     if ns.gallery_action == "list":
-        print(gallery_manifest())
+        _emit(gallery_manifest(), indent=2)
         return 0
     entries = default_gallery()
     if ns.name is not None:
@@ -193,7 +199,7 @@ def _cmd_gallery(ns) -> int:
             raise InputError(f"no gallery entry named {ns.name!r}")
     failed = False
     for entry in entries:
-        for v in verify_expectations(entry, budget=ns.budget):
+        for v in verify_expectations(entry):
             print(f"{entry.name} / {v.claim}: {v.status} - {v.evidence}")
             failed = failed or v.status == "FAIL"
     return 1 if failed else 0
@@ -251,7 +257,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gal = sub.add_parser("gallery", help="list or verify the example gallery")
     p_gal.add_argument("gallery_action", choices=["list", "verify"])
     p_gal.add_argument("--name")
-    p_gal.add_argument("--budget", type=_positive_float, help="wall-second budget per entry")
 
     sub.add_parser("verify-all", help="run the acceptance suite")
     return parser

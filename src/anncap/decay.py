@@ -12,7 +12,6 @@ cumulative panel masses on radial and half-line spaces (see measure).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -57,15 +56,6 @@ class AdFitReport:
     sample_count: int
     range: tuple[float, float]
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "eta_hat": f"{self.eta_hat:.17g}",
-            "constant_hat": f"{self.constant_hat:.17g}",
-            "residual": f"{self.residual:.17g}",
-            "sample_count": self.sample_count,
-            "range": [f"{self.range[0]:.17g}", f"{self.range[1]:.17g}"],
-        }, sort_keys=True)
-
 
 @dataclass(frozen=True)
 class OneAdReport:
@@ -78,22 +68,6 @@ class OneAdReport:
     head_slope: float
     condition_b: bool
     condition_d: bool
-
-    def to_json(self) -> str:
-        def num(x):
-            return "inf" if math.isinf(x) else f"{x:.17g}"
-
-        return json.dumps({
-            "sup_ratio": num(self.sup_ratio),
-            "inf_ratio": num(self.inf_ratio),
-            "jump_detected": self.jump_detected,
-            "lipschitz_bound": num(self.lipschitz_bound),
-            "sup_trend_slope": num(self.sup_trend_slope),
-            "tail_slope": num(self.tail_slope),
-            "head_slope": num(self.head_slope),
-            "condition_b": self.condition_b,
-            "condition_d": self.condition_d,
-        }, sort_keys=True)
 
 
 @dataclass(frozen=True)

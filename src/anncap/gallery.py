@@ -5,16 +5,13 @@ transcribed from known statements about the space, never derived here), the
 names of its sharpness claims, and the probe families used to check them
 numerically.  verify_expectations checks the declared decay exponent,
 1-AD, doubling and reverse-doubling traits and runs every named claim,
-turning each into a PASS/FAIL row with evidence, or SKIPPED when the
-compute budget runs out.
+turning each into a PASS/FAIL row with evidence.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +79,7 @@ class GalleryEntry:
 @dataclass(frozen=True)
 class ClaimVerdict:
     claim: str
-    status: str  # PASS | FAIL | SKIPPED | UNRESOLVED
+    status: str  # PASS | FAIL
     evidence: str
 
 
@@ -267,7 +264,7 @@ def default_gallery() -> tuple[GalleryEntry, ...]:
 class _Probes:
     """The probe results that more than one check of an entry reads, for one
     verify_expectations call: each is computed by the first check that asks
-    for it, so a check skipped by the budget leaves it to the next."""
+    for it."""
 
     def __init__(self, entry: GalleryEntry):
         self.entry = entry
@@ -489,15 +486,10 @@ _CLAIM_RUNNERS = {
 }
 
 
-def verify_expectations(entry: GalleryEntry, budget: float | None = None) -> list[ClaimVerdict]:
+def verify_expectations(entry: GalleryEntry) -> list[ClaimVerdict]:
     """Check the entry's declared decay exponent, 1-AD (when it has a
     one_ad_range), doubling and reverse-doubling traits, then run each of
-    its claims.
-
-    budget is wall seconds; checks not started before it runs out are
-    reported SKIPPED, never silently passed.
-    """
-    start = time.perf_counter()
+    its claims."""
     probes = _Probes(entry)
     checks: list[tuple[str, object]] = [
         ("ad-exponent", _check_ad_exponent),
@@ -512,26 +504,22 @@ def verify_expectations(entry: GalleryEntry, budget: float | None = None) -> lis
         checks.append((claim, _CLAIM_RUNNERS[claim]))
     verdicts = []
     for claim, runner in checks:
-        if budget is not None and time.perf_counter() - start > budget:
-            verdicts.append(ClaimVerdict(claim, "SKIPPED", "compute budget exhausted"))
-            continue
         ok, evidence = runner(entry, probes)
         verdicts.append(ClaimVerdict(claim, "PASS" if ok else "FAIL", evidence))
     return verdicts
 
 
-def gallery_manifest(entries=None) -> str:
-    """JSON manifest of the gallery for CLI listing."""
-    entries = default_gallery() if entries is None else entries
+def gallery_manifest() -> dict:
+    """The gallery's spaces, traits and claims, as plain values for listing."""
     rows = []
-    for e in entries:
+    for e in default_gallery():
         t = e.space.traits
         rows.append({
             "name": e.name,
             "geometry": type(e.space.geometry).__name__,
             "weight": type(e.space.weight).__name__,
             "expected": {
-                "ad_eta": None if t.ad_eta is None else f"{t.ad_eta:.17g}",
+                "ad_eta": t.ad_eta,
                 "one_ad": t.ad_eta == 1.0,
                 "reverse_doubling": t.reverse_doubling is not None,
                 "doubling": t.doubling,
@@ -539,5 +527,4 @@ def gallery_manifest(entries=None) -> str:
             },
             "claims": list(e.claims),
         })
-    return json.dumps({"spaces": rows, "unresolved": list(UNRESOLVED_CONFIGURATIONS)},
-                      indent=2, sort_keys=True)
+    return {"spaces": rows, "unresolved": list(UNRESOLVED_CONFIGURATIONS)}

@@ -148,6 +148,7 @@ def test_bowtie_pinch_degenerates_exactly_at_n_plus_alpha():
     space = SpaceSpec(BowTie(2, 0.5))
     assert cap_bowtie_pinch(space, 2.5, 0.25).value == 0.0  # p = n + alpha
     assert cap_bowtie_pinch(space, 2.0, 0.25).value == 0.0  # p < n + alpha
+    assert cap_bowtie_pinch(space, 1.0, 0.125).value == 0.0  # p = 1, an exact 0
     assert cap_bowtie_pinch(space, 3.0, 0.25).value > 0.0   # p > n + alpha
     with pytest.raises(DomainError):
         cap_bowtie_pinch(RN2, 2.0, 0.25)

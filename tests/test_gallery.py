@@ -35,6 +35,9 @@ def test_manifest_json(capsys):
         assert set(row) == {"name", "geometry", "weight", "expected", "claims"}
     assert doc["unresolved"] == list(UNRESOLVED_CONFIGURATIONS)
     assert all(u["status"] == "UNRESOLVED" for u in doc["unresolved"])
+    # the manifest itself holds plain values; the CLI writes the floats
+    assert [row["expected"]["ad_eta"] for row in gallery_manifest()["spaces"]] == [
+        1.0, 0.5, 0.5, 1.0, 1.0, None, 1.0, 1.0, None]
     # what `anncap gallery list` prints, byte for byte as recorded
     golden = pathlib.Path(__file__).parent / "golden" / "gallery_manifest.json"
     assert out.encode() == golden.read_bytes()
@@ -54,13 +57,6 @@ def test_bowtie_pi_threshold():
     assert 1.0 not in make_bowtie(0.5).space.traits.pi_exponents
     assert make_bowtie(0.5).space.traits.supports_pi(2.6)
     assert not make_bowtie(0.5).space.traits.supports_pi(2.5)  # open infimum
-
-
-def test_budget_exhaustion_reports_skipped():
-    verdicts = verify_expectations(make_rn_unweighted(2), budget=0.0)
-    assert verdicts
-    assert all(v.status == "SKIPPED" for v in verdicts)
-    assert all("budget" in v.evidence for v in verdicts)
 
 
 def test_rn_entry_all_pass():
