@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import time
@@ -654,15 +655,19 @@ def test_disconnected_boundary_infeasible():
         BoundaryCondition(inner=[], outer=[1])
 
 
-@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
-def test_floating_component_is_pinned(p):
+def _floating_components():
     # vertices 3-4, the ring 5-6-7 of degree-2 vertices and the path 8-9-10-11
     # with its run 9-10 touch neither plate; the path 0-1-2 carries all the
     # energy, and no degree-2 vertex the search never reaches is taken for a run
     ei, ej = [0, 1, 3, 5, 6, 7, 8, 9, 10], [1, 2, 4, 6, 7, 5, 9, 10, 11]
     net = DiscreteNetwork(num_vertices=12, edge_i=ei, edge_j=ej,
                           lengths=np.ones(len(ei)), masses=np.ones(len(ei)))
-    rep = solve_p_energy(net, BoundaryCondition(inner=[0], outer=[2]), p)
+    return net, BoundaryCondition(inner=[0], outer=[2])
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_floating_component_is_pinned(p):
+    rep = solve_p_energy(*_floating_components(), p)
     assert rep.converged
     assert rep.energy == pytest.approx(2.0 * 0.5**p, rel=1e-8)
     assert np.all(rep.potential[3:] == 0.0)
@@ -751,3 +756,104 @@ def test_p_below_one_rejected():
     net = _series_net([1.0], [1.0])
     with pytest.raises(DomainError):
         solve_p_energy(net, BoundaryCondition(inner=[0], outer=[1]), 0.5)
+
+
+def _pin_network(case):
+    """The network and plates of a bit-for-bit pin case."""
+    kind, _, arg = case.partition(":")
+    if kind == "bowtie":
+        net = build_bowtie_grid(float(arg), 1.0 / 64.0)
+        return net, condenser_bc(net, 0.875, 1.0)
+    if kind in ("rn-2", "buckley-0.5", "summed-buckley-0.5"):
+        space = {"rn-2": RN2, "buckley-0.5": make_buckley(0.5).space,
+                 "summed-buckley-0.5": make_summed_buckley(0.5).space}[kind]
+        net = build_radial_network(space, 0.6, 1.4, 2000)
+        return net, condenser_bc(net, 0.6, 1.4)
+    if kind == "snake":
+        net = build_snake_network(extra_radii=(7.95, 8.05))
+        return net, condenser_bc(net, 7.95, 8.05)
+    if kind == "multigraph":
+        return _random_multigraph(np.random.default_rng(int(arg)))
+    return _floating_components()
+
+
+def _pin_report(case, p):
+    rep = solve_p_energy(*_pin_network(case), p)
+    return ("%.17g" % rep.energy, "%.17g" % rep.kkt_residual, rep.iterations, rep.stop_reason,
+            hashlib.sha256(rep.potential.tobytes()).hexdigest())
+
+
+# recorded before the compact reduction: it must change no bit of any report
+_PINS = [
+    # case, p, energy, KKT residual, iterations, stop reason, sha256 of the potential
+    ("bowtie:0.5", 1.5, "0.0093467616372422003", "6.222155810128166e-05", 96, "newton-decrement",
+     "32fddb09cb91155f46cc6411c9dc67fe9921502768e45c9321e8c1259d390066"),
+    ("bowtie:0.5", 2.0, "0.040503808264309826", "6.6179700608515191e-16", 1, "linear-solve",
+     "50ef80282c1f73837c2ec2daaed9f7691b248639f59a20a6fc24f71ac2325eb8"),
+    ("bowtie:0.5", 2.5, "0.13208185693131516", "3.2828460208023102e-06", 4, "newton-decrement",
+     "c6c9593885d74ea1c6fd39d572fbabe3e9518e3d29dbbc55edc6f227425acc7e"),
+    ("bowtie:-0.5", 2.0, "1.4640761793848542", "6.9388939039072284e-15", 1, "linear-solve",
+     "2d8c9974655d1cd5444ec0244aad4bad12086605b6b30e6d6b199b636b862335"),
+    ("bowtie:-0.5", 2.5, "3.8397936884534412", "5.4250638736874635e-07", 4, "newton-decrement",
+     "af33d04e73e1901291b78387fed23b0d7b96bd486755e20acec687345a63c865"),
+    ("rn-2", 1.0, "3.7711678213691879", "0", 0, "min-cut",
+     "05107d798efdb17ef41e235bca5444081c3deef37882d3dcb1e06cffd4f3c484"),
+    ("rn-2", 1.1, "4.9426687478980966", "1.134550231540743e-10", 1, "gradient",
+     "9b2341ff4b5523a6057ce4ded36f9753e6d884b70de45e4aafb2161cad3ed41f"),
+    ("rn-2", 1.5, "6.4383492418328121", "6.0129679013698478e-12", 1, "gradient",
+     "753dc652749dd8309dc8a27feb24bcd16230af99e5a2865486a4f89f02362bd7"),
+    ("rn-2", 2.0, "7.415556810695108", "1.4086509736443986e-11", 1, "linear-solve",
+     "cdd7284d6f2ba2ad9e2ad2a95d585dc0c9c6d7cd1884abe9b7cfc4e9ecd44d73"),
+    ("rn-2", 3.0, "9.4076718080913757", "4.0056846728475648e-11", 1, "gradient",
+     "2e5055bd78fbf4cf71f8fed24390ca08db2526433dc4b14e81f069eaeddb5f56"),
+    ("buckley-0.5", 1.0, "3.163068625115355", "0", 0, "min-cut",
+     "05107d798efdb17ef41e235bca5444081c3deef37882d3dcb1e06cffd4f3c484"),
+    ("buckley-0.5", 1.1, "3.8681757768807188", "4.3318620514664854", 1, "gradient",
+     "6a0c995f1f204df3702f66489fa873dadacb15c9a68050670a712fac20a174e9"),
+    ("buckley-0.5", 1.5, "5.0000032671120209", "2.9971110038218285e-09", 1, "gradient",
+     "a7d14f6abb66c65daf9b9186f7eb023720528493fefea56d5f7a161d468500c6"),
+    ("buckley-0.5", 2.0, "5.9293211175220328", "9.9111829854336975e-11", 1, "linear-solve",
+     "068155831f548ec25d8be9e28a93a18d9df1dc4495e299a9671700cc4d07778e"),
+    ("buckley-0.5", 3.0, "7.7206934509193852", "6.5522698378117639e-11", 1, "gradient",
+     "e459faf69f3f1024fcafa014c1cde9fdd3b77d68bbd046aebe668506ea11df11"),
+    ("summed-buckley-0.5", 1.0, "4.6630686251153559", "0", 0, "min-cut",
+     "231d2295cbf8fbae475070ed6d7606a36e045488015fd87dbe1bb995284d50d3"),
+    ("summed-buckley-0.5", 1.1, "5.7985060929618868", "6.4150422915256549", 1, "gradient",
+     "ee69b0477287dee2fb9ed15bb5c46b72d8b604dc300d0b433cea9a2f8119b7ca"),
+    ("summed-buckley-0.5", 1.5, "7.1667507712003546", "1.1737348870610731e-09", 1, "gradient",
+     "6f31910cbd89927498992930fed8150f347397d3e14ccbf3afc0301c0dfa2ed1"),
+    ("summed-buckley-0.5", 2.0, "8.3234164297969535", "1.070752375653683e-10", 1, "linear-solve",
+     "7467d8a66886cafa917dc8bfd6c1a1e0a1a15196b59039876b3c0317b5f2f63b"),
+    ("summed-buckley-0.5", 3.0, "10.679172370493417", "7.5537798238656251e-11", 1, "gradient",
+     "2f7d5a094eb7f16a2676b3cfffc7a04c283a9aff3b097dae9816c263ac9cc52e"),
+    ("snake", 1.5, "0.19907548528109673", "1.0380585280245214e-14", 1, "gradient",
+     "3b93dcb39252bdf8cc77aa12518a6f5e505308a008e365916de45de9bb35c92a"),
+    ("snake", 3.0, "0.0015706200321508688", "6.600622826091751e-16", 1, "gradient",
+     "3b93dcb39252bdf8cc77aa12518a6f5e505308a008e365916de45de9bb35c92a"),
+    ("multigraph:0", 1.0, "1.4016145012354424", "0", 0, "min-cut",
+     "0ac9454a80846206709f3a419c0a5f6ae8bf83108394f615609d106ccec8f2dd"),
+    ("multigraph:0", 1.5, "1.4008787236365421", "0.0020009685593971316", 78, "newton-decrement",
+     "436c0884af074fe49f814e5e7fdbfe1ec382827cd42711593ee601b2f3d46e47"),
+    ("multigraph:0", 2.0, "1.0874880741076445", "2.6645352591003757e-15", 1, "linear-solve",
+     "34b190d63e7be64e2761b6cb0d3c54f3774f73f9055efff5e6b84f7323120856"),
+    ("multigraph:0", 3.0, "0.50339447503888213", "1.8431334008861544e-05", 5, "newton-decrement",
+     "448453e221da422ef5f433f4398bec051066ee1783710ce36aced827ae31c290"),
+    ("multigraph:3", 1.0, "1.370883200344359", "0", 0, "min-cut",
+     "a4179f3913c457c1405d5b373d63825b25a798ca75330a8b2d1e85d4cb075b17"),
+    ("multigraph:3", 1.5, "0.99484452254345368", "4.6590961089165717e-09", 4, "newton-decrement",
+     "e0e0923d09d8dfa1d034405ed174008f00a3c9d9f40f29ff66513b94f171f774"),
+    ("multigraph:3", 2.0, "0.68354734208410417", "1.941270732374995e-16", 1, "linear-solve",
+     "13a367b07b30425e77278b2efdec73d55ce1788d038be17fd47ac0557c6c56cd"),
+    ("multigraph:3", 3.0, "0.3456244515452459", "1.4016645486281121e-05", 3, "newton-decrement",
+     "88548f5b101838c710cb7778668410a2848d7d1c6771c6ad7dee9cb9675e34a4"),
+    ("floating", 1.5, "0.70710678118654757", "0", 1, "gradient",
+     "b2b9187c4ecbf0578ee9c089b11b8120ebde2d9ead5ae956a6cdbaca89e89185"),
+    ("floating", 3.0, "0.25", "0", 1, "gradient",
+     "b2b9187c4ecbf0578ee9c089b11b8120ebde2d9ead5ae956a6cdbaca89e89185"),
+]
+
+
+@pytest.mark.parametrize("case, p, energy, kkt, iterations, reason, sha", _PINS,
+                         ids=[f"{row[0]}-p{row[1]}" for row in _PINS])
+def test_reports_are_pinned_bit_for_bit(case, p, energy, kkt, iterations, reason, sha):
+    assert _pin_report(case, p) == (energy, kkt, iterations, reason, sha)
