@@ -100,12 +100,17 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 def _cell_masses(fn, edges_lo, edges_hi):
-    """Gauss-Legendre mass of fn over each cell [lo_i, hi_i], vectorized."""
+    """Gauss-Legendre mass of fn over each cell [lo_i, hi_i], vectorized.
+
+    Row j holds every cell's j-th node, so each array operation runs over
+    the cells. The 8 weighted values of a cell are added pairwise, the order
+    of numpy's sum over a contiguous axis of 8."""
     mid = 0.5 * (edges_lo + edges_hi)
     half = 0.5 * (edges_hi - edges_lo)
-    pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = fn(pts)
-    return half * (vals * _GL_WEIGHTS[None, :]).sum(axis=1)
+    pts = np.multiply.outer(_GL_NODES, half)
+    pts += mid
+    v = fn(pts) * _GL_WEIGHTS[:, None]
+    return half * (((v[0] + v[1]) + (v[2] + v[3])) + ((v[4] + v[5]) + (v[6] + v[7])))
 
 
 def _snake_ball(geom: Snake, R):

@@ -5,9 +5,16 @@ space, the edge gradient |u_i - u_j| / length stands in for the upper
 gradient, and the discrete p-energy sum m_e (|du|/l_e)^p is minimized over
 potentials pinned to 1 on the inner plate and 0 on the outer plate.
 
-Every solve runs on the network's core, an exact reduction. Each plate is
-contracted to one node, the edges inside a plate are dropped, and parallel
-edges become one edge of their summed conductance k_e = m_e / l_e^p. One
+Every solve runs on the network's core, an exact reduction. One pass over
+the edges reads each end's plate and drops the edges inside one plate;
+all that follows runs on the vertices the other edges touch, numbered in
+their order, with each plate as one node, and only the returned potential
+is written back at full length. The numbering only leaves vertices out,
+so the search below visits the same vertices in the same order, and every
+sum adds the same terms in the same order, as on the whole network. On
+the h = 1/256 bow-tie grid, plates (0.875, 1), 1,056 of the 327,680 edges
+cross, on 543 of the 164,609 vertices. Parallel edges become one edge of
+their summed conductance k_e = m_e / l_e^p, added in edge order. One
 depth-first search from the inner plate (Tarjan 1972) must reach the outer
 one, never reaches the components touching neither plate (left out, at
 u = 0), and walks each maximal run of free degree-2 vertices in one piece
@@ -15,7 +22,7 @@ from the end it reaches first. Each run becomes one edge of its series
 conductance k_min (sum_e (k_min / k_e)^(1/(p-1)))^-(p-1), evaluated in this
 scaled form so that nothing overflows as p nears 1; its p -> 1 limit, used
 at p = 1, is k_min, exact since a min of floats is exact. A chain leaves a
-single inner-outer edge; the h = 1/256 bow-tie's 164,609 vertices leave 512.
+single inner-outer edge; the h = 1/256 bow-tie leaves a core of 512 nodes.
 
 On the core, p = 2 is an exact linear solve, p in (1, inf) \\ {2} a damped
 Newton descent on the strictly convex energy, and p = 1 an exact min-cut
@@ -69,6 +76,14 @@ HESSIAN_EPS = 1e-12  # regularizes the Hessian only, never the energy
 PLATE_TOL = 1e-12  # slack on the plate radii of condenser_bc
 
 
+def _indices(x, name):
+    """``x`` as an int64 array, if it holds integers (or nothing)."""
+    x = np.asarray(x)
+    if x.size and x.dtype.kind not in "iu":
+        raise InputError(f"{name} must hold integers, got dtype {x.dtype}")
+    return x.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class DiscreteNetwork:
     num_vertices: int
@@ -79,20 +94,29 @@ class DiscreteNetwork:
     radii: np.ndarray | None = None  # distance of each vertex from the center
 
     def __post_init__(self):
+        n = self.num_vertices
+        if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0):
+            raise InputError(f"num_vertices must be an integer >= 0, got {n!r}")
+        object.__setattr__(self, "num_vertices", int(n))
         for name in ("edge_i", "edge_j"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+            object.__setattr__(self, name, _indices(getattr(self, name), name))
         for name in ("lengths", "masses"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.radii is not None:
             object.__setattr__(self, "radii", np.asarray(self.radii, dtype=float))
-        if np.any(self.edge_i == self.edge_j):
+        i, j = self.edge_i, self.edge_j
+        arrays = (i, j, self.lengths, self.masses)
+        if any(x.ndim != 1 for x in arrays) or len({len(x) for x in arrays}) > 1:
+            raise InputError("edge_i, edge_j, lengths and masses must be 1-D of one length")
+        if not len(i):
+            return
+        if np.any(i == j):
             raise InputError("self-loops are not allowed")
         for name in ("lengths", "masses"):
             x = getattr(self, name)
-            if not np.all((x > 0) & (x < math.inf)):  # NaN fails too
+            if not 0 < x.min() <= x.max() < math.inf:  # a NaN min or max fails too
                 raise InputError(f"edge {name} must be finite and strictly positive")
-        if self.edge_i.min(initial=0) < 0 or self.edge_j.min(initial=0) < 0 \
-                or max(self.edge_i.max(initial=-1), self.edge_j.max(initial=-1)) >= self.num_vertices:
+        if min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n:
             raise InputError("edge endpoints out of range")
 
 
@@ -102,8 +126,8 @@ class BoundaryCondition:
     outer: np.ndarray  # u = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "inner", np.asarray(self.inner, dtype=np.int64))
-        object.__setattr__(self, "outer", np.asarray(self.outer, dtype=np.int64))
+        object.__setattr__(self, "inner", _indices(self.inner, "inner"))
+        object.__setattr__(self, "outer", _indices(self.outer, "outer"))
         if len(self.inner) == 0 or len(self.outer) == 0:
             raise InfeasibleError("both boundary sets must be nonempty")
         # numpy checks membership by a boolean table over the span of the
@@ -210,26 +234,50 @@ def build_bowtie_grid(alpha: float, h: float) -> DiscreteNetwork:
     if abs(inv * h - 1.0) > 1e-12:
         raise InputError("mesh size h must divide 1 exactly (use h = 2^-m)")
     # column c (at i1 = c - inv) holds i2 in [-half[c], half[c]]; vertices
-    # are numbered column by column, so (i1, i2) is start[c] + i2 + half[c]
+    # are numbered column by column, so (i1, i2) is center[c] + i2
     cols = np.arange(-inv, 2 * inv + 1)
     half = np.abs(cols) // 2
-    start = np.concatenate([[0], np.cumsum(2 * half + 1)])
+    size = 2 * half + 1
+    start = np.cumsum(size)  # one past the column's last vertex
     nv = int(start[-1])
-    col = np.repeat(np.arange(len(cols)), 2 * half + 1)
-    i1, i2 = cols[col], np.arange(nv) - start[col] - half[col]
-    # per vertex the (1, 0) neighbour, then the (0, 1) neighbour, when in the
-    # cone; the half -1 past the last column admits no neighbour there
-    half_next = np.append(half, -1)[col + 1]
-    has = np.column_stack([np.abs(i2) <= half_next, i2 < half[col]])
-    ei = np.repeat(np.arange(nv), 2)[has.ravel()]
-    ej = np.column_stack([start[col + 1] + i2 + half_next, np.arange(1, nv + 1)])[has]
-    d1 = np.broadcast_to([1.0, 0.0], has.shape)[has]
-    mx = (i1[ei] + 0.5 * d1) * h
-    my = (i2[ei] + 0.5 * (1.0 - d1)) * h
-    return DiscreteNetwork(num_vertices=nv, edge_i=ei, edge_j=ej,
-                           lengths=np.full(len(ei), h),
-                           masses=(mx * mx + my * my) ** (alpha / 2.0) * h * h,
-                           radii=np.hypot(i1 * h + 1.0, i2 * h))
+    center = start - half - 1
+    i1 = np.repeat(cols, size)
+    i2 = np.arange(nv)
+    i2 -= np.repeat(center, size)
+    # slot 2 v + d holds vertex v's edge in direction d, (1, 0) then (0, 1),
+    # when its far end is in the cone: none leaves the last column or a
+    # column's top vertex, nor an end of a column wider than the next. The
+    # step to the far end and the mass, from the exact midpoint coordinates,
+    # are computed over all slots and read at the slots with an edge; each
+    # table is dropped once read, so that later arrays reuse its pages
+    has = np.ones((nv, 2), dtype=bool)
+    narrow = np.flatnonzero(half[1:] < half[:-1])
+    has[start[narrow] - 1, 0] = has[start[narrow] - size[narrow], 0] = False
+    has[start[-2]:, 0] = False
+    has[start - 1, 1] = False
+    f = np.flatnonzero(has)
+    step = np.ones((nv, 2), dtype=np.int64)
+    step[:, 0] = np.repeat(np.append(np.diff(center), 0), size)
+    ej = step.ravel()[f]
+    del step
+    x, y = i1 * h, i2 * h
+    mx, my = (i1 + 0.5) * h, (i2 + 0.5) * h
+    mass = np.empty((nv, 2))  # the squared midpoint radius, then the mass
+    mass[:, 0] = mx * mx + y * y
+    mass[:, 1] = x * x + my * my
+    del mx, my
+    mass **= alpha / 2.0
+    mass *= h
+    mass *= h
+    masses = mass.ravel()[f]
+    del mass
+    f >>= 1
+    ej += f
+    x += 1.0
+    # every edge has length h: one read-only value stands for all of them
+    return DiscreteNetwork(num_vertices=nv, edge_i=f, edge_j=ej,
+                           lengths=np.broadcast_to(h, len(f)), masses=masses,
+                           radii=np.hypot(x, y, out=x))
 
 
 # ---------------------------------------------------------------------------
@@ -362,106 +410,150 @@ def _newton(net, lap, p, tol, u):
 
 
 def _merge_parallel(a, b, c, nodes):
-    """One edge (lo, hi) per vertex pair, its conductance the sum of the
-    pair's c in edge order; self-loops are dropped."""
-    keep = a != b
-    pairs, which = np.unique(np.minimum(a, b)[keep] * nodes + np.maximum(a, b)[keep],
-                             return_inverse=True)
-    lo, hi = np.divmod(pairs, nodes)
-    return lo, hi, np.bincount(which, weights=c[keep])
+    """The simple graph of the edges (a, b), none a self-loop, on nodes
+    0..nodes-1: its edges (lo, hi) in (lo, hi) order, each of the summed c
+    of its pair's edges, added in edge order; and its arcs (tail, head) both
+    ways, sorted by tail and then head, with each arc's edge."""
+    m = len(a)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    # one stable sort of the arcs lo -> hi, then hi -> lo, by tail and head
+    # lines up each pair's edges in edge order and orders the adjacency
+    arcs = np.concatenate([lo * nodes + hi, hi * nodes + lo])
+    order = np.argsort(arcs, kind="stable")
+    arcs = arcs[order]
+    first = np.empty(2 * m, dtype=bool)
+    first[:1] = True
+    np.not_equal(arcs[1:], arcs[:-1], out=first[1:])
+    first = np.flatnonzero(first)
+    arcs = arcs[first]
+    tail = arcs // nodes
+    head = arcs - tail * nodes
+    fwd = np.flatnonzero(tail < head)
+    src = order[first]  # the first input arc of each arc
+    edge = src[fwd]  # the first input edge of each pair
+    cond = c[edge]
+    if len(first) < 2 * m:  # then the j-th edge of each pair that has one
+        pos, size = first[fwd], np.diff(first, append=2 * m)[fwd]
+        more, j = np.flatnonzero(size > 1), 1
+        while len(more):
+            cond[more] += c[order[pos[more] + j]]
+            j += 1
+            more = more[size[more] > j]
+    # both arcs of a pair begin with the arcs of its first input edge
+    edge_of = np.empty(2 * m, dtype=np.int64)
+    edge_of[edge] = edge_of[edge + m] = np.arange(len(fwd))
+    return lo[edge], hi[edge], cond, tail, head, edge_of[src]
 
 
 def _reduce(net, bc, p):
-    """The core (module docstring) of a network: returns the contracted
-    network (the vertices, then the inner and the outer plate), its
-    conductances k, the core (its plates last, its other nodes in their
-    order) and the map from a potential on the core to one on every node of
-    the contracted network. A run back to its own start is dropped."""
+    """The core (module docstring) of a network. Returns the crossing edges
+    on the compact nodes (the vertices they touch, in their order, then the
+    inner and the outer plate), their conductances k, the core (its plates
+    last, its other nodes in their order), the map from a potential on the
+    core to one on the compact nodes, and the vertices of all but the last
+    two compact nodes. A run back to its own start is dropped."""
     from scipy.sparse import csgraph, csr_matrix
 
     n = net.num_vertices
-    nodes = n + 2
-    node = np.arange(n)
-    node[bc.inner], node[bc.outer] = n, n + 1
-    a, b = node[net.edge_i], node[net.edge_j]
-    cross = np.flatnonzero(a != b)
-    sub = _Edges(nodes, a[cross], b[cross], net.lengths[cross], net.masses[cross])
+    if min(bc.inner.min(), bc.outer.min()) < 0 or max(bc.inner.max(), bc.outer.max()) >= n:
+        raise InputError(f"plate vertices must lie in 0..{n - 1}")
+    # one pass over the edges reads each end's plate (1 inner, 2 outer, 0
+    # none) and drops the edges inside one plate. All that follows runs on
+    # the free vertices the others touch, numbered in their order, then the
+    # inner and the outer plate: so the search below visits them, and every
+    # sum adds them, in the order the whole network would
+    plate = np.zeros(n, dtype=np.int8)
+    plate[bc.inner], plate[bc.outer] = 1, 2
+    pa, pb = plate[net.edge_i], plate[net.edge_j]
+    cross = np.flatnonzero((pa != pb) | (pa == 0))
+    a, b, pa, pb = net.edge_i[cross], net.edge_j[cross], pa[cross], pb[cross]
+    free = np.zeros(n, dtype=bool)
+    free[a] = free[b] = True
+    free &= plate == 0
+    keep = np.flatnonzero(free)
+    nodes = len(keep) + 2
+    node = np.empty(n, dtype=np.int64)
+    node[keep] = np.arange(nodes - 2)
+    for x, px in ((a, pa), (b, pb)):  # a plate vertex's node is its plate's
+        on = np.flatnonzero(px)
+        node[x[on]] = px[on] + np.int64(nodes - 3)
+    sub = _Edges(nodes, node[a], node[b], net.lengths[cross], net.masses[cross])
     k = sub.masses / sub.lengths**p
-    lo, hi, c = _merge_parallel(sub.edge_i, sub.edge_j, k, nodes)
+    lo, hi, c, tail, heads, arc_edge = _merge_parallel(sub.edge_i, sub.edge_j, k, nodes)
     # one search from the inner plate finds the nodes joined to a plate and
     # walks each run of free degree-2 nodes in one piece, from the end it
-    # reaches first: that end is the predecessor of the run's first node.
-    # Its graph is made as CSR arrays, each row's heads ascending as from
-    # COO, whose checks and sort cost twice as much
-    tails = np.concatenate([hi, lo])
-    deg = np.bincount(tails, minlength=nodes)
-    heads = np.concatenate([lo, hi])[np.argsort(tails, kind="stable")]
-    graph = csr_matrix((np.ones(len(tails)), heads, np.r_[0, np.cumsum(deg)]),
+    # reaches first: that end is the predecessor of the run's first node
+    deg = np.bincount(tail, minlength=nodes)
+    indptr = np.zeros(nodes + 1, dtype=np.intp)
+    np.cumsum(deg, out=indptr[1:])
+    graph = csr_matrix((np.ones(len(heads)), heads.astype(np.int32), indptr.astype(np.int32)),
                        shape=(nodes, nodes))
-    order, pred = csgraph.depth_first_order(graph, n, return_predecessors=True)
+    order, pred = csgraph.depth_first_order(graph, nodes - 2, return_predecessors=True)
+    order, pred = order.astype(np.intp), pred.astype(np.intp)
     reached = np.zeros(nodes, dtype=bool)
     reached[order] = True
     if not reached[-1]:
         raise InfeasibleError("boundary sets lie in different components")
     series = reached & (deg == 2)
-    series[n:] = False
-    s_lo, s_hi = series[lo], series[hi]
-    on_run = s_lo | s_hi
-    end = np.where(s_lo, lo, hi)  # the series end of an edge on a run
+    series[-2:] = False
     walked = order[series[order]]  # run after run
-    start = ~series[pred[walked]]
-    walk_run = np.cumsum(start) - 1  # the run of each walked vertex
-    run_of = np.zeros(nodes, dtype=np.int64)
-    run_of[walked] = walk_run
-    e = np.flatnonzero(on_run)
-    run = run_of[end[e]]  # the run of each edge in e
-    # the edge the search enters each node of a run by; the one edge left on
-    # a run is where the search leaves it
-    enters = np.where(s_hi & (pred[hi] == lo), hi, np.where(s_lo & (pred[lo] == hi), lo, -1))
-    into = np.zeros(nodes, dtype=np.int64)
-    into[enters[e]] = e
-    into = into[walked]
-    leave = e[enters[e] < 0]
-    ends = np.empty((int(start.sum()), 2), dtype=np.int64)
-    ends[:, 0] = pred[walked[start]]
-    ends[run_of[end[leave]], 1] = np.where(s_lo, hi, lo)[leave]
+    entry = pred[walked]
+    starts = np.flatnonzero(~series[entry])  # where each run begins
+    runs = len(starts)
+    walk_run = np.zeros(len(walked), dtype=np.int64)  # the run of each walked node
+    walk_run[starts[1:]] = 1
+    np.cumsum(walk_run, out=walk_run)
+    # of a walked node's two arcs, the one to its entry node is the edge the
+    # search enters it by; the other leads on, from a run's last node to
+    # the run's far end
+    q = indptr[walked]
+    q += heads[q] != entry
+    into = arc_edge[q]
+    last = np.r_[starts, len(walked)][1:] - 1
+    onward = 2 * indptr[walked[last]] + 1 - q[last]
+    leave = arc_edge[onward]
+    ends = np.column_stack([entry[starts], heads[onward]])
+    # each edge's run, or the one past the last for an edge on none
+    run = np.full(len(c), runs)
+    run[into] = walk_run
+    run[leave] = np.arange(runs)
 
     def walk(x):
         """Sum of x over the edges from each walked vertex's entry end to it."""
-        s = np.cumsum(x[into])
-        return s - (s - x[into])[start][walk_run]
+        x = x[into]
+        s = np.cumsum(x)
+        return s - (s - x)[starts][walk_run]
 
-    cmin = np.full(len(ends), np.inf)
-    np.minimum.at(cmin, run, c[e])
+    cmin = np.append(np.minimum(np.minimum.reduceat(c[into], starts), c[leave]), 0.0)
     if p == 1:
-        k_run = cmin
+        k_run = cmin[:-1]
     else:
-        ratio = np.zeros(len(c))
-        ratio[e] = np.divide(cmin[run], c[e], out=np.ones(len(e)),
-                             where=c[e] != cmin[run]) ** (1.0 / (p - 1.0))
-        total = np.bincount(run, ratio[e], len(ends))
-        k_run = cmin * total ** (1.0 - p)
-    rest = ~on_run & reached[lo]
-    a, b, w = _merge_parallel(np.r_[lo[rest], ends[:, 0]], np.r_[hi[rest], ends[:, 1]],
-                              np.r_[c[rest], k_run], nodes)
-    kept = reached & ~series
-    at = np.cumsum(kept) - 1
-    core = _Edges(int(at[-1]) + 1, at[a], at[b], np.ones(len(w)), w)
+        cm = cmin[run]
+        ratio = np.divide(cm, c, out=np.ones(len(c)), where=c != cm)
+        ratio **= 1.0 / (p - 1.0)
+        total = np.bincount(run, ratio, runs + 1)[:-1]
+        k_run = cmin[:-1] * total ** (1.0 - p)
+    rest = np.flatnonzero((run == runs) & reached[lo])
+    arc = np.flatnonzero(ends[:, 0] != ends[:, 1])
+    a, b, w = _merge_parallel(np.r_[lo[rest], ends[arc, 0]], np.r_[hi[rest], ends[arc, 1]],
+                              np.r_[c[rest], k_run[arc]], nodes)[:3]
+    kept = np.flatnonzero(reached & ~series)
+    at = np.empty(nodes, dtype=np.int64)
+    at[kept] = np.arange(len(kept))
+    core = _Edges(len(kept), at[a], at[b], np.ones(len(w)), w)
 
     def expand(core_u):
         u = np.zeros(nodes)
         u[kept] = core_u
-        u[bc.inner] = 1.0  # the plates' own vertices; the outer one's stay 0
         ua, ub = u[ends[:, 0]], u[ends[:, 1]]
         if p == 1:
             # a run whose ends share a side lies on it; a split run is cut at
             # its least-conductance edges: a vertex before the first cut
             # takes its entry end's side, past the last cut the other end's,
             # and between cuts the inner side
-            cut = np.zeros(len(c), dtype=bool)
-            cut[e] = (c[e] == cmin[run]) & (ua != ub)[run]
+            cut = (c == cmin[run]) & np.append(ua != ub, False)[run]
             before = walk(cut)
-            cuts = np.bincount(run, cut[e], len(ends))[walk_run]
+            cuts = np.bincount(run, cut, runs + 1)[walk_run]
             u[walked] = np.where(before == 0, ua[walk_run],
                                  np.where(before == cuts, ub[walk_run], 1.0))
         else:
@@ -469,7 +561,7 @@ def _reduce(net, bc, p):
             u[walked] = ua[walk_run] - (ua - ub)[walk_run] * (walk(ratio) / total[walk_run])
         return u
 
-    return sub, k, core, expand
+    return sub, k, core, expand, keep
 
 
 def _kkt_residual(sub, k, u, p):
@@ -523,7 +615,7 @@ def solve_p_energy(net: DiscreteNetwork, bc: BoundaryCondition, p: float,
         raise DomainError(f"need p >= 1, got {p}")
     if not tol > 0:
         raise InputError(f"tol must be positive, got {tol}")
-    sub, k, core, expand = _reduce(net, bc, p)
+    sub, k, core, expand, keep = _reduce(net, bc, p)
     if core.num_vertices == 2:
         # no free vertex: the potential is the plates'.  No solve runs; the
         # iteration count and stop reason are on purpose the ones the full
@@ -551,6 +643,10 @@ def solve_p_energy(net: DiscreteNetwork, bc: BoundaryCondition, p: float,
         energy = _energy(sub, u, p)
     if not math.isfinite(energy):
         raise ConvergenceError(f"p = {p} solve ended at non-finite energy {energy}")
-    return SolveReport(energy=energy, potential=u[:-2], iterations=iters,
+    # the vertices no crossing edge touches are 0, the inner plate's 1
+    potential = np.zeros(net.num_vertices)
+    potential[keep] = u[:-2]
+    potential[bc.inner] = 1.0
+    return SolveReport(energy=energy, potential=potential, iterations=iters,
                        kkt_residual=0.0 if p == 1 else _kkt_residual(sub, k, u, p),
                        stop_reason=reason)

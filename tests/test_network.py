@@ -413,6 +413,29 @@ def test_banded_solves_match_dense_references(seed):
         assert rep.energy == pytest.approx(_dense_newton(net, bc, p), rel=1e-9), p
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_merge_parallel_matches_the_unique_reference(seed):
+    # the one stable sort against np.unique and np.bincount, which add each
+    # pair's conductances in edge order too; pairs hold up to 9 edges
+    rng = np.random.default_rng(seed)
+    nodes = 40
+    pairs = rng.choice(nodes, (60, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    pick = rng.integers(len(pairs), size=300)
+    a, b = pairs[pick].T
+    flip = rng.random(len(a)) < 0.5
+    a, b = np.where(flip, b, a), np.where(flip, a, b)
+    c = 10.0 ** rng.uniform(-8.0, 8.0, len(a))
+    key, which = np.unique(np.minimum(a, b) * nodes + np.maximum(a, b), return_inverse=True)
+    lo, hi, cond, tail, head, edge = network._merge_parallel(a, b, c, nodes)
+    assert np.array_equal(lo * nodes + hi, key)
+    assert np.array_equal(cond, np.bincount(which, weights=c))
+    arcs = tail * nodes + head
+    assert np.all(np.diff(arcs) > 0) and len(arcs) == 2 * len(key)
+    assert np.array_equal(np.minimum(tail, head), lo[edge])
+    assert np.array_equal(np.maximum(tail, head), hi[edge])
+
+
 @pytest.mark.parametrize("seed", range(16))
 def test_series_reduction_matches_dense_references(seed):
     # subdivided edges, a leaf run, a loop, parallel runs and a plate-to-plate
@@ -631,9 +654,24 @@ _BUCKLEY = make_buckley(0.5).space
     (lambda: cap_auto(_BUCKLEY, 2.0, AnnulusSpec(3.0, math.inf)), InputError),
     (lambda: check_one_ad(_BUCKLEY, (1.0, math.inf)), InputError),
     (lambda: check_doubling(_BUCKLEY, [math.inf]), DomainError),
+    (lambda: DiscreteNetwork(num_vertices=3, edge_i=[0, 1.7], edge_j=[1, 2],
+                             lengths=[1.0, 1.0], masses=[1.0, 1.0]), InputError),
+    (lambda: DiscreteNetwork(num_vertices=2.5, edge_i=[0], edge_j=[1],
+                             lengths=[1.0], masses=[1.0]), InputError),
+    (lambda: DiscreteNetwork(num_vertices=np.float64(3.0), edge_i=[0], edge_j=[1],
+                             lengths=[1.0], masses=[1.0]), InputError),
+    (lambda: DiscreteNetwork(num_vertices=3, edge_i=[0, 1], edge_j=[1],
+                             lengths=[1.0, 1.0], masses=[1.0, 1.0]), InputError),
+    (lambda: BoundaryCondition(inner=[0.5], outer=[2]), InputError),
+    (lambda: solve_p_energy(_series_net([1.0, 1.0], [1.0, 1.0]),
+                            BoundaryCondition(inner=[0], outer=[3]), 2.0), InputError),
+    (lambda: solve_p_energy(_series_net([1.0, 1.0], [1.0, 1.0]),
+                            BoundaryCondition(inner=[-1], outer=[0]), 2.0), InputError),
 ], ids=["bowtie-h0", "bowtie-h-nan", "bowtie-h-negative", "snake-cells-nan", "snake-cells-inf",
         "radial-N-float", "radial-r-hi-inf", "solve-tol-nan", "mu-ball-inf", "mu-annulus-inf",
-        "cap-auto-inf", "one-ad-inf", "doubling-inf"])
+        "cap-auto-inf", "one-ad-inf", "doubling-inf", "network-endpoint-float",
+        "network-count-float", "network-count-float64", "network-arrays-ragged", "plate-float",
+        "plate-past-last", "plate-negative"])
 def test_invalid_inputs_are_typed_errors(call, error):
     with pytest.raises(error):
         call()
@@ -857,3 +895,55 @@ _PINS = [
                          ids=[f"{row[0]}-p{row[1]}" for row in _PINS])
 def test_reports_are_pinned_bit_for_bit(case, p, energy, kkt, iterations, reason, sha):
     assert _pin_report(case, p) == (energy, kkt, iterations, reason, sha)
+
+
+def _padded(net, bc, rng):
+    """net with isolated vertices inserted in its numbering, some of them put
+    in the plates, and edges inside either plate inserted in its edge list;
+    and the new number of each old vertex."""
+    n = net.num_vertices
+    total = n + 12
+    new = np.sort(rng.choice(total, n, replace=False))  # old vertices keep their order
+    extra = np.setdiff1d(np.arange(total), new)
+    inner, outer = np.r_[new[bc.inner], extra[:3]], np.r_[new[bc.outer], extra[3:6]]
+    m = len(net.edge_i)
+    inside = [rng.choice(plate, (4, 2)) for plate in (inner, outer)]
+    inside = np.concatenate([pair[pair[:, 0] != pair[:, 1]] for pair in inside])
+    slots = np.sort(rng.choice(m + len(inside), m, replace=False))
+    ei, ej = np.empty(m + len(inside), dtype=np.int64), np.empty(m + len(inside), dtype=np.int64)
+    lengths, masses = rng.uniform(0.1, 2.0, (2, m + len(inside)))
+    added = np.setdiff1d(np.arange(m + len(inside)), slots)
+    ei[slots], ej[slots] = new[net.edge_i], new[net.edge_j]
+    ei[added], ej[added] = inside.T
+    lengths[slots], masses[slots] = net.lengths, net.masses
+    padded = DiscreteNetwork(num_vertices=total, edge_i=ei, edge_j=ej,
+                             lengths=lengths, masses=masses)
+    return padded, BoundaryCondition(inner=inner, outer=outer), new
+
+
+def _runs_network(seed):
+    rng = np.random.default_rng(seed)
+    n, ei, ej, inner, outer = _with_runs(rng)
+    lengths, masses = rng.uniform(0.1, 2.0, (2, len(ei)))
+    return (DiscreteNetwork(num_vertices=n, edge_i=ei, edge_j=ej, lengths=lengths,
+                            masses=masses),
+            BoundaryCondition(inner=inner, outer=outer))
+
+
+@pytest.mark.parametrize("case, p", [
+    ("bowtie:0.5", 2.5), ("rn-2", 1.5), ("rn-2", 1.0), ("multigraph:0", 1.0),
+    ("multigraph:0", 1.5), ("multigraph:3", 2.0), ("multigraph:3", 3.0), ("floating", 1.5),
+    ("runs:1", 1.0), ("runs:2", 1.5), ("runs:5", 2.0), ("runs:7", 3.0),
+])
+def test_isolated_vertices_and_plate_edges_change_no_bit(case, p):
+    # the reduction drops both before anything is added up, and numbers the
+    # vertices it keeps in their order
+    kind, _, arg = case.partition(":")
+    net, bc = _runs_network(int(arg)) if kind == "runs" else _pin_network(case)
+    padded, padded_bc, new = _padded(net, bc, np.random.default_rng(len(case)))
+    rep, rep_padded = solve_p_energy(net, bc, p), solve_p_energy(padded, padded_bc, p)
+    assert (rep.energy, rep.iterations, rep.stop_reason, rep.kkt_residual) == \
+        (rep_padded.energy, rep_padded.iterations, rep_padded.stop_reason,
+         rep_padded.kkt_residual)
+    assert np.array_equal(rep_padded.potential[new], rep.potential)
+    assert np.all(rep_padded.potential[padded_bc.inner] == 1.0)
