@@ -95,7 +95,7 @@ class DiscreteNetwork:
 
     def __post_init__(self):
         n = self.num_vertices
-        if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0):
+        if not (isinstance(n, (int, np.integer)) and n >= 0):
             raise InputError(f"num_vertices must be an integer >= 0, got {n!r}")
         object.__setattr__(self, "num_vertices", int(n))
         for name in ("edge_i", "edge_j"):
@@ -484,8 +484,9 @@ def _reduce(net, bc, p):
     # walks each run of free degree-2 nodes in one piece, from the end it
     # reaches first: that end is the predecessor of the run's first node
     deg = np.bincount(tail, minlength=nodes)
-    indptr = np.zeros(nodes + 1, dtype=np.intp)
-    np.cumsum(deg, out=indptr[1:])
+    indptr = np.concatenate([[0], np.cumsum(deg)])
+    # csgraph reads int32 indices, and numpy indexes by intp: each array is
+    # cast once, not at every use
     graph = csr_matrix((np.ones(len(heads)), heads.astype(np.int32), indptr.astype(np.int32)),
                        shape=(nodes, nodes))
     order, pred = csgraph.depth_first_order(graph, nodes - 2, return_predecessors=True)

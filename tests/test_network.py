@@ -416,7 +416,7 @@ def test_banded_solves_match_dense_references(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_merge_parallel_matches_the_unique_reference(seed):
     # the one stable sort against np.unique and np.bincount, which add each
-    # pair's conductances in edge order too; pairs hold up to 9 edges
+    # pair's conductances in edge order too; a pair holds 1 to 13 edges
     rng = np.random.default_rng(seed)
     nodes = 40
     pairs = rng.choice(nodes, (60, 2))
