@@ -1,8 +1,8 @@
 """anncap: variational p-capacities of thin annuli, annular-decay exponents,
 and numeric verification of the associated two-sided estimates.
 
-Importing the package loads numpy alone: each scipy submodule (and
-networkx) is imported inside the function that calls it."""
+Importing the package loads numpy alone: each scipy submodule is imported
+inside the function that calls it."""
 
 from .bounds import BlowupReport, BoundId, BoundSpec, SweepReport, blowup_probe, evaluate_bound, verify_envelope
 from .capacity import (

@@ -162,6 +162,7 @@ def make_summed_buckley(eta: float, terms=DEFAULT_SUMMED_TERMS) -> GalleryEntry:
 
 
 def make_bowtie(alpha: float, n: int = 2) -> GalleryEntry:
+    geometry = BowTie(n, alpha)  # validates alpha > -n before the traits use n + alpha
     m = n + alpha
     traits = TraitSet(
         pi_exponents=frozenset({1.0}) if m <= 1.0 else frozenset(),
@@ -173,7 +174,7 @@ def make_bowtie(alpha: float, n: int = 2) -> GalleryEntry:
         corkscrew_a=0.25,
         ad_eta=min(1.0, m),
     )
-    space = SpaceSpec(BowTie(n, alpha), traits=traits, name=f"bowtie-{n}d-alpha-{alpha}")
+    space = SpaceSpec(geometry, traits=traits, name=f"bowtie-{n}d-alpha-{alpha}")
     return GalleryEntry(
         name=space.name, space=space,
         pi_sharp_q=f"q-Poincare inequality iff q > {m} or q = 1 >= {m}",

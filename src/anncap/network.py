@@ -24,20 +24,19 @@ scaled form so that nothing overflows as p nears 1; its p -> 1 limit, used
 at p = 1, is k_min, exact since a min of floats is exact. A chain leaves a
 single inner-outer edge; the h = 1/256 bow-tie leaves a core of 512 nodes.
 
-On the core, p = 2 is an exact linear solve, p in (1, inf) \\ {2} a damped
-Newton descent on the strictly convex energy, and p = 1 an exact min-cut
-by Edmonds-Karp shortest augmenting paths; a core with no free vertex,
-such as a chain's, needs no solve, and at p = 1 its one edge is the cut.
-For p > 1 a run's drop is then split over its edges in proportion to
-(k_min / k_e)^(1/(p-1)), the minimizer given the run's ends. For p = 1 a
-vertex is 1 iff it cannot reach the outer plate through arcs with
-flow < capacity, the arcs Edmonds-Karp augments along (an arc over its
-capacity by an ulp is saturated). A run inside one side lies on it; a
-split run is cut at its least-conductance edges, each piece taking the
-side of the end it stays joined to, and a piece joined to neither end the
-inner side. For p > 1 the reported energy and KKT residual are those of
-the returned potential on the whole network; for p = 1 the energy is the
-max-flow value, which the cut attains.
+On the core, p = 2 is an exact linear solve and p in (1, inf) \\ {2} a
+damped Newton descent on the strictly convex energy; a core with no free
+vertex, such as a chain's, needs no solve. p = 1 is solved only on such a
+core, whose one edge is the cut; a p = 1 core with a free vertex raises
+DomainError, since on a grid the least cut measures the l1 perimeter of
+its stencil, not the 1-capacity. For p > 1 a run's drop is then split over
+its edges in proportion to (k_min / k_e)^(1/(p-1)), the minimizer given
+the run's ends. For p = 1 a run inside one side lies on it; a split run is
+cut at its least-conductance edges, each piece taking the side of the end
+it stays joined to, and a piece joined to neither end the inner side. For
+p > 1 the reported energy and KKT residual are those of the returned
+potential on the whole network; for p = 1 the energy is the core edge's
+conductance, which the cut attains.
 
 Every p > 1 linear solve on a core goes through one kernel,
 `_FreeLaplacian`: the m free vertices are ordered once per solve by
@@ -232,7 +231,7 @@ def build_bowtie_grid(alpha: float, h: float) -> DiscreteNetwork:
         raise InputError(f"need mesh size 0 < h <= 1/16, got {h}")
     inv = round(1.0 / h)
     if abs(inv * h - 1.0) > 1e-12:
-        raise InputError("mesh size h must divide 1 exactly (use h = 2^-m)")
+        raise InputError(f"mesh size h must be 1/k for an integer k, to 1e-12, got {h}")
     # column c (at i1 = c - inv) holds i2 in [-half[c], half[c]]; vertices
     # are numbered column by column, so (i1, i2) is center[c] + i2
     cols = np.arange(-inv, 2 * inv + 1)
@@ -572,42 +571,15 @@ def _kkt_residual(sub, k, u, p):
     return float(np.abs(grad[:-2]).max(initial=0.0))
 
 
-def _min_cut(core):
-    """Edmonds-Karp on the core, whose plates are its last two nodes: the
-    0/1 potential of the cut, and the flow value."""
-    from scipy.sparse import csgraph, csr_matrix
-
-    # imported here, where only a p = 1 core with a free vertex pays for it
-    import networkx as nx
-    from networkx.algorithms.flow import edmonds_karp
-
-    nodes = core.num_vertices
-    a, b, w = core.edge_i, core.edge_j, core.masses
-    al, bl, wl = a.tolist(), b.tolist(), w.tolist()
-    g = nx.DiGraph()
-    g.add_edges_from((x, y, {"capacity": z}) for x, y, z in zip(al + bl, bl + al, wl + wl))
-    residual = edmonds_karp(g, nodes - 2, nodes - 1)
-    flow = np.array([residual.succ[x][y]["flow"] for x, y in zip(al, bl)])
-    # u = 0 on the nodes that reach the outer plate through arcs with flow <
-    # capacity, the arcs Edmonds-Karp augments along: an arc over its capacity
-    # by an ulp is saturated too. A search from it along the reversed arcs
-    # finds them
-    fwd, bwd = flow < w, -flow < w
-    into = csr_matrix((np.ones(fwd.sum() + bwd.sum()),
-                       (np.r_[b[fwd], a[bwd]], np.r_[a[fwd], b[bwd]])),
-                      shape=(nodes, nodes))
-    u = np.ones(nodes)
-    u[csgraph.breadth_first_order(into, nodes - 1, return_predecessors=False)] = 0.0
-    return u, float(residual.graph["flow_value"])
-
-
 def solve_p_energy(net: DiscreteNetwork, bc: BoundaryCondition, p: float,
                    tol: float = 1e-9) -> SolveReport:
     """Minimize the discrete p-energy with u = 1 on inner and u = 0 on outer.
 
     The network is first reduced to its core (module docstring). On the
-    core, p = 2 is an exact linear solve, p = 1 an exact min-cut (coarea /
-    max-flow duality), and other p > 1 use damped Newton with line search.
+    core, p = 2 is an exact linear solve and other p > 1 use damped Newton
+    with line search. p = 1 is solved only where the core is one
+    plate-to-plate edge, as a chain's is: that edge is the cut, and any
+    other p = 1 core raises DomainError.
     The iterations and stop reason are the core solve's.
     Vertices in a component touching neither plate are pinned to u = 0.
     A non-finite energy raises ConvergenceError.
@@ -618,19 +590,19 @@ def solve_p_energy(net: DiscreteNetwork, bc: BoundaryCondition, p: float,
         raise InputError(f"tol must be positive, got {tol}")
     sub, k, core, expand, keep = _reduce(net, bc, p)
     if core.num_vertices == 2:
-        # no free vertex: the potential is the plates'.  No solve runs; the
-        # iteration count and stop reason are on purpose the ones the full
-        # solve gives such a core (the min-cut, whose cut is the core's one
-        # edge; one linear solve; or one Newton gradient check), so a report
-        # does not show whether the solve was skipped
+        # no free vertex: the potential is the plates'.  No solve runs; at
+        # p > 1 the iteration count and stop reason are on purpose the ones
+        # a solve gives such a core (one linear solve, or one Newton
+        # gradient check), so a report does not show whether it was skipped
         core_u = np.array([1.0, 0.0])
-        if p == 1:
+        if p == 1:  # the core's one edge is the cut
             energy, iters, reason = float(core.masses.sum()), 0, "min-cut"
         else:
             iters, reason = 1, "linear-solve" if p == 2 else "gradient"
     elif p == 1:
-        core_u, energy = _min_cut(core)
-        iters, reason = 0, "min-cut"
+        raise DomainError(
+            "p = 1 is solved only when the reduced network is one plate-to-plate edge, "
+            f"as a chain's is; this one has {core.num_vertices - 2} free vertices")
     else:
         lap = _FreeLaplacian(core)
         core_u = _solve_p2(core, lap)

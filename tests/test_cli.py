@@ -196,6 +196,15 @@ def test_n_reaches_the_space_it_names(capsys, argv, space):
     assert value == cap_auto(space, float(p), AnnulusSpec(r, R)).value
 
 
+@pytest.mark.parametrize("alpha, dims", [("-2", []), ("-3.5", ["--n", "3"])])
+def test_bowtie_alpha_at_most_minus_n_is_the_geometry_error(capsys, alpha, dims):
+    # the cone's own check comes before the traits that read n + alpha
+    argv = ["cap", "--space", "bowtie", "--alpha", alpha, *dims, "--p", "2", "--r", "0.5",
+            "--R", "1"]
+    assert run(argv) == 2
+    assert "BowTie needs alpha > -n" in capsys.readouterr().err
+
+
 def test_n_zero_is_a_usage_error(capsys):
     for space in (["rn"], ["buckley", "--eta", "0.5"], ["bowtie", "--alpha", "0.5"]):
         argv = ["cap", "--space", *space, "--n", "0", "--p", "2", "--r", "0.5", "--R", "1"]
@@ -263,9 +272,8 @@ def test_module_entry_point():
 
 
 def test_import_loads_neither_scipy_stats_nor_networkx():
-    # scipy.stats costs about a second of import; networkx is for the p = 1 cut
-    # of a core with a free vertex only, which a chain's is not; no route
-    # integrates with scipy.integrate
+    # scipy.stats costs about a second of import; no solve uses networkx, not
+    # even a refused p = 1 grid; no route integrates with scipy.integrate
     code = textwrap.dedent("""
         import sys
         import numpy as np
@@ -285,9 +293,13 @@ def test_import_loads_neither_scipy_stats_nor_networkx():
             12, np.r_[idx[:, :-1].ravel(), idx[:-1, :].ravel()],
             np.r_[idx[:, 1:].ravel(), idx[1:, :].ravel()], np.ones(17), np.ones(17))
         bc = anncap.network.BoundaryCondition(idx[:, 0], idx[:, -1])
-        rep = anncap.solve_p_energy(net, bc, 1.0)
-        assert rep.energy == 3.0, rep
-        assert "networkx" in sys.modules
+        try:
+            anncap.solve_p_energy(net, bc, 1.0)
+        except anncap.DomainError as exc:
+            assert "6 free vertices" in str(exc), exc
+        else:
+            raise AssertionError("p = 1 on a grid patch was not refused")
+        assert "networkx" not in sys.modules
         assert "scipy.stats" not in sys.modules
     """)
     env = {**os.environ, "PYTHONPATH": str(Path(anncap.__file__).parents[1])}
@@ -372,7 +384,8 @@ def test_plain_writes_each_float_as_its_17_digit_string():
 
 
 def test_only_the_cli_writes_json_or_csv():
-    # the artifact format lives in cli.py alone; every other module returns records
+    # the artifact format lives in cli.py alone; every other module returns
+    # records. No module imports networkx, which the package does not depend on
     for path in Path(anncap.__file__).parent.glob("*.py"):
         imported = set()
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -380,6 +393,7 @@ def test_only_the_cli_writes_json_or_csv():
                 imported |= {alias.name.partition(".")[0] for alias in node.names}
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.partition(".")[0])
+        assert "networkx" not in imported, path.name
         if path.name != "cli.py":
             assert not imported & {"json", "csv"}, path.name
 
