@@ -18,7 +18,7 @@ from anncap.bounds import (
 from anncap.capacity import cap_auto, cap_radial_weighted, cap_rn_unweighted
 from anncap.cli import _write_rows
 from anncap.errors import ApplicabilityError, DomainError, InputError
-from anncap.gallery import make_buckley, make_halfline, make_rn_unweighted, make_snake
+from anncap.gallery import make_bowtie, make_buckley, make_halfline, make_rn_unweighted, make_snake
 from anncap.measure import mu_ball
 from anncap.spaces import AnnulusSpec, HalfLine, RadialRn, SpaceSpec, TraitSet
 from anncap.weights import Constant, HalfLineKind
@@ -267,6 +267,15 @@ def test_first_failed_hypothesis_is_reported():
     with pytest.raises(ApplicabilityError, match="1 <= q < p"):
         evaluate_bound(BoundSpec(BoundId.LOWER_CORKSCREW_Q, 2.0, q=2.0), RN2,
                        AnnulusSpec(0.75, 1.0))
+
+
+def test_radius_cap_bounds_R_on_the_bowtie():
+    # the bow-tie is the one bounded space: R <= diam / 2 tau = sqrt(10) / 4 = 0.790569...
+    bowtie = make_bowtie(0.5).space
+    spec = BoundSpec(BoundId.LOWER_P_BASE, 3.0)
+    assert evaluate_bound(spec, bowtie, AnnulusSpec(0.75 * 0.79, 0.79)) > 0
+    with pytest.raises(ApplicabilityError, match=re.escape("R <= diam X / 2 tau")):
+        evaluate_bound(spec, bowtie, AnnulusSpec(0.75 * 0.7906, 0.7906))
 
 
 def test_bound_spec_refuses_nan():

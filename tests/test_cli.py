@@ -73,6 +73,13 @@ def test_sweep_gating_failure_is_usage_error(capsys):
     assert "1-annular-decay" in capsys.readouterr().err
 
 
+def test_sweep_past_the_bowtie_radius_cap_is_usage_error(capsys):
+    code = run(["sweep", "--space", "bowtie", "--alpha", "-0.5", "--p", "3", "--R", "1",
+                "--bound", "lower-p-base"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: hypothesis violated: R <= diam X / 2 tau\n"
+
+
 def test_sweep_no_gating_detects_counterexample(capsys):
     code = run(["sweep", "--space", "buckley", "--eta", "0.5", "--n", "1",
                 "--p", "2", "--R", "1", "--thin", "9", "--no-gating"])
