@@ -6,10 +6,10 @@ absorbed into the envelope verdicts, which test boundedness of the
 cap/bound ratio and absence of a trend in log-log coordinates.
 
 ``BOUND_TABLE`` holds every bound in one row: its hypotheses in the order
-they are checked, the measures its expression reads (mu(B_R), mu(B_r),
-mu(ann)) and the expression itself.  ``verify_envelope`` computes each of
-those measures once per family: mu(B_R) once per distinct R, mu(B_r) once
-per distinct r and mu(ann) once per annulus.
+they are checked and its expression, which reads mu(B_R), mu(B_r) or
+mu(ann) from the family's ``FamilyMeasures``.  ``verify_envelope`` computes
+each of those measures once per family: mu(B_R) once per distinct R,
+mu(B_r) once per distinct r and mu(ann) once per annulus.
 """
 
 from __future__ import annotations
@@ -74,15 +74,6 @@ class BoundSpec:
             raise InputError(f"{self.bound_id.value} needs q >= 1")
 
 
-def _radius_cap(s, space, ann):
-    # R <= diam X / 2 tau, tau from the declared reverse doubling; vacuous
-    # for unbounded spaces
-    if math.isinf(space.diameter):
-        return True
-    rd = space.traits.reverse_doubling
-    return rd is not None and not ann.R > space.diameter / (2.0 * rd[0])
-
-
 # Hypothesis checks: (the name a failure reports, holds(spec, space, ann)).
 _Q_RANGE = ("1 <= q < p", lambda s, sp, a: 1 <= s.q < s.p)
 _PI_Q = ("q-Poincare inequality at x0", lambda s, sp, a: sp.traits.supports_pi(s.q))
@@ -93,58 +84,45 @@ _AD_ETA = ("eta-annular-decay declared", lambda s, sp, a: sp.traits.ad_eta is no
 _AD_1 = ("1-annular-decay declared", lambda s, sp, a: sp.traits.ad_eta is not None
          and not sp.traits.ad_eta < 1.0 - 1e-12)
 _DOUBLING = ("doubling at x0", lambda s, sp, a: sp.traits.doubling)
-_REVERSE_DOUBLING = ("reverse-doubling at x0",
-                     lambda s, sp, a: sp.traits.reverse_doubling is not None)
+_REVERSE_DOUBLING = ("reverse-doubling at x0", lambda s, sp, a: sp.traits.reverse_doubling)
 _THIN = ("thin annulus (R/2 <= r)", lambda s, sp, a: a.is_thin)
-_RADIUS_CAP = ("R <= diam X / 2 tau", _radius_cap)
+# tau = 2, the reverse-doubling factor; vacuous for unbounded spaces (diam X = inf)
+_RADIUS_CAP = ("R <= diam X / 2 tau", lambda s, sp, a: not a.R > sp.diameter / 4.0)
 _ANNULAR = (
     ("globally doubling", lambda s, sp, a: sp.traits.globally_doubling),
     ("global p-Poincare inequality",
      lambda s, sp, a: sp.traits.pi_global and sp.traits.supports_pi(s.p)),
-    ("corkscrew condition (constant a)", lambda s, sp, a: sp.traits.corkscrew_a is not None),
+    ("corkscrew condition (constant a)", lambda s, sp, a: sp.traits.corkscrew),
     _THIN,
 )
 _LOCAL = (_REVERSE_DOUBLING, _THIN, _RADIUS_CAP)
 
-# The measures an expression reads, each looked up on the annulus.
-MU_BALL_R, MU_BALL_r, MU_ANNULUS = "mu(B_R)", "mu(B_r)", "mu(ann)"
-_MEASURES = {
-    MU_BALL_R: lambda m, a: m.ball(a.R),
-    MU_BALL_r: lambda m, a: m.ball(a.r),
-    MU_ANNULUS: lambda m, a: m.annulus(a),
-}
-
-
 @dataclass(frozen=True)
 class _Bound:
     hypotheses: tuple  # checked in order; the first failure is reported
-    measures: tuple    # names from _MEASURES, passed to expression in order
-    expression: Callable[..., float]  # (spec, ann, t = 1 - r/R, *measures)
+    expression: Callable[..., float]  # (spec, ann, t = 1 - r/R, FamilyMeasures)
 
 
 BOUND_TABLE = {
-    BoundId.UPPER_SIMPLE: _Bound(
-        (), (MU_ANNULUS,), lambda s, a, t, mu: mu / a.delta**s.p),
+    BoundId.UPPER_SIMPLE: _Bound((), lambda s, a, t, m: m.annulus(a) / a.delta**s.p),
     BoundId.UPPER_ETA: _Bound(
-        (_AD_ETA,), (MU_BALL_R,), lambda s, a, t, muR: t ** (s.eta - s.p) * muR / a.R**s.p),
+        (_AD_ETA,), lambda s, a, t, m: t ** (s.eta - s.p) * m.ball(a.R) / a.R**s.p),
     BoundId.LOWER_PI_AD: _Bound(
-        (_Q_RANGE, _PI_Q, _AD_ETA) + _LOCAL, (MU_BALL_R,),
-        lambda s, a, t, muR: t ** (s.eta * (s.q - s.p) / s.q) * muR / a.R**s.p),
+        (_Q_RANGE, _PI_Q, _AD_ETA) + _LOCAL,
+        lambda s, a, t, m: t ** (s.eta * (s.q - s.p) / s.q) * m.ball(a.R) / a.R**s.p),
     BoundId.LOWER_P_BASE: _Bound(
-        (_PI_P, _DOUBLING) + _LOCAL, (MU_BALL_R,), lambda s, a, t, muR: muR / a.R**s.p),
+        (_PI_P, _DOUBLING) + _LOCAL, lambda s, a, t, m: m.ball(a.R) / a.R**s.p),
     BoundId.TWO_SIDED_NICE: _Bound(
-        (_PI_1, _AD_1) + _LOCAL, (MU_BALL_R,),
-        lambda s, a, t, muR: t ** (1.0 - s.p) * muR / a.R**s.p),
-    BoundId.TWO_SIDED_ANNULAR: _Bound(
-        _ANNULAR, (MU_ANNULUS,), lambda s, a, t, mu: mu / a.delta**s.p),
+        (_PI_1, _AD_1) + _LOCAL, lambda s, a, t, m: t ** (1.0 - s.p) * m.ball(a.R) / a.R**s.p),
+    BoundId.TWO_SIDED_ANNULAR: _Bound(_ANNULAR, lambda s, a, t, m: m.annulus(a) / a.delta**s.p),
     BoundId.LOWER_CORKSCREW_Q: _Bound(
-        _ANNULAR + (_Q_RANGE, _PI_Q), (MU_BALL_R,),
-        lambda s, a, t, muR: t ** (s.q - s.p) * muR / a.R**s.p),
+        _ANNULAR + (_Q_RANGE, _PI_Q),
+        lambda s, a, t, m: t ** (s.q - s.p) * m.ball(a.R) / a.R**s.p),
     BoundId.LOWER_P1_NO_DOUBLING: _Bound(
-        (("p = 1", lambda s, sp, a: s.p == 1), _PI_1) + _LOCAL, (MU_BALL_r,),
-        lambda s, a, t, mur: mur / a.r),
+        (("p = 1", lambda s, sp, a: s.p == 1), _PI_1) + _LOCAL,
+        lambda s, a, t, m: m.ball(a.r) / a.r),
     BoundId.MEASURE_LOWER_Q: _Bound(
-        (_PI_Q, _DOUBLING) + _LOCAL, (MU_BALL_R,), lambda s, a, t, muR: t**s.q * muR),
+        (_PI_Q, _DOUBLING) + _LOCAL, lambda s, a, t, m: t**s.q * m.ball(a.R)),
 }
 
 
@@ -155,9 +133,8 @@ def _evaluate(spec: BoundSpec, space: SpaceSpec, ann: AnnulusSpec, measures: Fam
         for name, holds in row.hypotheses:
             if not holds(spec, space, ann):
                 raise ApplicabilityError(name)
-    values = [_MEASURES[m](measures, ann) for m in row.measures]
     try:
-        return row.expression(spec, ann, 1.0 - ann.r / ann.R, *values)
+        return row.expression(spec, ann, 1.0 - ann.r / ann.R, measures)
     except ArithmeticError:  # R**p or r underflows, or a power overflows
         raise DomainError(f"{spec.bound_id.value} leaves the float range on annulus "
                           f"(r={ann.r}, R={ann.R})") from None
@@ -224,8 +201,6 @@ def verify_envelope(space: SpaceSpec, cap_fn, spec: BoundSpec, annuli,
 class BlowupReport:
     deltas: tuple
     values: tuple
-    increasing: bool
-    divergence_slope: float | None
     verdict: str  # BLOWUP | NO-BLOWUP
 
 
@@ -235,9 +210,12 @@ def blowup_probe(space: SpaceSpec, p: float, R: float, deltas, cap_fn,
 
     BLOWUP requires strictly increasing values whose final/initial ratio
     reaches 10^3; identically-zero capacities report NO-BLOWUP (the
-    degenerate counterexample case).
+    degenerate counterexample case).  Fewer than two distinct deltas are
+    refused.
     """
     deltas = sorted((float(d) for d in deltas), reverse=True)  # shrinking toward 0
+    if len(set(deltas)) < 2:
+        raise InputError(f"degenerate fit: need two distinct deltas, got {deltas}")
     if check_hypotheses:
         t = space.traits
         qs = [q] if q is not None else sorted(t.pi_exponents)
@@ -246,15 +224,6 @@ def blowup_probe(space: SpaceSpec, p: float, R: float, deltas, cap_fn,
         if not math.isinf(space.diameter) and R >= space.diameter:
             raise ApplicabilityError("mu(X \\ B_R) > 0")
     values = [cap_fn(AnnulusSpec(R - d, R)) for d in deltas]
-    arr = np.array(values)
-    if np.all(arr == 0.0):
-        return BlowupReport(tuple(deltas), tuple(values), increasing=False,
-                            divergence_slope=None, verdict="NO-BLOWUP")
-    increasing = bool(np.all(np.diff(arr) > 0))
+    increasing = all(b > a for a, b in zip(values, values[1:]))
     blow = increasing and values[0] > 0 and values[-1] / values[0] >= 1e3
-    slope = None
-    if np.all(arr > 0):
-        slope = _loglog_fit(np.log(deltas), np.log(arr))[0]
-    return BlowupReport(tuple(deltas), tuple(values), increasing=increasing,
-                        divergence_slope=slope,
-                        verdict="BLOWUP" if blow else "NO-BLOWUP")
+    return BlowupReport(tuple(deltas), tuple(values), "BLOWUP" if blow else "NO-BLOWUP")

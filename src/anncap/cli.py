@@ -95,36 +95,28 @@ def _write_rows(stream, rows) -> None:
     writer.writerows(_plain(rows))
 
 
-# --n when omitted; the other spaces fix their dimension and reject --n
-_DEFAULT_N = {"rn": 2, "buckley": 1, "bowtie": 2}
+# --space kind: (the option it needs, --n when omitted, its gallery maker of
+# (that option's value, n)); a kind without a default --n fixes its dimension
+# and rejects --n
+_SPACES = {
+    "rn": (None, 2, lambda _, n: make_rn_unweighted(n)),
+    "buckley": ("eta", 1, make_buckley),
+    "summed-buckley": ("eta", None, lambda eta, _: make_summed_buckley(eta)),
+    "bowtie": ("alpha", 2, make_bowtie),
+    "snake": (None, None, lambda *_: make_snake()),
+    "halfline": ("kind", None, lambda kind, _: make_halfline(HalfLineKind(kind))),
+}
 
 
 def _space_from_args(ns) -> SpaceSpec:
-    kind = ns.space
-    if ns.n is not None and kind not in _DEFAULT_N:
-        raise InputError(f"--n applies to --space {', '.join(_DEFAULT_N)}, not {kind}")
-    n = _DEFAULT_N.get(kind) if ns.n is None else ns.n
-    if kind == "rn":
-        return make_rn_unweighted(n).space
-    if kind == "buckley":
-        if ns.eta is None:
-            raise InputError("--space buckley needs --eta")
-        return make_buckley(ns.eta, n).space
-    if kind == "summed-buckley":
-        if ns.eta is None:
-            raise InputError("--space summed-buckley needs --eta")
-        return make_summed_buckley(ns.eta).space
-    if kind == "bowtie":
-        if ns.alpha is None:
-            raise InputError("--space bowtie needs --alpha")
-        return make_bowtie(ns.alpha, n).space
-    if kind == "snake":
-        return make_snake().space
-    if kind == "halfline":
-        if ns.kind is None:
-            raise InputError("--space halfline needs --kind")
-        return make_halfline(HalfLineKind(ns.kind)).space
-    raise InputError(f"unknown space {kind!r}")
+    option, default_n, make = _SPACES[ns.space]
+    if ns.n is not None and default_n is None:
+        dims = ", ".join(kind for kind, row in _SPACES.items() if row[1] is not None)
+        raise InputError(f"--n applies to --space {dims}, not {ns.space}")
+    value = None if option is None else getattr(ns, option)
+    if option is not None and value is None:
+        raise InputError(f"--space {ns.space} needs --{option}")
+    return make(value, default_n if ns.n is None else ns.n).space
 
 
 def _cmd_cap(ns) -> int:
@@ -216,8 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_space_args(p):
-        p.add_argument("--space", required=True,
-                       choices=["rn", "buckley", "summed-buckley", "bowtie", "snake", "halfline"])
+        p.add_argument("--space", required=True, choices=list(_SPACES))
         p.add_argument("--n", type=int, help="dimension (default: rn 2, buckley 1, bowtie 2)")
         p.add_argument("--eta", type=_finite_float)
         p.add_argument("--alpha", type=_finite_float)

@@ -42,7 +42,7 @@ JUMP_MASS_SLOPE = -0.05      # log2(local increment) per refinement
 TAIL_DECAY_SLOPE = -0.04     # log ratio per log rho at the far end
 HEAD_BLOWUP_SLOPE = -0.5     # log ratio per log rho at the near end
 HEAD_BLOWUP_LEVEL = 8.0      # ratio magnitude that counts as blowing up
-REVERSE_DOUBLING_GAMMA = 1.2
+REVERSE_DOUBLING_GAMMA = 1.2  # smallest mu(B_2r) / mu(B_r) that counts as uniformly above 1
 DOUBLING_BOUND = 100.0       # largest mu(B_2r) / mu(B_r) that counts as bounded
 ONE_AD_GRID = 64             # intervals of the coarsest 1-AD grid
 ONE_AD_LEVELS = 4            # grids, each halving the step of the one before
@@ -73,7 +73,6 @@ class OneAdReport:
 @dataclass(frozen=True)
 class ReverseDoublingReport:
     min_ratio: float
-    max_ratio: float
     worst_r: float
     uniform: bool
 
@@ -242,25 +241,18 @@ def check_one_ad(space: SpaceSpec, rho_range: tuple[float, float]) -> OneAdRepor
     )
 
 
-def check_reverse_doubling(space: SpaceSpec, tau: float, radii,
+def check_reverse_doubling(space: SpaceSpec, radii,
                            measures: FamilyMeasures | None = None) -> ReverseDoublingReport:
-    """min over the family of mu(B_{tau r}) / mu(B_r) and whether it stays
-    uniformly above 1 (operationalized as >= 1.2).
+    """min over the family of mu(B_2r) / mu(B_r) and whether it stays
+    uniformly above 1 (at least REVERSE_DOUBLING_GAMMA).
 
     Ball volumes come from measures (one per call by default), so each
-    distinct radius of {r} and {tau r} is computed once; pass the table of
+    distinct radius of {r} and {2r} is computed once; pass the table of
     a check_doubling call on the same space to reuse its volumes.
     """
-    if not (tau > 1):
-        raise InputError(f"need tau > 1, got {tau}")
     ball = (measures or FamilyMeasures(space)).ball
-    ratios = []
-    for r in radii:
-        ratios.append((ball(tau * r) / ball(r), r))
-    worst, worst_r = min(ratios)
-    best = max(q for q, _ in ratios)
-    return ReverseDoublingReport(min_ratio=float(worst), max_ratio=float(best),
-                                 worst_r=float(worst_r),
+    worst, worst_r = min((ball(2.0 * r) / ball(r), r) for r in radii)
+    return ReverseDoublingReport(min_ratio=float(worst), worst_r=float(worst_r),
                                  uniform=worst >= REVERSE_DOUBLING_GAMMA)
 
 

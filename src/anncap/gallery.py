@@ -92,17 +92,16 @@ def _thin_annuli(R, j_hi=12):
 
 
 def make_rn_unweighted(n: int = 2) -> GalleryEntry:
-    geometry = RadialRn(n)  # validates n before 2^n is formed
     traits = TraitSet(
         pi_exponents=frozenset({1.0}),
         pi_global=True,
         doubling=True,
         globally_doubling=True,
-        reverse_doubling=(2.0, 2.0**n),
-        corkscrew_a=0.5,
+        reverse_doubling=True,
+        corkscrew=True,
         ad_eta=1.0,
     )
-    space = SpaceSpec(geometry, Constant(), traits=traits, name=f"rn-unweighted-{n}")
+    space = SpaceSpec(RadialRn(n), Constant(), traits=traits, name=f"rn-unweighted-{n}")
     return GalleryEntry(
         name=space.name, space=space, pi_sharp_q="q-Poincare inequality for every q >= 1",
         claims=("nice-case-envelope",),
@@ -124,8 +123,8 @@ def _a1_entry(eta: float, make_space, claims, one_ad_range) -> GalleryEntry:
         pi_global=True,
         doubling=True,
         globally_doubling=True,
-        reverse_doubling=(2.0, 1.3),
-        corkscrew_a=0.5,
+        reverse_doubling=True,
+        corkscrew=True,
         ad_eta=eta,
     )
     space = make_space(traits)
@@ -151,18 +150,18 @@ def make_buckley(eta: float, n: int = 1) -> GalleryEntry:
 DEFAULT_SUMMED_TERMS = ((1.0, 1.0), (2.0, 0.5), (4.0, 0.25))
 
 
-def make_summed_buckley(eta: float, terms=DEFAULT_SUMMED_TERMS) -> GalleryEntry:
+def make_summed_buckley(eta: float) -> GalleryEntry:
     return _a1_entry(
         eta,
-        lambda traits: SpaceSpec(RadialRn(1), SummedBuckley(eta, tuple(terms)), traits=traits,
-                                 name=f"summed-buckley-{eta}"),
+        lambda traits: SpaceSpec(RadialRn(1), SummedBuckley(eta, DEFAULT_SUMMED_TERMS),
+                                 traits=traits, name=f"summed-buckley-{eta}"),
         claims=("eta-ad-at-singularities",),
         one_ad_range=(0.1, 4.0),
     )
 
 
 def make_bowtie(alpha: float, n: int = 2) -> GalleryEntry:
-    geometry = BowTie(n, alpha)  # validates alpha > -n before the traits use n + alpha
+    geometry = BowTie(n, alpha)  # refuses alpha <= -n before TraitSet checks ad_eta
     m = n + alpha
     traits = TraitSet(
         pi_exponents=frozenset({1.0}) if m <= 1.0 else frozenset(),
@@ -170,8 +169,8 @@ def make_bowtie(alpha: float, n: int = 2) -> GalleryEntry:
         pi_global=True,
         doubling=True,
         globally_doubling=True,
-        reverse_doubling=(2.0, 2.0 ** min(m, 1.0)),  # min(2^m, 2) without overflow
-        corkscrew_a=0.25,
+        reverse_doubling=True,
+        corkscrew=True,
         ad_eta=min(1.0, m),
     )
     space = SpaceSpec(geometry, traits=traits, name=f"bowtie-{n}d-alpha-{alpha}")
@@ -191,8 +190,8 @@ def make_snake() -> GalleryEntry:
         pi_global=True,
         doubling=True,
         globally_doubling=True,
-        reverse_doubling=(2.0, 1.5),
-        corkscrew_a=None,  # thin annuli reduce to a single path; corkscrew fails
+        reverse_doubling=True,
+        corkscrew=False,  # thin annuli reduce to a single path
         ad_eta=None,
     )
     space = SpaceSpec(Snake(), traits=traits, name="snake")
@@ -227,7 +226,7 @@ def make_halfline(kind: HalfLineKind) -> GalleryEntry:
         radii = tuple(np.geomspace(0.5, 64.0, 12))
     elif kind is HalfLineKind.EXP_INV_OVER_X_SQ:
         traits = TraitSet(pi_exponents=frozenset({1.0}), doubling=False,
-                          reverse_doubling=(2.0, 2.0), ad_eta=None)
+                          reverse_doubling=True, ad_eta=None)
         claims = ("doubling-fails",)
         families = ((0.4, _thin_family(0.4)),)
         one_ad_range = (0.02, 2.0)
@@ -316,13 +315,9 @@ def _check_doubling(entry: GalleryEntry, probes: _Probes):
 
 
 def _check_reverse_doubling(entry: GalleryEntry, probes: _Probes):
-    declared = entry.space.traits.reverse_doubling
-    tau = 2.0 if declared is None else declared[0]
-    radii = entry.check_radii
-    if not math.isinf(entry.space.diameter):
-        radii = tuple(r for r in radii if tau * r <= entry.space.diameter)
-    rep = check_reverse_doubling(entry.space, tau, radii, measures=probes.balls)
-    claimed = declared is not None
+    radii = tuple(r for r in entry.check_radii if 2.0 * r <= entry.space.diameter)
+    rep = check_reverse_doubling(entry.space, radii, measures=probes.balls)
+    claimed = entry.space.traits.reverse_doubling
     return rep.uniform == claimed, (f"min ratio {rep.min_ratio:.4g} at r={rep.worst_r:.4g}; "
                                     f"uniform {rep.uniform} (claimed {claimed})")
 
@@ -522,7 +517,7 @@ def gallery_manifest() -> dict:
             "expected": {
                 "ad_eta": t.ad_eta,
                 "one_ad": t.ad_eta == 1.0,
-                "reverse_doubling": t.reverse_doubling is not None,
+                "reverse_doubling": t.reverse_doubling,
                 "doubling": t.doubling,
                 "pi_sharp_q": e.pi_sharp_q,
             },

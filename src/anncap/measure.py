@@ -11,6 +11,7 @@ form on the panels at the pinch.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -324,10 +325,10 @@ def mu_annulus(space: SpaceSpec, ann: AnnulusSpec) -> float:
 
 
 class FamilyMeasures:
-    """mu(B_rho) and mu(ann) of one space for the length of one
-    computation over a family: each distinct radius or annulus is computed
-    once, by mu_ball or mu_annulus, on first use, so every value is the
-    one those functions return.
+    """ball(rho) = mu(B_rho) and annulus(ann) = mu(ann) of one space for the
+    length of one computation over a family: each distinct radius or
+    annulus is computed once, by mu_ball or mu_annulus, on first use, so
+    every value is the one those functions return.
 
     A table lives as long as the computation that made it (one
     verify_envelope call, say) and is not kept beyond it, so repeated
@@ -335,20 +336,8 @@ class FamilyMeasures:
     """
 
     def __init__(self, space: SpaceSpec):
-        self.space = space
-        self._balls: dict[float, float] = {}
-        self._annuli: dict[tuple[float, float], float] = {}
-
-    def ball(self, rho: float) -> float:
-        if rho not in self._balls:
-            self._balls[rho] = mu_ball(self.space, rho)
-        return self._balls[rho]
-
-    def annulus(self, ann: AnnulusSpec) -> float:
-        key = (ann.r, ann.R)
-        if key not in self._annuli:
-            self._annuli[key] = mu_annulus(self.space, ann)
-        return self._annuli[key]
+        self.ball = functools.cache(functools.partial(mu_ball, space))
+        self.annulus = functools.cache(functools.partial(mu_annulus, space))
 
 
 def volume_profile(space: SpaceSpec, rho) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 A SpaceSpec bundles a geometry (radial R^n, half-line, snake, bow-tie), a
 weight and a TraitSet of *declared* analytic properties (Poincare
-exponents, doubling, reverse-doubling, corkscrew constant) at the center.
+exponents, doubling, reverse-doubling, corkscrew) at the center.
 The geometry fixes the center: the bow-tie's tip (-1, 0, ..., 0), and the
 origin for every other geometry.
 Traits are metadata transcribed from known statements about each space;
@@ -105,10 +105,10 @@ class TraitSet:
         for every q strictly above this value (the bow-tie's open range).
     pi_global / globally_doubling: whether the declaration is global
         rather than only at the center.
-    reverse_doubling: (tau, gamma) with mu(B_{tau r}) >= gamma mu(B_r).
+    reverse_doubling: whether mu(B_2r) >= gamma mu(B_r) for some gamma > 1.
+    corkscrew: whether the thin-annulus corkscrew condition holds.
     ad_eta: declared annular-decay exponent at the center, None if no AD
         property holds.
-    corkscrew_a: the constant of the thin-annulus corkscrew condition.
     """
 
     pi_exponents: frozenset = frozenset()
@@ -116,8 +116,8 @@ class TraitSet:
     pi_global: bool = False
     doubling: bool = False
     globally_doubling: bool = False
-    reverse_doubling: tuple[float, float] | None = None
-    corkscrew_a: float | None = None
+    reverse_doubling: bool = False
+    corkscrew: bool = False
     ad_eta: float | None = None
 
     def __post_init__(self):
@@ -125,12 +125,6 @@ class TraitSet:
         for q in self.pi_exponents:
             if q < 1:
                 raise InputError(f"Poincare exponents must satisfy q >= 1, got {q}")
-        if self.reverse_doubling is not None:
-            tau, gamma = self.reverse_doubling
-            if not (tau > 1 and gamma > 1):
-                raise InputError("reverse_doubling needs tau > 1 and gamma > 1")
-        if self.corkscrew_a is not None and not (0 < self.corkscrew_a <= 1):
-            raise InputError("corkscrew_a must lie in (0, 1]")
         if self.ad_eta is not None and not (0 < self.ad_eta <= 1):
             raise InputError("declared ad_eta must lie in (0, 1]")
 

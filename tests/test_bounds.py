@@ -1,14 +1,12 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from anncap import measure
 from anncap.bounds import (
     BOUND_TABLE,
-    MU_ANNULUS,
-    MU_BALL_R,
-    MU_BALL_r,
     BoundId,
     BoundSpec,
     blowup_probe,
@@ -176,8 +174,8 @@ def test_blowup_probe_halfline():
     rep = blowup_probe(space, 2.0, 1.0, deltas,
                        lambda a: cap_radial_weighted(space, 2.0, a).value, q=1.0)
     assert rep.verdict == "BLOWUP"
-    assert rep.increasing
-    assert rep.divergence_slope == pytest.approx(-1.0, abs=0.01)
+    slope = np.polyfit(np.log(rep.deltas), np.log(rep.values), 1)[0]
+    assert slope == pytest.approx(-1.0, abs=0.01)
 
 
 def test_blowup_probe_gating():
@@ -195,8 +193,6 @@ def test_blowup_probe_degenerate_zeroes():
                       traits=TraitSet(pi_exponents=frozenset({1.0})))
     rep = blowup_probe(space, 2.0, 1.0, [0.5, 0.25, 0.125], lambda a: 0.0, q=1.0)
     assert rep.verdict == "NO-BLOWUP"
-    assert not rep.increasing
-    assert rep.divergence_slope is None
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +206,6 @@ _FAMILY = [AnnulusSpec(1.0 - 2.0**-j, 1.0) for j in range(2, 13)]  # 11 thin ann
 def test_every_bound_has_one_table_row():
     assert set(BOUND_TABLE) == set(BoundId)
     assert len(BOUND_TABLE) == len(BoundId)
-    for row in BOUND_TABLE.values():
-        assert set(row.measures) <= {MU_BALL_R, MU_BALL_r, MU_ANNULUS}
 
 
 def _count_measures(monkeypatch):

@@ -136,17 +136,14 @@ def test_check_one_ad_validation():
 
 
 def test_reverse_doubling_exact():
-    rep = check_reverse_doubling(RN2, 2.0, [0.25, 1.0, 3.0])
+    rep = check_reverse_doubling(RN2, [0.25, 1.0, 3.0])
     assert rep.min_ratio == pytest.approx(4.0, rel=1e-10)
-    assert rep.max_ratio == pytest.approx(4.0, rel=1e-10)
     assert rep.uniform
-    with pytest.raises(InputError):
-        check_reverse_doubling(RN2, 1.0, [1.0])
 
 
 def test_reverse_doubling_fails_on_exp_decay():
     space = make_halfline(HalfLineKind.EXP_DECAY).space
-    rep = check_reverse_doubling(space, 2.0, [4.0, 16.0, 64.0])
+    rep = check_reverse_doubling(space, [4.0, 16.0, 64.0])
     assert not rep.uniform
     assert rep.worst_r == 64.0
 
@@ -180,7 +177,7 @@ def test_doubling_probes_take_each_radius_once(monkeypatch):
     table = FamilyMeasures(RN2)
     check_doubling(RN2, family, measures=table)
     radii.clear()
-    rep = check_reverse_doubling(RN2, 2.0, family, measures=table)
+    rep = check_reverse_doubling(RN2, family, measures=table)
     assert not radii  # every volume came from the doubling probe's table
     assert rep.min_ratio == worst
 

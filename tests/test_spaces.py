@@ -58,10 +58,6 @@ def test_traitset_validation():
     with pytest.raises(InputError):
         TraitSet(pi_exponents={0.5})
     with pytest.raises(InputError):
-        TraitSet(reverse_doubling=(0.5, 2.0))
-    with pytest.raises(InputError):
-        TraitSet(corkscrew_a=1.5)
-    with pytest.raises(InputError):
         TraitSet(ad_eta=1.5)
 
 
