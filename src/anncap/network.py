@@ -21,8 +21,20 @@ u = 0), and walks each maximal run of free degree-2 vertices in one piece
 from the end it reaches first. Each run becomes one edge of its series
 conductance k_min (sum_e (k_min / k_e)^(1/(p-1)))^-(p-1), evaluated in this
 scaled form so that nothing overflows as p nears 1; its p -> 1 limit, used
-at p = 1, is k_min, exact since a min of floats is exact. A chain leaves a
-single inner-outer edge; the h = 1/256 bow-tie leaves a core of 512 nodes.
+at p = 1, is k_min, exact since a min of floats is exact. The h = 1/256
+bow-tie leaves a core of 512 nodes.
+
+A chain leaves a single inner-outer edge, and is told apart before any of
+this: its K + 1 crossing edges are already the path inner plate, node 0,
+..., node K - 1, outer plate, in edge order, as every radial and snake
+chain's are between condenser plates. Its series law is then read off the
+edge list: k_min, the ratios, and one cumsum for the total and each
+vertex's drop; at p = 1 one cumsum of the edges that tie at k_min places
+the cut. No parallel merge, graph or search runs. The bits are those of
+the general path, which sums the ratios in merged-edge order, e1, e0, e2,
+..., unlike the path order only in its first addition, and walks the run
+with the same cumsum. Any other network, such as a chain with a parallel,
+reversed or floating edge, takes the general path.
 
 On the core, p = 2 is an exact linear solve and p in (1, inf) \\ {2} a
 damped Newton descent on the strictly convex energy; a core with no free
@@ -102,7 +114,10 @@ class DiscreteNetwork:
         for name in ("lengths", "masses"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.radii is not None:
-            object.__setattr__(self, "radii", np.asarray(self.radii, dtype=float))
+            r = np.asarray(self.radii, dtype=float)
+            object.__setattr__(self, "radii", r)
+            if r.shape != (n,) or (n and not 0 <= r.min() <= r.max() < math.inf):
+                raise InputError(f"radii must be 1-D of length {n}, finite and >= 0")
         i, j = self.edge_i, self.edge_j
         arrays = (i, j, self.lengths, self.masses)
         if any(x.ndim != 1 for x in arrays) or len({len(x) for x in arrays}) > 1:
@@ -444,13 +459,49 @@ def _merge_parallel(a, b, c, nodes):
     return lo[edge], hi[edge], cond, tail, head, edge_of[src]
 
 
+def _ratios(cmin, c, p):
+    """Each edge's (cmin / c)^(1/(p-1)), its share of its run's drop; 1 where
+    c is its run's cmin, so that no 0 / 0 or inf / inf is formed."""
+    ratio = np.divide(cmin, c, out=np.ones(len(c)), where=c != cmin)
+    ratio **= 1.0 / (p - 1.0)
+    return ratio
+
+
+def _series(k, p):
+    """The one-edge core of a chain whose conductances k run in order from
+    the inner plate to the outer, and its expand: the series law read off
+    the edge list. One cumsum gives the total and every vertex's drop."""
+    kmin = k.min(keepdims=True)
+    if p == 1:
+        w = kmin
+        cuts = np.cumsum(k == kmin)  # the least-conductance edges so far
+    else:
+        drop = np.cumsum(_ratios(kmin, k, p))
+        w = kmin * drop[-1:] ** (1.0 - p)
+
+    def expand(core_u):
+        ua, ub = core_u
+        if p == 1:  # the inner side up to the last cut, the outer past it
+            u = np.where(cuts[:-1] < cuts[-1], ua, ub)
+        else:
+            u = ua - (ua - ub) * (drop[:-1] / drop[-1])
+        return np.r_[u, core_u]
+
+    return _Edges(2, np.array([0]), np.array([1]), np.ones(1), w), expand
+
+
 def _reduce(net, bc, p):
     """The core (module docstring) of a network. Returns the crossing edges
     on the compact nodes (the vertices they touch, in their order, then the
     inner and the outer plate), their conductances k, the core (its plates
     last, its other nodes in their order), the map from a potential on the
     core to one on the compact nodes, and the vertices of all but the last
-    two compact nodes. A run back to its own start is dropped."""
+    two compact nodes. A run back to its own start is dropped.
+
+    A chain, whose crossing edges are the path inner plate -> node 0 -> ...
+    -> outer plate in edge order, goes to `_series`, which gives the same
+    bits: the general path adds the same ratios in the same order but for
+    its first addition, which commutes."""
     from scipy.sparse import csgraph, csr_matrix
 
     n = net.num_vertices
@@ -478,6 +529,10 @@ def _reduce(net, bc, p):
         node[x[on]] = px[on] + np.int64(nodes - 3)
     sub = _Edges(nodes, node[a], node[b], net.lengths[cross], net.masses[cross])
     k = sub.masses / sub.lengths**p
+    if len(k) == nodes - 1:  # a chain: its edges are the path through its nodes in order
+        path = np.r_[nodes - 2, np.arange(nodes - 2), nodes - 1]
+        if np.array_equal(sub.edge_i, path[:-1]) and np.array_equal(sub.edge_j, path[1:]):
+            return (sub, k, *_series(k, p), keep)
     lo, hi, c, tail, heads, arc_edge = _merge_parallel(sub.edge_i, sub.edge_j, k, nodes)
     # one search from the inner plate finds the nodes joined to a plate and
     # walks each run of free degree-2 nodes in one piece, from the end it
@@ -528,9 +583,7 @@ def _reduce(net, bc, p):
     if p == 1:
         k_run = cmin[:-1]
     else:
-        cm = cmin[run]
-        ratio = np.divide(cm, c, out=np.ones(len(c)), where=c != cm)
-        ratio **= 1.0 / (p - 1.0)
+        ratio = _ratios(cmin[run], c, p)
         total = np.bincount(run, ratio, runs + 1)[:-1]
         k_run = cmin[:-1] * total ** (1.0 - p)
     rest = np.flatnonzero((run == runs) & reached[lo])

@@ -493,22 +493,30 @@ def test_series_reduction_matches_dense_references(seed):
 @pytest.mark.parametrize("p", [1.01, 1.001])
 def test_near_one_chain_matches_the_series_law(p):
     # (sum_e k_e^(-1/(p-1)))^-(p-1) in 50 digits; in floats k_e^(-1/(p-1))
-    # leaves the range for conductances spread over 1e-6..1e6
+    # leaves the range for conductances spread over 1e-6..1e6. One edge is
+    # a chain of adjacent plates, two a chain of one free vertex
     mpmath = pytest.importorskip("mpmath")
-    k = 10.0 ** np.random.default_rng(5).uniform(-6.0, 6.0, 200)
-    net = _series_net(np.ones(len(k)), k)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rep = solve_p_energy(net, BoundaryCondition(inner=[0], outer=[len(k)]), p)
-    with mpmath.workdps(50):
-        q = 1 / (mpmath.mpf(p) - 1)
-        law = mpmath.fsum(mpmath.mpf(float(x)) ** -q for x in k) ** (1 - mpmath.mpf(p))
-        assert abs(rep.energy - law) <= 1e-12 * law
+    for edges in (1, 2, 200):
+        k = 10.0 ** np.random.default_rng(5).uniform(-6.0, 6.0, edges)
+        net = _series_net(np.ones(len(k)), k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve_p_energy(net, BoundaryCondition(inner=[0], outer=[len(k)]), p)
+        with mpmath.workdps(50):
+            q = 1 / (mpmath.mpf(p) - 1)
+            law = mpmath.fsum(mpmath.mpf(float(x)) ** -q for x in k) ** (1 - mpmath.mpf(p))
+            assert abs(rep.energy - law) <= 1e-12 * law, edges
 
 
-def test_chains_reach_no_newton_iteration():
-    # the benchmark's chains reduce to one plate-to-plate edge: a return to
-    # iterating on them fails here
+def _unreachable(*args):
+    raise AssertionError("a builder chain reached the general reduction")
+
+
+def test_chains_reach_no_newton_iteration(monkeypatch):
+    # the benchmark's chains reduce to one plate-to-plate edge, read off
+    # their edge lists: a return to the parallel merge, or to iterating on
+    # them, fails here
+    monkeypatch.setattr(network, "_merge_parallel", _unreachable)
     cases = []
     for space, d in itertools.product((RN2, make_buckley(0.5).space,
                                        make_summed_buckley(0.5).space), (0.375, 0.4, 0.425)):
@@ -520,6 +528,63 @@ def test_chains_reach_no_newton_iteration():
         cases += [(net, condenser_bc(net, r, R), p) for p in (1.5, 2.0, 3.0)]
     for net, bc, p in cases:
         assert solve_p_energy(net, bc, p).iterations <= 1, p
+
+
+def _near_chain(variant):
+    """A radial chain of 17 vertices with plates of two, and the same chain
+    changed as variant says, so that it is no longer the path through its
+    nodes in edge order."""
+    chain = build_radial_network(_BUCKLEY, 0.5, 1.5, 16)
+    n, ei, ej = chain.num_vertices, chain.edge_i.copy(), chain.edge_j.copy()
+    lengths, masses = chain.lengths, chain.masses
+    if variant == "reversed":
+        ei, ej, lengths, masses = ei[::-1], ej[::-1], lengths[::-1], masses[::-1]
+    elif variant == "swapped":  # one edge's ends
+        ei[7], ej[7] = ej[7], ei[7]
+    elif variant == "branch":  # vertex 7 left as a leaf off vertex 6
+        ei[7] = 6
+    elif variant == "shuffled":  # free vertices numbered out of path order
+        label = np.arange(n)
+        label[5:9] = [7, 5, 8, 6]
+        ei, ej = label[ei], label[ej]
+    elif variant == "parallel":
+        ei, ej = np.r_[ei, 6], np.r_[ej, 7]
+        lengths, masses = np.r_[lengths, 0.1], np.r_[masses, 0.3]
+    elif variant == "floating":  # a triangle touching neither plate
+        ei, ej = np.r_[ei, n, n + 1, n + 2], np.r_[ej, n + 1, n + 2, n]
+        lengths, masses = np.r_[lengths, 1.0, 1.0, 1.0], np.r_[masses, 1.0, 2.0, 3.0]
+        n += 3
+    net = DiscreteNetwork(num_vertices=n, edge_i=ei, edge_j=ej, lengths=lengths, masses=masses)
+    return chain, net, condenser_bc(chain, 0.6, 1.4)
+
+
+@pytest.mark.parametrize("variant",
+                         ["reversed", "swapped", "shuffled", "branch", "parallel", "floating"])
+def test_near_chains_take_the_general_path(monkeypatch, variant):
+    chain, net, bc = _near_chain(variant)
+    merges = []
+    merge = network._merge_parallel
+    monkeypatch.setattr(network, "_merge_parallel", lambda *args: merges.append(1) or merge(*args))
+    for p in (1.0, 1.1, 1.5, 2.0, 3.0):
+        merges.clear()
+        if variant == "branch" and p == 1:  # the leaf and its stem stay in the core
+            with pytest.raises(DomainError, match="free vertices"):
+                solve_p_energy(net, bc, p)
+            assert merges
+            continue
+        rep = solve_p_energy(net, bc, p, tol=1e-12)
+        assert merges, p
+        if variant not in ("branch", "parallel"):  # the same network, up to rounding
+            own = solve_p_energy(chain, bc, p, tol=1e-12)
+            assert rep.energy == pytest.approx(own.energy, rel=1e-14, abs=0), p
+            assert (rep.iterations, rep.stop_reason) == (own.iterations, own.stop_reason), p
+        if variant in ("branch", "parallel", "floating") and p > 1:
+            ref_net = chain if variant == "floating" else net  # a triangle at u = 0 adds nothing
+            ref = (network._energy(ref_net, _dense_p2(ref_net, bc), p) if p == 2
+                   else _dense_newton(ref_net, bc, p))
+            assert rep.energy == pytest.approx(ref, rel=1e-9), p
+        if variant == "floating":
+            assert np.all(rep.potential[chain.num_vertices:] == 0.0)
 
 
 def test_radial_network_oracle():
@@ -678,6 +743,11 @@ def test_nan_lengths_and_masses_are_rejected(field):
 _BUCKLEY = make_buckley(0.5).space
 
 
+def _unit_chain_with_radii(radii):
+    return DiscreteNetwork(num_vertices=3, edge_i=[0, 1], edge_j=[1, 2], lengths=[1.0, 1.0],
+                           masses=[1.0, 1.0], radii=radii)
+
+
 @pytest.mark.parametrize("call, error", [
     (lambda: build_bowtie_grid(0.5, 0.0), InputError),
     (lambda: build_bowtie_grid(0.5, math.nan), InputError),
@@ -706,11 +776,17 @@ _BUCKLEY = make_buckley(0.5).space
                             BoundaryCondition(inner=[0], outer=[3]), 2.0), InputError),
     (lambda: solve_p_energy(_series_net([1.0, 1.0], [1.0, 1.0]),
                             BoundaryCondition(inner=[-1], outer=[0]), 2.0), InputError),
+    (lambda: _unit_chain_with_radii([0.0, 1.0]), InputError),
+    (lambda: _unit_chain_with_radii([0.0, 1.0, 2.0, 3.0]), InputError),
+    (lambda: _unit_chain_with_radii([0.0, math.nan, 2.0]), InputError),
+    (lambda: _unit_chain_with_radii([0.0, -1.0, 2.0]), InputError),
+    (lambda: _unit_chain_with_radii([[0.0], [1.0], [2.0]]), InputError),
 ], ids=["bowtie-h0", "bowtie-h-nan", "bowtie-h-negative", "snake-cells-nan", "snake-cells-inf",
         "radial-N-float", "radial-r-hi-inf", "solve-tol-nan", "mu-ball-inf", "mu-annulus-inf",
         "cap-auto-inf", "one-ad-inf", "doubling-inf", "network-endpoint-float",
         "network-count-float", "network-count-float64", "network-arrays-ragged", "plate-float",
-        "plate-past-last", "plate-negative"])
+        "plate-past-last", "plate-negative", "radii-short", "radii-long", "radii-nan",
+        "radii-negative", "radii-2d"])
 def test_invalid_inputs_are_typed_errors(call, error):
     with pytest.raises(error):
         call()
@@ -930,9 +1006,24 @@ _PINS = [
 ]
 
 
-@pytest.mark.parametrize("case, p, energy, kkt, iterations, reason, sha", _PINS,
-                         ids=[f"{row[0]}-p{row[1]}" for row in _PINS])
-def test_reports_are_pinned_bit_for_bit(case, p, energy, kkt, iterations, reason, sha):
+# the snake at the other p of the radial rows, recorded before a chain's
+# series law was read off its edge list
+_SNAKE_PINS = [
+    ("snake", 1.0, "1", "0", 0, "min-cut",
+     "cb30fd1fa7c973147884f1a987727e12a45cbadbca2cea5fcd9c89ea985fba11"),
+    ("snake", 1.1, "0.72410835178497446", "5.5511151231257827e-15", 1, "gradient",
+     "3b93dcb39252bdf8cc77aa12518a6f5e505308a008e365916de45de9bb35c92a"),
+    ("snake", 2.0, "0.039631048839904155", "5.5372373353179682e-15", 1, "linear-solve",
+     "3b93dcb39252bdf8cc77aa12518a6f5e505308a008e365916de45de9bb35c92a"),
+]
+
+
+@pytest.mark.parametrize("case, p, energy, kkt, iterations, reason, sha", _PINS + _SNAKE_PINS,
+                         ids=[f"{row[0]}-p{row[1]}" for row in _PINS + _SNAKE_PINS])
+def test_reports_are_pinned_bit_for_bit(monkeypatch, case, p, energy, kkt, iterations, reason,
+                                        sha):
+    if case in ("rn-2", "buckley-0.5", "summed-buckley-0.5", "snake"):  # builder chains
+        monkeypatch.setattr(network, "_merge_parallel", _unreachable)
     if energy is DomainError:
         with pytest.raises(DomainError, match="free vertices"):
             _pin_report(case, p)
