@@ -1,6 +1,9 @@
 import collections
+import dataclasses
 import json
 import pathlib
+
+import pytest
 
 from anncap import gallery, measure
 from anncap.cli import run
@@ -13,6 +16,7 @@ from anncap.gallery import (
     make_halfline,
     make_rn_unweighted,
     make_snake,
+    make_summed_buckley,
     verify_expectations,
 )
 from anncap.weights import HalfLineKind
@@ -133,3 +137,33 @@ def test_claims_share_the_envelope_and_the_trend_they_both_read(monkeypatch):
         verdicts = verify_expectations(make_halfline(kind))
         assert {"one-ad", "condition-d-fails"} <= {v.claim for v in verdicts}
         assert calls["check_one_ad"] == 1, kind
+
+
+# dataclasses.astuple(traits), field by field: pi_exponents, pi_open_infimum,
+# pi_global, doubling, globally_doubling, reverse_doubling, corkscrew, ad_eta
+_RN_TRAITS = (frozenset({1.0}), None, True, True, True, True, True, 1.0)
+_HALFLINE_AD1_TRAITS = (frozenset({1.0}), None, False, True, False, False, False, 1.0)
+
+
+@pytest.mark.parametrize("make, traits", [
+    (lambda: make_rn_unweighted(2), _RN_TRAITS),
+    (lambda: make_buckley(0.5), _RN_TRAITS[:-1] + (0.5,)),
+    (lambda: make_summed_buckley(0.5), _RN_TRAITS[:-1] + (0.5,)),
+    (lambda: make_bowtie(-0.5), (frozenset(), 1.5, True, True, True, True, True, 1.0)),
+    (lambda: make_bowtie(0.5), (frozenset(), 2.5, True, True, True, True, True, 1.0)),
+    (make_snake, (frozenset({1.0}), None, True, True, True, True, False, None)),
+    (lambda: make_halfline(HalfLineKind.MIN_ONE_OVER_X), _HALFLINE_AD1_TRAITS),
+    (lambda: make_halfline(HalfLineKind.EXP_DECAY), _HALFLINE_AD1_TRAITS),
+    (lambda: make_halfline(HalfLineKind.EXP_INV_OVER_X_SQ),
+     (frozenset({1.0}), None, False, False, False, True, False, None)),
+    (lambda: make_rn_unweighted(3), _RN_TRAITS),
+    (lambda: make_buckley(0.3, 2), _RN_TRAITS[:-1] + (0.3,)),
+    (lambda: make_bowtie(-1.5), (frozenset({1.0}), 0.5, True, True, True, True, True, 0.5)),
+    (lambda: make_bowtie(0.5, 3), (frozenset(), 3.5, True, True, True, True, True, 1.0)),
+], ids=["rn-2", "buckley-0.5", "summed-buckley-0.5", "bowtie-alpha--0.5", "bowtie-alpha-0.5",
+        "snake", "min-one-over-x", "exp-decay", "exp-inv-over-x-sq", "rn-3", "buckley-0.3-n2",
+        "bowtie-alpha--1.5", "bowtie-3d-alpha-0.5"])
+def test_declared_traits_are_pinned(make, traits):
+    # every field, as recorded: the golden manifest shows only ad_eta, one-AD,
+    # doubling and reverse doubling
+    assert dataclasses.astuple(make().space.traits) == traits
