@@ -21,7 +21,7 @@ from .gallery import (_ad_bounded, _cap_slope, _nice_envelope, _pinch_probe, _th
 from .measure import mu_annulus, mu_ball
 from .network import (build_bowtie_grid, build_radial_network, build_snake_network, condenser_bc,
                       solve_p_energy)
-from .spaces import AnnulusSpec, HalfLine, RadialRn, SpaceSpec, TraitSet
+from .spaces import AnnulusSpec, HalfLine, SpaceSpec, TraitSet
 from .weights import Constant, HalfLineKind
 
 __all__ = ["CRITERIA", "run_all"]
@@ -34,7 +34,7 @@ def criterion_1():
     worst_rel = 0.0
     worst_time = 0.0
     for n in (2, 3):
-        space = SpaceSpec(RadialRn(n), Constant())
+        space = make_rn_unweighted(n).space
         for p in (1.5, 2.0, 3.0):
             for r, R in ((1.0, 2.0), (0.9, 1.0)):
                 exact = cap_rn_unweighted(n, p, AnnulusSpec(r, R)).value
@@ -52,7 +52,7 @@ def criterion_1():
 def criterion_2():
     """Thin-annulus exponent 1 - p in unweighted R^2, plus non-trending
     ratio to the nice-case estimate."""
-    space = SpaceSpec(RadialRn(2), Constant())
+    space = make_rn_unweighted(2).space
     notes = []
     ok = True
     for p in (1.5, 2.0, 3.0):
@@ -127,7 +127,7 @@ def criterion_6():
     for alpha in (-0.5, 0.5):
         entry = make_bowtie(alpha)
         target = 2.0 + alpha
-        rep = fit_annulus_decay(entry.space, 1.0, _thin_family(1.0, 2, 10))
+        rep = fit_annulus_decay(entry.space, 1.0, _thin_family(1.0, 10))
         ok = ok and abs(rep.eta_hat - target) <= 0.1
         notes.append(f"alpha={alpha}: exponent {rep.eta_hat:.4f} (target {target})")
     p = 2.5
@@ -146,12 +146,9 @@ def criterion_6():
 
 
 def criterion_7():
-    """Decay-exponent guard: eta_hat <= 1.05 on every gallery space with
-    AD probe families."""
+    """Decay-exponent guard: eta_hat <= 1.05 on every gallery space."""
     worst_name, worst = "", -math.inf
     for entry in default_gallery():
-        if not entry.ad_families:
-            continue
         rep = estimate_ad_exponent(entry.space, entry.ad_families)
         if rep.eta_hat > worst:
             worst_name, worst = entry.name, rep.eta_hat
@@ -191,7 +188,7 @@ def criterion_9():
     """p = 1 consistency: inf-cut formula vs discrete min-cut."""
     worst = 0.0
     cases = []
-    rn = SpaceSpec(RadialRn(2), Constant())
+    rn = make_rn_unweighted(2).space
     for r, R in ((1.0, 2.0), (0.7, 1.0), (2.0, 4.0)):
         cases.append((rn, AnnulusSpec(r, R)))
     buck = make_buckley(0.5).space

@@ -188,9 +188,7 @@ def check_one_ad(space: SpaceSpec, rho_range: tuple[float, float]) -> OneAdRepor
     lo, hi = rho_range
     if not (0 < lo < hi < math.inf):
         raise InputError(f"need 0 < lo < hi < inf, got {rho_range}")
-    sups, infs, lips = [], [], []
-    jump_masses = []
-    finest = None
+    sups, jump_masses = [], []
     for level in range(ONE_AD_LEVELS):
         rho = np.geomspace(lo, hi, ONE_AD_GRID * 2**level + 1)
         f = volume_profile(space, rho)
@@ -198,23 +196,20 @@ def check_one_ad(space: SpaceSpec, rho_range: tuple[float, float]) -> OneAdRepor
         mid_rho, mid_f = rho[1:-1], f[1:-1]
         ratio = mid_rho * quot / mid_f
         sups.append(float(ratio.max()))
-        infs.append(float(ratio.min()))
-        lips.append(float(quot.max()))
         cands = np.flatnonzero(ratio > JUMP_QUOTIENT_FACTOR * np.median(ratio))
         if len(cands):
             jump_masses.append(float((f[2:] - f[:-2])[cands].max()))
         else:
             jump_masses.append(None)
-        finest = (mid_rho, ratio)
     levels_idx = np.arange(ONE_AD_LEVELS)
     sup_slope, _, _ = _loglog_fit(levels_idx, np.log2(sups))
     jump = False
     if all(m is not None and m > 0 for m in jump_masses):
         mass_slope, _, _ = _loglog_fit(levels_idx, np.log2(jump_masses))
         jump = mass_slope > JUMP_MASS_SLOPE
-    mid_rho, ratio = finest
-    # Theil-Sen on the top quarter of the range: robust to the isolated
-    # spikes a singularity or jump leaves in the difference quotients
+    # mid_rho, quot and ratio are the finest level's from here on.  Theil-Sen
+    # on the top quarter of the range: robust to the isolated spikes a
+    # singularity or jump leaves in the difference quotients
     upper = slice(3 * len(mid_rho) // 4, None)
     tail_slope = _theil_sen_slope(np.log(mid_rho[upper]),
                                   np.log(np.maximum(ratio[upper], 1e-300)))
@@ -232,7 +227,7 @@ def check_one_ad(space: SpaceSpec, rho_range: tuple[float, float]) -> OneAdRepor
         sup_ratio=math.inf if jump else float(ratio.max()),
         inf_ratio=float(ratio.min()),
         jump_detected=jump,
-        lipschitz_bound=float(lips[-1]),
+        lipschitz_bound=float(quot.max()),
         sup_trend_slope=sup_slope,
         tail_slope=tail_slope,
         head_slope=head_slope,

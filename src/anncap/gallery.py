@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,117 +83,76 @@ class ClaimVerdict:
     evidence: str
 
 
-def _thin_family(R, j_lo=2, j_hi=12):
-    return tuple(R * (1.0 - 2.0**-j) for j in range(j_lo, j_hi + 1))
+def _thin_family(R, j_hi=12):
+    return tuple(R * (1.0 - 2.0**-j) for j in range(2, j_hi + 1))
 
 
 def _thin_annuli(R, j_hi=12):
-    return [AnnulusSpec(r, R) for r in _thin_family(R, 2, j_hi)]
+    return [AnnulusSpec(r, R) for r in _thin_family(R, j_hi)]
 
 
-def make_rn_unweighted(n: int = 2) -> GalleryEntry:
-    traits = TraitSet(
-        pi_exponents=frozenset({1.0}),
-        pi_global=True,
-        doubling=True,
-        globally_doubling=True,
-        reverse_doubling=True,
-        corkscrew=True,
-        ad_eta=1.0,
-    )
-    space = SpaceSpec(RadialRn(n), Constant(), traits=traits, name=f"rn-unweighted-{n}")
+# The traits of unweighted R^n.  Every space but the half-lines is declared
+# by how it departs from them.
+_RN_TRAITS = TraitSet(pi_exponents=frozenset({1.0}), pi_global=True, doubling=True,
+                      globally_doubling=True, reverse_doubling=True, corkscrew=True, ad_eta=1.0)
+
+
+def _a1_entry(name, geometry, weight, eta, pi_sharp_q, claims, one_ad_range) -> GalleryEntry:
+    """R^n with an A_1 weight of decay exponent eta (the constant weight has
+    eta = 1): the traits of unweighted R^n but for ad_eta, and the same probe
+    families."""
+    space = SpaceSpec(geometry, weight, traits=replace(_RN_TRAITS, ad_eta=eta), name=name)
     return GalleryEntry(
-        name=space.name, space=space, pi_sharp_q="q-Poincare inequality for every q >= 1",
-        claims=("nice-case-envelope",),
-        ad_families=((1.0, _thin_family(1.0)), (4.0, _thin_family(4.0))),
-        one_ad_range=(0.25, 4.0),
-        check_radii=tuple(np.geomspace(0.05, 8.0, 12)),
-    )
-
-
-def _a1_entry(eta: float, make_space, claims, one_ad_range) -> GalleryEntry:
-    """The entry of a Buckley-type A_1 weight of decay exponent eta.
-
-    Every such weight declares the same traits and is probed on the same
-    families; make_space(traits) builds the SpaceSpec once the traits have
-    checked eta.
-    """
-    traits = TraitSet(
-        pi_exponents=frozenset({1.0}),
-        pi_global=True,
-        doubling=True,
-        globally_doubling=True,
-        reverse_doubling=True,
-        corkscrew=True,
-        ad_eta=eta,
-    )
-    space = make_space(traits)
-    return GalleryEntry(
-        name=space.name, space=space,
-        pi_sharp_q="q-Poincare inequality for every q >= 1 (A_1 weight)", claims=claims,
+        name=name, space=space, pi_sharp_q=pi_sharp_q, claims=claims,
         ad_families=((1.0, _thin_family(1.0)), (4.0, _thin_family(4.0))),
         one_ad_range=one_ad_range,
         check_radii=tuple(np.geomspace(0.05, 8.0, 12)),
     )
 
 
+_A1_PI = "q-Poincare inequality for every q >= 1 (A_1 weight)"
+
+
+def make_rn_unweighted(n: int = 2) -> GalleryEntry:
+    return _a1_entry(f"rn-unweighted-{n}", RadialRn(n), Constant(), 1.0,
+                     "q-Poincare inequality for every q >= 1",
+                     ("nice-case-envelope",), (0.25, 4.0))
+
+
 def make_buckley(eta: float, n: int = 1) -> GalleryEntry:
-    return _a1_entry(
-        eta,
-        lambda traits: SpaceSpec(RadialRn(n), BuckleyEta(eta), traits=traits,
-                                 name=f"buckley-{eta}"),
-        claims=("upper-eta-sharp", "nice-case-fails"),
-        one_ad_range=(0.25, 4.0),
-    )
+    return _a1_entry(f"buckley-{eta}", RadialRn(n), BuckleyEta(eta), eta, _A1_PI,
+                     ("upper-eta-sharp", "nice-case-fails"), (0.25, 4.0))
 
 
 DEFAULT_SUMMED_TERMS = ((1.0, 1.0), (2.0, 0.5), (4.0, 0.25))
 
 
 def make_summed_buckley(eta: float) -> GalleryEntry:
-    return _a1_entry(
-        eta,
-        lambda traits: SpaceSpec(RadialRn(1), SummedBuckley(eta, DEFAULT_SUMMED_TERMS),
-                                 traits=traits, name=f"summed-buckley-{eta}"),
-        claims=("eta-ad-at-singularities",),
-        one_ad_range=(0.1, 4.0),
-    )
+    return _a1_entry(f"summed-buckley-{eta}", RadialRn(1),
+                     SummedBuckley(eta, DEFAULT_SUMMED_TERMS), eta, _A1_PI,
+                     ("eta-ad-at-singularities",), (0.1, 4.0))
 
 
 def make_bowtie(alpha: float, n: int = 2) -> GalleryEntry:
     geometry = BowTie(n, alpha)  # refuses alpha <= -n before TraitSet checks ad_eta
     m = n + alpha
-    traits = TraitSet(
-        pi_exponents=frozenset({1.0}) if m <= 1.0 else frozenset(),
-        pi_open_infimum=m,
-        pi_global=True,
-        doubling=True,
-        globally_doubling=True,
-        reverse_doubling=True,
-        corkscrew=True,
-        ad_eta=min(1.0, m),
-    )
+    # a q-Poincare inequality for q > m, and for q = 1 when m <= 1
+    pi = _RN_TRAITS.pi_exponents if m <= 1.0 else frozenset()
+    traits = replace(_RN_TRAITS, pi_exponents=pi, pi_open_infimum=m, ad_eta=min(1.0, m))
     space = SpaceSpec(geometry, traits=traits, name=f"bowtie-{n}d-alpha-{alpha}")
     return GalleryEntry(
         name=space.name, space=space,
         pi_sharp_q=f"q-Poincare inequality iff q > {m} or q = 1 >= {m}",
         claims=("measure-exponent", "cap-degenerates") if m > 1.0 else ("measure-exponent",),
-        ad_families=((1.0, _thin_family(1.0, 2, 10)), (2.0, _thin_family(2.0, 2, 10))),
+        ad_families=((1.0, _thin_family(1.0, 10)), (2.0, _thin_family(2.0, 10))),
         one_ad_range=None,  # a quadrature per ball volume; probed only on demand
         check_radii=tuple(np.geomspace(0.05, 1.2, 8)),
     )
 
 
 def make_snake() -> GalleryEntry:
-    traits = TraitSet(
-        pi_exponents=frozenset({1.0}),
-        pi_global=True,
-        doubling=True,
-        globally_doubling=True,
-        reverse_doubling=True,
-        corkscrew=False,  # thin annuli reduce to a single path
-        ad_eta=None,
-    )
+    # thin annuli reduce to a single path: no corkscrew, no annular decay
+    traits = replace(_RN_TRAITS, corkscrew=False, ad_eta=None)
     space = SpaceSpec(Snake(), traits=traits, name="snake")
     k = 5
     none_probe = tuple(AnnulusSpec(2.0**k - 2.0**-j, 2.0**k + 2.0**-j) for j in range(1, 9))
@@ -213,18 +172,18 @@ def make_halfline(kind: HalfLineKind) -> GalleryEntry:
     weight = HalfLineCatalog(kind)
     traits = TraitSet(pi_exponents=frozenset({1.0}), doubling=True, ad_eta=1.0)
     none_probe = ()
-    if kind is HalfLineKind.MIN_ONE_OVER_X:
+    if weight.kind is HalfLineKind.MIN_ONE_OVER_X:
         claims = ("measure-lower-q-fails", "condition-d-fails")
         families = ((64.0, _thin_family(64.0)), (512.0, _thin_family(512.0)))
         one_ad_range = (2.0, 100.0)
         radii = tuple(np.geomspace(4.0, 512.0, 12))
-    elif kind is HalfLineKind.EXP_DECAY:
+    elif weight.kind is HalfLineKind.EXP_DECAY:
         claims = ("condition-d-fails",)
         # small R keeps e^{Rt} curvature out of the exponent fit
         families = ((0.5, _thin_family(0.5)), (8.0, _thin_family(8.0)))
         one_ad_range = (0.1, 30.0)
         radii = tuple(np.geomspace(0.5, 64.0, 12))
-    elif kind is HalfLineKind.EXP_INV_OVER_X_SQ:
+    else:  # EXP_INV_OVER_X_SQ
         traits = TraitSet(pi_exponents=frozenset({1.0}), doubling=False,
                           reverse_doubling=True, ad_eta=None)
         claims = ("doubling-fails",)
@@ -234,9 +193,7 @@ def make_halfline(kind: HalfLineKind) -> GalleryEntry:
         # eta-AD fails as R -> 0 along annuli with 1 - r/R = R; stop before
         # mu(B_R) = e^{-1/R} underflows
         none_probe = tuple(AnnulusSpec(R * (1.0 - R), R) for R in (2.0**-j for j in range(2, 8)))
-    else:
-        raise InputError(f"unknown half-line kind {kind!r}")
-    space = SpaceSpec(HalfLine(), weight, traits=traits, name=f"halfline-{kind.value}")
+    space = SpaceSpec(HalfLine(), weight, traits=traits, name=f"halfline-{weight.kind.value}")
     return GalleryEntry(
         name=space.name, space=space, pi_sharp_q="1-Poincare inequality at the origin",
         claims=claims, ad_families=families, none_probe=none_probe, one_ad_range=one_ad_range,
@@ -390,7 +347,7 @@ def _claim_summed_eta_ad(entry, probes):
 def _claim_bowtie_measure_exponent(entry, probes):
     """mu(B_1 \\ B_r) ~ (1-r)^(n+alpha) at the tip."""
     m = entry.space.geometry.n + entry.space.geometry.alpha
-    rep = fit_annulus_decay(entry.space, 1.0, _thin_family(1.0, 2, 10))
+    rep = fit_annulus_decay(entry.space, 1.0, _thin_family(1.0, 10))
     ok = abs(rep.eta_hat - m) <= AD_FIT_TOL
     return ok, f"raw exponent fit {rep.eta_hat:.4f} vs n + alpha = {m}"
 

@@ -82,7 +82,7 @@ __all__ = [
 ]
 
 MAX_ITER = 100_000
-MAX_CELLS = 10**7  # radial chain size; its arrays take about 0.1 GB per million cells
+MAX_CELLS = 10**7  # radial and snake chain size; about 0.1 GB of arrays per million cells
 HESSIAN_EPS = 1e-12  # regularizes the Hessian only, never the energy
 PLATE_TOL = 1e-12  # slack on the plate radii of condenser_bc
 
@@ -211,20 +211,30 @@ def build_snake_network(k_max: int = 8, cells_per_unit: float = 4.0,
 
     ``extra_radii`` inserts exact vertices at the given radii inside the
     segments, so condenser plates can be placed without discretization slop.
+    A chain of more than MAX_CELLS cells is refused before any array is made.
     """
     if not 0 < cells_per_unit < math.inf:
         raise InputError(f"need a finite cells_per_unit > 0, got {cells_per_unit}")
     geom = Snake(k_max=k_max)
-    radii, lengths = [np.zeros(1)], []
+    # (a, b, cells of the half-circle at radius a, cells of the segment from a
+    # to b) for each k; a segment's count stops just past MAX_CELLS, so that
+    # it stays an integer
+    plan = []
     for k in range(geom.k_max + 1):
         a, b = 2.0 ** (k - 1) if k else 0.0, 2.0**k
-        if k:  # the half-circle at radius a, before the segment from a to b
-            arclen = math.pi * a
-            cells = max(2, min(64, int(math.ceil(arclen * cells_per_unit))))
-            radii.append(np.full(cells, a))
-            lengths.append(np.full(cells, arclen / cells))
+        arc = max(2, math.ceil(min(64.0, math.pi * a * cells_per_unit))) if k else 0
+        cells = max(2, math.ceil(min((b - a) * cells_per_unit, MAX_CELLS + 1)))
+        plan.append((a, b, arc, cells))
+    # each extra radius adds at most one cell
+    if sum(arc + cells for *_, arc, cells in plan) + len(extra_radii) > MAX_CELLS:
+        raise InputError(f"a snake chain with k_max = {k_max} and {cells_per_unit} cells per "
+                         f"unit has more than {MAX_CELLS} cells")
+    radii, lengths = [np.zeros(1)], []
+    for a, b, arc, cells in plan:
+        if arc:  # the half-circle at radius a, before the segment from a to b
+            radii.append(np.full(arc, a))
+            lengths.append(np.full(arc, math.pi * a / arc))
         # along a segment the radius moves monotonically and mass = length
-        cells = max(2, int(math.ceil((b - a) * cells_per_unit)))
         seg = np.unique(np.concatenate([np.linspace(a, b, cells + 1),
                                         [x for x in extra_radii if a < x < b]]))
         radii.append(seg[1:])
@@ -637,8 +647,8 @@ def solve_p_energy(net: DiscreteNetwork, bc: BoundaryCondition, p: float,
     Vertices in a component touching neither plate are pinned to u = 0.
     A non-finite energy raises ConvergenceError.
     """
-    if p < 1:
-        raise DomainError(f"need p >= 1, got {p}")
+    if not 1 <= p < math.inf:
+        raise DomainError(f"need a finite p >= 1, got {p}")
     if not tol > 0:
         raise InputError(f"tol must be positive, got {tol}")
     sub, k, core, expand, keep = _reduce(net, bc, p)

@@ -12,6 +12,7 @@ they are never computed here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import InputError
@@ -63,12 +64,13 @@ class Snake:
     k_max: int = 10
 
     def __post_init__(self):
-        if self.k_max < 1:
-            raise InputError(f"Snake needs k_max >= 1, got {self.k_max}")
+        # 2^1023 is the largest power of two a float holds
+        if not (isinstance(self.k_max, numbers.Integral) and 1 <= self.k_max <= 1023):
+            raise InputError(f"Snake needs an integer 1 <= k_max <= 1023, got {self.k_max!r}")
 
     @property
     def max_radius(self) -> float:
-        return float(2**self.k_max)
+        return 2.0**self.k_max
 
 
 @dataclass(frozen=True)

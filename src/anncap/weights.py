@@ -131,7 +131,13 @@ class HalfLineCatalog:
                        4 exp(-2) for x >= 1/2            (nondecreasing)
     """
 
-    kind: HalfLineKind
+    kind: HalfLineKind  # a member, or its value
+
+    def __post_init__(self):
+        try:
+            object.__setattr__(self, "kind", HalfLineKind(self.kind))
+        except ValueError:
+            raise InputError(f"unknown half-line kind {self.kind!r}") from None
 
     def evaluate(self, rho):
         rho = np.asarray(rho, dtype=float)

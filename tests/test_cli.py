@@ -405,6 +405,23 @@ def test_only_the_cli_writes_json_or_csv():
             assert not imported & {"json", "csv"}, path.name
 
 
+def test_every_imported_name_is_read():
+    # a deletion tends to leave its import behind; __init__.py re-exports
+    for path in Path(anncap.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        assert imported <= read, (path.name, sorted(imported - read))
+
+
 def test_gallery_list(capsys):
     assert run(["gallery", "list"]) == 0
     doc = json.loads(capsys.readouterr().out)

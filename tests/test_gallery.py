@@ -1,12 +1,14 @@
 import collections
 import dataclasses
 import json
+import math
 import pathlib
 
 import pytest
 
 from anncap import gallery, measure
 from anncap.cli import run
+from anncap.errors import InputError
 from anncap.gallery import (
     UNRESOLVED_CONFIGURATIONS,
     default_gallery,
@@ -167,3 +169,12 @@ def test_declared_traits_are_pinned(make, traits):
     # every field, as recorded: the golden manifest shows only ad_eta, one-AD,
     # doubling and reverse doubling
     assert dataclasses.astuple(make().space.traits) == traits
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0, 1.5, math.nan])
+def test_a1_makers_refuse_eta_through_the_weight(eta):
+    # the weight checks eta before the traits do, so the message names it
+    with pytest.raises(InputError, match="^BuckleyEta needs eta in"):
+        make_buckley(eta)
+    with pytest.raises(InputError, match="^SummedBuckley needs eta in"):
+        make_summed_buckley(eta)

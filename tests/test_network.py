@@ -3,6 +3,7 @@ import itertools
 import math
 import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from anncap.network import (
     condenser_bc,
     solve_p_energy,
 )
-from anncap.spaces import AnnulusSpec, HalfLine, RadialRn, SpaceSpec, surface_area
+from anncap.spaces import AnnulusSpec, HalfLine, RadialRn, Snake, SpaceSpec, surface_area
 from anncap.weights import BuckleyEta, Constant, HalfLineCatalog, HalfLineKind
 
 RN2 = SpaceSpec(RadialRn(2), Constant())
@@ -748,6 +749,15 @@ def _unit_chain_with_radii(radii):
                            masses=[1.0, 1.0], radii=radii)
 
 
+def _before_any_array(call):
+    """Run call() with numpy's array makers raising AssertionError, so that
+    only a refusal made before any array is made passes."""
+    def made(*args, **kwargs):
+        raise AssertionError("an array was made")
+    with mock.patch.multiple(np, zeros=made, full=made, linspace=made, concatenate=made):
+        call()
+
+
 @pytest.mark.parametrize("call, error", [
     (lambda: build_bowtie_grid(0.5, 0.0), InputError),
     (lambda: build_bowtie_grid(0.5, math.nan), InputError),
@@ -781,12 +791,21 @@ def _unit_chain_with_radii(radii):
     (lambda: _unit_chain_with_radii([0.0, math.nan, 2.0]), InputError),
     (lambda: _unit_chain_with_radii([0.0, -1.0, 2.0]), InputError),
     (lambda: _unit_chain_with_radii([[0.0], [1.0], [2.0]]), InputError),
+    (lambda: Snake(k_max=2.5), InputError),
+    (lambda: build_snake_network(k_max=2.5), InputError),
+    (lambda: Snake(k_max=2000), InputError),
+    (lambda: mu_ball(SpaceSpec(Snake(k_max=2000)), 3.0), InputError),
+    (lambda: build_snake_network(k_max=1100), InputError),
+    (lambda: build_snake_network(8, 1e30), InputError),
+    (lambda: _before_any_array(lambda: build_snake_network(k_max=1023)), InputError),
 ], ids=["bowtie-h0", "bowtie-h-nan", "bowtie-h-negative", "snake-cells-nan", "snake-cells-inf",
         "radial-N-float", "radial-r-hi-inf", "solve-tol-nan", "mu-ball-inf", "mu-annulus-inf",
         "cap-auto-inf", "one-ad-inf", "doubling-inf", "network-endpoint-float",
         "network-count-float", "network-count-float64", "network-arrays-ragged", "plate-float",
         "plate-past-last", "plate-negative", "radii-short", "radii-long", "radii-nan",
-        "radii-negative", "radii-2d"])
+        "radii-negative", "radii-2d", "snake-k-float", "snake-network-k-float", "snake-k-2000",
+        "snake-mu-ball-k-2000", "snake-network-k-1100", "snake-cells-1e30",
+        "snake-network-k-1023-unallocated"])
 def test_invalid_inputs_are_typed_errors(call, error):
     with pytest.raises(error):
         call()
@@ -905,10 +924,13 @@ def test_plates_must_be_disjoint():
         condenser_bc(net, 1.5, 1.5)
 
 
-def test_p_below_one_rejected():
+@pytest.mark.parametrize("p", [0.5, math.nan, math.inf])
+def test_p_below_one_rejected(p):
+    # a NaN p once passed every branch to an UnboundLocalError, and an
+    # infinite one ended in a ConvergenceError
     net = _series_net([1.0], [1.0])
-    with pytest.raises(DomainError):
-        solve_p_energy(net, BoundaryCondition(inner=[0], outer=[1]), 0.5)
+    with pytest.raises(DomainError, match="need a finite p >= 1"):
+        solve_p_energy(net, BoundaryCondition(inner=[0], outer=[1]), p)
 
 
 def _pin_network(case):

@@ -84,6 +84,7 @@ def test_annulus_spec():
 
 def test_snake_max_radius():
     assert Snake(k_max=5).max_radius == 32.0
+    assert Snake(k_max=1023).max_radius == 2.0**1023  # the largest power of two a float holds
 
 
 def test_halfline_is_frozen_dataclass():

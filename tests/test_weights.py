@@ -114,6 +114,19 @@ def test_halfline_catalog_values():
         assert float(inv.evaluate(np.float64(1e-170))) == 0.0
 
 
+def test_halfline_catalog_takes_a_kind_or_its_value():
+    # a value once fell through to the exp(-1/x)/x^2 branch: 0.5413 at x = 2
+    for kind in HalfLineKind:
+        assert HalfLineCatalog(kind.value) == HalfLineCatalog(kind)
+        assert HalfLineCatalog(kind.value).kind is kind
+    m1x = HalfLineCatalog("min-one-over-x")
+    assert m1x.evaluate(2.0) == 0.5
+    assert m1x.singularities() == (1.0,)
+    for bad in ("bogus", "MIN_ONE_OVER_X", None, 1.5):
+        with pytest.raises(InputError, match="^unknown half-line kind"):
+            HalfLineCatalog(bad)
+
+
 def test_tabulated_interpolation():
     w = Tabulated(grid=(1.0, 2.0, 4.0), values=(1.0, 3.0, 3.0))
     assert w.evaluate(1.5) == pytest.approx(2.0)
