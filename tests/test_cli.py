@@ -465,6 +465,15 @@ ARTIFACT_CALLS = [
     ["ad", "--space", "halfline", "--kind", "exp-decay", "--range", "0.1:30"],
     ["oracle", "--space", "buckley", "--eta", "0.5", "--p", "1.5", "--r", "0.6", "--R", "1.4",
      "--cells", "500"],
+    ["sweep", "--space", "summed-buckley", "--eta", "0.5", "--p", "1.5", "--R", "1", "--no-gating"],
+    ["sweep", "--space", "halfline", "--kind", "min-one-over-x", "--p", "3", "--R", "64",
+     "--bound", "upper-simple"],
+    ["ad", "--space", "buckley", "--eta", "0.5", "--R", "1"],
+    # two sweeps that stop at a numeric error naming its annulus
+    ["sweep", "--space", "summed-buckley", "--eta", "0.3", "--p", "1.001",
+     "--R", "5.720134537398934e-125", "--no-gating"],
+    ["sweep", "--space", "halfline", "--kind", "exp-inv-over-x-sq", "--p", "1.5", "--R", "0.0025",
+     "--bound", "upper-simple"],
 ]
 
 
