@@ -14,6 +14,7 @@ from .capacity import (
     cap_radial_weighted,
     cap_rn_unweighted,
     cap_snake,
+    cap_values,
 )
 from .decay import (
     AdFitReport,
@@ -48,7 +49,8 @@ from .gallery import (
     make_summed_buckley,
     verify_expectations,
 )
-from .measure import mu_annulus, mu_annulus_detailed, mu_ball, mu_ball_detailed
+from .measure import (FamilyMeasures, mu_annulus, mu_annulus_detailed, mu_ball, mu_ball_detailed,
+                      mu_family)
 from .network import (
     BoundaryCondition,
     DiscreteNetwork,

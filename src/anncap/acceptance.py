@@ -8,17 +8,18 @@ and is what the CLI's verify-all dispatches to.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import time
 
 from .bounds import blowup_probe
-from .capacity import cap_radial_p1, cap_radial_weighted, cap_rn_unweighted, cap_snake
+from .capacity import cap_radial_p1, cap_rn_unweighted, cap_snake, cap_values
 from .decay import ad_ratio_trend, check_one_ad, estimate_ad_exponent, fit_annulus_decay
 from .gallery import (_ad_bounded, _cap_slope, _nice_envelope, _pinch_probe, _thin_annuli,
                       _thin_family, default_gallery, make_bowtie, make_buckley, make_halfline,
                       make_rn_unweighted, make_snake)
-from .measure import mu_annulus, mu_ball
+from .measure import mu_family
 from .network import (build_bowtie_grid, build_radial_network, build_snake_network, condenser_bc,
                       solve_p_energy)
 from .spaces import AnnulusSpec, HalfLine, SpaceSpec, TraitSet
@@ -56,7 +57,7 @@ def criterion_2():
     notes = []
     ok = True
     for p in (1.5, 2.0, 3.0):
-        rep = _nice_envelope(space, lambda s, q, a: cap_rn_unweighted(2, q, a), p, 12, False)
+        rep = _nice_envelope(space, p, 12, False)
         slope = _cap_slope(rep)
         ok = ok and abs(slope - (1.0 - p)) <= 0.03 and abs(rep.slope) <= 0.05
         notes.append(f"p={p}: slope {slope:.4f} (target {1.0 - p}), ratio trend {rep.slope:.4f}")
@@ -71,7 +72,7 @@ def criterion_3():
     p = 2.0
     for eta in (0.3, 0.5, 0.8):
         space = make_buckley(eta).space
-        rep = _nice_envelope(space, cap_radial_weighted, p, 12, False)
+        rep = _nice_envelope(space, p, 12, False)
         slope = _cap_slope(rep)
         ok = ok and abs(slope - (eta - p)) <= 0.05
         ok = ok and rep.verdict == "FAIL" and abs(rep.slope - (eta - 1.0)) <= 0.05
@@ -85,10 +86,12 @@ def criterion_4():
     min1x = make_halfline(HalfLineKind.MIN_ONE_OVER_X).space
     expdec = make_halfline(HalfLineKind.EXP_DECAY).space
     expinv = make_halfline(HalfLineKind.EXP_INV_OVER_X_SQ).space
-    worst_log = max(abs(mu_annulus(min1x, AnnulusSpec(R / 2.0, R)) - math.log(2.0))
-                    for R in (4.0, 16.0, 64.0))
-    worst_exp = max(abs(mu_ball(expdec, R) - (1.0 - math.exp(-R))) for R in (0.5, 1.0, 4.0))
-    worst_inv = max(abs(mu_ball(expinv, R) - math.exp(-1.0 / R)) for R in (0.1, 0.25, 0.4))
+    worst_log = max(abs(mu - math.log(2.0))
+                    for mu in mu_family(min1x, [(R / 2.0, R) for R in (4.0, 16.0, 64.0)]))
+    worst_exp = max(abs(mu - (1.0 - math.exp(-R))) for R, mu in
+                    zip((0.5, 1.0, 4.0), mu_family(expdec, [(0.0, R) for R in (0.5, 1.0, 4.0)])))
+    worst_inv = max(abs(mu - math.exp(-1.0 / R)) for R, mu in
+                    zip((0.1, 0.25, 0.4), mu_family(expinv, [(0.0, R) for R in (0.1, 0.25, 0.4)])))
     ok = worst_log <= 1e-9 and worst_exp <= 1e-10 and worst_inv <= 1e-10
     return ok, (f"|mu(ann) - log 2| <= {worst_log:.2e} (limit 1e-9); "
                 f"|mu(B_R) - (1 - e^-R)| <= {worst_exp:.2e}, "
@@ -209,7 +212,7 @@ def criterion_10():
     space = SpaceSpec(HalfLine(), Constant(),
                       traits=TraitSet(pi_exponents=frozenset({1.0})))
     rep = blowup_probe(space, 2.0, 1.0, [2.0**-j for j in range(1, 13)],
-                       lambda a: cap_radial_weighted(space, 2.0, a).value, q=1.0)
+                       functools.partial(cap_values, space, 2.0), q=1.0)
     # relative to 1/delta
     worst = max(abs(cap - 1.0 / d) * d for d, cap in zip(rep.deltas, rep.values))
     degenerate, brep = _pinch_probe(make_bowtie(0.5).space, 2.5)

@@ -6,10 +6,10 @@ absorbed into the envelope verdicts, which test boundedness of the
 cap/bound ratio and absence of a trend in log-log coordinates.
 
 ``BOUND_TABLE`` holds every bound in one row: its hypotheses in the order
-they are checked and its expression, which reads mu(B_R), mu(B_r) or
-mu(ann) from the family's ``FamilyMeasures``.  ``verify_envelope`` computes
-each of those measures once per family: mu(B_R) once per distinct R,
-mu(B_r) once per distinct r and mu(ann) once per annulus.
+they are checked, the one measure it reads (mu(B_R), mu(B_r) or mu(ann))
+and its expression.  ``verify_envelope`` computes the family's measures in
+one ``FamilyMeasures`` fill: mu(B_R) once per distinct R, mu(B_r) once per
+distinct r and mu(ann) once per annulus, and its capacities in one call.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decay import _loglog_fit
-from .errors import ApplicabilityError, DomainError, InputError
+from .errors import AnncapError, ApplicabilityError, DomainError, InputError, attempt, unwrap
 from .measure import FamilyMeasures
 from .spaces import AnnulusSpec, SpaceSpec
 
@@ -100,29 +100,44 @@ _LOCAL = (_REVERSE_DOUBLING, _THIN, _RADIUS_CAP)
 @dataclass(frozen=True)
 class _Bound:
     hypotheses: tuple  # checked in order; the first failure is reported
-    expression: Callable[..., float]  # (spec, ann, t = 1 - r/R, FamilyMeasures)
+    measure: Callable[[AnnulusSpec], tuple]  # the (r, R) of the measure it reads, r = 0 a ball
+    expression: Callable[..., float]  # (spec, ann, t = 1 - r/R, mu), mu() that measure
+
+
+def _ball_R(a):
+    return 0.0, a.R
+
+
+def _ball_r(a):
+    return 0.0, a.r
+
+
+def _annulus(a):
+    return a.r, a.R
 
 
 BOUND_TABLE = {
-    BoundId.UPPER_SIMPLE: _Bound((), lambda s, a, t, m: m.annulus(a) / a.delta**s.p),
+    BoundId.UPPER_SIMPLE: _Bound((), _annulus, lambda s, a, t, mu: mu() / a.delta**s.p),
     BoundId.UPPER_ETA: _Bound(
-        (_AD_ETA,), lambda s, a, t, m: t ** (s.eta - s.p) * m.ball(a.R) / a.R**s.p),
+        (_AD_ETA,), _ball_R, lambda s, a, t, mu: t ** (s.eta - s.p) * mu() / a.R**s.p),
     BoundId.LOWER_PI_AD: _Bound(
-        (_Q_RANGE, _PI_Q, _AD_ETA) + _LOCAL,
-        lambda s, a, t, m: t ** (s.eta * (s.q - s.p) / s.q) * m.ball(a.R) / a.R**s.p),
+        (_Q_RANGE, _PI_Q, _AD_ETA) + _LOCAL, _ball_R,
+        lambda s, a, t, mu: t ** (s.eta * (s.q - s.p) / s.q) * mu() / a.R**s.p),
     BoundId.LOWER_P_BASE: _Bound(
-        (_PI_P, _DOUBLING) + _LOCAL, lambda s, a, t, m: m.ball(a.R) / a.R**s.p),
+        (_PI_P, _DOUBLING) + _LOCAL, _ball_R, lambda s, a, t, mu: mu() / a.R**s.p),
     BoundId.TWO_SIDED_NICE: _Bound(
-        (_PI_1, _AD_1) + _LOCAL, lambda s, a, t, m: t ** (1.0 - s.p) * m.ball(a.R) / a.R**s.p),
-    BoundId.TWO_SIDED_ANNULAR: _Bound(_ANNULAR, lambda s, a, t, m: m.annulus(a) / a.delta**s.p),
+        (_PI_1, _AD_1) + _LOCAL, _ball_R,
+        lambda s, a, t, mu: t ** (1.0 - s.p) * mu() / a.R**s.p),
+    BoundId.TWO_SIDED_ANNULAR: _Bound(_ANNULAR, _annulus,
+                                      lambda s, a, t, mu: mu() / a.delta**s.p),
     BoundId.LOWER_CORKSCREW_Q: _Bound(
-        _ANNULAR + (_Q_RANGE, _PI_Q),
-        lambda s, a, t, m: t ** (s.q - s.p) * m.ball(a.R) / a.R**s.p),
+        _ANNULAR + (_Q_RANGE, _PI_Q), _ball_R,
+        lambda s, a, t, mu: t ** (s.q - s.p) * mu() / a.R**s.p),
     BoundId.LOWER_P1_NO_DOUBLING: _Bound(
-        (("p = 1", lambda s, sp, a: s.p == 1), _PI_1) + _LOCAL,
-        lambda s, a, t, m: m.ball(a.r) / a.r),
+        (("p = 1", lambda s, sp, a: s.p == 1), _PI_1) + _LOCAL, _ball_r,
+        lambda s, a, t, mu: mu() / a.r),
     BoundId.MEASURE_LOWER_Q: _Bound(
-        (_PI_Q, _DOUBLING) + _LOCAL, lambda s, a, t, m: t**s.q * m.ball(a.R)),
+        (_PI_Q, _DOUBLING) + _LOCAL, _ball_R, lambda s, a, t, mu: t**s.q * mu()),
 }
 
 
@@ -134,7 +149,8 @@ def _evaluate(spec: BoundSpec, space: SpaceSpec, ann: AnnulusSpec, measures: Fam
             if not holds(spec, space, ann):
                 raise ApplicabilityError(name)
     try:
-        return row.expression(spec, ann, 1.0 - ann.r / ann.R, measures)
+        return row.expression(spec, ann, 1.0 - ann.r / ann.R,
+                               lambda: measures(*row.measure(ann)))
     except ArithmeticError:  # R**p or r underflows, or a power overflows
         raise DomainError(f"{spec.bound_id.value} leaves the float range on annulus "
                           f"(r={ann.r}, R={ann.R})") from None
@@ -163,12 +179,16 @@ class SweepReport:
     verdict: str  # PASS | FAIL
 
 
-def verify_envelope(space: SpaceSpec, cap_fn, spec: BoundSpec, annuli,
+def verify_envelope(space: SpaceSpec, caps, spec: BoundSpec, annuli,
                     check_hypotheses: bool = True) -> SweepReport:
     """Ratio cap/bound per annulus; PASS means the ratios sit inside
     [1e-3, 1e3] with no log-log trend (|slope| <= 0.05).
 
-    The constant-free UpperSimple bound must additionally dominate the
+    caps(annuli) returns each annulus's capacity, or the AnncapError that
+    computing it raised (capacity.cap_values, say); the bound's measures
+    are one FamilyMeasures fill.  Each annulus's errors are raised in its
+    turn: its capacity's, a failed hypothesis, then its bound's.  The
+    constant-free UpperSimple bound must additionally dominate the
     capacity outright (ratio <= 1 + 1e-8).
     """
     annuli = list(annuli)
@@ -176,8 +196,9 @@ def verify_envelope(space: SpaceSpec, cap_fn, spec: BoundSpec, annuli,
         raise InputError(f"need >= 8 applicable annuli, got {len(annuli)}")
     rows, xs = [], []
     measures = FamilyMeasures(space)
-    for ann in annuli:
-        cap = cap_fn(ann)
+    measures.fill([BOUND_TABLE[spec.bound_id].measure(ann) for ann in annuli])
+    for ann, cap in zip(annuli, caps(annuli)):
+        cap = unwrap(cap)
         bound = _evaluate(spec, space, ann, measures, check_hypotheses)
         if bound == 0.0:
             raise DomainError(f"{spec.bound_id.value} is 0 on annulus (r={ann.r}, R={ann.R}); "
@@ -204,9 +225,10 @@ class BlowupReport:
     verdict: str  # BLOWUP | NO-BLOWUP
 
 
-def blowup_probe(space: SpaceSpec, p: float, R: float, deltas, cap_fn,
+def blowup_probe(space: SpaceSpec, p: float, R: float, deltas, caps,
                  q: float | None = None, check_hypotheses: bool = True) -> BlowupReport:
-    """cap(B_{R-delta}, B_R) along a decreasing delta sequence.
+    """cap(B_{R-delta}, B_R) along a decreasing delta sequence, from one
+    caps(annuli) call, as verify_envelope reads it.
 
     BLOWUP requires strictly increasing values whose final/initial ratio
     reaches 10^3; identically-zero capacities report NO-BLOWUP (the
@@ -223,7 +245,10 @@ def blowup_probe(space: SpaceSpec, p: float, R: float, deltas, cap_fn,
             raise ApplicabilityError("q-Poincare inequality at x0 with 1 <= q < p")
         if not math.isinf(space.diameter) and R >= space.diameter:
             raise ApplicabilityError("mu(X \\ B_R) > 0")
-    values = [cap_fn(AnnulusSpec(R - d, R)) for d in deltas]
+    annuli = [attempt(AnnulusSpec, R - d, R) for d in deltas]
+    valid = next((i for i, a in enumerate(annuli) if isinstance(a, AnncapError)), len(annuli))
+    # an annulus that cannot be built raises after the capacities before it
+    values = [unwrap(v) for v in [*caps(annuli[:valid]), *annuli[valid:valid + 1]]]
     increasing = all(b > a for a, b in zip(values, values[1:]))
     blow = increasing and values[0] > 0 and values[-1] / values[0] >= 1e3
     return BlowupReport(tuple(deltas), tuple(values), "BLOWUP" if blow else "NO-BLOWUP")

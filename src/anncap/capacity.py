@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError, QuadratureError
+from .errors import AnncapError, DomainError, InputError, QuadratureError, attempt, unwrap
 from .measure import _radial_integral, _radial_reduction
 from .spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec, surface_area
 from .weights import Constant
@@ -28,6 +29,7 @@ __all__ = [
     "cap_snake",
     "cap_bowtie_pinch",
     "cap_auto",
+    "cap_values",
 ]
 
 INF_CUT_GRID = 4097  # points of each grid of the p = 1 inf-cut search
@@ -55,8 +57,8 @@ def cap_rn_unweighted(n: int, p: float, ann: AnnulusSpec) -> CapacityResult:
     """Classical annulus capacity in unweighted R^n, exact normalization."""
     if not (p >= 1):
         raise DomainError(f"capacity needs p >= 1, got {p}")
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise DomainError(f"need an integer n >= 1, got {n!r}")
     omega = surface_area(n)
     r, R = ann.r, ann.R
     if p == 1:
@@ -83,22 +85,31 @@ def cap_radial_weighted(space: SpaceSpec, p: float, ann: AnnulusSpec) -> Capacit
     The integrand w^(1/(1-p)) rho^(m/(1-p)) goes to 0 at a pole of w.  A
     density of 0 or past the float range is a QuadratureError.
     """
+    return unwrap(_radial_caps(space, p, [ann])[0])
+
+
+def _radial_caps(space: SpaceSpec, p: float, annuli) -> list:
+    """cap_radial_weighted of each annulus, or the error it raises, from one
+    _radial_integral call over the family."""
     if not (p > 1):
-        raise DomainError(f"radial integral formula needs p > 1, got {p}")
+        return [DomainError(f"radial integral formula needs p > 1, got {p}") for _ in annuli]
     w, m, const = _radial_reduction(space)
-    try:
-        val, err = _radial_integral(w, m, ann.r, ann.R, 1.0 / (1.0 - p))
-    except DomainError:
-        raise QuadratureError(f"radial integrand (w rho^{m})^(1/(1-p)) on [{ann.r}, {ann.R}] "
-                              "leaves the float range") from None
+    results = _radial_integral(w, m, [(a.r, a.R) for a in annuli], 1.0 / (1.0 - p))
+    return [_radial_cap(ann, p, m, const, res) for ann, res in zip(annuli, results)]
+
+
+def _radial_cap(ann, p, m, const, res):
+    """The capacity of ann from its radial integral's result res, or the error."""
+    if isinstance(res, AnncapError):
+        return res if isinstance(res, QuadratureError) else QuadratureError(
+            f"radial integrand (w rho^{m})^(1/(1-p)) on [{ann.r}, {ann.R}] leaves the float range")
+    val, err = res
     try:
         value = const * val ** (1.0 - p)
         qerr = const * abs(1.0 - p) * val ** (-p) * err
     except ArithmeticError:  # the integral under- or the capacity overflows
-        raise DomainError(f"capacity of (r={ann.r}, R={ann.R}) at p = {p} leaves the float "
-                          "range") from None
-    return CapacityResult(value=value, method=CapacityMethod.RADIAL_INTEGRAL,
-                          quadrature_error=qerr)
+        return DomainError(f"capacity of (r={ann.r}, R={ann.R}) at p = {p} leaves the float range")
+    return CapacityResult(value=value, method=CapacityMethod.RADIAL_INTEGRAL, quadrature_error=qerr)
 
 
 def cap_radial_p1(space: SpaceSpec, ann: AnnulusSpec) -> CapacityResult:
@@ -202,13 +213,32 @@ def cap_bowtie_pinch(space: SpaceSpec, p: float, delta: float) -> CapacityResult
 
 def cap_auto(space: SpaceSpec, p: float, ann: AnnulusSpec) -> CapacityResult:
     """Dispatch to the best available engine for the space."""
+    return unwrap(_cap_family(space, p, [ann])[0])
+
+
+def cap_values(space: SpaceSpec, p: float, annuli) -> list:
+    """cap_auto(space, p, ann).value for each annulus of a family, in order,
+    or the AnncapError computing it raised: the capacities verify_envelope
+    and blowup_probe read."""
+    return [res if isinstance(res, AnncapError) else res.value
+            for res in _cap_family(space, p, annuli)]
+
+
+def _cap_family(space: SpaceSpec, p: float, annuli) -> list:
+    """cap_auto of each annulus, or the error it raises.  A family's radial
+    integrals are one quadrature call; every other engine is a closed form
+    or the p = 1 inf-cut, one annulus at a time."""
     geom = space.geometry
-    if isinstance(geom, (RadialRn, HalfLine)):
-        if p == 1:
-            return cap_radial_p1(space, ann)
-        if isinstance(geom, RadialRn) and isinstance(space.weight, Constant):
-            return cap_rn_unweighted(geom.n, p, ann)
-        return cap_radial_weighted(space, p, ann)
+    if (isinstance(geom, (RadialRn, HalfLine)) and p != 1
+            and not (isinstance(geom, RadialRn) and isinstance(space.weight, Constant))):
+        return _radial_caps(space, p, annuli)
+    return [attempt(_cap_one, space, p, ann) for ann in annuli]
+
+
+def _cap_one(space: SpaceSpec, p: float, ann: AnnulusSpec) -> CapacityResult:
+    geom = space.geometry
+    if isinstance(geom, (RadialRn, HalfLine)):  # unweighted R^n, or p = 1
+        return cap_radial_p1(space, ann) if p == 1 else cap_rn_unweighted(geom.n, p, ann)
     if isinstance(geom, Snake):
         mid = 0.5 * (ann.r + ann.R)
         k = round(math.log2(mid))

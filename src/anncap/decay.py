@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .measure import FamilyMeasures, mu_annulus, mu_ball, volume_profile
+from .measure import FamilyMeasures, volume_profile
 from .spaces import AnnulusSpec, SpaceSpec
 
 __all__ = [
@@ -117,17 +117,20 @@ def _theil_sen_slope(x, y) -> float:
 
 def fit_annulus_decay(space: SpaceSpec, R: float, r_values) -> AdFitReport:
     """Least-squares fit of log(mu(ann)/mu(B_R)) against log(1 - r/R)
-    for a fixed-R family; the slope estimates the decay exponent."""
+    for a fixed-R family; the slope estimates the decay exponent.  mu(B_R)
+    and the annuli are one FamilyMeasures fill."""
     r_values = sorted(float(r) for r in r_values)
     if len(r_values) < 8:
         raise InputError(f"need >= 8 annuli per family, got {len(r_values)}")
     for r in r_values:
         if not (R / 2.0 <= r < R):
             raise InputError(f"annulus (r={r}, R={R}) is not thin")
-    muR = mu_ball(space, R)
+    measures = FamilyMeasures(space)
+    measures.fill([(0.0, R), *((r, R) for r in r_values)])
+    muR = measures.ball(R)
     xs, ys = [], []
     for r in r_values:
-        mass = mu_annulus(space, AnnulusSpec(r, R))
+        mass = measures(r, R)
         if not mass > 0:
             raise DomainError(f"annulus (r={r}, R={R}) has measure {mass}; "
                               "its decay ratio has no logarithm")
@@ -162,9 +165,11 @@ def ad_ratio_trend(space: SpaceSpec, annuli, eta: float):
     """Fitted slope of log ad_ratio against log(1 - r/R) over a family,
     plus the fitted ratios in annulus order.  A negative slope means
     divergence as the annuli thin out; |slope| <= 0.05 and a bounded window
-    mean the eta-AD inequality holds along the family.  mu(B_R) is computed
-    once per distinct R."""
+    mean the eta-AD inequality holds along the family.  The annuli and
+    mu(B_R), once per distinct R, are one FamilyMeasures fill."""
+    annuli = list(annuli)
     measures = FamilyMeasures(space)
+    measures.fill([iv for ann in annuli for iv in ((ann.r, ann.R), (0.0, ann.R))])
     xs, ratios = [], []
     for ann in annuli:
         xs.append(math.log(1.0 - ann.r / ann.R))
@@ -241,11 +246,12 @@ def check_reverse_doubling(space: SpaceSpec, radii,
     """min over the family of mu(B_2r) / mu(B_r) and whether it stays
     uniformly above 1 (at least REVERSE_DOUBLING_GAMMA).
 
-    Ball volumes come from measures (one per call by default), so each
-    distinct radius of {r} and {2r} is computed once; pass the table of
-    a check_doubling call on the same space to reuse its volumes.
+    Ball volumes come from measures (one per call by default), filled with
+    every radius of {r} and {2r} in one call, so each distinct radius is
+    computed once; pass the table of a check_doubling call on the same
+    space to reuse its volumes.
     """
-    ball = (measures or FamilyMeasures(space)).ball
+    radii, ball = _doubling_balls(space, radii, measures)
     worst, worst_r = min((ball(2.0 * r) / ball(r), r) for r in radii)
     return ReverseDoublingReport(min_ratio=float(worst), worst_r=float(worst_r),
                                  uniform=worst >= REVERSE_DOUBLING_GAMMA)
@@ -255,6 +261,15 @@ def check_doubling(space: SpaceSpec, radii, measures: FamilyMeasures | None = No
     """max over the family of mu(B_{2r}) / mu(B_r); bounded (at most
     DOUBLING_BOUND) means doubling holds along the family.  Ball volumes
     come from measures, as in check_reverse_doubling."""
-    ball = (measures or FamilyMeasures(space)).ball
+    radii, ball = _doubling_balls(space, radii, measures)
     worst = max(ball(2.0 * r) / ball(r) for r in radii)
     return float(worst), worst <= DOUBLING_BOUND
+
+
+def _doubling_balls(space, radii, measures):
+    """The radii as a list, and the ball of a table holding mu(B_2r) and
+    mu(B_r) for each."""
+    radii = list(radii)
+    measures = measures or FamilyMeasures(space)
+    measures.fill([(0.0, rho) for r in radii for rho in (2.0 * r, r)])
+    return radii, measures.ball

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the outcome of one
+item of a family computation: its value or the error it raised."""
 
 
 class AnncapError(Exception):
@@ -43,3 +44,19 @@ class ConvergenceError(AnncapError):
     def __init__(self, message, best_energy=None):
         super().__init__(message)
         self.best_energy = best_energy
+
+
+def attempt(fn, *args):
+    """fn(*args), or the AnncapError it raised: one item's outcome in a
+    family computation, kept so that it is raised in the item's turn."""
+    try:
+        return fn(*args)
+    except AnncapError as exc:
+        return exc
+
+
+def unwrap(outcome):
+    """An outcome's value, or the AnncapError it holds raised."""
+    if isinstance(outcome, AnncapError):
+        raise outcome
+    return outcome

@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import BoundId, BoundSpec, blowup_probe, evaluate_bound, verify_envelope
-from .capacity import cap_auto, cap_radial_weighted
+from .bounds import BoundId, BoundSpec, _evaluate, blowup_probe, evaluate_bound, verify_envelope
+from .capacity import cap_values
 from .decay import (
     _loglog_fit,
     ad_ratio_trend,
@@ -28,7 +28,7 @@ from .decay import (
     fit_annulus_decay,
 )
 from .errors import ApplicabilityError, InputError
-from .measure import FamilyMeasures, mu_annulus, mu_ball
+from .measure import FamilyMeasures, mu_family
 from .spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec, TraitSet
 from .weights import BuckleyEta, Constant, HalfLineCatalog, HalfLineKind, SummedBuckley
 
@@ -97,6 +97,17 @@ _RN_TRAITS = TraitSet(pi_exponents=frozenset({1.0}), pi_global=True, doubling=Tr
                       globally_doubling=True, reverse_doubling=True, corkscrew=True, ad_eta=1.0)
 
 
+# the doubling probes' radii of each maker, fixed: built once, not per query
+_A1_CHECK_RADII = tuple(np.geomspace(0.05, 8.0, 12))
+_BOWTIE_CHECK_RADII = tuple(np.geomspace(0.05, 1.2, 8))
+_SNAKE_CHECK_RADII = tuple(np.geomspace(0.5, 256.0, 12))
+_HALFLINE_CHECK_RADII = {
+    HalfLineKind.MIN_ONE_OVER_X: tuple(np.geomspace(4.0, 512.0, 12)),
+    HalfLineKind.EXP_DECAY: tuple(np.geomspace(0.5, 64.0, 12)),
+    HalfLineKind.EXP_INV_OVER_X_SQ: tuple(np.geomspace(0.02, 1.0, 12)),
+}
+
+
 def _a1_entry(name, geometry, weight, eta, pi_sharp_q, claims, one_ad_range) -> GalleryEntry:
     """R^n with an A_1 weight of decay exponent eta (the constant weight has
     eta = 1): the traits of unweighted R^n but for ad_eta, and the same probe
@@ -106,7 +117,7 @@ def _a1_entry(name, geometry, weight, eta, pi_sharp_q, claims, one_ad_range) -> 
         name=name, space=space, pi_sharp_q=pi_sharp_q, claims=claims,
         ad_families=((1.0, _thin_family(1.0)), (4.0, _thin_family(4.0))),
         one_ad_range=one_ad_range,
-        check_radii=tuple(np.geomspace(0.05, 8.0, 12)),
+        check_radii=_A1_CHECK_RADII,
     )
 
 
@@ -146,7 +157,7 @@ def make_bowtie(alpha: float, n: int = 2) -> GalleryEntry:
         claims=("measure-exponent", "cap-degenerates") if m > 1.0 else ("measure-exponent",),
         ad_families=((1.0, _thin_family(1.0, 10)), (2.0, _thin_family(2.0, 10))),
         one_ad_range=None,  # a quadrature per ball volume; probed only on demand
-        check_radii=tuple(np.geomspace(0.05, 1.2, 8)),
+        check_radii=_BOWTIE_CHECK_RADII,
     )
 
 
@@ -164,7 +175,7 @@ def make_snake() -> GalleryEntry:
         ad_families=((48.0, _thin_family(48.0)),),
         none_probe=none_probe,
         one_ad_range=(1.5, 64.0),
-        check_radii=tuple(np.geomspace(0.5, 256.0, 12)),
+        check_radii=_SNAKE_CHECK_RADII,
     )
 
 
@@ -176,20 +187,17 @@ def make_halfline(kind: HalfLineKind) -> GalleryEntry:
         claims = ("measure-lower-q-fails", "condition-d-fails")
         families = ((64.0, _thin_family(64.0)), (512.0, _thin_family(512.0)))
         one_ad_range = (2.0, 100.0)
-        radii = tuple(np.geomspace(4.0, 512.0, 12))
     elif weight.kind is HalfLineKind.EXP_DECAY:
         claims = ("condition-d-fails",)
         # small R keeps e^{Rt} curvature out of the exponent fit
         families = ((0.5, _thin_family(0.5)), (8.0, _thin_family(8.0)))
         one_ad_range = (0.1, 30.0)
-        radii = tuple(np.geomspace(0.5, 64.0, 12))
     else:  # EXP_INV_OVER_X_SQ
         traits = TraitSet(pi_exponents=frozenset({1.0}), doubling=False,
                           reverse_doubling=True, ad_eta=None)
         claims = ("doubling-fails",)
         families = ((0.4, _thin_family(0.4)),)
         one_ad_range = (0.02, 2.0)
-        radii = tuple(np.geomspace(0.02, 1.0, 12))
         # eta-AD fails as R -> 0 along annuli with 1 - r/R = R; stop before
         # mu(B_R) = e^{-1/R} underflows
         none_probe = tuple(AnnulusSpec(R * (1.0 - R), R) for R in (2.0**-j for j in range(2, 8)))
@@ -197,7 +205,7 @@ def make_halfline(kind: HalfLineKind) -> GalleryEntry:
     return GalleryEntry(
         name=space.name, space=space, pi_sharp_q="1-Poincare inequality at the origin",
         claims=claims, ad_families=families, none_probe=none_probe, one_ad_range=one_ad_range,
-        check_radii=radii,
+        check_radii=_HALFLINE_CHECK_RADII[weight.kind],
     )
 
 
@@ -231,8 +239,8 @@ class _Probes:
 
     @functools.cached_property
     def buckley_envelope(self):
-        """The nice-case envelope of cap_radial_weighted at p = 2."""
-        return _nice_envelope(self.entry.space, cap_radial_weighted, 2.0, 10, False)
+        """The nice-case envelope at p = 2, whatever the hypotheses."""
+        return _nice_envelope(self.entry.space, 2.0, 10, False)
 
     @functools.cached_property
     def none_trend(self):
@@ -285,10 +293,10 @@ def _cap_slope(rep):
     return _loglog_fit(xs, [math.log(row[2]) for row in rep.rows])[0]
 
 
-def _nice_envelope(space, cap, p, j_hi, check_hypotheses):
-    """The two-sided nice-case envelope of cap(space, p, ann) over the annuli
+def _nice_envelope(space, p, j_hi, check_hypotheses):
+    """The two-sided nice-case envelope of the capacity at p over the annuli
     (1 - 2^-j, 1), j = 2..j_hi."""
-    return verify_envelope(space, lambda a: cap(space, p, a).value,
+    return verify_envelope(space, functools.partial(cap_values, space, p),
                            BoundSpec(BoundId.TWO_SIDED_NICE, p), _thin_annuli(1.0, j_hi),
                            check_hypotheses)
 
@@ -301,10 +309,11 @@ def _ad_bounded(space, annuli, eta):
 
 
 def _pinch_probe(space, p):
-    """blowup_probe of cap_auto at the bow-tie tip over delta = 2^-j, j = 2..9;
-    the capacity degenerates iff the verdict is NO-BLOWUP with every value 0."""
+    """blowup_probe of the capacity at the bow-tie tip over delta = 2^-j,
+    j = 2..9; the capacity degenerates iff the verdict is NO-BLOWUP with
+    every value 0."""
     rep = blowup_probe(space, p, 1.0, [2.0**-j for j in range(2, 10)],
-                       lambda a: cap_auto(space, p, a).value, q=1.0, check_hypotheses=False)
+                       functools.partial(cap_values, space, p), q=1.0, check_hypotheses=False)
     return rep.verdict == "NO-BLOWUP" and all(v == 0.0 for v in rep.values), rep
 
 
@@ -328,7 +337,7 @@ def _claim_nice_case_fails(entry, probes):
 def _claim_nice_case_holds(entry, probes):
     """The two-sided nice-case estimate holds."""
     p = 2.0
-    rep = _nice_envelope(entry.space, cap_auto, p, 10, True)
+    rep = _nice_envelope(entry.space, p, 10, True)
     return rep.verdict == "PASS", f"envelope {rep.verdict}, slope {rep.slope:.4f}"
 
 
@@ -373,7 +382,8 @@ def _claim_snake_lower_base(entry, probes):
     k = 6
     spec = BoundSpec(BoundId.LOWER_P_BASE, p)
     annuli = [AnnulusSpec(2.0**k - 2.0**-j, 2.0**k + 2.0**-j) for j in range(0, 9)]
-    rep = verify_envelope(entry.space, lambda a: cap_auto(entry.space, p, a).value, spec, annuli)
+    rep = verify_envelope(entry.space, functools.partial(cap_values, entry.space, p), spec,
+                          annuli)
     return rep.verdict == "PASS", f"envelope {rep.verdict}, ratios [{rep.min_ratio:.3g}, {rep.max_ratio:.3g}]"
 
 
@@ -392,17 +402,19 @@ def _claim_snake_corkscrew_gate(entry, probes):
 def _claim_measure_lower_q_fails(entry, probes):
     """The q-decay measure lower bound fails: no reverse-doubling."""
     spec = BoundSpec(BoundId.MEASURE_LOWER_Q, p=2.0, q=1.0)
+    annuli = [AnnulusSpec(R / 2.0, R) for R in (16.0, 256.0, 4096.0)]
+    measures = FamilyMeasures(entry.space)
+    measures.fill([iv for ann in annuli for iv in ((0.0, ann.R), (ann.r, ann.R))])
     ratios = []
-    for R in (16.0, 256.0, 4096.0):
-        ann = AnnulusSpec(R / 2.0, R)
+    for ann in annuli:
         try:
             evaluate_bound(spec, entry.space, ann)
-            return False, f"bound applied at R={R} despite missing reverse-doubling"
+            return False, f"bound applied at R={ann.R} despite missing reverse-doubling"
         except ApplicabilityError as exc:
             if "reverse-doubling" not in str(exc):
                 return False, f"gated on the wrong hypothesis: {exc}"
-        bound = evaluate_bound(spec, entry.space, ann, check_hypotheses=False)
-        ratios.append(mu_annulus(entry.space, ann) / bound)
+        bound = _evaluate(spec, entry.space, ann, measures, check_hypotheses=False)
+        ratios.append(measures.annulus(ann) / bound)
     # decay is logarithmic in R, so test the total drop
     ok = all(b < a for a, b in zip(ratios, ratios[1:])) and ratios[-1] <= ratios[0] / 2.0
     return ok, f"mu(ann)/bound along R: {', '.join(f'{x:.4g}' for x in ratios)} (decreasing to 0)"
@@ -417,8 +429,9 @@ def _claim_condition_d_fails(entry, probes):
 
 def _claim_doubling_fails(entry, probes):
     """mu(B_{3R/4})/mu(B_R) -> 0 as R -> 0."""
-    ratios = [mu_ball(entry.space, 0.75 * R) / mu_ball(entry.space, R)
-              for R in (0.4, 0.2, 0.1, 0.05)]
+    balls = mu_family(entry.space, [(0.0, rho) for R in (0.4, 0.2, 0.1, 0.05)
+                                    for rho in (0.75 * R, R)])
+    ratios = [a / b for a, b in zip(balls[::2], balls[1::2])]
     ok = all(b < a for a, b in zip(ratios, ratios[1:])) and ratios[-1] < 1e-2
     return ok, f"mu(B_3R/4)/mu(B_R) along R -> 0: {', '.join(f'{x:.3g}' for x in ratios)}"
 

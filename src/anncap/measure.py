@@ -1,27 +1,31 @@
 """Ball volumes mu(B_r), annulus measures and ball-volume profiles.
 
-Every integral goes to one vectorized tanh-sinh rule.  Radial and
-half-line geometries reduce to 1-D integrals in the radius, integrated in a
-power of the distance to a power pole near it; ``volume_profile`` sums
-Gauss-Legendre panel masses there, as the radial network builder does.  The
-snake has an exact closed form.  The bow-tie, in every dimension n >= 2, is
-one integral over x1 of closed-form hypergeometric slice masses, in closed
-form on the panels at the pinch.
+Every integral goes to one vectorized tanh-sinh rule, batched over a
+family: one call integrates groups of panels, one group per integral, each
+level's nodes of every group still refining in one array call.  A group
+sums only its own panels, stops at its own level, and ends in its own
+value or error; a single integral is a family of one, with the same bits.
+Radial and half-line geometries reduce to 1-D integrals in the radius,
+integrated in a power of the distance to a power pole near it, a family of
+balls and annuli in one call; ``volume_profile`` sums Gauss-Legendre panel
+masses there, as the radial network builder does.  The snake has an exact
+closed form.  The bow-tie, in every dimension n >= 2, is one integral over
+x1 of closed-form hypergeometric slice masses, in closed form on the panels
+at the pinch, one call per ball or annulus.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import AnncapError, DomainError, QuadratureError, attempt, unwrap
 from .spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec, surface_area
 from .weights import Constant, PowerAlpha
 
-__all__ = ["mu_ball", "mu_annulus", "mu_ball_detailed", "mu_annulus_detailed", "volume_profile",
-           "FamilyMeasures", "DEFAULT_TOL"]
+__all__ = ["mu_ball", "mu_annulus", "mu_ball_detailed", "mu_annulus_detailed", "mu_family",
+           "volume_profile", "FamilyMeasures", "DEFAULT_TOL"]
 
 DEFAULT_TOL = 1e-10
 _EPS = np.finfo(float).eps
@@ -43,8 +47,11 @@ def _radial_reduction(space):
 PANEL_RATIO = 1e8  # no panel of a radial integral spans a larger ratio of radii
 
 
-def _radial_integral(w, m, r, R, k=1.0):
-    """int_r^R (w rho^m)^k drho and its error estimate, by the tanh-sinh rule.
+def _radial_integral(w, m, intervals, k=1.0):
+    """int_r^R (w rho^m)^k drho and its error estimate over each interval
+    (r, R) of a family, by one call of the tanh-sinh rule with one group of
+    panels per interval.  Each result is (value, error), or the DomainError
+    or QuadratureError that ends its group.
 
     Panels end at r, R, the weight's singularities, half and twice each
     weight pole, and geometric cuts that keep their ratios of radii at most
@@ -58,43 +65,58 @@ def _radial_integral(w, m, r, R, k=1.0):
     rho^(m k) / e, is bounded; for e = 1 it is (w rho^m)^k, which tends to 0
     at p.  Elsewhere it is w^k rho^(m k), where rho^m cannot underflow.
     """
+    if not intervals:
+        return []
     weight_poles = dict(getattr(w, "poles", ()))
     poles = weight_poles or ({0.0: m} if m < 0 else {})  # a folded PowerAlpha leaves w = 1
-    cuts = {*w.singularities(), *(c * p for p in weight_poles for c in (0.5, 2.0))}
-    if r > 0:
-        span = math.log(R) - math.log(r)
-        n = math.ceil(span / math.log(PANEL_RATIO))
-        cuts.update(math.exp(math.log(r) + span * i / n) for i in range(1, n))
-    edges = np.array([r, *sorted(s for s in cuts if r < s < R), R])
+    fixed = {*w.singularities(), *(c * p for p in weight_poles for c in (0.5, 2.0))}
+    plans = []  # each interval's panel edges
+    for r, R in intervals:
+        cuts = set(fixed)
+        if r > 0:
+            span = math.log(R) - math.log(r)
+            n = math.ceil(span / math.log(PANEL_RATIO))
+            cuts.update(math.exp(math.log(r) + span * i / n) for i in range(1, n))
+        plans.append([r, *sorted(s for s in cuts if r < s < R), R])
     if not poles:
-        return _tanh_sinh(lambda rho: w.evaluate(rho) ** k * rho ** (m * k), edges[:-1], edges[1:])
-    panels = []  # (anchor, direction, beta, u0, width): u = u0 + v, v in [0, width]
-    for a, b in zip(edges, edges[1:]):
-        pa, pb = (min(poles, key=lambda p: abs(x - p)) for x in (a, b))
-        mid = 0.5 * (a + b)
-        for x, y, p in [(a, b, pa)] if pa == pb else [(a, mid, pa), (mid, b, pb)]:
-            if p > 0.0 and not 0.5 * p <= x < y <= 2.0 * p:  # away from the weight's poles
-                panels.append((x, 1.0, 0.0, 0.0, y - x))  # rho = x + v
-                continue
-            e = min(1.0 + poles[p] * k, 1.0)
-            near = min(abs(x - p), abs(y - p))
-            width = near**e * math.expm1(e * math.log1p((y - x) / near)) if near else (y - x) ** e
-            panels.append((p, 1.0 if x >= p else -1.0, poles[p], near**e, width))
+        lo, hi = [], []
+        for edges in plans:
+            lo += edges[:-1]
+            hi += edges[1:]
+        return _tanh_sinh(lambda rho: w.evaluate(rho) ** k * rho ** (m * k), np.array(lo),
+                          np.array(hi), [len(edges) - 1 for edges in plans])
+    panels, groups = [], []  # (anchor, direction, beta, u0, width): u = u0 + v, v in [0, width]
+    for edges in plans:
+        count = len(panels)
+        for a, b in zip(edges, edges[1:]):
+            pa, pb = (min(poles, key=lambda p: abs(x - p)) for x in (a, b))
+            mid = 0.5 * (a + b)
+            for x, y, p in [(a, b, pa)] if pa == pb else [(a, mid, pa), (mid, b, pb)]:
+                if p > 0.0 and not 0.5 * p <= x < y <= 2.0 * p:  # away from the weight's poles
+                    panels.append((x, 1.0, 0.0, 0.0, y - x))  # rho = x + v
+                    continue
+                e = min(1.0 + poles[p] * k, 1.0)
+                near = min(abs(x - p), abs(y - p))
+                width = (near**e * math.expm1(e * math.log1p((y - x) / near)) if near
+                         else (y - x) ** e)
+                panels.append((p, 1.0 if x >= p else -1.0, poles[p], near**e, width))
+        groups.append(len(panels) - count)
     anchor, sign, beta, u0, width = np.array(panels).T[:, :, None]
     e = np.minimum(1.0 + beta * k, 1.0)
     kept = np.where(e < 1.0, 0.0, beta)  # the pole's power that u leaves in the integrand
-    rows = [(p, anchor[:, 0] == p) for p in weight_poles if p in anchor]
+    poles_here = [p for p in weight_poles if p in anchor]
     power = m * k if m >= 0 else 0.0
 
-    def integrand(v):
+    def integrand(v, anchor, sign, u0, e, kept, *at_poles):
         d = sign * (u0 + v) ** (1.0 / e)
         rho = anchor + d
         val = w.evaluate(rho)
-        for p, at_p in rows:
+        for p, at_p in zip(poles_here, at_poles):
             val[at_p] = w.regular(p, d[at_p])
         return (val * np.abs(d) ** kept) ** k * rho**power / e
 
-    return _tanh_sinh(integrand, np.zeros(len(panels)), width[:, 0])
+    return _tanh_sinh(integrand, np.zeros(len(panels)), width[:, 0], groups,
+                      (anchor, sign, u0, e, kept, *(anchor[:, 0] == p for p in poles_here)))
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -168,40 +190,67 @@ def _ts_first_table():
 _TS_TABLES = (_ts_first_table(), *map(_ts_level, range(2, _TS_LEVELS)))
 
 
-def _tanh_sinh(f, lo, hi):
-    """Integral I of f >= 0 over the panels [lo_i, hi_i] and its error
-    estimate, by the tanh-sinh rule on each panel.
+def _tanh_sinh(f, lo, hi, groups, columns=()):
+    """Integral I of f >= 0 over each group of the panels [lo_i, hi_i] and
+    its error estimate, by the tanh-sinh rule on each panel.
 
-    f maps a (panels, nodes) array of nodes to their values, each level's
-    new nodes in one call.  Nodes approach a panel end by their offset from
-    it; one whose offset underflows to 0 counts as 0.  The rule stops at the
-    first level after level 0 whose error estimate, the change from the
-    previous level floored at the terms at |t| = T_MAX (the truncated tail)
-    and at N eps I over the N nodes (the sum's rounding), is at most
-    DEFAULT_TOL I.  A non-finite sample raises DomainError, a last level
-    that misses the gate QuadratureError.
+    groups holds the panel counts of the integrals, whose panels follow one
+    another in lo and hi.  f maps a (panels, nodes) array of nodes, and the
+    rows of the per-panel arrays columns for those panels, to their values:
+    each level's new nodes of every group still refining in one call.
+    Nodes approach a panel end by their offset from it; one whose offset
+    underflows to 0 counts as 0.  A group sums its own panels and nodes
+    alone, and stops at the first level after level 0 whose error estimate,
+    the change from the previous level floored at the terms at |t| = T_MAX
+    (the truncated tail) and at N eps I over its N nodes (the sum's
+    rounding), is at most DEFAULT_TOL I.  Each group's result is (I, error),
+    or a DomainError for a non-finite sample, or a QuadratureError when the
+    last level misses the gate; it stops no other group.
     """
-    a, b = lo[:, None], hi[:, None]
-    length = hi - lo
-    nodes = 0
+    results = [None] * len(groups)
+    live, start = [], 0  # [group, its rows among the live panels, I, tail, nodes, error]
+    for g, size in enumerate(groups):
+        live.append([g, slice(start, start + size), 0.0, 0.0, 0, 0.0])
+        start += size
+    a, b, length, cols = lo[:, None], hi[:, None], hi - lo, columns
     with np.errstate(all="ignore"):  # a non-finite sample fails the check below
         for k, (frac, weights, from_b) in enumerate(_TS_TABLES):
             off = frac * length[:, None]
-            vals = np.where(off > 0, f(np.where(from_b, b - off, a + off)), 0.0)
-            nodes += np.count_nonzero(off)
-            sums = length @ (vals @ weights)
-            if k == 0:
-                total, tail = sums[1], abs(sums[2])
-            prev, total = total, 0.5 * total + sums[0]
-            if not math.isfinite(total):
-                raise DomainError("non-finite integrand sample in quadrature")
-            err = max(abs(total - prev), tail, nodes * _EPS * abs(total))
-            if err <= DEFAULT_TOL * abs(total):
-                return float(total), float(err)
-    raise QuadratureError(
-        f"tanh-sinh quadrature reached error {err:.3e} > requested {DEFAULT_TOL:.3e} "
-        f"relative to {total:.3e}", achieved_error=err
-    )
+            vals = np.where(off > 0, f(np.where(from_b, b - off, a + off), *cols), 0.0)
+            refining = []
+            for group in live:
+                g, rows, total, tail, nodes, err = group
+                nodes += np.count_nonzero(off[rows])
+                sums = length[rows] @ (vals[rows] @ weights)
+                if k == 0:
+                    total, tail = sums[1], abs(sums[2])
+                prev, total = total, 0.5 * total + sums[0]
+                if not math.isfinite(total):
+                    results[g] = DomainError("non-finite integrand sample in quadrature")
+                    continue
+                err = max(abs(total - prev), tail, nodes * _EPS * abs(total))
+                if err <= DEFAULT_TOL * abs(total):
+                    results[g] = float(total), float(err)
+                    continue
+                group[2:] = total, tail, nodes, err
+                refining.append(group)
+            if len(refining) < len(live):
+                live, start, rows = refining, 0, []
+                for group in live:
+                    g = group[0]
+                    rows.append(np.arange(sum(groups[:g]), sum(groups[:g + 1])))
+                    group[1] = slice(start, start + groups[g])
+                    start += groups[g]
+                if not live:
+                    break
+                rows = np.concatenate(rows)
+                a, b, length = lo[rows, None], hi[rows, None], (hi - lo)[rows]
+                cols = [c[rows] for c in columns]
+    for g, _, total, _, _, err in live:
+        results[g] = QuadratureError(
+            f"tanh-sinh quadrature reached error {err:.3e} > requested {DEFAULT_TOL:.3e} "
+            f"relative to {total:.3e}", achieved_error=err)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +327,7 @@ def _bowtie_annulus(space, r, R):
             pinch_mass = (bracket(0.5 * far) * np.abs(far) ** power).sum() / power
         if not math.isfinite(pinch_mass):
             raise DomainError("non-finite pinch mass")
-        val, err = _tanh_sinh(shell_mass, lo[~pinch], hi[~pinch])
+        val, err = unwrap(_tanh_sinh(shell_mass, lo[~pinch], hi[~pinch], [(~pinch).sum()])[0])
     except DomainError:  # a power of |x1| past the float range
         raise DomainError(f"bow-tie measure of (r={r}, R={R}) at n = {n}, alpha = {alpha} "
                           "leaves the float range") from None
@@ -288,27 +337,42 @@ def _bowtie_annulus(space, r, R):
 
 # ---------------------------------------------------------------------------
 
-def _measure(space: SpaceSpec, r, R):
-    """mu(r <= |x - x0| < R) and its error estimate, by a single quadrature
-    over (r, R) where the geometry allows, avoiding cancellation; r = 0
-    gives the ball."""
+def _measure_family(space: SpaceSpec, intervals):
+    """mu(r <= |x - x0| < R) and its error estimate for each (r, R) of a
+    family, r = 0 for the ball B_R, in order: each is (value, error) or the
+    AnncapError that computing it raised.  On radial and half-line spaces
+    each is a single integral over (r, R), avoiding cancellation, and the
+    family's integrals are one _radial_integral call."""
     geom = space.geometry
+    valid = [(r, R) for r, R in intervals if 0 < R < math.inf]
     if isinstance(geom, (RadialRn, HalfLine)):
         w, m, const = _radial_reduction(space)
-        val, err = _radial_integral(w, m, r, R)
-        return const * val, const * err
-    if isinstance(geom, Snake):
-        return _snake_ball(geom, R) - _snake_ball(geom, r), 0.0
-    if isinstance(geom, BowTie):
-        return _bowtie_annulus(space, r, R)
-    raise DomainError(f"unknown geometry {geom!r}")
+        done = [res if isinstance(res, AnncapError) else (const * res[0], const * res[1])
+                for res in _radial_integral(w, m, valid)]
+    elif isinstance(geom, Snake):
+        done = [attempt(lambda r, R: (_snake_ball(geom, R) - _snake_ball(geom, r), 0.0), r, R)
+                for r, R in valid]
+    elif isinstance(geom, BowTie):
+        done = [attempt(_bowtie_annulus, space, r, R) for r, R in valid]
+    else:
+        done = [DomainError(f"unknown geometry {geom!r}") for _ in valid]
+    if len(done) == len(intervals):
+        return done
+    done = iter(done)
+    return [next(done) if 0 < R < math.inf else
+            DomainError(f"ball radius must be positive and finite, got {R}") for _, R in intervals]
+
+
+def mu_family(space: SpaceSpec, intervals) -> list:
+    """mu(r <= |x - x0| < R) of each (r, R), r = 0 for the ball B_R, in
+    order, from one _measure_family call; the first error in order is
+    raised."""
+    return [unwrap(res)[0] for res in _measure_family(space, intervals)]
 
 
 def mu_ball_detailed(space: SpaceSpec, R: float):
     """mu(B(x0, R)) together with an error estimate."""
-    if not (0 < R < math.inf):
-        raise DomainError(f"ball radius must be positive and finite, got {R}")
-    return _measure(space, 0.0, R)
+    return unwrap(_measure_family(space, [(0.0, R)])[0])
 
 
 def mu_ball(space: SpaceSpec, R: float) -> float:
@@ -317,7 +381,7 @@ def mu_ball(space: SpaceSpec, R: float) -> float:
 
 def mu_annulus_detailed(space: SpaceSpec, ann: AnnulusSpec):
     """mu(B_R \\ B_r) together with an error estimate."""
-    return _measure(space, ann.r, ann.R)
+    return unwrap(_measure_family(space, [(ann.r, ann.R)])[0])
 
 
 def mu_annulus(space: SpaceSpec, ann: AnnulusSpec) -> float:
@@ -325,10 +389,11 @@ def mu_annulus(space: SpaceSpec, ann: AnnulusSpec) -> float:
 
 
 class FamilyMeasures:
-    """ball(rho) = mu(B_rho) and annulus(ann) = mu(ann) of one space for the
-    length of one computation over a family: each distinct radius or
-    annulus is computed once, by mu_ball or mu_annulus, on first use, so
-    every value is the one those functions return.
+    """mu(r <= |x - x0| < R) of one space, r = 0 for the ball B_R, for the
+    length of one computation over a family.  fill computes every interval
+    the table lacks in one _measure_family call, each distinct one once; a
+    read of an interval not yet filled computes it alone.  A read returns
+    the value mu_ball or mu_annulus returns, or raises the error it raises.
 
     A table lives as long as the computation that made it (one
     verify_envelope call, say) and is not kept beyond it, so repeated
@@ -336,8 +401,23 @@ class FamilyMeasures:
     """
 
     def __init__(self, space: SpaceSpec):
-        self.ball = functools.cache(functools.partial(mu_ball, space))
-        self.annulus = functools.cache(functools.partial(mu_annulus, space))
+        self.space = space
+        self._results = {}
+
+    def fill(self, intervals):
+        new = [iv for iv in dict.fromkeys(intervals) if iv not in self._results]
+        if new:
+            self._results.update(zip(new, _measure_family(self.space, new)))
+
+    def __call__(self, r, R):
+        self.fill([(r, R)])
+        return unwrap(self._results[r, R])[0]
+
+    def ball(self, rho):
+        return self(0.0, rho)
+
+    def annulus(self, ann: AnnulusSpec):
+        return self(ann.r, ann.R)
 
 
 def volume_profile(space: SpaceSpec, rho) -> np.ndarray:
@@ -353,7 +433,7 @@ def volume_profile(space: SpaceSpec, rho) -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=float)
     if not isinstance(space.geometry, (RadialRn, HalfLine)):
-        return np.array([mu_ball(space, x) for x in rho])
+        return np.array(mu_family(space, [(0.0, x) for x in rho]))
     w, m, const = _radial_reduction(space)
 
     def density(x):
@@ -370,6 +450,7 @@ def volume_profile(space: SpaceSpec, rho) -> np.ndarray:
     below = f0 + np.cumsum(np.where(redo, 0.0, inc))
     with np.errstate(invalid="ignore"):
         redo |= np.abs(whole - inc) > 1e-2 * DEFAULT_TOL * below
-    for i in np.flatnonzero(redo):
-        inc[i] = const * _radial_integral(w, m, lo[i], hi[i])[0]
+    redone = np.flatnonzero(redo)
+    for i, res in zip(redone, _radial_integral(w, m, list(zip(lo[redone], hi[redone])))):
+        inc[i] = const * unwrap(res)[0]
     return np.concatenate(([f0], f0 + np.cumsum(inc)))

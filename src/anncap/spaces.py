@@ -42,8 +42,8 @@ class RadialRn:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError(f"RadialRn needs n >= 1, got {self.n}")
+        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
+            raise InputError(f"RadialRn needs an integer n >= 1, got {self.n!r}")
         try:
             surface_area(self.n)
         except OverflowError:
@@ -84,8 +84,8 @@ class BowTie:
     alpha: float
 
     def __post_init__(self):
-        if self.n < 2:
-            raise InputError(f"BowTie needs n >= 2, got {self.n}")
+        if not (isinstance(self.n, numbers.Integral) and self.n >= 2):
+            raise InputError(f"BowTie needs an integer n >= 2, got {self.n!r}")
         if not (self.alpha > -self.n):
             raise InputError(f"BowTie needs alpha > -n = {-self.n}, got {self.alpha}")
         try:

@@ -15,13 +15,19 @@ from anncap.bounds import (
 )
 from anncap.capacity import cap_auto, cap_radial_weighted, cap_rn_unweighted
 from anncap.cli import _write_rows
-from anncap.errors import ApplicabilityError, DomainError, InputError
+from anncap.errors import ApplicabilityError, DomainError, InputError, QuadratureError
 from anncap.gallery import make_bowtie, make_buckley, make_halfline, make_rn_unweighted, make_snake
 from anncap.measure import mu_ball
 from anncap.spaces import AnnulusSpec, HalfLine, RadialRn, SpaceSpec, TraitSet
 from anncap.weights import Constant, HalfLineKind
 
 RN2 = make_rn_unweighted(2).space
+
+
+def _each(cap):
+    """The caps argument of verify_envelope and blowup_probe: cap(a) of
+    each annulus of the family."""
+    return lambda annuli: [cap(a) for a in annuli]
 
 
 def test_boundspec_validation():
@@ -119,7 +125,7 @@ def test_upper_simple_never_gated():
 def test_verify_envelope_pass_and_csv(tmp_path):
     p = 2.0
     annuli = [AnnulusSpec(1.0 - 2.0**-j, 1.0) for j in range(2, 11)]
-    rep = verify_envelope(RN2, lambda a: cap_auto(RN2, p, a).value,
+    rep = verify_envelope(RN2, _each(lambda a: cap_auto(RN2, p, a).value),
                           BoundSpec(BoundId.TWO_SIDED_NICE, p), annuli)
     assert rep.verdict == "PASS"
     assert abs(rep.slope) <= 0.05
@@ -136,17 +142,17 @@ def test_verify_envelope_pass_and_csv(tmp_path):
 def test_degenerate_abscissa_is_an_input_error():
     # every annulus the same 1 - r/R: no slope to fit
     with pytest.raises(InputError, match="degenerate fit"):
-        verify_envelope(RN2, lambda a: cap_auto(RN2, 2.0, a).value,
+        verify_envelope(RN2, _each(lambda a: cap_auto(RN2, 2.0, a).value),
                         BoundSpec(BoundId.TWO_SIDED_NICE, 2.0), [AnnulusSpec(0.75, 1.0)] * 8)
     with pytest.raises(InputError, match="degenerate fit"):
-        blowup_probe(RN2, 2.0, 1.0, [0.25], lambda a: cap_auto(RN2, 2.0, a).value, q=1.0)
+        blowup_probe(RN2, 2.0, 1.0, [0.25], _each(lambda a: cap_auto(RN2, 2.0, a).value), q=1.0)
 
 
 def test_verify_envelope_detects_counterexample():
     space = make_buckley(0.5).space
     p = 2.0
     annuli = [AnnulusSpec(1.0 - 2.0**-j, 1.0) for j in range(2, 11)]
-    rep = verify_envelope(space, lambda a: cap_radial_weighted(space, p, a).value,
+    rep = verify_envelope(space, _each(lambda a: cap_radial_weighted(space, p, a).value),
                           BoundSpec(BoundId.TWO_SIDED_NICE, p), annuli,
                           check_hypotheses=False)
     assert rep.verdict == "FAIL"
@@ -156,13 +162,13 @@ def test_verify_envelope_detects_counterexample():
 def test_verify_envelope_needs_eight_annuli():
     annuli = [AnnulusSpec(1.0 - 2.0**-j, 1.0) for j in range(2, 6)]
     with pytest.raises(InputError):
-        verify_envelope(RN2, lambda a: 1.0,
+        verify_envelope(RN2, _each(lambda a: 1.0),
                         BoundSpec(BoundId.UPPER_SIMPLE, 2.0), annuli)
 
 
 def test_upper_simple_envelope_requires_domination():
     annuli = [AnnulusSpec(1.0 - 2.0**-j, 1.0) for j in range(2, 11)]
-    rep = verify_envelope(RN2, lambda a: 2.0 * cap_auto(RN2, 2.0, a).value,
+    rep = verify_envelope(RN2, _each(lambda a: 2.0 * cap_auto(RN2, 2.0, a).value),
                           BoundSpec(BoundId.UPPER_SIMPLE, 2.0), annuli)
     assert rep.verdict == "FAIL"  # inflated capacity exceeds the bare bound
 
@@ -172,7 +178,7 @@ def test_blowup_probe_halfline():
                       traits=TraitSet(pi_exponents=frozenset({1.0})))
     deltas = [2.0**-j for j in range(1, 13)]
     rep = blowup_probe(space, 2.0, 1.0, deltas,
-                       lambda a: cap_radial_weighted(space, 2.0, a).value, q=1.0)
+                       _each(lambda a: cap_radial_weighted(space, 2.0, a).value), q=1.0)
     assert rep.verdict == "BLOWUP"
     slope = np.polyfit(np.log(rep.deltas), np.log(rep.values), 1)[0]
     assert slope == pytest.approx(-1.0, abs=0.01)
@@ -181,17 +187,17 @@ def test_blowup_probe_halfline():
 def test_blowup_probe_gating():
     space = SpaceSpec(HalfLine(), Constant(), traits=TraitSet())  # no PI declared
     with pytest.raises(ApplicabilityError, match="Poincare"):
-        blowup_probe(space, 2.0, 1.0, [0.5, 0.25], lambda a: 1.0)
+        blowup_probe(space, 2.0, 1.0, [0.5, 0.25], _each(lambda a: 1.0))
     # q >= p also refuses
     pi = SpaceSpec(HalfLine(), Constant(), traits=TraitSet(pi_exponents=frozenset({1.0})))
     with pytest.raises(ApplicabilityError):
-        blowup_probe(pi, 2.0, 1.0, [0.5, 0.25], lambda a: 1.0, q=3.0)
+        blowup_probe(pi, 2.0, 1.0, [0.5, 0.25], _each(lambda a: 1.0), q=3.0)
 
 
 def test_blowup_probe_degenerate_zeroes():
     space = SpaceSpec(HalfLine(), Constant(),
                       traits=TraitSet(pi_exponents=frozenset({1.0})))
-    rep = blowup_probe(space, 2.0, 1.0, [0.5, 0.25, 0.125], lambda a: 0.0, q=1.0)
+    rep = blowup_probe(space, 2.0, 1.0, [0.5, 0.25, 0.125], _each(lambda a: 0.0), q=1.0)
     assert rep.verdict == "NO-BLOWUP"
 
 
@@ -209,27 +215,31 @@ def test_every_bound_has_one_table_row():
 
 
 def _count_measures(monkeypatch):
-    calls = {"mu_ball": 0, "mu_annulus": 0}
-    for name in calls:
-        original = getattr(measure, name)
+    """Counts of the family measure calls and of the balls and annuli they
+    compute."""
+    calls = {"families": 0, "balls": 0, "annuli": 0}
+    original = measure._measure_family
 
-        def counted(*args, name=name, original=original, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
+    def counted(space, intervals):
+        calls["families"] += 1
+        for r, _ in intervals:
+            calls["balls" if r == 0.0 else "annuli"] += 1
+        return original(space, intervals)
 
-        monkeypatch.setattr(measure, name, counted)
+    monkeypatch.setattr(measure, "_measure_family", counted)
     return calls
 
 
 @pytest.mark.parametrize("bound_id", list(BoundId))
 def test_verify_envelope_computes_each_measure_once(monkeypatch, bound_id):
     calls = _count_measures(monkeypatch)
-    verify_envelope(RN2, lambda a: cap_rn_unweighted(2, 2.0, a).value, _SPECS[bound_id],
+    verify_envelope(RN2, _each(lambda a: cap_rn_unweighted(2, 2.0, a).value), _SPECS[bound_id],
                     _FAMILY, check_hypotheses=False)
     expected_balls = {BoundId.UPPER_SIMPLE: 0, BoundId.TWO_SIDED_ANNULAR: 0,
                       BoundId.LOWER_P1_NO_DOUBLING: 11}.get(bound_id, 1)
-    assert calls["mu_ball"] == expected_balls
-    assert calls["mu_annulus"] == (11 if expected_balls == 0 else 0)
+    assert calls["families"] == 1  # one fill for the family
+    assert calls["balls"] == expected_balls
+    assert calls["annuli"] == (11 if expected_balls == 0 else 0)
 
 
 @pytest.mark.parametrize("space", [RN2, make_buckley(0.5).space,
@@ -245,10 +255,10 @@ def test_verify_envelope_rows_equal_evaluate_bound(space):
                 expected = [evaluate_bound(spec, space, a, check_hypotheses=gated) for a in family]
             except ApplicabilityError as exc:
                 with pytest.raises(ApplicabilityError, match=re.escape(str(exc))):
-                    verify_envelope(space, lambda a: 1.0, spec, family,
+                    verify_envelope(space, _each(lambda a: 1.0), spec, family,
                                     check_hypotheses=gated)
                 continue
-            rep = verify_envelope(space, lambda a: 1.0, spec, family,
+            rep = verify_envelope(space, _each(lambda a: 1.0), spec, family,
                                   check_hypotheses=gated)
             assert [row[3] for row in rep.rows] == expected, (bound_id, gated)
 
@@ -283,8 +293,58 @@ def test_underflowing_bound_is_a_domain_error():
     spec = BoundSpec(BoundId.LOWER_P_BASE, 4.0)
     tiny = [AnnulusSpec(1e-100 * (1.0 - 2.0**-j), 1e-100) for j in range(2, 12)]
     with pytest.raises(DomainError, match="float range"):  # R**p underflows
-        verify_envelope(RN2, lambda a: 1.0, spec, tiny, check_hypotheses=False)
+        verify_envelope(RN2, _each(lambda a: 1.0), spec, tiny, check_hypotheses=False)
     inv = make_halfline(HalfLineKind.EXP_INV_OVER_X_SQ).space  # mu(B_R) = e^(-1/R) = 0
     near = [AnnulusSpec(1e-3 * (1.0 - 2.0**-j), 1e-3) for j in range(2, 12)]
     with pytest.raises(DomainError, match="is 0"):
-        verify_envelope(inv, lambda a: 1.0, spec, near, check_hypotheses=False)
+        verify_envelope(inv, _each(lambda a: 1.0), spec, near, check_hypotheses=False)
+
+
+# ---------------------------------------------------------------------------
+# a family's errors, each in its annulus's turn: its capacity, its
+# hypotheses, then its bound's measure
+
+def _caps_failing_at(i):
+    """caps whose annulus i raises a QuadratureError, every other being 1."""
+    return lambda annuli: [QuadratureError(f"capacity {j}") if j == i else 1.0
+                           for j in range(len(annuli))]
+
+
+@pytest.mark.parametrize("cap_at, gated, error", [
+    (5, True, "hypothesis violated: reverse-doubling at x0"),  # fails on annulus 0
+    (0, True, "capacity 0"),  # annulus 0's capacity comes before its hypotheses
+    (5, False, "capacity 5"),
+])
+def test_an_early_hypothesis_wins_over_a_later_capacity(cap_at, gated, error):
+    no_reverse_doubling = make_halfline(HalfLineKind.MIN_ONE_OVER_X).space
+    with pytest.raises((ApplicabilityError, QuadratureError), match=f"^{re.escape(error)}$"):
+        verify_envelope(no_reverse_doubling, _caps_failing_at(cap_at),
+                        BoundSpec(BoundId.TWO_SIDED_NICE, 2.0), _FAMILY, check_hypotheses=gated)
+
+
+@pytest.mark.parametrize("cap_at, error", [(3, "capacity 3"), (7, "thin annulus (R/2 <= r)")])
+def test_the_first_failing_annulus_need_not_be_the_first(cap_at, error):
+    family = list(_FAMILY)
+    family[6] = AnnulusSpec(0.4, 1.0)  # not thin
+    with pytest.raises((ApplicabilityError, QuadratureError), match=f"{re.escape(error)}$"):
+        verify_envelope(RN2, _caps_failing_at(cap_at), BoundSpec(BoundId.TWO_SIDED_NICE, 2.0),
+                        family)
+
+
+@pytest.mark.parametrize("cap_at, error", [(2, "capacity 2"),
+                                           (6, "snake represents radii up to 2^10 = 1024.0")])
+def test_a_measure_error_is_raised_in_its_annulus_turn(cap_at, error):
+    # mu(B_r) is past the snake for r > 1024: from the fifth annulus on
+    family = [AnnulusSpec(1000.0 + 8.0 * j, 1100.0) for j in range(11)]
+    with pytest.raises((DomainError, QuadratureError), match=f"^{re.escape(error)}"):
+        verify_envelope(make_snake().space, _caps_failing_at(cap_at),
+                        _SPECS[BoundId.LOWER_P1_NO_DOUBLING], family, check_hypotheses=False)
+
+
+def test_blowup_probe_builds_its_annuli_in_turn():
+    space = SpaceSpec(HalfLine(), Constant(), traits=TraitSet(pi_exponents=frozenset({1.0})))
+    # delta = 0 gives no annulus: raised after the capacities before it
+    with pytest.raises(QuadratureError, match="capacity 1"):
+        blowup_probe(space, 2.0, 1.0, [0.5, 0.25, 0.0], _caps_failing_at(1), q=1.0)
+    with pytest.raises(InputError, match="annulus needs 0 < r < R"):
+        blowup_probe(space, 2.0, 1.0, [0.5, 0.25, 0.0], _each(lambda a: 1.0), q=1.0)

@@ -55,6 +55,12 @@ def test_radial_integral_matches_closed_form():
             assert quad == pytest.approx(exact, rel=1e-8), (n, p)
 
 
+@pytest.mark.parametrize("n", [2.5, 0, math.nan])
+def test_closed_form_needs_an_integer_dimension(n):
+    with pytest.raises(DomainError, match="integer n >= 1"):
+        cap_rn_unweighted(n, 2.0, AnnulusSpec(1.0, 2.0))
+
+
 def test_capacity_monotonicity():
     # shrinking the gap increases the capacity
     v_wide = cap_rn_unweighted(2, 2.0, AnnulusSpec(1.0, 4.0)).value

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import anncap
-from anncap import cli
+from anncap import cli, measure
 from anncap.bounds import BoundId
 from anncap.capacity import cap_auto
 from anncap.cli import run
@@ -486,6 +486,37 @@ def test_cli_artifacts_match_the_golden_bytes():
     golden = Path(__file__).parent / "golden" / "cli_artifacts.txt"
     text = "".join(_artifact_record(argv) for argv in ARTIFACT_CALLS)
     assert text.encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("bound, groups", [("upper-eta", [1, 11]), ("upper-simple", [11, 11])])
+def test_a_sweep_integrates_its_capacities_in_one_quadrature_call(monkeypatch, bound, groups):
+    # the bound's measures are one call, mu(B_1) once (upper-eta) or the 11
+    # annuli (upper-simple); then the capacities of the 11 annuli are one
+    calls = []
+    original = measure._tanh_sinh
+
+    def counted(f, lo, hi, sizes, columns=()):
+        calls.append(len(sizes))
+        return original(f, lo, hi, sizes, columns)
+
+    monkeypatch.setattr(measure, "_tanh_sinh", counted)
+    code, _, _ = _outcome(["sweep", "--space", "buckley", "--eta", "0.5", "--p", "2.5", "--R", "1",
+                           "--bound", bound])
+    assert code in (0, 1) and calls == groups
+
+
+# the capacity of the thin annuli of R = 1 at p = 200 overflows from the
+# fifth, r = 1 - 2^-6, on; without reverse doubling the nice-case bound
+# refuses the first annulus before that
+@pytest.mark.parametrize("bound, code, err", [
+    ("upper-simple", 3,
+     "error: capacity of (r=0.984375, R=1.0) at p = 200.0 leaves the float range\n"),
+    ("two-sided-nice", 2, "error: hypothesis violated: reverse-doubling at x0\n"),
+])
+def test_a_sweep_raises_the_first_error_in_annulus_order(bound, code, err):
+    argv = ["sweep", "--space", "halfline", "--kind", "min-one-over-x", "--p", "200", "--R", "1",
+            "--bound", bound]
+    assert _outcome(argv) == (code, "", err)
 
 
 def test_reused_parser_never_leaks_state():

@@ -13,9 +13,10 @@ from anncap.decay import (
     estimate_ad_exponent,
     fit_annulus_decay,
 )
-from anncap.errors import DomainError, InputError
-from anncap.gallery import AD_FIT_TOL, make_bowtie, make_buckley, make_halfline, make_snake
-from anncap.measure import FamilyMeasures
+from anncap.errors import AnncapError, DomainError, InputError, QuadratureError
+from anncap.gallery import (AD_FIT_TOL, _thin_family, make_bowtie, make_buckley, make_halfline,
+                            make_snake)
+from anncap.measure import FamilyMeasures, mu_annulus, mu_ball
 from anncap.spaces import AnnulusSpec, RadialRn, SpaceSpec
 from anncap.weights import Constant, HalfLineKind
 
@@ -158,14 +159,15 @@ def test_doubling():
 
 
 def _record_balls(monkeypatch):
+    """The radius of each ball the family measure calls compute, counted."""
     radii = collections.Counter()
-    original = measure.mu_ball
+    original = measure._measure_family
 
-    def recorded(space, R, *args, **kwargs):
-        radii[R] += 1
-        return original(space, R, *args, **kwargs)
+    def recorded(space, intervals):
+        radii.update(R for r, R in intervals if r == 0.0)
+        return original(space, intervals)
 
-    monkeypatch.setattr(measure, "mu_ball", recorded)
+    monkeypatch.setattr(measure, "_measure_family", recorded)
     return radii
 
 
@@ -189,3 +191,35 @@ def test_ad_ratio_trend_takes_each_ball_once(monkeypatch):
     assert radii == {1.0: 1, 4.0: 1}
     # the fitted ratios, in annulus order
     assert ratios == [ad_ratio(RN2, a, 1.0) for a in annuli]
+
+
+def _first_fit_failure(space, R, rs):
+    """The error fit_annulus_decay raised when it took mu(B_R) and then each
+    annulus in turn: the type and message of the first failure."""
+    mu_ball(space, R)
+    for r in sorted(rs):
+        try:
+            mass = mu_annulus(space, AnnulusSpec(r, R))
+        except AnncapError as exc:
+            return type(exc), str(exc)
+        if not mass > 0:
+            return DomainError, (f"annulus (r={r}, R={R}) has measure {mass}; "
+                                 "its decay ratio has no logarithm")
+    return None
+
+
+# exp(-1/x)/x^2 near R = 1/740: every mass is 0 (0.0013), the first is
+# positive and the tenth is 0 (0.001345), and the second misses the
+# quadrature gate while its neighbours pass (0.00137)
+@pytest.mark.parametrize("R, failure", [(0.0013, DomainError), (0.001345, DomainError),
+                                        (0.00137, QuadratureError)])
+def test_a_fit_raises_its_first_failing_annulus(R, failure):
+    space = make_halfline(HalfLineKind.EXP_INV_OVER_X_SQ).space
+    rs = _thin_family(R)
+    expected = _first_fit_failure(space, R, rs)
+    assert expected is not None and expected[0] is failure
+    with pytest.raises(failure) as info:
+        fit_annulus_decay(space, R, rs)
+    assert str(info.value) == expected[1]
+    if R == 0.001345:  # not the first annulus
+        assert f"r={rs[9]}," in expected[1] and mu_annulus(space, AnnulusSpec(rs[0], R)) > 0

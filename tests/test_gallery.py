@@ -101,13 +101,13 @@ def test_reverse_doubling_reuses_the_doubling_volumes(monkeypatch):
     entry = make_rn_unweighted(2)
     probed = set(entry.check_radii) | {2.0 * r for r in entry.check_radii}
     calls = collections.Counter()
-    original = measure.mu_ball
+    original = measure._measure_family
 
-    def recorded(space, R, *args, **kwargs):
-        calls[R] += 1
-        return original(space, R, *args, **kwargs)
+    def recorded(space, intervals):
+        calls.update(R for r, R in intervals if r == 0.0)
+        return original(space, intervals)
 
-    monkeypatch.setattr(measure, "mu_ball", recorded)
+    monkeypatch.setattr(measure, "_measure_family", recorded)
     verdicts = verify_expectations(entry)
     assert {v.claim for v in verdicts} >= {"doubling", "reverse-doubling"}
     assert {R: n for R, n in calls.items() if R in probed} == dict.fromkeys(probed, 1)
@@ -121,15 +121,18 @@ def test_claims_share_the_envelope_and_the_trend_they_both_read(monkeypatch):
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "cap_values":
+                calls["annuli"] += len(args[2])
             return original(*args, **kwargs)
         monkeypatch.setattr(gallery, name, wrapper)
 
-    counted("cap_radial_weighted")
+    counted("cap_values")
     counted("ad_ratio_trend")
     counted("check_one_ad")
-    # upper-eta-sharp and nice-case-fails read one envelope over 9 annuli
+    # upper-eta-sharp and nice-case-fails read one envelope over 9 annuli,
+    # whose capacities are one family call
     verify_expectations(make_buckley(0.5))
-    assert calls["cap_radial_weighted"] == 9
+    assert (calls["cap_values"], calls["annuli"]) == (1, 9)
     # ad-exponent and no-ad read one ad_ratio trend over the none-probe
     verify_expectations(make_snake())
     assert calls["ad_ratio_trend"] == 1

@@ -12,9 +12,10 @@ from scipy.special import hyp2f1
 
 from anncap.capacity import cap_radial_p1, cap_radial_weighted, cap_rn_unweighted
 from anncap.decay import _theil_sen_slope
-from anncap.errors import InputError
-from anncap.gallery import DEFAULT_SUMMED_TERMS
+from anncap.errors import AnncapError, InputError
+from anncap.gallery import DEFAULT_SUMMED_TERMS, default_gallery
 from anncap.measure import (
+    _radial_integral,
     _radial_reduction,
     mu_annulus,
     mu_annulus_detailed,
@@ -334,3 +335,33 @@ def test_theil_sen_slope_of_equal_abscissae_is_an_input_error():
     # scipy returns a NaN slope here, with a warning
     with pytest.raises(InputError, match="abscissae"):
         _theil_sen_slope([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+
+
+# Families: one _radial_integral call over many intervals gives each interval
+# what it gets alone, bit for bit, errors included.  The radii span decades
+# and land on the gallery weights' poles and kinks.
+_RADIAL_GALLERY = {e.name: e.space for e in default_gallery()
+                   if isinstance(e.space.geometry, (RadialRn, HalfLine))}
+_family_radius = st.one_of(st.floats(min_value=1e-4, max_value=1e3),
+                           st.sampled_from((0.25, 0.5, 1.0, 2.0, 4.0)))
+_interval = st.tuples(st.booleans(), _family_radius, _family_radius).filter(
+    lambda t: t[1] != t[2]).map(lambda t: (0.0 if t[0] else min(t[1:]), max(t[1:])))
+
+
+def _bits(result):
+    """A result as its exact bits: (value, error) in hex, or an error's type,
+    message and achieved error."""
+    if isinstance(result, AnncapError):
+        return type(result), str(result), getattr(result, "achieved_error", None)
+    return tuple(float(x).hex() for x in result)
+
+
+@settings(deadline=None, max_examples=40)
+@given(name=st.sampled_from(sorted(_RADIAL_GALLERY)), p=st.floats(min_value=1.05, max_value=4.0),
+       capacity=st.booleans(), family=st.lists(_interval, min_size=1, max_size=6))
+def test_a_family_integral_is_each_interval_alone_bit_for_bit(name, p, capacity, family):
+    w, m, _ = _radial_reduction(_RADIAL_GALLERY[name])
+    k = 1.0 / (1.0 - p) if capacity else 1.0
+    together = _radial_integral(w, m, family, k)
+    alone = [_radial_integral(w, m, [interval], k)[0] for interval in family]
+    assert [_bits(res) for res in together] == [_bits(res) for res in alone]

@@ -36,6 +36,20 @@ def test_geometry_validation():
         BowTie(400, 0.5)  # the sphere area of R^399 is past the float range
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, math.nan, "3"])
+@pytest.mark.parametrize("make", [RadialRn, lambda n: BowTie(n, 0.5)], ids=["rn", "bowtie"])
+def test_dimension_must_be_an_integer(make, n):
+    # a float dimension would give a sphere area of "R^2.5"; 2.0 is refused as well
+    with pytest.raises(InputError, match="integer"):
+        make(n)
+
+
+def test_integer_dimensions_of_numpy_are_accepted():
+    import numpy as np
+
+    assert RadialRn(np.int64(3)).n == 3 and BowTie(np.int64(3), 0.5).n == 3
+
+
 def test_bowtie_center_and_weight_forced():
     # the tip (-1, 0) is the center; the diameter is measured from it
     space = SpaceSpec(BowTie(2, 0.5))
