@@ -356,8 +356,6 @@ def _measure_family(space: SpaceSpec, intervals):
         done = [attempt(_bowtie_annulus, space, r, R) for r, R in valid]
     else:
         done = [DomainError(f"unknown geometry {geom!r}") for _ in valid]
-    if len(done) == len(intervals):
-        return done
     done = iter(done)
     return [next(done) if 0 < R < math.inf else
             DomainError(f"ball radius must be positive and finite, got {R}") for _, R in intervals]
