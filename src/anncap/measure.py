@@ -158,7 +158,9 @@ def _snake_ball(geom: Snake, R):
 # b - frac(t) L for t > 0, with frac(t) = 1/(1 + e^(pi sinh|t|)), and its
 # weight is h L dx/dt.  Level 0 has every t in [-T_MAX, T_MAX] at step
 # h = 1/4, and level k adds the odd multiples of 2^-k h.  At |t| = T_MAX = 6
-# the offset is about 1e-275 of the panel, near the float floor.
+# the offset is about 1e-275 of the panel, near the float floor.  The tables
+# hold frac negated for the nodes taken from b, so that every node is its
+# end plus its signed offset, b + (-frac L) being b - frac L exactly.
 
 _TS_T_MAX = 6.0
 _TS_H0 = 0.25
@@ -187,7 +189,8 @@ def _ts_first_table():
 
 
 # the rule never stops before level 1, so levels 0 and 1 share a table
-_TS_TABLES = (_ts_first_table(), *map(_ts_level, range(2, _TS_LEVELS)))
+_TS_TABLES = tuple((np.where(from_b, -frac, frac), weights, from_b) for frac, weights, from_b
+                   in (_ts_first_table(), *map(_ts_level, range(2, _TS_LEVELS))))
 
 
 def _tanh_sinh(f, lo, hi, groups, columns=()):
@@ -216,7 +219,7 @@ def _tanh_sinh(f, lo, hi, groups, columns=()):
     with np.errstate(all="ignore"):  # a non-finite sample fails the check below
         for k, (frac, weights, from_b) in enumerate(_TS_TABLES):
             off = frac * length[:, None]
-            vals = np.where(off > 0, f(np.where(from_b, b - off, a + off), *cols), 0.0)
+            vals = np.where(off != 0.0, f(np.where(from_b, b, a) + off, *cols), 0.0)
             refining = []
             for group in live:
                 g, rows, total, tail, nodes, err = group
@@ -408,7 +411,8 @@ class FamilyMeasures:
             self._results.update(zip(new, _measure_family(self.space, new)))
 
     def __call__(self, r, R):
-        self.fill([(r, R)])
+        if (r, R) not in self._results:
+            self.fill([(r, R)])
         return unwrap(self._results[r, R])[0]
 
     def ball(self, rho):

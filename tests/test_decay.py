@@ -194,32 +194,32 @@ def test_ad_ratio_trend_takes_each_ball_once(monkeypatch):
 
 
 def _first_fit_failure(space, R, rs):
-    """The error fit_annulus_decay raised when it took mu(B_R) and then each
-    annulus in turn: the type and message of the first failure."""
+    """What fit_annulus_decay raised when it took mu(B_R) and then each
+    annulus in turn: the first failing annulus, the error's type and its
+    message."""
     mu_ball(space, R)
-    for r in sorted(rs):
+    for i, r in enumerate(sorted(rs)):
         try:
             mass = mu_annulus(space, AnnulusSpec(r, R))
         except AnncapError as exc:
-            return type(exc), str(exc)
+            return i, type(exc), str(exc)
         if not mass > 0:
-            return DomainError, (f"annulus (r={r}, R={R}) has measure {mass}; "
-                                 "its decay ratio has no logarithm")
+            return i, DomainError, (f"annulus (r={r}, R={R}) has measure {mass}; "
+                                    "its decay ratio has no logarithm")
     return None
 
 
-# exp(-1/x)/x^2 near R = 1/740: every mass is 0 (0.0013), the first is
-# positive and the tenth is 0 (0.001345), and the second misses the
-# quadrature gate while its neighbours pass (0.00137)
-@pytest.mark.parametrize("R, failure", [(0.0013, DomainError), (0.001345, DomainError),
-                                        (0.00137, QuadratureError)])
-def test_a_fit_raises_its_first_failing_annulus(R, failure):
+# exp(-1/x)/x^2 near R = 1/740: every mass is 0 (0.0013), the tenth is the
+# first that is 0 (0.001345), and the second misses the quadrature gate
+# while its neighbours pass (0.00137)
+@pytest.mark.parametrize("R, first, failure", [(0.0013, 0, DomainError),
+                                               (0.001345, 9, DomainError),
+                                               (0.00137, 1, QuadratureError)])
+def test_a_fit_raises_its_first_failing_annulus(R, first, failure):
     space = make_halfline(HalfLineKind.EXP_INV_OVER_X_SQ).space
     rs = _thin_family(R)
-    expected = _first_fit_failure(space, R, rs)
-    assert expected is not None and expected[0] is failure
+    index, kind, message = _first_fit_failure(space, R, rs)
+    assert (index, kind) == (first, failure)
     with pytest.raises(failure) as info:
         fit_annulus_decay(space, R, rs)
-    assert str(info.value) == expected[1]
-    if R == 0.001345:  # not the first annulus
-        assert f"r={rs[9]}," in expected[1] and mu_annulus(space, AnnulusSpec(rs[0], R)) > 0
+    assert str(info.value) == message
