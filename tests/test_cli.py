@@ -474,6 +474,14 @@ ARTIFACT_CALLS = [
      "--R", "5.720134537398934e-125", "--no-gating"],
     ["sweep", "--space", "halfline", "--kind", "exp-inv-over-x-sq", "--p", "1.5", "--R", "0.0025",
      "--bound", "upper-simple"],
+    # bow-tie fits in 2-D and 3-D, and one whose thinnest annulus misses the
+    # quadrature gate; the 1-AD probe of a Buckley pole and of the snake past
+    # several jumps
+    ["ad", "--space", "bowtie", "--alpha", "0.5", "--R", "1", "--thin", "9"],
+    ["ad", "--space", "bowtie", "--alpha", "-0.5", "--n", "3", "--R", "2"],
+    ["ad", "--space", "bowtie", "--alpha", "0.5", "--R", "0.02", "--thin", "30"],
+    ["ad", "--space", "buckley", "--eta", "0.5", "--range", "0.25:4"],
+    ["ad", "--space", "snake", "--range", "1.5:300"],
 ]
 
 
