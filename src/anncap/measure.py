@@ -7,11 +7,12 @@ sums only its own panels, stops at its own level, and ends in its own
 value or error; a single integral is a family of one, with the same bits.
 Radial and half-line geometries reduce to 1-D integrals in the radius,
 integrated in a power of the distance to a power pole near it, a family of
-balls and annuli in one call; ``volume_profile`` sums Gauss-Legendre panel
-masses there, as the radial network builder does.  The snake has an exact
-closed form.  The bow-tie, in every dimension n >= 2, is one integral over
+balls and annuli in one call; ``volume_profiles`` sums Gauss-Legendre panel
+masses there, as the radial network builder does, over several grids at
+once.  The snake has an exact closed form, computed over a family's radii
+as arrays.  The bow-tie, in every dimension n >= 2, is one integral over
 x1 of closed-form hypergeometric slice masses, in closed form on the panels
-at the pinch, one call per ball or annulus.
+at the pinch, a family of balls and annuli in one call.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec, s
 from .weights import Constant, PowerAlpha
 
 __all__ = ["mu_ball", "mu_annulus", "mu_ball_detailed", "mu_annulus_detailed", "mu_family",
-           "volume_profile", "FamilyMeasures", "DEFAULT_TOL"]
+           "volume_profile", "volume_profiles", "FamilyMeasures", "DEFAULT_TOL"]
 
 DEFAULT_TOL = 1e-10
 _EPS = np.finfo(float).eps
@@ -136,19 +137,28 @@ def _cell_masses(fn, edges_lo, edges_hi):
     return half * (((v[0] + v[1]) + (v[2] + v[3])) + ((v[4] + v[5]) + (v[6] + v[7])))
 
 
-def _snake_ball(geom: Snake, R):
-    if R > geom.max_radius:
-        raise DomainError(
-            f"snake represents radii up to 2^{geom.k_max} = {geom.max_radius}, got R = {R}"
-        )
-    # segments cover each radius exactly once; half-circle of radius 2^k
-    # (arclength pi 2^k) enters the ball as soon as 2^k < R
-    total = R
-    k = 0
-    while k < geom.k_max and 2.0**k < R:
-        total += math.pi * 2.0**k
-        k += 1
-    return total
+def _snake_family(geom: Snake, intervals):
+    """mu(B_R) - mu(B_r) of the snake for each (r, R), exact, with error 0,
+    or the DomainError of a radius past 2^k_max (R's first).
+
+    Segments cover each radius exactly once, and the half-circle of radius
+    2^k (arclength pi 2^k) enters the ball as soon as 2^k < R, so mu(B_R)
+    is R plus those arclengths, added in order of k, over every radius of
+    the family at once."""
+    radii = np.array([R for _, R in intervals] + [r for r, _ in intervals], dtype=float)
+    balls = radii.copy()
+    for k in range(geom.k_max):
+        inside = 2.0**k < radii
+        if not inside.any():
+            break
+        balls[inside] += math.pi * 2.0**k
+    balls = balls.tolist()
+    done = []
+    for (r, R), ball_R, ball_r in zip(intervals, balls, balls[len(intervals):]):
+        past = next((x for x in (R, r) if x > geom.max_radius), None)
+        done.append((ball_R - ball_r, 0.0) if past is None else DomainError(
+            f"snake represents radii up to 2^{geom.k_max} = {geom.max_radius}, got R = {past}"))
+    return done
 
 
 # ---------------------------------------------------------------------------
@@ -259,16 +269,21 @@ def _tanh_sinh(f, lo, hi, groups, columns=()):
 # ---------------------------------------------------------------------------
 # bow-tie: one quadrature over x1 about the tip x0 = (-1, 0, ..., 0)
 
-def _ball_limit(x1, R):
-    """The slice radius sqrt(R^2 - (x1 + 1)^2) of the ball B(x0, R), 0 outside it.
+def _ball_sides(R):
+    """R - 1 and R + 1, each as a float and its exact rounding error."""
+    m, p = R - 1.0, R + 1.0
+    return m, math.fsum((R, -1.0, -m)), p, math.fsum((R, 1.0, -p))
+
+
+def _ball_limit(x1, m, m_err, p, p_err):
+    """The slice radius sqrt(R^2 - (x1 + 1)^2) of the ball B(x0, R), 0
+    outside it, from R's sides (m, m_err, p, p_err) = _ball_sides(R).
 
     It is sqrt((R - 1 - x1)(R + 1 + x1)) with R - 1 and R + 1 each carried
     as a float plus its exact rounding error, so that both factors keep
     their relative accuracy wherever x1 is: near the tip x1 = -1 of a small
     ball, and near the ball's far end R - 1, which may be the pinch.
     """
-    m, p = R - 1.0, R + 1.0
-    m_err, p_err = math.fsum((R, -1.0, -m)), math.fsum((R, 1.0, -p))
     return np.sqrt(np.maximum(((m - x1) + m_err) * ((p + x1) + p_err), 0.0))
 
 
@@ -285,8 +300,10 @@ def _bowtie_x1_breakpoints(rads):
     return pts
 
 
-def _bowtie_annulus(space, r, R):
-    """Integral of |x|^alpha over the cone cut to r <= |x - x0| < R.
+def _bowtie_family(space, intervals):
+    """Integral of |x|^alpha over the cone cut to r <= |x - x0| < R for each
+    (r, R) of a family, by one call of the tanh-sinh rule with one group of
+    panels per interval: each is (value, error), or the error that ends it.
 
     Cone and balls are symmetric about the x1 axis, so the slice at x1 is
     the shell lo <= s <= hi of s = |(x2, ..., xn)|, and Euler's integral
@@ -297,11 +314,10 @@ def _bowtie_annulus(space, r, R):
     into panels.  On a panel that ends at the pinch x1 = 0 both limits are
     0 or |x1|/2, so the bracket is constant and the panel's mass is closed
     form, however close alpha + n comes to 0.  The other panels go to the
-    tanh-sinh rule.
+    tanh-sinh rule, each carrying its interval's R and r as the columns of
+    their _ball_sides.
     """
     n, alpha = space.geometry.n, space.geometry.alpha
-    if R > space.diameter + 1e-12:
-        R = space.diameter  # ball saturates; integrate over the whole cone
     power = alpha + n
     a, b, c = -alpha / 2.0, (n - 1) / 2.0, (n + 1) / 2.0
     const = surface_area(n - 1) / (n - 1)
@@ -310,32 +326,47 @@ def _bowtie_annulus(space, r, R):
     def scaled(q):
         return q ** (n - 1) * hyp2f1(a, b, c, -q * q)
 
-    def bracket(x1):
+    def bracket(x1, *sides):  # R's four sides, then r's
         ax = np.abs(x1)
-        hi = np.minimum(0.5 * ax, _ball_limit(x1, R))
-        lo = np.minimum(_ball_limit(x1, r), hi)
+        hi = np.minimum(0.5 * ax, _ball_limit(x1, *sides[:4]))
+        lo = np.minimum(_ball_limit(x1, *sides[4:]), hi)
         return const * (scaled(hi / ax) - scaled(lo / ax))
 
-    def shell_mass(x1):
-        return np.abs(x1) ** (power - 1) * bracket(x1)
+    def shell_mass(x1, *sides):
+        return np.abs(x1) ** (power - 1) * bracket(x1, *sides)
 
-    top = min(2.0, -1.0 + R)
-    pts = [x for x in _bowtie_x1_breakpoints([r, R] if r > 0 else [R]) if -1.0 < x < top]
-    ends = np.unique([-1.0, *pts, top])
-    lo, hi = ends[:-1], ends[1:]
-    pinch = (lo == 0.0) | (hi == 0.0)
-    far = lo[pinch] + hi[pinch]  # each pinch panel's other end
-    try:
-        with np.errstate(over="ignore"):
-            pinch_mass = (bracket(0.5 * far) * np.abs(far) ** power).sum() / power
-        if not math.isfinite(pinch_mass):
-            raise DomainError("non-finite pinch mass")
-        val, err = unwrap(_tanh_sinh(shell_mass, lo[~pinch], hi[~pinch], [(~pinch).sum()])[0])
-    except DomainError:  # a power of |x1| past the float range
-        raise DomainError(f"bow-tie measure of (r={r}, R={R}) at n = {n}, alpha = {alpha} "
-                          "leaves the float range") from None
-    # the closed form's rounding: a few ulps from each factor
-    return val + pinch_mass, err + 16.0 * _EPS * pinch_mass
+    panels, pinches, groups, spans = [], [], [], []  # a pinch panel as (far end, sides)
+    saturated = [(r, space.diameter if R > space.diameter + 1e-12 else R) for r, R in intervals]
+    for r, R in saturated:  # a ball past the diameter integrates over the whole cone
+        top = min(2.0, -1.0 + R)
+        pts = [x for x in _bowtie_x1_breakpoints([r, R] if r > 0 else [R]) if -1.0 < x < top]
+        ends = np.unique([-1.0, *pts, top])
+        sides = (*_ball_sides(R), *_ball_sides(r))
+        count, first = len(panels), len(pinches)
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            if lo == 0.0 or hi == 0.0:
+                pinches.append((lo + hi, *sides))
+            else:
+                panels.append((lo, hi, *sides))
+        groups.append(len(panels) - count)
+        spans.append(slice(first, len(pinches)))
+    lo, hi, *columns = np.array(panels).reshape(-1, 10).T[:, :, None]
+    far, *sides = np.array(pinches).reshape(-1, 9).T
+    with np.errstate(over="ignore"):
+        terms = bracket(0.5 * far, *sides) * np.abs(far) ** power
+        pinch_masses = [terms[span].sum() / power for span in spans]
+    done = []
+    for (r, R), pinch_mass, res in zip(saturated, pinch_masses,
+                                       _tanh_sinh(shell_mass, lo[:, 0], hi[:, 0], groups, columns)):
+        if isinstance(res, DomainError) or not math.isfinite(pinch_mass):
+            # a power of |x1| past the float range
+            res = DomainError(f"bow-tie measure of (r={r}, R={R}) at n = {n}, alpha = {alpha} "
+                              "leaves the float range")
+        elif not isinstance(res, AnncapError):
+            # the closed form's rounding: a few ulps from each factor
+            res = res[0] + pinch_mass, res[1] + 16.0 * _EPS * pinch_mass
+        done.append(res)
+    return done
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +384,9 @@ def _measure_family(space: SpaceSpec, intervals):
         done = [res if isinstance(res, AnncapError) else (const * res[0], const * res[1])
                 for res in _radial_integral(w, m, valid)]
     elif isinstance(geom, Snake):
-        done = [attempt(lambda r, R: (_snake_ball(geom, R) - _snake_ball(geom, r), 0.0), r, R)
-                for r, R in valid]
+        done = _snake_family(geom, valid)
     elif isinstance(geom, BowTie):
-        done = [attempt(_bowtie_annulus, space, r, R) for r, R in valid]
+        done = _bowtie_family(space, valid)
     else:
         done = [DomainError(f"unknown geometry {geom!r}") for _ in valid]
     done = iter(done)
@@ -423,36 +453,60 @@ class FamilyMeasures:
 
 
 def volume_profile(space: SpaceSpec, rho) -> np.ndarray:
-    """mu(B_rho) at each of the increasing radii rho.
+    """mu(B_rho) at each of the increasing radii rho: volume_profiles of
+    one grid."""
+    return volume_profiles(space, [rho])[0]
 
-    On radial and half-line spaces the profile is cumulative: mu_ball at
+
+def volume_profiles(space: SpaceSpec, grids) -> list:
+    """mu(B_rho) at each of the increasing radii rho of each grid, in order.
+
+    On radial and half-line spaces each profile is cumulative: mu_ball at
     rho[0] plus the masses of the panels between consecutive radii.  A
     panel's mass is GL8 on its two halves, its error estimate the
     difference from GL8 on the whole panel.  A panel goes to the tanh-sinh
     rule when it contains or touches a weight singularity, its mass is not
     finite, or its estimate exceeds 1e-2 * DEFAULT_TOL times the profile at
-    its upper end.  Other geometries take mu_ball at each radius.
+    its upper end.  The balls at the grids' first radii are one
+    FamilyMeasures fill, and the panels every grid redoes are one
+    _radial_integral call; the first error is raised in the order of a
+    grid-by-grid computation.  Other geometries take mu_ball at every
+    distinct radius of the grids in one FamilyMeasures fill.
     """
-    rho = np.asarray(rho, dtype=float)
+    grids = [np.asarray(rho, dtype=float) for rho in grids]
+    balls = FamilyMeasures(space)
     if not isinstance(space.geometry, (RadialRn, HalfLine)):
-        return np.array(mu_family(space, [(0.0, x) for x in rho]))
+        balls.fill([(0.0, x) for rho in grids for x in rho])
+        return [np.array([balls.ball(x) for x in rho]) for rho in grids]
     w, m, const = _radial_reduction(space)
 
     def density(x):
         return w.evaluate(x) * x**m
 
-    lo, hi = rho[:-1], rho[1:]
-    mid = 0.5 * (lo + hi)
-    whole = const * _cell_masses(density, lo, hi)
-    inc = const * (_cell_masses(density, lo, mid) + _cell_masses(density, mid, hi))
+    balls.fill([(0.0, rho[0]) for rho in grids])
     sing = np.asarray(w.singularities(), dtype=float)
-    redo = ((sing >= lo[:, None]) & (sing <= hi[:, None])).any(axis=1) | ~np.isfinite(inc)
-    f0 = mu_ball(space, rho[0])
-    # a panel redone below adds 0 here, so that the gate of the ones past it only tightens
-    below = f0 + np.cumsum(np.where(redo, 0.0, inc))
-    with np.errstate(invalid="ignore"):
-        redo |= np.abs(whole - inc) > 1e-2 * DEFAULT_TOL * below
-    redone = np.flatnonzero(redo)
-    for i, res in zip(redone, _radial_integral(w, m, list(zip(lo[redone], hi[redone])))):
-        inc[i] = const * unwrap(res)[0]
-    return np.concatenate(([f0], f0 + np.cumsum(inc)))
+    profiles, redone, failure = [], [], None
+    for rho in grids:
+        lo, hi = rho[:-1], rho[1:]
+        mid = 0.5 * (lo + hi)
+        whole = const * _cell_masses(density, lo, hi)
+        inc = const * (_cell_masses(density, lo, mid) + _cell_masses(density, mid, hi))
+        redo = ((sing >= lo[:, None]) & (sing <= hi[:, None])).any(axis=1) | ~np.isfinite(inc)
+        f0 = attempt(balls.ball, rho[0])
+        if isinstance(f0, AnncapError):  # raised once the grids before it are done
+            failure = f0
+            break
+        # a panel redone below adds 0 here, so that the gate of the ones past it only tightens
+        below = f0 + np.cumsum(np.where(redo, 0.0, inc))
+        with np.errstate(invalid="ignore"):
+            redo |= np.abs(whole - inc) > 1e-2 * DEFAULT_TOL * below
+        profiles.append((f0, inc))
+        redone.append(np.flatnonzero(redo))
+    panels = [(a, b) for rows, rho in zip(redone, grids) for a, b in zip(rho[rows], rho[rows + 1])]
+    results = iter(_radial_integral(w, m, panels))
+    for (_, inc), rows in zip(profiles, redone):
+        for i in rows:
+            inc[i] = const * unwrap(next(results))[0]
+    if failure is not None:
+        raise failure
+    return [np.concatenate(([f0], f0 + np.cumsum(inc))) for f0, inc in profiles]

@@ -5,16 +5,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 from scipy.special import hyp2f1
 
 from anncap.capacity import cap_radial_p1, cap_radial_weighted, cap_rn_unweighted
 from anncap.decay import _theil_sen_slope
-from anncap.errors import AnncapError, InputError
+from anncap.errors import AnncapError, DomainError, InputError, attempt
 from anncap.gallery import DEFAULT_SUMMED_TERMS, default_gallery
 from anncap.measure import (
+    _measure_family,
     _radial_integral,
     _radial_reduction,
     mu_annulus,
@@ -22,10 +23,11 @@ from anncap.measure import (
     mu_ball,
     mu_ball_detailed,
     volume_profile,
+    volume_profiles,
 )
 from anncap.network import (BoundaryCondition, DiscreteNetwork, build_radial_network, condenser_bc,
                             solve_p_energy)
-from anncap.spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, SpaceSpec, surface_area
+from anncap.spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec, surface_area
 from anncap.weights import (
     BuckleyEta,
     Constant,
@@ -365,3 +367,69 @@ def test_a_family_integral_is_each_interval_alone_bit_for_bit(name, p, capacity,
     together = _radial_integral(w, m, family, k)
     alone = [_radial_integral(w, m, [interval], k)[0] for interval in family]
     assert [_bits(res) for res in together] == [_bits(res) for res in alone]
+
+
+# A bow-tie family: balls and annuli, R past the diameter sqrt(10) among
+# them, and thin annuli r = R(1 - 2^-j) down to j = 30, where R = 0.02
+# misses the quadrature gate from about j = 25.
+_bowtie_R = st.one_of(st.floats(min_value=0.02, max_value=3.5), st.sampled_from((0.02, 1.0, 2.0)))
+_bowtie_interval = st.tuples(_bowtie_R, st.integers(min_value=0, max_value=30)).map(
+    lambda t: (0.0 if t[1] == 0 else t[0] * (1.0 - 2.0**-t[1]), t[0]))
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.sampled_from((2, 3)), alpha=st.sampled_from((-0.5, 0.5)),
+       family=st.lists(_bowtie_interval, min_size=1, max_size=6))
+@example(n=2, alpha=0.5, family=[(0.0, 0.02), (0.02 * (1.0 - 2.0**-30), 0.02), (0.5, 1.0)])
+def test_a_bowtie_family_is_each_interval_alone_bit_for_bit(n, alpha, family):
+    space = SpaceSpec(BowTie(n, alpha))
+    together = _measure_family(space, family)
+    alone = [_measure_family(space, [interval])[0] for interval in family]
+    assert [_bits(res) for res in together] == [_bits(res) for res in alone]
+
+
+def _snake_ball_loop(geom, R):
+    """mu(B_R) of the snake by the scalar loop: R plus pi 2^k for each
+    2^k < R with k < k_max, added in order of k."""
+    if R > geom.max_radius:
+        raise DomainError(
+            f"snake represents radii up to 2^{geom.k_max} = {geom.max_radius}, got R = {R}")
+    total, k = R, 0
+    while k < geom.k_max and 2.0**k < R:
+        total += math.pi * 2.0**k
+        k += 1
+    return total
+
+
+# radii at, just below and just above the jumps 2^k, between them, and past
+# 2^k_max for k_max = 3
+_snake_radius = st.integers(min_value=0, max_value=12).flatmap(lambda k: st.one_of(
+    st.sampled_from((2.0**k, math.nextafter(2.0**k, 0.0), math.nextafter(2.0**k, math.inf))),
+    st.floats(min_value=2.0**(k - 1), max_value=2.0**k)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(k_max=st.sampled_from((3, 10)),
+       family=st.lists(st.tuples(st.booleans(), _snake_radius, _snake_radius), min_size=1,
+                       max_size=8))
+def test_the_snake_family_is_the_scalar_loop_bit_for_bit(k_max, family):
+    geom = Snake(k_max)
+    family = [(0.0 if ball else min(a, b), max(a, b)) for ball, a, b in family]
+    loop = [attempt(lambda r, R: (_snake_ball_loop(geom, R) - _snake_ball_loop(geom, r), 0.0), r, R)
+            for r, R in family]
+    assert [_bits(res) for res in _measure_family(SpaceSpec(geom), family)] == [
+        _bits(res) for res in loop]
+
+
+@settings(deadline=None, max_examples=25)
+@given(space=st.sampled_from(PROFILE_SPACES + [SpaceSpec(Snake()), SpaceSpec(BowTie(2, 0.5))]),
+       shared_lo=st.booleans(),
+       grids=st.lists(st.tuples(st.floats(min_value=0.005, max_value=10.0),
+                                st.floats(min_value=1.05, max_value=100.0),
+                                st.integers(min_value=2, max_value=33)), min_size=1, max_size=4))
+def test_volume_profiles_are_each_grid_alone_bit_for_bit(space, shared_lo, grids):
+    # the 1-AD probe's grids share their first radius
+    starts = [grids[0][0] if shared_lo else lo for lo, _, _ in grids]
+    grids = [np.geomspace(lo, lo * ratio, size) for lo, (_, ratio, size) in zip(starts, grids)]
+    alone = [volume_profile(space, rho) for rho in grids]
+    assert [f.tobytes() for f in volume_profiles(space, grids)] == [f.tobytes() for f in alone]
