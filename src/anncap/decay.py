@@ -6,8 +6,9 @@ estimated by log-log regression over annulus families.  The 1-AD property
 is equivalently a local Lipschitz bound rho f'(rho) <~ f(rho) on the
 ball-volume function f, which we probe by central differences under grid
 refinement, with jump detection that separates genuine atoms of the radial
-measure from steep integrable singularities.  f is ``volume_profile``:
-cumulative panel masses on radial and half-line spaces (see measure).
+measure from steep integrable singularities.  f is ``volume_profiles`` of
+every grid at once: cumulative panel masses on radial and half-line spaces
+(see measure).
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError
-from .measure import FamilyMeasures, volume_profile
+from .errors import AnncapError, DomainError, InputError, attempt
+from .measure import FamilyMeasures, volume_profiles
 from .spaces import AnnulusSpec, SpaceSpec
 
 __all__ = [
@@ -115,17 +116,24 @@ def _theil_sen_slope(x, y) -> float:
     return float(np.median(slopes))
 
 
-def fit_annulus_decay(space: SpaceSpec, R: float, r_values) -> AdFitReport:
-    """Least-squares fit of log(mu(ann)/mu(B_R)) against log(1 - r/R)
-    for a fixed-R family; the slope estimates the decay exponent.  mu(B_R)
-    and the annuli are one FamilyMeasures fill."""
+def _decay_radii(R, r_values):
+    """A fixed-R family's radii, sorted, once each annulus is checked thin."""
     r_values = sorted(float(r) for r in r_values)
     if len(r_values) < 8:
         raise InputError(f"need >= 8 annuli per family, got {len(r_values)}")
     for r in r_values:
         if not (R / 2.0 <= r < R):
             raise InputError(f"annulus (r={r}, R={R}) is not thin")
-    measures = FamilyMeasures(space)
+    return r_values
+
+
+def fit_annulus_decay(space: SpaceSpec, R: float, r_values,
+                      measures: FamilyMeasures | None = None) -> AdFitReport:
+    """Least-squares fit of log(mu(ann)/mu(B_R)) against log(1 - r/R)
+    for a fixed-R family; the slope estimates the decay exponent.  mu(B_R)
+    and the annuli are one fill of measures (one per call by default)."""
+    r_values = _decay_radii(R, r_values)
+    measures = measures or FamilyMeasures(space)
     measures.fill([(0.0, R), *((r, R) for r in r_values)])
     muR = measures.ball(R)
     xs, ys = [], []
@@ -141,14 +149,29 @@ def fit_annulus_decay(space: SpaceSpec, R: float, r_values) -> AdFitReport:
                        sample_count=len(r_values), range=(min(r_values), R))
 
 
-def estimate_ad_exponent(space: SpaceSpec, families) -> AdFitReport:
+def estimate_ad_exponent(space: SpaceSpec, families,
+                         measures: FamilyMeasures | None = None) -> AdFitReport:
     """Estimate the decay exponent of the space over a sequence of fixed-R
     families, each a pair (R, rs).
 
     The AD property quantifies over all annuli, so the space exponent is
-    the worst (smallest) fitted slope across the declared families.
+    the worst (smallest) fitted slope across the declared families.  The
+    families are checked in order up to the first invalid one, whose
+    InputError is raised after the fits of those before it; their measures
+    are one fill of measures (one per call by default).
     """
-    reports = [fit_annulus_decay(space, R, rs) for R, rs in families]
+    measures = measures or FamilyMeasures(space)
+    checked, failure = [], None
+    for R, rs in families:
+        rs = attempt(_decay_radii, R, rs)
+        if isinstance(rs, AnncapError):
+            failure = rs
+            break
+        checked.append((R, rs))
+    measures.fill([iv for R, rs in checked for iv in ((0.0, R), *((r, R) for r in rs))])
+    reports = [fit_annulus_decay(space, R, rs, measures) for R, rs in checked]
+    if failure is not None:
+        raise failure
     if not reports:
         raise InputError("need at least one (R, rs) family")
     worst = min(reports, key=lambda rep: rep.eta_hat)
@@ -161,14 +184,16 @@ def estimate_ad_exponent(space: SpaceSpec, families) -> AdFitReport:
     )
 
 
-def ad_ratio_trend(space: SpaceSpec, annuli, eta: float):
+def ad_ratio_trend(space: SpaceSpec, annuli, eta: float,
+                   measures: FamilyMeasures | None = None):
     """Fitted slope of log ad_ratio against log(1 - r/R) over a family,
     plus the fitted ratios in annulus order.  A negative slope means
     divergence as the annuli thin out; |slope| <= 0.05 and a bounded window
     mean the eta-AD inequality holds along the family.  The annuli and
-    mu(B_R), once per distinct R, are one FamilyMeasures fill."""
+    mu(B_R), once per distinct R, are one fill of measures (one per call by
+    default)."""
     annuli = list(annuli)
-    measures = FamilyMeasures(space)
+    measures = measures or FamilyMeasures(space)
     measures.fill([iv for ann in annuli for iv in ((ann.r, ann.R), (0.0, ann.R))])
     xs, ratios = [], []
     for ann in annuli:
@@ -193,10 +218,9 @@ def check_one_ad(space: SpaceSpec, rho_range: tuple[float, float]) -> OneAdRepor
     lo, hi = rho_range
     if not (0 < lo < hi < math.inf):
         raise InputError(f"need 0 < lo < hi < inf, got {rho_range}")
+    grids = [np.geomspace(lo, hi, ONE_AD_GRID * 2**level + 1) for level in range(ONE_AD_LEVELS)]
     sups, jump_masses = [], []
-    for level in range(ONE_AD_LEVELS):
-        rho = np.geomspace(lo, hi, ONE_AD_GRID * 2**level + 1)
-        f = volume_profile(space, rho)
+    for rho, f in zip(grids, volume_profiles(space, grids)):
         quot = (f[2:] - f[:-2]) / (rho[2:] - rho[:-2])
         mid_rho, mid_f = rho[1:-1], f[1:-1]
         ratio = mid_rho * quot / mid_f

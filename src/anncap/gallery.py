@@ -233,8 +233,8 @@ class _Probes:
 
     def __init__(self, entry: GalleryEntry):
         self.entry = entry
-        # ball volumes of the doubling probes, which both use check_radii
-        # and their doubles
+        # the measures every check reads: the decay fits' annuli and balls,
+        # and the doubling probes' ball volumes
         self.balls = FamilyMeasures(entry.space)
 
     @functools.cached_property
@@ -245,7 +245,8 @@ class _Probes:
     @functools.cached_property
     def none_trend(self):
         """ad_ratio_trend at eta = 0.1 over the none_probe annuli."""
-        return ad_ratio_trend(self.entry.space, self.entry.none_probe, eta=0.1)
+        return ad_ratio_trend(self.entry.space, self.entry.none_probe, eta=0.1,
+                              measures=self.balls)
 
     @functools.cached_property
     def one_ad(self):
@@ -260,7 +261,7 @@ def _check_ad_exponent(entry: GalleryEntry, probes: _Probes):
         ok = slope <= -TREND_TOL
         return ok, (f"ad_ratio(eta=0.1) trend slope {slope:.3f}; "
                     f"ratio window [{min(ratios):.3g}, {max(ratios):.3g}]")
-    rep = estimate_ad_exponent(entry.space, entry.ad_families)
+    rep = estimate_ad_exponent(entry.space, entry.ad_families, measures=probes.balls)
     ok = abs(rep.eta_hat - eta) <= AD_FIT_TOL
     return ok, f"eta_hat {rep.eta_hat:.4f} vs claimed {eta} (residual {rep.residual:.3g})"
 
@@ -301,10 +302,10 @@ def _nice_envelope(space, p, j_hi, check_hypotheses):
                            check_hypotheses)
 
 
-def _ad_bounded(space, annuli, eta):
+def _ad_bounded(space, annuli, eta, measures=None):
     # (bounded, trend slope) of ad_ratio as the annuli thin; boundedness is
     # one-sided: a positive slope means the ratio shrinks, consistent with eta-AD
-    slope, ratios = ad_ratio_trend(space, annuli, eta)
+    slope, ratios = ad_ratio_trend(space, annuli, eta, measures)
     return slope >= -TREND_TOL and max(ratios) <= 1e3 * min(ratios), slope
 
 
@@ -347,7 +348,7 @@ def _claim_summed_eta_ad(entry, probes):
     ok_all, notes = True, []
     for q, _ in entry.space.weight.terms:
         R = 1.0 / q
-        ok, slope = _ad_bounded(entry.space, _thin_annuli(R, 10), eta)
+        ok, slope = _ad_bounded(entry.space, _thin_annuli(R, 10), eta, probes.balls)
         ok_all = ok_all and ok
         notes.append(f"R={R:g}: slope {slope:.3f}")
     return ok_all, "; ".join(notes)
@@ -356,7 +357,7 @@ def _claim_summed_eta_ad(entry, probes):
 def _claim_bowtie_measure_exponent(entry, probes):
     """mu(B_1 \\ B_r) ~ (1-r)^(n+alpha) at the tip."""
     m = entry.space.geometry.n + entry.space.geometry.alpha
-    rep = fit_annulus_decay(entry.space, 1.0, _thin_family(1.0, 10))
+    rep = fit_annulus_decay(entry.space, 1.0, _thin_family(1.0, 10), probes.balls)
     ok = abs(rep.eta_hat - m) <= AD_FIT_TOL
     return ok, f"raw exponent fit {rep.eta_hat:.4f} vs n + alpha = {m}"
 

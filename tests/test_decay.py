@@ -223,3 +223,43 @@ def test_a_fit_raises_its_first_failing_annulus(R, first, failure):
     with pytest.raises(failure) as info:
         fit_annulus_decay(space, R, rs)
     assert str(info.value) == message
+
+
+def test_check_one_ad_fills_its_first_ball_once_and_redoes_in_one_call(monkeypatch):
+    # the four grids share mu(B_lo), and the panels they redo near the
+    # Buckley pole, 3 each, are one _radial_integral call
+    families, integrals = [], []
+    original_family, original_integral = measure._measure_family, measure._radial_integral
+
+    def family(space, intervals):
+        families.append(list(intervals))
+        return original_family(space, intervals)
+
+    def integral(w, m, intervals, k=1.0):
+        integrals.append(len(intervals))
+        return original_integral(w, m, intervals, k)
+
+    monkeypatch.setattr(measure, "_measure_family", family)
+    monkeypatch.setattr(measure, "_radial_integral", integral)
+    check_one_ad(make_buckley(0.5).space, (0.25, 4.0))
+    assert families == [[(0.0, 0.25)]]
+    assert integrals == [1, 12]
+
+
+def test_an_earlier_family_error_wins_over_a_later_invalid_family(monkeypatch):
+    # every mass of the R = 0.0013 family is 0; the invalid family after it
+    # and the family after that never reach the quadrature
+    space = make_halfline(HalfLineKind.EXP_INV_OVER_X_SQ).space
+    radii = _record_balls(monkeypatch)
+    _, kind, message = _first_fit_failure(space, 0.0013, _thin_family(0.0013))
+    radii.clear()
+    with pytest.raises(kind) as info:
+        estimate_ad_exponent(space, [(0.0013, _thin_family(0.0013)), (1.0, [0.9] * 3),
+                                     (0.4, _thin_family(0.4))])
+    assert str(info.value) == message
+    assert set(radii) == {0.0013}
+    # a valid family before the invalid one is fitted, then the InputError raised
+    radii.clear()
+    with pytest.raises(InputError, match="need >= 8 annuli per family, got 3"):
+        estimate_ad_exponent(space, [(0.4, _thin_family(0.4)), (1.0, [0.9] * 3)])
+    assert set(radii) == {0.4}

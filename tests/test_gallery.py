@@ -113,6 +113,22 @@ def test_reverse_doubling_reuses_the_doubling_volumes(monkeypatch):
     assert {R: n for R, n in calls.items() if R in probed} == dict.fromkeys(probed, 1)
 
 
+@pytest.mark.parametrize("alpha", [-0.5, 0.5])
+def test_a_bowtie_entry_computes_each_interval_once(monkeypatch, alpha):
+    # ad-exponent's two thin families, 20 intervals, and the doubling
+    # probes' 16 balls; measure-exponent reads the R = 1 family again
+    intervals = []
+    original = measure._measure_family
+
+    def recorded(space, family):
+        intervals.extend(family)
+        return original(space, family)
+
+    monkeypatch.setattr(measure, "_measure_family", recorded)
+    verify_expectations(make_bowtie(alpha))
+    assert len(intervals) == len(set(intervals)) == 36
+
+
 def test_claims_share_the_envelope_and_the_trend_they_both_read(monkeypatch):
     calls = collections.Counter()
 
