@@ -147,11 +147,10 @@ def _snake_family(geom: Snake, intervals):
     the family at once."""
     radii = np.array([R for _, R in intervals] + [r for r, _ in intervals], dtype=float)
     balls = radii.copy()
-    for k in range(geom.k_max):
-        inside = 2.0**k < radii
-        if not inside.any():
-            break
-        balls[inside] += math.pi * 2.0**k
+    top, k = np.fmax.reduce(radii, initial=0.0), 0  # fmax passes over a NaN radius
+    while k < geom.k_max and 2.0**k < top:
+        np.add(balls, math.pi * 2.0**k, out=balls, where=2.0**k < radii)
+        k += 1
     balls = balls.tolist()
     done = []
     for (r, R), ball_R, ball_r in zip(intervals, balls, balls[len(intervals):]):
