@@ -233,8 +233,8 @@ class _Probes:
 
     def __init__(self, entry: GalleryEntry):
         self.entry = entry
-        # the measures every check reads: the decay fits' annuli and balls,
-        # and the doubling probes' ball volumes
+        # the measures that the decay fits and trends and the doubling
+        # probes read, each interval computed once
         self.balls = FamilyMeasures(entry.space)
 
     @functools.cached_property
