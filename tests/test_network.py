@@ -1053,6 +1053,34 @@ def test_reports_are_pinned_bit_for_bit(monkeypatch, case, p, energy, kkt, itera
         assert _pin_report(case, p) == (energy, kkt, iterations, reason, sha)
 
 
+# the energy of each pin case whose core is not a chain's, from a solve that
+# stops at a Newton tolerance of 1e-13: a change to how such a core is
+# reduced may move the default solve's bits, but not this far
+_TIGHT_ENERGIES = [
+    ("bowtie:0.5", 1.5, 0.009346761633721836),
+    ("bowtie:0.5", 2.0, 0.040503808264309826),
+    ("bowtie:0.5", 2.5, 0.13208185692852198),
+    ("bowtie:-0.5", 2.0, 1.4640761793848542),
+    ("bowtie:-0.5", 2.5, 3.839793688453441),
+    ("multigraph:0", 1.5, 1.400878722576184),
+    ("multigraph:0", 2.0, 1.0874880741076445),
+    ("multigraph:0", 3.0, 0.503394475024337),
+    ("multigraph:3", 1.5, 0.9948445225434537),
+    ("multigraph:3", 2.0, 0.6835473420841042),
+    ("multigraph:3", 3.0, 0.3456244514984529),
+    ("floating", 1.5, 0.7071067811865476),
+    ("floating", 3.0, 0.25),
+]
+
+
+@pytest.mark.parametrize("case, p, tight", _TIGHT_ENERGIES,
+                         ids=[f"{case}-p{p}" for case, p, _ in _TIGHT_ENERGIES])
+def test_general_cores_stay_near_a_tight_solve(case, p, tight):
+    net, bc = _pin_network(case)
+    assert solve_p_energy(net, bc, p).energy == pytest.approx(tight, rel=1e-9, abs=0)
+    assert solve_p_energy(net, bc, p, tol=1e-13).energy == pytest.approx(tight, rel=1e-12, abs=0)
+
+
 def _padded(net, bc, rng):
     """net with isolated vertices inserted in its numbering, some of them put
     in the plates, and edges inside either plate inserted in its edge list;
