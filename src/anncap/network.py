@@ -5,50 +5,39 @@ space, the edge gradient |u_i - u_j| / length stands in for the upper
 gradient, and the discrete p-energy sum m_e (|du|/l_e)^p is minimized over
 potentials pinned to 1 on the inner plate and 0 on the outer plate.
 
-Every solve runs on the network's core, an exact reduction. One pass over
-the edges reads each end's plate and drops the edges inside one plate;
-all that follows runs on the vertices the other edges touch, numbered in
-their order, with each plate as one node, and only the returned potential
-is written back at full length. The numbering only leaves vertices out,
-so the search below visits the same vertices in the same order, and every
-sum adds the same terms in the same order, as on the whole network. On
-the h = 1/256 bow-tie grid, plates (0.875, 1), 1,056 of the 327,680 edges
-cross, on 543 of the 164,609 vertices. Parallel edges become one edge of
-their summed conductance k_e = m_e / l_e^p, added in edge order. One
-depth-first search from the inner plate (Tarjan 1972) must reach the outer
-one, never reaches the components touching neither plate (left out, at
-u = 0), and walks each maximal run of free degree-2 vertices in one piece
-from the end it reaches first. Each run becomes one edge of its series
-conductance k_min (sum_e (k_min / k_e)^(1/(p-1)))^-(p-1), evaluated in this
-scaled form so that nothing overflows as p nears 1; its p -> 1 limit, used
-at p = 1, is k_min, exact since a min of floats is exact. The h = 1/256
-bow-tie leaves a core of 512 nodes.
+Every solve runs on the network's core. One pass over the edges reads
+each end's plate and drops the edges inside one plate; all that follows
+runs on the vertices the other edges touch, numbered in their order, with
+each plate as one node, and only the returned potential is written back
+at full length. On the h = 1/256 bow-tie grid, plates (0.875, 1), 1,056
+of the 327,680 edges cross, on 543 of the 164,609 vertices.
 
-A chain leaves a single inner-outer edge, and is told apart before any of
-this: its K + 1 crossing edges are already the path inner plate, node 0,
-..., node K - 1, outer plate, in edge order, as every radial and snake
-chain's are between condenser plates. Its series law is then read off the
-edge list: k_min, the ratios, and one cumsum for the total and each
-vertex's drop; at p = 1 one cumsum of the edges that tie at k_min places
-the cut. No parallel merge, graph or search runs. The bits are those of
-the general path, which sums the ratios in merged-edge order, e1, e0, e2,
-..., unlike the path order only in its first addition, and walks the run
-with the same cumsum. Any other network, such as a chain with a parallel,
-reversed or floating edge, takes the general path.
+A chain is told apart next: its K + 1 crossing edges are the path inner
+plate, node 0, ..., node K - 1, outer plate, in edge order, as every radial
+and snake chain's are between condenser plates. Its core is one
+inner-outer edge of the series conductance
+k_min (sum_e (k_min / k_e)^(1/(p-1)))^-(p-1), k_e = m_e / l_e^p, evaluated
+in this scaled form so that nothing overflows as p nears 1; its p -> 1
+limit, used at p = 1, is k_min, exact since a min of floats is exact. One
+cumsum gives the total and each vertex's drop, split over the edges in
+proportion to (k_min / k_e)^(1/(p-1)), the minimizer given the ends; at
+p = 1 one cumsum of the edges that tie at k_min puts the cut at the last.
+
+Any other network, such as a chain with a parallel, reversed or floating
+edge, keeps the crossing edges of the plates' component as they are: one
+breadth-first search from the inner plate must reach the outer one, and
+the components touching neither plate are left out, at u = 0. Parallel
+edges are summed where the solver scatters them. The h = 1/256 bow-tie
+leaves a core of 545 nodes.
 
 On the core, p = 2 is an exact linear solve and p in (1, inf) \\ {2} a
 damped Newton descent on the strictly convex energy; a core with no free
 vertex, such as a chain's, needs no solve. p = 1 is solved only on such a
-core, whose one edge is the cut; a p = 1 core with a free vertex raises
+core, whose edges are the cut; a p = 1 core with a free vertex raises
 DomainError, since on a grid the least cut measures the l1 perimeter of
-its stencil, not the 1-capacity. For p > 1 a run's drop is then split over
-its edges in proportion to (k_min / k_e)^(1/(p-1)), the minimizer given
-the run's ends. For p = 1 a run inside one side lies on it; a split run is
-cut at its least-conductance edges, each piece taking the side of the end
-it stays joined to, and a piece joined to neither end the inner side. For
-p > 1 the reported energy and KKT residual are those of the returned
-potential on the whole network; for p = 1 the energy is the core edge's
-conductance, which the cut attains.
+its stencil, not the 1-capacity. For p > 1 the reported energy and KKT
+residual are those of the returned potential on the whole network; for
+p = 1 the energy is the core's conductance, which the cut attains.
 
 Every p > 1 linear solve on a core goes through one kernel,
 `_FreeLaplacian`: the m free vertices are ordered once per solve by
@@ -85,6 +74,9 @@ MAX_ITER = 100_000
 MAX_CELLS = 10**7  # radial and snake chain size; about 0.1 GB of arrays per million cells
 HESSIAN_EPS = 1e-12  # regularizes the Hessian only, never the energy
 PLATE_TOL = 1e-12  # slack on the plate radii of condenser_bc
+# Newton stops once its gradient, decrement or relative drop is below this:
+# a stopping threshold, not a bound on the energy's error
+NEWTON_TOL = 1e-9
 
 
 def _indices(x, name):
@@ -383,7 +375,8 @@ def _solve_p2(net, lap):
     return u
 
 
-def _newton(net, lap, p, tol, u):
+def _newton(net, lap, p, u):
+    tol = NEWTON_TOL
     k = net.masses / net.lengths**p
     energy = _energy(net, u, p)
     for iterations in range(1, MAX_ITER + 1):
@@ -433,50 +426,6 @@ def _newton(net, lap, p, tol, u):
     return u, iterations, reason
 
 
-def _merge_parallel(a, b, c, nodes):
-    """The simple graph of the edges (a, b), none a self-loop, on nodes
-    0..nodes-1: its edges (lo, hi) in (lo, hi) order, each of the summed c
-    of its pair's edges, added in edge order; and its arcs (tail, head) both
-    ways, sorted by tail and then head, with each arc's edge."""
-    m = len(a)
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    # one stable sort of the arcs lo -> hi, then hi -> lo, by tail and head
-    # lines up each pair's edges in edge order and orders the adjacency
-    arcs = np.concatenate([lo * nodes + hi, hi * nodes + lo])
-    order = np.argsort(arcs, kind="stable")
-    arcs = arcs[order]
-    first = np.empty(2 * m, dtype=bool)
-    first[:1] = True
-    np.not_equal(arcs[1:], arcs[:-1], out=first[1:])
-    first = np.flatnonzero(first)
-    arcs = arcs[first]
-    tail = arcs // nodes
-    head = arcs - tail * nodes
-    fwd = np.flatnonzero(tail < head)
-    src = order[first]  # the first input arc of each arc
-    edge = src[fwd]  # the first input edge of each pair
-    cond = c[edge]
-    if len(first) < 2 * m:  # then the j-th edge of each pair that has one
-        pos, size = first[fwd], np.diff(first, append=2 * m)[fwd]
-        more, j = np.flatnonzero(size > 1), 1
-        while len(more):
-            cond[more] += c[order[pos[more] + j]]
-            j += 1
-            more = more[size[more] > j]
-    # both arcs of a pair begin with the arcs of its first input edge
-    edge_of = np.empty(2 * m, dtype=np.int64)
-    edge_of[edge] = edge_of[edge + m] = np.arange(len(fwd))
-    return lo[edge], hi[edge], cond, tail, head, edge_of[src]
-
-
-def _ratios(cmin, c, p):
-    """Each edge's (cmin / c)^(1/(p-1)), its share of its run's drop; 1 where
-    c is its run's cmin, so that no 0 / 0 or inf / inf is formed."""
-    ratio = np.divide(cmin, c, out=np.ones(len(c)), where=c != cmin)
-    ratio **= 1.0 / (p - 1.0)
-    return ratio
-
-
 def _series(k, p):
     """The one-edge core of a chain whose conductances k run in order from
     the inner plate to the outer, and its expand: the series law read off
@@ -486,7 +435,11 @@ def _series(k, p):
         w = kmin
         cuts = np.cumsum(k == kmin)  # the least-conductance edges so far
     else:
-        drop = np.cumsum(_ratios(kmin, k, p))
+        # each edge's (kmin / k)^(1/(p-1)), its share of the drop; 1 where k
+        # is kmin, so that no 0 / 0 or inf / inf is formed
+        ratio = np.divide(kmin, k, out=np.ones(len(k)), where=k != kmin)
+        ratio **= 1.0 / (p - 1.0)
+        drop = np.cumsum(ratio)
         w = kmin * drop[-1:] ** (1.0 - p)
 
     def expand(core_u):
@@ -506,12 +459,7 @@ def _reduce(net, bc, p):
     inner and the outer plate), their conductances k, the core (its plates
     last, its other nodes in their order), the map from a potential on the
     core to one on the compact nodes, and the vertices of all but the last
-    two compact nodes. A run back to its own start is dropped.
-
-    A chain, whose crossing edges are the path inner plate -> node 0 -> ...
-    -> outer plate in edge order, goes to `_series`, which gives the same
-    bits: the general path adds the same ratios in the same order but for
-    its first addition, which commutes."""
+    two compact nodes."""
     from scipy.sparse import csgraph, csr_matrix
 
     n = net.num_vertices
@@ -520,8 +468,7 @@ def _reduce(net, bc, p):
     # one pass over the edges reads each end's plate (1 inner, 2 outer, 0
     # none) and drops the edges inside one plate. All that follows runs on
     # the free vertices the others touch, numbered in their order, then the
-    # inner and the outer plate: so the search below visits them, and every
-    # sum adds them, in the order the whole network would
+    # inner and the outer plate
     plate = np.zeros(n, dtype=np.int8)
     plate[bc.inner], plate[bc.outer] = 1, 2
     pa, pb = plate[net.edge_i], plate[net.edge_j]
@@ -543,85 +490,23 @@ def _reduce(net, bc, p):
         path = np.r_[nodes - 2, np.arange(nodes - 2), nodes - 1]
         if np.array_equal(sub.edge_i, path[:-1]) and np.array_equal(sub.edge_j, path[1:]):
             return (sub, k, *_series(k, p), keep)
-    lo, hi, c, tail, heads, arc_edge = _merge_parallel(sub.edge_i, sub.edge_j, k, nodes)
-    # one search from the inner plate finds the nodes joined to a plate and
-    # walks each run of free degree-2 nodes in one piece, from the end it
-    # reaches first: that end is the predecessor of the run's first node
-    deg = np.bincount(tail, minlength=nodes)
-    indptr = np.concatenate([[0], np.cumsum(deg)])
-    # csgraph reads int32 indices, and numpy indexes by intp: each array is
-    # cast once, not at every use
-    graph = csr_matrix((np.ones(len(heads)), heads.astype(np.int32), indptr.astype(np.int32)),
-                       shape=(nodes, nodes))
-    order, pred = csgraph.depth_first_order(graph, nodes - 2, return_predecessors=True)
-    order, pred = order.astype(np.intp), pred.astype(np.intp)
+    # one search from the inner plate finds its component, which must hold
+    # the outer plate; the core is that component's edges as they are
+    graph = csr_matrix((np.ones(len(k)), (sub.edge_i, sub.edge_j)), shape=(nodes, nodes))
     reached = np.zeros(nodes, dtype=bool)
-    reached[order] = True
+    reached[csgraph.breadth_first_order(graph, nodes - 2, directed=False,
+                                        return_predecessors=False)] = True
     if not reached[-1]:
         raise InfeasibleError("boundary sets lie in different components")
-    series = reached & (deg == 2)
-    series[-2:] = False
-    walked = order[series[order]]  # run after run
-    entry = pred[walked]
-    starts = np.flatnonzero(~series[entry])  # where each run begins
-    runs = len(starts)
-    walk_run = np.zeros(len(walked), dtype=np.int64)  # the run of each walked node
-    walk_run[starts[1:]] = 1
-    np.cumsum(walk_run, out=walk_run)
-    # of a walked node's two arcs, the one to its entry node is the edge the
-    # search enters it by; the other leads on, from a run's last node to
-    # the run's far end
-    q = indptr[walked]
-    q += heads[q] != entry
-    into = arc_edge[q]
-    last = np.r_[starts, len(walked)][1:] - 1
-    onward = 2 * indptr[walked[last]] + 1 - q[last]
-    leave = arc_edge[onward]
-    ends = np.column_stack([entry[starts], heads[onward]])
-    # each edge's run, or the one past the last for an edge on none
-    run = np.full(len(c), runs)
-    run[into] = walk_run
-    run[leave] = np.arange(runs)
-
-    def walk(x):
-        """Sum of x over the edges from each walked vertex's entry end to it."""
-        x = x[into]
-        s = np.cumsum(x)
-        return s - (s - x)[starts][walk_run]
-
-    cmin = np.append(np.minimum(np.minimum.reduceat(c[into], starts), c[leave]), 0.0)
-    if p == 1:
-        k_run = cmin[:-1]
-    else:
-        ratio = _ratios(cmin[run], c, p)
-        total = np.bincount(run, ratio, runs + 1)[:-1]
-        k_run = cmin[:-1] * total ** (1.0 - p)
-    rest = np.flatnonzero((run == runs) & reached[lo])
-    arc = np.flatnonzero(ends[:, 0] != ends[:, 1])
-    a, b, w = _merge_parallel(np.r_[lo[rest], ends[arc, 0]], np.r_[hi[rest], ends[arc, 1]],
-                              np.r_[c[rest], k_run[arc]], nodes)[:3]
-    kept = np.flatnonzero(reached & ~series)
+    kept = np.flatnonzero(reached)
+    on = np.flatnonzero(reached[sub.edge_i])
     at = np.empty(nodes, dtype=np.int64)
     at[kept] = np.arange(len(kept))
-    core = _Edges(len(kept), at[a], at[b], np.ones(len(w)), w)
+    core = _Edges(len(kept), at[sub.edge_i[on]], at[sub.edge_j[on]], np.ones(len(on)), k[on])
 
     def expand(core_u):
         u = np.zeros(nodes)
         u[kept] = core_u
-        ua, ub = u[ends[:, 0]], u[ends[:, 1]]
-        if p == 1:
-            # a run whose ends share a side lies on it; a split run is cut at
-            # its least-conductance edges: a vertex before the first cut
-            # takes its entry end's side, past the last cut the other end's,
-            # and between cuts the inner side
-            cut = (c == cmin[run]) & np.append(ua != ub, False)[run]
-            before = walk(cut)
-            cuts = np.bincount(run, cut, runs + 1)[walk_run]
-            u[walked] = np.where(before == 0, ua[walk_run],
-                                 np.where(before == cuts, ub[walk_run], 1.0))
-        else:
-            # a run's drop is split over its edges in proportion to their ratios
-            u[walked] = ua[walk_run] - (ua - ub)[walk_run] * (walk(ratio) / total[walk_run])
         return u
 
     return sub, k, core, expand, keep
@@ -634,23 +519,20 @@ def _kkt_residual(sub, k, u, p):
     return float(np.abs(grad[:-2]).max(initial=0.0))
 
 
-def solve_p_energy(net: DiscreteNetwork, bc: BoundaryCondition, p: float,
-                   tol: float = 1e-9) -> SolveReport:
+def solve_p_energy(net: DiscreteNetwork, bc: BoundaryCondition, p: float) -> SolveReport:
     """Minimize the discrete p-energy with u = 1 on inner and u = 0 on outer.
 
     The network is first reduced to its core (module docstring). On the
     core, p = 2 is an exact linear solve and other p > 1 use damped Newton
-    with line search. p = 1 is solved only where the core is one
-    plate-to-plate edge, as a chain's is: that edge is the cut, and any
-    other p = 1 core raises DomainError.
+    with line search. p = 1 is solved only where the core has no free
+    vertex, as a chain's has not: its edges are the cut, and any other
+    p = 1 core raises DomainError.
     The iterations and stop reason are the core solve's.
     Vertices in a component touching neither plate are pinned to u = 0.
     A non-finite energy raises ConvergenceError.
     """
     if not 1 <= p < math.inf:
         raise DomainError(f"need a finite p >= 1, got {p}")
-    if not tol > 0:
-        raise InputError(f"tol must be positive, got {tol}")
     sub, k, core, expand, keep = _reduce(net, bc, p)
     if core.num_vertices == 2:
         # no free vertex: the potential is the plates'.  No solve runs; at
@@ -658,7 +540,7 @@ def solve_p_energy(net: DiscreteNetwork, bc: BoundaryCondition, p: float,
         # a solve gives such a core (one linear solve, or one Newton
         # gradient check), so a report does not show whether it was skipped
         core_u = np.array([1.0, 0.0])
-        if p == 1:  # the core's one edge is the cut
+        if p == 1:  # the core's edges are the cut
             energy, iters, reason = float(core.masses.sum()), 0, "min-cut"
         else:
             iters, reason = 1, "linear-solve" if p == 2 else "gradient"
@@ -672,7 +554,7 @@ def solve_p_energy(net: DiscreteNetwork, bc: BoundaryCondition, p: float,
         if p == 2:
             iters, reason = 1, "linear-solve"
         else:
-            core_u, iters, reason = _newton(core, lap, p, tol, core_u)
+            core_u, iters, reason = _newton(core, lap, p, core_u)
     # clipping to [0, 1] never raises the energy, and undoes rounding
     u = np.clip(expand(core_u), 0.0, 1.0)
     if p > 1:
