@@ -755,9 +755,9 @@ def test_disconnected_boundary_infeasible():
 
 
 def _floating_components():
-    # vertices 3-4, the ring 5-6-7 of degree-2 vertices and the path 8-9-10-11
-    # with its run 9-10 touch neither plate; the path 0-1-2 carries all the
-    # energy, and no degree-2 vertex the search never reaches is taken for a run
+    # vertices 3-4, the ring 5-6-7 and the path 8-9-10-11 touch neither
+    # plate, and are left out of the core at u = 0; the path 0-1-2 carries
+    # all the energy
     ei, ej = [0, 1, 3, 5, 6, 7, 8, 9, 10], [1, 2, 4, 6, 7, 5, 9, 10, 11]
     net = DiscreteNetwork(num_vertices=12, edge_i=ei, edge_j=ej,
                           lengths=np.ones(len(ei)), masses=np.ones(len(ei)))
