@@ -2,15 +2,14 @@
 
 Every criterion is an executable restatement of a headline claim, checked
 against frozen oracle values, independent discrete solves, or fitted
-exponents with pinned tolerances.  run_all prints one line per criterion
-and is what the CLI's verify-all dispatches to.
+exponents with pinned tolerances.  The CLI's verify-all writes one line
+per criterion of CRITERIA.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import sys
 import time
 
 from .bounds import blowup_probe
@@ -25,7 +24,7 @@ from .network import (build_bowtie_grid, build_radial_network, build_snake_netwo
 from .spaces import AnnulusSpec, HalfLine, SpaceSpec, TraitSet
 from .weights import Constant, HalfLineKind
 
-__all__ = ["CRITERIA", "run_all"]
+__all__ = ["CRITERIA"]
 
 SOLVE_TIME_LIMIT = 2.0
 
@@ -212,7 +211,7 @@ def criterion_10():
     space = SpaceSpec(HalfLine(), Constant(),
                       traits=TraitSet(pi_exponents=frozenset({1.0})))
     rep = blowup_probe(space, 2.0, 1.0, [2.0**-j for j in range(1, 13)],
-                       functools.partial(cap_values, space, 2.0), q=1.0)
+                       functools.partial(cap_values, space, 2.0))
     # relative to 1/delta
     worst = max(abs(cap - 1.0 / d) * d for d, cap in zip(rep.deltas, rep.values))
     degenerate, brep = _pinch_probe(make_bowtie(0.5).space, 2.5)
@@ -234,15 +233,3 @@ CRITERIA = (
     ("blowup", criterion_10),
 )
 
-
-def run_all(stream=None) -> int:
-    """Run all criteria, print one line each; 0 iff everything passed."""
-    stream = sys.stdout if stream is None else stream
-    t0 = time.perf_counter()
-    all_ok = True
-    for i, (name, fn) in enumerate(CRITERIA, start=1):
-        ok, detail = fn()
-        all_ok = all_ok and ok
-        print(f"criterion {i} ({name}): {'PASS' if ok else 'FAIL'} - {detail}", file=stream)
-    print(f"total wall time {time.perf_counter() - t0:.1f}s", file=stream)
-    return 0 if all_ok else 1

@@ -226,7 +226,7 @@ class BlowupReport:
 
 
 def blowup_probe(space: SpaceSpec, p: float, R: float, deltas, caps,
-                 q: float | None = None, check_hypotheses: bool = True) -> BlowupReport:
+                 check_hypotheses: bool = True) -> BlowupReport:
     """cap(B_{R-delta}, B_R) along a decreasing delta sequence, from one
     caps(annuli) call, as verify_envelope reads it.
 
@@ -239,9 +239,7 @@ def blowup_probe(space: SpaceSpec, p: float, R: float, deltas, caps,
     if len(set(deltas)) < 2:
         raise InputError(f"degenerate fit: need two distinct deltas, got {deltas}")
     if check_hypotheses:
-        t = space.traits
-        qs = [q] if q is not None else sorted(t.pi_exponents)
-        if not any(qq is not None and qq < p and t.supports_pi(qq) for qq in qs):
+        if not any(q < p for q in space.traits.pi_exponents):
             raise ApplicabilityError("q-Poincare inequality at x0 with 1 <= q < p")
         if not math.isinf(space.diameter) and R >= space.diameter:
             raise ApplicabilityError("mu(X \\ B_R) > 0")

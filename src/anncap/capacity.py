@@ -95,21 +95,21 @@ def _radial_caps(space: SpaceSpec, p: float, annuli) -> list:
         return [DomainError(f"radial integral formula needs p > 1, got {p}") for _ in annuli]
     w, m, const = _radial_reduction(space)
     results = _radial_integral(w, m, [(a.r, a.R) for a in annuli], 1.0 / (1.0 - p))
-    return [_radial_cap(ann, p, m, const, res) for ann, res in zip(annuli, results)]
-
-
-def _radial_cap(ann, p, m, const, res):
-    """The capacity of ann from its radial integral's result res, or the error."""
-    if isinstance(res, AnncapError):
-        return res if isinstance(res, QuadratureError) else QuadratureError(
-            f"radial integrand (w rho^{m})^(1/(1-p)) on [{ann.r}, {ann.R}] leaves the float range")
-    val, err = res
-    try:
-        value = const * val ** (1.0 - p)
-        qerr = const * abs(1.0 - p) * val ** (-p) * err
-    except ArithmeticError:  # the integral under- or the capacity overflows
-        return DomainError(f"capacity of (r={ann.r}, R={ann.R}) at p = {p} leaves the float range")
-    return CapacityResult(value=value, method=CapacityMethod.RADIAL_INTEGRAL, quadrature_error=qerr)
+    caps = []
+    for ann, res in zip(annuli, results):
+        if isinstance(res, AnncapError) and not isinstance(res, QuadratureError):
+            res = QuadratureError(f"radial integrand (w rho^{m})^(1/(1-p)) on [{ann.r}, {ann.R}] "
+                                  "leaves the float range")
+        elif not isinstance(res, AnncapError):
+            val, err = res
+            try:
+                res = CapacityResult(const * val ** (1.0 - p), CapacityMethod.RADIAL_INTEGRAL,
+                                     const * abs(1.0 - p) * val ** (-p) * err)
+            except ArithmeticError:  # the integral under- or the capacity overflows
+                res = DomainError(f"capacity of (r={ann.r}, R={ann.R}) at p = {p} leaves the "
+                                  "float range")
+        caps.append(res)
+    return caps
 
 
 def cap_radial_p1(space: SpaceSpec, ann: AnnulusSpec) -> CapacityResult:

@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import sys
+import time
 
 from .bounds import BoundId, BoundSpec, verify_envelope
 from .capacity import cap_auto, cap_values
@@ -198,9 +199,16 @@ def _cmd_gallery(ns) -> int:
 
 
 def _cmd_verify_all(ns) -> int:
-    from .acceptance import run_all
+    from .acceptance import CRITERIA
 
-    return run_all()
+    t0 = time.perf_counter()
+    failed = False
+    for i, (name, fn) in enumerate(CRITERIA, start=1):
+        ok, detail = fn()
+        print(f"criterion {i} ({name}): {'PASS' if ok else 'FAIL'} - {detail}")
+        failed = failed or not ok
+    print(f"total wall time {time.perf_counter() - t0:.1f}s")
+    return 1 if failed else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -25,9 +25,8 @@ class QuadratureError(AnncapError):
 class ApplicabilityError(AnncapError):
     """A theorem's hypothesis is violated; names the failed hypothesis."""
 
-    def __init__(self, hypothesis, message=None):
-        super().__init__(message or f"hypothesis violated: {hypothesis}")
-        self.hypothesis = hypothesis
+    def __init__(self, hypothesis):
+        super().__init__(f"hypothesis violated: {hypothesis}")
 
 
 class InfeasibleError(AnncapError):
@@ -35,15 +34,7 @@ class InfeasibleError(AnncapError):
 
 
 class ConvergenceError(AnncapError):
-    """Iterative solver hit its iteration cap.
-
-    ``best_energy`` is the energy of the last (feasible) iterate and is an
-    upper bound for the true minimum.
-    """
-
-    def __init__(self, message, best_energy=None):
-        super().__init__(message)
-        self.best_energy = best_energy
+    """Iterative solver hit its iteration cap or ended at no energy."""
 
 
 def attempt(fn, *args):

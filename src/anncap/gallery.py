@@ -314,7 +314,7 @@ def _pinch_probe(space, p):
     j = 2..9; the capacity degenerates iff the verdict is NO-BLOWUP with
     every value 0."""
     rep = blowup_probe(space, p, 1.0, [2.0**-j for j in range(2, 10)],
-                       functools.partial(cap_values, space, p), q=1.0, check_hypotheses=False)
+                       functools.partial(cap_values, space, p), check_hypotheses=False)
     return rep.verdict == "NO-BLOWUP" and all(v == 0.0 for v in rep.values), rep
 
 

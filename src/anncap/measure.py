@@ -26,7 +26,7 @@ from .spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec, s
 from .weights import Constant, PowerAlpha
 
 __all__ = ["mu_ball", "mu_annulus", "mu_ball_detailed", "mu_annulus_detailed", "mu_family",
-           "volume_profile", "volume_profiles", "FamilyMeasures", "DEFAULT_TOL"]
+           "volume_profiles", "FamilyMeasures"]
 
 DEFAULT_TOL = 1e-10
 _EPS = np.finfo(float).eps
@@ -449,12 +449,6 @@ class FamilyMeasures:
 
     def annulus(self, ann: AnnulusSpec):
         return self(ann.r, ann.R)
-
-
-def volume_profile(space: SpaceSpec, rho) -> np.ndarray:
-    """mu(B_rho) at each of the increasing radii rho: volume_profiles of
-    one grid."""
-    return volume_profiles(space, [rho])[0]
 
 
 def volume_profiles(space: SpaceSpec, grids) -> list:

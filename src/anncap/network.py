@@ -420,9 +420,7 @@ def _newton(net, lap, p, u):
             reason = "relative-drop"
             break
     else:
-        raise ConvergenceError(
-            f"Newton did not converge in {MAX_ITER} iterations", best_energy=energy
-        )
+        raise ConvergenceError(f"Newton did not converge in {MAX_ITER} iterations")
     return u, iterations, reason
 
 

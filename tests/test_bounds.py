@@ -145,7 +145,7 @@ def test_degenerate_abscissa_is_an_input_error():
         verify_envelope(RN2, _each(lambda a: cap_auto(RN2, 2.0, a).value),
                         BoundSpec(BoundId.TWO_SIDED_NICE, 2.0), [AnnulusSpec(0.75, 1.0)] * 8)
     with pytest.raises(InputError, match="degenerate fit"):
-        blowup_probe(RN2, 2.0, 1.0, [0.25], _each(lambda a: cap_auto(RN2, 2.0, a).value), q=1.0)
+        blowup_probe(RN2, 2.0, 1.0, [0.25], _each(lambda a: cap_auto(RN2, 2.0, a).value))
 
 
 def test_verify_envelope_detects_counterexample():
@@ -178,7 +178,7 @@ def test_blowup_probe_halfline():
                       traits=TraitSet(pi_exponents=frozenset({1.0})))
     deltas = [2.0**-j for j in range(1, 13)]
     rep = blowup_probe(space, 2.0, 1.0, deltas,
-                       _each(lambda a: cap_radial_weighted(space, 2.0, a).value), q=1.0)
+                       _each(lambda a: cap_radial_weighted(space, 2.0, a).value))
     assert rep.verdict == "BLOWUP"
     slope = np.polyfit(np.log(rep.deltas), np.log(rep.values), 1)[0]
     assert slope == pytest.approx(-1.0, abs=0.01)
@@ -189,15 +189,15 @@ def test_blowup_probe_gating():
     with pytest.raises(ApplicabilityError, match="Poincare"):
         blowup_probe(space, 2.0, 1.0, [0.5, 0.25], _each(lambda a: 1.0))
     # q >= p also refuses
-    pi = SpaceSpec(HalfLine(), Constant(), traits=TraitSet(pi_exponents=frozenset({1.0})))
+    pi = SpaceSpec(HalfLine(), Constant(), traits=TraitSet(pi_exponents=frozenset({3.0})))
     with pytest.raises(ApplicabilityError):
-        blowup_probe(pi, 2.0, 1.0, [0.5, 0.25], _each(lambda a: 1.0), q=3.0)
+        blowup_probe(pi, 2.0, 1.0, [0.5, 0.25], _each(lambda a: 1.0))
 
 
 def test_blowup_probe_degenerate_zeroes():
     space = SpaceSpec(HalfLine(), Constant(),
                       traits=TraitSet(pi_exponents=frozenset({1.0})))
-    rep = blowup_probe(space, 2.0, 1.0, [0.5, 0.25, 0.125], _each(lambda a: 0.0), q=1.0)
+    rep = blowup_probe(space, 2.0, 1.0, [0.5, 0.25, 0.125], _each(lambda a: 0.0))
     assert rep.verdict == "NO-BLOWUP"
 
 
@@ -345,6 +345,6 @@ def test_blowup_probe_builds_its_annuli_in_turn():
     space = SpaceSpec(HalfLine(), Constant(), traits=TraitSet(pi_exponents=frozenset({1.0})))
     # delta = 0 gives no annulus: raised after the capacities before it
     with pytest.raises(QuadratureError, match="capacity 1"):
-        blowup_probe(space, 2.0, 1.0, [0.5, 0.25, 0.0], _caps_failing_at(1), q=1.0)
+        blowup_probe(space, 2.0, 1.0, [0.5, 0.25, 0.0], _caps_failing_at(1))
     with pytest.raises(InputError, match="annulus needs 0 < r < R"):
-        blowup_probe(space, 2.0, 1.0, [0.5, 0.25, 0.0], _each(lambda a: 1.0), q=1.0)
+        blowup_probe(space, 2.0, 1.0, [0.5, 0.25, 0.0], _each(lambda a: 1.0))

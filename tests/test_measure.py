@@ -10,7 +10,7 @@ from anncap.measure import (
     mu_annulus_detailed,
     mu_ball,
     mu_ball_detailed,
-    volume_profile,
+    volume_profiles,
 )
 from anncap.spaces import (
     AnnulusSpec,
@@ -273,10 +273,10 @@ def test_volume_profile_with_grid_points_on_singularities():
     space = SpaceSpec(RadialRn(1), BuckleyEta(0.5))
     rho = np.union1d(np.geomspace(0.25, 4.0, 33), [1.0, 2.0])
     ref = np.array([mu_ball(space, x) for x in rho])
-    assert np.max(np.abs(volume_profile(space, rho) - ref) / ref) <= 1e-10
+    assert np.max(np.abs(volume_profiles(space, [rho])[0] - ref) / ref) <= 1e-10
 
 
 def test_volume_profile_without_radial_reduction_is_per_point():
     space = SpaceSpec(Snake())
     rho = np.geomspace(1.5, 64.0, 17)
-    assert np.array_equal(volume_profile(space, rho), [mu_ball(space, x) for x in rho])
+    assert np.array_equal(volume_profiles(space, [rho])[0], [mu_ball(space, x) for x in rho])

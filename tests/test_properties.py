@@ -22,7 +22,6 @@ from anncap.measure import (
     mu_annulus_detailed,
     mu_ball,
     mu_ball_detailed,
-    volume_profile,
     volume_profiles,
 )
 from anncap.network import (BoundaryCondition, DiscreteNetwork, build_radial_network, condenser_bc,
@@ -83,7 +82,7 @@ def test_volume_profile_matches_per_point_mu_ball(space, lo, ratio, on_singulari
     if on_singularities:
         rho = np.union1d(rho, [s for s in space.weight.singularities() if lo < s < hi])
     ref = np.array([mu_ball(space, x) for x in rho])
-    assert np.max(np.abs(volume_profile(space, rho) - ref) / ref) <= 1e-10
+    assert np.max(np.abs(volume_profiles(space, [rho])[0] - ref) / ref) <= 1e-10
 
 
 @settings(deadline=None, max_examples=60)
@@ -431,5 +430,5 @@ def test_volume_profiles_are_each_grid_alone_bit_for_bit(space, shared_lo, grids
     # the 1-AD probe's grids share their first radius
     starts = [grids[0][0] if shared_lo else lo for lo, _, _ in grids]
     grids = [np.geomspace(lo, lo * ratio, size) for lo, (_, ratio, size) in zip(starts, grids)]
-    alone = [volume_profile(space, rho) for rho in grids]
+    alone = [volume_profiles(space, [rho])[0] for rho in grids]
     assert [f.tobytes() for f in volume_profiles(space, grids)] == [f.tobytes() for f in alone]
