@@ -61,20 +61,21 @@ def cap_rn_unweighted(n: int, p: float, ann: AnnulusSpec) -> CapacityResult:
         raise DomainError(f"need an integer n >= 1, got {n!r}")
     omega = surface_area(n)
     r, R = ann.r, ann.R
+    # the difference of logs only where R / r overflows, so every other L keeps its bits
+    L = math.log(R / r) if R / r < math.inf else math.log(R) - math.log(r)
     if p == 1:
         value = omega * r ** (n - 1)
     elif p == n:
-        value = omega * math.log(R / r) ** (1 - n)
+        value = omega * L ** (1 - n)
     else:
         # algebraically omega |(n-p)/(p-1)|^(p-1) |R^a - r^a|^(1-p); written
         # as ((R^a - r^a)/a)^(1-p) via expm1 so that p -> n is cancellation-free
         a = (p - n) / (p - 1.0)
-        L = math.log(R / r)
         try:
             value = omega * (r**a * L * math.expm1(a * L) / (a * L)) ** (1.0 - p)
-        except OverflowError:
+        except ArithmeticError:  # a power overflows, or r^a underflows to 0
             value = math.nan
-    if not math.isfinite(value):
+    if not 0 < value < math.inf:  # the capacity is positive: a 0 is an underflow
         raise DomainError(f"capacity of (r={r}, R={R}) at p = {p} leaves the float range")
     return CapacityResult(value=value, method=CapacityMethod.CLOSED_FORM)
 
@@ -103,11 +104,13 @@ def _radial_caps(space: SpaceSpec, p: float, annuli) -> list:
         elif not isinstance(res, AnncapError):
             val, err = res
             try:
-                res = CapacityResult(const * val ** (1.0 - p), CapacityMethod.RADIAL_INTEGRAL,
-                                     const * abs(1.0 - p) * val ** (-p) * err)
+                value = const * val ** (1.0 - p)
+                qerr = const * abs(1.0 - p) * val ** (-p) * err
             except ArithmeticError:  # the integral under- or the capacity overflows
-                res = DomainError(f"capacity of (r={ann.r}, R={ann.R}) at p = {p} leaves the "
-                                  "float range")
+                value = 0.0
+            # a positive integral has a positive capacity: a 0 is an underflow
+            res = CapacityResult(value, CapacityMethod.RADIAL_INTEGRAL, qerr) if value else (
+                DomainError(f"capacity of (r={ann.r}, R={ann.R}) at p = {p} leaves the float range"))
         caps.append(res)
     return caps
 

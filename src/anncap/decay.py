@@ -219,13 +219,21 @@ def check_one_ad(space: SpaceSpec, rho_range: tuple[float, float]) -> OneAdRepor
     if not (0 < lo < hi < math.inf):
         raise InputError(f"need 0 < lo < hi < inf, got {rho_range}")
     grids = [np.geomspace(lo, hi, ONE_AD_GRID * 2**level + 1) for level in range(ONE_AD_LEVELS)]
+    if not (np.diff(grids[-1]) > 0).all():
+        raise InputError(f"range {rho_range} is too narrow for {len(grids[-1])} distinct radii")
     sups, jump_masses = [], []
-    for rho, f in zip(grids, volume_profiles(space, grids)):
+    for level, (rho, f) in enumerate(zip(grids, volume_profiles(space, grids))):
         quot = (f[2:] - f[:-2]) / (rho[2:] - rho[:-2])
         mid_rho, mid_f = rho[1:-1], f[1:-1]
+        if not (mid_f > 0).all():
+            raise DomainError(f"mu(B_rho) underflows to 0 on {rho_range}; no ratio rho f'/f")
         ratio = mid_rho * quot / mid_f
+        scale = np.median(ratio)
+        if scale == 0:
+            raise DomainError(f"mu(B_rho) is constant in floats on half the level-{level} grid "
+                              f"of {rho_range} or more; the ratio rho f'/f has no scale")
         sups.append(float(ratio.max()))
-        cands = np.flatnonzero(ratio > JUMP_QUOTIENT_FACTOR * np.median(ratio))
+        cands = np.flatnonzero(ratio > JUMP_QUOTIENT_FACTOR * scale)
         if len(cands):
             jump_masses.append(float((f[2:] - f[:-2])[cands].max()))
         else:

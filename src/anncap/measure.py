@@ -458,13 +458,14 @@ def volume_profiles(space: SpaceSpec, grids) -> list:
     rho[0] plus the masses of the panels between consecutive radii.  A
     panel's mass is GL8 on its two halves, its error estimate the
     difference from GL8 on the whole panel.  A panel goes to the tanh-sinh
-    rule when it contains or touches a weight singularity, its mass is not
-    finite, or its estimate exceeds 1e-2 * DEFAULT_TOL times the profile at
-    its upper end.  The balls at the grids' first radii are one
-    FamilyMeasures fill, and the panels every grid redoes are one
-    _radial_integral call; the first error is raised in the order of a
-    grid-by-grid computation.  Other geometries take mu_ball at every
-    distinct radius of the grids in one FamilyMeasures fill.
+    rule when its upper radius exceeds twice its lower one, it contains or
+    touches a weight singularity, its mass is not finite, or its estimate
+    exceeds 1e-2 * DEFAULT_TOL times the profile at its upper end.  The
+    balls at the grids' first radii are one FamilyMeasures fill, and the
+    panels every grid redoes are one _radial_integral call; the first error
+    is raised in the order of a grid-by-grid computation.  Other geometries
+    take mu_ball at every distinct radius of the grids in one FamilyMeasures
+    fill.
     """
     grids = [np.asarray(rho, dtype=float) for rho in grids]
     balls = FamilyMeasures(space)
@@ -482,24 +483,37 @@ def volume_profiles(space: SpaceSpec, grids) -> list:
     for rho in grids:
         lo, hi = rho[:-1], rho[1:]
         mid = 0.5 * (lo + hi)
-        whole = const * _cell_masses(density, lo, hi)
-        inc = const * (_cell_masses(density, lo, mid) + _cell_masses(density, mid, hi))
-        redo = ((sing >= lo[:, None]) & (sing <= hi[:, None])).any(axis=1) | ~np.isfinite(inc)
+        with np.errstate(all="ignore"):  # a mass past the float range is redone below
+            whole = const * _cell_masses(density, lo, hi)
+            inc = const * (_cell_masses(density, lo, mid) + _cell_masses(density, mid, hi))
+        # The two-halves gate vouches only for mass that GL8 samples: on a
+        # wider panel every node can lie past the mass (e^-rho on [0.5,
+        # 24613.5] reads 0 both ways).  Within a ratio of 2 the nodes nearest
+        # an end lie within 1% of its radius, and the catalog's steepest
+        # densities, e^-rho and e^(-1/rho) / rho^2, change by more than the
+        # gate's 1e-12 over that 1% only where their mass underflows.
+        redo = ((hi > 2.0 * lo) | ((sing >= lo[:, None]) & (sing <= hi[:, None])).any(axis=1)
+                | ~np.isfinite(inc))
         f0 = attempt(balls.ball, rho[0])
         if isinstance(f0, AnncapError):  # raised once the grids before it are done
             failure = f0
             break
         # a panel redone below adds 0 here, so that the gate of the ones past it only tightens
-        below = f0 + np.cumsum(np.where(redo, 0.0, inc))
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # a profile past the floats is refused
+            below = f0 + np.cumsum(np.where(redo, 0.0, inc))
             redo |= np.abs(whole - inc) > 1e-2 * DEFAULT_TOL * below
         profiles.append((f0, inc))
         redone.append(np.flatnonzero(redo))
     panels = [(a, b) for rows, rho in zip(redone, grids) for a, b in zip(rho[rows], rho[rows + 1])]
     results = iter(_radial_integral(w, m, panels))
-    for (_, inc), rows in zip(profiles, redone):
+    done = []
+    for (f0, inc), rows, rho in zip(profiles, redone, grids):
         for i in rows:
             inc[i] = const * unwrap(next(results))[0]
+        with np.errstate(over="ignore"):
+            done.append(np.concatenate(([f0], f0 + np.cumsum(inc))))
+        if not math.isfinite(done[-1][-1]):
+            raise DomainError(f"mu(B_rho) leaves the float range on [{rho[0]}, {rho[-1]}]")
     if failure is not None:
         raise failure
-    return [np.concatenate(([f0], f0 + np.cumsum(inc))) for f0, inc in profiles]
+    return done

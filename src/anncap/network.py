@@ -188,7 +188,10 @@ def build_radial_network(space: SpaceSpec, r_lo: float, r_hi: float,
     def density(rho):
         return w.evaluate(rho) * rho**m
 
-    masses = const * _cell_masses(density, nodes[:-1], nodes[1:])
+    with np.errstate(all="ignore"):  # a mass past the float range is refused below
+        masses = const * _cell_masses(density, nodes[:-1], nodes[1:])
+    if not 0 < masses.min() <= masses.max() < math.inf:
+        raise DomainError(f"cell masses on [{r_lo}, {r_hi}] leave the float range")
     lengths = np.diff(nodes)
     idx = np.arange(N)
     return DiscreteNetwork(
@@ -483,7 +486,12 @@ def _reduce(net, bc, p):
         on = np.flatnonzero(px)
         node[x[on]] = px[on] + np.int64(nodes - 3)
     sub = _Edges(nodes, node[a], node[b], net.lengths[cross], net.masses[cross])
-    k = sub.masses / sub.lengths**p
+    with np.errstate(over="ignore", divide="ignore"):
+        k = sub.masses / sub.lengths**p
+    # masses and lengths are positive, so a k of 0 is an underflow: through
+    # it, plates that are joined would read an energy of 0
+    if not k.min(initial=1.0) > 0:
+        raise DomainError(f"an edge conductance m / l^p underflows to 0 at p = {p}")
     if len(k) == nodes - 1:  # a chain: its edges are the path through its nodes in order
         path = np.r_[nodes - 2, np.arange(nodes - 2), nodes - 1]
         if np.array_equal(sub.edge_i, path[:-1]) and np.array_equal(sub.edge_j, path[1:]):

@@ -142,7 +142,7 @@ class HalfLineCatalog:
     def evaluate(self, rho):
         rho = np.asarray(rho, dtype=float)
         if self.kind is HalfLineKind.MIN_ONE_OVER_X:
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore", over="ignore"):  # 1/rho is inf at 0 and subnormals
                 return np.minimum(1.0, np.where(rho > 0, 1.0 / rho, np.inf))
         if self.kind is HalfLineKind.EXP_DECAY:
             return np.exp(-rho)

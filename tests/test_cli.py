@@ -254,6 +254,62 @@ def test_bowtie_past_the_float_range_is_a_typed_error(capsys, argv, code):
     assert "error" in capsys.readouterr().err
 
 
+# radii that AnnulusSpec accepts, far apart or near the ends of the float
+# range: each ends in a typed error on one stderr line, with no numpy warning,
+# where a traceback, a 0, a nan or a wrong exit code came out before
+@pytest.mark.parametrize("argv, line", [
+    # r^a underflows to 0 at a = -999
+    ("cap --space rn --n 2 --p 1.001 --r 1e100 --R 1e300",
+     "error: capacity of (r=1e+100, R=1e+300) at p = 1.001 leaves the float range"),
+    ("oracle --space rn --n 2 --p 1.001 --r 1e100 --R 1e300",
+     "error: capacity of (r=1e+100, R=1e+300) at p = 1.001 leaves the float range"),
+    # the closed form's capacity, about 1e-600, underflows to 0
+    ("cap --space rn --n 2 --p 4 --r 1 --R 1e300",
+     "error: capacity of (r=1.0, R=1e+300) at p = 4.0 leaves the float range"),
+    # the radial integral's capacity underflows to 0
+    ("cap --space buckley --eta 0.5 --p 3 --r 1e-10 --R 1e200",
+     "error: capacity of (r=1e-10, R=1e+200) at p = 3.0 leaves the float range"),
+    # mu(B_rho) = 1 - e^-rho is 1 in floats past rho = 37
+    ("ad --space halfline --kind exp-decay --range 0.5:1e300",
+     "error: mu(B_rho) is constant in floats on half the level-0 grid of (0.5, 1e+300) or more; "
+     "the ratio rho f'/f has no scale"),
+    ("ad --space rn --n 2 --range 1e-320:1e-300",
+     "error: mu(B_rho) underflows to 0 on (1e-320, 1e-300); no ratio rho f'/f"),
+    ("ad --space rn --n 2 --range 1e-300:1e300", "error: non-finite integrand sample in quadrature"),
+    # every panel's mass is finite, their sum is not
+    ("ad --space rn --n 2 --range 1e154:1.1e154",
+     "error: mu(B_rho) leaves the float range on [1e+154, 1.1e+154]"),
+    ("ad --space halfline --kind min-one-over-x --range 1e-320:1e-300",
+     "numeric error: tanh-sinh quadrature reached error 4.941e-324 > requested 1.000e-10 "
+     "relative to 3.332e-318"),
+    ("oracle --space rn --n 2 --p 3 --r 1e200 --R 1e300",
+     "error: cell masses on [1e+200, 1e+300] leave the float range"),
+    # l^p overflows, so the chain's conductances are 0
+    ("oracle --space buckley --eta 0.5 --p 2 --r 1e-10 --R 1e200 --cells 64",
+     "error: an edge conductance m / l^p underflows to 0 at p = 2.0"),
+])
+def test_radii_at_the_float_range_end_in_one_error_line(argv, line):
+    assert _outcome(argv.split()) == (3, "", line + "\n")
+
+
+def test_a_range_too_narrow_for_distinct_radii_is_a_usage_error():
+    # rho[i + 2] = rho[i] made the difference quotients 0 / 0
+    assert _outcome(["ad", "--space", "rn", "--range", "1:1.000000000000001"]) == (
+        2, "", "error: range (1.0, 1.000000000000001) is too narrow for 513 distinct radii\n")
+
+
+@pytest.mark.parametrize("argv, value", [
+    # R / r = 1e600 overflows; the values are 40-digit mpmath
+    ("cap --space rn --n 2 --p 2 --r 1e-300 --R 1e300", 0.0045479211794728045),
+    ("cap --space rn --n 3 --p 3 --r 1e-300 --R 1e300", 6.5837902412532253e-06),
+    ("cap --space rn --n 2 --p 1.5 --r 1e-300 --R 1e300", 6.2831853071795865e-150),
+])
+def test_closed_form_with_radii_far_apart(argv, value):
+    code, out, err = _outcome(argv.split())
+    assert (code, err) == (0, "")
+    assert float(json.loads(out)["value"]) == pytest.approx(value, rel=1e-12)
+
+
 def test_ad_fit_of_the_3d_bowtie(capsys):
     code = run(["ad", "--space", "bowtie", "--alpha", "0.5", "--n", "3", "--R", "1",
                 "--thin", "9"])
@@ -403,6 +459,25 @@ def test_only_the_cli_writes_json_or_csv():
         assert "networkx" not in imported, path.name
         if path.name != "cli.py":
             assert not imported & {"json", "csv"}, path.name
+
+
+def test_only_the_cli_prints():
+    # every other module returns records; verify-all's lines are written by cli.py too
+    for path in Path(anncap.__file__).parent.glob("*.py"):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            assert not (isinstance(node, ast.Name) and node.id == "print"), path.name
+            assert not (isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
+                        and isinstance(node.value, ast.Name) and node.value.id == "sys"), path.name
+
+
+def test_verify_all_writes_the_golden_lines():
+    code, out, err = _outcome(["verify-all"])
+    out = re.sub(r"(slowest solve |total wall time )[0-9.]+s", r"\1…s", out)
+    golden = (Path(__file__).parent / "golden" / "verify_all.txt").read_text(encoding="utf-8")
+    assert (code, out, err) == (0, golden, "")
+    assert len(out.splitlines()) == 11
 
 
 def test_every_imported_name_is_read():

@@ -280,3 +280,11 @@ def test_volume_profile_without_radial_reduction_is_per_point():
     space = SpaceSpec(Snake())
     rho = np.geomspace(1.5, 64.0, 17)
     assert np.array_equal(volume_profiles(space, [rho])[0], [mu_ball(space, x) for x in rho])
+
+
+def test_volume_profile_on_panels_wider_than_its_mass():
+    # on the panel [0.5, 24613.5] every GL8 node of both rules lies past the
+    # mass of e^-rho, so both read about 0; mu(B_rho) = 1 - e^-rho
+    space = SpaceSpec(HalfLine(), HalfLineCatalog(HalfLineKind.EXP_DECAY))
+    rho = np.geomspace(0.5, 1e300, 65)
+    assert np.max(np.abs(volume_profiles(space, [rho])[0] / -np.expm1(-rho) - 1.0)) <= 1e-9
