@@ -214,6 +214,8 @@ def check_one_ad(space: SpaceSpec, rho_range: tuple[float, float]) -> OneAdRepor
     increment f(rho+h) - f(rho-h) does not shrink under refinement; an
     integrable power singularity produces outliers too, but its increment
     decays like h^eta and is therefore classified as steep, not atomic.
+    A range too narrow for distinct grid radii is an InputError; a ball
+    volume of 0, or a grid whose median ratio is 0, a DomainError.
     """
     lo, hi = rho_range
     if not (0 < lo < hi < math.inf):

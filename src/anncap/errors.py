@@ -34,7 +34,8 @@ class InfeasibleError(AnncapError):
 
 
 class ConvergenceError(AnncapError):
-    """Iterative solver hit its iteration cap or ended at no energy."""
+    """A network solve failed: Newton's iteration cap, a failed linear
+    solve, or a non-finite energy."""
 
 
 def attempt(fn, *args):

@@ -206,15 +206,6 @@ def test_p_validation():
         cap_radial_weighted(RN2, 1.0, AnnulusSpec(1.0, 2.0))
 
 
-def test_closed_form_and_radial_capacities_never_read_0():
-    # r^a underflows to 0 at a = -999, though the capacity 5.03e100 is finite;
-    # the radial integral's capacity underflows to 0
-    with pytest.raises(DomainError, match="float range"):
-        cap_rn_unweighted(2, 1.001, AnnulusSpec(1e100, 1e300))
-    with pytest.raises(DomainError, match="float range"):
-        cap_radial_weighted(SpaceSpec(RadialRn(1), BuckleyEta(0.5)), 3.0, AnnulusSpec(1e-10, 1e200))
-
-
 def test_capacity_past_the_float_range_is_an_error_not_a_value():
     # r^a overflows in the closed form, and a density underflowing to 0 has
     # no power in the radial integral; neither may become nan or 0
@@ -222,6 +213,14 @@ def test_capacity_past_the_float_range_is_an_error_not_a_value():
         cap_rn_unweighted(2, 1.335, AnnulusSpec(2.5e-303, 1.33))
     with pytest.raises(DomainError, match="float range"):
         cap_rn_unweighted(2, 1.5, AnnulusSpec(1e-310, 4.0))
+    # r^a underflows to 0 at a = -999, though the capacity 5.03e100 is finite;
+    # and a capacity underflowing to 0, in the closed form and the radial integral
+    with pytest.raises(DomainError, match="float range"):
+        cap_rn_unweighted(2, 1.001, AnnulusSpec(1e100, 1e300))
+    with pytest.raises(DomainError, match="float range"):
+        cap_rn_unweighted(2, 4.0, AnnulusSpec(1.0, 1e300))
+    with pytest.raises(DomainError, match="float range"):
+        cap_radial_weighted(SpaceSpec(RadialRn(1), BuckleyEta(0.5)), 3.0, AnnulusSpec(1e-10, 1e200))
     inv = SpaceSpec(HalfLine(), HalfLineCatalog(HalfLineKind.EXP_INV_OVER_X_SQ))
     with pytest.raises(QuadratureError, match="float range"):
         cap_radial_weighted(inv, 1.2, AnnulusSpec(3e-270, 2.0))
