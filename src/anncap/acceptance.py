@@ -8,12 +8,11 @@ per criterion of CRITERIA.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 
 from .bounds import blowup_probe
-from .capacity import cap_radial_p1, cap_rn_unweighted, cap_snake, cap_values
+from .capacity import cap_radial_p1, cap_rn_unweighted, cap_snake
 from .decay import ad_ratio_trend, check_one_ad, estimate_ad_exponent, fit_annulus_decay
 from .gallery import (_ad_bounded, _cap_slope, _nice_envelope, _pinch_probe, _thin_annuli,
                       _thin_family, default_gallery, make_bowtie, make_buckley, make_halfline,
@@ -210,8 +209,7 @@ def criterion_10():
     capacity 0 on the bow-tie at p = n + alpha."""
     space = SpaceSpec(HalfLine(), Constant(),
                       traits=TraitSet(pi_exponents=frozenset({1.0})))
-    rep = blowup_probe(space, 2.0, 1.0, [2.0**-j for j in range(1, 13)],
-                       functools.partial(cap_values, space, 2.0))
+    rep = blowup_probe(space, 2.0, 1.0, [2.0**-j for j in range(1, 13)])
     # relative to 1/delta
     worst = max(abs(cap - 1.0 / d) * d for d, cap in zip(rep.deltas, rep.values))
     degenerate, brep = _pinch_probe(make_bowtie(0.5).space, 2.5)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .capacity import cap_values
 from .decay import _loglog_fit
 from .errors import AnncapError, ApplicabilityError, DomainError, InputError, attempt, unwrap
 from .measure import FamilyMeasures
@@ -179,15 +180,14 @@ class SweepReport:
     verdict: str  # PASS | FAIL
 
 
-def verify_envelope(space: SpaceSpec, caps, spec: BoundSpec, annuli,
+def verify_envelope(space: SpaceSpec, spec: BoundSpec, annuli,
                     check_hypotheses: bool = True) -> SweepReport:
     """Ratio cap/bound per annulus; PASS means the ratios sit inside
     [1e-3, 1e3] with no log-log trend (|slope| <= 0.05).
 
-    caps(annuli) returns each annulus's capacity, or the AnncapError that
-    computing it raised (capacity.cap_values, say); the bound's measures
-    are one FamilyMeasures fill.  Each annulus's errors are raised in its
-    turn: its capacity's, a failed hypothesis, then its bound's.  The
+    The capacities at spec.p are one cap_values call and the bound's
+    measures one FamilyMeasures fill.  Each annulus's errors are raised in
+    its turn: its capacity's, a failed hypothesis, then its bound's.  The
     constant-free UpperSimple bound must additionally dominate the
     capacity outright (ratio <= 1 + 1e-8).
     """
@@ -197,8 +197,8 @@ def verify_envelope(space: SpaceSpec, caps, spec: BoundSpec, annuli,
     rows, xs = [], []
     measures = FamilyMeasures(space)
     measures.fill([BOUND_TABLE[spec.bound_id].measure(ann) for ann in annuli])
-    for ann, cap in zip(annuli, caps(annuli)):
-        cap = unwrap(cap)
+    for ann, res in zip(annuli, cap_values(space, spec.p, annuli)):
+        cap = unwrap(res).value
         bound = _evaluate(spec, space, ann, measures, check_hypotheses)
         if bound == 0.0:
             raise DomainError(f"{spec.bound_id.value} is 0 on annulus (r={ann.r}, R={ann.R}); "
@@ -225,10 +225,10 @@ class BlowupReport:
     verdict: str  # BLOWUP | NO-BLOWUP
 
 
-def blowup_probe(space: SpaceSpec, p: float, R: float, deltas, caps,
+def blowup_probe(space: SpaceSpec, p: float, R: float, deltas,
                  check_hypotheses: bool = True) -> BlowupReport:
-    """cap(B_{R-delta}, B_R) along a decreasing delta sequence, from one
-    caps(annuli) call, as verify_envelope reads it.
+    """cap_p(B_{R-delta}, B_R) along a decreasing delta sequence, from one
+    cap_values call, as verify_envelope reads it.
 
     BLOWUP requires strictly increasing values whose final/initial ratio
     reaches 10^3; identically-zero capacities report NO-BLOWUP (the
@@ -246,7 +246,8 @@ def blowup_probe(space: SpaceSpec, p: float, R: float, deltas, caps,
     annuli = [attempt(AnnulusSpec, R - d, R) for d in deltas]
     valid = next((i for i, a in enumerate(annuli) if isinstance(a, AnncapError)), len(annuli))
     # an annulus that cannot be built raises after the capacities before it
-    values = [unwrap(v) for v in [*caps(annuli[:valid]), *annuli[valid:valid + 1]]]
+    values = [unwrap(v).value
+              for v in [*cap_values(space, p, annuli[:valid]), *annuli[valid:valid + 1]]]
     increasing = all(b > a for a, b in zip(values, values[1:]))
     blow = increasing and values[0] > 0 and values[-1] / values[0] >= 1e3
     return BlowupReport(tuple(deltas), tuple(values), "BLOWUP" if blow else "NO-BLOWUP")

@@ -216,21 +216,14 @@ def cap_bowtie_pinch(space: SpaceSpec, p: float, delta: float) -> CapacityResult
 
 def cap_auto(space: SpaceSpec, p: float, ann: AnnulusSpec) -> CapacityResult:
     """Dispatch to the best available engine for the space."""
-    return unwrap(_cap_family(space, p, [ann])[0])
+    return unwrap(cap_values(space, p, [ann])[0])
 
 
 def cap_values(space: SpaceSpec, p: float, annuli) -> list:
-    """cap_auto(space, p, ann).value for each annulus of a family, in order,
-    or the AnncapError computing it raised: the capacities verify_envelope
-    and blowup_probe read."""
-    return [res if isinstance(res, AnncapError) else res.value
-            for res in _cap_family(space, p, annuli)]
-
-
-def _cap_family(space: SpaceSpec, p: float, annuli) -> list:
-    """cap_auto of each annulus, or the error it raises.  A family's radial
-    integrals are one quadrature call; every other engine is a closed form
-    or the p = 1 inf-cut, one annulus at a time."""
+    """cap_auto of each annulus of a family, in order, or the AnncapError
+    computing it raised: the capacities verify_envelope and blowup_probe
+    read.  A family's radial integrals are one quadrature call; every other
+    engine is a closed form or the p = 1 inf-cut, one annulus at a time."""
     geom = space.geometry
     if (isinstance(geom, (RadialRn, HalfLine)) and p != 1
             and not (isinstance(geom, RadialRn) and isinstance(space.weight, Constant))):

@@ -20,7 +20,7 @@ import sys
 import time
 
 from .bounds import BoundId, BoundSpec, verify_envelope
-from .capacity import cap_auto, cap_values
+from .capacity import cap_auto
 from .decay import check_one_ad, fit_annulus_decay
 from .errors import (AnncapError, ApplicabilityError, ConvergenceError, DomainError,
                      InputError, QuadratureError)
@@ -129,8 +129,8 @@ def _cmd_cap(ns) -> int:
 def _cmd_sweep(ns) -> int:
     space = _space_from_args(ns)
     spec = BoundSpec(_BOUND_IDS[ns.bound], ns.p, eta=ns.eta, q=ns.q)
-    rep = verify_envelope(space, functools.partial(cap_values, space, ns.p), spec,
-                          _thin_annuli(ns.R, ns.thin + 1), check_hypotheses=not ns.no_gating)
+    rep = verify_envelope(space, spec, _thin_annuli(ns.R, ns.thin + 1),
+                          check_hypotheses=not ns.no_gating)
     if any(row[2] <= 0 for row in rep.rows):
         raise DomainError(f"capacity degenerates to 0 at p = {ns.p}; no decay slope to fit")
     if ns.out:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import BoundId, BoundSpec, _evaluate, blowup_probe, evaluate_bound, verify_envelope
-from .capacity import cap_values
 from .decay import (
     _loglog_fit,
     ad_ratio_trend,
@@ -297,9 +296,8 @@ def _cap_slope(rep):
 def _nice_envelope(space, p, j_hi, check_hypotheses):
     """The two-sided nice-case envelope of the capacity at p over the annuli
     (1 - 2^-j, 1), j = 2..j_hi."""
-    return verify_envelope(space, functools.partial(cap_values, space, p),
-                           BoundSpec(BoundId.TWO_SIDED_NICE, p), _thin_annuli(1.0, j_hi),
-                           check_hypotheses)
+    return verify_envelope(space, BoundSpec(BoundId.TWO_SIDED_NICE, p),
+                           _thin_annuli(1.0, j_hi), check_hypotheses)
 
 
 def _ad_bounded(space, annuli, eta, measures=None):
@@ -313,8 +311,7 @@ def _pinch_probe(space, p):
     """blowup_probe of the capacity at the bow-tie tip over delta = 2^-j,
     j = 2..9; the capacity degenerates iff the verdict is NO-BLOWUP with
     every value 0."""
-    rep = blowup_probe(space, p, 1.0, [2.0**-j for j in range(2, 10)],
-                       functools.partial(cap_values, space, p), check_hypotheses=False)
+    rep = blowup_probe(space, p, 1.0, [2.0**-j for j in range(2, 10)], check_hypotheses=False)
     return rep.verdict == "NO-BLOWUP" and all(v == 0.0 for v in rep.values), rep
 
 
@@ -383,8 +380,7 @@ def _claim_snake_lower_base(entry, probes):
     k = 6
     spec = BoundSpec(BoundId.LOWER_P_BASE, p)
     annuli = [AnnulusSpec(2.0**k - 2.0**-j, 2.0**k + 2.0**-j) for j in range(0, 9)]
-    rep = verify_envelope(entry.space, functools.partial(cap_values, entry.space, p), spec,
-                          annuli)
+    rep = verify_envelope(entry.space, spec, annuli)
     return rep.verdict == "PASS", f"envelope {rep.verdict}, ratios [{rep.min_ratio:.3g}, {rep.max_ratio:.3g}]"
 
 

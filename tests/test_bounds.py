@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from anncap import measure
+from anncap import bounds, measure
 from anncap.bounds import (
     BOUND_TABLE,
     BoundId,
@@ -13,7 +13,7 @@ from anncap.bounds import (
     evaluate_bound,
     verify_envelope,
 )
-from anncap.capacity import cap_auto, cap_radial_weighted, cap_rn_unweighted
+from anncap.capacity import CapacityMethod, CapacityResult, cap_auto, cap_rn_unweighted
 from anncap.cli import _write_rows
 from anncap.errors import ApplicabilityError, DomainError, InputError, QuadratureError
 from anncap.gallery import make_bowtie, make_buckley, make_halfline, make_rn_unweighted, make_snake
@@ -24,10 +24,18 @@ from anncap.weights import Constant, HalfLineKind
 RN2 = make_rn_unweighted(2).space
 
 
-def _each(cap):
-    """The caps argument of verify_envelope and blowup_probe: cap(a) of
-    each annulus of the family."""
-    return lambda annuli: [cap(a) for a in annuli]
+@pytest.fixture
+def caps(monkeypatch):
+    """caps(cap, failing_at=None) fakes the capacities verify_envelope and
+    blowup_probe read: cap(a) for each annulus a of the family, except that
+    annulus number failing_at raises a QuadratureError."""
+    def install(cap, failing_at=None):
+        def cap_values(space, p, annuli):
+            return [QuadratureError(f"capacity {j}") if j == failing_at
+                    else CapacityResult(cap(a), CapacityMethod.CLOSED_FORM)
+                    for j, a in enumerate(annuli)]
+        monkeypatch.setattr(bounds, "cap_values", cap_values)
+    return install
 
 
 def test_boundspec_validation():
@@ -125,8 +133,7 @@ def test_upper_simple_never_gated():
 def test_verify_envelope_pass_and_csv(tmp_path):
     p = 2.0
     annuli = [AnnulusSpec(1.0 - 2.0**-j, 1.0) for j in range(2, 11)]
-    rep = verify_envelope(RN2, _each(lambda a: cap_auto(RN2, p, a).value),
-                          BoundSpec(BoundId.TWO_SIDED_NICE, p), annuli)
+    rep = verify_envelope(RN2, BoundSpec(BoundId.TWO_SIDED_NICE, p), annuli)
     assert rep.verdict == "PASS"
     assert abs(rep.slope) <= 0.05
     path = tmp_path / "sweep.csv"
@@ -142,34 +149,32 @@ def test_verify_envelope_pass_and_csv(tmp_path):
 def test_degenerate_abscissa_is_an_input_error():
     # every annulus the same 1 - r/R: no slope to fit
     with pytest.raises(InputError, match="degenerate fit"):
-        verify_envelope(RN2, _each(lambda a: cap_auto(RN2, 2.0, a).value),
-                        BoundSpec(BoundId.TWO_SIDED_NICE, 2.0), [AnnulusSpec(0.75, 1.0)] * 8)
+        verify_envelope(RN2, BoundSpec(BoundId.TWO_SIDED_NICE, 2.0), [AnnulusSpec(0.75, 1.0)] * 8)
     with pytest.raises(InputError, match="degenerate fit"):
-        blowup_probe(RN2, 2.0, 1.0, [0.25], _each(lambda a: cap_auto(RN2, 2.0, a).value))
+        blowup_probe(RN2, 2.0, 1.0, [0.25])
 
 
 def test_verify_envelope_detects_counterexample():
     space = make_buckley(0.5).space
     p = 2.0
     annuli = [AnnulusSpec(1.0 - 2.0**-j, 1.0) for j in range(2, 11)]
-    rep = verify_envelope(space, _each(lambda a: cap_radial_weighted(space, p, a).value),
-                          BoundSpec(BoundId.TWO_SIDED_NICE, p), annuli,
+    rep = verify_envelope(space, BoundSpec(BoundId.TWO_SIDED_NICE, p), annuli,
                           check_hypotheses=False)
     assert rep.verdict == "FAIL"
     assert rep.slope == pytest.approx(0.5 - 1.0, abs=0.05)
 
 
-def test_verify_envelope_needs_eight_annuli():
+def test_verify_envelope_needs_eight_annuli(caps):
+    caps(lambda a: 1.0)
     annuli = [AnnulusSpec(1.0 - 2.0**-j, 1.0) for j in range(2, 6)]
     with pytest.raises(InputError):
-        verify_envelope(RN2, _each(lambda a: 1.0),
-                        BoundSpec(BoundId.UPPER_SIMPLE, 2.0), annuli)
+        verify_envelope(RN2, BoundSpec(BoundId.UPPER_SIMPLE, 2.0), annuli)
 
 
-def test_upper_simple_envelope_requires_domination():
+def test_upper_simple_envelope_requires_domination(caps):
+    caps(lambda a: 2.0 * cap_auto(RN2, 2.0, a).value)
     annuli = [AnnulusSpec(1.0 - 2.0**-j, 1.0) for j in range(2, 11)]
-    rep = verify_envelope(RN2, _each(lambda a: 2.0 * cap_auto(RN2, 2.0, a).value),
-                          BoundSpec(BoundId.UPPER_SIMPLE, 2.0), annuli)
+    rep = verify_envelope(RN2, BoundSpec(BoundId.UPPER_SIMPLE, 2.0), annuli)
     assert rep.verdict == "FAIL"  # inflated capacity exceeds the bare bound
 
 
@@ -177,27 +182,28 @@ def test_blowup_probe_halfline():
     space = SpaceSpec(HalfLine(), Constant(),
                       traits=TraitSet(pi_exponents=frozenset({1.0})))
     deltas = [2.0**-j for j in range(1, 13)]
-    rep = blowup_probe(space, 2.0, 1.0, deltas,
-                       _each(lambda a: cap_radial_weighted(space, 2.0, a).value))
+    rep = blowup_probe(space, 2.0, 1.0, deltas)
     assert rep.verdict == "BLOWUP"
     slope = np.polyfit(np.log(rep.deltas), np.log(rep.values), 1)[0]
     assert slope == pytest.approx(-1.0, abs=0.01)
 
 
-def test_blowup_probe_gating():
+def test_blowup_probe_gating(caps):
+    caps(lambda a: 1.0)
     space = SpaceSpec(HalfLine(), Constant(), traits=TraitSet())  # no PI declared
     with pytest.raises(ApplicabilityError, match="Poincare"):
-        blowup_probe(space, 2.0, 1.0, [0.5, 0.25], _each(lambda a: 1.0))
+        blowup_probe(space, 2.0, 1.0, [0.5, 0.25])
     # q >= p also refuses
     pi = SpaceSpec(HalfLine(), Constant(), traits=TraitSet(pi_exponents=frozenset({3.0})))
     with pytest.raises(ApplicabilityError):
-        blowup_probe(pi, 2.0, 1.0, [0.5, 0.25], _each(lambda a: 1.0))
+        blowup_probe(pi, 2.0, 1.0, [0.5, 0.25])
 
 
-def test_blowup_probe_degenerate_zeroes():
+def test_blowup_probe_degenerate_zeroes(caps):
+    caps(lambda a: 0.0)
     space = SpaceSpec(HalfLine(), Constant(),
                       traits=TraitSet(pi_exponents=frozenset({1.0})))
-    rep = blowup_probe(space, 2.0, 1.0, [0.5, 0.25, 0.125], _each(lambda a: 0.0))
+    rep = blowup_probe(space, 2.0, 1.0, [0.5, 0.25, 0.125])
     assert rep.verdict == "NO-BLOWUP"
 
 
@@ -231,10 +237,10 @@ def _count_measures(monkeypatch):
 
 
 @pytest.mark.parametrize("bound_id", list(BoundId))
-def test_verify_envelope_computes_each_measure_once(monkeypatch, bound_id):
+def test_verify_envelope_computes_each_measure_once(monkeypatch, caps, bound_id):
+    caps(lambda a: cap_rn_unweighted(2, 2.0, a).value)
     calls = _count_measures(monkeypatch)
-    verify_envelope(RN2, _each(lambda a: cap_rn_unweighted(2, 2.0, a).value), _SPECS[bound_id],
-                    _FAMILY, check_hypotheses=False)
+    verify_envelope(RN2, _SPECS[bound_id], _FAMILY, check_hypotheses=False)
     expected_balls = {BoundId.UPPER_SIMPLE: 0, BoundId.TWO_SIDED_ANNULAR: 0,
                       BoundId.LOWER_P1_NO_DOUBLING: 11}.get(bound_id, 1)
     assert calls["families"] == 1  # one fill for the family
@@ -246,7 +252,8 @@ def test_verify_envelope_computes_each_measure_once(monkeypatch, bound_id):
                                    make_halfline(HalfLineKind.MIN_ONE_OVER_X).space,
                                    make_snake().space],
                          ids=["rn2", "buckley", "halfline", "snake"])
-def test_verify_envelope_rows_equal_evaluate_bound(space):
+def test_verify_envelope_rows_equal_evaluate_bound(caps, space):
+    caps(lambda a: 1.0)
     family = [AnnulusSpec(48.0 * (1.0 - 2.0**-j), 48.0) for j in range(2, 13)] \
         if space.name == "snake" else _FAMILY
     for bound_id, spec in _SPECS.items():
@@ -255,11 +262,9 @@ def test_verify_envelope_rows_equal_evaluate_bound(space):
                 expected = [evaluate_bound(spec, space, a, check_hypotheses=gated) for a in family]
             except ApplicabilityError as exc:
                 with pytest.raises(ApplicabilityError, match=re.escape(str(exc))):
-                    verify_envelope(space, _each(lambda a: 1.0), spec, family,
-                                    check_hypotheses=gated)
+                    verify_envelope(space, spec, family, check_hypotheses=gated)
                 continue
-            rep = verify_envelope(space, _each(lambda a: 1.0), spec, family,
-                                  check_hypotheses=gated)
+            rep = verify_envelope(space, spec, family, check_hypotheses=gated)
             assert [row[3] for row in rep.rows] == expected, (bound_id, gated)
 
 
@@ -289,62 +294,61 @@ def test_bound_spec_refuses_nan():
         BoundSpec(BoundId.MEASURE_LOWER_Q, 2.0, q=math.nan)
 
 
-def test_underflowing_bound_is_a_domain_error():
+def test_underflowing_bound_is_a_domain_error(caps):
+    caps(lambda a: 1.0)
     spec = BoundSpec(BoundId.LOWER_P_BASE, 4.0)
     tiny = [AnnulusSpec(1e-100 * (1.0 - 2.0**-j), 1e-100) for j in range(2, 12)]
     with pytest.raises(DomainError, match="float range"):  # R**p underflows
-        verify_envelope(RN2, _each(lambda a: 1.0), spec, tiny, check_hypotheses=False)
+        verify_envelope(RN2, spec, tiny, check_hypotheses=False)
     inv = make_halfline(HalfLineKind.EXP_INV_OVER_X_SQ).space  # mu(B_R) = e^(-1/R) = 0
     near = [AnnulusSpec(1e-3 * (1.0 - 2.0**-j), 1e-3) for j in range(2, 12)]
     with pytest.raises(DomainError, match="is 0"):
-        verify_envelope(inv, _each(lambda a: 1.0), spec, near, check_hypotheses=False)
+        verify_envelope(inv, spec, near, check_hypotheses=False)
 
 
 # ---------------------------------------------------------------------------
 # a family's errors, each in its annulus's turn: its capacity, its
 # hypotheses, then its bound's measure
 
-def _caps_failing_at(i):
-    """caps whose annulus i raises a QuadratureError, every other being 1."""
-    return lambda annuli: [QuadratureError(f"capacity {j}") if j == i else 1.0
-                           for j in range(len(annuli))]
-
-
 @pytest.mark.parametrize("cap_at, gated, error", [
     (5, True, "hypothesis violated: reverse-doubling at x0"),  # fails on annulus 0
     (0, True, "capacity 0"),  # annulus 0's capacity comes before its hypotheses
     (5, False, "capacity 5"),
 ])
-def test_an_early_hypothesis_wins_over_a_later_capacity(cap_at, gated, error):
+def test_an_early_hypothesis_wins_over_a_later_capacity(caps, cap_at, gated, error):
+    caps(lambda a: 1.0, failing_at=cap_at)
     no_reverse_doubling = make_halfline(HalfLineKind.MIN_ONE_OVER_X).space
     with pytest.raises((ApplicabilityError, QuadratureError), match=f"^{re.escape(error)}$"):
-        verify_envelope(no_reverse_doubling, _caps_failing_at(cap_at),
-                        BoundSpec(BoundId.TWO_SIDED_NICE, 2.0), _FAMILY, check_hypotheses=gated)
+        verify_envelope(no_reverse_doubling, BoundSpec(BoundId.TWO_SIDED_NICE, 2.0), _FAMILY,
+                        check_hypotheses=gated)
 
 
 @pytest.mark.parametrize("cap_at, error", [(3, "capacity 3"), (7, "thin annulus (R/2 <= r)")])
-def test_the_first_failing_annulus_need_not_be_the_first(cap_at, error):
+def test_the_first_failing_annulus_need_not_be_the_first(caps, cap_at, error):
+    caps(lambda a: 1.0, failing_at=cap_at)
     family = list(_FAMILY)
     family[6] = AnnulusSpec(0.4, 1.0)  # not thin
     with pytest.raises((ApplicabilityError, QuadratureError), match=f"{re.escape(error)}$"):
-        verify_envelope(RN2, _caps_failing_at(cap_at), BoundSpec(BoundId.TWO_SIDED_NICE, 2.0),
-                        family)
+        verify_envelope(RN2, BoundSpec(BoundId.TWO_SIDED_NICE, 2.0), family)
 
 
 @pytest.mark.parametrize("cap_at, error", [(2, "capacity 2"),
                                            (6, "snake represents radii up to 2^10 = 1024.0")])
-def test_a_measure_error_is_raised_in_its_annulus_turn(cap_at, error):
+def test_a_measure_error_is_raised_in_its_annulus_turn(caps, cap_at, error):
+    caps(lambda a: 1.0, failing_at=cap_at)
     # mu(B_r) is past the snake for r > 1024: from the fifth annulus on
     family = [AnnulusSpec(1000.0 + 8.0 * j, 1100.0) for j in range(11)]
     with pytest.raises((DomainError, QuadratureError), match=f"^{re.escape(error)}"):
-        verify_envelope(make_snake().space, _caps_failing_at(cap_at),
-                        _SPECS[BoundId.LOWER_P1_NO_DOUBLING], family, check_hypotheses=False)
+        verify_envelope(make_snake().space, _SPECS[BoundId.LOWER_P1_NO_DOUBLING], family,
+                        check_hypotheses=False)
 
 
-def test_blowup_probe_builds_its_annuli_in_turn():
+def test_blowup_probe_builds_its_annuli_in_turn(caps):
     space = SpaceSpec(HalfLine(), Constant(), traits=TraitSet(pi_exponents=frozenset({1.0})))
     # delta = 0 gives no annulus: raised after the capacities before it
+    caps(lambda a: 1.0, failing_at=1)
     with pytest.raises(QuadratureError, match="capacity 1"):
-        blowup_probe(space, 2.0, 1.0, [0.5, 0.25, 0.0], _caps_failing_at(1))
+        blowup_probe(space, 2.0, 1.0, [0.5, 0.25, 0.0])
+    caps(lambda a: 1.0)
     with pytest.raises(InputError, match="annulus needs 0 < r < R"):
-        blowup_probe(space, 2.0, 1.0, [0.5, 0.25, 0.0], _each(lambda a: 1.0))
+        blowup_probe(space, 2.0, 1.0, [0.5, 0.25, 0.0])

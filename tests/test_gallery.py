@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from anncap import gallery, measure
+from anncap import bounds, gallery, measure
 from anncap.cli import run
 from anncap.errors import InputError
 from anncap.gallery import (
@@ -132,19 +132,19 @@ def test_a_bowtie_entry_computes_each_interval_once(monkeypatch, alpha):
 def test_claims_share_the_envelope_and_the_trend_they_both_read(monkeypatch):
     calls = collections.Counter()
 
-    def counted(name):
-        original = getattr(gallery, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             if name == "cap_values":
                 calls["annuli"] += len(args[2])
             return original(*args, **kwargs)
-        monkeypatch.setattr(gallery, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    counted("cap_values")
-    counted("ad_ratio_trend")
-    counted("check_one_ad")
+    counted(bounds, "cap_values")
+    counted(gallery, "ad_ratio_trend")
+    counted(gallery, "check_one_ad")
     # upper-eta-sharp and nice-case-fails read one envelope over 9 annuli,
     # whose capacities are one family call
     verify_expectations(make_buckley(0.5))
