@@ -220,48 +220,42 @@ def _tanh_sinh(f, lo, hi, groups, columns=()):
     last level misses the gate; it stops no other group.
     """
     results = [None] * len(groups)
-    live, start = [], 0  # [group, its rows among the live panels, I, tail, nodes, error]
-    for g, size in enumerate(groups):
-        live.append([g, slice(start, start + size), 0.0, 0.0, 0, 0.0])
-        start += size
+    ends = np.cumsum(groups)  # group g's panels are the rows ends[g] - groups[g] .. ends[g] - 1
+    total, tail, nodes, err = ([0.0] * len(groups) for _ in range(4))
+    live = list(range(len(groups)))
     a, b, length, cols = lo[:, None], hi[:, None], hi - lo, columns
     with np.errstate(all="ignore"):  # a non-finite sample fails the check below
         for k, (frac, weights, from_b) in enumerate(_TS_TABLES):
             off = frac * length[:, None]
             vals = np.where(off != 0.0, f(np.where(from_b, b, a) + off, *cols), 0.0)
-            refining = []
-            for group in live:
-                g, rows, total, tail, nodes, err = group
-                nodes += np.count_nonzero(off[rows])
-                sums = length[rows] @ (vals[rows] @ weights)
+            refining, start = [], 0
+            for g in live:  # the live groups' panels follow one another
+                here = slice(start, start + groups[g])
+                start += groups[g]
+                nodes[g] += np.count_nonzero(off[here])
+                sums = length[here] @ (vals[here] @ weights)
                 if k == 0:
-                    total, tail = sums[1], abs(sums[2])
-                prev, total = total, 0.5 * total + sums[0]
-                if not math.isfinite(total):
+                    total[g], tail[g] = sums[1], abs(sums[2])
+                prev, total[g] = total[g], 0.5 * total[g] + sums[0]
+                if not math.isfinite(total[g]):
                     results[g] = DomainError("non-finite integrand sample in quadrature")
                     continue
-                err = max(abs(total - prev), tail, nodes * _EPS * abs(total))
-                if err <= DEFAULT_TOL * abs(total):
-                    results[g] = float(total), float(err)
-                    continue
-                group[2:] = total, tail, nodes, err
-                refining.append(group)
+                err[g] = max(abs(total[g] - prev), tail[g], nodes[g] * _EPS * abs(total[g]))
+                if err[g] <= DEFAULT_TOL * abs(total[g]):
+                    results[g] = float(total[g]), float(err[g])
+                else:
+                    refining.append(g)
             if len(refining) < len(live):
-                live, start, rows = refining, 0, []
-                for group in live:
-                    g = group[0]
-                    rows.append(np.arange(sum(groups[:g]), sum(groups[:g + 1])))
-                    group[1] = slice(start, start + groups[g])
-                    start += groups[g]
+                live = refining
                 if not live:
                     break
-                rows = np.concatenate(rows)
+                rows = np.concatenate([np.arange(ends[g] - groups[g], ends[g]) for g in live])
                 a, b, length = lo[rows, None], hi[rows, None], (hi - lo)[rows]
                 cols = [c[rows] for c in columns]
-    for g, _, total, _, _, err in live:
+    for g in live:
         results[g] = QuadratureError(
-            f"tanh-sinh quadrature reached error {err:.3e} > requested {DEFAULT_TOL:.3e} "
-            f"relative to {total:.3e}", achieved_error=err)
+            f"tanh-sinh quadrature reached error {err[g]:.3e} > requested {DEFAULT_TOL:.3e} "
+            f"relative to {total[g]:.3e}", achieved_error=err[g])
     return results
 
 
