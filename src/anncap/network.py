@@ -518,13 +518,6 @@ def _reduce(net, bc, p):
     return sub, k, core, expand, keep
 
 
-def _kkt_residual(sub, k, u, p):
-    """The largest |dE/du| over the free nodes, all but the last two."""
-    d = u[sub.edge_i] - u[sub.edge_j]
-    grad = _divergence(sub, p * k * np.abs(d) ** (p - 1) * np.sign(d))
-    return float(np.abs(grad[:-2]).max(initial=0.0))
-
-
 def solve_p_energy(net: DiscreteNetwork, bc: BoundaryCondition, p: float) -> SolveReport:
     """Minimize the discrete p-energy with u = 1 on inner and u = 0 on outer.
 
@@ -563,14 +556,18 @@ def solve_p_energy(net: DiscreteNetwork, bc: BoundaryCondition, p: float) -> Sol
             core_u, iters, reason = _newton(core, lap, p, core_u)
     # clipping to [0, 1] never raises the energy, and undoes rounding
     u = np.clip(expand(core_u), 0.0, 1.0)
-    if p > 1:
-        energy = _energy(sub, u, p)
+    if p > 1:  # the crossing edges' differences, read once for E and for dE/du
+        d = u[sub.edge_i] - u[sub.edge_j]
+        energy = float(np.sum(sub.masses * (np.abs(d) / sub.lengths) ** p))  # as _energy
     if not math.isfinite(energy):
         raise ConvergenceError(f"p = {p} solve ended at non-finite energy {energy}")
+    kkt = 0.0
+    if p > 1:  # the largest |dE/du| over the free nodes, all but the last two
+        grad = _divergence(sub, p * k * np.abs(d) ** (p - 1) * np.sign(d))
+        kkt = float(np.abs(grad[:-2]).max(initial=0.0))
     # the vertices no crossing edge touches are 0, the inner plate's 1
     potential = np.zeros(net.num_vertices)
     potential[keep] = u[:-2]
     potential[bc.inner] = 1.0
-    return SolveReport(energy=energy, potential=potential, iterations=iters,
-                       kkt_residual=0.0 if p == 1 else _kkt_residual(sub, k, u, p),
+    return SolveReport(energy=energy, potential=potential, iterations=iters, kkt_residual=kkt,
                        stop_reason=reason)
