@@ -56,7 +56,9 @@ def _radial_integral(w, m, intervals, k=1.0):
 
     Panels end at r, R, the weight's singularities, half and twice each
     weight pole, and geometric cuts that keep their ratios of radii at most
-    PANEL_RATIO.  The density's poles p, |rho - p|^beta with beta in (-1, 0),
+    PANEL_RATIO; a ball past PANEL_RATIO is cut at R / PANEL_RATIO^i down to
+    a radius of at least 1, so its first panel is no wider than a ball's
+    within PANEL_RATIO.  The density's poles p, |rho - p|^beta with beta in (-1, 0),
     are the weight's, or else rho^m's at 0 when m < 0.  A panel within a
     factor 2 of a weight pole, or any panel about rho^m's, is integrated in
     u = |rho - p|^e, e = min(1 + beta k, 1), about its nearest pole, in two
@@ -78,6 +80,8 @@ def _radial_integral(w, m, intervals, k=1.0):
             span = math.log(R) - math.log(r)
             n = math.ceil(span / math.log(PANEL_RATIO))
             cuts.update(math.exp(math.log(r) + span * i / n) for i in range(1, n))
+        elif R > PANEL_RATIO:  # a large ball: cuts R / PANEL_RATIO^i down to a radius >= 1
+            cuts.update(R / PANEL_RATIO**i for i in range(1, int(math.log(R, PANEL_RATIO)) + 1))
         plans.append([r, *sorted(s for s in cuts if r < s < R), R])
     if not poles:
         lo, hi = [], []

@@ -288,3 +288,14 @@ def test_volume_profile_on_panels_wider_than_its_mass():
     space = SpaceSpec(HalfLine(), HalfLineCatalog(HalfLineKind.EXP_DECAY))
     rho = np.geomspace(0.5, 1e300, 65)
     assert np.max(np.abs(volume_profiles(space, [rho])[0] / -np.expm1(-rho) - 1.0)) <= 1e-9
+
+
+def test_large_balls_on_the_half_line():
+    # a ball past PANEL_RATIO is cut geometrically below R, so the tanh-sinh
+    # nodes of its first panel still see e^-rho's mass, and 1/rho's is split
+    exp = SpaceSpec(HalfLine(), HalfLineCatalog(HalfLineKind.EXP_DECAY))
+    for R in np.geomspace(0.5, 1e300, 65):
+        assert abs(mu_ball(exp, float(R)) + math.expm1(-R)) <= 1e-10, R
+    m1x = SpaceSpec(HalfLine(), HalfLineCatalog(HalfLineKind.MIN_ONE_OVER_X))
+    for R in (1e9, 1e50, 1e200, 1e300):
+        assert abs(mu_ball(m1x, R) - (1.0 + math.log(R))) <= 1e-10, R
