@@ -63,10 +63,11 @@ def cap_rn_unweighted(n: int, p: float, ann: AnnulusSpec) -> CapacityResult:
     r, R = ann.r, ann.R
     # the difference of logs only where R / r overflows, so every other L keeps its bits
     L = math.log(R / r) if R / r < math.inf else math.log(R) - math.log(r)
-    if p == 1:
-        value = omega * r ** (n - 1)
-    elif p == n:
-        value = omega * L ** (1 - n)
+    if p in (1, n):  # a single power, past the float range where it overflows
+        try:
+            value = omega * (r ** (n - 1) if p == 1 else L ** (1 - n))
+        except OverflowError:
+            value = math.inf
     else:
         # algebraically omega |(n-p)/(p-1)|^(p-1) |R^a - r^a|^(1-p); written
         # as ((R^a - r^a)/a)^(1-p) via expm1 so that p -> n is cancellation-free
@@ -75,6 +76,13 @@ def cap_rn_unweighted(n: int, p: float, ann: AnnulusSpec) -> CapacityResult:
             value = omega * (r**a * L * math.expm1(a * L) / (a * L)) ** (1.0 - p)
         except ArithmeticError:  # a power overflows, or r^a underflows to 0
             value = math.nan
+        if not 0 < value < math.inf:  # the same in logs, with expm1(y) = -e^y expm1(-y) for y > 0
+            log_base = (a * math.log(r) + max(a * L, 0.0) + math.log(-math.expm1(-abs(a * L)))
+                        - math.log(abs(a)))
+            try:
+                value = math.exp(math.log(omega) + (1.0 - p) * log_base)
+            except OverflowError:
+                value = math.inf
     if not 0 < value < math.inf:  # the capacity is positive: a 0 is an underflow
         raise DomainError(f"capacity of (r={r}, R={R}) at p = {p} leaves the float range")
     return CapacityResult(value=value, method=CapacityMethod.CLOSED_FORM)

@@ -207,20 +207,24 @@ def test_p_validation():
 
 
 def test_capacity_past_the_float_range_is_an_error_not_a_value():
-    # r^a overflows in the closed form, and a density underflowing to 0 has
-    # no power in the radial integral; neither may become nan or 0
-    with pytest.raises(DomainError, match="float range"):
-        cap_rn_unweighted(2, 1.335, AnnulusSpec(2.5e-303, 1.33))
-    with pytest.raises(DomainError, match="float range"):
-        cap_rn_unweighted(2, 1.5, AnnulusSpec(1e-310, 4.0))
-    # r^a underflows to 0 at a = -999, though the capacity 5.03e100 is finite;
-    # and a capacity underflowing to 0, in the closed form and the radial integral
-    with pytest.raises(DomainError, match="float range"):
-        cap_rn_unweighted(2, 1.001, AnnulusSpec(1e100, 1e300))
+    # r^a over- or underflows in the closed form, which then takes logs: a
+    # finite capacity is a value (50-digit mpmath references from the exact
+    # binary inputs), one past the float range an error, never nan or 0
+    for n, p, r, R, exact in [(2, 1.001, 1e100, 1e300, 5.02550181122046185e+100),
+                              (2, 1.335, 2.5e-303, 1.33, 4.651202147503353299e-201),
+                              (2, 1.5, 1e-310, 4.0, 6.2831853071795768791e-155)]:
+        assert cap_rn_unweighted(n, p, AnnulusSpec(r, R)).value == pytest.approx(exact, rel=1e-12)
+    # a capacity underflowing to 0, in the closed form (1.86e-600) and the radial integral
     with pytest.raises(DomainError, match="float range"):
         cap_rn_unweighted(2, 4.0, AnnulusSpec(1.0, 1e300))
     with pytest.raises(DomainError, match="float range"):
         cap_radial_weighted(SpaceSpec(RadialRn(1), BuckleyEta(0.5)), 3.0, AnnulusSpec(1e-10, 1e200))
+    # a single power overflowing: L^(1-n) at p = n, r^(n-1) at p = 1
+    with pytest.raises(DomainError, match="float range"):
+        cap_rn_unweighted(30, 30.0, AnnulusSpec(1.0, 1.0000000000000002))
+    with pytest.raises(DomainError, match="float range"):
+        cap_rn_unweighted(3, 1.0, AnnulusSpec(1e200, 1e201))
+    # a density underflowing to 0 has no power in the radial integral
     inv = SpaceSpec(HalfLine(), HalfLineCatalog(HalfLineKind.EXP_INV_OVER_X_SQ))
     with pytest.raises(QuadratureError, match="float range"):
         cap_radial_weighted(inv, 1.2, AnnulusSpec(3e-270, 2.0))

@@ -258,11 +258,13 @@ def test_bowtie_past_the_float_range_is_a_typed_error(capsys, argv, code):
 # range: each ends in a typed error on one stderr line, with no numpy warning,
 # where a traceback, a 0, a nan or a wrong exit code came out before
 _PAST_THE_FLOAT_RANGE = [
-    # r^a underflows to 0 at a = -999
-    ("cap --space rn --n 2 --p 1.001 --r 1e100 --R 1e300",
-     "error: capacity of (r=1e+100, R=1e+300) at p = 1.001 leaves the float range"),
+    # the capacity is finite (test_closed_form_capacity_past_the_range_of_r_a_is_a_value),
+    # the chain's cell masses are not
     ("oracle --space rn --n 2 --p 1.001 --r 1e100 --R 1e300",
-     "error: capacity of (r=1e+100, R=1e+300) at p = 1.001 leaves the float range"),
+     "error: cell masses on [1e+100, 1e+300] leave the float range"),
+    # L^(1-n) overflows at p = n, about 1e453
+    ("cap --space rn --n 30 --p 30 --r 1 --R 1.0000000000000002",
+     "error: capacity of (r=1.0, R=1.0000000000000002) at p = 30.0 leaves the float range"),
     # the closed form's capacity, about 1e-600, underflows to 0
     ("cap --space rn --n 2 --p 4 --r 1 --R 1e300",
      "error: capacity of (r=1.0, R=1e+300) at p = 4.0 leaves the float range"),
@@ -294,6 +296,15 @@ _PAST_THE_FLOAT_RANGE = [
                          ids=[argv for argv, _ in _PAST_THE_FLOAT_RANGE])
 def test_radii_at_the_float_range_end_in_one_error_line(argv, line):
     assert _outcome(argv.split()) == (3, "", line + "\n")
+
+
+def test_closed_form_capacity_past_the_range_of_r_a_is_a_value():
+    # r^a underflows to 0 at a = -999, or overflows: the closed form takes logs
+    for argv, value in [("--p 1.001 --r 1e100 --R 1e300", "5.0255018112204405e+100"),
+                        ("--p 1.335 --r 2.5e-303 --R 1.33", "4.6512021475036633e-201"),
+                        ("--p 1.5 --r 1e-310 --R 4", "6.283185307179709e-155")]:
+        code, out, err = _outcome(f"cap --space rn --n 2 {argv}".split())
+        assert (code, json.loads(out)["value"], err) == (0, value, ""), argv
 
 
 def test_a_range_too_narrow_for_distinct_radii_is_a_usage_error():
