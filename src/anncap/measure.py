@@ -57,16 +57,17 @@ def _radial_integral(w, m, intervals, k=1.0):
     Panels end at r, R, the weight's singularities, half and twice each
     weight pole, and geometric cuts that keep their ratios of radii at most
     PANEL_RATIO; a ball past PANEL_RATIO is cut at R / PANEL_RATIO^i down to
-    a radius of at least 1, so its first panel is no wider than a ball's
-    within PANEL_RATIO.  The density's poles p, |rho - p|^beta with beta in (-1, 0),
-    are the weight's, or else rho^m's at 0 when m < 0.  A panel within a
-    factor 2 of a weight pole, or any panel about rho^m's, is integrated in
-    u = |rho - p|^e, e = min(1 + beta k, 1), about its nearest pole, in two
-    halves if its ends have different nearest poles.  The offsets from p and
-    the panel's width in u are exact to rounding, however close to p and
-    however thin.  For e < 1 the integrand, the weight's regular part^k
-    rho^(m k) / e, is bounded; for e = 1 it is (w rho^m)^k, which tends to 0
-    at p.  Elsewhere it is w^k rho^(m k), where rho^m cannot underflow.
+    a radius of at least 1, so that its first panel is no wider than a ball
+    within PANEL_RATIO.  The density's poles p, |rho - p|^beta with beta in
+    (-1, 0), are the weight's, or else rho^m's at 0 when m < 0.  A panel
+    within a factor 2 of a weight pole, or any panel about rho^m's, is
+    integrated in u = |rho - p|^e, e = min(1 + beta k, 1), about its nearest
+    pole, in two halves if its ends have different nearest poles.  The
+    offsets from p and the panel's width in u are exact to rounding, however
+    close to p and however thin.  For e < 1 the integrand, the weight's
+    regular part^k rho^(m k) / e, is bounded; for e = 1 it is (w rho^m)^k,
+    which tends to 0 at p.  Elsewhere it is w^k rho^(m k), where rho^m
+    cannot underflow.
     """
     if not intervals:
         return []
