@@ -13,7 +13,7 @@ from anncap.capacity import cap_auto, cap_radial_p1, cap_rn_unweighted, cap_snak
 from anncap.decay import check_doubling, check_one_ad
 from anncap.errors import ConvergenceError, DomainError, InfeasibleError, InputError
 from anncap.gallery import make_buckley, make_summed_buckley
-from anncap.measure import _cell_masses, mu_annulus, mu_ball
+from anncap.measure import _cell_masses, mu_annulus, mu_ball, volume_profiles
 from scipy import linalg
 from anncap.network import (
     BoundaryCondition,
@@ -1013,6 +1013,79 @@ def test_general_cores_stay_near_a_tight_solve(monkeypatch, case, p, tight):
     assert solve_p_energy(net, bc, p).energy == pytest.approx(tight, rel=1e-9, abs=0)
     monkeypatch.setattr(network, "NEWTON_TOL", 1e-13)
     assert solve_p_energy(net, bc, p).energy == pytest.approx(tight, rel=1e-12, abs=0)
+
+
+_CHAIN_SPACES = {
+    "rn-2": (RN2, 0.6, 1.4),
+    "buckley-0.5": (make_buckley(0.5).space, 0.6, 1.4),
+    "summed-buckley-0.5": (make_summed_buckley(0.5).space, 0.6, 1.4),
+    **{kind.value: (SpaceSpec(HalfLine(), HalfLineCatalog(kind)), 0.45, 1.45)
+       for kind in HalfLineKind},
+}
+
+# sha256 of a chain's masses, lengths and radii, recorded before the cell
+# masses were taken in blocks of 4,096 cells: the sizes straddle one and two
+# block boundaries
+_CHAIN_PINS = [
+    ("rn-2", 4095, "9aff156c1e056f22c27f31926190fa37903cb1a6fc6d72c57e97cd5f9582f8e2"),
+    ("rn-2", 4096, "e54983ac82a476e0aadc7616e731e25e9bf289ca51efbcd5efc65962f06b4860"),
+    ("rn-2", 4097, "bd0767d62fc00a7a1a7d3a702df2d3466d86b2ed147d99d7ac6e13222d1295c1"),
+    ("rn-2", 8193, "d9aff0a40530dc949bb95e96f3d3edb825a6164bb893c3a3be793e3154c89760"),
+    ("rn-2", 20000, "8a917ea2533545a22426543e886f8da6307dc2726e3ab7a94d8522a5cc57b515"),
+    ("buckley-0.5", 4095, "f2058c3b46919270b9c260fe4681381cd124d742a76c3a52d8539e051871af70"),
+    ("buckley-0.5", 4096, "e2f58aafa6df9c36d4a4ad9fdd4831d840bd6b7ac098637840a14f2ea25e1399"),
+    ("buckley-0.5", 4097, "c1145d0af769d9471dc6634a63f91bdc3c0f6864e4294830640ac1857d2f8d75"),
+    ("buckley-0.5", 8193, "3fbcae324040df4a2dc0fd0bc69a3b3cd95826e4a9880d83714eb07123800895"),
+    ("buckley-0.5", 20000, "f48155d73fd57c78e50bce924741153ecfb57f75c77cd7ddde8a0410f17d4c3d"),
+    ("summed-buckley-0.5", 4095, "a6f697f4d3f109eee770df02d666bdeb6515df87732559bcbd0a32fc8c082ded"),
+    ("summed-buckley-0.5", 4096, "81f438783db82f585441dcba6c233f39c2b99b848679d29529afab36b79c69b0"),
+    ("summed-buckley-0.5", 4097, "579fb295843b07d9fceabea6774cfadf134345705d3d6637ad27f97103603f9b"),
+    ("summed-buckley-0.5", 8193, "d5e601055943f39dc4f92e2fd454c1a80ad529082e770ac814838dabd9782659"),
+    ("summed-buckley-0.5", 20000, "b726ce9d84212894a3ea9d4ea50f138a6a46128a3f72c3f2d1de08810e44764c"),
+    ("min-one-over-x", 4095, "acaad77267f1868a63d83cd90b8993b3c5fff49e75ff04836b3fc9f0a038a858"),
+    ("min-one-over-x", 4096, "111d238e15bb396322f4424f96845752db37317051a55cc971babd9a4bdf5ce5"),
+    ("min-one-over-x", 4097, "5ac60ab6cb39838fac8649a13e42e70d7b5db9120f42f74951aed9eae86ed83c"),
+    ("min-one-over-x", 8193, "6dc832b8138ccede1c677988c8365b3ce8bfc2950399e72ad21c467892853aef"),
+    ("min-one-over-x", 20000, "2d1e8fe306cdd5aa18cb09f5cec9942d200a6de9b6fe951cc4b0351878d39be0"),
+    ("exp-decay", 4095, "ca88692515f8abb9aae073be656dac2fd61f21c27f185c63a83eca95c1d353d8"),
+    ("exp-decay", 4096, "d03629e3a4bcfd34adb0dde3a65f732478b2b87eb336ce782601412442f781aa"),
+    ("exp-decay", 4097, "8fe0d681105c7938e10ccf68869e8553bbd2426855b13e1bd8d06cf185648d0a"),
+    ("exp-decay", 8193, "1210876794da2def93218405e58a7f1213d40dd8455d0f3f02d33a056d371645"),
+    ("exp-decay", 20000, "c95b4fc1bfbb6cffa86eecc9f24e84558ae93f6561e9e57d09691ffea113a8c2"),
+    ("exp-inv-over-x-sq", 4095, "1c24401afb0cf29fa94c23cee68edb07a9c101774f6e5fbbee81a49b14879aee"),
+    ("exp-inv-over-x-sq", 4096, "3ec3a1bc16d575b9cf755be8d59a161e4158f39b1813591329f6fb767b56ef43"),
+    ("exp-inv-over-x-sq", 4097, "f69297286b7968c9aefd6edfa57021d4b13d8b894f2f0a93193f0ada642a1e75"),
+    ("exp-inv-over-x-sq", 8193, "7ee8ba43d3ee33d0b305ac99fb04ca50d983ed05a32db444a90f5f60a0670d1f"),
+    ("exp-inv-over-x-sq", 20000, "5ff7e53ba14f8112ac27373c1678bd39d35da4d4d616b3842d69dd9f3535ba0e"),
+]
+
+
+@pytest.mark.parametrize("name, N, sha", _CHAIN_PINS,
+                         ids=[f"{name}-N{N}" for name, N, _ in _CHAIN_PINS])
+def test_chains_are_pinned_bit_for_bit(name, N, sha):
+    space, r, R = _CHAIN_SPACES[name]
+    net = build_radial_network(space, r, R, N)
+    digest = hashlib.sha256(b"".join(x.tobytes() for x in (net.masses, net.lengths, net.radii)))
+    assert digest.hexdigest() == sha
+
+
+# sha256 of the volume profile on 10,001 equally spaced radii of the chain's
+# interval, recorded with _CHAIN_PINS
+_PROFILE_PINS = [
+    ("rn-2", "4bef9dc4c24da465c89509a3b2a7b3d686b0c1feaa383b7125d2eba5deb7a003"),
+    ("buckley-0.5", "43cefab00fecf837c4a6733241867a1ea49c673c701f27296a30f3ebe5acdcfb"),
+    ("summed-buckley-0.5", "43e9c60ffbf3798087191fde7b7b7170adc3e676fcf622dfea1c57c4da64d89d"),
+    ("min-one-over-x", "06894df4a7b855bdaa9a344204fd36d9c7546dc3d1500de82ddb8824ae8444b3"),
+    ("exp-decay", "4d8f6b936011aa669d47614096e79908633d753965c06d5e8d1dd1de6e59b896"),
+    ("exp-inv-over-x-sq", "6d8b4fe5911c2e6b7914d29d58bec730f43ce62e21ab928ea02ab0d26b33d139"),
+]
+
+
+@pytest.mark.parametrize("name, sha", _PROFILE_PINS, ids=[name for name, _ in _PROFILE_PINS])
+def test_volume_profiles_are_pinned_bit_for_bit(name, sha):
+    space, r, R = _CHAIN_SPACES[name]
+    profile = volume_profiles(space, [np.linspace(r, R, 10001)])[0]
+    assert hashlib.sha256(profile.tobytes()).hexdigest() == sha
 
 
 def _padded(net, bc, rng):
