@@ -126,6 +126,7 @@ def _radial_integral(w, m, intervals, k=1.0):
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_CELL_BLOCK = 4096  # cells per block of _cell_masses: an (8, 4096) array is 256 KB
 
 
 def _cell_masses(fn, edges_lo, edges_hi):
@@ -133,7 +134,15 @@ def _cell_masses(fn, edges_lo, edges_hi):
 
     Row j holds every cell's j-th node, so each array operation runs over
     the cells. The 8 weighted values of a cell are added pairwise, the order
-    of numpy's sum over a contiguous axis of 8."""
+    of numpy's sum over a contiguous axis of 8. More than _CELL_BLOCK cells
+    are taken a block at a time: fn's temporaries then stay in the L2 cache,
+    and stay small enough that freeing them does not trim the heap, whose
+    pages the next large array would fault in again. Every operation is
+    elementwise, so a block's masses are those of one call, bit for bit."""
+    if len(edges_lo) > _CELL_BLOCK:
+        return np.concatenate([_cell_masses(fn, edges_lo[i:i + _CELL_BLOCK],
+                                            edges_hi[i:i + _CELL_BLOCK])
+                               for i in range(0, len(edges_lo), _CELL_BLOCK)])
     mid = 0.5 * (edges_lo + edges_hi)
     half = 0.5 * (edges_hi - edges_lo)
     pts = np.multiply.outer(_GL_NODES, half)
