@@ -73,7 +73,8 @@ __all__ = [
 MAX_ITER = 100_000
 MAX_CELLS = 10**7  # radial and snake chain size; about 0.1 GB of arrays per million cells
 HESSIAN_EPS = 1e-12  # regularizes the Hessian only, never the energy
-PLATE_TOL = 1e-12  # slack on the plate radii of condenser_bc
+PLATE_TOL = 1e-12  # relative slack on the plate radii of condenser_bc
+GRADED_RATIO = 100.0  # build_radial_network grades its cells geometrically above this R/r
 # Newton stops once its gradient, decrement or relative drop is below this:
 # a stopping threshold, not a bound on the energy's error
 NEWTON_TOL = 1e-9
@@ -158,12 +159,13 @@ class SolveReport:
 
 def condenser_bc(net: DiscreteNetwork, r: float, R: float) -> BoundaryCondition:
     """Boundary sets {radius <= r} and {radius >= R} on a network that
-    records vertex radii."""
+    records vertex radii, each with a slack of PLATE_TOL relative to its
+    plate's radius."""
     if net.radii is None:
         raise InputError("network has no vertex radii")
     try:
-        return BoundaryCondition(inner=np.flatnonzero(net.radii <= r + PLATE_TOL),
-                                 outer=np.flatnonzero(net.radii >= R - PLATE_TOL))
+        return BoundaryCondition(inner=np.flatnonzero(net.radii <= r * (1.0 + PLATE_TOL)),
+                                 outer=np.flatnonzero(net.radii >= R * (1.0 - PLATE_TOL)))
     except InfeasibleError as exc:
         raise InputError(f"resolution too coarse to separate r={r} from R={R}") from exc
 
@@ -176,14 +178,17 @@ def build_radial_network(space: SpaceSpec, r_lo: float, r_hi: float,
     """Path network of N cells discretizing the radial energy on [r_lo, r_hi].
 
     Cell mass is the measure of the radial shell; edge length is the cell
-    width, so the discrete energy is a Riemann sum of int |u'|^p dmu.
+    width, so the discrete energy is a Riemann sum of int |u'|^p dmu. The
+    cells are of equal width, or of equal ratio where r_hi > GRADED_RATIO
+    r_lo: a uniform cell near r_lo would then be far wider than r_lo, and
+    the capacity is set at r_lo.
     """
     if not (0 < r_lo < r_hi < math.inf):
         raise InputError(f"need 0 < r_lo < r_hi < inf, got {r_lo}, {r_hi}")
     if not (isinstance(N, (int, np.integer)) and 16 <= N <= MAX_CELLS):
         raise InputError(f"need an integer 16 <= N <= {MAX_CELLS} cells, got {N}")
     w, m, const = _radial_reduction(space)
-    nodes = np.linspace(r_lo, r_hi, N + 1)
+    nodes = (np.geomspace if r_hi > GRADED_RATIO * r_lo else np.linspace)(r_lo, r_hi, N + 1)
 
     def density(rho):
         return w.evaluate(rho) * rho**m

@@ -168,6 +168,13 @@ def test_oracle_command(capsys):
     assert code == (0 if float(rep["relative_error"]) == 0.0 else 1)
 
 
+@pytest.mark.parametrize("r", ["1e-3", "1e-6"])
+def test_oracle_resolves_radii_decades_apart(capsys, r):
+    # the uniform 2,000-cell chain was off by 0.103 at r = 1e-3 and 19.1 at 1e-6
+    assert run(["oracle", "--space", "rn", "--n", "2", "--p", "1.5", "--r", r, "--R", "4"]) == 0
+    assert float(json.loads(capsys.readouterr().out)["relative_error"]) <= 1e-4
+
+
 @pytest.mark.parametrize("p, reason", [("1", "min-cut"), ("2", "linear-solve"),
                                        ("1.5", "gradient")])
 def test_oracle_reports_the_network_solve(capsys, p, reason):
@@ -286,6 +293,9 @@ _PAST_THE_FLOAT_RANGE = [
      "relative to 3.332e-318"),
     ("oracle --space rn --n 2 --p 3 --r 1e200 --R 1e300",
      "error: cell masses on [1e+200, 1e+300] leave the float range"),
+    # a graded chain's first cells underflow; a uniform one gave a wrong FAIL
+    ("oracle --space rn --n 2 --p 1.5 --r 1e-310 --R 4",
+     "error: cell masses on [1e-310, 4.0] leave the float range"),
     # l^p overflows, so the chain's conductances are 0
     ("oracle --space buckley --eta 0.5 --p 2 --r 1e-10 --R 1e200 --cells 64",
      "error: an edge conductance m / l^p underflows to 0 at p = 2.0"),

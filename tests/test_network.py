@@ -837,6 +837,18 @@ def test_radial_network_masses_are_the_shared_panel_rule():
         assert np.array_equal(net.masses, masses)
 
 
+def test_chains_past_the_graded_ratio_have_geometric_cells():
+    # at R/r = 1e20 an absolute slack of 1e-12 would put 26 of the 64 cells'
+    # vertices on the inner plate
+    net = build_radial_network(RN2, 1e-20, 1.0, 64)
+    assert np.array_equal(net.radii, np.geomspace(1e-20, 1.0, 65))
+    bc = condenser_bc(net, 1e-20, 1.0)
+    assert (list(bc.inner), list(bc.outer)) == ([0], [64])
+    # up to the ratio the cells are of equal width
+    net = build_radial_network(RN2, 0.01, 1.0, 64)
+    assert np.array_equal(net.radii, np.linspace(0.01, 1.0, 65))
+
+
 def test_condenser_bc_needs_radii():
     net = _series_net([1.0, 1.0], [1.0, 1.0])
     with pytest.raises(InputError):
