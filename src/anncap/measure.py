@@ -136,7 +136,7 @@ def _cell_masses(fn, edges_lo, edges_hi):
     the cells. The 8 weighted values of a cell are added pairwise, the order
     of numpy's sum over a contiguous axis of 8. More than _CELL_BLOCK cells
     are taken a block at a time: fn's temporaries then stay in the L2 cache,
-    and stay small enough that freeing them does not trim the heap, whose
+    and stay small enough that freeing them need not trim the heap, whose
     pages the next large array would fault in again. Every operation is
     elementwise, so a block's masses are those of one call, bit for bit."""
     if len(edges_lo) > _CELL_BLOCK:

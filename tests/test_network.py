@@ -838,7 +838,7 @@ def test_radial_network_masses_are_the_shared_panel_rule():
 
 
 def test_chains_past_the_graded_ratio_have_geometric_cells():
-    # at R/r = 1e20 an absolute slack of 1e-12 would put 26 of the 64 cells'
+    # at R/r = 1e20 an absolute slack of 1e-12 would put 26 of the 65
     # vertices on the inner plate
     net = build_radial_network(RN2, 1e-20, 1.0, 64)
     assert np.array_equal(net.radii, np.geomspace(1e-20, 1.0, 65))
