@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from anncap.capacity import (
+    INF_CUT_GRID,
     CapacityMethod,
+    CapacityResult,
     cap_auto,
     cap_bowtie_pinch,
     cap_radial_p1,
@@ -12,9 +15,13 @@ from anncap.capacity import (
     cap_rn_unweighted,
     cap_snake,
 )
-from anncap.errors import DomainError, QuadratureError
+from anncap.errors import AnncapError, DomainError, QuadratureError
+from anncap.gallery import (_thin_annuli, make_buckley, make_halfline, make_rn_unweighted,
+                            make_summed_buckley)
+from anncap.measure import _radial_reduction
 from anncap.spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec, surface_area
-from anncap.weights import BuckleyEta, Constant, HalfLineCatalog, HalfLineKind
+from anncap.weights import (BuckleyEta, Constant, HalfLineCatalog, HalfLineKind, PowerAlpha,
+                            SummedBuckley, Tabulated)
 
 RN2 = SpaceSpec(RadialRn(2), Constant())
 
@@ -228,3 +235,114 @@ def test_capacity_past_the_float_range_is_an_error_not_a_value():
     inv = SpaceSpec(HalfLine(), HalfLineCatalog(HalfLineKind.EXP_INV_OVER_X_SQ))
     with pytest.raises(QuadratureError, match="float range"):
         cap_radial_weighted(inv, 1.2, AnnulusSpec(3e-270, 2.0))
+
+
+def _inf_cut_loop(space, ann):
+    """The p = 1 inf-cut search as it stood before its grids were built by
+    hand: np.linspace for every grid, np.unique on the first, and the cost
+    as const * ts**m * w(ts) under its own errstate each round."""
+    w, m, const = _radial_reduction(space)
+    inside = [s for s in w.singularities() if ann.r < s < ann.R]
+    ts = np.unique(np.r_[np.linspace(ann.r, ann.R, INF_CUT_GRID), inside])
+    best = math.inf
+    while True:
+        with np.errstate(over="ignore"):
+            costs = const * ts**m * w.evaluate(ts)
+        # an infinite cost at a pole is a legal cut; a NaN one would win argmin
+        if np.isnan(costs).any():
+            raise DomainError(f"p = 1 cut cost is NaN on [{ann.r}, {ann.R}]")
+        i = int(np.argmin(costs))
+        best = min(best, float(costs[i]))
+        lo, hi = ts[max(0, i - 1)], ts[min(len(ts) - 1, i + 1)]
+        if np.nextafter(np.nextafter(lo, hi), hi) >= hi:
+            break
+        ts = np.linspace(lo, hi, INF_CUT_GRID)
+    if not 0.0 < best < math.inf:
+        raise DomainError(f"capacity of (r={ann.r}, R={ann.R}) at p = 1 leaves the float range")
+    return CapacityResult(value=best, method=CapacityMethod.INF_CUT)
+
+
+def _cut_bits(cut, space, ann):
+    """The capacity cut returns, as its exact bits and method, or the type
+    and text of the error it raises."""
+    try:
+        res = cut(space, ann)
+    except AnncapError as exc:
+        return type(exc).__name__, str(exc)
+    return res.value.hex(), res.method
+
+
+def _assert_cut_is_the_loop(space, ann):
+    assert _cut_bits(cap_radial_p1, space, ann) == _cut_bits(_inf_cut_loop, space, ann), ann
+
+
+# the radial spaces that the CLI's --space kinds build, with the R of each
+# p = 1 sweep the benchmark's queries draw
+_QUERY_SWEEPS = [(make_rn_unweighted(n).space, R) for n in (2, 3) for R in (1.0, 2.0)]
+_QUERY_SWEEPS += [(make_buckley(eta).space, 1.0) for eta in (0.3, 0.5, 0.8)]
+_QUERY_SWEEPS += [(make_summed_buckley(0.5).space, 1.0)]
+_QUERY_SWEEPS += [(make_halfline(HalfLineKind(k)).space, R)
+                  for k, R in (("min-one-over-x", 64.0), ("exp-decay", 8.0),
+                               ("exp-inv-over-x-sq", 0.4))]
+_CUT_SPACES = [space for space, _ in _QUERY_SWEEPS] + [
+    SpaceSpec(RadialRn(2), BuckleyEta(0.5)),
+    SpaceSpec(RadialRn(3), SummedBuckley(0.3, ((1.0, 1.0), (3.0, 2.5), (0.5, 0.125)))),
+    SpaceSpec(HalfLine(), Tabulated((0.5, 1.0, 3.0), (2.0, 0.25, 1.0))),
+]
+
+
+@pytest.mark.parametrize("space, R", _QUERY_SWEEPS, ids=lambda x: getattr(x, "name", x))
+def test_inf_cut_is_the_loop_on_the_query_annuli(space, R):
+    # each sweep's thin family, and the annuli of the p = 1 cap and oracle queries
+    for ann in _thin_annuli(R, 12) + [AnnulusSpec(r, R) for r, R in
+                                      ((0.625, 1.375), (0.6, 1.4), (0.575, 1.425),
+                                       (0.45, 1.45), (0.425, 1.425), (0.4, 1.4))]:
+        _assert_cut_is_the_loop(space, ann)
+
+
+@settings(deadline=None, max_examples=150)
+@given(space=st.sampled_from(_CUT_SPACES), log2_r=st.floats(-40.0, 40.0),
+       log2_gap=st.floats(-50.0, math.log2(1e12 - 1.0)))
+def test_inf_cut_is_the_loop_from_r_plus_one_ulp_to_a_ratio_of_1e12(space, log2_r, log2_gap):
+    r = 2.0**log2_r
+    R = r * (1.0 + 2.0**log2_gap)
+    assume(r < R < math.inf)
+    _assert_cut_is_the_loop(space, AnnulusSpec(r, R))
+
+
+def _ulps_above(x, k):
+    """The float k ulps above x > 0."""
+    return float(np.int64(np.float64(x).view(np.int64) + k).view(np.float64))
+
+
+@settings(deadline=None, max_examples=150)
+@given(space=st.sampled_from(_CUT_SPACES), log2_r=st.floats(-1070.0, 1000.0),
+       k=st.integers(1, 5000))
+def test_inf_cut_is_the_loop_on_brackets_a_few_ulps_wide(space, log2_r, k):
+    # below about 4 * 4096 ulps np.linspace repeats points
+    r = 2.0**log2_r
+    assume(r > 0.0)
+    _assert_cut_is_the_loop(space, AnnulusSpec(r, _ulps_above(r, k)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(space=st.sampled_from([s for s in _CUT_SPACES if s.weight.singularities()]),
+       data=st.data(), below=st.floats(1.0, 52.0), above=st.floats(-3.0, 52.0))
+def test_inf_cut_is_the_loop_across_a_pole_or_kink(space, data, below, above):
+    s = data.draw(st.sampled_from(space.weight.singularities()))
+    r, R = s * (1.0 - 2.0**-below), s * (1.0 + 2.0**-above)
+    assume(r < s < R)
+    _assert_cut_is_the_loop(space, AnnulusSpec(r, R))
+
+
+@settings(deadline=None, max_examples=150)
+@given(n=st.integers(1, 4), alpha=st.floats(-3.999, 4.0), half_line=st.booleans(),
+       log2_r=st.floats(-30.0, 30.0), log2_gap=st.floats(-50.0, 39.0))
+def test_inf_cut_is_the_loop_on_folded_powers(n, alpha, half_line, log2_r, log2_gap):
+    # a PowerAlpha weight is folded into m = n - 1 + alpha, any real
+    assume(half_line or alpha > -n)
+    space = SpaceSpec(HalfLine() if half_line else RadialRn(n), PowerAlpha(alpha))
+    r = 2.0**log2_r
+    R = r * (1.0 + 2.0**log2_gap)
+    assume(r < R < math.inf)
+    _assert_cut_is_the_loop(space, AnnulusSpec(r, R))

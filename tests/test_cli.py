@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -491,10 +492,14 @@ def test_only_the_cli_writes_json_or_csv():
             assert not imported & {"json", "csv"} and not prints, path.name
 
 
+def _mask_wall_times(text):
+    return re.sub(r"(slowest solve |total wall time )[0-9.]+s", r"\1…s", text)
+
+
 def test_verify_all_writes_the_golden_lines():
     # all 11 lines, with both wall times masked
     code, out, err = _outcome(["verify-all"])
-    out = re.sub(r"(slowest solve |total wall time )[0-9.]+s", r"\1…s", out)
+    out = _mask_wall_times(out)
     golden = (Path(__file__).parent / "golden" / "verify_all.txt").read_text(encoding="utf-8")
     assert (code, out, err) == (0, golden, "")
 
@@ -588,6 +593,35 @@ def test_cli_artifacts_match_the_golden_bytes():
     golden = Path(__file__).parent / "golden" / "cli_artifacts.txt"
     text = "".join(_artifact_record(argv) for argv in ARTIFACT_CALLS)
     assert text.encode() == golden.read_bytes()
+
+
+def _query_pin(argv):
+    """'<sha256 of repr((exit code, stdout, stderr))> <argv>', wall times masked."""
+    code, out, err = _outcome(argv)
+    digest = hashlib.sha256(repr((code, _mask_wall_times(out), err)).encode()).hexdigest()
+    return f"{digest} {' '.join(argv)}"
+
+
+def _query_pins(monkeypatch):
+    """The pin of every query the benchmark can draw (bench/workloads.py),
+    then of gallery verify, gallery list and verify-all."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+    argvs = [q.argv for q in workloads.query_universe()]
+    argvs += [["gallery", "verify"], ["gallery", "list"], ["verify-all"]]
+    return [_query_pin(argv) for argv in argvs]
+
+
+def test_every_query_output_matches_its_pin(monkeypatch):
+    # tests/golden/query_pins.txt holds one _query_pin line per query; like
+    # the other golden files its digests hold for one BLAS and libm
+    golden = (Path(__file__).parent / "golden" / "query_pins.txt").read_text().splitlines()
+    pins = _query_pins(monkeypatch)
+    want = {line.partition(" ")[2]: line for line in golden}
+    got = {line.partition(" ")[2]: line for line in pins}
+    moved = [argv for argv in want.keys() | got.keys() if want.get(argv) != got.get(argv)]
+    assert not moved, "outputs moved or queries changed:\n" + "\n".join(sorted(moved))
+    assert pins == golden
 
 
 @pytest.mark.parametrize("bound, groups", [("upper-eta", [1, 11]), ("upper-simple", [11, 11])])

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anncap.errors import InputError
 from anncap.weights import (
@@ -145,3 +146,54 @@ def test_tabulated_interpolation():
         with pytest.raises(InputError, match="finite"):
             Tabulated(grid=grid, values=values)
 
+
+
+def _summed_buckley_sum(w, rho):
+    """SummedBuckley.evaluate as it stood before its terms were evaluated in
+    place: a plain sum over the terms of full-size temporaries."""
+    rho = np.asarray(rho, dtype=float)
+    with np.errstate(divide="ignore"):
+        return sum(a * np.maximum(1.0, np.abs(q * rho - 1.0) ** (w.eta - 1.0))
+                   for q, a in w.terms)
+
+
+_positive = st.floats(1e-3, 1e3)
+_terms = st.lists(st.tuples(st.one_of(st.just(1.0), _positive), st.one_of(st.just(1.0), _positive)),
+                  min_size=1, max_size=4)
+_buckley_weights = st.one_of(
+    st.builds(BuckleyEta, st.floats(1e-3, 0.999)),
+    st.builds(SummedBuckley, st.floats(1e-3, 0.999), _terms.map(tuple)))
+
+
+@st.composite
+def _radii(draw, w):
+    """rho as a Python float, a list, or an array of 0 to 2 dimensions, at
+    the poles 1/q, the kinks |q rho - 1| = 1 (rho = 2/q and rho = 0), near
+    them, and anywhere in +-1e300, NaN and +-inf included."""
+    marks = [x for q, _ in w.terms for x in (1.0 / q, 2.0 / q)] + [0.0, -0.0]
+    near = st.sampled_from(marks).flatmap(
+        lambda x: st.floats(-1e-6, 1e-6).map(lambda d: x * (1.0 + d)))
+    anywhere = st.floats(-1e300, 1e300)
+    special = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 5e-324])
+    element = st.one_of(st.sampled_from(marks), near, anywhere, special)
+    # or a cluster on one side of every pole, where a term may be constant
+    far = st.floats(-1e6, 1e6).flatmap(lambda c: st.floats(-1e-3, 1e-3).map(lambda d: c * (1.0 + d)))
+    shape = draw(st.sampled_from(["float", "list", (), (0,), (7,), (3, 5)]))
+    elements = draw(st.sampled_from([element, far]))
+    if shape == "float":
+        return draw(elements)
+    if shape == "list":
+        return draw(st.lists(elements, max_size=6))
+    size = math.prod(shape)
+    return np.array(draw(st.lists(elements, min_size=size, max_size=size))).reshape(shape)
+
+
+@settings(deadline=None, max_examples=400)
+@given(data=st.data(), w=_buckley_weights)
+def test_buckley_evaluate_is_the_plain_sum_bit_for_bit(data, w):
+    rho = data.draw(_radii(w))
+    got, want = w.evaluate(rho), _summed_buckley_sum(w, rho)
+    # a 0-d input gives the numpy scalar it always gave, an array an array
+    assert type(got) is type(want)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
