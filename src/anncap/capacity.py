@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 INF_CUT_GRID = 4097  # points of each grid of the p = 1 inf-cut search
+_GRID_STEPS = np.arange(INF_CUT_GRID, dtype=float)
 
 
 class CapacityMethod(enum.Enum):
@@ -123,6 +124,18 @@ def _radial_caps(space: SpaceSpec, p: float, annuli) -> list:
     return caps
 
 
+def _cut_grid(lo, hi):
+    """np.linspace(lo, hi, INF_CUT_GRID), bit for bit: one product with the
+    steps and one sum, or linspace itself where the step underflows to 0."""
+    step = (hi - lo) / (INF_CUT_GRID - 1)
+    if step == 0.0:
+        return np.linspace(lo, hi, INF_CUT_GRID)
+    ts = _GRID_STEPS * step
+    ts += lo
+    ts[-1] = hi
+    return ts
+
+
 def cap_radial_p1(space: SpaceSpec, ann: AnnulusSpec) -> CapacityResult:
     """p = 1 capacity as the cheapest weighted sphere cut:
     inf over t in [r, R] of const * t^{n-1} w(t).
@@ -134,20 +147,24 @@ def cap_radial_p1(space: SpaceSpec, ann: AnnulusSpec) -> CapacityResult:
     past the float range is a DomainError."""
     w, m, const = _radial_reduction(space)
     inside = [s for s in w.singularities() if ann.r < s < ann.R]
-    ts = np.unique(np.r_[np.linspace(ann.r, ann.R, INF_CUT_GRID), inside])
+    ts = _cut_grid(float(ann.r), float(ann.R))
+    if inside or not (ts[1:] > ts[:-1]).all():  # else np.unique changes nothing
+        ts = np.unique(np.r_[ts, inside])
     best = math.inf
-    while True:
-        with np.errstate(over="ignore"):
-            costs = const * ts**m * w.evaluate(ts)
-        # an infinite cost at a pole is a legal cut; a NaN one would win argmin
-        if np.isnan(costs).any():
-            raise DomainError(f"p = 1 cut cost is NaN on [{ann.r}, {ann.R}]")
-        i = int(np.argmin(costs))
-        best = min(best, float(costs[i]))
-        lo, hi = ts[max(0, i - 1)], ts[min(len(ts) - 1, i + 1)]
-        if np.nextafter(np.nextafter(lo, hi), hi) >= hi:
-            break
-        ts = np.linspace(lo, hi, INF_CUT_GRID)
+    with np.errstate(over="ignore"):
+        while True:
+            costs = w.evaluate(ts)  # a new array
+            if m or const != 1.0:
+                costs *= const * ts**m if m else const
+            # an infinite cost at a pole is a legal cut; argmin finds the first NaN
+            i = int(np.argmin(costs))
+            if math.isnan(costs[i]):
+                raise DomainError(f"p = 1 cut cost is NaN on [{ann.r}, {ann.R}]")
+            best = min(best, float(costs[i]))
+            lo, hi = float(ts[max(0, i - 1)]), float(ts[min(len(ts) - 1, i + 1)])
+            if math.nextafter(math.nextafter(lo, hi), hi) >= hi:
+                break
+            ts = _cut_grid(lo, hi)
     if not 0.0 < best < math.inf:
         raise DomainError(f"capacity of (r={ann.r}, R={ann.R}) at p = 1 leaves the float range")
     return CapacityResult(value=best, method=CapacityMethod.INF_CUT)

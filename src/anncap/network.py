@@ -191,7 +191,7 @@ def build_radial_network(space: SpaceSpec, r_lo: float, r_hi: float,
     nodes = (np.geomspace if r_hi > GRADED_RATIO * r_lo else np.linspace)(r_lo, r_hi, N + 1)
 
     def density(rho):
-        return w.evaluate(rho) * rho**m
+        return w.evaluate(rho) * rho**m if m else w.evaluate(rho)
 
     with np.errstate(all="ignore"):  # a mass past the float range is refused below
         masses = const * _cell_masses(density, nodes[:-1], nodes[1:])

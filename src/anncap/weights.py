@@ -81,10 +81,32 @@ class SummedBuckley:
         object.__setattr__(self, "terms", tuple((float(q), float(a)) for q, a in self.terms))
 
     def evaluate(self, rho):
+        """Each term in place, summed in order.  With two or more terms, one
+        at |q rho - 1| >= 1 all over rho is exactly a: rounding is monotone,
+        so rho's least and largest values settle it."""
         rho = np.asarray(rho, dtype=float)
+        lo, hi = (float(rho.min()), float(rho.max())) if rho.size and len(self.terms) > 1 else (
+            math.nan, math.nan)
+        total = 0.0
         with np.errstate(divide="ignore"):
-            return sum(a * np.maximum(1.0, np.abs(q * rho - 1.0) ** (self.eta - 1.0))
-                       for q, a in self.terms)
+            for q, a in self.terms:
+                if q * lo - 1.0 >= 1.0 or q * hi - 1.0 <= -1.0:
+                    total += a
+                    continue
+                x = rho - 1.0 if q == 1.0 else rho * q
+                if q != 1.0:
+                    x -= 1.0
+                out = x if rho.ndim else None  # a 0-d rho gives numpy scalars, and their power
+                x = np.abs(x, out=out)
+                x **= self.eta - 1.0
+                x = np.maximum(x, 1.0, out=out)
+                if a != 1.0:
+                    x *= a
+                x += total
+                total = x
+        if not isinstance(total, np.ndarray):  # every term is constant, or rho is 0-d
+            total = np.full(rho.shape, total)[()]
+        return total
 
     def singularities(self):
         # each term blows up at 1/q_j and has a branch kink at 2/q_j

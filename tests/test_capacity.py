@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from anncap.capacity import (
     INF_CUT_GRID,
+    _cut_grid,
     CapacityMethod,
     CapacityResult,
     cap_auto,
@@ -346,3 +347,16 @@ def test_inf_cut_is_the_loop_on_folded_powers(n, alpha, half_line, log2_r, log2_
     R = r * (1.0 + 2.0**log2_gap)
     assume(r < R < math.inf)
     _assert_cut_is_the_loop(space, AnnulusSpec(r, R))
+
+
+@settings(deadline=None, max_examples=300)
+@given(log2_lo=st.floats(-1074.0, 1000.0), log2_width=st.floats(-1074.0, 1020.0),
+       zero_lo=st.booleans())
+def test_cut_grid_is_linspace_bit_for_bit(log2_lo, log2_width, zero_lo):
+    # from subnormal widths, where the step is 0 and linspace divides each
+    # point instead, to widths far past lo
+    lo = 0.0 if zero_lo else 2.0**log2_lo
+    hi = lo + 2.0**log2_width
+    assume(lo < hi < math.inf)
+    assert _cut_grid(lo, hi).tobytes() == np.linspace(lo, hi, INF_CUT_GRID).tobytes()
+    assert _cut_grid(hi, hi).tobytes() == np.linspace(hi, hi, INF_CUT_GRID).tobytes()
