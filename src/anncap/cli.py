@@ -120,6 +120,17 @@ def _space_from_args(ns) -> SpaceSpec:
     return make(value, default_n if ns.n is None else ns.n).space
 
 
+def _thin_family(ns):
+    """The --thin annuli (R(1 - 2^-j), R), j = 2 .. thin + 1, refusing a
+    --thin whose last r rounds to R."""
+    if ns.R > 0:
+        limit = next(j for j in range(2, 55) if ns.R * (1.0 - 2.0**-j) >= ns.R) - 2
+        if ns.thin > limit:
+            raise InputError(f"--thin {ns.thin} is past float resolution at R = {ns.R}: "
+                             f"R(1 - 2^-{limit + 2}) rounds to R; need --thin <= {limit}")
+    return _thin_annuli(ns.R, ns.thin + 1)
+
+
 def _cmd_cap(ns) -> int:
     space = _space_from_args(ns)
     _emit(cap_auto(space, ns.p, AnnulusSpec(ns.r, ns.R)))
@@ -129,7 +140,7 @@ def _cmd_cap(ns) -> int:
 def _cmd_sweep(ns) -> int:
     space = _space_from_args(ns)
     spec = BoundSpec(_BOUND_IDS[ns.bound], ns.p, eta=ns.eta, q=ns.q)
-    rep = verify_envelope(space, spec, _thin_annuli(ns.R, ns.thin + 1),
+    rep = verify_envelope(space, spec, _thin_family(ns),
                           check_hypotheses=not ns.no_gating)
     if any(row[2] <= 0 for row in rep.rows):
         raise DomainError(f"capacity degenerates to 0 at p = {ns.p}; no decay slope to fit")
@@ -162,7 +173,7 @@ def _cmd_ad(ns) -> int:
         return 0
     if ns.R is None:
         raise InputError("ad needs --range lo:hi or --R")
-    _emit(fit_annulus_decay(space, ns.R, [a.r for a in _thin_annuli(ns.R, ns.thin + 1)]))
+    _emit(fit_annulus_decay(space, ns.R, [a.r for a in _thin_family(ns)]))
     return 0
 
 

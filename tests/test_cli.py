@@ -66,6 +66,15 @@ def test_sweep_verdict_and_cap_slope(capsys, tmp_path):
     assert len(lines) == 10
 
 
+@pytest.mark.parametrize("command", [["sweep", "--space", "rn", "--p", "2"], ["ad", "--space", "rn"]])
+def test_a_thin_past_float_resolution_names_the_option(command):
+    # 1 - 2^-54 rounds to 1, so at R = 1 the last --thin is 52 (j up to 53)
+    assert _outcome(command + ["--R", "1", "--thin", "60"]) == (
+        2, "", "error: --thin 60 is past float resolution at R = 1.0: R(1 - 2^-54) rounds to R; "
+               "need --thin <= 52\n")
+    assert _outcome(command + ["--R", "1", "--thin", "52"])[0] == 0
+
+
 def test_sweep_gating_failure_is_usage_error(capsys):
     # nice-case bound refuses the Buckley space (ad_eta < 1) unless --no-gating
     code = run(["sweep", "--space", "buckley", "--eta", "0.5", "--n", "1",
