@@ -120,10 +120,11 @@ def _space_from_args(ns) -> SpaceSpec:
     return make(value, default_n if ns.n is None else ns.n).space
 
 
-def _thin_family(ns):
+def _thin_annuli_of(ns):
     """The --thin annuli (R(1 - 2^-j), R), j = 2 .. thin + 1, refusing a
     --thin whose last r rounds to R."""
     if ns.R > 0:
+        # 1 - 2^-54 rounds to 1, so the search ends by j = 54
         limit = next(j for j in range(2, 55) if ns.R * (1.0 - 2.0**-j) >= ns.R) - 2
         if ns.thin > limit:
             raise InputError(f"--thin {ns.thin} is past float resolution at R = {ns.R}: "
@@ -140,7 +141,7 @@ def _cmd_cap(ns) -> int:
 def _cmd_sweep(ns) -> int:
     space = _space_from_args(ns)
     spec = BoundSpec(_BOUND_IDS[ns.bound], ns.p, eta=ns.eta, q=ns.q)
-    rep = verify_envelope(space, spec, _thin_family(ns),
+    rep = verify_envelope(space, spec, _thin_annuli_of(ns),
                           check_hypotheses=not ns.no_gating)
     if any(row[2] <= 0 for row in rep.rows):
         raise DomainError(f"capacity degenerates to 0 at p = {ns.p}; no decay slope to fit")
@@ -173,7 +174,7 @@ def _cmd_ad(ns) -> int:
         return 0
     if ns.R is None:
         raise InputError("ad needs --range lo:hi or --R")
-    _emit(fit_annulus_decay(space, ns.R, [a.r for a in _thin_family(ns)]))
+    _emit(fit_annulus_decay(space, ns.R, [a.r for a in _thin_annuli_of(ns)]))
     return 0
 
 
