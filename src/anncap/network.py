@@ -6,16 +6,18 @@ gradient, and the discrete p-energy sum m_e (|du|/l_e)^p is minimized over
 potentials pinned to 1 on the inner plate and 0 on the outer plate.
 
 Every solve runs on the network's core. One pass over the edges reads
-each end's plate and drops the edges inside one plate; all that follows
-runs on the vertices the other edges touch, numbered in their order, with
-each plate as one node, and only the returned potential is written back
-at full length. On the h = 1/256 bow-tie grid, plates (0.875, 1), 1,056
-of the 327,680 edges cross, on 543 of the 164,609 vertices.
+each end's plate and keeps the crossing edges, those not inside one
+plate; when they are one run of edge numbers, as a chain's are, they are
+read as views, else gathered. Only the returned potential is written back
+at full length.
 
-A chain is told apart next: its K + 1 crossing edges are the path inner
-plate, node 0, ..., node K - 1, outer plate, in edge order, as every radial
-and snake chain's are between condenser plates. Its core is one
-inner-outer edge of the series conductance
+A chain is told apart next, on the crossing edges as the network numbers
+them, before any vertex is renumbered: the first starts on the inner
+plate and the last ends on the outer, each other starts where the one
+before it ended, and the K free vertices they pass through have strictly
+increasing numbers, as every radial and snake chain's have between
+condenser plates. Its core is one inner-outer edge of the series
+conductance
 k_min (sum_e (k_min / k_e)^(1/(p-1)))^-(p-1), k_e = m_e / l_e^p, evaluated
 in this scaled form so that nothing overflows as p nears 1; its p -> 1
 limit, used at p = 1, is k_min, exact since a min of floats is exact. One
@@ -24,11 +26,14 @@ proportion to (k_min / k_e)^(1/(p-1)), the minimizer given the ends; at
 p = 1 one cumsum of the edges that tie at k_min puts the cut at the last.
 
 Any other network, such as a chain with a parallel, reversed or floating
-edge, keeps the crossing edges of the plates' component as they are: one
-breadth-first search from the inner plate must reach the outer one, and
-the components touching neither plate are left out, at u = 0. Parallel
-edges are summed where the solver scatters them. The h = 1/256 bow-tie
-leaves a core of 545 nodes.
+edge, is renumbered: the free vertices the crossing edges touch, in their
+order, then each plate as one node. On the h = 1/256 bow-tie grid, plates
+(0.875, 1), 1,056 of the 327,680 edges cross, on 543 of the 164,609
+vertices. Its core keeps the crossing edges of the plates' component as
+they are: one breadth-first search from the inner plate must reach the
+outer one, and the components touching neither plate are left out, at
+u = 0. Parallel edges are summed where the solver scatters them. The
+h = 1/256 bow-tie leaves a core of 545 nodes.
 
 On the core, p = 2 is an exact linear solve and p in (1, inf) \\ {2} a
 damped Newton descent on the strictly convex energy; a core with no free
@@ -121,6 +126,8 @@ class DiscreteNetwork:
             raise InputError("self-loops are not allowed")
         for name in ("lengths", "masses"):
             x = getattr(self, name)
+            if x.strides == (0,):  # one value broadcast: its first element has the verdict
+                x = x[:1]
             if not 0 < x.min() <= x.max() < math.inf:  # a NaN min or max fails too
                 raise InputError(f"edge {name} must be finite and strictly positive")
         if min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n:
@@ -265,15 +272,15 @@ def build_bowtie_grid(alpha: float, h: float) -> DiscreteNetwork:
     start = np.cumsum(size)  # one past the column's last vertex
     nv = int(start[-1])
     center = start - half - 1
-    i1 = np.repeat(cols, size)
-    i2 = np.arange(nv)
-    i2 -= np.repeat(center, size)
+    i2 = np.arange(nv, dtype=float)  # small integers, exact as floats
+    i2 -= np.repeat(center.astype(float), size)
     # slot 2 v + d holds vertex v's edge in direction d, (1, 0) then (0, 1),
     # when its far end is in the cone: none leaves the last column or a
     # column's top vertex, nor an end of a column wider than the next. The
     # step to the far end and the mass, from the exact midpoint coordinates,
     # are computed over all slots and read at the slots with an edge; each
-    # table is dropped once read, so that later arrays reuse its pages
+    # table is dropped once read, so that later arrays reuse its pages. What
+    # depends on i1 alone is computed per column and repeated down it
     has = np.ones((nv, 2), dtype=bool)
     narrow = np.flatnonzero(half[1:] < half[:-1])
     has[start[narrow] - 1, 0] = has[start[narrow] - size[narrow], 0] = False
@@ -284,12 +291,20 @@ def build_bowtie_grid(alpha: float, h: float) -> DiscreteNetwork:
     step[:, 0] = np.repeat(np.append(np.diff(center), 0), size)
     ej = step.ravel()[f]
     del step
-    x, y = i1 * h, i2 * h
-    mx, my = (i1 + 0.5) * h, (i2 + 0.5) * h
+    x, mx = cols * h, (cols + 0.5) * h
+    y = i2 * h
     mass = np.empty((nv, 2))  # the squared midpoint radius, then the mass
-    mass[:, 0] = mx * mx + y * y
-    mass[:, 1] = x * x + my * my
-    del mx, my
+    np.multiply(y, y, out=mass[:, 0])
+    mass[:, 0] += np.repeat(mx * mx, size)
+    my = i2  # i2's last use: its buffer holds my, then the squared radius
+    my += 0.5
+    my *= h
+    my *= my
+    my += np.repeat(x * x, size)
+    mass[:, 1] = my
+    del i2, my
+    # one pow over the contiguous table: numpy's strided or scalar pow can
+    # differ from it by an ulp
     mass **= alpha / 2.0
     mass *= h
     mass *= h
@@ -301,7 +316,7 @@ def build_bowtie_grid(alpha: float, h: float) -> DiscreteNetwork:
     # every edge has length h: one read-only value stands for all of them
     return DiscreteNetwork(num_vertices=nv, edge_i=f, edge_j=ej,
                            lengths=np.broadcast_to(h, len(f)), masses=masses,
-                           radii=np.hypot(x, y, out=x))
+                           radii=np.hypot(np.repeat(x, size), y, out=y))
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +487,33 @@ def _reduce(net, bc, p):
     if min(bc.inner.min(), bc.outer.min()) < 0 or max(bc.inner.max(), bc.outer.max()) >= n:
         raise InputError(f"plate vertices must lie in 0..{n - 1}")
     # one pass over the edges reads each end's plate (1 inner, 2 outer, 0
-    # none) and drops the edges inside one plate. All that follows runs on
-    # the free vertices the others touch, numbered in their order, then the
-    # inner and the outer plate
+    # none) and drops the edges inside one plate
     plate = np.zeros(n, dtype=np.int8)
     plate[bc.inner], plate[bc.outer] = 1, 2
     pa, pb = plate[net.edge_i], plate[net.edge_j]
     cross = np.flatnonzero((pa != pb) | (pa == 0))
+    if len(cross) and cross[-1] - cross[0] == len(cross) - 1:  # one run: read views
+        cross = slice(cross[0], cross[-1] + 1)
     a, b, pa, pb = net.edge_i[cross], net.edge_j[cross], pa[cross], pb[cross]
+    lengths, masses = net.lengths[cross], net.masses[cross]
+    with np.errstate(over="ignore", divide="ignore"):
+        k = masses / lengths**p
+    # masses and lengths are positive, so a k of 0 is an underflow: through
+    # it, plates that are joined would read an energy of 0
+    if not k.min(initial=1.0) > 0:
+        raise DomainError(f"an edge conductance m / l^p underflows to 0 at p = {p}")
+    # a chain: inner plate, free vertices in increasing order, outer plate,
+    # each edge starting where the one before it ended. Its free vertices
+    # are then the compact nodes 0, ..., K - 1 in order, so its edges there
+    # are the path through them, and no vertex is renumbered
+    if (len(k) and pa[0] == 1 and pb[-1] == 2 and not pb[:-1].any()
+            and np.array_equal(a[1:], b[:-1]) and (b[1:-1] > b[:-2]).all()):
+        nodes = len(k) + 1
+        path = np.r_[nodes - 2, np.arange(nodes - 2), nodes - 1]
+        sub = _Edges(nodes, path[:-1], path[1:], lengths, masses)
+        return (sub, k, *_series(k, p), b[:-1])
+    # any other network runs on the free vertices the crossing edges touch,
+    # numbered in their order, then the inner and the outer plate
     free = np.zeros(n, dtype=bool)
     free[a] = free[b] = True
     free &= plate == 0
@@ -490,17 +524,7 @@ def _reduce(net, bc, p):
     for x, px in ((a, pa), (b, pb)):  # a plate vertex's node is its plate's
         on = np.flatnonzero(px)
         node[x[on]] = px[on] + np.int64(nodes - 3)
-    sub = _Edges(nodes, node[a], node[b], net.lengths[cross], net.masses[cross])
-    with np.errstate(over="ignore", divide="ignore"):
-        k = sub.masses / sub.lengths**p
-    # masses and lengths are positive, so a k of 0 is an underflow: through
-    # it, plates that are joined would read an energy of 0
-    if not k.min(initial=1.0) > 0:
-        raise DomainError(f"an edge conductance m / l^p underflows to 0 at p = {p}")
-    if len(k) == nodes - 1:  # a chain: its edges are the path through its nodes in order
-        path = np.r_[nodes - 2, np.arange(nodes - 2), nodes - 1]
-        if np.array_equal(sub.edge_i, path[:-1]) and np.array_equal(sub.edge_j, path[1:]):
-            return (sub, k, *_series(k, p), keep)
+    sub = _Edges(nodes, node[a], node[b], lengths, masses)
     # one search from the inner plate finds its component, which must hold
     # the outer plate; the core is that component's edges as they are
     graph = csr_matrix((np.ones(len(k)), (sub.edge_i, sub.edge_j)), shape=(nodes, nodes))

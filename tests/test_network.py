@@ -517,6 +517,29 @@ def test_near_chains_take_the_general_path(monkeypatch, variant):
     assert len(calls) == (0 if variant in ("branch", "parallel") else 3)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_plate_order_changes_no_bit(monkeypatch, p):
+    # a chain is told apart by which plate each vertex is in, not by how
+    # the plates list them: unsorted plates with repeats give the same bits
+    net = build_radial_network(_BUCKLEY, 0.5, 1.5, 64)
+    bc = condenser_bc(net, 0.7, 1.3)
+    assert len(bc.inner) > 2 and len(bc.outer) > 2
+    rng = np.random.default_rng(0)
+    # each plate starts at its largest vertex and ends at its least
+    shuffled = BoundaryCondition(
+        inner=np.r_[bc.inner[-1], rng.permutation(bc.inner), bc.inner[0]],
+        outer=np.r_[bc.outer[-1], rng.permutation(bc.outer), bc.outer[0]])
+    calls = _spy_series(monkeypatch)
+    reports = []
+    for plates in (bc, shuffled):
+        calls.clear()
+        rep = solve_p_energy(net, plates, p)
+        assert len(calls) == 1
+        reports.append(("%.17g" % rep.energy, "%.17g" % rep.kkt_residual, rep.iterations,
+                        rep.stop_reason, rep.potential.tobytes()))
+    assert reports[0] == reports[1]
+
+
 def test_radial_network_oracle():
     ann = AnnulusSpec(1.0, 2.0)
     exact = cap_rn_unweighted(2, 3.0, ann).value
@@ -649,6 +672,39 @@ def test_bowtie_grid_matches_loop_builder(alpha, inv_h):
     np.testing.assert_array_max_ulp(net.masses, masses, maxulp=1)
 
 
+# sha256 of the bow-tie grid's arrays, recorded from the builder that
+# computed its coordinates from full-length integer columns: the vertex
+# count and the digests of edge_i, edge_j and radii, which do not depend on
+# alpha, then the masses' digest per alpha
+_BOWTIE_GRID_PINS = {
+    64: (10433, "fbbcbce02dc2d1955b3690748b457f83d6956eaec82b3e613318ed778884837a",
+         "f60d6e17b7001981518f0e4a2a60616f62fcd5de24cbf6a77b8aab90ed80aa47",
+         "1734118f8803ea41ea20a1c8f1c296ec52946f2ed15476913a99b5e02e6be371"),
+    256: (164609, "398f89533e94a73964f5b7b2165523dc76a9c81c8b0a0566ff332267cf32ed88",
+          "e7dcf66f216bae53db0fcf69791ad648f882867555fbfd9c1a49f9c465175c26",
+          "7491561fb2c425519eefad23fec812e95f236752fcd242d9164e6d9d01706258"),
+}
+_BOWTIE_MASS_PINS = {
+    (-0.5, 64): "3bf7f7359d54c4c3916e981da53666664779766518215369d056018f69f7144c",
+    (0.5, 64): "93d322945c6f6ac85452cd950329fbc4f12144a700a4d04528545beb00b4114b",
+    (-0.5, 256): "91e72a88462f69929c07237ab62697d7c396b293dfa798f8d0fd89034513fcac",
+    (0.5, 256): "326a4b03fe2cc4b34959d8ed3e35b0a32c34ca8a2fa2b8f4b14f68db088b4029",
+}
+
+
+@pytest.mark.parametrize("alpha, inv_h", list(_BOWTIE_MASS_PINS),
+                         ids=[f"alpha{a}-inv_h{inv_h}" for a, inv_h in _BOWTIE_MASS_PINS])
+def test_bowtie_grid_is_pinned_bit_for_bit(alpha, inv_h):
+    net = build_bowtie_grid(alpha, 1.0 / inv_h)
+    nv, *shas = _BOWTIE_GRID_PINS[inv_h]
+    assert net.num_vertices == nv
+    got = {name: hashlib.sha256(getattr(net, name).tobytes()).hexdigest()
+           for name in ("edge_i", "edge_j", "radii", "masses")}
+    assert got == dict(zip(("edge_i", "edge_j", "radii", "masses"),
+                           (*shas, _BOWTIE_MASS_PINS[alpha, inv_h])))
+    assert np.array_equal(net.lengths, np.full(len(net.edge_i), 1.0 / inv_h))
+
+
 def test_network_validation():
     with pytest.raises(InputError):
         DiscreteNetwork(num_vertices=2, edge_i=[0], edge_j=[0],
@@ -668,6 +724,11 @@ def test_nan_lengths_and_masses_are_rejected(field):
     values[field][2] = math.nan
     with pytest.raises(InputError, match="strictly positive"):
         DiscreteNetwork(num_vertices=4, edge_i=[0, 1, 0, 2], edge_j=[1, 3, 2, 3], **values)
+    # one value broadcast over every edge, as the bow-tie's lengths are
+    for bad in (math.nan, 0.0, -1.0, math.inf):
+        values[field] = np.broadcast_to(bad, 4)
+        with pytest.raises(InputError, match="strictly positive"):
+            DiscreteNetwork(num_vertices=4, edge_i=[0, 1, 0, 2], edge_j=[1, 3, 2, 3], **values)
 
 
 _BUCKLEY = make_buckley(0.5).space
@@ -748,6 +809,15 @@ def test_disconnected_boundary_infeasible():
     lone = DiscreteNetwork(num_vertices=3, edge_i=[1], edge_j=[2], lengths=[1.0], masses=[1.0])
     with pytest.raises(InfeasibleError):
         solve_p_energy(lone, BoundaryCondition(inner=[0], outer=[2]), 2.0)
+    # no crossing edge: every edge inside one plate, or no edge at all
+    inside = DiscreteNetwork(num_vertices=4, edge_i=[0, 2], edge_j=[1, 3],
+                             lengths=[1.0, 1.0], masses=[1.0, 1.0])
+    empty = DiscreteNetwork(num_vertices=2, edge_i=[], edge_j=[], lengths=[], masses=[])
+    for net, bc in ((inside, BoundaryCondition(inner=[0, 1], outer=[2, 3])),
+                    (empty, BoundaryCondition(inner=[0], outer=[1]))):
+        for p in (1.0, 1.5, 2.0):
+            with pytest.raises(InfeasibleError):
+                solve_p_energy(net, bc, p)
     with pytest.raises(InfeasibleError):
         BoundaryCondition(inner=[0], outer=[0])
     with pytest.raises(InfeasibleError):
