@@ -23,7 +23,7 @@ import numpy as np
 
 from .capacity import cap_values
 from .decay import _loglog_fit
-from .errors import AnncapError, ApplicabilityError, DomainError, InputError, attempt, unwrap
+from .errors import ApplicabilityError, DomainError, InputError
 from .measure import FamilyMeasures
 from .spaces import AnnulusSpec, SpaceSpec
 
@@ -142,13 +142,16 @@ BOUND_TABLE = {
 }
 
 
-def _evaluate(spec: BoundSpec, space: SpaceSpec, ann: AnnulusSpec, measures: FamilyMeasures,
-              check_hypotheses: bool) -> float:
+def _check_hypotheses(spec: BoundSpec, space: SpaceSpec, ann: AnnulusSpec):
+    """Raise ApplicabilityError naming the bound's first hypothesis that
+    fails on ann."""
+    for name, holds in BOUND_TABLE[spec.bound_id].hypotheses:
+        if not holds(spec, space, ann):
+            raise ApplicabilityError(name)
+
+
+def _evaluate(spec: BoundSpec, ann: AnnulusSpec, measures: FamilyMeasures) -> float:
     row = BOUND_TABLE[spec.bound_id]
-    if check_hypotheses:
-        for name, holds in row.hypotheses:
-            if not holds(spec, space, ann):
-                raise ApplicabilityError(name)
     try:
         return row.expression(spec, ann, 1.0 - ann.r / ann.R,
                                lambda: measures(*row.measure(ann)))
@@ -165,7 +168,9 @@ def evaluate_bound(spec: BoundSpec, space: SpaceSpec, ann: AnnulusSpec,
     ApplicabilityError naming it; passing False evaluates the bare
     expression, which is how counterexamples are demonstrated.
     """
-    return _evaluate(spec, space, ann, FamilyMeasures(space), check_hypotheses)
+    if check_hypotheses:
+        _check_hypotheses(spec, space, ann)
+    return _evaluate(spec, ann, FamilyMeasures(space))
 
 
 # ---------------------------------------------------------------------------
@@ -185,25 +190,28 @@ def verify_envelope(space: SpaceSpec, spec: BoundSpec, annuli,
     """Ratio cap/bound per annulus; PASS means the ratios sit inside
     [1e-3, 1e3] with no log-log trend (|slope| <= 0.05).
 
-    The capacities at spec.p are one cap_values call and the bound's
-    measures one FamilyMeasures fill.  Each annulus's errors are raised in
-    its turn: its capacity's, a failed hypothesis, then its bound's.  The
-    constant-free UpperSimple bound must additionally dominate the
-    capacity outright (ratio <= 1 + 1e-8).
+    When gated, every annulus's hypotheses are checked before any measure
+    or capacity is computed.  Then the bound's measures are one
+    FamilyMeasures fill and the capacities at spec.p one cap_values call,
+    each raising the first annulus's error in order.  The constant-free
+    UpperSimple bound must additionally dominate the capacity outright
+    (ratio <= 1 + 1e-8).
     """
     annuli = list(annuli)
     if len(annuli) < 8:
         raise InputError(f"need >= 8 applicable annuli, got {len(annuli)}")
+    if check_hypotheses:
+        for ann in annuli:
+            _check_hypotheses(spec, space, ann)
     rows, xs = [], []
     measures = FamilyMeasures(space)
     measures.fill([BOUND_TABLE[spec.bound_id].measure(ann) for ann in annuli])
-    for ann, res in zip(annuli, cap_values(space, spec.p, annuli)):
-        cap = unwrap(res).value
-        bound = _evaluate(spec, space, ann, measures, check_hypotheses)
+    for ann, cap in zip(annuli, cap_values(space, spec.p, annuli)):
+        bound = _evaluate(spec, ann, measures)
         if bound == 0.0:
             raise DomainError(f"{spec.bound_id.value} is 0 on annulus (r={ann.r}, R={ann.R}); "
                               "no cap/bound ratio")
-        rows.append((ann.r, ann.R, cap, bound, cap / bound))
+        rows.append((ann.r, ann.R, cap.value, bound, cap.value / bound))
         xs.append(math.log(1.0 - ann.r / ann.R))
     ratios = np.array([row[4] for row in rows])
     if np.any(ratios <= 0):
@@ -232,8 +240,9 @@ def blowup_probe(space: SpaceSpec, p: float, R: float, deltas,
 
     BLOWUP requires strictly increasing values whose final/initial ratio
     reaches 10^3; identically-zero capacities report NO-BLOWUP (the
-    degenerate counterexample case).  Fewer than two distinct deltas are
-    refused.
+    degenerate counterexample case).  Fewer than two distinct deltas, a
+    failed hypothesis (when gated) and a delta that gives no annulus are
+    refused before any capacity is computed.
     """
     deltas = sorted((float(d) for d in deltas), reverse=True)  # shrinking toward 0
     if len(set(deltas)) < 2:
@@ -243,11 +252,8 @@ def blowup_probe(space: SpaceSpec, p: float, R: float, deltas,
             raise ApplicabilityError("q-Poincare inequality at x0 with 1 <= q < p")
         if not math.isinf(space.diameter) and R >= space.diameter:
             raise ApplicabilityError("mu(X \\ B_R) > 0")
-    annuli = [attempt(AnnulusSpec, R - d, R) for d in deltas]
-    valid = next((i for i, a in enumerate(annuli) if isinstance(a, AnncapError)), len(annuli))
-    # an annulus that cannot be built raises after the capacities before it
-    values = [unwrap(v).value
-              for v in [*cap_values(space, p, annuli[:valid]), *annuli[valid:valid + 1]]]
+    annuli = [AnnulusSpec(R - d, R) for d in deltas]
+    values = [cap.value for cap in cap_values(space, p, annuli)]
     increasing = all(b > a for a, b in zip(values, values[1:]))
     blow = increasing and values[0] > 0 and values[-1] / values[0] >= 1e3
     return BlowupReport(tuple(deltas), tuple(values), "BLOWUP" if blow else "NO-BLOWUP")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnncapError, DomainError, InputError, QuadratureError, attempt, unwrap
+from .errors import DomainError, InputError, QuadratureError, unwrap
 from .measure import _radial_integral, _radial_reduction
 from .spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec, surface_area
 from .weights import Constant
@@ -95,32 +95,31 @@ def cap_radial_weighted(space: SpaceSpec, p: float, ann: AnnulusSpec) -> Capacit
     The integrand w^(1/(1-p)) rho^(m/(1-p)) goes to 0 at a pole of w.  A
     density of 0 or past the float range is a QuadratureError.
     """
-    return unwrap(_radial_caps(space, p, [ann])[0])
+    return _radial_caps(space, p, [ann])[0]
 
 
 def _radial_caps(space: SpaceSpec, p: float, annuli) -> list:
-    """cap_radial_weighted of each annulus, or the error it raises, from one
-    _radial_integral call over the family."""
+    """cap_radial_weighted of each annulus, from one _radial_integral call
+    over the family; the first annulus's error in order is raised."""
     if not (p > 1):
-        return [DomainError(f"radial integral formula needs p > 1, got {p}") for _ in annuli]
+        raise DomainError(f"radial integral formula needs p > 1, got {p}")
     w, m, const = _radial_reduction(space)
     results = _radial_integral(w, m, [(a.r, a.R) for a in annuli], 1.0 / (1.0 - p))
     caps = []
     for ann, res in zip(annuli, results):
-        if isinstance(res, AnncapError) and not isinstance(res, QuadratureError):
-            res = QuadratureError(f"radial integrand (w rho^{m})^(1/(1-p)) on [{ann.r}, {ann.R}] "
+        if isinstance(res, DomainError):
+            raise QuadratureError(f"radial integrand (w rho^{m})^(1/(1-p)) on [{ann.r}, {ann.R}] "
                                   "leaves the float range")
-        elif not isinstance(res, AnncapError):
-            val, err = res
-            try:
-                value = const * val ** (1.0 - p)
-                qerr = const * abs(1.0 - p) * val ** (-p) * err
-            except ArithmeticError:  # the integral under- or the capacity overflows
-                value = 0.0
-            # a positive integral has a positive capacity: a 0 is an underflow
-            res = CapacityResult(value, CapacityMethod.RADIAL_INTEGRAL, qerr) if value else (
-                DomainError(f"capacity of (r={ann.r}, R={ann.R}) at p = {p} leaves the float range"))
-        caps.append(res)
+        val, err = unwrap(res)
+        try:
+            value = const * val ** (1.0 - p)
+            qerr = const * abs(1.0 - p) * val ** (-p) * err
+        except ArithmeticError:  # the integral under- or the capacity overflows
+            value = 0.0
+        if not value:  # a positive integral has a positive capacity: a 0 is an underflow
+            raise DomainError(f"capacity of (r={ann.r}, R={ann.R}) at p = {p} leaves the float "
+                              "range")
+        caps.append(CapacityResult(value, CapacityMethod.RADIAL_INTEGRAL, qerr))
     return caps
 
 
@@ -241,19 +240,20 @@ def cap_bowtie_pinch(space: SpaceSpec, p: float, delta: float) -> CapacityResult
 
 def cap_auto(space: SpaceSpec, p: float, ann: AnnulusSpec) -> CapacityResult:
     """Dispatch to the best available engine for the space."""
-    return unwrap(cap_values(space, p, [ann])[0])
+    return cap_values(space, p, [ann])[0]
 
 
 def cap_values(space: SpaceSpec, p: float, annuli) -> list:
-    """cap_auto of each annulus of a family, in order, or the AnncapError
-    computing it raised: the capacities verify_envelope and blowup_probe
-    read.  A family's radial integrals are one quadrature call; every other
-    engine is a closed form or the p = 1 inf-cut, one annulus at a time."""
+    """cap_auto of each annulus of a family, in order: the capacities
+    verify_envelope and blowup_probe read.  The first annulus's error in
+    order is raised.  A family's radial integrals are one quadrature call;
+    every other engine is a closed form or the p = 1 inf-cut, one annulus
+    at a time."""
     geom = space.geometry
     if (isinstance(geom, (RadialRn, HalfLine)) and p != 1
             and not (isinstance(geom, RadialRn) and isinstance(space.weight, Constant))):
         return _radial_caps(space, p, annuli)
-    return [attempt(_cap_one, space, p, ann) for ann in annuli]
+    return [_cap_one(space, p, ann) for ann in annuli]
 
 
 def _cap_one(space: SpaceSpec, p: float, ann: AnnulusSpec) -> CapacityResult:

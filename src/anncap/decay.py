@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnncapError, DomainError, InputError, attempt
+from .errors import DomainError, InputError
 from .measure import FamilyMeasures, volume_profiles
 from .spaces import AnnulusSpec, SpaceSpec
 
@@ -155,25 +155,17 @@ def estimate_ad_exponent(space: SpaceSpec, families,
     families, each a pair (R, rs).
 
     The AD property quantifies over all annuli, so the space exponent is
-    the worst (smallest) fitted slope across the declared families.  The
-    families are checked in order up to the first invalid one, whose
-    InputError is raised after the fits of those before it; their measures
-    are one fill of measures (one per call by default).
+    the worst (smallest) fitted slope across the declared families.  Every
+    family is checked before any measure is computed, and the first invalid
+    one raises its InputError; their measures are then one fill of measures
+    (one per call by default).
     """
-    measures = measures or FamilyMeasures(space)
-    checked, failure = [], None
-    for R, rs in families:
-        rs = attempt(_decay_radii, R, rs)
-        if isinstance(rs, AnncapError):
-            failure = rs
-            break
-        checked.append((R, rs))
-    measures.fill([iv for R, rs in checked for iv in ((0.0, R), *((r, R) for r in rs))])
-    reports = [fit_annulus_decay(space, R, rs, measures) for R, rs in checked]
-    if failure is not None:
-        raise failure
-    if not reports:
+    families = [(R, _decay_radii(R, rs)) for R, rs in families]
+    if not families:
         raise InputError("need at least one (R, rs) family")
+    measures = measures or FamilyMeasures(space)
+    measures.fill([iv for R, rs in families for iv in ((0.0, R), *((r, R) for r in rs))])
+    reports = [fit_annulus_decay(space, R, rs, measures) for R, rs in families]
     worst = min(reports, key=lambda rep: rep.eta_hat)
     return AdFitReport(
         eta_hat=worst.eta_hat,

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and the outcome of one
-item of a family computation: its value or the error it raised."""
+"""Exception hierarchy shared across the package, and the reading of one
+group's result of a batched quadrature: its value or the error it ended in."""
 
 
 class AnncapError(Exception):
@@ -15,11 +15,7 @@ class DomainError(AnncapError):
 
 
 class QuadratureError(AnncapError):
-    """Quadrature missed its tolerance; ``achieved_error`` is the error it reached."""
-
-    def __init__(self, message, achieved_error=None):
-        super().__init__(message)
-        self.achieved_error = achieved_error
+    """Quadrature missed its tolerance; the message gives the error it reached."""
 
 
 class ApplicabilityError(AnncapError):
@@ -38,17 +34,8 @@ class ConvergenceError(AnncapError):
     solve, or a non-finite energy."""
 
 
-def attempt(fn, *args):
-    """fn(*args), or the AnncapError it raised: one item's outcome in a
-    family computation, kept so that it is raised in the item's turn."""
-    try:
-        return fn(*args)
-    except AnncapError as exc:
-        return exc
-
-
 def unwrap(outcome):
-    """An outcome's value, or the AnncapError it holds raised."""
+    """A group's (value, error), or the AnncapError the group ended in raised."""
     if isinstance(outcome, AnncapError):
         raise outcome
     return outcome

@@ -410,7 +410,7 @@ def _claim_measure_lower_q_fails(entry, probes):
         except ApplicabilityError as exc:
             if "reverse-doubling" not in str(exc):
                 return False, f"gated on the wrong hypothesis: {exc}"
-        bound = _evaluate(spec, entry.space, ann, measures, check_hypotheses=False)
+        bound = _evaluate(spec, ann, measures)
         ratios.append(measures.annulus(ann) / bound)
     # decay is logarithmic in R, so test the total drop
     ok = all(b < a for a, b in zip(ratios, ratios[1:])) and ratios[-1] <= ratios[0] / 2.0

@@ -5,6 +5,8 @@ family: one call integrates groups of panels, one group per integral, each
 level's nodes of every group still refining in one array call.  A group
 sums only its own panels, stops at its own level, and ends in its own
 value or error; a single integral is a family of one, with the same bits.
+A family's measures are each interval's as computed alone, and the family
+raises the error of its first interval that fails.
 Radial and half-line geometries reduce to 1-D integrals in the radius,
 integrated in a power of the distance to a power pole near it, a family of
 balls and annuli in one call; ``volume_profiles`` sums Gauss-Legendre panel
@@ -21,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import AnncapError, DomainError, QuadratureError, attempt, unwrap
+from .errors import DomainError, QuadratureError, unwrap
 from .spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec, surface_area
 from .weights import Constant, PowerAlpha
 
@@ -152,13 +154,18 @@ def _cell_masses(fn, edges_lo, edges_hi):
 
 
 def _snake_family(geom: Snake, intervals):
-    """mu(B_R) - mu(B_r) of the snake for each (r, R), exact, with error 0,
-    or the DomainError of a radius past 2^k_max (R's first).
+    """mu(B_R) - mu(B_r) of the snake for each (r, R), exact, with error 0.
+    The first interval with a radius past 2^k_max raises its DomainError
+    (R's first) before any is computed.
 
     Segments cover each radius exactly once, and the half-circle of radius
     2^k (arclength pi 2^k) enters the ball as soon as 2^k < R, so mu(B_R)
     is R plus those arclengths, added in order of k, over every radius of
     the family at once."""
+    past = next((x for r, R in intervals for x in (R, r) if x > geom.max_radius), None)
+    if past is not None:
+        raise DomainError(f"snake represents radii up to 2^{geom.k_max} = {geom.max_radius}, "
+                          f"got R = {past}")
     radii = np.array([R for _, R in intervals] + [r for r, _ in intervals], dtype=float)
     balls = radii.copy()
     top, k = np.fmax.reduce(radii, initial=0.0), 0  # fmax passes over a NaN radius
@@ -166,12 +173,7 @@ def _snake_family(geom: Snake, intervals):
         np.add(balls, math.pi * 2.0**k, out=balls, where=2.0**k < radii)
         k += 1
     balls = balls.tolist()
-    done = []
-    for (r, R), ball_R, ball_r in zip(intervals, balls, balls[len(intervals):]):
-        past = next((x for x in (R, r) if x > geom.max_radius), None)
-        done.append((ball_R - ball_r, 0.0) if past is None else DomainError(
-            f"snake represents radii up to 2^{geom.k_max} = {geom.max_radius}, got R = {past}"))
-    return done
+    return [(ball_R - ball_r, 0.0) for ball_R, ball_r in zip(balls, balls[len(intervals):])]
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +271,7 @@ def _tanh_sinh(f, lo, hi, groups, columns=()):
     for g in live:
         results[g] = QuadratureError(
             f"tanh-sinh quadrature reached error {err[g]:.3e} > requested {DEFAULT_TOL:.3e} "
-            f"relative to {total[g]:.3e}", achieved_error=err[g])
+            f"relative to {total[g]:.3e}")
     return results
 
 
@@ -308,9 +310,10 @@ def _bowtie_x1_breakpoints(rads):
 
 
 def _bowtie_family(space, intervals):
-    """Integral of |x|^alpha over the cone cut to r <= |x - x0| < R for each
-    (r, R) of a family, by one call of the tanh-sinh rule with one group of
-    panels per interval: each is (value, error), or the error that ends it.
+    """Integral of |x|^alpha over the cone cut to r <= |x - x0| < R and its
+    error estimate for each (r, R) of a family, by one call of the tanh-sinh
+    rule with one group of panels per interval; the first interval's error
+    in order is raised.
 
     Cone and balls are symmetric about the x1 axis, so the slice at x1 is
     the shell lo <= s <= hi of s = |(x2, ..., xn)|, and Euler's integral
@@ -367,12 +370,11 @@ def _bowtie_family(space, intervals):
                                        _tanh_sinh(shell_mass, lo[:, 0], hi[:, 0], groups, columns)):
         if isinstance(res, DomainError) or not math.isfinite(pinch_mass):
             # a power of |x1| past the float range
-            res = DomainError(f"bow-tie measure of (r={r}, R={R}) at n = {n}, alpha = {alpha} "
+            raise DomainError(f"bow-tie measure of (r={r}, R={R}) at n = {n}, alpha = {alpha} "
                               "leaves the float range")
-        elif not isinstance(res, AnncapError):
-            # the closed form's rounding: a few ulps from each factor
-            res = res[0] + pinch_mass, res[1] + 16.0 * _EPS * pinch_mass
-        done.append(res)
+        value, err = unwrap(res)
+        # the closed form's rounding: a few ulps from each factor
+        done.append((value + pinch_mass, err + 16.0 * _EPS * pinch_mass))
     return done
 
 
@@ -380,37 +382,37 @@ def _bowtie_family(space, intervals):
 
 def _measure_family(space: SpaceSpec, intervals):
     """mu(r <= |x - x0| < R) and its error estimate for each (r, R) of a
-    family, r = 0 for the ball B_R, in order: each is (value, error) or the
-    AnncapError that computing it raised.  On radial and half-line spaces
-    each is a single integral over (r, R), avoiding cancellation, and the
-    family's integrals are one _radial_integral call."""
+    family, r = 0 for the ball B_R, in order.  Every r and R is checked
+    before any measure is computed; then the first interval's error in
+    order is raised.  On radial and half-line spaces each is a single
+    integral over (r, R), avoiding cancellation, and the family's integrals
+    are one _radial_integral call."""
     geom = space.geometry
-    valid = [(r, R) for r, R in intervals if 0 < R < math.inf]
+    for r, R in intervals:
+        if not 0 < R < math.inf:
+            raise DomainError(f"ball radius must be positive and finite, got {R}")
+        if not 0 <= r <= R:
+            raise DomainError(f"an annulus needs 0 <= r <= R, got r={r}, R={R}")
     if isinstance(geom, (RadialRn, HalfLine)):
         w, m, const = _radial_reduction(space)
-        done = [res if isinstance(res, AnncapError) else (const * res[0], const * res[1])
-                for res in _radial_integral(w, m, valid)]
-    elif isinstance(geom, Snake):
-        done = _snake_family(geom, valid)
-    elif isinstance(geom, BowTie):
-        done = _bowtie_family(space, valid)
-    else:
-        done = [DomainError(f"unknown geometry {geom!r}") for _ in valid]
-    done = iter(done)
-    return [next(done) if 0 < R < math.inf else
-            DomainError(f"ball radius must be positive and finite, got {R}") for _, R in intervals]
+        return [(const * value, const * err)
+                for value, err in map(unwrap, _radial_integral(w, m, intervals))]
+    if isinstance(geom, Snake):
+        return _snake_family(geom, intervals)
+    if isinstance(geom, BowTie):
+        return _bowtie_family(space, intervals)
+    raise DomainError(f"unknown geometry {geom!r}")
 
 
 def mu_family(space: SpaceSpec, intervals) -> list:
     """mu(r <= |x - x0| < R) of each (r, R), r = 0 for the ball B_R, in
-    order, from one _measure_family call; the first error in order is
-    raised."""
-    return [unwrap(res)[0] for res in _measure_family(space, intervals)]
+    order, from one _measure_family call."""
+    return [value for value, _ in _measure_family(space, intervals)]
 
 
 def mu_ball_detailed(space: SpaceSpec, R: float):
     """mu(B(x0, R)) together with an error estimate."""
-    return unwrap(_measure_family(space, [(0.0, R)])[0])
+    return _measure_family(space, [(0.0, R)])[0]
 
 
 def mu_ball(space: SpaceSpec, R: float) -> float:
@@ -419,7 +421,7 @@ def mu_ball(space: SpaceSpec, R: float) -> float:
 
 def mu_annulus_detailed(space: SpaceSpec, ann: AnnulusSpec):
     """mu(B_R \\ B_r) together with an error estimate."""
-    return unwrap(_measure_family(space, [(ann.r, ann.R)])[0])
+    return _measure_family(space, [(ann.r, ann.R)])[0]
 
 
 def mu_annulus(space: SpaceSpec, ann: AnnulusSpec) -> float:
@@ -429,9 +431,9 @@ def mu_annulus(space: SpaceSpec, ann: AnnulusSpec) -> float:
 class FamilyMeasures:
     """mu(r <= |x - x0| < R) of one space, r = 0 for the ball B_R, for the
     length of one computation over a family.  fill computes every interval
-    the table lacks in one _measure_family call, each distinct one once; a
-    read of an interval not yet filled computes it alone.  A read returns
-    the value mu_ball or mu_annulus returns, or raises the error it raises.
+    the table lacks in one _measure_family call, each distinct one once, and
+    raises that call's error; a read of an interval not yet filled computes
+    it alone.  A read returns the value mu_ball or mu_annulus returns.
 
     A table lives as long as the computation that made it (one
     verify_envelope call, say) and is not kept beyond it, so repeated
@@ -450,7 +452,7 @@ class FamilyMeasures:
     def __call__(self, r, R):
         if (r, R) not in self._results:
             self.fill([(r, R)])
-        return unwrap(self._results[r, R])[0]
+        return self._results[r, R][0]
 
     def ball(self, rho):
         return self(0.0, rho)
@@ -469,11 +471,10 @@ def volume_profiles(space: SpaceSpec, grids) -> list:
     rule when its upper radius exceeds twice its lower one, it contains or
     touches a weight singularity, its mass is not finite, or its estimate
     exceeds 1e-2 * DEFAULT_TOL times the profile at its upper end.  The
-    balls at the grids' first radii are one FamilyMeasures fill, and the
-    panels every grid redoes are one _radial_integral call; the first error
-    is raised in the order of a grid-by-grid computation.  Other geometries
-    take mu_ball at every distinct radius of the grids in one FamilyMeasures
-    fill.
+    balls at the grids' first radii are one FamilyMeasures fill, which
+    raises the first ball's error at once, and the panels every grid redoes
+    are one _radial_integral call.  Other geometries take mu_ball at every
+    distinct radius of the grids in one FamilyMeasures fill.
     """
     grids = [np.asarray(rho, dtype=float) for rho in grids]
     balls = FamilyMeasures(space)
@@ -487,7 +488,7 @@ def volume_profiles(space: SpaceSpec, grids) -> list:
 
     balls.fill([(0.0, rho[0]) for rho in grids])
     sing = np.asarray(w.singularities(), dtype=float)
-    profiles, redone, failure = [], [], None
+    profiles, redone = [], []
     for rho in grids:
         lo, hi = rho[:-1], rho[1:]
         mid = 0.5 * (lo + hi)
@@ -502,10 +503,7 @@ def volume_profiles(space: SpaceSpec, grids) -> list:
         # gate's 1e-12 over that 1% only where their mass underflows.
         redo = ((hi > 2.0 * lo) | ((sing >= lo[:, None]) & (sing <= hi[:, None])).any(axis=1)
                 | ~np.isfinite(inc))
-        f0 = attempt(balls.ball, rho[0])
-        if isinstance(f0, AnncapError):  # raised once the grids before it are done
-            failure = f0
-            break
+        f0 = balls.ball(rho[0])
         # a panel redone below adds 0 here, so that the gate of the ones past it only tightens
         with np.errstate(over="ignore", invalid="ignore"):  # a profile past the floats is refused
             below = f0 + np.cumsum(np.where(redo, 0.0, inc))
@@ -522,6 +520,4 @@ def volume_profiles(space: SpaceSpec, grids) -> list:
             done.append(np.concatenate(([f0], f0 + np.cumsum(inc))))
         if not math.isfinite(done[-1][-1]):
             raise DomainError(f"mu(B_rho) leaves the float range on [{rho[0]}, {rho[-1]}]")
-    if failure is not None:
-        raise failure
     return done

@@ -481,8 +481,6 @@ def _reduce(net, bc, p):
     last, its other nodes in their order), the map from a potential on the
     core to one on the compact nodes, and the vertices of all but the last
     two compact nodes."""
-    from scipy.sparse import csgraph, csr_matrix
-
     n = net.num_vertices
     if min(bc.inner.min(), bc.outer.min()) < 0 or max(bc.inner.max(), bc.outer.max()) >= n:
         raise InputError(f"plate vertices must lie in 0..{n - 1}")
@@ -527,6 +525,7 @@ def _reduce(net, bc, p):
     sub = _Edges(nodes, node[a], node[b], lengths, masses)
     # one search from the inner plate finds its component, which must hold
     # the outer plate; the core is that component's edges as they are
+    from scipy.sparse import csgraph, csr_matrix
     graph = csr_matrix((np.ones(len(k)), (sub.edge_i, sub.edge_j)), shape=(nodes, nodes))
     reached = np.zeros(nodes, dtype=bool)
     reached[csgraph.breadth_first_order(graph, nodes - 2, directed=False,

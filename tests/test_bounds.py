@@ -28,13 +28,19 @@ RN2 = make_rn_unweighted(2).space
 def caps(monkeypatch):
     """caps(cap, failing_at=None) fakes the capacities verify_envelope and
     blowup_probe read: cap(a) for each annulus a of the family, except that
-    annulus number failing_at raises a QuadratureError."""
+    a family with an annulus number failing_at raises a QuadratureError, as
+    cap_values raises its first failing annulus's error.  It returns the
+    list of the families the fake was called with."""
     def install(cap, failing_at=None):
+        calls = []
+
         def cap_values(space, p, annuli):
-            return [QuadratureError(f"capacity {j}") if j == failing_at
-                    else CapacityResult(cap(a), CapacityMethod.CLOSED_FORM)
-                    for j, a in enumerate(annuli)]
+            calls.append(list(annuli))
+            if failing_at is not None and failing_at < len(annuli):
+                raise QuadratureError(f"capacity {failing_at}")
+            return [CapacityResult(cap(a), CapacityMethod.CLOSED_FORM) for a in annuli]
         monkeypatch.setattr(bounds, "cap_values", cap_values)
+        return calls
     return install
 
 
@@ -307,48 +313,80 @@ def test_underflowing_bound_is_a_domain_error(caps):
 
 
 # ---------------------------------------------------------------------------
-# a family's errors, each in its annulus's turn: its capacity, its
-# hypotheses, then its bound's measure
+# a family's errors: its inputs first (every annulus's hypotheses, when
+# gated, and every annulus of a blowup probe), before any measure or
+# capacity; then the measures, then the capacities, each step raising the
+# error of its first failing annulus
+
+def _not_thin_at(i):
+    family = list(_FAMILY)
+    family[i] = AnnulusSpec(0.4, 1.0)
+    return family
+
 
 @pytest.mark.parametrize("cap_at, gated, error", [
-    (5, True, "hypothesis violated: reverse-doubling at x0"),  # fails on annulus 0
-    (0, True, "capacity 0"),  # annulus 0's capacity comes before its hypotheses
+    (5, True, "hypothesis violated: reverse-doubling at x0"),  # fails on every annulus
+    (0, True, "hypothesis violated: reverse-doubling at x0"),
     (5, False, "capacity 5"),
 ])
-def test_an_early_hypothesis_wins_over_a_later_capacity(caps, cap_at, gated, error):
-    caps(lambda a: 1.0, failing_at=cap_at)
+def test_an_early_hypothesis_wins_over_a_later_capacity(monkeypatch, caps, cap_at, gated, error):
+    cap_calls = caps(lambda a: 1.0, failing_at=cap_at)
+    measure_calls = _count_measures(monkeypatch)
     no_reverse_doubling = make_halfline(HalfLineKind.MIN_ONE_OVER_X).space
     with pytest.raises((ApplicabilityError, QuadratureError), match=f"^{re.escape(error)}$"):
         verify_envelope(no_reverse_doubling, BoundSpec(BoundId.TWO_SIDED_NICE, 2.0), _FAMILY,
                         check_hypotheses=gated)
+    # gated, no measure or capacity is computed; ungated, the measures come first
+    assert (measure_calls["families"], len(cap_calls)) == ((0, 0) if gated else (1, 1))
 
 
-@pytest.mark.parametrize("cap_at, error", [(3, "capacity 3"), (7, "thin annulus (R/2 <= r)")])
-def test_the_first_failing_annulus_need_not_be_the_first(caps, cap_at, error):
-    caps(lambda a: 1.0, failing_at=cap_at)
-    family = list(_FAMILY)
-    family[6] = AnnulusSpec(0.4, 1.0)  # not thin
+@pytest.mark.parametrize("cap_at, error", [(3, "thin annulus (R/2 <= r)"),
+                                           (7, "thin annulus (R/2 <= r)")])
+def test_the_first_failing_annulus_need_not_be_the_first(monkeypatch, caps, cap_at, error):
+    # annulus 6 is refused before the capacity of annulus 3 or 7 is computed
+    cap_calls = caps(lambda a: 1.0, failing_at=cap_at)
+    measure_calls = _count_measures(monkeypatch)
     with pytest.raises((ApplicabilityError, QuadratureError), match=f"{re.escape(error)}$"):
-        verify_envelope(RN2, BoundSpec(BoundId.TWO_SIDED_NICE, 2.0), family)
+        verify_envelope(RN2, BoundSpec(BoundId.TWO_SIDED_NICE, 2.0), _not_thin_at(6))
+    assert (measure_calls["families"], cap_calls) == (0, [])
 
 
-@pytest.mark.parametrize("cap_at, error", [(2, "capacity 2"),
-                                           (6, "snake represents radii up to 2^10 = 1024.0")])
-def test_a_measure_error_is_raised_in_its_annulus_turn(caps, cap_at, error):
-    caps(lambda a: 1.0, failing_at=cap_at)
+@pytest.mark.parametrize("not_thin", [0, 10])
+def test_a_failed_hypothesis_on_any_annulus_comes_before_any_computation(monkeypatch, caps,
+                                                                         not_thin):
+    cap_calls = caps(lambda a: 1.0, failing_at=0)
+    measure_calls = _count_measures(monkeypatch)
+    with pytest.raises(ApplicabilityError, match=re.escape("thin annulus (R/2 <= r)")):
+        verify_envelope(RN2, BoundSpec(BoundId.TWO_SIDED_NICE, 2.0), _not_thin_at(not_thin))
+    assert (measure_calls["families"], cap_calls) == (0, [])
+
+
+@pytest.mark.parametrize("cap_at", [2, 6])
+def test_a_measure_error_is_raised_before_any_capacity(monkeypatch, caps, cap_at):
+    cap_calls = caps(lambda a: 1.0, failing_at=cap_at)
+    measure_calls = _count_measures(monkeypatch)
     # mu(B_r) is past the snake for r > 1024: from the fifth annulus on
     family = [AnnulusSpec(1000.0 + 8.0 * j, 1100.0) for j in range(11)]
-    with pytest.raises((DomainError, QuadratureError), match=f"^{re.escape(error)}"):
+    error = "snake represents radii up to 2^10 = 1024.0, got R = 1032.0"
+    with pytest.raises(DomainError, match=f"^{re.escape(error)}$"):
         verify_envelope(make_snake().space, _SPECS[BoundId.LOWER_P1_NO_DOUBLING], family,
                         check_hypotheses=False)
+    assert (measure_calls["families"], cap_calls) == (1, [])
 
 
-def test_blowup_probe_builds_its_annuli_in_turn(caps):
-    space = SpaceSpec(HalfLine(), Constant(), traits=TraitSet(pi_exponents=frozenset({1.0})))
-    # delta = 0 gives no annulus: raised after the capacities before it
-    caps(lambda a: 1.0, failing_at=1)
-    with pytest.raises(QuadratureError, match="capacity 1"):
-        blowup_probe(space, 2.0, 1.0, [0.5, 0.25, 0.0])
-    caps(lambda a: 1.0)
-    with pytest.raises(InputError, match="annulus needs 0 < r < R"):
-        blowup_probe(space, 2.0, 1.0, [0.5, 0.25, 0.0])
+_HALFLINE_PI1 = SpaceSpec(HalfLine(), Constant(), traits=TraitSet(pi_exponents=frozenset({1.0})))
+
+
+@pytest.mark.parametrize("space, R, deltas, error, message", [
+    (_HALFLINE_PI1, 1.0, [0.5, 0.25, 0.0], InputError, "annulus needs 0 < r < R"),  # delta = 0
+    (_HALFLINE_PI1, 1.0, [0.5, 0.25, 1.0], InputError, "annulus needs 0 < r < R"),  # delta = R
+    (_HALFLINE_PI1, 1.0, [0.5, 0.25, 2.0], InputError, "annulus needs 0 < r < R"),  # delta > R
+    # n + alpha <= 1 declares the 1-Poincare inequality; R = sqrt(10) leaves no X \ B_R
+    (make_bowtie(-1.5).space, math.sqrt(10.0), [0.5, 0.25], ApplicabilityError,
+     re.escape("mu(X \\ B_R) > 0")),
+], ids=["delta-0", "delta-R", "delta-past-R", "bowtie-past-diameter"])
+def test_blowup_probe_refuses_before_any_capacity(caps, space, R, deltas, error, message):
+    cap_calls = caps(lambda a: 1.0, failing_at=0)
+    with pytest.raises(error, match=message):
+        blowup_probe(space, 2.0, R, deltas)
+    assert cap_calls == []

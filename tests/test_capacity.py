@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -212,6 +213,26 @@ def test_p_validation():
         cap_snake(math.nan, 2, 0.01)
     with pytest.raises(DomainError):
         cap_radial_weighted(RN2, 1.0, AnnulusSpec(1.0, 2.0))
+
+
+_BOW = SpaceSpec(BowTie(2, 0.5))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cap_snake(2.0, -1, 0.1), "snake jump index k must lie in [0, 9], got -1"),
+    (lambda: cap_snake(2.0, 10, 0.1), "snake jump index k must lie in [0, 9], got 10"),
+    (lambda: cap_bowtie_pinch(_BOW, 2.0, 0.0), "need delta in (0, 1/2), got 0.0"),
+    (lambda: cap_bowtie_pinch(_BOW, 2.0, 0.5), "need delta in (0, 1/2), got 0.5"),
+    (lambda: cap_bowtie_pinch(_BOW, 0.5, 0.25), "capacity needs p >= 1, got 0.5"),
+    (lambda: cap_auto(SpaceSpec(object()), 2.0, AnnulusSpec(1.0, 2.0)),
+     "no capacity engine for geometry object"),
+    (lambda: cap_radial_p1(SpaceSpec(Snake()), AnnulusSpec(7.5, 8.5)),
+     "radial reduction needs RadialRn or HalfLine, got Snake"),
+], ids=["snake-k-below", "snake-k-past", "pinch-delta-0", "pinch-delta-half", "pinch-p-below-1",
+        "no-engine", "p1-on-the-snake"])
+def test_an_engine_refuses_what_it_does_not_cover(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_capacity_past_the_float_range_is_an_error_not_a_value():

@@ -271,6 +271,14 @@ def test_bowtie_past_the_float_range_is_a_typed_error(capsys, argv, code):
     assert "error" in capsys.readouterr().err
 
 
+def test_oracle_refuses_a_capacity_of_0():
+    # p = 2.5 <= n + alpha on the alpha = 0.5 bow-tie: the sector integral
+    # diverges, and a relative error from 0 has no meaning
+    assert _outcome(["oracle", "--space", "bowtie", "--alpha", "0.5", "--p", "2.5", "--r", "0.875",
+                     "--R", "1"]) == (
+        3, "", "error: capacity degenerates to 0 at p = 2.5; no relative error\n")
+
+
 # radii that AnnulusSpec accepts, far apart or near the ends of the float
 # range: each ends in a typed error on one stderr line, with no numpy warning,
 # where a traceback, a 0, a nan or a wrong exit code came out before
@@ -425,6 +433,10 @@ SCIPY_LOAD_CASES = {
     "p2-network-solve": ("""
         net = anncap.build_radial_network(make_rn(2).space, 1.0, 2.0, 16)
         assert anncap.solve_p_energy(net, anncap.condenser_bc(net, 1.0, 2.0), 2.0).converged
+    """, set(), {""}),
+    "p2-bowtie-solve": ("""
+        net = anncap.build_bowtie_grid(0.5, 1.0 / 16.0)
+        assert anncap.solve_p_energy(net, anncap.condenser_bc(net, 0.875, 1.0), 2.0).converged
     """, {"sparse", "linalg"}, {"optimize"}),
     "p1-inf-cut": ("""
         assert anncap.cap_radial_p1(anncap.make_buckley(0.5).space, AnnulusSpec(0.5, 1.5)).value > 0

@@ -246,20 +246,25 @@ def test_check_one_ad_fills_its_first_ball_once_and_redoes_in_one_call(monkeypat
     assert integrals == [1, 12]
 
 
-def test_an_earlier_family_error_wins_over_a_later_invalid_family(monkeypatch):
-    # every mass of the R = 0.0013 family is 0; the invalid family after it
-    # and the family after that never reach the quadrature
+@pytest.mark.parametrize("invalid_at", [0, 1, 2])
+def test_an_invalid_family_is_raised_before_any_measure(monkeypatch, invalid_at):
+    space = make_halfline(HalfLineKind.EXP_INV_OVER_X_SQ).space
+    radii = _record_balls(monkeypatch)
+    families = [(0.0013, _thin_family(0.0013)), (0.4, _thin_family(0.4))]
+    families.insert(invalid_at, (1.0, [0.9] * 3))
+    with pytest.raises(InputError, match="^need >= 8 annuli per family, got 3$"):
+        estimate_ad_exponent(space, families)
+    assert not radii
+
+
+def test_a_fit_error_is_raised_after_one_fill_of_every_family(monkeypatch):
+    # every mass of the R = 0.0013 family is 0: its fit fails once both
+    # families' measures are one fill
     space = make_halfline(HalfLineKind.EXP_INV_OVER_X_SQ).space
     radii = _record_balls(monkeypatch)
     _, kind, message = _first_fit_failure(space, 0.0013, _thin_family(0.0013))
     radii.clear()
     with pytest.raises(kind) as info:
-        estimate_ad_exponent(space, [(0.0013, _thin_family(0.0013)), (1.0, [0.9] * 3),
-                                     (0.4, _thin_family(0.4))])
+        estimate_ad_exponent(space, [(0.0013, _thin_family(0.0013)), (0.4, _thin_family(0.4))])
     assert str(info.value) == message
-    assert set(radii) == {0.0013}
-    # a valid family before the invalid one is fitted, then the InputError raised
-    radii.clear()
-    with pytest.raises(InputError, match="need >= 8 annuli per family, got 3"):
-        estimate_ad_exponent(space, [(0.4, _thin_family(0.4)), (1.0, [0.9] * 3)])
-    assert set(radii) == {0.4}
+    assert radii == {0.0013: 1, 0.4: 1}

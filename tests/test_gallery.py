@@ -57,6 +57,12 @@ def test_every_claim_has_a_runner():
             assert claim in _CLAIM_RUNNERS, (entry.name, claim)
 
 
+def test_a_claim_with_no_runner_is_refused():
+    entry = dataclasses.replace(make_rn_unweighted(2), claims=("no-such-claim",))
+    with pytest.raises(InputError, match="^no runner registered for claim 'no-such-claim'$"):
+        verify_expectations(entry)
+
+
 def test_bowtie_pi_threshold():
     # 1-Poincare declared only when n + alpha <= 1
     assert 1.0 in make_bowtie(-1.5).space.traits.pi_exponents

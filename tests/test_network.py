@@ -13,7 +13,7 @@ from anncap.capacity import cap_auto, cap_radial_p1, cap_rn_unweighted, cap_snak
 from anncap.decay import check_doubling, check_one_ad
 from anncap.errors import ConvergenceError, DomainError, InfeasibleError, InputError
 from anncap.gallery import make_buckley, make_summed_buckley
-from anncap.measure import _cell_masses, mu_annulus, mu_ball, volume_profiles
+from anncap.measure import _cell_masses, mu_annulus, mu_ball, mu_family, volume_profiles
 from scipy import linalg
 from anncap.network import (
     BoundaryCondition,
@@ -24,7 +24,7 @@ from anncap.network import (
     condenser_bc,
     solve_p_energy,
 )
-from anncap.spaces import AnnulusSpec, HalfLine, RadialRn, Snake, SpaceSpec, surface_area
+from anncap.spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec, surface_area
 from anncap.weights import BuckleyEta, Constant, HalfLineCatalog, HalfLineKind
 
 RN2 = SpaceSpec(RadialRn(2), Constant())
@@ -252,6 +252,39 @@ def test_stop_reasons():
     rep = solve_p_energy(*_patch_net(3, 5, np.random.default_rng(0)), 1.5)
     assert (rep.stop_reason, rep.converged) == ("newton-decrement", True)
     assert rep.iterations > 1
+    # the alpha = 0.5 bow-tie stops on a relative energy drop below NEWTON_TOL
+    bowtie = build_bowtie_grid(0.5, 1.0 / 256.0)
+    rep = solve_p_energy(bowtie, condenser_bc(bowtie, 0.875, 1.0), 1.5)
+    assert (rep.stop_reason, rep.converged, rep.iterations) == ("relative-drop", True, 581)
+
+
+@pytest.mark.parametrize("fault", ["singular", "uphill"])
+def test_newton_falls_back_to_the_gradient(monkeypatch, fault):
+    # the first Newton step, after the p = 2 start, fails its linear solve
+    # or points uphill: Newton steps along the gradient instead
+    net, bc = _patch_net(3, 5, np.random.default_rng(0))
+    p = 1.5
+    start = solve_p_energy(net, bc, 2.0).potential
+    start_energy = np.sum(net.masses * (np.abs(start[net.edge_i] - start[net.edge_j])
+                                        / net.lengths) ** p)
+    clean = solve_p_energy(net, bc, p)
+    solve, calls = network._FreeLaplacian.solve, []
+
+    def faulty(self, w, rhs):
+        calls.append(fault)
+        step = solve(self, w, rhs)
+        if len(calls) == 2:
+            if fault == "singular":
+                raise np.linalg.LinAlgError("1th leading minor not positive definite")
+            return -step
+        return step
+
+    monkeypatch.setattr(network._FreeLaplacian, "solve", faulty)
+    rep = solve_p_energy(net, bc, p)
+    assert len(calls) > 2 and rep.converged
+    assert math.isfinite(rep.energy) and math.isfinite(rep.kkt_residual)
+    assert rep.energy < start_energy
+    assert rep.energy == pytest.approx(clean.energy, rel=1e-9)
 
 
 def test_p1_core_with_a_free_vertex_is_refused():
@@ -757,6 +790,11 @@ def _before_any_array(call):
     (lambda: build_radial_network(_BUCKLEY, 0.5, 1.5, 64.5), InputError),
     (lambda: build_radial_network(_BUCKLEY, 0.5, math.inf), InputError),
     (lambda: mu_ball(_BUCKLEY, math.inf), DomainError),
+    # an inner radius past R, negative or NaN
+    (lambda: mu_family(_BUCKLEY, [(0.5, 1.0), (2.0, 1.0)]), DomainError),
+    (lambda: mu_family(SpaceSpec(BowTie(2, 0.5)), [(2.0, 1.0)]), DomainError),
+    (lambda: mu_family(SpaceSpec(Snake()), [(-1.0, 1.0)]), DomainError),
+    (lambda: mu_family(SpaceSpec(Snake()), [(math.nan, 1.0)]), DomainError),
     (lambda: mu_annulus(_BUCKLEY, AnnulusSpec(1.0, math.inf)), InputError),
     (lambda: cap_auto(_BUCKLEY, 2.0, AnnulusSpec(3.0, math.inf)), InputError),
     (lambda: check_one_ad(_BUCKLEY, (1.0, math.inf)), InputError),
@@ -787,7 +825,9 @@ def _before_any_array(call):
     (lambda: build_snake_network(8, 1e30), InputError),
     (lambda: _before_any_array(lambda: build_snake_network(k_max=1023)), InputError),
 ], ids=["bowtie-h0", "bowtie-h-nan", "bowtie-h-negative", "snake-cells-nan", "snake-cells-inf",
-        "radial-N-float", "radial-r-hi-inf", "mu-ball-inf", "mu-annulus-inf",
+        "radial-N-float", "radial-r-hi-inf", "mu-ball-inf", "mu-family-r-past-R",
+        "mu-family-bowtie-r-past-R", "mu-family-snake-r-negative", "mu-family-snake-r-nan",
+        "mu-annulus-inf",
         "cap-auto-inf", "one-ad-inf", "doubling-inf", "network-endpoint-float",
         "network-count-float", "network-count-float64", "network-arrays-ragged", "plate-float",
         "plate-past-last", "plate-negative", "radii-short", "radii-long", "radii-nan",
