@@ -19,12 +19,10 @@ from .capacity import (
 from .decay import (
     AdFitReport,
     OneAdReport,
-    ReverseDoublingReport,
     ad_ratio,
     ad_ratio_trend,
-    check_doubling,
     check_one_ad,
-    check_reverse_doubling,
+    doubling_ratios,
     estimate_ad_exponent,
     fit_annulus_decay,
 )

@@ -180,7 +180,7 @@ def criterion_8():
             d_failures.add(name)
         notes.append(f"{name}: (b) {rep.condition_b} vs envelope {bounded}")
     ok = ok and d_failures == {name for name, (entry, _) in cases.items()
-                               if "condition-d-fails" in entry.claims}
+                               if "condition-d-fails" in dict(entry.claims)}
     notes.append(f"(d) fails on {sorted(d_failures)} (expected min-one-over-x, exp-decay)")
     return ok, "; ".join(notes)
 

@@ -248,7 +248,10 @@ def blowup_probe(space: SpaceSpec, p: float, R: float, deltas,
     if len(set(deltas)) < 2:
         raise InputError(f"degenerate fit: need two distinct deltas, got {deltas}")
     if check_hypotheses:
-        if not any(q < p for q in space.traits.pi_exponents):
+        # supports_pi is monotone in q: some q in [1, p) has a q-Poincare
+        # inequality iff the largest float below p does
+        q = math.nextafter(p, 0.0)
+        if not (q >= 1 and space.traits.supports_pi(q)):
             raise ApplicabilityError("q-Poincare inequality at x0 with 1 <= q < p")
         if not math.isinf(space.diameter) and R >= space.diameter:
             raise ApplicabilityError("mu(X \\ B_R) > 0")

@@ -25,14 +25,12 @@ from .spaces import AnnulusSpec, SpaceSpec
 __all__ = [
     "AdFitReport",
     "OneAdReport",
-    "ReverseDoublingReport",
     "ad_ratio",
     "fit_annulus_decay",
     "estimate_ad_exponent",
     "ad_ratio_trend",
     "check_one_ad",
-    "check_reverse_doubling",
-    "check_doubling",
+    "doubling_ratios",
 ]
 
 # operational thresholds; the underlying comparability constants are
@@ -43,8 +41,6 @@ JUMP_MASS_SLOPE = -0.05      # log2(local increment) per refinement
 TAIL_DECAY_SLOPE = -0.04     # log ratio per log rho at the far end
 HEAD_BLOWUP_SLOPE = -0.5     # log ratio per log rho at the near end
 HEAD_BLOWUP_LEVEL = 8.0      # ratio magnitude that counts as blowing up
-REVERSE_DOUBLING_GAMMA = 1.2  # smallest mu(B_2r) / mu(B_r) that counts as uniformly above 1
-DOUBLING_BOUND = 100.0       # largest mu(B_2r) / mu(B_r) that counts as bounded
 ONE_AD_GRID = 64             # intervals of the coarsest 1-AD grid
 ONE_AD_LEVELS = 4            # grids, each halving the step of the one before
 
@@ -71,13 +67,6 @@ class OneAdReport:
     condition_d: bool
 
 
-@dataclass(frozen=True)
-class ReverseDoublingReport:
-    min_ratio: float
-    worst_r: float
-    uniform: bool
-
-
 def ad_ratio(space: SpaceSpec, ann: AnnulusSpec, eta: float) -> float:
     """mu(B_R \\ B_r) / ((1 - r/R)^eta mu(B_R)); the eta-AD property holds
     on a family iff this is uniformly bounded over it."""
@@ -95,6 +84,8 @@ def _ad_ratio(measures: FamilyMeasures, ann: AnnulusSpec, eta: float) -> float:
 def _loglog_fit(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if len(x) < 2:
+        raise InputError(f"degenerate fit: need two points, got {len(x)}")
     if np.ptp(x) < 1e-12:
         raise InputError("degenerate fit: zero variance in abscissa")
     slope, intercept = np.polyfit(x, y, 1)
@@ -267,35 +258,15 @@ def check_one_ad(space: SpaceSpec, rho_range: tuple[float, float]) -> OneAdRepor
     )
 
 
-def check_reverse_doubling(space: SpaceSpec, radii,
-                           measures: FamilyMeasures | None = None) -> ReverseDoublingReport:
-    """min over the family of mu(B_2r) / mu(B_r) and whether it stays
-    uniformly above 1 (at least REVERSE_DOUBLING_GAMMA).
-
-    Ball volumes come from measures (one per call by default), filled with
-    every radius of {r} and {2r} in one call, so each distinct radius is
-    computed once; pass the table of a check_doubling call on the same
-    space to reuse its volumes.
-    """
-    radii, ball = _doubling_balls(space, radii, measures)
-    worst, worst_r = min((ball(2.0 * r) / ball(r), r) for r in radii)
-    return ReverseDoublingReport(min_ratio=float(worst), worst_r=float(worst_r),
-                                 uniform=worst >= REVERSE_DOUBLING_GAMMA)
-
-
-def check_doubling(space: SpaceSpec, radii, measures: FamilyMeasures | None = None):
-    """max over the family of mu(B_{2r}) / mu(B_r); bounded (at most
-    DOUBLING_BOUND) means doubling holds along the family.  Ball volumes
-    come from measures, as in check_reverse_doubling."""
-    radii, ball = _doubling_balls(space, radii, measures)
-    worst = max(ball(2.0 * r) / ball(r) for r in radii)
-    return float(worst), worst <= DOUBLING_BOUND
-
-
-def _doubling_balls(space, radii, measures):
-    """The radii as a list, and the ball of a table holding mu(B_2r) and
-    mu(B_r) for each."""
+def doubling_ratios(space: SpaceSpec, radii) -> np.ndarray:
+    """mu(B_2r) / mu(B_r) at each radius r of a family, in order, from one
+    FamilyMeasures fill of every ball B_r and B_2r, so each distinct radius
+    is computed once.  Doubling at the center bounds these ratios above,
+    reverse doubling bounds them above 1 from below.  An empty family is an
+    InputError."""
     radii = list(radii)
-    measures = measures or FamilyMeasures(space)
+    if not radii:
+        raise InputError("need at least one radius")
+    measures = FamilyMeasures(space)
     measures.fill([(0.0, rho) for r in radii for rho in (2.0 * r, r)])
-    return radii, measures.ball
+    return np.array([measures.ball(2.0 * r) / measures.ball(r) for r in radii])

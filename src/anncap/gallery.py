@@ -1,11 +1,11 @@
 """Canonical example spaces with their claimed behaviors.
 
 Each constructor returns a GalleryEntry bundling the SpaceSpec (with traits
-transcribed from known statements about the space, never derived here), the
-names of its sharpness claims, and the probe families used to check them
-numerically.  verify_expectations checks the declared decay exponent,
-1-AD, doubling and reverse-doubling traits and runs every named claim,
-turning each into a PASS/FAIL row with evidence.
+transcribed from known statements about the space, never derived here), its
+sharpness claims, each a name and the runner that checks it, and the probe
+families used to check them numerically.  verify_expectations checks the
+declared decay exponent, 1-AD, doubling and reverse-doubling traits and runs
+every claim, turning each into a PASS/FAIL row with evidence.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ from .bounds import BoundId, BoundSpec, _evaluate, blowup_probe, evaluate_bound,
 from .decay import (
     _loglog_fit,
     ad_ratio_trend,
-    check_doubling,
     check_one_ad,
-    check_reverse_doubling,
+    doubling_ratios,
     estimate_ad_exponent,
     fit_annulus_decay,
 )
-from .errors import ApplicabilityError, InputError
+from .errors import ApplicabilityError
 from .measure import FamilyMeasures, mu_family
 from .spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec, TraitSet
 from .weights import BuckleyEta, Constant, HalfLineCatalog, HalfLineKind, SummedBuckley
@@ -48,6 +47,8 @@ __all__ = [
 
 AD_FIT_TOL = 0.1
 TREND_TOL = 0.05
+DOUBLING_BOUND = 100.0        # largest mu(B_2r) / mu(B_r) that counts as bounded
+REVERSE_DOUBLING_GAMMA = 1.2  # smallest mu(B_2r) / mu(B_r) that counts as uniformly above 1
 
 # No counterexample is known showing that weakening the 1-Poincare
 # hypothesis of the nice-case estimate to a q-Poincare inequality for every
@@ -67,7 +68,7 @@ class GalleryEntry:
     name: str
     space: SpaceSpec
     pi_sharp_q: str                   # the sharp Poincare statement, for the manifest
-    claims: tuple[str, ...] = ()      # sharpness claims, each a key of _CLAIM_RUNNERS
+    claims: tuple = ()                # sharpness claims, each (name, runner)
     # probe families for the generic checks
     ad_families: tuple = ()           # ((R, (r, ...)), ...)
     none_probe: tuple = ()            # annuli on which ad_ratio(eta=0.1) must diverge
@@ -126,12 +127,13 @@ _A1_PI = "q-Poincare inequality for every q >= 1 (A_1 weight)"
 def make_rn_unweighted(n: int = 2) -> GalleryEntry:
     return _a1_entry(f"rn-unweighted-{n}", RadialRn(n), Constant(), 1.0,
                      "q-Poincare inequality for every q >= 1",
-                     ("nice-case-envelope",), (0.25, 4.0))
+                     (("nice-case-envelope", _claim_nice_case_holds),), (0.25, 4.0))
 
 
 def make_buckley(eta: float, n: int = 1) -> GalleryEntry:
     return _a1_entry(f"buckley-{eta}", RadialRn(n), BuckleyEta(eta), eta, _A1_PI,
-                     ("upper-eta-sharp", "nice-case-fails"), (0.25, 4.0))
+                     (("upper-eta-sharp", _claim_upper_eta_sharp),
+                      ("nice-case-fails", _claim_nice_case_fails)), (0.25, 4.0))
 
 
 DEFAULT_SUMMED_TERMS = ((1.0, 1.0), (2.0, 0.5), (4.0, 0.25))
@@ -140,12 +142,14 @@ DEFAULT_SUMMED_TERMS = ((1.0, 1.0), (2.0, 0.5), (4.0, 0.25))
 def make_summed_buckley(eta: float) -> GalleryEntry:
     return _a1_entry(f"summed-buckley-{eta}", RadialRn(1),
                      SummedBuckley(eta, DEFAULT_SUMMED_TERMS), eta, _A1_PI,
-                     ("eta-ad-at-singularities",), (0.1, 4.0))
+                     (("eta-ad-at-singularities", _claim_summed_eta_ad),), (0.1, 4.0))
 
 
 def make_bowtie(alpha: float, n: int = 2) -> GalleryEntry:
     geometry = BowTie(n, alpha)  # refuses alpha <= -n before TraitSet checks ad_eta
     m = n + alpha
+    claims = (("measure-exponent", _claim_bowtie_measure_exponent),
+              ("cap-degenerates", _claim_bowtie_cap_degenerates))
     # a q-Poincare inequality for q > m, and for q = 1 when m <= 1
     pi = _RN_TRAITS.pi_exponents if m <= 1.0 else frozenset()
     traits = replace(_RN_TRAITS, pi_exponents=pi, pi_open_infimum=m, ad_eta=min(1.0, m))
@@ -153,7 +157,7 @@ def make_bowtie(alpha: float, n: int = 2) -> GalleryEntry:
     return GalleryEntry(
         name=space.name, space=space,
         pi_sharp_q=f"q-Poincare inequality iff q > {m} or q = 1 >= {m}",
-        claims=("measure-exponent", "cap-degenerates") if m > 1.0 else ("measure-exponent",),
+        claims=claims if m > 1.0 else claims[:1],
         ad_families=((1.0, _thin_family(1.0, 10)), (2.0, _thin_family(2.0, 10))),
         one_ad_range=None,  # a quadrature per ball volume; probed only on demand
         check_radii=_BOWTIE_CHECK_RADII,
@@ -169,7 +173,8 @@ def make_snake() -> GalleryEntry:
     return GalleryEntry(
         name=space.name, space=space,
         pi_sharp_q="1-Poincare inequality (bi-Lipschitz to a half-line)",
-        claims=("no-ad", "lower-p-base-sharp", "corkscrew-gating"),
+        claims=(("no-ad", _claim_snake_no_ad), ("lower-p-base-sharp", _claim_snake_lower_base),
+                ("corkscrew-gating", _claim_snake_corkscrew_gate)),
         # a fixed-R family inside the segment (32, 64), away from the jumps
         ad_families=((48.0, _thin_family(48.0)),),
         none_probe=none_probe,
@@ -183,18 +188,19 @@ def make_halfline(kind: HalfLineKind) -> GalleryEntry:
     traits = TraitSet(pi_exponents=frozenset({1.0}), doubling=True, ad_eta=1.0)
     none_probe = ()
     if weight.kind is HalfLineKind.MIN_ONE_OVER_X:
-        claims = ("measure-lower-q-fails", "condition-d-fails")
+        claims = (("measure-lower-q-fails", _claim_measure_lower_q_fails),
+                  ("condition-d-fails", _claim_condition_d_fails))
         families = ((64.0, _thin_family(64.0)), (512.0, _thin_family(512.0)))
         one_ad_range = (2.0, 100.0)
     elif weight.kind is HalfLineKind.EXP_DECAY:
-        claims = ("condition-d-fails",)
+        claims = (("condition-d-fails", _claim_condition_d_fails),)
         # small R keeps e^{Rt} curvature out of the exponent fit
         families = ((0.5, _thin_family(0.5)), (8.0, _thin_family(8.0)))
         one_ad_range = (0.1, 30.0)
     else:  # EXP_INV_OVER_X_SQ
         traits = TraitSet(pi_exponents=frozenset({1.0}), doubling=False,
                           reverse_doubling=True, ad_eta=None)
-        claims = ("doubling-fails",)
+        claims = (("doubling-fails", _claim_doubling_fails),)
         families = ((0.4, _thin_family(0.4)),)
         one_ad_range = (0.02, 2.0)
         # eta-AD fails as R -> 0 along annuli with 1 - r/R = R; stop before
@@ -232,8 +238,8 @@ class _Probes:
 
     def __init__(self, entry: GalleryEntry):
         self.entry = entry
-        # the measures that the decay fits and trends and the doubling
-        # probes read, each interval computed once
+        # the measures that the decay fits and trends read, each interval
+        # computed once
         self.balls = FamilyMeasures(entry.space)
 
     @functools.cached_property
@@ -252,8 +258,13 @@ class _Probes:
         """check_one_ad over the entry's one_ad_range."""
         return check_one_ad(self.entry.space, self.entry.one_ad_range)
 
+    @functools.cached_property
+    def doubling(self):
+        """doubling_ratios over the entry's check_radii."""
+        return doubling_ratios(self.entry.space, self.entry.check_radii)
 
-def _check_ad_exponent(entry: GalleryEntry, probes: _Probes):
+
+def _ad_exponent_check(entry: GalleryEntry, probes: _Probes):
     eta = entry.space.traits.ad_eta
     if eta is None:
         slope, ratios = probes.none_trend
@@ -265,7 +276,7 @@ def _check_ad_exponent(entry: GalleryEntry, probes: _Probes):
     return ok, f"eta_hat {rep.eta_hat:.4f} vs claimed {eta} (residual {rep.residual:.3g})"
 
 
-def _check_one_ad(entry: GalleryEntry, probes: _Probes):
+def _one_ad_check(entry: GalleryEntry, probes: _Probes):
     claimed = entry.space.traits.ad_eta == 1.0
     rep = probes.one_ad
     return rep.condition_b == claimed, (
@@ -273,18 +284,21 @@ def _check_one_ad(entry: GalleryEntry, probes: _Probes):
         f"jump {rep.jump_detected}, sup trend {rep.sup_trend_slope:.3f}")
 
 
-def _check_doubling(entry: GalleryEntry, probes: _Probes):
+def _doubling_check(entry: GalleryEntry, probes: _Probes):
     claimed = entry.space.traits.doubling
-    worst, bounded = check_doubling(entry.space, entry.check_radii, measures=probes.balls)
+    worst = max(probes.doubling.tolist())
+    bounded = worst <= DOUBLING_BOUND
     return bounded == claimed, f"max doubling ratio {worst:.4g}; bounded {bounded} (claimed {claimed})"
 
 
-def _check_reverse_doubling(entry: GalleryEntry, probes: _Probes):
-    radii = tuple(r for r in entry.check_radii if 2.0 * r <= entry.space.diameter)
-    rep = check_reverse_doubling(entry.space, radii, measures=probes.balls)
+def _reverse_doubling_check(entry: GalleryEntry, probes: _Probes):
+    # the least (ratio, r) over the radii whose doubled ball lies in the space
+    pairs = zip(probes.doubling.tolist(), entry.check_radii)
+    worst, worst_r = min((ratio, r) for ratio, r in pairs if 2.0 * r <= entry.space.diameter)
+    uniform = worst >= REVERSE_DOUBLING_GAMMA
     claimed = entry.space.traits.reverse_doubling
-    return rep.uniform == claimed, (f"min ratio {rep.min_ratio:.4g} at r={rep.worst_r:.4g}; "
-                                    f"uniform {rep.uniform} (claimed {claimed})")
+    return uniform == claimed, (f"min ratio {worst:.4g} at r={worst_r:.4g}; "
+                                f"uniform {uniform} (claimed {claimed})")
 
 
 def _cap_slope(rep):
@@ -433,40 +447,20 @@ def _claim_doubling_fails(entry, probes):
     return ok, f"mu(B_3R/4)/mu(B_R) along R -> 0: {', '.join(f'{x:.3g}' for x in ratios)}"
 
 
-_CLAIM_RUNNERS = {
-    "nice-case-envelope": _claim_nice_case_holds,
-    "upper-eta-sharp": _claim_upper_eta_sharp,
-    "nice-case-fails": _claim_nice_case_fails,
-    "eta-ad-at-singularities": _claim_summed_eta_ad,
-    "measure-exponent": _claim_bowtie_measure_exponent,
-    "cap-degenerates": _claim_bowtie_cap_degenerates,
-    "no-ad": _claim_snake_no_ad,
-    "lower-p-base-sharp": _claim_snake_lower_base,
-    "corkscrew-gating": _claim_snake_corkscrew_gate,
-    "measure-lower-q-fails": _claim_measure_lower_q_fails,
-    "condition-d-fails": _claim_condition_d_fails,
-    "doubling-fails": _claim_doubling_fails,
-}
-
-
 def verify_expectations(entry: GalleryEntry) -> list[ClaimVerdict]:
     """Check the entry's declared decay exponent, 1-AD (when it has a
     one_ad_range), doubling and reverse-doubling traits, then run each of
     its claims."""
     probes = _Probes(entry)
-    checks: list[tuple[str, object]] = [
-        ("ad-exponent", _check_ad_exponent),
-        ("doubling", _check_doubling),
-        ("reverse-doubling", _check_reverse_doubling),
+    checks = [
+        ("ad-exponent", _ad_exponent_check),
+        ("doubling", _doubling_check),
+        ("reverse-doubling", _reverse_doubling_check),
     ]
     if entry.one_ad_range is not None:
-        checks.append(("one-ad", _check_one_ad))
-    for claim in entry.claims:
-        if claim not in _CLAIM_RUNNERS:
-            raise InputError(f"no runner registered for claim {claim!r}")
-        checks.append((claim, _CLAIM_RUNNERS[claim]))
+        checks.append(("one-ad", _one_ad_check))
     verdicts = []
-    for claim, runner in checks:
+    for claim, runner in (*checks, *entry.claims):
         ok, evidence = runner(entry, probes)
         verdicts.append(ClaimVerdict(claim, "PASS" if ok else "FAIL", evidence))
     return verdicts
@@ -488,6 +482,6 @@ def gallery_manifest() -> dict:
                 "doubling": t.doubling,
                 "pi_sharp_q": e.pi_sharp_q,
             },
-            "claims": list(e.claims),
+            "claims": [claim for claim, _ in e.claims],
         })
     return {"spaces": rows, "unresolved": list(UNRESOLVED_CONFIGURATIONS)}

@@ -362,7 +362,7 @@ def _bowtie_family(space, intervals):
         spans.append(slice(first, len(pinches)))
     lo, hi, *columns = np.array(panels).reshape(-1, 10).T[:, :, None]
     far, *sides = np.array(pinches).reshape(-1, 9).T
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mass is refused below
         terms = bracket(0.5 * far, *sides) * np.abs(far) ** power
         pinch_masses = [terms[span].sum() / power for span in spans]
     done = []

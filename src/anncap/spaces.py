@@ -149,10 +149,11 @@ class SpaceSpec:
         if isinstance(geom, BowTie):
             if not isinstance(self.weight, PowerAlpha) or self.weight.alpha != geom.alpha:
                 object.__setattr__(self, "weight", PowerAlpha(geom.alpha))
-        if isinstance(geom, RadialRn) and isinstance(self.weight, PowerAlpha):
-            if not (self.weight.alpha > -geom.n):
+        if isinstance(geom, (RadialRn, HalfLine)) and isinstance(self.weight, PowerAlpha):
+            n = geom.n if isinstance(geom, RadialRn) else 1  # integrable at 0 iff alpha > -n
+            if not (self.weight.alpha > -n):
                 raise InputError(
-                    f"PowerAlpha weight needs alpha > -n = {-geom.n}, got {self.weight.alpha}"
+                    f"PowerAlpha weight needs alpha > -n = {-n}, got {self.weight.alpha}"
                 )
 
     @property

@@ -203,6 +203,14 @@ def test_blowup_probe_gating(caps):
     pi = SpaceSpec(HalfLine(), Constant(), traits=TraitSet(pi_exponents=frozenset({3.0})))
     with pytest.raises(ApplicabilityError):
         blowup_probe(pi, 2.0, 1.0, [0.5, 0.25])
+    # the open range q > n + alpha = 2.5 of the bow-tie counts: some q in (2.5, 3)
+    # qualifies at p = 3, none at p = 2.5
+    bowtie = make_bowtie(0.5).space
+    deltas = [2.0**-j for j in range(2, 10)]
+    assert blowup_probe(bowtie, 3.0, 1.0, deltas) == blowup_probe(bowtie, 3.0, 1.0, deltas,
+                                                                  check_hypotheses=False)
+    with pytest.raises(ApplicabilityError, match="^hypothesis violated: q-Poincare"):
+        blowup_probe(bowtie, 2.5, 1.0, deltas)
 
 
 def test_blowup_probe_degenerate_zeroes(caps):

@@ -17,7 +17,7 @@ from anncap.capacity import (
     cap_rn_unweighted,
     cap_snake,
 )
-from anncap.errors import AnncapError, DomainError, QuadratureError
+from anncap.errors import AnncapError, DomainError, InputError, QuadratureError
 from anncap.gallery import (_thin_annuli, make_buckley, make_halfline, make_rn_unweighted,
                             make_summed_buckley)
 from anncap.measure import _radial_reduction
@@ -361,9 +361,14 @@ def test_inf_cut_is_the_loop_across_a_pole_or_kink(space, data, below, above):
 @given(n=st.integers(1, 4), alpha=st.floats(-3.999, 4.0), half_line=st.booleans(),
        log2_r=st.floats(-30.0, 30.0), log2_gap=st.floats(-50.0, 39.0))
 def test_inf_cut_is_the_loop_on_folded_powers(n, alpha, half_line, log2_r, log2_gap):
-    # a PowerAlpha weight is folded into m = n - 1 + alpha, any real
-    assume(half_line or alpha > -n)
-    space = SpaceSpec(HalfLine() if half_line else RadialRn(n), PowerAlpha(alpha))
+    # a PowerAlpha weight is folded into m = n - 1 + alpha, any real; the
+    # half-line is R^1's half, so it refuses alpha <= -1, where mu(B_R) = inf
+    geometry = HalfLine() if half_line else RadialRn(n)
+    if half_line and alpha <= -1:
+        with pytest.raises(InputError, match="^PowerAlpha weight needs alpha > -n = -1, got"):
+            SpaceSpec(geometry, PowerAlpha(alpha))
+    assume(alpha > (-1 if half_line else -n))
+    space = SpaceSpec(geometry, PowerAlpha(alpha))
     r = 2.0**log2_r
     R = r * (1.0 + 2.0**log2_gap)
     assume(r < R < math.inf)

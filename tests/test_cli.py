@@ -485,6 +485,17 @@ def test_halfline_cut_past_square_underflow_is_a_numeric_error(capsys):
     assert "leaves the float range" in captured.err
 
 
+def test_bowtie_measure_past_the_float_range_is_refused_without_a_warning(capsys):
+    # 0 * inf in the pinch terms is refused as a non-finite mass, not warned of
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["ad", "--space", "bowtie", "--alpha", "1200", "--R", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: bow-tie measure of (r=0.0, R=3.0) at n = 2, "
+                            "alpha = 1200.0 leaves the float range\n")
+
+
 def test_plain_writes_each_float_as_its_17_digit_string():
     record = {"x": 0.1, "n": 3, "ok": True, "none": None, "method": BoundId.UPPER_ETA,
               "pair": (1.0, math.inf), "nested": [{"y": -math.inf, "z": math.nan}]}

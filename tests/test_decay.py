@@ -7,16 +7,15 @@ from anncap import measure
 from anncap.decay import (
     ad_ratio,
     ad_ratio_trend,
-    check_doubling,
     check_one_ad,
-    check_reverse_doubling,
+    doubling_ratios,
     estimate_ad_exponent,
     fit_annulus_decay,
 )
 from anncap.errors import AnncapError, DomainError, InputError, QuadratureError
-from anncap.gallery import (AD_FIT_TOL, _thin_family, make_bowtie, make_buckley, make_halfline,
-                            make_snake)
-from anncap.measure import FamilyMeasures, mu_annulus, mu_ball
+from anncap.gallery import (AD_FIT_TOL, DOUBLING_BOUND, REVERSE_DOUBLING_GAMMA, _thin_family,
+                            make_bowtie, make_buckley, make_halfline, make_snake)
+from anncap.measure import mu_annulus, mu_ball
 from anncap.spaces import AnnulusSpec, RadialRn, SpaceSpec
 from anncap.weights import Constant, HalfLineKind
 
@@ -137,25 +136,25 @@ def test_check_one_ad_validation():
 
 
 def test_reverse_doubling_exact():
-    rep = check_reverse_doubling(RN2, [0.25, 1.0, 3.0])
-    assert rep.min_ratio == pytest.approx(4.0, rel=1e-10)
-    assert rep.uniform
+    ratios = doubling_ratios(RN2, [0.25, 1.0, 3.0])
+    assert ratios.min() == pytest.approx(4.0, rel=1e-10)
+    assert ratios.min() >= REVERSE_DOUBLING_GAMMA
 
 
 def test_reverse_doubling_fails_on_exp_decay():
     space = make_halfline(HalfLineKind.EXP_DECAY).space
-    rep = check_reverse_doubling(space, [4.0, 16.0, 64.0])
-    assert not rep.uniform
-    assert rep.worst_r == 64.0
+    radii = [4.0, 16.0, 64.0]
+    ratios = doubling_ratios(space, radii)
+    assert ratios.min() < REVERSE_DOUBLING_GAMMA
+    assert radii[ratios.argmin()] == 64.0
 
 
 def test_doubling():
-    worst, bounded = check_doubling(RN2, [0.1, 1.0, 10.0])
-    assert worst == pytest.approx(4.0, rel=1e-10)
-    assert bounded
+    ratios = doubling_ratios(RN2, [0.1, 1.0, 10.0])
+    assert ratios.max() == pytest.approx(4.0, rel=1e-10)
+    assert ratios.max() <= DOUBLING_BOUND
     inv = make_halfline(HalfLineKind.EXP_INV_OVER_X_SQ).space
-    worst, bounded = check_doubling(inv, [0.02, 0.05, 0.1])
-    assert not bounded
+    assert doubling_ratios(inv, [0.02, 0.05, 0.1]).max() > DOUBLING_BOUND
 
 
 def _record_balls(monkeypatch):
@@ -171,17 +170,20 @@ def _record_balls(monkeypatch):
     return radii
 
 
-def test_doubling_probes_take_each_radius_once(monkeypatch):
-    radii = _record_balls(monkeypatch)
+def test_doubling_ratios_fill_each_ball_once(monkeypatch):
+    calls = []
+    original = measure._measure_family
+
+    def recorded(space, intervals):
+        calls.append(list(intervals))
+        return original(space, intervals)
+
+    monkeypatch.setattr(measure, "_measure_family", recorded)
     family = [0.25, 0.5, 1.0, 2.0]  # each doubled radius but the last is in the family
-    worst, _ = check_doubling(RN2, family)
-    assert sorted(radii) == [0.25, 0.5, 1.0, 2.0, 4.0] and set(radii.values()) == {1}
-    table = FamilyMeasures(RN2)
-    check_doubling(RN2, family, measures=table)
-    radii.clear()
-    rep = check_reverse_doubling(RN2, family, measures=table)
-    assert not radii  # every volume came from the doubling probe's table
-    assert rep.min_ratio == worst
+    ratios = doubling_ratios(RN2, family)
+    # one fill, each distinct ball once
+    assert calls == [[(0.0, 0.5), (0.0, 0.25), (0.0, 1.0), (0.0, 2.0), (0.0, 4.0)]]
+    assert ratios.tolist() == [mu_ball(RN2, 2.0 * r) / mu_ball(RN2, r) for r in family]
 
 
 def test_ad_ratio_trend_takes_each_ball_once(monkeypatch):

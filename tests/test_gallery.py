@@ -49,20 +49,6 @@ def test_manifest_json(capsys):
     assert out.encode() == golden.read_bytes()
 
 
-def test_every_claim_has_a_runner():
-    from anncap.gallery import _CLAIM_RUNNERS
-
-    for entry in default_gallery():
-        for claim in entry.claims:
-            assert claim in _CLAIM_RUNNERS, (entry.name, claim)
-
-
-def test_a_claim_with_no_runner_is_refused():
-    entry = dataclasses.replace(make_rn_unweighted(2), claims=("no-such-claim",))
-    with pytest.raises(InputError, match="^no runner registered for claim 'no-such-claim'$"):
-        verify_expectations(entry)
-
-
 def test_bowtie_pi_threshold():
     # 1-Poincare declared only when n + alpha <= 1
     assert 1.0 in make_bowtie(-1.5).space.traits.pi_exponents
@@ -117,6 +103,21 @@ def test_reverse_doubling_reuses_the_doubling_volumes(monkeypatch):
     verdicts = verify_expectations(entry)
     assert {v.claim for v in verdicts} >= {"doubling", "reverse-doubling"}
     assert {R: n for R, n in calls.items() if R in probed} == dict.fromkeys(probed, 1)
+
+
+def test_doubling_and_reverse_doubling_read_one_probe(monkeypatch):
+    calls = []
+    original = gallery.doubling_ratios
+
+    def spy(space, radii):
+        calls.append(tuple(radii))
+        return original(space, radii)
+
+    monkeypatch.setattr(gallery, "doubling_ratios", spy)
+    entry = make_rn_unweighted(2)
+    verdicts = verify_expectations(entry)
+    assert {v.claim for v in verdicts} >= {"doubling", "reverse-doubling"}
+    assert calls == [entry.check_radii]
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.5])

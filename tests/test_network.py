@@ -10,7 +10,7 @@ import pytest
 
 from anncap import network
 from anncap.capacity import cap_auto, cap_radial_p1, cap_rn_unweighted, cap_snake
-from anncap.decay import check_doubling, check_one_ad
+from anncap.decay import ad_ratio_trend, check_one_ad, doubling_ratios
 from anncap.errors import ConvergenceError, DomainError, InfeasibleError, InputError
 from anncap.gallery import make_buckley, make_summed_buckley
 from anncap.measure import _cell_masses, mu_annulus, mu_ball, mu_family, volume_profiles
@@ -798,7 +798,9 @@ def _before_any_array(call):
     (lambda: mu_annulus(_BUCKLEY, AnnulusSpec(1.0, math.inf)), InputError),
     (lambda: cap_auto(_BUCKLEY, 2.0, AnnulusSpec(3.0, math.inf)), InputError),
     (lambda: check_one_ad(_BUCKLEY, (1.0, math.inf)), InputError),
-    (lambda: check_doubling(_BUCKLEY, [math.inf]), DomainError),
+    (lambda: doubling_ratios(_BUCKLEY, [math.inf]), DomainError),
+    (lambda: doubling_ratios(_BUCKLEY, []), InputError),
+    (lambda: ad_ratio_trend(_BUCKLEY, [], 1.0), InputError),
     (lambda: DiscreteNetwork(num_vertices=3, edge_i=[0, 1.7], edge_j=[1, 2],
                              lengths=[1.0, 1.0], masses=[1.0, 1.0]), InputError),
     (lambda: DiscreteNetwork(num_vertices=2.5, edge_i=[0], edge_j=[1],
@@ -828,7 +830,8 @@ def _before_any_array(call):
         "radial-N-float", "radial-r-hi-inf", "mu-ball-inf", "mu-family-r-past-R",
         "mu-family-bowtie-r-past-R", "mu-family-snake-r-negative", "mu-family-snake-r-nan",
         "mu-annulus-inf",
-        "cap-auto-inf", "one-ad-inf", "doubling-inf", "network-endpoint-float",
+        "cap-auto-inf", "one-ad-inf", "doubling-inf", "doubling-empty", "ad-trend-empty",
+        "network-endpoint-float",
         "network-count-float", "network-count-float64", "network-arrays-ragged", "plate-float",
         "plate-past-last", "plate-negative", "radii-short", "radii-long", "radii-nan",
         "radii-negative", "radii-2d", "snake-k-float", "snake-network-k-float", "snake-k-2000",

@@ -66,6 +66,11 @@ def test_power_weight_integrability_guard():
     with pytest.raises(InputError):
         SpaceSpec(RadialRn(2), PowerAlpha(-2.5))
     SpaceSpec(RadialRn(3), PowerAlpha(-2.5))  # alpha > -n is fine
+    # the half-line, as R^1: mu(B_R) = inf for alpha <= -1
+    for alpha in (-1.0, -1.5):
+        with pytest.raises(InputError, match=f"^PowerAlpha weight needs alpha > -n = -1, got {alpha}$"):
+            SpaceSpec(HalfLine(), PowerAlpha(alpha))
+    SpaceSpec(HalfLine(), PowerAlpha(-0.5))
 
 
 def test_traitset_validation():
