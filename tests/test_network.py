@@ -25,7 +25,7 @@ from anncap.network import (
     solve_p_energy,
 )
 from anncap.spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec, surface_area
-from anncap.weights import BuckleyEta, Constant, HalfLineCatalog, HalfLineKind
+from anncap.weights import BuckleyEta, Constant, HalfLineCatalog, HalfLineKind, PowerAlpha
 
 RN2 = SpaceSpec(RadialRn(2), Constant())
 
@@ -1146,6 +1146,11 @@ _CHAIN_SPACES = {
     "summed-buckley-0.5": (make_summed_buckley(0.5).space, 0.6, 1.4),
     **{kind.value: (SpaceSpec(HalfLine(), HalfLineCatalog(kind)), 0.45, 1.45)
        for kind in HalfLineKind},
+    # constant-weight chains: R^3, R^2 with a power weight folded into the
+    # exponent (m = 1.5) and the unweighted half-line (m = 0)
+    "rn-3": (SpaceSpec(RadialRn(3), Constant()), 0.6, 1.4),
+    "rn-2-power-0.5": (SpaceSpec(RadialRn(2), PowerAlpha(0.5)), 0.6, 1.4),
+    "halfline-constant": (SpaceSpec(HalfLine(), Constant()), 0.45, 1.45),
 }
 
 # sha256 of a chain's masses, lengths and radii, recorded before the cell
@@ -1182,6 +1187,16 @@ _CHAIN_PINS = [
     ("exp-inv-over-x-sq", 4097, "f69297286b7968c9aefd6edfa57021d4b13d8b894f2f0a93193f0ada642a1e75"),
     ("exp-inv-over-x-sq", 8193, "7ee8ba43d3ee33d0b305ac99fb04ca50d983ed05a32db444a90f5f60a0670d1f"),
     ("exp-inv-over-x-sq", 20000, "5ff7e53ba14f8112ac27373c1678bd39d35da4d4d616b3842d69dd9f3535ba0e"),
+    # recorded before a constant weight's density became rho^m alone
+    ("rn-3", 4095, "e09d0b7fea55977b6946e67940d530b3c29ee1dcb4d3de14499e5e23fd738fa5"),
+    ("rn-3", 4097, "f3bdcf7f8a8678f8b01b76dd38e5d0268be528b3e56f182d675accb35d8548f1"),
+    ("rn-3", 20000, "952de2679d28e77d5b8979000a2e7333e902c2cadf45eb511371a64b7722af92"),
+    ("rn-2-power-0.5", 4095, "b83acc2ec6b6d1a788f2ca49eb3b83f6d57af6c0fac0e2f2a188ab4369052860"),
+    ("rn-2-power-0.5", 4097, "ac0e6f04be5f7d23dc29eeb694c7ef962b903ac52131a6f339bde448d5d43eed"),
+    ("rn-2-power-0.5", 20000, "929aff8a8ad1a6cb0f0cc7ed3a1b46525482ed6a19f27b063a5c1e029813df60"),
+    ("halfline-constant", 4095, "b0fead1fed64c87091926dac6af997372cff8599e1e8e142195c5cc1cdc0eba2"),
+    ("halfline-constant", 4097, "412285331330a5f3a2ae3574e7ae0190125a7b0074a77a2e9c3093122a55fc15"),
+    ("halfline-constant", 20000, "1f079f1bc1b40f0e8a293c79087213bbc384bee215d8144bdd7858ac1a51eb8d"),
 ]
 
 
@@ -1203,6 +1218,8 @@ _PROFILE_PINS = [
     ("min-one-over-x", "06894df4a7b855bdaa9a344204fd36d9c7546dc3d1500de82ddb8824ae8444b3"),
     ("exp-decay", "4d8f6b936011aa669d47614096e79908633d753965c06d5e8d1dd1de6e59b896"),
     ("exp-inv-over-x-sq", "6d8b4fe5911c2e6b7914d29d58bec730f43ce62e21ab928ea02ab0d26b33d139"),
+    # recorded before a constant weight's density became rho^m alone
+    ("rn-3", "77ec304f3cc6b2cebe55161c7fca9a35788c7e226a1b94732b122a06e90923d0"),
 ]
 
 
