@@ -47,6 +47,15 @@ def _radial_reduction(space):
     return w, m, const
 
 
+def _radial_density(w, m):
+    """rho -> w(rho) rho^m, the density of _radial_reduction without its
+    constant. For the constant weight, w = 1, it is rho^m alone: 1.0 * x
+    is x, so the bits are the same."""
+    if isinstance(w, Constant):
+        return lambda rho: rho**m
+    return (lambda rho: w.evaluate(rho) * rho**m) if m else w.evaluate
+
+
 PANEL_RATIO = 1e8  # no panel of a radial integral spans a larger ratio of radii
 
 
@@ -482,10 +491,7 @@ def volume_profiles(space: SpaceSpec, grids) -> list:
         balls.fill([(0.0, x) for rho in grids for x in rho])
         return [np.array([balls.ball(x) for x in rho]) for rho in grids]
     w, m, const = _radial_reduction(space)
-
-    def density(x):
-        return w.evaluate(x) * x**m
-
+    density = _radial_density(w, m)
     balls.fill([(0.0, rho[0]) for rho in grids])
     sing = np.asarray(w.singularities(), dtype=float)
     profiles, redone = [], []

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InfeasibleError, InputError
-from .measure import _cell_masses, _radial_reduction
+from .measure import _cell_masses, _radial_density, _radial_reduction
 from .spaces import Snake, SpaceSpec
 
 __all__ = [
@@ -134,6 +134,16 @@ class DiscreteNetwork:
             raise InputError("edge endpoints out of range")
 
 
+def _unchecked(cls, **fields):
+    """A DiscreteNetwork or BoundaryCondition holding fields as given, with
+    no __post_init__: for the arrays of this module's builders and of
+    condenser_bc, which hold what those checks ask by construction."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class BoundaryCondition:
     inner: np.ndarray  # u = 1
@@ -170,9 +180,12 @@ def condenser_bc(net: DiscreteNetwork, r: float, R: float) -> BoundaryCondition:
     plate's radius."""
     if net.radii is None:
         raise InputError("network has no vertex radii")
+    lo, hi = r * (1.0 + PLATE_TOL), R * (1.0 - PLATE_TOL)
+    inner, outer = np.flatnonzero(net.radii <= lo), np.flatnonzero(net.radii >= hi)
+    if lo < hi and len(inner) and len(outer):  # no radius is both <= lo and >= hi
+        return _unchecked(BoundaryCondition, inner=inner, outer=outer)
     try:
-        return BoundaryCondition(inner=np.flatnonzero(net.radii <= r * (1.0 + PLATE_TOL)),
-                                 outer=np.flatnonzero(net.radii >= R * (1.0 - PLATE_TOL)))
+        return BoundaryCondition(inner=inner, outer=outer)
     except InfeasibleError as exc:
         raise InputError(f"resolution too coarse to separate r={r} from R={R}") from exc
 
@@ -196,20 +209,16 @@ def build_radial_network(space: SpaceSpec, r_lo: float, r_hi: float,
         raise InputError(f"need an integer 16 <= N <= {MAX_CELLS} cells, got {N}")
     w, m, const = _radial_reduction(space)
     nodes = (np.geomspace if r_hi > GRADED_RATIO * r_lo else np.linspace)(r_lo, r_hi, N + 1)
-
-    def density(rho):
-        return w.evaluate(rho) * rho**m if m else w.evaluate(rho)
-
     with np.errstate(all="ignore"):  # a mass past the float range is refused below
-        masses = const * _cell_masses(density, nodes[:-1], nodes[1:])
+        masses = const * _cell_masses(_radial_density(w, m), nodes[:-1], nodes[1:])
+    # a cell of width 0 has mass 0, so this refusal covers the lengths too
     if not 0 < masses.min() <= masses.max() < math.inf:
         raise DomainError(f"cell masses on [{r_lo}, {r_hi}] leave the float range")
-    lengths = np.diff(nodes)
     idx = np.arange(N)
-    return DiscreteNetwork(
-        num_vertices=N + 1, edge_i=idx, edge_j=idx + 1,
-        lengths=lengths, masses=masses, radii=nodes,
-    )
+    # float32 radii give float32 nodes, widened only once their cells are cut
+    return _unchecked(DiscreteNetwork, num_vertices=int(N) + 1, edge_i=idx, edge_j=idx + 1,
+                      lengths=np.diff(nodes).astype(float, copy=False), masses=masses,
+                      radii=nodes.astype(float, copy=False))
 
 
 def build_snake_network(k_max: int = 8, cells_per_unit: float = 4.0,
@@ -246,11 +255,12 @@ def build_snake_network(k_max: int = 8, cells_per_unit: float = 4.0,
                                         [x for x in extra_radii if a < x < b]]))
         radii.append(seg[1:])
         lengths.append(np.diff(seg))
+    # np.unique leaves distinct, increasing radii, so every length is > 0
     lengths = np.concatenate(lengths)
     idx = np.arange(len(lengths))
-    return DiscreteNetwork(num_vertices=len(lengths) + 1, edge_i=idx, edge_j=idx + 1,
-                           lengths=lengths, masses=lengths.copy(),
-                           radii=np.concatenate(radii))
+    return _unchecked(DiscreteNetwork, num_vertices=len(lengths) + 1, edge_i=idx,
+                      edge_j=idx + 1, lengths=lengths, masses=lengths.copy(),
+                      radii=np.concatenate(radii))
 
 
 def build_bowtie_grid(alpha: float, h: float) -> DiscreteNetwork:
@@ -304,19 +314,24 @@ def build_bowtie_grid(alpha: float, h: float) -> DiscreteNetwork:
     mass[:, 1] = my
     del i2, my
     # one pow over the contiguous table: numpy's strided or scalar pow can
-    # differ from it by an ulp
-    mass **= alpha / 2.0
+    # differ from it by an ulp. A mass past the float range is refused below
+    with np.errstate(over="ignore"):
+        mass **= alpha / 2.0
     mass *= h
     mass *= h
     masses = mass.ravel()[f]
     del mass
+    # no midpoint is the pinch, so a mass is 0, inf or NaN only through the
+    # power's under- or overflow or a NaN alpha
+    if not 0 < masses.min() <= masses.max() < math.inf:
+        raise InputError("edge masses must be finite and strictly positive")
     f >>= 1
     ej += f
     x += 1.0
     # every edge has length h: one read-only value stands for all of them
-    return DiscreteNetwork(num_vertices=nv, edge_i=f, edge_j=ej,
-                           lengths=np.broadcast_to(h, len(f)), masses=masses,
-                           radii=np.hypot(np.repeat(x, size), y, out=y))
+    return _unchecked(DiscreteNetwork, num_vertices=nv, edge_i=f, edge_j=ej,
+                      lengths=np.broadcast_to(float(h), len(f)), masses=masses,
+                      radii=np.hypot(np.repeat(x, size), y, out=y))
 
 
 # ---------------------------------------------------------------------------
