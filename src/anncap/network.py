@@ -5,6 +5,16 @@ space, the edge gradient |u_i - u_j| / length stands in for the upper
 gradient, and the discrete p-energy sum m_e (|du|/l_e)^p is minimized over
 potentials pinned to 1 on the inner plate and 0 on the outer plate.
 
+The builders' arrays hold by construction what DiscreteNetwork checks:
+int64 endpoints in range, no self-loop, and float lengths, masses and
+radii, finite, with lengths and masses > 0 and radii >= 0. So they skip
+the check, which stays for networks given from outside; each builder
+refuses a mass past the float range itself, the radial one with
+DomainError (a cell of width 0 has mass 0), the bow-tie with InputError.
+condenser_bc's plates skip BoundaryCondition's disjointness test when both
+are non-empty and r (1 + PLATE_TOL) < R (1 - PLATE_TOL), so that no radius
+lies in both; otherwise they go through it.
+
 Every solve runs on the network's core. One pass over the edges reads
 each end's plate and keeps the crossing edges, those not inside one
 plate; when they are one run of edge numbers, as a chain's are, they are

@@ -981,87 +981,6 @@ def test_plates_must_be_disjoint():
         condenser_bc(net, 1.5, 1.5)
 
 
-@pytest.mark.parametrize("alpha", [math.nan, math.inf, -1000.0, 1000.0])
-def test_bowtie_grid_refuses_masses_past_the_float_range(alpha):
-    # the refusal DiscreteNetwork's check gave before the builder made its own
-    with pytest.raises(InputError, match="^edge masses must be finite and strictly positive$"):
-        build_bowtie_grid(alpha, 1.0 / 16.0)
-
-
-def _assert_rebuilt_unchanged(net):
-    """DiscreteNetwork's checks take a builder's network as it is: every
-    field keeps its value and dtype."""
-    fields = {f.name: getattr(net, f.name) for f in dataclasses.fields(net)}
-    again = DiscreteNetwork(**fields)
-    assert type(net.num_vertices) is int and again.num_vertices == net.num_vertices
-    for name in ("edge_i", "edge_j", "lengths", "masses", "radii"):
-        got, want = getattr(net, name), getattr(again, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want), name
-
-
-_REBUILT_SPACES = [RN2, SpaceSpec(RadialRn(3), Constant()),
-                   SpaceSpec(RadialRn(2), PowerAlpha(0.5)), make_buckley(0.5).space,
-                   make_summed_buckley(0.5).space,
-                   *(SpaceSpec(HalfLine(), HalfLineCatalog(kind)) for kind in HalfLineKind)]
-
-
-@pytest.mark.parametrize("space", _REBUILT_SPACES, ids=lambda space: repr(space.weight))
-@pytest.mark.parametrize("r, R, N", [
-    (0.6, 1.4, 64),
-    (0.01, 1.5, np.int64(2000)),  # past GRADED_RATIO: geometric cells
-    (np.float32(0.5), np.float32(1.5), 16),  # float32 nodes, widened
-])
-def test_radial_network_passes_the_public_checks_unchanged(space, r, R, N):
-    _assert_rebuilt_unchanged(build_radial_network(space, r, R, N))
-
-
-@pytest.mark.parametrize("k_max, cells_per_unit, extra_radii", [
-    (2, 4.0, ()),
-    (8, 0.5, ()),
-    (5, 7.3, (math.nan, 3.0, 3.0, 5.5, 8.0, math.inf)),  # NaN, repeats and a node
-    (10, 4.0, (3.0, 300.0, 300.0, math.nan)),
-])
-def test_snake_network_passes_the_public_checks_unchanged(k_max, cells_per_unit, extra_radii):
-    _assert_rebuilt_unchanged(build_snake_network(k_max, cells_per_unit, extra_radii))
-
-
-@pytest.mark.parametrize("alpha", [-1.9, -0.5, 0.5, 1.3])
-@pytest.mark.parametrize("h", [1 / 16, 1 / 32, 1 / 64, 1 / 128, 1 / 256, np.float32(1 / 16)])
-def test_bowtie_grid_passes_the_public_checks_unchanged(alpha, h):
-    _assert_rebuilt_unchanged(build_bowtie_grid(alpha, h))
-
-
-@pytest.mark.parametrize("net, r, R", [
-    (build_radial_network(RN2, 0.6, 1.4, 64), 0.6, 1.4),
-    (build_radial_network(RN2, 0.6, 1.4, 64), 0.7, 1.3),
-    (build_radial_network(RN2, 1e-20, 1.0, 64), 1e-20, 1.0),
-    (build_snake_network(8, 4.0, (7.95, 8.05)), 7.95, 8.05),
-    (build_bowtie_grid(0.5, 1 / 64), 0.875, 1.0),
-    (build_bowtie_grid(-0.5, 1 / 16), 0.0, 3.0),
-], ids=["rn-2", "rn-2-inside", "rn-2-graded", "snake", "bowtie", "bowtie-tip-to-rim"])
-def test_condenser_bc_plates_pass_the_public_checks_unchanged(net, r, R):
-    bc = condenser_bc(net, r, R)
-    again = BoundaryCondition(inner=np.flatnonzero(net.radii <= r * (1 + network.PLATE_TOL)),
-                              outer=np.flatnonzero(net.radii >= R * (1 - network.PLATE_TOL)))
-    for got, want in ((bc.inner, again.inner), (bc.outer, again.outer)):
-        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("r, R", [
-    (1.0, 1.0),  # r == R at a vertex
-    (1.3, 0.7),  # r > R
-    (0.5, 1.3),  # an empty inner plate
-    (0.7, 1.5),  # an empty outer plate
-    (math.nan, 1.3),
-    (0.7, math.inf),
-], ids=["r-equals-R", "r-above-R", "empty-inner", "empty-outer", "nan-r", "inf-R"])
-def test_condenser_bc_still_refuses_plates_it_cannot_separate(r, R):
-    net = build_radial_network(RN2, 0.6, 1.4, 64)
-    assert 1.0 in net.radii
-    with pytest.raises(InputError, match=f"^resolution too coarse to separate r={r} from R={R}$"):
-        condenser_bc(net, r, R)
-
-
 @pytest.mark.parametrize("p", [0.5, math.nan, math.inf])
 def test_p_below_one_rejected(p):
     # a NaN p once passed every branch to an UnboundLocalError, and an
@@ -1310,6 +1229,81 @@ def test_volume_profiles_are_pinned_bit_for_bit(name, sha):
     space, r, R = _CHAIN_SPACES[name]
     profile = volume_profiles(space, [np.linspace(r, R, 10001)])[0]
     assert hashlib.sha256(profile.tobytes()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -1000.0, 1000.0])
+def test_bowtie_grid_refuses_masses_past_the_float_range(alpha):
+    # the refusal DiscreteNetwork's check gave before the builder made its own
+    with pytest.raises(InputError, match="^edge masses must be finite and strictly positive$"):
+        build_bowtie_grid(alpha, 1.0 / 16.0)
+
+
+def _assert_rebuilt_unchanged(net):
+    """DiscreteNetwork's checks take a builder's network as it is: every
+    field keeps its value and dtype."""
+    fields = {f.name: getattr(net, f.name) for f in dataclasses.fields(net)}
+    again = DiscreteNetwork(**fields)
+    assert type(net.num_vertices) is int and again.num_vertices == net.num_vertices
+    for name in ("edge_i", "edge_j", "lengths", "masses", "radii"):
+        got, want = getattr(net, name), getattr(again, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("name", list(_CHAIN_SPACES))
+@pytest.mark.parametrize("r, R, N", [
+    (0.6, 1.4, 64),
+    (0.01, 1.5, np.int64(2000)),  # past GRADED_RATIO: geometric cells
+    (np.float32(0.5), np.float32(1.5), 16),  # float32 nodes, widened
+])
+def test_radial_network_passes_the_public_checks_unchanged(name, r, R, N):
+    _assert_rebuilt_unchanged(build_radial_network(_CHAIN_SPACES[name][0], r, R, N))
+
+
+@pytest.mark.parametrize("k_max, cells_per_unit, extra_radii", [
+    (2, 4.0, ()),
+    (8, 0.5, ()),
+    (5, 7.3, (math.nan, 3.0, 3.0, 5.5, 8.0, math.inf)),  # NaN, repeats and a node
+    (10, 4.0, (3.0, 300.0, 300.0, math.nan)),
+])
+def test_snake_network_passes_the_public_checks_unchanged(k_max, cells_per_unit, extra_radii):
+    _assert_rebuilt_unchanged(build_snake_network(k_max, cells_per_unit, extra_radii))
+
+
+@pytest.mark.parametrize("alpha", [-1.9, -0.5, 0.5, 1.3])
+@pytest.mark.parametrize("h", [1 / 16, 1 / 32, 1 / 64, 1 / 128, 1 / 256, np.float32(1 / 16)])
+def test_bowtie_grid_passes_the_public_checks_unchanged(alpha, h):
+    _assert_rebuilt_unchanged(build_bowtie_grid(alpha, h))
+
+
+@pytest.mark.parametrize("net, r, R", [
+    (build_radial_network(RN2, 0.6, 1.4, 64), 0.6, 1.4),
+    (build_radial_network(RN2, 0.6, 1.4, 64), 0.7, 1.3),
+    (build_radial_network(RN2, 1e-20, 1.0, 64), 1e-20, 1.0),
+    (build_snake_network(8, 4.0, (7.95, 8.05)), 7.95, 8.05),
+    (build_bowtie_grid(0.5, 1 / 64), 0.875, 1.0),
+    (build_bowtie_grid(-0.5, 1 / 16), 0.0, 3.0),
+], ids=["rn-2", "rn-2-inside", "rn-2-graded", "snake", "bowtie", "bowtie-tip-to-rim"])
+def test_condenser_bc_plates_pass_the_public_checks_unchanged(net, r, R):
+    bc = condenser_bc(net, r, R)
+    again = BoundaryCondition(inner=np.flatnonzero(net.radii <= r * (1 + network.PLATE_TOL)),
+                              outer=np.flatnonzero(net.radii >= R * (1 - network.PLATE_TOL)))
+    for got, want in ((bc.inner, again.inner), (bc.outer, again.outer)):
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("r, R", [
+    (1.0, 1.0),  # r == R at a vertex
+    (1.3, 0.7),  # r > R
+    (0.5, 1.3),  # an empty inner plate
+    (0.7, 1.5),  # an empty outer plate
+    (math.nan, 1.3),
+    (0.7, math.inf),
+], ids=["r-equals-R", "r-above-R", "empty-inner", "empty-outer", "nan-r", "inf-R"])
+def test_condenser_bc_still_refuses_plates_it_cannot_separate(r, R):
+    net = build_radial_network(RN2, 0.6, 1.4, 64)
+    assert 1.0 in net.radii
+    with pytest.raises(InputError, match=f"^resolution too coarse to separate r={r} from R={R}$"):
+        condenser_bc(net, r, R)
 
 
 def _padded(net, bc, rng):
