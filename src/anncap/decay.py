@@ -70,15 +70,17 @@ class OneAdReport:
 def ad_ratio(space: SpaceSpec, ann: AnnulusSpec, eta: float) -> float:
     """mu(B_R \\ B_r) / ((1 - r/R)^eta mu(B_R)); the eta-AD property holds
     on a family iff this is uniformly bounded over it."""
-    return _ad_ratio(FamilyMeasures(space), ann, eta)
+    return _ad_ratios(FamilyMeasures(space), [ann], eta)[0]
 
 
-def _ad_ratio(measures: FamilyMeasures, ann: AnnulusSpec, eta: float) -> float:
+def _ad_ratios(measures: FamilyMeasures, annuli, eta: float) -> list:
+    """ad_ratio of each annulus: eta is checked, then the annuli and
+    mu(B_R), once per distinct R, are one fill of measures."""
     if not (eta > 0):
         raise InputError(f"need eta > 0, got {eta}")
-    num = measures.annulus(ann)
-    den = (1.0 - ann.r / ann.R) ** eta * measures.ball(ann.R)
-    return num / den
+    measures.fill([iv for ann in annuli for iv in ((ann.r, ann.R), (0.0, ann.R))])
+    return [measures.annulus(ann) / ((1.0 - ann.r / ann.R) ** eta * measures.ball(ann.R))
+            for ann in annuli]
 
 
 def _loglog_fit(x, y):
@@ -95,7 +97,8 @@ def _loglog_fit(x, y):
 
 def _theil_sen_slope(x, y) -> float:
     """Median of the pairwise slopes over pairs with distinct x (Theil 1950,
-    Sen 1968), by the steps of scipy.stats.theilslopes, so with its bits."""
+    Sen 1968), with the bits of scipy.stats.theilslopes's slope; a median
+    needs no sort of the slopes, which theilslopes makes for its interval."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     dx = x[:, None] - x
@@ -103,7 +106,6 @@ def _theil_sen_slope(x, y) -> float:
     if not rising.any():
         raise InputError("degenerate Theil-Sen fit: all abscissae are equal")
     slopes = (y[:, None] - y)[rising] / dx[rising]
-    slopes.sort()
     return float(np.median(slopes))
 
 
@@ -172,16 +174,11 @@ def ad_ratio_trend(space: SpaceSpec, annuli, eta: float,
     """Fitted slope of log ad_ratio against log(1 - r/R) over a family,
     plus the fitted ratios in annulus order.  A negative slope means
     divergence as the annuli thin out; |slope| <= 0.05 and a bounded window
-    mean the eta-AD inequality holds along the family.  The annuli and
-    mu(B_R), once per distinct R, are one fill of measures (one per call by
-    default)."""
+    mean the eta-AD inequality holds along the family.  The ratios come
+    from one fill of measures (one per call by default)."""
     annuli = list(annuli)
-    measures = measures or FamilyMeasures(space)
-    measures.fill([iv for ann in annuli for iv in ((ann.r, ann.R), (0.0, ann.R))])
-    xs, ratios = [], []
-    for ann in annuli:
-        xs.append(math.log(1.0 - ann.r / ann.R))
-        ratios.append(_ad_ratio(measures, ann, eta))
+    ratios = _ad_ratios(measures or FamilyMeasures(space), annuli, eta)
+    xs = [math.log(1.0 - ann.r / ann.R) for ann in annuli]
     slope, _, _ = _loglog_fit(xs, np.log(ratios))
     return slope, ratios
 

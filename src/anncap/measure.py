@@ -177,7 +177,7 @@ def _snake_family(geom: Snake, intervals):
                           f"got R = {past}")
     radii = np.array([R for _, R in intervals] + [r for r, _ in intervals], dtype=float)
     balls = radii.copy()
-    top, k = np.fmax.reduce(radii, initial=0.0), 0  # fmax passes over a NaN radius
+    top, k = radii.max(initial=0.0), 0
     while k < geom.k_max and 2.0**k < top:
         np.add(balls, math.pi * 2.0**k, out=balls, where=2.0**k < radii)
         k += 1

@@ -8,12 +8,14 @@ potentials pinned to 1 on the inner plate and 0 on the outer plate.
 The builders' arrays hold by construction what DiscreteNetwork checks:
 int64 endpoints in range, no self-loop, and float lengths, masses and
 radii, finite, with lengths and masses > 0 and radii >= 0. So they skip
-the check, which stays for networks given from outside; each builder
-refuses a mass past the float range itself, the radial one with
-DomainError (a cell of width 0 has mass 0), the bow-tie with InputError.
-condenser_bc's plates skip BoundaryCondition's disjointness test when both
-are non-empty and r (1 + PLATE_TOL) < R (1 - PLATE_TOL), so that no radius
-lies in both; otherwise they go through it.
+the check, which stays for networks given from outside, broadcast arrays
+included; each builder refuses a mass past the float range itself, the
+radial one with DomainError (a cell of width 0 has mass 0), the bow-tie
+with InputError. The radial builder and condenser_bc take their radii as
+Python floats, so a float32 radius gives the float64 nodes and plate slack
+of its value. condenser_bc's plates skip BoundaryCondition's disjointness
+test when both are non-empty and r (1 + PLATE_TOL) < R (1 - PLATE_TOL), so
+that no radius lies in both; otherwise they go through it.
 
 Every solve runs on the network's core. One pass over the edges reads
 each end's plate and keeps the crossing edges, those not inside one
@@ -136,8 +138,6 @@ class DiscreteNetwork:
             raise InputError("self-loops are not allowed")
         for name in ("lengths", "masses"):
             x = getattr(self, name)
-            if x.strides == (0,):  # one value broadcast: its first element has the verdict
-                x = x[:1]
             if not 0 < x.min() <= x.max() < math.inf:  # a NaN min or max fails too
                 raise InputError(f"edge {name} must be finite and strictly positive")
         if min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n:
@@ -190,6 +190,7 @@ def condenser_bc(net: DiscreteNetwork, r: float, R: float) -> BoundaryCondition:
     plate's radius."""
     if net.radii is None:
         raise InputError("network has no vertex radii")
+    r, R = float(r), float(R)
     lo, hi = r * (1.0 + PLATE_TOL), R * (1.0 - PLATE_TOL)
     inner, outer = np.flatnonzero(net.radii <= lo), np.flatnonzero(net.radii >= hi)
     if lo < hi and len(inner) and len(outer):  # no radius is both <= lo and >= hi
@@ -215,6 +216,7 @@ def build_radial_network(space: SpaceSpec, r_lo: float, r_hi: float,
     """
     if not (0 < r_lo < r_hi < math.inf):
         raise InputError(f"need 0 < r_lo < r_hi < inf, got {r_lo}, {r_hi}")
+    r_lo, r_hi = float(r_lo), float(r_hi)
     if not (isinstance(N, (int, np.integer)) and 16 <= N <= MAX_CELLS):
         raise InputError(f"need an integer 16 <= N <= {MAX_CELLS} cells, got {N}")
     w, m, const = _radial_reduction(space)
@@ -225,10 +227,8 @@ def build_radial_network(space: SpaceSpec, r_lo: float, r_hi: float,
     if not 0 < masses.min() <= masses.max() < math.inf:
         raise DomainError(f"cell masses on [{r_lo}, {r_hi}] leave the float range")
     idx = np.arange(N)
-    # float32 radii give float32 nodes, widened only once their cells are cut
     return _unchecked(DiscreteNetwork, num_vertices=int(N) + 1, edge_i=idx, edge_j=idx + 1,
-                      lengths=np.diff(nodes).astype(float, copy=False), masses=masses,
-                      radii=nodes.astype(float, copy=False))
+                      lengths=np.diff(nodes), masses=masses, radii=nodes)
 
 
 def build_snake_network(k_max: int = 8, cells_per_unit: float = 4.0,

@@ -13,8 +13,8 @@ from anncap.decay import (
     fit_annulus_decay,
 )
 from anncap.errors import AnncapError, DomainError, InputError, QuadratureError
-from anncap.gallery import (AD_FIT_TOL, DOUBLING_BOUND, REVERSE_DOUBLING_GAMMA, _thin_family,
-                            make_bowtie, make_buckley, make_halfline, make_snake)
+from anncap.gallery import (AD_FIT_TOL, DOUBLING_BOUND, REVERSE_DOUBLING_GAMMA, _thin_annuli,
+                            _thin_family, make_bowtie, make_buckley, make_halfline, make_snake)
 from anncap.measure import mu_annulus, mu_ball
 from anncap.spaces import AnnulusSpec, RadialRn, SpaceSpec
 from anncap.weights import Constant, HalfLineKind
@@ -193,6 +193,15 @@ def test_ad_ratio_trend_takes_each_ball_once(monkeypatch):
     assert radii == {1.0: 1, 4.0: 1}
     # the fitted ratios, in annulus order
     assert ratios == [ad_ratio(RN2, a, 1.0) for a in annuli]
+
+
+@pytest.mark.parametrize("eta", [-1.0, 0.0, math.nan])
+def test_ad_ratio_trend_refuses_eta_before_any_measure(monkeypatch, eta):
+    calls = []
+    monkeypatch.setattr(measure, "_measure_family", lambda *args: calls.append(args))
+    with pytest.raises(InputError, match=f"^need eta > 0, got {eta}$"):
+        ad_ratio_trend(make_buckley(0.5).space, _thin_annuli(1.0, 10), eta)
+    assert calls == []
 
 
 def _first_fit_failure(space, R, rs):

@@ -340,6 +340,15 @@ def test_failed_factorisation_is_a_convergence_error(monkeypatch, p):
         solve_p_energy(*_patch_net(3, 5, np.random.default_rng(0)), p)
 
 
+def test_newton_stops_at_its_iteration_cap(monkeypatch):
+    net = build_bowtie_grid(0.5, 1 / 16)
+    bc = condenser_bc(net, 0.875, 1.0)
+    assert solve_p_energy(net, bc, 1.5).iterations == 4
+    monkeypatch.setattr(network, "MAX_ITER", 1)
+    with pytest.raises(ConvergenceError, match="^Newton did not converge in 1 iterations$"):
+        solve_p_energy(net, bc, 1.5)
+
+
 def _random_multigraph(rng):
     """Two free components, one hanging off each plate (the second also
     touches the other plate), with parallel edges, a plate-to-plate edge
@@ -1253,10 +1262,21 @@ def _assert_rebuilt_unchanged(net):
 @pytest.mark.parametrize("r, R, N", [
     (0.6, 1.4, 64),
     (0.01, 1.5, np.int64(2000)),  # past GRADED_RATIO: geometric cells
-    (np.float32(0.5), np.float32(1.5), 16),  # float32 nodes, widened
+    (np.float32(0.5), np.float32(1.5), 16),  # float32 radii, float64 nodes
 ])
 def test_radial_network_passes_the_public_checks_unchanged(name, r, R, N):
     _assert_rebuilt_unchanged(build_radial_network(_CHAIN_SPACES[name][0], r, R, N))
+
+
+@pytest.mark.parametrize("name", list(_CHAIN_SPACES))
+def test_float32_radii_build_the_chain_of_their_float64_values(name):
+    space = _CHAIN_SPACES[name][0]
+    r, R = np.float32(0.6), np.float32(1.4)
+    got = build_radial_network(space, r, R, 16)
+    want = build_radial_network(space, float(r), float(R), 16)
+    for field in ("lengths", "masses", "radii"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes(), field
 
 
 @pytest.mark.parametrize("k_max, cells_per_unit, extra_radii", [
@@ -1289,6 +1309,16 @@ def test_condenser_bc_plates_pass_the_public_checks_unchanged(net, r, R):
                               outer=np.flatnonzero(net.radii >= R * (1 - network.PLATE_TOL)))
     for got, want in ((bc.inner, again.inner), (bc.outer, again.outer)):
         assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_condenser_bc_keeps_its_slack_for_float32_radii():
+    # float32(0.5) * (1 + PLATE_TOL) would round back to 0.5 in float32
+    net = DiscreteNetwork(num_vertices=4, edge_i=[0, 1, 2], edge_j=[1, 2, 3],
+                          lengths=[1.0, 1.0, 1.0], masses=[1.0, 1.0, 1.0],
+                          radii=[0.5, 0.5 * (1 + 1e-13), 1.0, 2.0])
+    for r, R in ((0.5, 2.0), (np.float32(0.5), np.float32(2.0))):
+        bc = condenser_bc(net, r, R)
+        assert bc.inner.tolist() == [0, 1] and bc.outer.tolist() == [3]
 
 
 @pytest.mark.parametrize("r, R", [

@@ -34,6 +34,8 @@ def test_geometry_validation():
         BowTie(2, -2.0)
     with pytest.raises(InputError, match="overflows"):
         BowTie(400, 0.5)  # the sphere area of R^399 is past the float range
+    with pytest.raises(InputError, match="overflows"):
+        RadialRn(400)  # the sphere area of R^400 as well
 
 
 @pytest.mark.parametrize("n", [2.5, 2.0, math.nan, "3"])

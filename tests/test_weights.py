@@ -30,6 +30,12 @@ def test_power_alpha():
     assert PowerAlpha(2.0).singularities() == ()
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_power_alpha_needs_a_finite_exponent(alpha):
+    with pytest.raises(InputError, match="^PowerAlpha needs a finite exponent$"):
+        PowerAlpha(alpha)
+
+
 def test_buckley_exact_form():
     w = BuckleyEta(0.5)
     # max{1, |rho - 1|^(eta-1)} exactly
