@@ -47,8 +47,7 @@ from .gallery import (
     make_summed_buckley,
     verify_expectations,
 )
-from .measure import (FamilyMeasures, mu_annulus, mu_annulus_detailed, mu_ball, mu_ball_detailed,
-                      mu_family)
+from .measure import mu_annulus, mu_annulus_detailed, mu_ball, mu_ball_detailed, mu_family
 from .network import (
     BoundaryCondition,
     DiscreteNetwork,

@@ -8,7 +8,7 @@ cap/bound ratio and absence of a trend in log-log coordinates.
 ``BOUND_TABLE`` holds every bound in one row: its hypotheses in the order
 they are checked, the one measure it reads (mu(B_R), mu(B_r) or mu(ann))
 and its expression.  ``verify_envelope`` computes the family's measures in
-one ``FamilyMeasures`` fill: mu(B_R) once per distinct R, mu(B_r) once per
+one ``_measure_family`` call: mu(B_R) once per distinct R, mu(B_r) once per
 distinct r and mu(ann) once per annulus, and its capacities in one call.
 """
 
@@ -24,7 +24,7 @@ import numpy as np
 from .capacity import cap_values
 from .decay import _loglog_fit
 from .errors import ApplicabilityError, DomainError, InputError
-from .measure import FamilyMeasures
+from .measure import _fill_measures
 from .spaces import AnnulusSpec, SpaceSpec
 
 __all__ = [
@@ -102,7 +102,7 @@ _LOCAL = (_REVERSE_DOUBLING, _THIN, _RADIUS_CAP)
 class _Bound:
     hypotheses: tuple  # checked in order; the first failure is reported
     measure: Callable[[AnnulusSpec], tuple]  # the (r, R) of the measure it reads, r = 0 a ball
-    expression: Callable[..., float]  # (spec, ann, t = 1 - r/R, mu), mu() that measure
+    expression: Callable[..., float]  # (spec, ann, t = 1 - r/R, mu), mu that measure
 
 
 def _ball_R(a):
@@ -118,27 +118,27 @@ def _annulus(a):
 
 
 BOUND_TABLE = {
-    BoundId.UPPER_SIMPLE: _Bound((), _annulus, lambda s, a, t, mu: mu() / a.delta**s.p),
+    BoundId.UPPER_SIMPLE: _Bound((), _annulus, lambda s, a, t, mu: mu / a.delta**s.p),
     BoundId.UPPER_ETA: _Bound(
-        (_AD_ETA,), _ball_R, lambda s, a, t, mu: t ** (s.eta - s.p) * mu() / a.R**s.p),
+        (_AD_ETA,), _ball_R, lambda s, a, t, mu: t ** (s.eta - s.p) * mu / a.R**s.p),
     BoundId.LOWER_PI_AD: _Bound(
         (_Q_RANGE, _PI_Q, _AD_ETA) + _LOCAL, _ball_R,
-        lambda s, a, t, mu: t ** (s.eta * (s.q - s.p) / s.q) * mu() / a.R**s.p),
+        lambda s, a, t, mu: t ** (s.eta * (s.q - s.p) / s.q) * mu / a.R**s.p),
     BoundId.LOWER_P_BASE: _Bound(
-        (_PI_P, _DOUBLING) + _LOCAL, _ball_R, lambda s, a, t, mu: mu() / a.R**s.p),
+        (_PI_P, _DOUBLING) + _LOCAL, _ball_R, lambda s, a, t, mu: mu / a.R**s.p),
     BoundId.TWO_SIDED_NICE: _Bound(
         (_PI_1, _AD_1) + _LOCAL, _ball_R,
-        lambda s, a, t, mu: t ** (1.0 - s.p) * mu() / a.R**s.p),
+        lambda s, a, t, mu: t ** (1.0 - s.p) * mu / a.R**s.p),
     BoundId.TWO_SIDED_ANNULAR: _Bound(_ANNULAR, _annulus,
-                                      lambda s, a, t, mu: mu() / a.delta**s.p),
+                                      lambda s, a, t, mu: mu / a.delta**s.p),
     BoundId.LOWER_CORKSCREW_Q: _Bound(
         _ANNULAR + (_Q_RANGE, _PI_Q), _ball_R,
-        lambda s, a, t, mu: t ** (s.q - s.p) * mu() / a.R**s.p),
+        lambda s, a, t, mu: t ** (s.q - s.p) * mu / a.R**s.p),
     BoundId.LOWER_P1_NO_DOUBLING: _Bound(
         (("p = 1", lambda s, sp, a: s.p == 1), _PI_1) + _LOCAL, _ball_r,
-        lambda s, a, t, mu: mu() / a.r),
+        lambda s, a, t, mu: mu / a.r),
     BoundId.MEASURE_LOWER_Q: _Bound(
-        (_PI_Q, _DOUBLING) + _LOCAL, _ball_R, lambda s, a, t, mu: t**s.q * mu()),
+        (_PI_Q, _DOUBLING) + _LOCAL, _ball_R, lambda s, a, t, mu: t**s.q * mu),
 }
 
 
@@ -150,11 +150,10 @@ def _check_hypotheses(spec: BoundSpec, space: SpaceSpec, ann: AnnulusSpec):
             raise ApplicabilityError(name)
 
 
-def _evaluate(spec: BoundSpec, ann: AnnulusSpec, measures: FamilyMeasures) -> float:
+def _evaluate(spec: BoundSpec, ann: AnnulusSpec, measures: dict) -> float:
     row = BOUND_TABLE[spec.bound_id]
     try:
-        return row.expression(spec, ann, 1.0 - ann.r / ann.R,
-                               lambda: measures(*row.measure(ann)))
+        return row.expression(spec, ann, 1.0 - ann.r / ann.R, measures[row.measure(ann)])
     except ArithmeticError:  # R**p or r underflows, or a power overflows
         raise DomainError(f"{spec.bound_id.value} leaves the float range on annulus "
                           f"(r={ann.r}, R={ann.R})") from None
@@ -170,7 +169,8 @@ def evaluate_bound(spec: BoundSpec, space: SpaceSpec, ann: AnnulusSpec,
     """
     if check_hypotheses:
         _check_hypotheses(spec, space, ann)
-    return _evaluate(spec, ann, FamilyMeasures(space))
+    measure = BOUND_TABLE[spec.bound_id].measure(ann)
+    return _evaluate(spec, ann, _fill_measures(space, {}, [measure]))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +192,7 @@ def verify_envelope(space: SpaceSpec, spec: BoundSpec, annuli,
 
     When gated, every annulus's hypotheses are checked before any measure
     or capacity is computed.  Then the bound's measures are one
-    FamilyMeasures fill and the capacities at spec.p one cap_values call,
+    _measure_family call and the capacities at spec.p one cap_values call,
     each raising the first annulus's error in order.  The constant-free
     UpperSimple bound must additionally dominate the capacity outright
     (ratio <= 1 + 1e-8).
@@ -204,8 +204,8 @@ def verify_envelope(space: SpaceSpec, spec: BoundSpec, annuli,
         for ann in annuli:
             _check_hypotheses(spec, space, ann)
     rows, xs = [], []
-    measures = FamilyMeasures(space)
-    measures.fill([BOUND_TABLE[spec.bound_id].measure(ann) for ann in annuli])
+    measures = _fill_measures(space, {},
+                              [BOUND_TABLE[spec.bound_id].measure(ann) for ann in annuli])
     for ann, cap in zip(annuli, cap_values(space, spec.p, annuli)):
         bound = _evaluate(spec, ann, measures)
         if bound == 0.0:

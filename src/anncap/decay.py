@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .measure import FamilyMeasures, volume_profiles
+from .measure import _fill_measures, volume_profiles
 from .spaces import AnnulusSpec, SpaceSpec
 
 __all__ = [
@@ -70,16 +70,16 @@ class OneAdReport:
 def ad_ratio(space: SpaceSpec, ann: AnnulusSpec, eta: float) -> float:
     """mu(B_R \\ B_r) / ((1 - r/R)^eta mu(B_R)); the eta-AD property holds
     on a family iff this is uniformly bounded over it."""
-    return _ad_ratios(FamilyMeasures(space), [ann], eta)[0]
+    return _ad_ratios(space, {}, [ann], eta)[0]
 
 
-def _ad_ratios(measures: FamilyMeasures, annuli, eta: float) -> list:
+def _ad_ratios(space: SpaceSpec, measures: dict, annuli, eta: float) -> list:
     """ad_ratio of each annulus: eta is checked, then the annuli and
-    mu(B_R), once per distinct R, are one fill of measures."""
+    mu(B_R), once per distinct R, are one fill of the table measures."""
     if not (eta > 0):
         raise InputError(f"need eta > 0, got {eta}")
-    measures.fill([iv for ann in annuli for iv in ((ann.r, ann.R), (0.0, ann.R))])
-    return [measures.annulus(ann) / ((1.0 - ann.r / ann.R) ** eta * measures.ball(ann.R))
+    _fill_measures(space, measures, [iv for ann in annuli for iv in ((ann.r, ann.R), (0.0, ann.R))])
+    return [measures[ann.r, ann.R] / ((1.0 - ann.r / ann.R) ** eta * measures[0.0, ann.R])
             for ann in annuli]
 
 
@@ -121,17 +121,18 @@ def _decay_radii(R, r_values):
 
 
 def fit_annulus_decay(space: SpaceSpec, R: float, r_values,
-                      measures: FamilyMeasures | None = None) -> AdFitReport:
+                      measures: dict | None = None) -> AdFitReport:
     """Least-squares fit of log(mu(ann)/mu(B_R)) against log(1 - r/R)
     for a fixed-R family; the slope estimates the decay exponent.  mu(B_R)
-    and the annuli are one fill of measures (one per call by default)."""
+    and the annuli are one fill of the table measures, a dict from (r, R)
+    to the measure (a new one per call by default)."""
     r_values = _decay_radii(R, r_values)
-    measures = measures or FamilyMeasures(space)
-    measures.fill([(0.0, R), *((r, R) for r in r_values)])
-    muR = measures.ball(R)
+    measures = _fill_measures(space, {} if measures is None else measures,
+                              [(0.0, R), *((r, R) for r in r_values)])
+    muR = measures[0.0, R]
     xs, ys = [], []
     for r in r_values:
-        mass = measures(r, R)
+        mass = measures[r, R]
         if not mass > 0:
             raise DomainError(f"annulus (r={r}, R={R}) has measure {mass}; "
                               "its decay ratio has no logarithm")
@@ -143,21 +144,21 @@ def fit_annulus_decay(space: SpaceSpec, R: float, r_values,
 
 
 def estimate_ad_exponent(space: SpaceSpec, families,
-                         measures: FamilyMeasures | None = None) -> AdFitReport:
+                         measures: dict | None = None) -> AdFitReport:
     """Estimate the decay exponent of the space over a sequence of fixed-R
     families, each a pair (R, rs).
 
     The AD property quantifies over all annuli, so the space exponent is
     the worst (smallest) fitted slope across the declared families.  Every
     family is checked before any measure is computed, and the first invalid
-    one raises its InputError; their measures are then one fill of measures
-    (one per call by default).
+    one raises its InputError; their measures are then one fill of the
+    table measures (a new one per call by default).
     """
     families = [(R, _decay_radii(R, rs)) for R, rs in families]
     if not families:
         raise InputError("need at least one (R, rs) family")
-    measures = measures or FamilyMeasures(space)
-    measures.fill([iv for R, rs in families for iv in ((0.0, R), *((r, R) for r in rs))])
+    intervals = [iv for R, rs in families for iv in ((0.0, R), *((r, R) for r in rs))]
+    measures = _fill_measures(space, {} if measures is None else measures, intervals)
     reports = [fit_annulus_decay(space, R, rs, measures) for R, rs in families]
     worst = min(reports, key=lambda rep: rep.eta_hat)
     return AdFitReport(
@@ -170,14 +171,14 @@ def estimate_ad_exponent(space: SpaceSpec, families,
 
 
 def ad_ratio_trend(space: SpaceSpec, annuli, eta: float,
-                   measures: FamilyMeasures | None = None):
+                   measures: dict | None = None):
     """Fitted slope of log ad_ratio against log(1 - r/R) over a family,
     plus the fitted ratios in annulus order.  A negative slope means
     divergence as the annuli thin out; |slope| <= 0.05 and a bounded window
     mean the eta-AD inequality holds along the family.  The ratios come
-    from one fill of measures (one per call by default)."""
+    from one fill of the table measures (a new one per call by default)."""
     annuli = list(annuli)
-    ratios = _ad_ratios(measures or FamilyMeasures(space), annuli, eta)
+    ratios = _ad_ratios(space, {} if measures is None else measures, annuli, eta)
     xs = [math.log(1.0 - ann.r / ann.R) for ann in annuli]
     slope, _, _ = _loglog_fit(xs, np.log(ratios))
     return slope, ratios
@@ -257,13 +258,12 @@ def check_one_ad(space: SpaceSpec, rho_range: tuple[float, float]) -> OneAdRepor
 
 def doubling_ratios(space: SpaceSpec, radii) -> np.ndarray:
     """mu(B_2r) / mu(B_r) at each radius r of a family, in order, from one
-    FamilyMeasures fill of every ball B_r and B_2r, so each distinct radius
+    _measure_family call over every ball B_r and B_2r, so each distinct radius
     is computed once.  Doubling at the center bounds these ratios above,
     reverse doubling bounds them above 1 from below.  An empty family is an
     InputError."""
     radii = list(radii)
     if not radii:
         raise InputError("need at least one radius")
-    measures = FamilyMeasures(space)
-    measures.fill([(0.0, rho) for r in radii for rho in (2.0 * r, r)])
-    return np.array([measures.ball(2.0 * r) / measures.ball(r) for r in radii])
+    balls = _fill_measures(space, {}, [(0.0, rho) for r in radii for rho in (2.0 * r, r)])
+    return np.array([balls[0.0, 2.0 * r] / balls[0.0, r] for r in radii])

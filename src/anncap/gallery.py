@@ -26,7 +26,7 @@ from .decay import (
     fit_annulus_decay,
 )
 from .errors import ApplicabilityError
-from .measure import FamilyMeasures, mu_family
+from .measure import _fill_measures, mu_family
 from .spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec, TraitSet
 from .weights import BuckleyEta, Constant, HalfLineCatalog, HalfLineKind, SummedBuckley
 
@@ -240,7 +240,7 @@ class _Probes:
         self.entry = entry
         # the measures that the decay fits and trends read, each interval
         # computed once
-        self.balls = FamilyMeasures(entry.space)
+        self.balls = {}
 
     @functools.cached_property
     def buckley_envelope(self):
@@ -414,8 +414,8 @@ def _claim_measure_lower_q_fails(entry, probes):
     """The q-decay measure lower bound fails: no reverse-doubling."""
     spec = BoundSpec(BoundId.MEASURE_LOWER_Q, p=2.0, q=1.0)
     annuli = [AnnulusSpec(R / 2.0, R) for R in (16.0, 256.0, 4096.0)]
-    measures = FamilyMeasures(entry.space)
-    measures.fill([iv for ann in annuli for iv in ((0.0, ann.R), (ann.r, ann.R))])
+    measures = _fill_measures(entry.space, {},
+                              [iv for ann in annuli for iv in ((0.0, ann.R), (ann.r, ann.R))])
     ratios = []
     for ann in annuli:
         try:
@@ -425,7 +425,7 @@ def _claim_measure_lower_q_fails(entry, probes):
             if "reverse-doubling" not in str(exc):
                 return False, f"gated on the wrong hypothesis: {exc}"
         bound = _evaluate(spec, ann, measures)
-        ratios.append(measures.annulus(ann) / bound)
+        ratios.append(measures[ann.r, ann.R] / bound)
     # decay is logarithmic in R, so test the total drop
     ok = all(b < a for a, b in zip(ratios, ratios[1:])) and ratios[-1] <= ratios[0] / 2.0
     return ok, f"mu(ann)/bound along R: {', '.join(f'{x:.4g}' for x in ratios)} (decreasing to 0)"

@@ -28,7 +28,7 @@ from .spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec, s
 from .weights import Constant, PowerAlpha
 
 __all__ = ["mu_ball", "mu_annulus", "mu_ball_detailed", "mu_annulus_detailed", "mu_family",
-           "volume_profiles", "FamilyMeasures"]
+           "volume_profiles"]
 
 DEFAULT_TOL = 1e-10
 _EPS = np.finfo(float).eps
@@ -437,37 +437,17 @@ def mu_annulus(space: SpaceSpec, ann: AnnulusSpec) -> float:
     return mu_annulus_detailed(space, ann)[0]
 
 
-class FamilyMeasures:
-    """mu(r <= |x - x0| < R) of one space, r = 0 for the ball B_R, for the
-    length of one computation over a family.  fill computes every interval
-    the table lacks in one _measure_family call, each distinct one once, and
-    raises that call's error; a read of an interval not yet filled computes
-    it alone.  A read returns the value mu_ball or mu_annulus returns.
-
-    A table lives as long as the computation that made it (one
-    verify_envelope call, say) and is not kept beyond it, so repeated
-    queries still do their own work.
+def _fill_measures(space: SpaceSpec, table: dict, intervals) -> dict:
+    """Add to table, a dict from (r, R) to mu(r <= |x - x0| < R) of space,
+    r = 0 for the ball B_R, every interval of intervals it lacks, each
+    distinct one once, from one _measure_family call, which raises its
+    error; return table.  A table lives for one computation over a family
+    (one verify_envelope call, say), so repeated queries do their own work.
     """
-
-    def __init__(self, space: SpaceSpec):
-        self.space = space
-        self._results = {}
-
-    def fill(self, intervals):
-        new = [iv for iv in dict.fromkeys(intervals) if iv not in self._results]
-        if new:
-            self._results.update(zip(new, _measure_family(self.space, new)))
-
-    def __call__(self, r, R):
-        if (r, R) not in self._results:
-            self.fill([(r, R)])
-        return self._results[r, R][0]
-
-    def ball(self, rho):
-        return self(0.0, rho)
-
-    def annulus(self, ann: AnnulusSpec):
-        return self(ann.r, ann.R)
+    new = [iv for iv in dict.fromkeys(intervals) if iv not in table]
+    if new:
+        table.update(zip(new, mu_family(space, new)))
+    return table
 
 
 def volume_profiles(space: SpaceSpec, grids) -> list:
@@ -480,19 +460,18 @@ def volume_profiles(space: SpaceSpec, grids) -> list:
     rule when its upper radius exceeds twice its lower one, it contains or
     touches a weight singularity, its mass is not finite, or its estimate
     exceeds 1e-2 * DEFAULT_TOL times the profile at its upper end.  The
-    balls at the grids' first radii are one FamilyMeasures fill, which
+    balls at the grids' first radii are one _measure_family call, which
     raises the first ball's error at once, and the panels every grid redoes
     are one _radial_integral call.  Other geometries take mu_ball at every
-    distinct radius of the grids in one FamilyMeasures fill.
+    distinct radius of the grids from one _measure_family call.
     """
     grids = [np.asarray(rho, dtype=float) for rho in grids]
-    balls = FamilyMeasures(space)
     if not isinstance(space.geometry, (RadialRn, HalfLine)):
-        balls.fill([(0.0, x) for rho in grids for x in rho])
-        return [np.array([balls.ball(x) for x in rho]) for rho in grids]
+        balls = _fill_measures(space, {}, [(0.0, x) for rho in grids for x in rho])
+        return [np.array([balls[0.0, x] for x in rho]) for rho in grids]
     w, m, const = _radial_reduction(space)
     density = _radial_density(w, m)
-    balls.fill([(0.0, rho[0]) for rho in grids])
+    balls = _fill_measures(space, {}, [(0.0, rho[0]) for rho in grids])
     sing = np.asarray(w.singularities(), dtype=float)
     profiles, redone = [], []
     for rho in grids:
@@ -509,7 +488,7 @@ def volume_profiles(space: SpaceSpec, grids) -> list:
         # gate's 1e-12 over that 1% only where their mass underflows.
         redo = ((hi > 2.0 * lo) | ((sing >= lo[:, None]) & (sing <= hi[:, None])).any(axis=1)
                 | ~np.isfinite(inc))
-        f0 = balls.ball(rho[0])
+        f0 = balls[0.0, rho[0]]
         # a panel redone below adds 0 here, so that the gate of the ones past it only tightens
         with np.errstate(over="ignore", invalid="ignore"):  # a profile past the floats is refused
             below = f0 + np.cumsum(np.where(redo, 0.0, inc))
