@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .measure import _fill_measures, volume_profiles
-from .spaces import AnnulusSpec, SpaceSpec
+from .spaces import AnnulusSpec, SpaceSpec, _finite
 
 __all__ = [
     "AdFitReport",
@@ -199,7 +199,7 @@ def check_one_ad(space: SpaceSpec, rho_range: tuple[float, float]) -> OneAdRepor
     volume of 0, or a grid whose median ratio is 0, a DomainError.
     """
     lo, hi = rho_range
-    if not (0 < lo < hi < math.inf):
+    if not (0 < lo < hi and _finite(hi)):
         raise InputError(f"need 0 < lo < hi < inf, got {rho_range}")
     grids = [np.geomspace(lo, hi, ONE_AD_GRID * 2**level + 1) for level in range(ONE_AD_LEVELS)]
     if not (np.diff(grids[-1]) > 0).all():

@@ -24,7 +24,8 @@ import math
 import numpy as np
 
 from .errors import DomainError, QuadratureError, unwrap
-from .spaces import AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec, surface_area
+from .spaces import (AnnulusSpec, BowTie, HalfLine, RadialRn, Snake, SpaceSpec, _finite,
+                     surface_area)
 from .weights import Constant, PowerAlpha
 
 __all__ = ["mu_ball", "mu_annulus", "mu_ball_detailed", "mu_annulus_detailed", "mu_family",
@@ -398,7 +399,7 @@ def _measure_family(space: SpaceSpec, intervals):
     are one _radial_integral call."""
     geom = space.geometry
     for r, R in intervals:
-        if not 0 < R < math.inf:
+        if not (0 < R and _finite(R)):
             raise DomainError(f"ball radius must be positive and finite, got {R}")
         if not 0 <= r <= R:
             raise DomainError(f"an annulus needs 0 <= r <= R, got r={r}, R={R}")

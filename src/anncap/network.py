@@ -13,9 +13,9 @@ included; each builder refuses a mass past the float range itself, the
 radial one with DomainError (a cell of width 0 has mass 0), the bow-tie
 with InputError. The radial builder and condenser_bc take their radii as
 Python floats, so a float32 radius gives the float64 nodes and plate slack
-of its value. condenser_bc's plates skip BoundaryCondition's disjointness
-test when both are non-empty and r (1 + PLATE_TOL) < R (1 - PLATE_TOL), so
-that no radius lies in both; otherwise they go through it.
+of its value. condenser_bc's plates skip BoundaryCondition's checks: it
+builds them only when both are non-empty and r (1 + PLATE_TOL) <
+R (1 - PLATE_TOL), so that no radius lies in both, and refuses otherwise.
 
 Every solve runs on the network's core. One pass over the edges reads
 each end's plate and keeps the crossing edges, those not inside one
@@ -74,7 +74,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, InfeasibleError, InputError
 from .measure import _cell_masses, _radial_density, _radial_reduction
-from .spaces import Snake, SpaceSpec
+from .spaces import Snake, SpaceSpec, _finite
 
 __all__ = [
     "DiscreteNetwork",
@@ -187,18 +187,18 @@ class SolveReport:
 def condenser_bc(net: DiscreteNetwork, r: float, R: float) -> BoundaryCondition:
     """Boundary sets {radius <= r} and {radius >= R} on a network that
     records vertex radii, each with a slack of PLATE_TOL relative to its
-    plate's radius."""
+    plate's radius.  Unless both are non-empty and r (1 + PLATE_TOL) <
+    R (1 - PLATE_TOL), which r >= R and a non-finite radius fail, the
+    network's resolution cannot separate them: an InputError."""
     if net.radii is None:
         raise InputError("network has no vertex radii")
-    r, R = float(r), float(R)
-    lo, hi = r * (1.0 + PLATE_TOL), R * (1.0 - PLATE_TOL)
-    inner, outer = np.flatnonzero(net.radii <= lo), np.flatnonzero(net.radii >= hi)
-    if lo < hi and len(inner) and len(outer):  # no radius is both <= lo and >= hi
-        return _unchecked(BoundaryCondition, inner=inner, outer=outer)
-    try:
-        return BoundaryCondition(inner=inner, outer=outer)
-    except InfeasibleError as exc:
-        raise InputError(f"resolution too coarse to separate r={r} from R={R}") from exc
+    if _finite(r) and _finite(R):
+        r, R = float(r), float(R)
+        lo, hi = r * (1.0 + PLATE_TOL), R * (1.0 - PLATE_TOL)
+        inner, outer = np.flatnonzero(net.radii <= lo), np.flatnonzero(net.radii >= hi)
+        if lo < hi and len(inner) and len(outer):  # no radius is both <= lo and >= hi
+            return _unchecked(BoundaryCondition, inner=inner, outer=outer)
+    raise InputError(f"resolution too coarse to separate r={r} from R={R}")
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,7 @@ def build_radial_network(space: SpaceSpec, r_lo: float, r_hi: float,
     r_lo: a uniform cell near r_lo would then be far wider than r_lo, and
     the capacity is set at r_lo.
     """
-    if not (0 < r_lo < r_hi < math.inf):
+    if not (0 < r_lo < r_hi and _finite(r_hi)):
         raise InputError(f"need 0 < r_lo < r_hi < inf, got {r_lo}, {r_hi}")
     r_lo, r_hi = float(r_lo), float(r_hi)
     if not (isinstance(N, (int, np.integer)) and 16 <= N <= MAX_CELLS):

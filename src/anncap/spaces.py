@@ -165,13 +165,22 @@ class SpaceSpec:
         return math.inf
 
 
+def _finite(x) -> bool:
+    """math.isfinite(x), and False for an int past the float range, which
+    compares below inf but has no float."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class AnnulusSpec:
     r: float
     R: float
 
     def __post_init__(self):
-        if not (0.0 < self.r < self.R < math.inf):
+        if not (0.0 < self.r < self.R and _finite(self.R)):
             raise InputError(f"annulus needs 0 < r < R < inf, got r={self.r}, R={self.R}")
 
     @property

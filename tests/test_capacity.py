@@ -228,8 +228,10 @@ _BOW = SpaceSpec(BowTie(2, 0.5))
      "no capacity engine for geometry object"),
     (lambda: cap_radial_p1(SpaceSpec(Snake()), AnnulusSpec(7.5, 8.5)),
      "radial reduction needs RadialRn or HalfLine, got Snake"),
+    (lambda: cap_rn_unweighted(3, 1.0, AnnulusSpec(1e200, 2e200)),
+     "capacity of (r=1e+200, R=2e+200) at p = 1.0 leaves the float range"),
 ], ids=["snake-k-below", "snake-k-past", "pinch-delta-0", "pinch-delta-half", "pinch-p-below-1",
-        "no-engine", "p1-on-the-snake"])
+        "no-engine", "p1-on-the-snake", "rn-p1-past-the-floats"])
 def test_an_engine_refuses_what_it_does_not_cover(call, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()

@@ -146,6 +146,7 @@ def test_ad_needs_range_or_R(capsys):
     ["ad", "--space", "rn", "--range", "0.5:inf"],
     ["cap", "--space", "buckley", "--eta", "0.5", "--p", "2", "--r", "0.5", "--R", "inf"],
     ["cap", "--space", "rn", "--p", "nan", "--r", "0.5", "--R", "1"],
+    ["cap", "--space", "rn", "--p", "abc", "--r", "1", "--R", "2"],
     ["sweep", "--space", "buckley", "--eta", "nan", "--p", "2", "--R", "1"],
     ["oracle", "--space", "rn", "--p", "2", "--r", "1", "--R", "2", "--rel-tol", "nan"],
     ["oracle", "--space", "rn", "--p", "2", "--r", "1", "--R", "2", "--rel-tol", "inf"],

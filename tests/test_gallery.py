@@ -167,6 +167,22 @@ def test_claims_share_the_envelope_and_the_trend_they_both_read(monkeypatch):
         assert calls["check_one_ad"] == 1, kind
 
 
+@pytest.mark.parametrize("make, claim, traits, evidence", [
+    (make_snake, "corkscrew-gating", {"corkscrew": True},
+     "bound evaluated despite the failed corkscrew hypothesis"),
+    (lambda: make_halfline(HalfLineKind.MIN_ONE_OVER_X), "measure-lower-q-fails",
+     {"reverse_doubling": True}, "bound applied at R=16.0 despite missing reverse-doubling"),
+    (lambda: make_halfline(HalfLineKind.MIN_ONE_OVER_X), "measure-lower-q-fails",
+     {"doubling": False}, "gated on the wrong hypothesis: hypothesis violated: doubling at x0"),
+], ids=["snake-with-corkscrew", "min-one-over-x-reverse-doubling", "min-one-over-x-not-doubling"])
+def test_a_gating_claim_fails_on_a_space_that_declares_otherwise(make, claim, traits, evidence):
+    entry = make()
+    space = dataclasses.replace(entry.space,
+                                traits=dataclasses.replace(entry.space.traits, **traits))
+    entry = dataclasses.replace(entry, space=space)
+    assert dict(entry.claims)[claim](entry, gallery._Probes(entry)) == (False, evidence)
+
+
 # dataclasses.astuple(traits), field by field: pi_exponents, pi_open_infimum,
 # pi_global, doubling, globally_doubling, reverse_doubling, corkscrew, ad_eta
 _RN_TRAITS = (frozenset({1.0}), None, True, True, True, True, True, 1.0)

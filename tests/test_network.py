@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from anncap import network
-from anncap.capacity import cap_auto, cap_radial_p1, cap_rn_unweighted, cap_snake
+from anncap.capacity import (CapacityMethod, CapacityResult, cap_auto, cap_radial_p1,
+                             cap_rn_unweighted, cap_snake)
 from anncap.decay import ad_ratio_trend, check_one_ad, doubling_ratios
 from anncap.errors import ConvergenceError, DomainError, InfeasibleError, InputError
 from anncap.gallery import make_buckley, make_summed_buckley
@@ -836,6 +837,13 @@ def _before_any_array(call):
     (lambda: build_snake_network(k_max=1100), InputError),
     (lambda: build_snake_network(8, 1e30), InputError),
     (lambda: _before_any_array(lambda: build_snake_network(k_max=1023)), InputError),
+    # an int past the float range compares below inf
+    (lambda: build_radial_network(RN2, 1, 10**400, 16), InputError),
+    (lambda: cap_auto(_BUCKLEY, 2.0, AnnulusSpec(1, 10**400)), InputError),
+    (lambda: mu_ball(RN2, 10**400), DomainError),
+    (lambda: check_one_ad(RN2, (1, 10**400)), InputError),
+    (lambda: mu_ball(SpaceSpec(object()), 1.0), DomainError),
+    (lambda: CapacityResult(-1.0, CapacityMethod.CLOSED_FORM), InputError),
 ], ids=["bowtie-h0", "bowtie-h-nan", "bowtie-h-negative", "snake-cells-nan", "snake-cells-inf",
         "radial-N-float", "radial-r-hi-inf", "mu-ball-inf", "mu-family-r-past-R",
         "mu-family-bowtie-r-past-R", "mu-family-snake-r-negative", "mu-family-snake-r-nan",
@@ -846,7 +854,9 @@ def _before_any_array(call):
         "plate-past-last", "plate-negative", "radii-short", "radii-long", "radii-nan",
         "radii-negative", "radii-2d", "snake-k-float", "snake-network-k-float", "snake-k-2000",
         "snake-mu-ball-k-2000", "snake-network-k-1100", "snake-cells-1e30",
-        "snake-network-k-1023-unallocated"])
+        "snake-network-k-1023-unallocated", "radial-r-hi-past-floats", "cap-auto-past-floats",
+        "mu-ball-past-floats", "one-ad-past-floats", "mu-ball-unknown-geometry",
+        "capacity-negative"])
 def test_invalid_inputs_are_typed_errors(call, error):
     with pytest.raises(error):
         call()
@@ -1328,7 +1338,10 @@ def test_condenser_bc_keeps_its_slack_for_float32_radii():
     (0.7, 1.5),  # an empty outer plate
     (math.nan, 1.3),
     (0.7, math.inf),
-], ids=["r-equals-R", "r-above-R", "empty-inner", "empty-outer", "nan-r", "inf-R"])
+    (1.06, 1.052),  # r > R with no vertex between them: 1.05 and 1.0625 are
+    (0.5, 10**400),  # an int past the float range
+], ids=["r-equals-R", "r-above-R", "empty-inner", "empty-outer", "nan-r", "inf-R",
+        "r-above-R-between-vertices", "R-past-the-floats"])
 def test_condenser_bc_still_refuses_plates_it_cannot_separate(r, R):
     net = build_radial_network(RN2, 0.6, 1.4, 64)
     assert 1.0 in net.radii
