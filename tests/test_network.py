@@ -1338,7 +1338,7 @@ def test_condenser_bc_keeps_its_slack_for_float32_radii():
     (0.7, 1.5),  # an empty outer plate
     (math.nan, 1.3),
     (0.7, math.inf),
-    (1.06, 1.052),  # r > R with no vertex between them: 1.05 and 1.0625 are
+    (1.06, 1.052),  # r > R with no vertex in [R, r]; the nearest are 1.05 and 1.0625
     (0.5, 10**400),  # an int past the float range
 ], ids=["r-equals-R", "r-above-R", "empty-inner", "empty-outer", "nan-r", "inf-R",
         "r-above-R-between-vertices", "R-past-the-floats"])
